@@ -23,7 +23,6 @@ from .report import CheckRecord
 from .spaces import (
     OperatorMatrix,
     TaylorPoly,
-    as_coeffs,
     as_weight,
     toeplitz_matrix,
     weighted_adjoint,
@@ -165,13 +164,7 @@ def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
                 built["op"] = cm.build(phi, B, w, M, D, basis=basis, settings=settings)
             syms = cm.extract_symbols(built["op"].realization, B, M, D, basis=basis, settings=settings)
             phi2 = cm.symbols_to_matrix(syms, B, M, D, basis=basis, settings=settings)
-            worst = 0.0
-            for j in range(n):
-                for k in range(n):
-                    a = as_coeffs(phi.entries[j][k], 10)
-                    b = as_coeffs(phi2.entries[j][k], 10)
-                    worst = max(worst, float(np.max(np.abs(a - b))))
-            return worst
+            return max(float(np.max(np.abs(e.coeffs))) for row in (phi - phi2).entries for e in row)
 
         _timed(records, f"commutant/{label}/symbol_roundtrip", _tol(cfg, "symbol_roundtrip"), roundtrip, strict=strict)
     return records, {}

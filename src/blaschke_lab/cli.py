@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -100,24 +99,8 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
         raise ConfigError(str(exc)) from exc
 
 
-def worker_cap() -> int:
-    """Optional BLASCHKE_LAB_THREADS caps the worker count (checks run on a
-    single worker at desk scale; the cap is validated and honored)."""
-    val = os.environ.get("BLASCHKE_LAB_THREADS")
-    if val is None:
-        return 1
-    try:
-        cap = int(val)
-    except ValueError as exc:
-        raise ConfigError(f"BLASCHKE_LAB_THREADS must be an integer, got {val!r}") from exc
-    if cap < 1:
-        raise ConfigError("BLASCHKE_LAB_THREADS must be >= 1")
-    return min(cap, 1)
-
-
 def run(cfg: ExperimentConfig) -> Report:
     """Dispatch to the named battery and assemble the report."""
-    worker_cap()
     rng = np.random.default_rng(cfg.seed)
     battery = BATTERIES[cfg.command]
     try:

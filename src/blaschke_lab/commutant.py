@@ -20,15 +20,12 @@ from .spaces import (
     OperatorMatrix,
     TaylorPoly,
     WeightAlpha,
-    apply,
     as_coeffs,
     as_weight,
     commutator_residual,
-    operator_norm_safe,
     toeplitz_matrix,
-    weighted_adjoint,
 )
-from .wold import _check_tail, analyze, cell_matrix
+from .wold import _check_tail, analyze, shell_frame
 
 __all__ = [
     "MultiplierMatrix",
@@ -193,11 +190,9 @@ def build(
     if phi.n != B.degree:
         raise ValueError("multiplier matrix size must equal deg B")
     _check_tail(B, M, D, settings)
-    if basis is None:
-        basis = model_basis(B, D, settings=settings)
     M_out = M + phi.max_entry_degree
-    E_out = cell_matrix(basis, B, M_out, D)
-    E = E_out[:, : B.degree * (M + 1)]  # analysis cells are a prefix
+    frame = shell_frame(B, M_out, D, basis=basis, settings=settings)
+    E_out, E = frame.cells(M_out), frame.cells(M)
     V = _component_map(phi, M, M_out)
     W = E_out @ (V @ E.conj().T)
     return CommutantOperator(
@@ -226,8 +221,7 @@ def apply_formula(
     M_out = M + phi.max_entry_degree
     V = _component_map(phi, M, M_out)
     g = V @ dec.coefficients.T.reshape(-1)
-    E_out = cell_matrix(dec.basis, B, M_out, D)
-    return TaylorPoly(E_out @ g)
+    return TaylorPoly(shell_frame(B, M_out, D, basis=dec.basis).cells(M_out) @ g)
 
 
 def commutation_residual(
@@ -261,9 +255,8 @@ def extract_symbols(
         raise NotInCommutantError(
             f"commutation residual {res:.3e} exceeds tol_commute {settings.tol_commute:.1e}"
         )
-    if basis is None:
-        basis = model_basis(B, D, settings=settings)
-    return [apply(W, u) for u in basis.orthonormal]
+    U = shell_frame(B, 0, D, basis=basis, settings=settings).U
+    return [TaylorPoly(col) for col in (W.entries @ U).T]
 
 
 def symbols_to_matrix(
@@ -356,12 +349,7 @@ def cowen_residual(
         D = W.degree
     D_safe = safe_degree(D, guard)
     ka = as_coeffs(reproducing_kernel(a, D), D)
-    Wstar_ka = weighted_adjoint(W, 0.0).entries @ ka
-    shifted = as_coeffs(B.taylor(D), D).copy()
-    shifted[0] -= B.eval(a, settings=settings)
-    worst = 0.0
-    for m in range(D_safe + 1):
-        g = np.zeros(D + 1, dtype=complex)
-        g[m:] = shifted[: D + 1 - m]
-        worst = max(worst, abs(np.sum(Wstar_ka * np.conj(g))))
-    return worst
+    Wstar_ka = (ka.conj() @ W.entries).conj()  # W^H k_a as one mat-vec
+    shifted = B.taylor(D) - TaylorPoly([B.eval(a, settings=settings)])
+    G = toeplitz_matrix(shifted, D).entries[:, : D_safe + 1]  # columns (B - B(a)) z^m
+    return float(np.max(np.abs(G.conj().T @ Wstar_ka)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, blaschke_factor_taylor
+from .blaschke import BlaschkeProduct, blaschke_factor_taylor, model_basis
 from .commutant import CommutantOperator
 from .config import DEFAULT, Settings, safe_degree
 from .errors import ConditioningError, MembershipError
@@ -27,7 +27,7 @@ from .spaces import (
     weighted_inner,
     weighted_norm,
 )
-from .wold import analyze
+from .wold import analyze, shell_frame
 
 __all__ = [
     "SubspaceProjection",
@@ -329,24 +329,19 @@ def shift_equiv_general(
     nrm0 = weighted_norm(h, 0.0)
     if nrm0 == 0.0:
         raise MembershipError("h is zero")
-    TB = toeplitz_matrix(B.taylor(D), D, 0.0)
-    D_safe = safe_degree(D)
-    worst = 0.0
+    TB = toeplitz_matrix(B.taylor(D), D, 0.0).entries
     hc = as_coeffs(h, D)
-    for m in range(D_safe + 1):
-        bzm = TB.entries[:, m]
-        worst = max(worst, abs(np.sum(hc * np.conj(bzm))))
+    worst = float(np.max(np.abs(hc.conj() @ TB[:, : safe_degree(D) + 1])))
     if worst / nrm0 > settings.membership_tol:
         raise MembershipError(
             f"h is not in the model space: max |<h, B z^m>|/||h|| = {worst / nrm0:.3e}"
         )
     h_unit = (1.0 / nrm0) * h
-    powers = B.power_list(M, D)
-    images = tuple(
-        TaylorPoly(np.convolve(as_coeffs(h_unit, D), p.coeffs)[: D + 1]) for p in powers
-    )
+    images = [as_coeffs(h_unit, D)]
+    for _ in range(M):  # h B^k = T_B h B^(k-1), exact below degree D
+        images.append(TB @ images[-1])
     return IntertwinerJ(
-        images=images,
+        images=tuple(TaylorPoly(v) for v in images),
         norm_mode="b_norm",
         alpha=w,
         B=B,
@@ -403,12 +398,11 @@ def shell_shift_residual(
     """For the general construction: shell coordinates of B * J(z^k) must be
     those of J(z^k) shifted one shell up."""
     worst = 0.0
-    basis = None
-    b = J.B.taylor(D)
+    basis = model_basis(J.B, D, settings=settings)
+    b = shell_frame(J.B, M, D, basis=basis).b
     for f in J.images:
         dec = analyze(f, J.B, M, D, basis=basis, settings=settings)
-        basis = dec.basis
-        bf = TaylorPoly(np.convolve(as_coeffs(f, D), b.coeffs)[: D + 1])
+        bf = TaylorPoly(np.convolve(as_coeffs(f, D), b)[: D + 1])
         dec2 = analyze(bf, J.B, M, D, basis=basis, settings=settings)
         shifted = np.zeros_like(dec.coefficients)
         shifted[:, 1:] = dec.coefficients[:, :-1]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DEFAULT, Settings, safe_degree
 from .errors import CompositionDivergenceError, DimensionMismatchError
@@ -234,11 +235,9 @@ def compose_truncated(
 def toeplitz_matrix(g: TaylorPoly, D: int, w: WeightAlpha | float = 0.0) -> OperatorMatrix:
     """Multiplication by g as a lower-triangular Toeplitz matrix: entry
     (j, k) = g_{j-k}. Column k holds the coefficients of g * z^k."""
-    gc = as_coeffs(g, D)
-    m = np.zeros((D + 1, D + 1), dtype=complex)
-    for k in range(D + 1):
-        m[k:, k] = gc[: D + 1 - k]
-    return OperatorMatrix(m, as_weight(w))
+    # row j is the window of (g_D, ..., g_0, 0, ..., 0) starting at D - j
+    padded = np.concatenate((np.zeros(D, dtype=complex), as_coeffs(g, D)))[::-1]
+    return OperatorMatrix(sliding_window_view(padded, D + 1)[::-1], as_weight(w))
 
 
 def weighted_adjoint(A: OperatorMatrix, w: WeightAlpha | float | None = None) -> OperatorMatrix:

@@ -6,21 +6,31 @@ truncation only removes coefficients beyond the window, those inner products
 are exact for any input supported inside the window; accuracy of a round
 trip is limited by the expansion tail beyond the largest computed shell, not
 by the truncation itself.
+
+The cells u_j B^k of one (B, D, basis) are built once into a ShellFrame and
+kept in a memo of the last _FRAME_MEMO_SIZE = 4 keys (B, D, bytes of U), so
+a caller's basis never receives another basis's cells. Fewer shells are a
+column prefix of a frame, bitwise equal to a frame built for them; more
+shells rebuild it. Cached arrays are read-only.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct, ModelSpaceBasis, model_basis
 from .config import DEFAULT, Settings
-from .errors import TailError, ZeroFunctionError
-from .spaces import TaylorPoly, WeightAlpha, as_coeffs, as_weight, weighted_norm
+from .errors import DimensionMismatchError, TailError, ZeroFunctionError
+from .spaces import TaylorPoly, WeightAlpha, as_coeffs, as_weight, toeplitz_matrix, weighted_norm
 
 __all__ = [
     "ShellDecomposition",
+    "ShellFrame",
+    "shell_frame",
     "analyze",
     "analyze_by_least_squares",
     "synthesize",
@@ -47,6 +57,10 @@ def power_tail(B: BlaschkeProduct, M: int, D: int) -> float:
     return float(np.sqrt(max(0.0, 1.0 - captured)))
 
 
+def _basis_matrix(basis: ModelSpaceBasis, D: int) -> np.ndarray:
+    return np.stack([as_coeffs(u, D) for u in basis.orthonormal], axis=1)
+
+
 def cell_matrix(
     basis: ModelSpaceBasis,
     B: BlaschkeProduct,
@@ -54,15 +68,63 @@ def cell_matrix(
     D: int,
 ) -> np.ndarray:
     """Columns u_j B^k truncated at D, ordered k-major then j: column index
-    k * n + j. Shape (D+1, n*(M+1))."""
+    k * n + j. Shape (D+1, n*(M+1)), Fortran order so a column prefix is
+    laid out as the cells of fewer shells.
+
+    Block Krylov E_k = T_B E_(k-1) is exact: T_B is lower triangular, so
+    truncating before each product by B loses nothing below degree D.
+    """
     n = basis.dim
-    powers = B.power_list(M, D)
-    E = np.empty((D + 1, n * (M + 1)), dtype=complex)
-    for k in range(M + 1):
-        pk = powers[k].coeffs
-        for j in range(n):
-            E[:, k * n + j] = np.convolve(basis.orthonormal[j].coeffs, pk)[: D + 1]
+    TB = toeplitz_matrix(B.taylor(D), D).entries
+    E = np.empty((D + 1, n * (M + 1)), dtype=complex, order="F")
+    E[:, :n] = _basis_matrix(basis, D)
+    for k in range(1, M + 1):
+        E[:, k * n : (k + 1) * n] = TB @ E[:, (k - 1) * n : k * n]
     return E
+
+
+@dataclass(frozen=True, eq=False)
+class ShellFrame:
+    """Read-only cells u_j B^k of one (B, D, basis): E[:, k*n + j] for
+    k = 0..shell_count, U = E[:, :n] the basis matrix, b the coefficients of
+    B through degree D."""
+
+    U: np.ndarray
+    b: np.ndarray
+    E: np.ndarray
+
+    @property
+    def shell_count(self) -> int:
+        return self.E.shape[1] // self.U.shape[1] - 1
+
+    def cells(self, M: int) -> np.ndarray:
+        """Cells of shells 0..M, a prefix of E."""
+        if M > self.shell_count:
+            raise ValueError(f"frame holds {self.shell_count} shells, not {M}")
+        return self.E[:, : self.U.shape[1] * (M + 1)]
+
+
+_FRAME_MEMO_SIZE = 4
+_FRAMES: OrderedDict[tuple, ShellFrame] = OrderedDict()  # least recently used first
+
+
+def shell_frame(
+    B: BlaschkeProduct, M: int, D: int, *, basis: ModelSpaceBasis | None = None, settings: Settings = DEFAULT
+) -> ShellFrame:
+    """The frame of (B, D, basis) with at least M shells, from the memo when
+    it has one; basis defaults to model_basis(B, D)."""
+    if basis is None:
+        basis = model_basis(B, D, settings=settings)
+    key = (B, D, _basis_matrix(basis, D).tobytes())
+    frame = _FRAMES.pop(key, None)
+    if frame is None or frame.shell_count < M:
+        E = cell_matrix(basis, B, M, D)
+        E.setflags(write=False)
+        frame = ShellFrame(U=E[:, : basis.dim], b=B.taylor(D).coeffs, E=E)
+    _FRAMES[key] = frame
+    if len(_FRAMES) > _FRAME_MEMO_SIZE:
+        _FRAMES.popitem(last=False)
+    return frame
 
 
 @dataclass(frozen=True)
@@ -105,13 +167,8 @@ class ShellDecomposition:
         """h_k = sum_j c[j, k] u_j as truncated functions."""
         if D is None:
             D = self.degree
-        out = []
-        for k in range(self.shell_count + 1):
-            acc = np.zeros(D + 1, dtype=complex)
-            for j in range(self.basis.dim):
-                acc += self.coefficients[j, k] * as_coeffs(self.basis.orthonormal[j], D)
-            out.append(TaylorPoly(acc))
-        return out
+        H = _basis_matrix(self.basis, D) @ self.coefficients
+        return [TaylorPoly(h) for h in H.T]
 
     def to_json(self) -> dict:
         return {
@@ -121,7 +178,10 @@ class ShellDecomposition:
         }
 
 
+@lru_cache(maxsize=64)
 def _check_tail(B: BlaschkeProduct, M: int, D: int, settings: Settings) -> None:
+    """Raise TailError when B^M has lost too much mass past D. A passed
+    check is remembered, so the guard runs once per key."""
     tail = power_tail(B, M, D)
     if tail > settings.tol_tail:
         raise TailError(
@@ -149,13 +209,15 @@ def analyze(
     if M is None:
         M = default_shell_count(B, D)
     if f.degree > D:
-        f = f.pad(D)  # drop nothing: callers pass D >= deg f in practice
+        raise DimensionMismatchError(
+            f"function degree {f.degree} exceeds the window D = {D}; pass D >= deg f"
+        )
     _check_tail(B, M, D, settings)
     if basis is None:
         basis = model_basis(B, D, settings=settings)
-    E = cell_matrix(basis, B, M, D)
-    c = (E.conj().T @ as_coeffs(f, D)).reshape(M + 1, basis.dim).T
-    return ShellDecomposition(B=B, basis=basis, coefficients=c, degree=D)
+    E = shell_frame(B, M, D, basis=basis).cells(M)
+    c = (E.T @ as_coeffs(f, D).conj()).conj()  # E^H f without copying E
+    return ShellDecomposition(B=B, basis=basis, coefficients=c.reshape(M + 1, basis.dim).T, degree=D)
 
 
 def analyze_by_least_squares(
@@ -171,7 +233,7 @@ def analyze_by_least_squares(
     least-squares sense instead of using orthogonality."""
     if basis is None:
         basis = model_basis(B, D, settings=settings)
-    E = cell_matrix(basis, B, M, D)
+    E = shell_frame(B, M, D, basis=basis).cells(M)
     c, *_ = np.linalg.lstsq(E, as_coeffs(f, D), rcond=None)
     return ShellDecomposition(
         B=B, basis=basis, coefficients=c.reshape(M + 1, basis.dim).T, degree=D
@@ -182,7 +244,7 @@ def synthesize(dec: ShellDecomposition, D: int | None = None) -> TaylorPoly:
     """sum_{k<=M} sum_j c[j, k] u_j B^k truncated at degree D."""
     if D is None:
         D = dec.degree
-    E = cell_matrix(dec.basis, dec.B, dec.shell_count, D)
+    E = shell_frame(dec.B, dec.shell_count, D, basis=dec.basis).cells(dec.shell_count)
     flat = dec.coefficients.T.reshape(-1)  # k-major matching cell_matrix
     return TaylorPoly(E @ flat)
 

@@ -221,12 +221,3 @@ class TestBatteries:
         rep = run(parse_config(dict(BASE, degree=64), "cowen"))
         assert rep.all_passed
 
-
-def test_worker_cap_env(monkeypatch):
-    from blaschke_lab.cli import worker_cap
-
-    monkeypatch.setenv("BLASCHKE_LAB_THREADS", "4")
-    assert worker_cap() == 1
-    monkeypatch.setenv("BLASCHKE_LAB_THREADS", "junk")
-    with pytest.raises(ConfigError):
-        worker_cap()

@@ -154,6 +154,14 @@ class TestToeplitz:
         blk = D - f.degree - g.degree + 1
         assert np.allclose(lhs[:blk, :blk], rhs[:blk, :blk], atol=1e-13)
 
+    @pytest.mark.parametrize("D,deg", [(0, 3), (1, 0), (7, 3), (30, 40)])
+    def test_equals_column_loop(self, rng, D, deg):
+        g = TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+        expected = np.zeros((D + 1, D + 1), dtype=complex)
+        for k in range(D + 1):
+            expected[k:, k] = g.pad(D).coeffs[: D + 1 - k]
+        assert np.array_equal(bl.toeplitz_matrix(g, D, 0.0).entries, expected)
+
 
 class TestAdjoint:
     def test_identity(self):

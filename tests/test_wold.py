@@ -1,10 +1,13 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 import blaschke_lab as bl
-from blaschke_lab.errors import TailError, ZeroFunctionError
+from blaschke_lab import cli, wold
+from blaschke_lab.errors import DimensionMismatchError, TailError, ZeroFunctionError
 from blaschke_lab.spaces import TaylorPoly
 from blaschke_lab.wold import cell_matrix, default_shell_count, power_tail
 
@@ -33,6 +36,11 @@ class TestAnalyze:
             dec = bl.analyze(f, B3, M, D, basis=basis)
             g = bl.synthesize(dec, D)
             assert np.linalg.norm((g - f.pad(D)).coeffs[:49]) < 1e-8
+
+    def test_degree_beyond_window_raises(self, B3, rng):
+        f = TaylorPoly(rng.standard_normal(100))
+        with pytest.raises(DimensionMismatchError):
+            bl.analyze(f, B3, 6, 40)
 
     def test_tail_error_when_window_too_small(self, B3):
         with pytest.raises(TailError):
@@ -221,3 +229,60 @@ def test_decomposition_json(B3, rng):
     obj = dec.to_json()
     assert obj["M"] == 4
     assert len(obj["c"]) == 3 and len(obj["c"][0]) == 5
+
+
+class TestShellFrame:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self, monkeypatch):
+        monkeypatch.setattr(wold, "_FRAMES", OrderedDict())
+
+    def test_suite_builds_cells_once_per_key(self, monkeypatch):
+        calls = []
+        build = wold.cell_matrix
+
+        def counted(basis, B, M, D):
+            calls.append((B, M, D))
+            return build(basis, B, M, D)
+
+        monkeypatch.setattr(wold, "cell_matrix", counted)
+        B = {"theta": 0.0, "zeros": [{"re": 0.5, "im": 0.0}, {"re": -0.3, "im": 0.0}]}
+        rep = cli.run(cli.parse_config({"B": B, "alpha": -1.0, "degree": 64}, "suite"))
+        assert rep.all_passed
+        assert 1 <= len(calls) <= 4
+        assert len(set(calls)) == len(calls)
+
+    def test_rotated_basis_gets_rotated_coefficients(self, B3, rng):
+        D, M = 64, 8
+        basis = bl.model_basis(B3, D)
+        U = np.stack([u.coeffs for u in basis.orthonormal], axis=1)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        rotated = bl.ModelSpaceBasis(
+            raw=basis.raw, orthonormal=tuple(TaylorPoly(col) for col in (U @ Q).T), kind=basis.kind
+        )
+        f = TaylorPoly(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+        c = bl.analyze(f, B3, M, D, basis=basis).coefficients
+        c_rot = bl.analyze(f, B3, M, D, basis=rotated).coefficients
+        assert np.max(np.abs(c_rot - Q.conj().T @ c)) < 1e-12
+
+    def test_cached_arrays_are_read_only(self, B3):
+        frame = wold.shell_frame(B3, 8, 64)
+        for arr in (frame.E, frame.U, frame.cells(4)):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            frame.b[0] = 1.0
+
+    @pytest.mark.parametrize("zeros", [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)]])
+    def test_krylov_cells_match_convolution(self, zeros):
+        B = bl.BlaschkeProduct(0.0, zeros)
+        D = 128
+        M = D // B.degree
+        basis = bl.model_basis(B, D)
+        wold.shell_frame(B, M // 2, D, basis=basis)
+        grown = wold.shell_frame(B, M, D, basis=basis).E
+        powers = B.power_list(M, D)
+        reference = np.stack(
+            [np.convolve(u.coeffs, p.coeffs)[: D + 1] for p in powers for u in basis.orthonormal],
+            axis=1,
+        )
+        assert np.max(np.abs(grown - reference)) < 1e-13
