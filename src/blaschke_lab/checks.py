@@ -203,20 +203,13 @@ def reducing_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict
             )
 
         def k0(a=a):
-            # derivative-kernel family z^j/(1-conj(a) z)^(j+2) against B A
-            from math import comb
-
-            TB = toeplitz_matrix(B.taylor(D), D, w)
-            lam = w.diagonal(D)
-            worst = 0.0
-            for j in range(N):
-                g = np.zeros(D + 1, dtype=complex)
-                k = np.arange(D + 1 - j)
-                g[j:] = np.array([comb(int(i) + j + 1, j + 1) for i in k]) * np.conj(a) ** k
-                for m in range(safe_degree(D) + 1):
-                    col = TB.entries[:, m]
-                    worst = max(worst, abs(np.sum(g * np.conj(col) * lam)))
-            return worst
+            # derivative kernels z^j/(1-conj(a) z)^(j+2), j < N, against B A:
+            # column j holds comb(k+1, j+1) conj(a)^(k-j) at degrees k >= j
+            TB = toeplitz_matrix(B.taylor(D), D, w).entries
+            k, jj = np.arange(D + 1)[:, None], np.arange(N)[None, :]
+            binom = np.cumprod((k + 1 - jj) / (jj + 1.0), axis=1)  # comb(k+1, j+1), 0 for k < j
+            G = binom * np.conj(a) ** np.maximum(k - jj, 0)
+            return float(np.max(np.abs(G.conj().T @ (w.diagonal(D)[:, None] * TB[:, : safe_degree(D) + 1]))))
 
         _timed(records, "reducing/mobius/k0_orthogonality", _tol(cfg, "k0_orthogonality"), k0, strict=strict)
         for j in range(N):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, blaschke_factor_taylor, model_basis
+from .blaschke import BlaschkeProduct, model_basis
 from .commutant import CommutantOperator
 from .config import DEFAULT, Settings, safe_degree
 from .errors import ConditioningError, MembershipError
@@ -24,7 +24,6 @@ from .spaces import (
     operator_norm_safe,
     toeplitz_matrix,
     weighted_adjoint,
-    weighted_inner,
     weighted_norm,
 )
 from .wold import analyze, shell_frame
@@ -113,18 +112,33 @@ def monomial_reducing_projection(
     )
 
 
-def _mobius_frame_generators(a: complex, D: int, p_max: int) -> list[np.ndarray]:
-    """v_p = kernel_a^2 * factor^p where factor is the Blaschke factor of a;
-    v_p spans the image of z^p under the weighted composition unitary. Built
-    iteratively (expanding numerator against denominator cancels badly)."""
-    k = np.arange(D + 1)
-    v = ((k + 1.0) * np.conj(a) ** k).astype(complex)  # 1/(1 - conj(a) z)^2
-    fac = blaschke_factor_taylor(a, D).coeffs
-    out = [v]
-    for _ in range(p_max):
-        v = np.convolve(v, fac)[: D + 1]
-        out.append(v)
-    return out
+def _mobius_frame_generators(a: complex, N: int, j: int, D: int, p_max: int) -> np.ndarray:
+    """Columns v_p = (z - a)^p / (1 - conj(a) z)^(p+2), p = j, j + N, ... <= p_max,
+    truncated at degree D; v_p spans the image of z^p under the weighted
+    composition unitary. The exact factor recursion v_p (1 - conj(a) z) =
+    v_(p-1) (z - a), i.e. v_p[k] = conj(a) v_p[k-1] + v_(p-1)[k-1] - a v_(p-1)[k],
+    is swept along the anti-diagonals s = p + k: row s needs only rows s-1 and
+    s-2, so a generator costs O(D) and no numerator is expanded against its
+    denominator (that cancels badly). The class-j entries of row s sit at the
+    constant stride N*ncol - 1 of the flattened output: one slice writes them.
+    """
+    c = np.conj(a)
+    v0 = (np.arange(D + 1) + 1.0) * c ** np.arange(D + 1)
+    ncol = len(range(j, p_max + 1, N))
+    flat = np.zeros((D + 1) * ncol, dtype=complex)  # row-major (D + 1) x ncol
+    step = max(N * ncol - 1, 1)  # N = ncol = 1 writes one entry per row
+    prev = row = np.zeros(D + 1, dtype=complex)  # rows are replaced, never written
+    for s in range(j + (ncol - 1) * N + D + 1):
+        nxt = -a * row
+        nxt[1:] += c * row[:-1] + prev[:-1]
+        nxt[s : s + 1] = v0[s : s + 1]  # v_0 = 1/(1 - conj(a) z)^2 (empty once s > D)
+        prev, row = row, nxt
+        # stored columns i (p = j + i N) with 0 <= k = s - p <= D
+        i_lo, i_hi = max(0, -((D + j - s) // N)), min(ncol - 1, (s - j) // N)
+        if i_hi >= i_lo:
+            k_lo = s - j - i_hi * N
+            flat[k_lo * ncol + i_hi :: step][: i_hi - i_lo + 1] = row[k_lo : s - j - i_lo * N + 1 : N]
+    return flat.reshape(D + 1, ncol)
 
 
 def mobius_power_reducing_projection(
@@ -141,12 +155,11 @@ def mobius_power_reducing_projection(
     j mod N.
 
     The frame v_p = (z - a)^p / (1 - conj(a) z)^(p+2) is exactly orthogonal
-    with known norms (1 - |a|^2)^-1 (p+1)^(-1/2), so the projection is
-    assembled analytically: P = sum_p (p+1)(1-|a|^2)^2 v_p v_p^H Lambda,
-    summed while the truncated generator keeps an in-window mass fraction
-    above settings.mobius_include_tol (or up to an explicit shell cap).
-    The basis lists the generators that are window-clean to
-    settings.mobius_clean_tol.
+    with known norms (1 - |a|^2)^-1 (p+1)^(-1/2), so the projection is one
+    product P = U U^H Lambda over the unit generators u_p = (p+1)^(1/2)
+    (1-|a|^2) v_p, taken while their in-window mass fraction stays above
+    settings.mobius_include_tol (or up to an explicit shell cap). The basis
+    lists the generators that are window-clean to settings.mobius_clean_tol.
     """
     a = complex(a)
     if not 0 < abs(a) <= settings.rho_max:
@@ -154,8 +167,6 @@ def mobius_power_reducing_projection(
     if not 0 <= j < N:
         raise ValueError("need 0 <= j < N")
     w = as_weight(-1.0)
-    lam = w.diagonal(D)
-    scale = 1.0 - abs(a) ** 2
     # spread of |factor^p| covers indices ~ [p(1-|a|)/(1+|a|), p(1+|a|)/(1-|a|)];
     # generators are built on a padded window so out-of-window tails can be
     # measured directly (no cancellation against the unit total)
@@ -163,39 +174,31 @@ def mobius_power_reducing_projection(
     if cap is not None:
         p_hard = min(p_hard, j + cap * N)
     D_pad = D + max(D // 2, 40)
-    pad_lam = as_weight(-1.0).diagonal(D_pad)
-    gens = _mobius_frame_generators(a, D_pad, p_hard)
-
-    P = np.zeros((D + 1, D + 1), dtype=complex)
-    basis = []
-    for p in range(j, p_hard + 1, N):
-        g_full = gens[p]
-        g = g_full[: D + 1]
-        in_window = (p + 1.0) * scale**2 * float(np.sum(np.abs(g) ** 2 * lam))
-        if cap is None and in_window < settings.mobius_include_tol:
-            break
-        u = g * (np.sqrt(p + 1.0) * scale)
-        P += np.outer(u, np.conj(u) * lam)
-        tail = np.sqrt(
-            (p + 1.0) * scale**2 * float(np.sum(np.abs(g_full[D + 1 :]) ** 2 * pad_lam[D + 1 :]))
-        )
-        if tail <= settings.mobius_clean_tol:
-            basis.append(TaylorPoly(u))
-    if not basis:
+    pad_lam = w.diagonal(D_pad)
+    lam = pad_lam[: D + 1]
+    p = np.arange(j, p_hard + 1, N)
+    U = _mobius_frame_generators(a, N, j, D_pad, p_hard)
+    U *= np.sqrt(p + 1.0) * (1.0 - abs(a) ** 2)
+    mass = np.abs(U) ** 2
+    in_window = lam @ mass[: D + 1]
+    tail = np.sqrt(pad_lam[D + 1 :] @ mass[D + 1 :])
+    # generators enter up to (not including) the first one below the include cut
+    n = len(p) if cap is not None else int(np.argmax(np.append(in_window < settings.mobius_include_tol, True)))
+    U = U[: D + 1, :n]
+    P = U @ (U.conj().T * lam)
+    Ub = U[:, tail[:n] <= settings.mobius_clean_tol]
+    if Ub.shape[1] == 0:
         raise ConditioningError(
             f"no Mobius-power generator is window-clean at D = {D}; increase D"
         )
-    gram = np.array(
-        [[weighted_inner(x, y, w) for y in basis] for x in basis]
-    )
-    defect = float(np.max(np.abs(gram - np.eye(len(basis)))))
+    defect = float(np.max(np.abs(Ub.conj().T @ (lam[:, None] * Ub) - np.eye(Ub.shape[1]))))
     if defect > settings.gram_tol:
         raise ConditioningError(
             f"clean generator Gram deviates from identity by {defect:.3e} "
             f"(> {settings.gram_tol:.1e}); shell cap too large for D"
         )
     return SubspaceProjection(
-        basis=tuple(basis),
+        basis=tuple(TaylorPoly(v) for v in Ub.T),
         matrix=OperatorMatrix(P, w),
         alpha=w,
         kind="mobius_power",
@@ -330,11 +333,13 @@ def shift_equiv_general(
     if nrm0 == 0.0:
         raise MembershipError("h is zero")
     TB = toeplitz_matrix(B.taylor(D), D, 0.0).entries
-    hc = as_coeffs(h, D)
-    worst = float(np.max(np.abs(hc.conj() @ TB[:, : safe_degree(D) + 1])))
+    D_safe = safe_degree(D)
+    worst = float(np.max(np.abs(as_coeffs(h, D).conj() @ TB[:, : D_safe + 1])))
     if worst / nrm0 > settings.membership_tol:
         raise MembershipError(
-            f"h is not in the model space: max |<h, B z^m>|/||h|| = {worst / nrm0:.3e}"
+            f"h fails the model-space test at D = {D}, D_safe = {D_safe}: max over m <= D_safe of "
+            f"|<h, B z^m>|/||h|| = {worst / nrm0:.3e} > {settings.membership_tol:.1e}; h is not in "
+            f"the model space, or a true model-space function truncated at D can fail this way; increase D"
         )
     h_unit = (1.0 / nrm0) * h
     images = [as_coeffs(h_unit, D)]
@@ -354,9 +359,9 @@ def unitarity_defect(J: IntertwinerJ, *, M: int | None = None, settings: Setting
     {z^k}, computed in the declared inner product."""
     target = np.diag((np.arange(J.count) + 1.0) ** J.alpha.alpha)
     if J.norm_mode == "alpha_norm":
-        G = np.array(
-            [[weighted_inner(x, y, J.alpha) for y in J.images] for x in J.images]
-        )
+        X = np.stack([f.coeffs for f in J.images], axis=1)
+        # G_ij = sum_k x_ik conj(x_jk) lam_k, each term in weighted_inner's order
+        G = np.einsum("ki,kj,k->ij", X, X.conj(), J.alpha.diagonal(X.shape[0] - 1))
         return float(np.max(np.abs(G - target)))
     # b_norm: Gram in shell coordinates
     D = J.images[0].degree
@@ -369,12 +374,7 @@ def unitarity_defect(J: IntertwinerJ, *, M: int | None = None, settings: Setting
         basis = dec.basis
         coords.append(dec.coefficients)
     kw = (np.arange(M + 1) + 1.0) ** J.alpha.alpha
-    G = np.array(
-        [
-            [np.sum(kw * np.sum(ci * np.conj(cj), axis=0)) for cj in coords]
-            for ci in coords
-        ]
-    )
+    G = np.einsum("inm,jnm,m->ij", np.array(coords), np.conj(coords), kw)
     return float(np.max(np.abs(G - target)))
 
 

@@ -2,9 +2,37 @@ import numpy as np
 import pytest
 
 import blaschke_lab as bl
-from blaschke_lab.config import safe_degree
+from blaschke_lab.config import DEFAULT, safe_degree
 from blaschke_lab.errors import ConditioningError, MembershipError
 from blaschke_lab.spaces import TaylorPoly
+
+
+def _mobius_column_loop(a, N, j, D, cap=None):
+    """Reference Mobius-power projection: every generator v_p by one
+    np.convolve with the Blaschke factor, P summed one rank-1 term at a time,
+    stopping at the first generator below the include cut."""
+    a = complex(a)
+    scale = 1.0 - abs(a) ** 2
+    p_hard = int(np.ceil(D * (1 + abs(a)) / (1 - abs(a)))) + 4 * N + 8
+    if cap is not None:
+        p_hard = min(p_hard, j + cap * N)
+    D_pad = D + max(D // 2, 40)
+    lam = (np.arange(D_pad + 1) + 1.0) ** -1.0
+    k = np.arange(D_pad + 1)
+    v = (k + 1.0) * np.conj(a) ** k
+    fac = bl.blaschke_factor_taylor(a, D_pad).coeffs
+    P = np.zeros((D + 1, D + 1), dtype=complex)
+    basis = []
+    for p in range(p_hard + 1):
+        if p % N == j:
+            u = v * (np.sqrt(p + 1.0) * scale)
+            if cap is None and np.sum(np.abs(u[: D + 1]) ** 2 * lam[: D + 1]) < DEFAULT.mobius_include_tol:
+                break
+            P += np.outer(u[: D + 1], np.conj(u[: D + 1]) * lam[: D + 1])
+            if np.sqrt(np.sum(np.abs(u[D + 1 :]) ** 2 * lam[D + 1 :])) <= DEFAULT.mobius_clean_tol:
+                basis.append(u[: D + 1])
+        v = np.convolve(v, fac)[: D_pad + 1]
+    return P, basis
 
 
 class TestMonomialProjection:
@@ -90,6 +118,22 @@ class TestMobiusProjection:
     def test_conditioning_error_when_window_tiny(self):
         with pytest.raises(ConditioningError):
             bl.mobius_power_reducing_projection(0.79, 2, 1, 6)
+
+    def test_conditioning_error_when_no_generator_is_clean(self):
+        with pytest.raises(ConditioningError, match=r"^no Mobius-power generator is window-clean at D = 48; increase D$"):
+            bl.mobius_power_reducing_projection(0.8, 2, 0, 48)
+
+    @pytest.mark.parametrize(
+        "a,N,D,cap", [(0.8, 2, 256, None), (0.5j, 3, 64, None), (-0.3 + 0.4j, 1, 128, None), (0.6, 2, 128, 5)]
+    )
+    def test_equals_column_loop(self, a, N, D, cap):
+        for j in range(N):
+            P = bl.mobius_power_reducing_projection(a, N, j, D, cap=cap)
+            P_ref, basis_ref = _mobius_column_loop(a, N, j, D, cap=cap)
+            assert np.max(np.abs(P.matrix.entries - P_ref)) < 1e-12
+            assert len(P.basis) == len(basis_ref) > 0
+            for v, ref in zip(P.basis, basis_ref):
+                assert np.max(np.abs(v.coeffs - ref)) < 1e-12
 
 
 class TestReducingResidual:
@@ -191,6 +235,20 @@ class TestShiftEquivGeneral:
     def test_membership_rejected(self, B3):
         with pytest.raises(MembershipError):
             bl.shift_equiv_general(B3, TaylorPoly.monomial(7, 40), -1.0, 6, 96)
+
+    def test_truncated_model_function_asks_for_larger_D(self):
+        # the library's own basis vector for a zero at 0.8 still carries mass
+        # past D = 48, so the window test fails; the error says why and what
+        # to change, and D = 96 passes
+        B = bl.BlaschkeProduct(0.0, [0.8])
+        h = bl.model_basis(B, 48).orthonormal[0]
+        with pytest.raises(MembershipError) as err:
+            bl.shift_equiv_general(B, h, -1.0, 4, 48)
+        msg = str(err.value)
+        assert "D = 48" in msg and "D_safe = 24" in msg
+        assert "true model-space function truncated at D can fail this way" in msg
+        assert msg.endswith("increase D")
+        bl.shift_equiv_general(B, bl.model_basis(B, 96).orthonormal[0], -1.0, 4, 96)
 
 
 class TestHyperinvariance:
