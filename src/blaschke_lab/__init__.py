@@ -55,7 +55,6 @@ from .spaces import (
 from .wold import (
     ShellDecomposition,
     analyze,
-    analyze_by_least_squares,
     b_norm,
     norm_equivalence_ratio,
     synthesize,

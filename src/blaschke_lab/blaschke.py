@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Settings
-from .errors import EvaluationDomainError, PoleError, RankError
+from .errors import EvaluationDomainError, PoleError
 from .spaces import TaylorPoly, _trunc_mul, multiply
 
 __all__ = [
@@ -155,68 +155,30 @@ def reproducing_kernel(a: complex, D: int) -> TaylorPoly:
 
 @dataclass(frozen=True)
 class ModelSpaceBasis:
-    """Algebraic and H^2-orthonormal bases of the n-dimensional model space
-    H^2 minus B H^2."""
+    """H^2-orthonormal basis of the n-dimensional model space H^2 minus B H^2."""
 
-    raw: tuple[TaylorPoly, ...]
     orthonormal: tuple[TaylorPoly, ...]
-    kind: str  # "monomial" | "cauchy" | "confluent"
 
     @property
     def dim(self) -> int:
-        return len(self.raw)
+        return len(self.orthonormal)
 
 
-def _mgs_h2(columns: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt in the plain (H^2) coefficient metric, with one
-    re-orthogonalization pass; columns processed in index order."""
-    Q = columns.astype(complex).copy()
-    n = Q.shape[1]
-    for j in range(n):
-        v = Q[:, j]
-        for _pass in range(2):
-            for i in range(j):
-                v = v - (Q[:, i].conj() @ v) * Q[:, i]
-        nrm = np.linalg.norm(v)
-        Q[:, j] = v / nrm
-    return Q
+def model_basis(B: BlaschkeProduct, D: int) -> ModelSpaceBasis:
+    """Takenaka-Malmquist-Walsh basis of the model space attached to B,
+    truncated at degree D.
 
-
-def model_basis(B: BlaschkeProduct, D: int, *, settings: Settings = DEFAULT) -> ModelSpaceBasis:
-    """Bases of the model space attached to B, truncated at degree D.
-
-    Raw basis by case: monomials 1, z, ..., z^(n-1) when B = z^n; Cauchy
-    kernels 1/(1 - conj(a_i) z) when the zeros are distinct; otherwise the
-    confluent family z^j / prod_i (1 - conj(a_i) z). The orthonormal basis
-    comes from Gram-Schmidt under the H^2 inner product (always H^2, even
-    when the ambient weight differs).
+    With a_1..a_n the zeros of B counted with multiplicity (in
+    expanded_zeros order),
+    e_k = sqrt(1 - |a_k|^2) k_(a_k) * prod_(i<k) (z - a_i)/(1 - conj(a_i) z)
+    is analytically orthonormal in H^2 (always H^2, even when the ambient
+    weight differs) for any zero list, repeated or near-coincident, so no
+    Gram-Schmidt or rank test is needed. B = z^n gives 1, z, ..., z^(n-1).
     """
-    n = B.degree
-    zeros = B.expanded_zeros()
-    if all(a == 0 for a in zeros):
-        raw = [TaylorPoly.monomial(j, D) for j in range(n)]
-        kind = "monomial"
-    elif len(B.zeros) == n:  # all multiplicities 1, pairwise distinct
-        raw = [reproducing_kernel(a, D) for a, _ in B.zeros]
-        kind = "cauchy"
-    else:
-        den = TaylorPoly.one(D)
-        for a in zeros:
-            den = multiply(den, reproducing_kernel(a, D), D)
-        raw = [
-            TaylorPoly(np.concatenate([np.zeros(j, dtype=complex), den.coeffs[: D + 1 - j]]))
-            for j in range(n)
-        ]
-        kind = "confluent"
-
-    cols = np.stack([f.coeffs for f in raw], axis=1)
-    normed = cols / np.linalg.norm(cols, axis=0)
-    svals = np.linalg.svd(normed, compute_uv=False)
-    if svals[-1] < settings.basis_rank_tol:
-        raise RankError(
-            f"raw model-space basis is numerically singular "
-            f"(smallest normalized singular value {svals[-1]:.2e})"
-        )
-    Q = _mgs_h2(cols)
-    ortho = tuple(TaylorPoly(Q[:, j]) for j in range(n))
-    return ModelSpaceBasis(raw=tuple(raw), orthonormal=ortho, kind=kind)
+    prefix = TaylorPoly.one(D).coeffs  # prod_(i<k) of the Blaschke factors
+    ortho = []
+    for a in B.expanded_zeros():
+        kernel = np.sqrt(1.0 - abs(a) ** 2) * reproducing_kernel(a, D).coeffs
+        ortho.append(TaylorPoly(_trunc_mul(prefix, kernel, D)))
+        prefix = _trunc_mul(prefix, blaschke_factor_taylor(a, D).coeffs, D)
+    return ModelSpaceBasis(orthonormal=tuple(ortho))

@@ -98,7 +98,7 @@ def decompose_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
     # deeper than the analysis default: round trips need ~12 shells of decay
     # margin past deg(f)/n to reach the tolerance
     M = cfg.shells if cfg.shells is not None else max(1, (3 * D) // (4 * B.degree))
-    basis = model_basis(B, D, settings=settings)
+    basis = model_basis(B, D)
     D_safe = safe_degree(D)
     tol = _tol(cfg, "roundtrip")
 
@@ -135,7 +135,7 @@ def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
     B, D, w = cfg.blaschke, cfg.degree, as_weight(cfg.alpha)
     n = B.degree
     M = cfg.shells if cfg.shells is not None else D // n
-    basis = model_basis(B, D, settings=settings)
+    basis = model_basis(B, D)
 
     phis = []
     if cfg.inputs.get("phi") is not None:
@@ -201,6 +201,8 @@ def reducing_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict
             raise ConfigError(
                 "mobius_power family requires B to be a power of the factor through a"
             )
+        if w.alpha != -1.0:
+            raise ConfigError("mobius_power family is defined on the Bergman weight; set alpha = -1")
 
         def k0(a=a):
             # derivative kernels z^j/(1-conj(a) z)^(j+2), j < N, against B A:
@@ -218,7 +220,7 @@ def reducing_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict
                 f"reducing/mobius_{j}/residual",
                 _tol(cfg, "reducing_mobius"),
                 lambda j=j: rd.reducing_residual(
-                    rd.mobius_power_reducing_projection(a, N, j, D, settings=settings), B, -1.0, D
+                    rd.mobius_power_reducing_projection(a, N, j, D, settings=settings), B, w, D
                 ),
                 strict=strict,
             )
@@ -316,7 +318,7 @@ def shift_equiv_checks(cfg, settings: Settings, rng: np.random.Generator, *, str
         # image count kept a third of the window so the analysis shells used
         # in the residuals stay clean of edge tails
         M = cfg.shells if cfg.shells is not None else max(2, D // (3 * B.degree))
-        basis = model_basis(B, D, settings=settings)
+        basis = model_basis(B, D)
         if cfg.inputs.get("h") is not None:
             h = TaylorPoly([complex(re, im) for re, im in cfg.inputs["h"]])
         else:

@@ -154,17 +154,15 @@ def _component_map(
     """Matrix of the action (f_k) -> (sum_k phi_jk f_k) on stacked shell
     coordinates, cell order k-major: index k * n + j."""
     n = phi.n
+    P = np.zeros((phi.max_entry_degree + 1, n, n), dtype=complex)  # P[t, j, k]
+    for j, row in enumerate(phi.entries):
+        for k, e in enumerate(row):
+            P[: len(e.coeffs), j, k] = e.coeffs
     V = np.zeros((n * (M_out + 1), n * (M + 1)), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            p = phi.entries[j][k].coeffs
-            for t in range(len(p)):
-                if p[t] == 0:
-                    continue
-                for r in range(M + 1):
-                    s = r + t
-                    if s <= M_out:
-                        V[s * n + j, r * n + k] += p[t]
+    V4 = V.reshape(M_out + 1, n, M + 1, n)  # V4[s, j, r, k] = V[s*n + j, r*n + k]
+    for t in range(min(len(P), M_out + 1)):
+        r = np.arange(min(M + 1, M_out + 1 - t))
+        V4[r + t, :, r, :] = P[t]
     return V
 
 
@@ -191,7 +189,7 @@ def build(
         raise ValueError("multiplier matrix size must equal deg B")
     _check_tail(B, M, D, settings)
     M_out = M + phi.max_entry_degree
-    frame = shell_frame(B, M_out, D, basis=basis, settings=settings)
+    frame = shell_frame(B, M_out, D, basis=basis)
     E_out, E = frame.cells(M_out), frame.cells(M)
     V = _component_map(phi, M, M_out)
     W = E_out @ (V @ E.conj().T)
@@ -255,7 +253,7 @@ def extract_symbols(
         raise NotInCommutantError(
             f"commutation residual {res:.3e} exceeds tol_commute {settings.tol_commute:.1e}"
         )
-    U = shell_frame(B, 0, D, basis=basis, settings=settings).U
+    U = shell_frame(B, 0, D, basis=basis).U
     return [TaylorPoly(col) for col in (W.entries @ U).T]
 
 
@@ -271,7 +269,7 @@ def symbols_to_matrix(
     """Column k of Phi = shell components of phi_k (its decomposition in the
     {u_j B^m} system)."""
     if basis is None:
-        basis = model_basis(B, D, settings=settings)
+        basis = model_basis(B, D)
     cols = []
     for ph in phis:
         dec = analyze(ph, B, M, D, basis=basis, settings=settings)
@@ -301,24 +299,13 @@ def idempotent_residual(
     sampled at three fixed interior points; a rank-1, trace-1 idempotent
     signals a candidate minimal projection.
     """
-    n = phi.n
-    D = 2 * phi.max_entry_degree
-    sq = 0.0
-    for j in range(n):
-        for k in range(n):
-            acc = np.zeros(D + 1, dtype=complex)
-            for l in range(n):
-                prod = np.convolve(phi.entries[j][l].coeffs, phi.entries[l][k].coeffs)
-                acc[: len(prod)] += prod
-            acc -= as_coeffs(phi.entries[j][k], D)
-            sq += float(np.sum(np.abs(acc) ** 2))
     ranks = []
     for z in RANK_SAMPLE_POINTS:
         s = np.linalg.svd(phi.evaluate_at(z), compute_uv=False)
         ranks.append(int(np.sum(s > settings.rank_point_tol)))
     trace = complex(sum(phi.entries[j][j](0.0) for j in range(phi.n)))
     return IdempotentReport(
-        residual=float(np.sqrt(sq)),
+        residual=(phi.matmul(phi) - phi).coefficient_norm(),
         rank=ranks[0],
         trace=trace,
         ranks_by_point=tuple(ranks),

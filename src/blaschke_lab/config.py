@@ -36,8 +36,8 @@ class Settings:
     #: detecting X-space block dimensions.
     gap_tol: float = 1e-6
 
-    #: smallest normalized singular value of a raw model-space basis before
-    #: it is declared rank deficient.
+    #: smallest normalized singular value of a caller-supplied basis before
+    #: projection_from_basis declares it rank deficient.
     basis_rank_tol: float = 1e-10
 
     #: |1 - conj(a) z| below this is treated as a pole hit.

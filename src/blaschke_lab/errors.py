@@ -26,10 +26,6 @@ class DimensionMismatchError(BlaschkeLabError):
     """Operator/vector truncation degrees are incompatible."""
 
 
-class RankError(BlaschkeLabError):
-    """A raw basis is numerically rank deficient (duplicate elements)."""
-
-
 class TailError(BlaschkeLabError):
     """B^M has lost too much coefficient mass to the truncation window."""
 

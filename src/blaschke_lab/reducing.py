@@ -398,7 +398,7 @@ def shell_shift_residual(
     """For the general construction: shell coordinates of B * J(z^k) must be
     those of J(z^k) shifted one shell up."""
     worst = 0.0
-    basis = model_basis(J.B, D, settings=settings)
+    basis = model_basis(J.B, D)
     b = shell_frame(J.B, M, D, basis=basis).b
     for f in J.images:
         dec = analyze(f, J.B, M, D, basis=basis, settings=settings)

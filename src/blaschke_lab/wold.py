@@ -32,7 +32,6 @@ __all__ = [
     "ShellFrame",
     "shell_frame",
     "analyze",
-    "analyze_by_least_squares",
     "synthesize",
     "b_norm",
     "norm_equivalence_ratio",
@@ -109,12 +108,12 @@ _FRAMES: OrderedDict[tuple, ShellFrame] = OrderedDict()  # least recently used f
 
 
 def shell_frame(
-    B: BlaschkeProduct, M: int, D: int, *, basis: ModelSpaceBasis | None = None, settings: Settings = DEFAULT
+    B: BlaschkeProduct, M: int, D: int, *, basis: ModelSpaceBasis | None = None
 ) -> ShellFrame:
     """The frame of (B, D, basis) with at least M shells, from the memo when
     it has one; basis defaults to model_basis(B, D)."""
     if basis is None:
-        basis = model_basis(B, D, settings=settings)
+        basis = model_basis(B, D)
     key = (B, D, _basis_matrix(basis, D).tobytes())
     frame = _FRAMES.pop(key, None)
     if frame is None or frame.shell_count < M:
@@ -214,30 +213,10 @@ def analyze(
         )
     _check_tail(B, M, D, settings)
     if basis is None:
-        basis = model_basis(B, D, settings=settings)
+        basis = model_basis(B, D)
     E = shell_frame(B, M, D, basis=basis).cells(M)
     c = (E.T @ as_coeffs(f, D).conj()).conj()  # E^H f without copying E
     return ShellDecomposition(B=B, basis=basis, coefficients=c.reshape(M + 1, basis.dim).T, degree=D)
-
-
-def analyze_by_least_squares(
-    f: TaylorPoly,
-    B: BlaschkeProduct,
-    M: int,
-    D: int,
-    *,
-    basis: ModelSpaceBasis | None = None,
-    settings: Settings = DEFAULT,
-) -> ShellDecomposition:
-    """Cross-check oracle: invert the finite-section synthesis map in the
-    least-squares sense instead of using orthogonality."""
-    if basis is None:
-        basis = model_basis(B, D, settings=settings)
-    E = shell_frame(B, M, D, basis=basis).cells(M)
-    c, *_ = np.linalg.lstsq(E, as_coeffs(f, D), rcond=None)
-    return ShellDecomposition(
-        B=B, basis=basis, coefficients=c.reshape(M + 1, basis.dim).T, degree=D
-    )
 
 
 def synthesize(dec: ShellDecomposition, D: int | None = None) -> TaylorPoly:

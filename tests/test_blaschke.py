@@ -4,8 +4,9 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 import blaschke_lab as bl
+from blaschke_lab import cli
 from blaschke_lab.config import safe_degree
-from blaschke_lab.errors import EvaluationDomainError, RankError
+from blaschke_lab.errors import EvaluationDomainError
 from blaschke_lab.spaces import TaylorPoly
 
 inner_zeros = st.complex_numbers(max_magnitude=0.6, allow_nan=False, allow_infinity=False)
@@ -81,25 +82,48 @@ class TestPowerTaylor:
             assert np.sum(np.abs(t.coeffs[-5:])) < 1e-10
 
 
+def _span_residual(basis, f: TaylorPoly) -> float:
+    """H^2 distance from f to the span of the orthonormal basis."""
+    U = np.stack([u.coeffs for u in basis.orthonormal], axis=1)
+    return float(np.linalg.norm(f.coeffs - U @ (U.conj().T @ f.coeffs)))
+
+
+def _basis_defects(B, D: int) -> tuple[float, float]:
+    """(orthonormality, membership): max |U^H U - I| and the largest
+    |<u_j, B z^m>_0| over m up to the safe degree."""
+    U = np.stack([u.coeffs for u in bl.model_basis(B, D).orthonormal], axis=1)
+    TB = bl.toeplitz_matrix(B.taylor(D), D, 0.0).entries[:, : safe_degree(D) + 1]
+    ortho = float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))))
+    return ortho, float(np.max(np.abs(TB.conj().T @ U)))
+
+
 class TestModelBasis:
     def test_monomial_case(self):
         basis = bl.model_basis(bl.BlaschkeProduct.monomial(3), 16)
-        assert basis.kind == "monomial"
-        for j, u in enumerate(basis.raw):
-            assert np.allclose(u.coeffs, TaylorPoly.monomial(j, 16).coeffs)
+        assert basis.dim == 3
+        for j, u in enumerate(basis.orthonormal):
+            assert np.array_equal(u.coeffs, TaylorPoly.monomial(j, 16).coeffs)
 
     def test_cauchy_case(self):
+        # distinct zeros: e_1 is the normalized kernel of the first zero, and
+        # every Cauchy kernel lies in the span
         B = bl.BlaschkeProduct(0.0, [0.5, -0.3])
-        basis = bl.model_basis(B, 32)
-        assert basis.kind == "cauchy"
-        assert np.allclose(basis.raw[1].coeffs, 0.5 ** np.arange(33))
-        assert np.allclose(basis.raw[0].coeffs, (-0.3) ** np.arange(33))
+        D = 32
+        basis = bl.model_basis(B, D)
+        a1 = B.expanded_zeros()[0]
+        e1 = np.sqrt(1 - abs(a1) ** 2) * bl.reproducing_kernel(a1, D).coeffs
+        assert np.max(np.abs(basis.orthonormal[0].coeffs - e1)) < 1e-15
+        for a in (0.5, -0.3):
+            assert _span_residual(basis, bl.reproducing_kernel(a, D)) < 1e-12
 
     def test_confluent_case_membership(self):
         B = bl.BlaschkeProduct(0.0, [(0.5, 2)])
         D = 64
         basis = bl.model_basis(B, D)
-        assert basis.kind == "confluent"
+        # z^j / (1 - z/2)^2, j < 2, span the model space of the double zero
+        den = bl.multiply(bl.reproducing_kernel(0.5, D), bl.reproducing_kernel(0.5, D), D).coeffs
+        for j in range(2):
+            assert _span_residual(basis, TaylorPoly(np.concatenate([np.zeros(j), den[: D + 1 - j]]))) < 1e-12
         TB = bl.toeplitz_matrix(B.taylor(D), D, 0.0)
         for u in basis.orthonormal:
             for m in range(safe_degree(D) + 1):
@@ -114,8 +138,9 @@ class TestModelBasis:
             [[bl.weighted_inner(basis.orthonormal[i], basis.orthonormal[j], 0.0) for j in range(n)] for i in range(n)]
         )
         assert np.max(np.abs(G - np.eye(n))) < 1e-12
-        # each raw element reconstructs from the orthonormal set
-        for r in basis.raw:
+        # each Cauchy kernel of a zero reconstructs from the orthonormal set
+        for a, _ in B3.zeros:
+            r = bl.reproducing_kernel(a, D)
             proj = TaylorPoly.zero(D)
             for u in basis.orthonormal:
                 proj = proj + bl.weighted_inner(r, u, 0.0) * u
@@ -141,10 +166,29 @@ class TestModelBasis:
                 worst = max(worst, abs(np.sum(u.coeffs * np.conj(TB.entries[:, m]))))
         assert worst < 1e-10
 
-    def test_rank_error_on_near_duplicate_zeros(self):
-        B = bl.BlaschkeProduct(0.0, [0.5, 0.5 + 1e-14])
-        with pytest.raises(RankError):
-            bl.model_basis(B, 32)
+    @pytest.mark.parametrize(
+        "zeros",
+        [
+            [0.5, 0.5 + 1e-9, -0.3],
+            [0.5, 0.5 + 1e-11, -0.3],
+            [0.5, 0.5 + 1e-14, -0.3],
+            [(0.5, 2), -0.3],
+            [(0.6, 3)],
+        ],
+        ids=["eps1e-9", "eps1e-11", "eps1e-14", "repeated", "0.6x3"],
+    )
+    def test_near_duplicate_zeros_stay_orthonormal(self, zeros):
+        ortho, member = _basis_defects(bl.BlaschkeProduct(0.0, zeros), 96)
+        assert ortho < 1e-14
+        assert member < 1e-14
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-11])
+    def test_suite_with_near_duplicate_zeros(self, eps):
+        zeros = [{"re": 0.5, "im": 0.0}, {"re": 0.5 + eps, "im": 0.0}, {"re": -0.3, "im": 0.0}]
+        cfg = cli.parse_config({"B": {"theta": 0.0, "zeros": zeros}, "alpha": -1.0, "degree": 96}, "suite")
+        records = [r for r in cli.run(cfg).records if r.name.startswith(("decompose/", "commutant/"))]
+        assert len(records) == 11
+        assert all(r.passed for r in records), [(r.name, r.residual, r.error) for r in records if not r.passed]
 
 
 class TestReproducingKernel:

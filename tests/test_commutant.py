@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import blaschke_lab as bl
+from blaschke_lab.commutant import _component_map
 from blaschke_lab.config import safe_degree
 from blaschke_lab.errors import NotInCommutantError
 from blaschke_lab.spaces import TaylorPoly
@@ -52,6 +53,31 @@ class TestBuild:
             phi = random_phi(rng, 3)
             op = bl.build(phi, B3, -1.0, M, D, basis=basis)
             assert bl.commutation_residual(op.realization, B3, -1.0, D) < 1e-8
+
+
+class TestComponentMap:
+    @pytest.mark.parametrize("n,deg,M,M_out", [(1, 0, 5, 5), (2, 3, 16, 19), (3, 4, 10, 12), (2, 6, 8, 3)])
+    def test_equals_column_loop(self, rng, n, deg, M, M_out):
+        # entries of mixed degree, with exact zero coefficients
+        entries = []
+        for j in range(n):
+            row = []
+            for k in range(n):
+                size = deg + 1 - (j + k) % (deg + 1)
+                c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                c[rng.random(c.size) < 0.3] = 0.0
+                row.append(TaylorPoly(c))
+            entries.append(row)
+        phi = bl.MultiplierMatrix(entries)
+        expected = np.zeros((n * (M_out + 1), n * (M + 1)), dtype=complex)
+        for j in range(n):
+            for k in range(n):
+                p = phi.entries[j][k].coeffs
+                for t in range(len(p)):
+                    for r in range(M + 1):
+                        if p[t] != 0 and r + t <= M_out:
+                            expected[(r + t) * n + j, r * n + k] += p[t]
+        assert np.array_equal(_component_map(phi, M, M_out), expected)
 
 
 class TestApplyFormula:

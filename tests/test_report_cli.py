@@ -194,6 +194,21 @@ class TestBatteries:
         rep = run(parse_config(obj, "reducing"))
         assert rep.all_passed
 
+    def test_reducing_mobius_battery_rejects_non_bergman_weight(self, tmp_path):
+        # the Mobius-power family is a reducing subspace of the Bergman weight only
+        obj = {
+            "B": {"theta": 0.0, "zeros": [{"re": 0.0, "im": 0.5, "mult": 3}]},
+            "alpha": 0.5,
+            "degree": 96,
+            "seed": 0,
+            "inputs": {"family": "mobius_power", "a": [0.0, 0.5]},
+        }
+        with pytest.raises(ConfigError, match="set alpha = -1"):
+            run(parse_config(obj, "reducing"))
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(obj))
+        assert main(["reducing", "--config", str(cfgp)]) == 2
+
     def test_reducing_custom_report_only(self):
         obj = dict(
             BASE,

@@ -1,0 +1,41 @@
+"""Smoke tests: every script under scripts/ runs to exit 0 at a small size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("residual_vs_shells.py", ["--degree", "48", "--samples", "3"]),
+        ("equivalence_constants.py", ["--degree", "48", "--samples", "5"]),
+    ],
+)
+def test_script_exits_zero(script, args):
+    proc = _run(script, *args)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_run_suite_writes_report(tmp_path):
+    out = tmp_path / "suite.json"
+    proc = _run("run_suite.py", "--degree", "64", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.stat().st_size > 0
