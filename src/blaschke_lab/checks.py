@@ -259,14 +259,12 @@ def ortho_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=Fa
     data["gaps"] = list(chain.gaps)
 
     def orthogonality():
-        lam = w.diagonal(D)
-        stacks = chain.block_matrix_stack()
-        worst = 0.0
-        for k in range(kmax + 1):
-            for l in range(k + 1, kmax + 1):
-                G = stacks[k].conj().T @ (lam[:, None] * stacks[l])
-                worst = max(worst, float(np.max(np.abs(G))))
-        return worst
+        S = np.hstack(chain.block_matrix_stack())
+        G = np.abs(S.conj().T @ (w.diagonal(D)[:, None] * S))
+        K, N = kmax + 1, chain.block_dim
+        # max over each (k, l) block, then over the blocks above the diagonal
+        block_max = G.reshape(K, N, K, N).max(axis=(1, 3))
+        return float(np.max(block_max[np.triu_indices(K, 1)], initial=0.0))
 
     _timed(records, "ortho/block_orthogonality", _tol(cfg, "block_orthogonality"), orthogonality, strict=strict)
 

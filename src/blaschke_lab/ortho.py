@@ -22,6 +22,7 @@ from .spaces import (
     TaylorPoly,
     WeightAlpha,
     as_weight,
+    multiply,
     operator_norm_safe,
     toeplitz_matrix,
     weighted_adjoint,
@@ -63,17 +64,6 @@ class XSpaceChain:
         )
 
 
-def _power_columns(
-    B: BlaschkeProduct, k: int, m_max: int, D: int
-) -> np.ndarray:
-    """Columns B^k z^m, m = 0..m_max, truncated at D."""
-    bk = B.power_taylor(k, D).coeffs
-    cols = np.zeros((D + 1, m_max + 1), dtype=complex)
-    for m in range(m_max + 1):
-        cols[m:, m] = bk[: D + 1 - m]
-    return cols
-
-
 def x_spaces(
     B: BlaschkeProduct,
     w: WeightAlpha | float,
@@ -88,8 +78,13 @@ def x_spaces(
     Block k is the weighted orthogonal complement of the column span of
     {B^(k+1) z^m} inside that of {B^k z^m}. Column counts stop guard short
     of the truncation edge (m <= D - k N - guard, default guard N) so the
-    complement is not inflated by edge junk. Block dimension is detected by
-    the largest successive singular-value gap and must equal N.
+    complement is not inflated by edge junk. In weighted coordinates one
+    complete QR per k splits the space into the range ONB Q_k and its
+    complement P_k; then (I - Q_(k+1) Q_(k+1)^H) Q_k = P_(k+1) S_k with the
+    small S_k = P_(k+1)^H Q_k, so the principal vectors come from one SVD of
+    S_k and no full-size residual is formed (Bjorck & Golub, 1973). Block
+    dimension is the count of singular values within gap_tol of unity and
+    must equal N.
     """
     w = as_weight(w)
     N = B.degree
@@ -98,20 +93,20 @@ def x_spaces(
     if D < (kmax + 2) * N + guard:
         raise ValueError(f"D = {D} too small for kmax = {kmax} (need >= {(kmax + 2) * N + guard})")
     sq = np.sqrt(w.diagonal(D))
-
-    onbs = []
-    for k in range(kmax + 2):
-        m_max = D - k * N - guard
-        cols = _power_columns(B, k, m_max, D)
-        Q, _ = np.linalg.qr(sq[:, None] * cols)
-        onbs.append(Q)
+    b = B.taylor(D)
+    bk = TaylorPoly.one(D)
+    # the k = 0 columns sq_m e_m are already orthogonal: Q_0 is the identity
+    Q = np.eye(D + 1, dtype=complex)
 
     blocks = []
     gaps = []
     for k in range(kmax + 1):
-        Qk, Qnext = onbs[k], onbs[k + 1]
-        resid = Qk - Qnext @ (Qnext.conj().T @ Qk)
-        U, s, _ = np.linalg.svd(resid)
+        p = D - k * N - guard + 1  # columns of B^k z^m; B^(k+1) has p - N
+        bk = multiply(bk, b, D)
+        cols = toeplitz_matrix(bk, D).entries[:, : p - N]
+        Qnext, _ = np.linalg.qr(sq[:, None] * cols, mode="complete")
+        P = Qnext[:, p - N :]
+        U, s, _ = np.linalg.svd(P.conj().T @ Q[:, :p], full_matrices=False)
         # genuine complement directions sit entirely outside the next span
         # (singular value 1 up to truncation tails); anything detached from
         # unity is edge junk, not a complement direction
@@ -123,9 +118,9 @@ def x_spaces(
                 f"block {k}: {detected} singular values within {settings.gap_tol:.1e} "
                 f"of unity (expected {N}); increase D"
             )
-        basis = tuple(TaylorPoly(U[:, i] / sq) for i in range(N))
-        blocks.append(basis)
+        blocks.append(tuple(TaylorPoly(x / sq) for x in (P @ U[:, :N]).T))
         gaps.append(gap)
+        Q = Qnext
 
     return XSpaceChain(
         B=B,
@@ -135,7 +130,7 @@ def x_spaces(
         degree=D,
         guard=guard,
         gaps=tuple(gaps),
-        tail_span=onbs[kmax + 1],
+        tail_span=Q[:, : p - N],
     )
 
 
@@ -159,19 +154,17 @@ def k_spaces(
             continue
         m_max = D - k * N - chain.guard
         A = (sq[:, None] * TBk)[:, : m_max + 1]
-        recovered = []
-        for x in blk:
-            g, *_ = np.linalg.lstsq(A, sq * x.coeffs, rcond=None)
-            res = float(np.linalg.norm(A @ g - sq * x.coeffs))
+        X = sq[:, None] * np.stack([x.coeffs for x in blk], axis=1)
+        G, *_ = np.linalg.lstsq(A, X, rcond=None)
+        for res in np.linalg.norm(A @ G - X, axis=0):
             if res > settings.kspace_residual_tol:
                 raise ConditioningError(
                     f"division by B^{k} left residual {res:.3e} "
                     f"(> {settings.kspace_residual_tol:.1e})"
                 )
-            full = np.zeros(D + 1, dtype=complex)
-            full[: m_max + 1] = g
-            recovered.append(TaylorPoly(full))
-        out.append(recovered)
+        full = np.zeros((D + 1, N), dtype=complex)
+        full[: m_max + 1] = G
+        out.append([TaylorPoly(g) for g in full.T])
     return out
 
 
@@ -182,15 +175,11 @@ def block_matrix(W: OperatorMatrix, chain: XSpaceChain) -> np.ndarray:
         raise ValueError("operator and chain degrees differ")
     D = chain.degree
     lam = chain.alpha.diagonal(D)
-    stacks = chain.block_matrix_stack()  # (kmax+1, D+1, N)
+    S = np.hstack(chain.block_matrix_stack())  # (D+1, K N), block k in columns kN..
     K = chain.kmax + 1
     N = chain.block_dim
-    out = np.empty((K, K, N, N), dtype=complex)
-    for k in range(K):
-        img = W.entries @ stacks[k]
-        for l in range(K):
-            out[l, k] = stacks[l].conj().T @ (lam[:, None] * img)
-    return out
+    G = S.conj().T @ (lam[:, None] * (W.entries @ S))
+    return G.reshape(K, N, K, N).transpose(0, 2, 1, 3)
 
 
 class SelfAdjointReport(NamedTuple):

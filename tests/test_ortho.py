@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 import blaschke_lab as bl
-from blaschke_lab.errors import DimensionGapError, NotSelfAdjointError
+from blaschke_lab.cli import parse_config, run
+from blaschke_lab.errors import ConditioningError, DimensionGapError, NotSelfAdjointError
 from blaschke_lab.spaces import TaylorPoly, weighted_adjoint
+
+PRODUCTS = {
+    "B2": bl.BlaschkeProduct(0.0, [0.5, -0.3]),
+    "B3": bl.BlaschkeProduct(0.0, [0.5, -0.3 + 0.2j, 0.1]),
+    "double0.6": bl.BlaschkeProduct(0.0, [(0.6, 2)]),
+    "near_rho_max": bl.BlaschkeProduct(0.0, [0.8, -0.79j]),
+}
 
 
 def alpha_gram(vecs_a, vecs_b, alpha, D):
@@ -11,6 +19,50 @@ def alpha_gram(vecs_a, vecs_b, alpha, D):
     A = np.stack([v.coeffs for v in vecs_a], axis=1)
     Bm = np.stack([v.coeffs for v in vecs_b], axis=1)
     return A.conj().T @ (lam[:, None] * Bm)
+
+
+def power_columns(B, k, m_max, D):
+    """Columns B^k z^m, m = 0..m_max, truncated at D, one column at a time."""
+    bk = B.power_taylor(k, D).coeffs
+    cols = np.zeros((D + 1, m_max + 1), dtype=complex)
+    for m in range(m_max + 1):
+        cols[m:, m] = bk[: D + 1 - m]
+    return cols
+
+
+def x_spaces_by_residual_svd(B, alpha, kmax, D, settings=bl.DEFAULT):
+    """Reference chain: reduced QR of every range, the full-size residual
+    Q_k - Q_(k+1) Q_(k+1)^H Q_k, and its full SVD. Returns weighted-coordinate
+    block ONBs, gaps and the tail ONB."""
+    N, guard = B.degree, B.degree
+    sq = np.sqrt((np.arange(D + 1) + 1.0) ** alpha)
+    onbs = [
+        np.linalg.qr(sq[:, None] * power_columns(B, k, D - k * N - guard, D))[0]
+        for k in range(kmax + 2)
+    ]
+    blocks, gaps = [], []
+    for k in range(kmax + 1):
+        resid = onbs[k] - onbs[k + 1] @ (onbs[k + 1].conj().T @ onbs[k])
+        U, s, _ = np.linalg.svd(resid)
+        detected = int(np.sum(s > 1.0 - settings.gap_tol))
+        if detected != N:
+            raise DimensionGapError(
+                f"block {k}: {detected} singular values within {settings.gap_tol:.1e} "
+                f"of unity (expected {N}); increase D"
+            )
+        s_ext = np.concatenate([s, [0.0]])
+        blocks.append(U[:, :N])
+        gaps.append(s_ext[N - 1] - s_ext[N])
+    return blocks, gaps, onbs[kmax + 1]
+
+
+def weighted_stack(vecs, alpha, D):
+    sq = np.sqrt((np.arange(D + 1) + 1.0) ** alpha)
+    return np.stack([sq * v.coeffs for v in vecs], axis=1)
+
+
+def projector(Q):
+    return Q @ Q.conj().T
 
 
 class TestXSpaces:
@@ -102,6 +154,44 @@ class TestXSpaces:
         rank = np.linalg.matrix_rank(cols, tol=1e-8)
         assert full - rank == B2.degree
 
+    # gap_tol 0.5 also counts the third singular value (0.84 to 0.86 for the
+    # double zero and near rho_max), so both sides must raise the same error
+    @pytest.mark.parametrize("gap_tol", [bl.DEFAULT.gap_tol, 0.5])
+    @pytest.mark.parametrize("D", [48, 128])
+    @pytest.mark.parametrize("alpha", [-2.0, -1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("name", list(PRODUCTS))
+    def test_equals_residual_svd(self, name, alpha, D, gap_tol):
+        B, kmax = PRODUCTS[name], 3
+        settings = bl.DEFAULT.with_overrides(gap_tol=gap_tol)
+        try:
+            ref_blocks, ref_gaps, ref_tail = x_spaces_by_residual_svd(B, alpha, kmax, D, settings)
+        except DimensionGapError as exc:
+            with pytest.raises(DimensionGapError) as got:
+                bl.x_spaces(B, alpha, kmax, D, settings=settings)
+            assert str(got.value) == str(exc)
+            return
+        chain = bl.x_spaces(B, alpha, kmax, D, settings=settings)
+        for ref, blk in zip(ref_blocks, chain.blocks, strict=True):
+            got = projector(weighted_stack(blk, alpha, D))
+            assert np.max(np.abs(got - projector(ref))) < 1e-12
+        assert np.max(np.abs(np.subtract(chain.gaps, ref_gaps))) < 1e-12
+        assert np.max(np.abs(projector(chain.tail_span) - projector(ref_tail))) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("name", ["B2", "B3"])
+    def test_blocks_in_range_and_orthogonal_to_next(self, name, alpha):
+        B, D, kmax = PRODUCTS[name], 128, 3
+        N = B.degree
+        sq = np.sqrt((np.arange(D + 1) + 1.0) ** alpha)
+        chain = bl.x_spaces(B, alpha, kmax, D)
+        for k, blk in enumerate(chain.blocks):
+            X = weighted_stack(blk, alpha, D)
+            here = sq[:, None] * power_columns(B, k, D - k * N - N, D)
+            Q, _ = np.linalg.qr(here)
+            assert np.linalg.norm(X - Q @ (Q.conj().T @ X), 2) < 1e-12
+            nxt = sq[:, None] * power_columns(B, k + 1, D - (k + 1) * N - N, D)
+            assert np.max(np.abs(nxt.conj().T @ X)) < 1e-12
+
 
 class TestKSpaces:
     def test_k0_is_x0(self, B2):
@@ -130,8 +220,44 @@ class TestKSpaces:
                 diff = TBk @ g.coeffs - x.coeffs
                 assert np.sqrt(np.sum(np.abs(diff) ** 2 * lam)) < 1e-8
 
+    def test_residual_check_names_the_power(self, B2):
+        chain = bl.x_spaces(B2, -1.0, 2, 100)
+        strict = bl.DEFAULT.with_overrides(kspace_residual_tol=1e-30)
+        with pytest.raises(ConditioningError, match=r"^division by B\^1 left residual .* \(> 1\.0e-30\)$"):
+            bl.k_spaces(chain, settings=strict)
+
+
+def block_matrix_by_loop(W, chain):
+    lam = chain.alpha.diagonal(chain.degree)
+    stacks = chain.block_matrix_stack()
+    K = chain.kmax + 1
+    out = np.empty((K, K, chain.block_dim, chain.block_dim), dtype=complex)
+    for k in range(K):
+        img = W.entries @ stacks[k]
+        for l in range(K):
+            out[l, k] = stacks[l].conj().T @ (lam[:, None] * img)
+    return out
+
 
 class TestBlockMatrix:
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("name", ["B2", "B3"])
+    def test_equals_block_loop(self, name, alpha, rng):
+        B, D = PRODUCTS[name], 96
+        chain = bl.x_spaces(B, alpha, 3, D)
+        W = bl.OperatorMatrix(rng.standard_normal((D + 1, D + 1)) + 1j * rng.standard_normal((D + 1, D + 1)), alpha)
+        assert np.max(np.abs(bl.block_matrix(W, chain) - block_matrix_by_loop(W, chain))) < 1e-13
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("name", ["B2", "B3"])
+    def test_orthogonality_check_equals_block_loop(self, name, alpha):
+        B, D, kmax = PRODUCTS[name], 96, 3
+        cfg = {"B": B.to_json(), "alpha": alpha, "degree": D, "seed": 0, "inputs": {"kmax": kmax}}
+        rec = {r.name: r for r in run(parse_config(cfg, "ortho")).records}["ortho/block_orthogonality"]
+        blocks = block_matrix_by_loop(bl.OperatorMatrix.identity(D, alpha), bl.x_spaces(B, alpha, kmax, D))
+        worst = max(np.max(np.abs(blocks[l, k])) for k in range(kmax + 1) for l in range(k + 1, kmax + 1))
+        assert abs(rec.residual - worst) < 1e-13
+
     def test_identity_blocks(self, B2):
         D = 100
         chain = bl.x_spaces(B2, -1.0, 3, D)
