@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .checks import BATTERIES
+from .checks import BATTERIES, CHECK_TOLERANCES
 from .config import DEFAULT, Settings
 from .errors import BlaschkeLabError, ConfigError
 from .report import Report, render
@@ -53,6 +53,10 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
                 f"config names command {obj['command']!r} but {command!r} was invoked"
             )
         tolerances = dict(obj.get("tolerances", {}))
+        valid = SETTINGS_KEYS + tuple(CHECK_TOLERANCES)
+        for key in tolerances:
+            if key not in valid:
+                raise ConfigError(f"unknown tolerances key {key!r}; valid keys: {', '.join(valid)}")
         overrides = {k: float(v) for k, v in tolerances.items() if k in SETTINGS_KEYS}
         check_tols = {k: float(v) for k, v in tolerances.items() if k not in SETTINGS_KEYS}
         settings = DEFAULT.with_overrides(**overrides)

@@ -58,10 +58,6 @@ class Settings:
     #: self-adjointness input tolerance for block diagnostics.
     selfadjoint_tol: float = 1e-8
 
-    #: Mobius-power frame: generators enter the projection sum while their
-    #: in-window mass fraction stays above this.
-    mobius_include_tol: float = 1e-14
-
     #: Mobius-power frame: a generator is reported in the basis only when
     #: its out-of-window mass fraction is below this.
     mobius_clean_tol: float = 1e-10

@@ -21,6 +21,7 @@ from .spaces import (
     WeightAlpha,
     as_coeffs,
     as_weight,
+    commutator_residual,
     operator_norm_safe,
     toeplitz_matrix,
     weighted_adjoint,
@@ -112,28 +113,27 @@ def monomial_reducing_projection(
     )
 
 
-def _mobius_frame_generators(a: complex, N: int, j: int, D: int, p_max: int) -> np.ndarray:
-    """Columns v_p = (z - a)^p / (1 - conj(a) z)^(p+2), p = j, j + N, ... <= p_max,
-    truncated at degree D; v_p spans the image of z^p under the weighted
-    composition unitary. The exact factor recursion v_p (1 - conj(a) z) =
-    v_(p-1) (z - a), i.e. v_p[k] = conj(a) v_p[k-1] + v_(p-1)[k-1] - a v_(p-1)[k],
-    is swept along the anti-diagonals s = p + k: row s needs only rows s-1 and
-    s-2, so a generator costs O(D) and no numerator is expanded against its
-    denominator (that cancels badly). The class-j entries of row s sit at the
-    constant stride N*ncol - 1 of the flattened output: one slice writes them.
-    """
-    c = np.conj(a)
-    v0 = (np.arange(D + 1) + 1.0) * c ** np.arange(D + 1)
-    ncol = len(range(j, p_max + 1, N))
+def _mobius_columns(
+    beta: complex, alpha: complex, delta: complex, gamma: complex, c0: np.ndarray, j: int, N: int, ncol: int
+) -> np.ndarray:
+    """Columns c_l = c0 psi^l, l = j, j + N, ..., j + (ncol - 1) N, of
+    psi = (beta + alpha z)/(delta + gamma z) to degree D = len(c0) - 1. The
+    exact recursion (delta + gamma z) c_l = (beta + alpha z) c_(l-1) is swept
+    along the anti-diagonals s = l + k: row s needs only rows s-1 and s-2, so
+    a column costs O(D) and no numerator is expanded against its denominator
+    (that cancels badly). The stored entries of row s sit at the constant
+    stride N*ncol - 1 of the flattened output: one slice writes them."""
+    D = len(c0) - 1
+    b, al, g = beta / delta, alpha / delta, -gamma / delta
     flat = np.zeros((D + 1) * ncol, dtype=complex)  # row-major (D + 1) x ncol
     step = max(N * ncol - 1, 1)  # N = ncol = 1 writes one entry per row
     prev = row = np.zeros(D + 1, dtype=complex)  # rows are replaced, never written
     for s in range(j + (ncol - 1) * N + D + 1):
-        nxt = -a * row
-        nxt[1:] += c * row[:-1] + prev[:-1]
-        nxt[s : s + 1] = v0[s : s + 1]  # v_0 = 1/(1 - conj(a) z)^2 (empty once s > D)
+        nxt = b * row
+        nxt[1:] += g * row[:-1] + al * prev[:-1]
+        nxt[s : s + 1] = c0[s : s + 1]  # column 0 (empty once s > D)
         prev, row = row, nxt
-        # stored columns i (p = j + i N) with 0 <= k = s - p <= D
+        # stored columns i (l = j + i N) with 0 <= k = s - l <= D
         i_lo, i_hi = max(0, -((D + j - s) // N)), min(ncol - 1, (s - j) // N)
         if i_hi >= i_lo:
             k_lo = s - j - i_hi * N
@@ -142,24 +142,18 @@ def _mobius_frame_generators(a: complex, N: int, j: int, D: int, p_max: int) -> 
 
 
 def mobius_power_reducing_projection(
-    a: complex,
-    N: int,
-    j: int,
-    D: int,
-    *,
-    cap: int | None = None,
-    settings: Settings = DEFAULT,
+    a: complex, N: int, j: int, D: int, *, settings: Settings = DEFAULT
 ) -> SubspaceProjection:
     """Reducing projection for B = ((z - a)/(1 - conj(a) z))^N on the
-    Bergman weight, onto the conjugated monomial family with residues
-    j mod N.
-
-    The frame v_p = (z - a)^p / (1 - conj(a) z)^(p+2) is exactly orthogonal
-    with known norms (1 - |a|^2)^-1 (p+1)^(-1/2), so the projection is one
-    product P = U U^H Lambda over the unit generators u_p = (p+1)^(1/2)
-    (1-|a|^2) v_p, taken while their in-window mass fraction stays above
-    settings.mobius_include_tol (or up to an explicit shell cap). The basis
-    lists the generators that are window-clean to settings.mobius_clean_tol.
+    Bergman weight onto U_a span{z^p : p = j mod N}, where U_a f =
+    (f o phi_a) phi_a' for the involution phi_a = (a - z)/(1 - conj(a) z).
+    The matrix is the exact finite section of P_j = U_a Q_j U_a = (1/N)
+    sum_r omega^(-(j+1)r) C_r, omega = exp(2 pi i / N), where Q_j projects
+    onto the monomials of residue j and C_r f = (f o psi_r) psi_r' for
+    psi_r = phi_a(omega^r phi_a): column l of C_r is psi_r^l psi_r'.
+    The basis lists the unit generators u_p = (p+1)^(1/2) (1-|a|^2) v_p,
+    v_p = (z - a)^p / (1 - conj(a) z)^(p+2) (a multiple of U_a z^p), whose
+    padded-window tail is at most settings.mobius_clean_tol.
     """
     a = complex(a)
     if not 0 < abs(a) <= settings.rho_max:
@@ -167,26 +161,31 @@ def mobius_power_reducing_projection(
     if not 0 <= j < N:
         raise ValueError("need 0 <= j < N")
     w = as_weight(-1.0)
-    # spread of |factor^p| covers indices ~ [p(1-|a|)/(1+|a|), p(1+|a|)/(1-|a|)];
-    # generators are built on a padded window so out-of-window tails can be
-    # measured directly (no cancellation against the unit total)
-    p_hard = int(np.ceil(D * (1 + abs(a)) / (1 - abs(a)))) + 4 * N + 8
-    if cap is not None:
-        p_hard = min(p_hard, j + cap * N)
+    k = np.arange(D + 1)
+    P = np.eye(D + 1, dtype=complex)
+    for r in range(1, N):
+        om = np.exp(2j * np.pi * r / N)
+        beta, alpha, delta, gamma = a * (1 - om), om - abs(a) ** 2, 1 - om * abs(a) ** 2, np.conj(a) * (om - 1)
+        dpsi = (alpha * delta - beta * gamma) / delta**2 * (k + 1.0) * (-gamma / delta) ** k
+        P += np.exp(-2j * np.pi * (j + 1) * r / N) * _mobius_columns(beta, alpha, delta, gamma, dpsi, 0, 1, D + 1)
+    P /= N
+    # v_p spreads over degrees ~[p(1-|a|)/(1+|a|), p(1+|a|)/(1-|a|)], so clean
+    # generators end near p = D(1-|a|)/(1+|a|); the range grows until its last
+    # is unclean. A padded window measures tails without cancellation.
     D_pad = D + max(D // 2, 40)
     pad_lam = w.diagonal(D_pad)
     lam = pad_lam[: D + 1]
-    p = np.arange(j, p_hard + 1, N)
-    U = _mobius_frame_generators(a, N, j, D_pad, p_hard)
-    U *= np.sqrt(p + 1.0) * (1.0 - abs(a) ** 2)
-    mass = np.abs(U) ** 2
-    in_window = lam @ mass[: D + 1]
-    tail = np.sqrt(pad_lam[D + 1 :] @ mass[D + 1 :])
-    # generators enter up to (not including) the first one below the include cut
-    n = len(p) if cap is not None else int(np.argmax(np.append(in_window < settings.mobius_include_tol, True)))
-    U = U[: D + 1, :n]
-    P = U @ (U.conj().T * lam)
-    Ub = U[:, tail[:n] <= settings.mobius_clean_tol]
+    v0 = (np.arange(D_pad + 1) + 1.0) * np.conj(a) ** np.arange(D_pad + 1)  # 1/(1 - conj(a) z)^2
+    p_c = int(np.ceil(D * (1 - abs(a)) / (1 + abs(a)))) + 4 * N + 8
+    while True:
+        p = np.arange(j, p_c + 1, N)
+        U = _mobius_columns(-a, 1.0, 1.0, -np.conj(a), v0, j, N, len(p))
+        U *= np.sqrt(p + 1.0) * (1.0 - abs(a) ** 2)
+        tail = np.sqrt(pad_lam[D + 1 :] @ np.abs(U[D + 1 :]) ** 2)
+        if tail[-1] > settings.mobius_clean_tol:
+            break
+        p_c *= 2
+    Ub = U[: D + 1, tail <= settings.mobius_clean_tol]
     if Ub.shape[1] == 0:
         raise ConditioningError(
             f"no Mobius-power generator is window-clean at D = {D}; increase D"
@@ -242,13 +241,12 @@ def reducing_residual(
     w = P.alpha if w is None else as_weight(w)
     if D is None:
         D = P.degree
-    D_safe = safe_degree(D, guard)
     TB = toeplitz_matrix(B.taylor(D), D, w)
-    TBs = weighted_adjoint(TB, w)
     m = P.matrix.entries
-    r1 = operator_norm_safe(m @ TB.entries - TB.entries @ m, w, D_safe)
-    r2 = operator_norm_safe(m @ TBs.entries - TBs.entries @ m, w, D_safe)
-    return max(r1, r2)
+    return max(
+        commutator_residual(m, TB.entries, w, D, guard),
+        commutator_residual(m, weighted_adjoint(TB, w).entries, w, D, guard),
+    )
 
 
 def hyperinvariance_check(

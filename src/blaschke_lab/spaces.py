@@ -279,5 +279,8 @@ def commutator_residual(
     D: int,
     guard: int | None = None,
 ) -> float:
-    """Safe-block operator norm of A B - B A."""
-    return operator_norm_safe(A @ Bmat - Bmat @ A, w, safe_degree(D, guard))
+    """Safe-block operator norm of A B - B A. Only that block of the two
+    products is formed: rows and columns 0..D_safe, summed over all D + 1."""
+    D_safe = safe_degree(D, guard)
+    s = slice(0, D_safe + 1)
+    return operator_norm_safe(A[s, :] @ Bmat[:, s] - Bmat[s, :] @ A[:, s], w, D_safe)

@@ -162,13 +162,6 @@ class ShellDecomposition:
         """f_1, ..., f_n with (f_j)_k = c[j, k]."""
         return [TaylorPoly(row) for row in self.coefficients]
 
-    def shell_functions(self, D: int | None = None) -> list[TaylorPoly]:
-        """h_k = sum_j c[j, k] u_j as truncated functions."""
-        if D is None:
-            D = self.degree
-        H = _basis_matrix(self.basis, D) @ self.coefficients
-        return [TaylorPoly(h) for h in H.T]
-
     def to_json(self) -> dict:
         return {
             "B": self.B.to_json(),

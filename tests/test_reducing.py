@@ -7,15 +7,13 @@ from blaschke_lab.errors import ConditioningError, MembershipError
 from blaschke_lab.spaces import TaylorPoly
 
 
-def _mobius_column_loop(a, N, j, D, cap=None):
+def _mobius_column_loop(a, N, j, D):
     """Reference Mobius-power projection: every generator v_p by one
     np.convolve with the Blaschke factor, P summed one rank-1 term at a time,
-    stopping at the first generator below the include cut."""
+    stopping at the first generator whose in-window mass is below 1e-14."""
     a = complex(a)
     scale = 1.0 - abs(a) ** 2
-    p_hard = int(np.ceil(D * (1 + abs(a)) / (1 - abs(a)))) + 4 * N + 8
-    if cap is not None:
-        p_hard = min(p_hard, j + cap * N)
+    p_bound = 2 * (int(np.ceil(D * (1 + abs(a)) / (1 - abs(a)))) + 4 * N + 8)
     D_pad = D + max(D // 2, 40)
     lam = (np.arange(D_pad + 1) + 1.0) ** -1.0
     k = np.arange(D_pad + 1)
@@ -23,15 +21,17 @@ def _mobius_column_loop(a, N, j, D, cap=None):
     fac = bl.blaschke_factor_taylor(a, D_pad).coeffs
     P = np.zeros((D + 1, D + 1), dtype=complex)
     basis = []
-    for p in range(p_hard + 1):
+    for p in range(p_bound + 1):
         if p % N == j:
             u = v * (np.sqrt(p + 1.0) * scale)
-            if cap is None and np.sum(np.abs(u[: D + 1]) ** 2 * lam[: D + 1]) < DEFAULT.mobius_include_tol:
+            if np.sum(np.abs(u[: D + 1]) ** 2 * lam[: D + 1]) < 1e-14:
                 break
             P += np.outer(u[: D + 1], np.conj(u[: D + 1]) * lam[: D + 1])
             if np.sqrt(np.sum(np.abs(u[D + 1 :]) ** 2 * lam[D + 1 :])) <= DEFAULT.mobius_clean_tol:
                 basis.append(u[: D + 1])
         v = np.convolve(v, fac)[: D_pad + 1]
+    else:
+        raise AssertionError("the include cut never fired")
     return P, basis
 
 
@@ -123,17 +123,24 @@ class TestMobiusProjection:
         with pytest.raises(ConditioningError, match=r"^no Mobius-power generator is window-clean at D = 48; increase D$"):
             bl.mobius_power_reducing_projection(0.8, 2, 0, 48)
 
-    @pytest.mark.parametrize(
-        "a,N,D,cap", [(0.8, 2, 256, None), (0.5j, 3, 64, None), (-0.3 + 0.4j, 1, 128, None), (0.6, 2, 128, 5)]
-    )
-    def test_equals_column_loop(self, a, N, D, cap):
+    @pytest.mark.parametrize("a,N,D", [(0.8, 2, 256), (0.5j, 3, 64), (-0.3 + 0.4j, 1, 128)])
+    def test_equals_column_loop(self, a, N, D):
         for j in range(N):
-            P = bl.mobius_power_reducing_projection(a, N, j, D, cap=cap)
-            P_ref, basis_ref = _mobius_column_loop(a, N, j, D, cap=cap)
+            P = bl.mobius_power_reducing_projection(a, N, j, D)
+            P_ref, basis_ref = _mobius_column_loop(a, N, j, D)
             assert np.max(np.abs(P.matrix.entries - P_ref)) < 1e-12
             assert len(P.basis) == len(basis_ref) > 0
             for v, ref in zip(P.basis, basis_ref):
-                assert np.max(np.abs(v.coeffs - ref)) < 1e-12
+                assert np.max(np.abs(v.coeffs - ref)) < 1e-14
+
+    def test_single_class_is_identity(self):
+        P = bl.mobius_power_reducing_projection(0.8, 1, 0, 128)
+        assert np.max(np.abs(P.matrix.entries - np.eye(129))) < 1e-14
+
+    @pytest.mark.parametrize("a,N,D", [(0.8, 2, 256), (0.5j, 3, 64), (0.6, 4, 128)])
+    def test_classes_sum_to_identity_on_full_window(self, a, N, D):
+        total = sum(bl.mobius_power_reducing_projection(a, N, j, D).matrix.entries for j in range(N))
+        assert np.max(np.abs(total - np.eye(D + 1))) < 1e-13
 
 
 class TestReducingResidual:

@@ -94,6 +94,11 @@ class TestConfig:
         assert cfg.settings.tol_commute == 1e-6
         assert cfg.check_tolerances == {"roundtrip": 1e-5}
 
+    def test_unknown_tolerance_key_rejected(self):
+        obj = dict(BASE, tolerances={"comute": 1e-30})
+        with pytest.raises(ConfigError, match=r"unknown tolerances key 'comute'; valid keys: tol_commute, .*commute"):
+            parse_config(obj, "suite")
+
 
 class TestRun:
     def test_decompose_slicing_payload(self):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import blaschke_lab as bl
 from blaschke_lab.errors import CompositionDivergenceError, DimensionMismatchError
-from blaschke_lab.spaces import TaylorPoly
+from blaschke_lab.spaces import TaylorPoly, commutator_residual, operator_norm_safe
 
 
 def poly(*coeffs):
@@ -190,6 +190,25 @@ class TestAdjoint:
         A = bl.OperatorMatrix(m, 0.7)
         back = bl.weighted_adjoint(bl.weighted_adjoint(A))
         assert np.max(np.abs(back.entries - m)) < 1e-14 * np.max(np.abs(m))
+
+
+class TestCommutatorResidual:
+    def test_safe_block_equals_full_product_slice(self, B2, B3, rng):
+        D = 96
+        pairs = []
+        for B in (B2, B3):
+            TB = bl.toeplitz_matrix(B.taylor(D), D, -1.0)
+            n = B.degree
+            phi = bl.MultiplierMatrix([[TaylorPoly(rng.standard_normal(3)) for _ in range(n)] for _ in range(n)])
+            A = bl.build(phi, B, -1.0, D // n, D).realization.entries
+            pairs += [(A, TB.entries), (rng.standard_normal((D + 1, D + 1)), TB.entries)]
+        P = bl.mobius_power_reducing_projection(0.5, 2, 1, D).matrix.entries
+        TB = bl.toeplitz_matrix(bl.BlaschkeProduct(0.0, [(0.5, 2)]).taylor(D), D, -1.0)
+        pairs += [(P, TB.entries), (P, bl.weighted_adjoint(TB).entries)]
+        for A, X in pairs:
+            # the oracle forms both full products, then slices the safe block
+            ref = operator_norm_safe(A @ X - X @ A, -1.0, bl.safe_degree(D))
+            assert abs(commutator_residual(A, X, -1.0, D) - ref) <= 1e-14 * max(1.0, ref)
 
 
 class TestApply:
