@@ -26,7 +26,6 @@ def main() -> None:
     B = bl.BlaschkeProduct(0.0, [0.5, -0.3 + 0.2j, 0.1])
     D = args.degree
     M = 3 * D // (4 * B.degree)  # the decompose battery's shell count
-    basis = bl.model_basis(B, D)
 
     print(f"B: degree {B.degree}; D = {D}, M = {M}, {args.samples} samples\n")
     print(f"{'alpha':>6}  {'bracket low':>12}  {'bracket high':>12}  {'spread':>8}")
@@ -36,7 +35,7 @@ def main() -> None:
         for _ in range(args.samples):
             deg = int(rng.integers(0, 31))
             f = bl.TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-            vals.append(bl.norm_equivalence_ratio(f, B, alpha, M, D, basis=basis))
+            vals.append(bl.norm_equivalence_ratio(f, B, alpha, M, D))
         lo, hi = min(vals), max(vals)
         print(f"{alpha:>6}  {lo:>12.6f}  {hi:>12.6f}  {hi / lo:>8.3f}")
 

@@ -26,7 +26,6 @@ def main() -> None:
     B = bl.BlaschkeProduct(0.0, [0.5, -0.3 + 0.2j, 0.1])
     D = args.degree
     rng = np.random.default_rng(args.seed)
-    basis = bl.model_basis(B, D)
     polys = [
         bl.TaylorPoly(rng.standard_normal(args.fdeg + 1) + 1j * rng.standard_normal(args.fdeg + 1))
         for _ in range(args.samples)
@@ -40,7 +39,7 @@ def main() -> None:
     while M <= 3 * D // (4 * B.degree):
         worst0 = worst1 = 0.0
         for f in polys:
-            g = bl.synthesize(bl.analyze(f, B, M, D, basis=basis), D)
+            g = bl.synthesize(bl.analyze(f, B, M, D), D)
             diff = bl.TaylorPoly((g - f.pad(D)).coeffs[: half + 1])
             worst0 = max(worst0, bl.weighted_norm(diff, 0.0))
             worst1 = max(worst1, bl.weighted_norm(diff, -1.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,9 +165,11 @@ class ModelSpaceBasis:
         return len(self.orthonormal)
 
 
+@lru_cache(maxsize=64)
 def model_basis(B: BlaschkeProduct, D: int) -> ModelSpaceBasis:
     """Takenaka-Malmquist-Walsh basis of the model space attached to B,
-    truncated at degree D.
+    truncated at degree D. Memoized by (B, D): every caller, the shell
+    frame of wold included, receives the same read-only object.
 
     With a_1..a_n the zeros of B counted with multiplicity (in
     expanded_zeros order),

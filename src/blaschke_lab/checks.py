@@ -98,7 +98,6 @@ def decompose_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
     # deeper than the analysis default: round trips need ~12 shells of decay
     # margin past deg(f)/n to reach the tolerance
     M = cfg.shells if cfg.shells is not None else max(1, (3 * D) // (4 * B.degree))
-    basis = model_basis(B, D)
     D_safe = safe_degree(D)
     tol = _tol(cfg, "roundtrip")
 
@@ -114,7 +113,7 @@ def decompose_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
 
     for label, f in inputs:
         def roundtrip(f=f):
-            dec = wold.analyze(f, B, M, D, basis=basis, settings=settings)
+            dec = wold.analyze(f, B, M, D, settings=settings)
             g = wold.synthesize(dec, D)
             diff = (g - f.pad(D)).coeffs[: D_safe + 1]
             return np.linalg.norm(diff)
@@ -123,7 +122,7 @@ def decompose_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
 
     if explicit is not None:
         f = inputs[0][1]
-        dec = wold.analyze(f, B, M, D, basis=basis, settings=settings)
+        dec = wold.analyze(f, B, M, D, settings=settings)
         data["components"] = [[[c.real, c.imag] for c in comp.coeffs] for comp in dec.components]
         data["decomposition"] = dec.to_json()
     return records, data
@@ -135,7 +134,6 @@ def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
     B, D, w = cfg.blaschke, cfg.degree, as_weight(cfg.alpha)
     n = B.degree
     M = cfg.shells if cfg.shells is not None else D // n
-    basis = model_basis(B, D)
 
     phis = []
     if cfg.inputs.get("phi") is not None:
@@ -153,7 +151,7 @@ def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
         built = {}
 
         def commute(phi=phi, built=built):
-            op = cm.build(phi, B, w, M, D, basis=basis, settings=settings)
+            op = cm.build(phi, B, w, M, D, settings=settings)
             built["op"] = op
             return cm.commutation_residual(op.realization, B, w, D)
 
@@ -161,9 +159,9 @@ def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
 
         def roundtrip(phi=phi, built=built):
             if "op" not in built:
-                built["op"] = cm.build(phi, B, w, M, D, basis=basis, settings=settings)
-            syms = cm.extract_symbols(built["op"].realization, B, M, D, basis=basis, settings=settings)
-            phi2 = cm.symbols_to_matrix(syms, B, M, D, basis=basis, settings=settings)
+                built["op"] = cm.build(phi, B, w, M, D, settings=settings)
+            syms = cm.extract_symbols(built["op"].realization, B, M, D, settings=settings)
+            phi2 = cm.symbols_to_matrix(syms, B, M, D, settings=settings)
             return max(float(np.max(np.abs(e.coeffs))) for row in (phi - phi2).entries for e in row)
 
         _timed(records, f"commutant/{label}/symbol_roundtrip", _tol(cfg, "symbol_roundtrip"), roundtrip, strict=strict)
@@ -316,17 +314,16 @@ def shift_equiv_checks(cfg, settings: Settings, rng: np.random.Generator, *, str
         # image count kept a third of the window so the analysis shells used
         # in the residuals stay clean of edge tails
         M = cfg.shells if cfg.shells is not None else max(2, D // (3 * B.degree))
-        basis = model_basis(B, D)
         if cfg.inputs.get("h") is not None:
             h = TaylorPoly([complex(re, im) for re, im in cfg.inputs["h"]])
         else:
-            h = basis.orthonormal[0]
+            h = model_basis(B, D).orthonormal[0]
         J = rd.shift_equiv_general(B, h, w, M, D, settings=settings)
 
         def bnorm_identity():
             worst = 0.0
             for k, img in enumerate(J.images):
-                dec = wold.analyze(img, B, M + 2, D, basis=basis, settings=settings)
+                dec = wold.analyze(img, B, M + 2, D, settings=settings)
                 worst = max(worst, abs(wold.b_norm(dec, w) - (k + 1.0) ** (w.alpha / 2)))
             return worst
 

@@ -23,7 +23,7 @@ from .report import Report, render
 COMMANDS = tuple(BATTERIES)
 
 #: tolerance override keys accepted in config "tolerances".
-SETTINGS_KEYS = ("tol_commute", "tol_tail", "gap_tol", "tol_compose", "rho_max")
+SETTINGS_KEYS = ("tol_commute", "tol_tail", "gap_tol", "rho_max")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, ModelSpaceBasis, model_basis
+from .blaschke import BlaschkeProduct
 from .config import DEFAULT, Settings, safe_degree
 from .errors import NotInCommutantError
 from .spaces import (
@@ -50,17 +50,27 @@ class MultiplierMatrix:
     __slots__ = ("entries", "n")
 
     def __init__(self, entries: Sequence[Sequence[TaylorPoly]], *, settings: Settings = DEFAULT):
+        self._fill(entries)
+        if self.max_entry_degree > settings.max_symbol_degree:
+            raise ValueError(
+                f"entry degree {self.max_entry_degree} exceeds max_symbol_degree {settings.max_symbol_degree}"
+            )
+
+    def _fill(self, entries) -> None:
         rows = tuple(tuple(self._coerce(e) for e in row) for row in entries)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("multiplier matrix must be square")
-        dmax = max(e.degree for row in rows for e in row)
-        if dmax > settings.max_symbol_degree:
-            raise ValueError(
-                f"entry degree {dmax} exceeds max_symbol_degree {settings.max_symbol_degree}"
-            )
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "n", n)
+
+    @classmethod
+    def _derived(cls, entries) -> "MultiplierMatrix":
+        """A matrix computed by the library (product, difference, extracted
+        symbols): the degree cap guards only config and user input."""
+        out = cls.__new__(cls)
+        out._fill(entries)
+        return out
 
     @staticmethod
     def _coerce(e) -> TaylorPoly:
@@ -105,16 +115,14 @@ class MultiplierMatrix:
                     acc[: len(prod)] += prod
                 row.append(TaylorPoly(acc))
             out.append(row)
-        return MultiplierMatrix(out, settings=DEFAULT.with_overrides(max_symbol_degree=max(D, DEFAULT.max_symbol_degree)))
+        return MultiplierMatrix._derived(out)
 
     def __sub__(self, other: "MultiplierMatrix") -> "MultiplierMatrix":
-        D = max(self.max_entry_degree, other.max_entry_degree)
-        return MultiplierMatrix(
+        return MultiplierMatrix._derived(
             [
                 [self.entries[j][k] - other.entries[j][k] for k in range(self.n)]
                 for j in range(self.n)
-            ],
-            settings=DEFAULT.with_overrides(max_symbol_degree=max(D, DEFAULT.max_symbol_degree)),
+            ]
         )
 
     def coefficient_norm(self) -> float:
@@ -173,7 +181,6 @@ def build(
     M: int,
     D: int,
     *,
-    basis: ModelSpaceBasis | None = None,
     settings: Settings = DEFAULT,
 ) -> CommutantOperator:
     """Realize the commutant element of Phi as a dense matrix.
@@ -189,7 +196,7 @@ def build(
         raise ValueError("multiplier matrix size must equal deg B")
     _check_tail(B, M, D, settings)
     M_out = M + phi.max_entry_degree
-    frame = shell_frame(B, M_out, D, basis=basis)
+    frame = shell_frame(B, M_out, D)
     E_out, E = frame.cells(M_out), frame.cells(M)
     V = _component_map(phi, M, M_out)
     W = E_out @ (V @ E.conj().T)
@@ -209,17 +216,16 @@ def apply_formula(
     M: int,
     D: int,
     *,
-    basis: ModelSpaceBasis | None = None,
     settings: Settings = DEFAULT,
 ) -> TaylorPoly:
     """Action through the decomposition: analyze f, multiply the component
     vector by Phi, synthesize. Agrees with the built realization on the
     safe block."""
-    dec = analyze(f, B, M, D, basis=basis, settings=settings)
+    dec = analyze(f, B, M, D, settings=settings)
     M_out = M + phi.max_entry_degree
     V = _component_map(phi, M, M_out)
     g = V @ dec.coefficients.T.reshape(-1)
-    return TaylorPoly(shell_frame(B, M_out, D, basis=dec.basis).cells(M_out) @ g)
+    return TaylorPoly(shell_frame(B, M_out, D).cells(M_out) @ g)
 
 
 def commutation_residual(
@@ -243,7 +249,6 @@ def extract_symbols(
     M: int,
     D: int,
     *,
-    basis: ModelSpaceBasis | None = None,
     settings: Settings = DEFAULT,
 ) -> list[TaylorPoly]:
     """phi_k = W u_k for the orthonormal basis u_k; requires W to commute
@@ -253,7 +258,7 @@ def extract_symbols(
         raise NotInCommutantError(
             f"commutation residual {res:.3e} exceeds tol_commute {settings.tol_commute:.1e}"
         )
-    U = shell_frame(B, 0, D, basis=basis).U
+    U = shell_frame(B, 0, D).U
     return [TaylorPoly(col) for col in (W.entries @ U).T]
 
 
@@ -263,22 +268,13 @@ def symbols_to_matrix(
     M: int,
     D: int,
     *,
-    basis: ModelSpaceBasis | None = None,
     settings: Settings = DEFAULT,
 ) -> MultiplierMatrix:
     """Column k of Phi = shell components of phi_k (its decomposition in the
     {u_j B^m} system)."""
-    if basis is None:
-        basis = model_basis(B, D)
-    cols = []
-    for ph in phis:
-        dec = analyze(ph, B, M, D, basis=basis, settings=settings)
-        cols.append([TaylorPoly(row) for row in dec.coefficients])
+    cols = [analyze(ph, B, M, D, settings=settings).coefficients for ph in phis]
     n = len(phis)
-    return MultiplierMatrix(
-        [[cols[k][j] for k in range(n)] for j in range(n)],
-        settings=settings.with_overrides(max_symbol_degree=max(M, settings.max_symbol_degree)),
-    )
+    return MultiplierMatrix._derived([[cols[k][j] for k in range(n)] for j in range(n)])
 
 
 class IdempotentReport(NamedTuple):

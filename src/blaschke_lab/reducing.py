@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, model_basis
+from .blaschke import BlaschkeProduct
 from .commutant import CommutantOperator
 from .config import DEFAULT, Settings, safe_degree
 from .errors import ConditioningError, MembershipError
@@ -194,7 +194,7 @@ def mobius_power_reducing_projection(
     if defect > settings.gram_tol:
         raise ConditioningError(
             f"clean generator Gram deviates from identity by {defect:.3e} "
-            f"(> {settings.gram_tol:.1e}); shell cap too large for D"
+            f"(> {settings.gram_tol:.1e}); increase D"
         )
     return SubspaceProjection(
         basis=tuple(TaylorPoly(v) for v in Ub.T),
@@ -365,12 +365,7 @@ def unitarity_defect(J: IntertwinerJ, *, M: int | None = None, settings: Setting
     D = J.images[0].degree
     if M is None:
         M = J.count + 2
-    coords = []
-    basis = None
-    for f in J.images:
-        dec = analyze(f, J.B, M, D, basis=basis, settings=settings)
-        basis = dec.basis
-        coords.append(dec.coefficients)
+    coords = [analyze(f, J.B, M, D, settings=settings).coefficients for f in J.images]
     kw = (np.arange(M + 1) + 1.0) ** J.alpha.alpha
     G = np.einsum("inm,jnm,m->ij", np.array(coords), np.conj(coords), kw)
     return float(np.max(np.abs(G - target)))
@@ -396,12 +391,11 @@ def shell_shift_residual(
     """For the general construction: shell coordinates of B * J(z^k) must be
     those of J(z^k) shifted one shell up."""
     worst = 0.0
-    basis = model_basis(J.B, D)
-    b = shell_frame(J.B, M, D, basis=basis).b
+    b = shell_frame(J.B, M, D).b
     for f in J.images:
-        dec = analyze(f, J.B, M, D, basis=basis, settings=settings)
+        dec = analyze(f, J.B, M, D, settings=settings)
         bf = TaylorPoly(np.convolve(as_coeffs(f, D), b)[: D + 1])
-        dec2 = analyze(bf, J.B, M, D, basis=basis, settings=settings)
+        dec2 = analyze(bf, J.B, M, D, settings=settings)
         shifted = np.zeros_like(dec.coefficients)
         shifted[:, 1:] = dec.coefficients[:, :-1]
         worst = max(worst, float(np.max(np.abs(dec2.coefficients - shifted))))

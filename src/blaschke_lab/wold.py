@@ -7,11 +7,12 @@ are exact for any input supported inside the window; accuracy of a round
 trip is limited by the expansion tail beyond the largest computed shell, not
 by the truncation itself.
 
-The cells u_j B^k of one (B, D, basis) are built once into a ShellFrame and
-kept in a memo of the last _FRAME_MEMO_SIZE = 4 keys (B, D, bytes of U), so
-a caller's basis never receives another basis's cells. Fewer shells are a
-column prefix of a frame, bitwise equal to a frame built for them; more
-shells rebuild it. Cached arrays are read-only.
+The cells u_j B^k of one (B, D) are built once into a ShellFrame, which owns
+its basis model_basis(B, D), and kept in a memo of the last
+_FRAME_MEMO_SIZE = 4 keys (B, D). Fewer shells are a column prefix of a
+frame, bitwise equal to a frame built for them; more shells rebuild it.
+Cached arrays are read-only. analyze and norm_equivalence_ratio also accept
+another basis of the model space; its cells are built outside the memo.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ def power_tail(B: BlaschkeProduct, M: int, D: int) -> float:
     return float(np.sqrt(max(0.0, 1.0 - captured)))
 
 
-def _basis_matrix(basis: ModelSpaceBasis, D: int) -> np.ndarray:
-    return np.stack([as_coeffs(u, D) for u in basis.orthonormal], axis=1)
-
-
 def cell_matrix(
     basis: ModelSpaceBasis,
     B: BlaschkeProduct,
@@ -76,7 +73,7 @@ def cell_matrix(
     n = basis.dim
     TB = toeplitz_matrix(B.taylor(D), D).entries
     E = np.empty((D + 1, n * (M + 1)), dtype=complex, order="F")
-    E[:, :n] = _basis_matrix(basis, D)
+    E[:, :n] = np.stack([as_coeffs(u, D) for u in basis.orthonormal], axis=1)
     for k in range(1, M + 1):
         E[:, k * n : (k + 1) * n] = TB @ E[:, (k - 1) * n : k * n]
     return E
@@ -84,46 +81,55 @@ def cell_matrix(
 
 @dataclass(frozen=True, eq=False)
 class ShellFrame:
-    """Read-only cells u_j B^k of one (B, D, basis): E[:, k*n + j] for
-    k = 0..shell_count, U = E[:, :n] the basis matrix, b the coefficients of
-    B through degree D."""
+    """Read-only cells u_j B^k of one (B, D) in its basis u_j =
+    model_basis(B, D): E[:, k*n + j] for k = 0..shell_count, U = E[:, :n]
+    the basis matrix, b the coefficients of B through degree D."""
 
-    U: np.ndarray
+    basis: ModelSpaceBasis
     b: np.ndarray
     E: np.ndarray
 
     @property
+    def U(self) -> np.ndarray:
+        return self.E[:, : self.basis.dim]
+
+    @property
     def shell_count(self) -> int:
-        return self.E.shape[1] // self.U.shape[1] - 1
+        return self.E.shape[1] // self.basis.dim - 1
 
     def cells(self, M: int) -> np.ndarray:
         """Cells of shells 0..M, a prefix of E."""
         if M > self.shell_count:
             raise ValueError(f"frame holds {self.shell_count} shells, not {M}")
-        return self.E[:, : self.U.shape[1] * (M + 1)]
+        return self.E[:, : self.basis.dim * (M + 1)]
 
 
 _FRAME_MEMO_SIZE = 4
 _FRAMES: OrderedDict[tuple, ShellFrame] = OrderedDict()  # least recently used first
 
 
-def shell_frame(
-    B: BlaschkeProduct, M: int, D: int, *, basis: ModelSpaceBasis | None = None
-) -> ShellFrame:
-    """The frame of (B, D, basis) with at least M shells, from the memo when
-    it has one; basis defaults to model_basis(B, D)."""
-    if basis is None:
-        basis = model_basis(B, D)
-    key = (B, D, _basis_matrix(basis, D).tobytes())
-    frame = _FRAMES.pop(key, None)
+def shell_frame(B: BlaschkeProduct, M: int, D: int) -> ShellFrame:
+    """The frame of (B, D) with at least M shells, from the memo (keyed by
+    (B, D)) when it has one. Cells of any other basis are not memoized."""
+    frame = _FRAMES.pop((B, D), None)
     if frame is None or frame.shell_count < M:
+        basis = model_basis(B, D) if frame is None else frame.basis
         E = cell_matrix(basis, B, M, D)
         E.setflags(write=False)
-        frame = ShellFrame(U=E[:, : basis.dim], b=B.taylor(D).coeffs, E=E)
-    _FRAMES[key] = frame
+        frame = ShellFrame(basis=basis, b=B.taylor(D).coeffs, E=E)
+    _FRAMES[(B, D)] = frame
     if len(_FRAMES) > _FRAME_MEMO_SIZE:
         _FRAMES.popitem(last=False)
     return frame
+
+
+def _cells(B: BlaschkeProduct, M: int, D: int, basis: ModelSpaceBasis | None):
+    """(basis, cells of shells 0..M): the frame's for its own basis or
+    none, built outside the memo for any other basis."""
+    frame = shell_frame(B, M, D)
+    if basis is None or basis is frame.basis:
+        return frame.basis, frame.cells(M)
+    return basis, cell_matrix(basis, B, M, D)
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,9 @@ def analyze(
     """Shell coefficients c[j, k] = <f, u_j B^k>_0 for k = 0..M.
 
     This is the orthogonal projection of f onto span{u_j B^k} in H^2; the
-    returned decomposition minimizes the H^2 residual over that span.
+    returned decomposition minimizes the H^2 residual over that span. The
+    u_j are the shell frame's basis model_basis(B, D) unless another basis
+    of the model space is given.
     """
     if D is None:
         D = f.degree
@@ -205,9 +213,7 @@ def analyze(
             f"function degree {f.degree} exceeds the window D = {D}; pass D >= deg f"
         )
     _check_tail(B, M, D, settings)
-    if basis is None:
-        basis = model_basis(B, D)
-    E = shell_frame(B, M, D, basis=basis).cells(M)
+    basis, E = _cells(B, M, D, basis)
     c = (E.T @ as_coeffs(f, D).conj()).conj()  # E^H f without copying E
     return ShellDecomposition(B=B, basis=basis, coefficients=c.reshape(M + 1, basis.dim).T, degree=D)
 
@@ -216,7 +222,7 @@ def synthesize(dec: ShellDecomposition, D: int | None = None) -> TaylorPoly:
     """sum_{k<=M} sum_j c[j, k] u_j B^k truncated at degree D."""
     if D is None:
         D = dec.degree
-    E = shell_frame(dec.B, dec.shell_count, D, basis=dec.basis).cells(dec.shell_count)
+    _, E = _cells(dec.B, dec.shell_count, D, dec.basis)
     flat = dec.coefficients.T.reshape(-1)  # k-major matching cell_matrix
     return TaylorPoly(E @ flat)
 

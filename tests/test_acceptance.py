@@ -98,19 +98,18 @@ def built_sample():
     """20 seeded polynomial multiplier matrices and their realizations."""
     D, M = 96, 32
     rng = np.random.default_rng(104)
-    basis = bl.model_basis(B3, D)
     sample = []
     for _ in range(20):
         phi = bl.MultiplierMatrix(
             [[random_poly(rng, 4) for _ in range(3)] for _ in range(3)]
         )
-        op = bl.build(phi, B3, 0.0, M, D, basis=basis)
+        op = bl.build(phi, B3, 0.0, M, D)
         sample.append((phi, op))
-    return D, M, basis, sample
+    return D, M, sample
 
 
 def test_04_commutant_forward(built_sample):
-    D, M, basis, sample = built_sample
+    D, M, sample = built_sample
     worst = 0.0
     for _, op in sample:
         for alpha in (-1.0, 0.0, 1.0):
@@ -119,11 +118,11 @@ def test_04_commutant_forward(built_sample):
 
 
 def test_05_commutant_roundtrip(built_sample):
-    D, M, basis, sample = built_sample
+    D, M, sample = built_sample
     worst = 0.0
     for phi, op in sample:
-        syms = bl.extract_symbols(op.realization, B3, M, D, basis=basis)
-        phi2 = bl.symbols_to_matrix(syms, B3, M, D, basis=basis)
+        syms = bl.extract_symbols(op.realization, B3, M, D)
+        phi2 = bl.symbols_to_matrix(syms, B3, M, D)
         for j in range(3):
             for k in range(3):
                 a = phi.entries[j][k].pad(10).coeffs

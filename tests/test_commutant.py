@@ -48,10 +48,9 @@ class TestBuild:
 
     def test_commutation_residual_forward(self, B3, rng):
         D, M = 96, 32
-        basis = bl.model_basis(B3, D)
         for _ in range(3):
             phi = random_phi(rng, 3)
-            op = bl.build(phi, B3, -1.0, M, D, basis=basis)
+            op = bl.build(phi, B3, -1.0, M, D)
             assert bl.commutation_residual(op.realization, B3, -1.0, D) < 1e-8
 
 
@@ -110,12 +109,11 @@ class TestApplyFormula:
 
     def test_matches_built_realization(self, B3, rng):
         D, M = 96, 24
-        basis = bl.model_basis(B3, D)
         for _ in range(5):
             phi = random_phi(rng, 3)
             f = TaylorPoly(rng.standard_normal(12) + 1j * rng.standard_normal(12))
-            via_formula = bl.apply_formula(phi, B3, f, M, D, basis=basis)
-            op = bl.build(phi, B3, 0.0, M, D, basis=basis)
+            via_formula = bl.apply_formula(phi, B3, f, M, D)
+            op = bl.build(phi, B3, 0.0, M, D)
             via_matrix = bl.apply(op.realization, f)
             diff = (via_formula - via_matrix).coeffs[: safe_degree(D) + 1]
             assert np.linalg.norm(diff) < 1e-8
@@ -125,7 +123,7 @@ class TestSymbols:
     def test_identity_symbols_are_basis(self, B3):
         D, M = 96, 16
         basis = bl.model_basis(B3, D)
-        syms = bl.extract_symbols(bl.OperatorMatrix.identity(D, 0.0), B3, M, D, basis=basis)
+        syms = bl.extract_symbols(bl.OperatorMatrix.identity(D, 0.0), B3, M, D)
         for s, u in zip(syms, basis.orthonormal):
             assert np.max(np.abs(s.coeffs - u.coeffs)) < 1e-14
 
@@ -133,7 +131,7 @@ class TestSymbols:
         D, M = 96, 16
         basis = bl.model_basis(B3, D)
         TB = bl.toeplitz_matrix(B3.taylor(D), D, 0.0)
-        syms = bl.extract_symbols(TB, B3, M, D, basis=basis)
+        syms = bl.extract_symbols(TB, B3, M, D)
         for s, u in zip(syms, basis.orthonormal):
             expected = bl.multiply(B3.taylor(D), u, D)
             assert np.max(np.abs(s.coeffs - expected.coeffs)) < 1e-13
@@ -147,7 +145,7 @@ class TestSymbols:
     def test_symbols_to_matrix_identity(self, B3):
         D, M = 96, 16
         basis = bl.model_basis(B3, D)
-        phi = bl.symbols_to_matrix(list(basis.orthonormal), B3, M, D, basis=basis)
+        phi = bl.symbols_to_matrix(list(basis.orthonormal), B3, M, D)
         for j in range(3):
             for k in range(3):
                 expect = 1.0 if j == k else 0.0
@@ -160,7 +158,7 @@ class TestSymbols:
         basis = bl.model_basis(B3, D)
         b = B3.taylor(D)
         syms = [bl.multiply(b, u, D) for u in basis.orthonormal]
-        phi = bl.symbols_to_matrix(syms, B3, M, D, basis=basis)
+        phi = bl.symbols_to_matrix(syms, B3, M, D)
         for j in range(3):
             for k in range(3):
                 c = phi.entries[j][k].coeffs
@@ -170,12 +168,11 @@ class TestSymbols:
 
     def test_roundtrip(self, B3, rng):
         D, M = 96, 32
-        basis = bl.model_basis(B3, D)
         for _ in range(3):
             phi = random_phi(rng, 3)
-            op = bl.build(phi, B3, 0.0, M, D, basis=basis)
-            syms = bl.extract_symbols(op.realization, B3, M, D, basis=basis)
-            phi2 = bl.symbols_to_matrix(syms, B3, M, D, basis=basis)
+            op = bl.build(phi, B3, 0.0, M, D)
+            syms = bl.extract_symbols(op.realization, B3, M, D)
+            phi2 = bl.symbols_to_matrix(syms, B3, M, D)
             for j in range(3):
                 for k in range(3):
                     a = phi.entries[j][k].pad(10).coeffs
@@ -257,12 +254,11 @@ class TestIdempotent:
 class TestAlgebraHomomorphism:
     def test_product_of_built_operators(self, B2, rng):
         D, M = 96, 48
-        basis = bl.model_basis(B2, D)
         phi1 = random_phi(rng, 2, deg=3)
         phi2 = random_phi(rng, 2, deg=3)
-        w1 = bl.build(phi1, B2, 0.0, M, D, basis=basis).realization.entries
-        w2 = bl.build(phi2, B2, 0.0, M, D, basis=basis).realization.entries
-        w12 = bl.build(phi1.matmul(phi2), B2, 0.0, M, D, basis=basis).realization.entries
+        w1 = bl.build(phi1, B2, 0.0, M, D).realization.entries
+        w2 = bl.build(phi2, B2, 0.0, M, D).realization.entries
+        w12 = bl.build(phi1.matmul(phi2), B2, 0.0, M, D).realization.entries
         Ds = safe_degree(D)
         scale = max(1.0, np.abs(w12[: Ds + 1, : Ds + 1]).max())
         assert np.max(np.abs((w1 @ w2 - w12)[: Ds + 1, : Ds + 1])) / scale < 1e-7
@@ -270,13 +266,12 @@ class TestAlgebraHomomorphism:
     def test_converse_reconstruction(self, B2, rng):
         # polynomial in T_B plus a built operator extracts and rebuilds
         D, M = 96, 48
-        basis = bl.model_basis(B2, D)
         TB = bl.toeplitz_matrix(B2.taylor(D), D, 0.0).entries
         A = TB @ TB + 0.5 * TB + np.eye(D + 1)
         Aop = bl.OperatorMatrix(A, 0.0)
-        syms = bl.extract_symbols(Aop, B2, M, D, basis=basis)
-        phi = bl.symbols_to_matrix(syms, B2, M, D, basis=basis)
-        rebuilt = bl.build(phi, B2, 0.0, M, D, basis=basis).realization.entries
+        syms = bl.extract_symbols(Aop, B2, M, D)
+        phi = bl.symbols_to_matrix(syms, B2, M, D)
+        rebuilt = bl.build(phi, B2, 0.0, M, D).realization.entries
         Ds = safe_degree(D)
         assert np.max(np.abs((rebuilt - A)[: Ds + 1, : Ds + 1])) < 1e-7
 
@@ -319,3 +314,15 @@ def test_multiplier_matrix_json_roundtrip(rng):
 def test_multiplier_matrix_rejects_oversize_degree():
     with pytest.raises(ValueError):
         bl.MultiplierMatrix([[TaylorPoly(np.ones(100))]])
+
+
+def test_derived_matrices_skip_the_degree_cap(rng):
+    # the cap guards input; products and differences of admitted matrices may exceed it
+    phi = random_phi(rng, 2, deg=40)
+    prod = phi.matmul(phi)
+    assert prod.max_entry_degree == 80 > bl.DEFAULT.max_symbol_degree
+    diff = prod - phi
+    assert diff.max_entry_degree == 80
+    expected = np.convolve(phi[0, 0].coeffs, phi[0, 0].coeffs) + np.convolve(phi[0, 1].coeffs, phi[1, 0].coeffs)
+    assert np.allclose(prod[0, 0].coeffs, expected)
+    assert np.allclose(diff[0, 0].coeffs, expected - phi[0, 0].pad(80).coeffs)

@@ -119,6 +119,11 @@ class TestMobiusProjection:
         with pytest.raises(ConditioningError):
             bl.mobius_power_reducing_projection(0.79, 2, 1, 6)
 
+    def test_gram_guard_says_increase_d(self):
+        with pytest.raises(ConditioningError, match=r"clean generator Gram deviates .*; increase D$") as exc:
+            bl.mobius_power_reducing_projection(0.5, 2, 0, 64, settings=DEFAULT.with_overrides(gram_tol=0.0))
+        assert "shell cap" not in str(exc.value)
+
     def test_conditioning_error_when_no_generator_is_clean(self):
         with pytest.raises(ConditioningError, match=r"^no Mobius-power generator is window-clean at D = 48; increase D$"):
             bl.mobius_power_reducing_projection(0.8, 2, 0, 48)

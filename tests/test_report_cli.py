@@ -99,6 +99,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"unknown tolerances key 'comute'; valid keys: tol_commute, .*commute"):
             parse_config(obj, "suite")
 
+    def test_tol_compose_is_not_a_config_key(self):
+        # no battery composes functions, so the key would change nothing
+        obj = dict(BASE, tolerances={"tol_compose": 1e-12})
+        with pytest.raises(ConfigError, match=r"unknown tolerances key 'tol_compose'"):
+            parse_config(obj, "suite")
+
 
 class TestRun:
     def test_decompose_slicing_payload(self):

@@ -15,7 +15,7 @@ from blaschke_lab.wold import cell_matrix, default_shell_count, power_tail
 def analyze_by_least_squares(f, B, M, D, *, basis):
     """Cross-check oracle: invert the finite-section synthesis map in the
     least-squares sense instead of using orthogonality."""
-    E = wold.shell_frame(B, M, D, basis=basis).cells(M)
+    E = wold.shell_frame(B, M, D).cells(M)
     c, *_ = np.linalg.lstsq(E, f.pad(D).coeffs, rcond=None)
     return bl.ShellDecomposition(B=B, basis=basis, coefficients=c.reshape(M + 1, basis.dim).T, degree=D)
 
@@ -259,6 +259,24 @@ class TestShellFrame:
         assert 1 <= len(calls) <= 4
         assert len(set(calls)) == len(calls)
 
+    def test_callers_model_basis_is_the_frames(self, B3, rng, monkeypatch):
+        calls = []
+        build = wold.cell_matrix
+
+        def counted(basis, B, M, D):
+            calls.append((B, M, D))
+            return build(basis, B, M, D)
+
+        monkeypatch.setattr(wold, "cell_matrix", counted)
+        D, M = 64, 8
+        basis = bl.model_basis(B3, D)
+        f = TaylorPoly(rng.standard_normal(20))
+        for _ in range(3):
+            dec = bl.analyze(f, B3, M, D, basis=basis)
+            bl.synthesize(dec, D)
+        assert dec.basis is basis is wold.shell_frame(B3, M, D).basis
+        assert len(calls) == 1
+
     def test_rotated_basis_gets_rotated_coefficients(self, B3, rng):
         D, M = 64, 8
         basis = bl.model_basis(B3, D)
@@ -283,9 +301,9 @@ class TestShellFrame:
         B = bl.BlaschkeProduct(0.0, zeros)
         D = 128
         M = D // B.degree
-        basis = bl.model_basis(B, D)
-        wold.shell_frame(B, M // 2, D, basis=basis)
-        grown = wold.shell_frame(B, M, D, basis=basis).E
+        wold.shell_frame(B, M // 2, D)
+        frame = wold.shell_frame(B, M, D)
+        grown, basis = frame.E, frame.basis
         powers = B.power_list(M, D)
         reference = np.stack(
             [np.convolve(u.coeffs, p.coeffs)[: D + 1] for p in powers for u in basis.orthonormal],
