@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import DEFAULT, Settings
 from .errors import EvaluationDomainError, PoleError
-from .spaces import TaylorPoly, _trunc_mul, multiply
+from .spaces import TaylorPoly, _trunc_mul, multiply, toeplitz_matrix
 
 __all__ = [
     "BlaschkeProduct",
@@ -96,12 +96,13 @@ class BlaschkeProduct:
     # -- Taylor expansions ---------------------------------------------------
 
     def taylor(self, D: int) -> TaylorPoly:
-        """Taylor coefficients through degree D, built factor by factor."""
-        acc = np.zeros(D + 1, dtype=complex)
-        acc[0] = np.exp(1j * self.theta)
-        for a in self.expanded_zeros():
-            acc = _trunc_mul(acc, blaschke_factor_taylor(a, D).coeffs, D)
-        return TaylorPoly(acc)
+        """Taylor coefficients through degree D, memoized by (B, D)."""
+        return _taylor(self, D)
+
+    def toeplitz(self, D: int) -> np.ndarray:
+        """Read-only (D+1) x (D+1) lower-triangular Toeplitz section of T_B,
+        entry (j, k) = b_(j-k), memoized by (B, D)."""
+        return _toeplitz(self, D)
 
     def power_taylor(self, m: int, D: int) -> TaylorPoly:
         """Truncated Taylor series of B^m; m = 0 gives the constant 1."""
@@ -112,8 +113,6 @@ class BlaschkeProduct:
     def power_list(self, M: int, D: int) -> list[TaylorPoly]:
         """[B^0, B^1, ..., B^M] truncated at degree D."""
         out = [TaylorPoly.one(D)]
-        if M == 0:
-            return out
         b = self.taylor(D)
         for _ in range(M):
             out.append(multiply(out[-1], b, D))
@@ -136,6 +135,23 @@ class BlaschkeProduct:
             for z in obj["zeros"]
         ]
         return cls(float(obj.get("theta", 0.0)), zeros, rho_max=rho_max)
+
+
+# Bounded memos of (B, D), always called positionally: how a caller of
+# taylor, toeplitz or model_basis passes D does not change the key.
+@lru_cache(maxsize=8)
+def _taylor(B: BlaschkeProduct, D: int) -> TaylorPoly:
+    """B's Taylor coefficients through degree D, built factor by factor."""
+    acc = np.zeros(D + 1, dtype=complex)
+    acc[0] = np.exp(1j * B.theta)
+    for a in B.expanded_zeros():
+        acc = _trunc_mul(acc, blaschke_factor_taylor(a, D).coeffs, D)
+    return TaylorPoly(acc)
+
+
+@lru_cache(maxsize=8)
+def _toeplitz(B: BlaschkeProduct, D: int) -> np.ndarray:
+    return toeplitz_matrix(_taylor(B, D), D).entries
 
 
 def blaschke_factor_taylor(a: complex, D: int) -> TaylorPoly:
@@ -165,7 +181,6 @@ class ModelSpaceBasis:
         return len(self.orthonormal)
 
 
-@lru_cache(maxsize=64)
 def model_basis(B: BlaschkeProduct, D: int) -> ModelSpaceBasis:
     """Takenaka-Malmquist-Walsh basis of the model space attached to B,
     truncated at degree D. Memoized by (B, D): every caller, the shell
@@ -178,6 +193,11 @@ def model_basis(B: BlaschkeProduct, D: int) -> ModelSpaceBasis:
     weight differs) for any zero list, repeated or near-coincident, so no
     Gram-Schmidt or rank test is needed. B = z^n gives 1, z, ..., z^(n-1).
     """
+    return _model_basis(B, D)
+
+
+@lru_cache(maxsize=64)
+def _model_basis(B: BlaschkeProduct, D: int) -> ModelSpaceBasis:
     prefix = TaylorPoly.one(D).coeffs  # prod_(i<k) of the Blaschke factors
     ortho = []
     for a in B.expanded_zeros():

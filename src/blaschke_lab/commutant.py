@@ -16,15 +16,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct
 from .config import DEFAULT, Settings, safe_degree
 from .errors import NotInCommutantError
-from .spaces import (
-    OperatorMatrix,
-    TaylorPoly,
-    WeightAlpha,
-    as_coeffs,
-    as_weight,
-    commutator_residual,
-    toeplitz_matrix,
-)
+from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, as_weight, commutator_residual
 from .wold import _check_tail, analyze, shell_frame
 
 __all__ = [
@@ -239,8 +231,7 @@ def commutation_residual(
     """Safe-block operator norm of A T_B - T_B A (alpha geometry)."""
     if D is None:
         D = A.degree
-    TB = toeplitz_matrix(B.taylor(D), D, w)
-    return commutator_residual(A.entries, TB.entries, w, D, guard)
+    return commutator_residual(A.entries, B.toeplitz(D), w, D, guard)
 
 
 def extract_symbols(
@@ -312,27 +303,28 @@ def idempotent_residual(
 def cowen_residual(
     W: OperatorMatrix,
     B: BlaschkeProduct,
-    a: complex,
+    a: complex | Sequence[complex],
     D: int | None = None,
     *,
     guard: int | None = None,
     settings: Settings = DEFAULT,
 ) -> float:
-    """max_m |<W* k_a, (B - B(a)) z^m>_0| over m up to the safe degree.
+    """max_m |<W* k_a, (B - B(a)) z^m>_0| over m up to the safe degree, and
+    over the points when a is a 1-d sequence of them.
 
     Vanishing at a non-Blaschke sampling set characterizes membership in the
     commutant on H^2; a finite set can only falsify, not certify. W is read
     as an operator on the unweighted space (the criterion lives on H^2).
+    W^H K is one product for all kernels; no section of B - B(a) is built.
     """
-    from .blaschke import reproducing_kernel
-
-    if abs(a) >= 1.0:
-        raise ValueError("sample point must lie in the open disc")
+    pts = np.atleast_1d(np.asarray(a, dtype=complex))
+    if pts.ndim != 1 or np.any(np.abs(pts) >= 1.0):
+        raise ValueError("sample points must be a point or 1-d sequence in the open disc")
     if D is None:
         D = W.degree
     D_safe = safe_degree(D, guard)
-    ka = as_coeffs(reproducing_kernel(a, D), D)
-    Wstar_ka = (ka.conj() @ W.entries).conj()  # W^H k_a as one mat-vec
-    shifted = B.taylor(D) - TaylorPoly([B.eval(a, settings=settings)])
-    G = toeplitz_matrix(shifted, D).entries[:, : D_safe + 1]  # columns (B - B(a)) z^m
-    return float(np.max(np.abs(G.conj().T @ Wstar_ka)))
+    K = np.conj(pts)[None, :] ** np.arange(D + 1)[:, None]  # column i is k_(a_i)
+    WK = (K.T.conj() @ W.entries).conj().T  # W^H K as one product
+    Bvals = np.array([B.eval(p, settings=settings) for p in pts])
+    G = B.toeplitz(D)[:, : D_safe + 1].conj().T @ WK - Bvals.conj() * WK[: D_safe + 1]
+    return float(np.max(np.abs(G)))

@@ -143,7 +143,7 @@ def k_spaces(
     w = chain.alpha
     sq = np.sqrt(w.diagonal(D))
     N = chain.B.degree
-    TB = toeplitz_matrix(chain.B.taylor(D), D, w).entries
+    TB = chain.B.toeplitz(D)
     out = []
     TBk = np.eye(D + 1, dtype=complex)
     for k, blk in enumerate(chain.blocks):

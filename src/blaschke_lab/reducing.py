@@ -23,11 +23,10 @@ from .spaces import (
     as_weight,
     commutator_residual,
     operator_norm_safe,
-    toeplitz_matrix,
     weighted_adjoint,
     weighted_norm,
 )
-from .wold import analyze, shell_frame
+from .wold import analyze
 
 __all__ = [
     "SubspaceProjection",
@@ -241,7 +240,7 @@ def reducing_residual(
     w = P.alpha if w is None else as_weight(w)
     if D is None:
         D = P.degree
-    TB = toeplitz_matrix(B.taylor(D), D, w)
+    TB = OperatorMatrix(B.toeplitz(D), w)
     m = P.matrix.entries
     return max(
         commutator_residual(m, TB.entries, w, D, guard),
@@ -330,7 +329,7 @@ def shift_equiv_general(
     nrm0 = weighted_norm(h, 0.0)
     if nrm0 == 0.0:
         raise MembershipError("h is zero")
-    TB = toeplitz_matrix(B.taylor(D), D, 0.0).entries
+    TB = B.toeplitz(D)
     D_safe = safe_degree(D)
     worst = float(np.max(np.abs(as_coeffs(h, D).conj() @ TB[:, : D_safe + 1])))
     if worst / nrm0 > settings.membership_tol:
@@ -377,9 +376,8 @@ def intertwining_residual(
     """Safe-block norm of J S - T_B J (alpha geometry): column k compares
     T_B J(z^k) with J(z^(k+1))."""
     D = J.images[0].degree
-    TB = toeplitz_matrix(J.B.taylor(D), D, J.alpha)
     cols = np.stack([f.coeffs for f in J.images], axis=1)
-    diff = TB.entries @ cols[:, :-1] - cols[:, 1:]
+    diff = J.B.toeplitz(D) @ cols[:, :-1] - cols[:, 1:]
     D_safe = safe_degree(D, guard)
     sq = np.sqrt(J.alpha.diagonal(D))
     return float(np.linalg.norm((sq[:, None] * diff)[: D_safe + 1, :], 2))
@@ -391,7 +389,7 @@ def shell_shift_residual(
     """For the general construction: shell coordinates of B * J(z^k) must be
     those of J(z^k) shifted one shell up."""
     worst = 0.0
-    b = shell_frame(J.B, M, D).b
+    b = J.B.taylor(D).coeffs
     for f in J.images:
         dec = analyze(f, J.B, M, D, settings=settings)
         bf = TaylorPoly(np.convolve(as_coeffs(f, D), b)[: D + 1])

@@ -26,7 +26,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct, ModelSpaceBasis, model_basis
 from .config import DEFAULT, Settings
 from .errors import DimensionMismatchError, TailError, ZeroFunctionError
-from .spaces import TaylorPoly, WeightAlpha, as_coeffs, as_weight, toeplitz_matrix, weighted_norm
+from .spaces import TaylorPoly, WeightAlpha, _trunc_mul, as_coeffs, as_weight, weighted_norm
 
 __all__ = [
     "ShellDecomposition",
@@ -47,13 +47,25 @@ def default_shell_count(B: BlaschkeProduct, D: int) -> int:
     return D // (2 * B.degree)
 
 
+def _power_coeffs(B: BlaschkeProduct, M: int, D: int) -> np.ndarray:
+    """B^M through degree D by repeated squaring: ~2 log2(M) truncated products."""
+    power, square = TaylorPoly.one(D).coeffs, B.taylor(D).coeffs
+    while M:
+        if M & 1:
+            power = _trunc_mul(power, square, D)
+        M >>= 1
+        if M:
+            square = _trunc_mul(square, square, D)
+    return power
+
+
 def power_tail(B: BlaschkeProduct, M: int, D: int) -> float:
     """Fraction of B^M's unit H^2 mass lost beyond degree D.
 
     B^M is inner, so its full coefficient sequence has norm exactly 1 and
     the out-of-window mass is 1 - ||truncation||^2.
     """
-    captured = float(np.sum(np.abs(B.power_taylor(M, D).coeffs) ** 2))
+    captured = float(np.sum(np.abs(_power_coeffs(B, M, D)) ** 2))
     return float(np.sqrt(max(0.0, 1.0 - captured)))
 
 
@@ -71,7 +83,7 @@ def cell_matrix(
     truncating before each product by B loses nothing below degree D.
     """
     n = basis.dim
-    TB = toeplitz_matrix(B.taylor(D), D).entries
+    TB = B.toeplitz(D)
     E = np.empty((D + 1, n * (M + 1)), dtype=complex, order="F")
     E[:, :n] = np.stack([as_coeffs(u, D) for u in basis.orthonormal], axis=1)
     for k in range(1, M + 1):
@@ -83,10 +95,9 @@ def cell_matrix(
 class ShellFrame:
     """Read-only cells u_j B^k of one (B, D) in its basis u_j =
     model_basis(B, D): E[:, k*n + j] for k = 0..shell_count, U = E[:, :n]
-    the basis matrix, b the coefficients of B through degree D."""
+    the basis matrix."""
 
     basis: ModelSpaceBasis
-    b: np.ndarray
     E: np.ndarray
 
     @property
@@ -116,7 +127,7 @@ def shell_frame(B: BlaschkeProduct, M: int, D: int) -> ShellFrame:
         basis = model_basis(B, D) if frame is None else frame.basis
         E = cell_matrix(basis, B, M, D)
         E.setflags(write=False)
-        frame = ShellFrame(basis=basis, b=B.taylor(D).coeffs, E=E)
+        frame = ShellFrame(basis=basis, E=E)
     _FRAMES[(B, D)] = frame
     if len(_FRAMES) > _FRAME_MEMO_SIZE:
         _FRAMES.popitem(last=False)

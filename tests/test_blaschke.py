@@ -63,6 +63,24 @@ class TestTaylor:
         assert abs(t(0.2) - B.eval(0.2)) < 1e-12
 
 
+class TestSectionMemo:
+    def test_toeplitz_is_the_section_of_the_taylor_series(self, B3):
+        D = 96
+        assert np.array_equal(B3.toeplitz(D), bl.toeplitz_matrix(B3.taylor(D), D).entries)
+
+    def test_toeplitz_is_read_only(self, B3):
+        with pytest.raises(ValueError):
+            B3.toeplitz(32)[1, 0] = 1.0
+
+    def test_taylor_is_memoized_by_b_and_d(self, B3):
+        assert B3.taylor(40) is B3.taylor(40)
+        assert B3.taylor(D=40) is B3.taylor(40)
+        assert bl.BlaschkeProduct(0.0, [0.5, -0.3 + 0.2j, 0.1]).toeplitz(40) is B3.toeplitz(40)
+
+    def test_model_basis_key_ignores_how_d_is_passed(self, B3):
+        assert bl.model_basis(B3, D=64) is bl.model_basis(B3, 64)
+
+
 class TestPowerTaylor:
     def test_zeroth_power_is_one(self, B3):
         t = B3.power_taylor(0, 5)

@@ -292,6 +292,24 @@ class TestCowen:
         Tz_star = bl.weighted_adjoint(bl.toeplitz_matrix(TaylorPoly.monomial(1), D, 0.0))
         assert bl.cowen_residual(Tz_star, B, 0.5, D) > 1e-2
 
+    def test_batched_points_give_the_max_of_single_points(self, B3, rng):
+        D = 96
+        ops = [
+            bl.OperatorMatrix(B3.toeplitz(D), 0.0),
+            bl.OperatorMatrix.identity(D, 0.0),
+            bl.weighted_adjoint(bl.toeplitz_matrix(TaylorPoly.monomial(1), D, 0.0)),
+        ]
+        pts = 0.5 * np.sqrt(rng.uniform(size=12)) * np.exp(2j * np.pi * rng.uniform(size=12))
+        for W in ops:
+            single = max(bl.cowen_residual(W, B3, a, D) for a in pts)
+            assert abs(bl.cowen_residual(W, B3, pts, D) - single) <= 1e-15
+            assert bl.cowen_residual(W, B3, list(pts), D) == bl.cowen_residual(W, B3, pts, D)
+
+    def test_batched_points_reject_a_point_outside_the_disc(self, B3):
+        I = bl.OperatorMatrix.identity(32, 0.0)
+        with pytest.raises(ValueError):
+            bl.cowen_residual(I, B3, [0.1, 0.2j, 1.0], 32)
+
     def test_cowen_equivalence_sampled(self, B2, rng):
         # operators passing the commutation test also pass the kernel test
         D, M = 96, 48

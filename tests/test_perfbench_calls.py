@@ -1,26 +1,50 @@
-"""The library calls of the benchmark (perfbench/child.py) at a small size.
+"""The library calls of the benchmark (perfbench/child.py) at a small size,
+and the layer names its tracer (perfbench/tracing.py) wraps.
 
 Only tests/ is collected by the default test run, so without this file
 nothing there would fail if the benchmark's calls stopped working, for
-example if norm_equivalence_ratio or analyze lost their basis= argument.
-child.py is loaded by path and only read; the sizes are those of the
-"sweep-d48" and "suite-d64" entries of perfbench/test_perfbench.py.
+example if norm_equivalence_ratio or analyze lost their basis= argument,
+or if a traced layer were renamed (the tracer then only reports it with
+zero calls). child.py and tracing.py are loaded by path and only read; the
+sizes are those of the "sweep-d48" and "suite-d64" entries of
+perfbench/test_perfbench.py.
 """
 
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import blaschke_lab as bl
 from blaschke_lab import checks, cli, report
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_child():
-    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_child():
+    return load("child")
+
+
+def test_every_traced_layer_resolves():
+    tracing = load("tracing")
+    missing = []
+    for name in tracing.LAYERS:
+        mod_name, *qual = name.split(".")
+        owner = importlib.import_module(f"blaschke_lab.{mod_name}")
+        for attr in qual:
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(name)
+    assert missing == []
+    # the cell counters bind these arguments of cell_matrix by name
+    assert {"basis", "B", "M", "D"} <= set(inspect.signature(bl.wold.cell_matrix).parameters)
 
 
 def test_sweep_passes_its_gate():

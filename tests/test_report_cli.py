@@ -5,7 +5,7 @@ import pytest
 
 import blaschke_lab as bl
 from blaschke_lab.cli import main, parse_config, run
-from blaschke_lab.errors import ConfigError
+from blaschke_lab.errors import ConfigError, MembershipError
 from blaschke_lab.report import CheckRecord, Report, parse_json, render
 
 
@@ -247,3 +247,21 @@ class TestBatteries:
         rep = run(parse_config(dict(BASE, degree=64), "cowen"))
         assert rep.all_passed
 
+    # (0.8, -0.79i) at D = 48: the model-space test of the default h fails
+    NEAR_EDGE = dict(BASE, B=b_json([0.8 + 0j, -0.79j]), degree=48)
+
+    def test_shift_equiv_setup_error_becomes_errored_records(self):
+        rep = run(parse_config(self.NEAR_EDGE, "shift-equiv"))
+        assert [r.name for r in rep.records] == ["shift_equiv/bnorm_identity", "shift_equiv/shell_shift"]
+        for r in rep.records:
+            assert not r.passed
+            assert r.error.startswith("MembershipError: setup shift_equiv_general: h fails")
+
+    def test_shift_equiv_setup_error_raises_in_strict_mode(self):
+        with pytest.raises(MembershipError, match="setup shift_equiv_general"):
+            run(parse_config(self.NEAR_EDGE, "shift-equiv", strict=True))
+
+    def test_suite_reports_past_a_shift_equiv_setup_error(self):
+        rep = run(parse_config(self.NEAR_EDGE, "suite"))
+        names = [r.name for r in rep.records]
+        assert "shift_equiv/shell_shift" in names and "cowen/T_B" in names

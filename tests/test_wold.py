@@ -9,7 +9,7 @@ import blaschke_lab as bl
 from blaschke_lab import cli, wold
 from blaschke_lab.errors import DimensionMismatchError, TailError, ZeroFunctionError
 from blaschke_lab.spaces import TaylorPoly
-from blaschke_lab.wold import cell_matrix, default_shell_count, power_tail
+from blaschke_lab.wold import _power_coeffs, cell_matrix, default_shell_count, power_tail
 
 
 def analyze_by_least_squares(f, B, M, D, *, basis):
@@ -231,6 +231,20 @@ def test_power_tail_monomial_is_zero():
     assert power_tail(bl.BlaschkeProduct.monomial(3), 10, 40) == 0.0
 
 
+@pytest.mark.parametrize("zeros", [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)], [(0.0, 3)]])
+@pytest.mark.parametrize("M", [0, 1, 7, 64, 128])
+def test_power_by_squaring_matches_sequential_powers(zeros, M):
+    # the tail guard squares B's section; power_taylor multiplies M times
+    B, D = bl.BlaschkeProduct(0.0, zeros), 256
+    squared, sequential = _power_coeffs(B, M, D), B.power_taylor(M, D).coeffs
+    assert np.max(np.abs(squared - sequential)) <= 1e-14
+    mass = [np.sum(np.abs(c) ** 2) for c in (squared, sequential)]
+    assert abs(mass[0] - mass[1]) <= 1e-14
+    if B == bl.BlaschkeProduct.monomial(3):
+        assert np.array_equal(squared, sequential)
+        assert power_tail(B, M, D) == (0.0 if 3 * M <= D else 1.0)
+
+
 def test_decomposition_json(B3, rng):
     f = TaylorPoly(rng.standard_normal(8))
     dec = bl.analyze(f, B3, 4, 48)
@@ -277,6 +291,23 @@ class TestShellFrame:
         assert dec.basis is basis is wold.shell_frame(B3, M, D).basis
         assert len(calls) == 1
 
+    def test_keyword_built_basis_is_the_frames(self, B3, rng, monkeypatch):
+        calls = []
+        build = wold.cell_matrix
+
+        def counted(basis, B, M, D):
+            calls.append((B, M, D))
+            return build(basis, B, M, D)
+
+        monkeypatch.setattr(wold, "cell_matrix", counted)
+        D, M = 64, 8
+        basis = bl.model_basis(B3, D=D)
+        f = TaylorPoly(rng.standard_normal(20))
+        for _ in range(3):
+            bl.synthesize(bl.analyze(f, B3, M, D, basis=basis), D)
+        assert basis is wold.shell_frame(B3, M, D).basis
+        assert len(calls) == 1
+
     def test_rotated_basis_gets_rotated_coefficients(self, B3, rng):
         D, M = 64, 8
         basis = bl.model_basis(B3, D)
@@ -294,7 +325,7 @@ class TestShellFrame:
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
         with pytest.raises(ValueError):
-            frame.b[0] = 1.0
+            B3.taylor(64).coeffs[0] = 1.0
 
     @pytest.mark.parametrize("zeros", [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)]])
     def test_krylov_cells_match_convolution(self, zeros):
