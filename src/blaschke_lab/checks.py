@@ -74,6 +74,21 @@ def _timed(records: list[CheckRecord], name: str, tolerance: float, fn, *, stric
     )
 
 
+def _setup(step: str, fn):
+    """fn's value, computed on first use and kept. Call it inside the timed
+    steps that need it, so a setup error fails those records (naming the
+    step) instead of aborting the report."""
+
+    @cache
+    def value():
+        try:
+            return fn()
+        except BlaschkeLabError as exc:
+            raise type(exc)(f"setup {step}: {exc}") from exc
+
+    return value
+
+
 def _random_poly(rng: np.random.Generator, degree: int) -> TaylorPoly:
     return TaylorPoly(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
 
@@ -154,14 +169,14 @@ def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
         def commute(phi=phi, built=built):
             op = cm.build(phi, B, w, M, D, settings=settings)
             built["op"] = op
-            return cm.commutation_residual(op.realization, B, w, D)
+            return op.residual
 
         _timed(records, f"commutant/{label}/commutation", _tol(cfg, "commute"), commute, strict=strict)
 
         def roundtrip(phi=phi, built=built):
             if "op" not in built:
                 built["op"] = cm.build(phi, B, w, M, D, settings=settings)
-            syms = cm.extract_symbols(built["op"].realization, B, M, D, settings=settings)
+            syms = cm.extract_symbols(built["op"], B, M, D, settings=settings)
             phi2 = cm.symbols_to_matrix(syms, B, M, D, settings=settings)
             return max(float(np.max(np.abs(e.coeffs))) for row in (phi - phi2).entries for e in row)
 
@@ -179,17 +194,19 @@ def reducing_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict
     if family == "monomial":
         N = B.degree
         for j in range(N):
-            P = rd.monomial_reducing_projection(N, j, w, D)
-
-            def law(P=P):
-                return max(rd.projection_defects(P))
-
-            _timed(records, f"reducing/monomial_{j}/projection_laws", _tol(cfg, "projection_law"), law, strict=strict)
+            P = _setup("monomial_reducing_projection", lambda j=j: rd.monomial_reducing_projection(N, j, w, D))
+            _timed(
+                records,
+                f"reducing/monomial_{j}/projection_laws",
+                _tol(cfg, "projection_law"),
+                lambda P=P: max(rd.projection_defects(P())),
+                strict=strict,
+            )
             _timed(
                 records,
                 f"reducing/monomial_{j}/residual",
                 _tol(cfg, "reducing_monomial"),
-                lambda P=P: rd.reducing_residual(P, B, w, D),
+                lambda P=P: rd.reducing_residual(P(), B, w, D),
                 strict=strict,
             )
     elif family == "mobius_power":
@@ -228,12 +245,16 @@ def reducing_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict
         if not basis_payload:
             raise ConfigError("custom family requires inputs.basis")
         funcs = [TaylorPoly([complex(re, im) for re, im in f]) for f in basis_payload]
-        P = rd.projection_from_basis(funcs, w, D, settings=settings)
+        P = _setup("projection_from_basis", lambda: rd.projection_from_basis(funcs, w, D, settings=settings))
         expect = cfg.inputs.get("expected", "report-only")
         tol = _tol(cfg, "reducing_mobius") if expect == "reducing" else float("inf")
-        _timed(records, "reducing/custom/residual", tol, lambda: rd.reducing_residual(P, B, w, D), strict=strict)
-        idem, sa = rd.projection_defects(P)
-        data["custom_projection"] = {"idempotency_defect": idem, "selfadjoint_defect": sa}
+
+        def custom():
+            idem, sa = rd.projection_defects(P())
+            data["custom_projection"] = {"idempotency_defect": idem, "selfadjoint_defect": sa}
+            return rd.reducing_residual(P(), B, w, D)
+
+        _timed(records, "reducing/custom/residual", tol, custom, strict=strict)
     else:
         raise ConfigError(f"unknown reducing family {family!r}")
     return records, data
@@ -308,25 +329,22 @@ def shift_equiv_checks(cfg, settings: Settings, rng: np.random.Generator, *, str
     mode = cfg.inputs.get("mode", "monomial" if B == BlaschkeProduct.monomial(B.degree) else "general")
 
     if mode == "monomial":
-        J = rd.shift_equiv_monomial(B.degree, w, D)
-        _timed(records, "shift_equiv/unitarity", _tol(cfg, "unitarity"), lambda: rd.unitarity_defect(J), strict=strict)
-        _timed(records, "shift_equiv/intertwining", _tol(cfg, "intertwining"), lambda: rd.intertwining_residual(J), strict=strict)
+        J = _setup("shift_equiv_monomial", lambda: rd.shift_equiv_monomial(B.degree, w, D))
+        _timed(records, "shift_equiv/unitarity", _tol(cfg, "unitarity"), lambda: rd.unitarity_defect(J()), strict=strict)
+        _timed(records, "shift_equiv/intertwining", _tol(cfg, "intertwining"), lambda: rd.intertwining_residual(J()), strict=strict)
     else:
         # image count kept a third of the window so the analysis shells used
         # in the residuals stay clean of edge tails
         M = cfg.shells if cfg.shells is not None else max(2, D // (3 * B.degree))
 
-        @cache
-        def intertwiner():
-            # inside the timed steps, so a setup error fails both records
-            try:
-                if cfg.inputs.get("h") is not None:
-                    h = TaylorPoly([complex(re, im) for re, im in cfg.inputs["h"]])
-                else:
-                    h = model_basis(B, D).orthonormal[0]
-                return rd.shift_equiv_general(B, h, w, M, D, settings=settings)
-            except BlaschkeLabError as exc:
-                raise type(exc)(f"setup shift_equiv_general: {exc}") from exc
+        def general():
+            if cfg.inputs.get("h") is not None:
+                h = TaylorPoly([complex(re, im) for re, im in cfg.inputs["h"]])
+            else:
+                h = model_basis(B, D).orthonormal[0]
+            return rd.shift_equiv_general(B, h, w, M, D, settings=settings)
+
+        intertwiner = _setup("shift_equiv_general", general)
 
         def bnorm_identity():
             worst = 0.0

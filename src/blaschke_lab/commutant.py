@@ -9,6 +9,7 @@ weighted space, which keeps the construction weight-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -147,6 +148,12 @@ class CommutantOperator:
     realization: OperatorMatrix
     shell_count: int
 
+    @cached_property
+    def residual(self) -> float:
+        """commutation_residual of the realization at its own degree and
+        weight, computed once per element."""
+        return commutation_residual(self.realization, self.B, self.alpha)
+
 
 def _component_map(
     phi: MultiplierMatrix, M: int, M_out: int
@@ -235,7 +242,7 @@ def commutation_residual(
 
 
 def extract_symbols(
-    W: OperatorMatrix,
+    W: OperatorMatrix | CommutantOperator,
     B: BlaschkeProduct,
     M: int,
     D: int,
@@ -243,8 +250,13 @@ def extract_symbols(
     settings: Settings = DEFAULT,
 ) -> list[TaylorPoly]:
     """phi_k = W u_k for the orthonormal basis u_k; requires W to commute
-    with T_B on the safe block (extraction is meaningless otherwise)."""
-    res = commutation_residual(W, B, W.alpha, D)
+    with T_B on the safe block (extraction is meaningless otherwise). A
+    built element for the same B and D supplies its memoized residual."""
+    op, W = (W, W.realization) if isinstance(W, CommutantOperator) else (None, W)
+    if op is not None and op.B == B and W.degree == D:
+        res = op.residual
+    else:
+        res = commutation_residual(W, B, W.alpha, D)
     if res > settings.tol_commute:
         raise NotInCommutantError(
             f"commutation residual {res:.3e} exceeds tol_commute {settings.tol_commute:.1e}"

@@ -81,11 +81,15 @@ class SubspaceProjection:
 def projection_defects(
     P: SubspaceProjection, *, guard: int | None = None
 ) -> tuple[float, float]:
-    """(idempotency, self-adjointness) defects on the safe block."""
+    """(idempotency, self-adjointness) defects on the safe block. Only that
+    block is formed: (m m)[s, s] = m[s, :] m[:, s], and the weighted adjoint
+    of m on [s, s] reads only m[s, s], since the weight is diagonal."""
     D_safe = safe_degree(P.degree, guard)
+    s = slice(0, D_safe + 1)
     m = P.matrix.entries
-    idem = operator_norm_safe(m @ m - m, P.alpha, D_safe)
-    sa = operator_norm_safe(m - weighted_adjoint(P.matrix, P.alpha).entries, P.alpha, D_safe)
+    block = OperatorMatrix(m[s, s], P.alpha)
+    idem = operator_norm_safe(m[s, :] @ m[:, s] - block.entries, P.alpha, D_safe)
+    sa = operator_norm_safe(block.entries - weighted_adjoint(block).entries, P.alpha, D_safe)
     return idem, sa
 
 
@@ -259,7 +263,9 @@ def hyperinvariance_check(
     Wm = W.realization.entries if isinstance(W, CommutantOperator) else W.entries
     m = P.matrix.entries
     D_safe = safe_degree(P.degree, guard)
-    return operator_norm_safe((np.eye(len(m)) - m) @ Wm @ m, P.alpha, D_safe)
+    s = slice(0, D_safe + 1)
+    # only the safe block: ((I - m) W m)[s, s] = (I - m)[s, :] W m[:, s]
+    return operator_norm_safe((np.eye(D_safe + 1, len(m)) - m[s, :]) @ Wm @ m[:, s], P.alpha, D_safe)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ Everything here is immutable and pure; values can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,8 +37,15 @@ class WeightAlpha:
             raise ValueError("alpha must be finite")
 
     def diagonal(self, D: int) -> np.ndarray:
-        """Weights (k+1)^alpha for k = 0..D."""
-        return (np.arange(D + 1) + 1.0) ** self.alpha
+        """Read-only weights (k+1)^alpha for k = 0..D, memoized by (alpha, D)."""
+        return _diagonal(self.alpha, D)
+
+
+@lru_cache(maxsize=64)
+def _diagonal(alpha: float, D: int) -> np.ndarray:
+    lam = (np.arange(D + 1) + 1.0) ** alpha
+    lam.setflags(write=False)
+    return lam
 
 
 def as_weight(w: "WeightAlpha | float") -> WeightAlpha:
@@ -86,12 +94,7 @@ class TaylorPoly:
 
     def pad(self, D: int) -> "TaylorPoly":
         """Zero-extend (or cut) to degree D."""
-        if D == self.degree:
-            return self
-        c = np.zeros(D + 1, dtype=complex)
-        n = min(D, self.degree) + 1
-        c[:n] = self.coeffs[:n]
-        return TaylorPoly(c)
+        return self if D == self.degree else TaylorPoly(as_coeffs(self, D))
 
     def __add__(self, other: "TaylorPoly") -> "TaylorPoly":
         D = max(self.degree, other.degree)
@@ -116,7 +119,14 @@ class TaylorPoly:
 
 def as_coeffs(f: TaylorPoly, D: int) -> np.ndarray:
     """Coefficients of f zero-padded (or windowed) to length D + 1."""
-    return f.pad(D).coeffs
+    c = f.coeffs
+    if len(c) == D + 1:
+        return c
+    if len(c) > D + 1:
+        return c[: D + 1]
+    out = np.zeros(D + 1, dtype=complex)
+    out[: len(c)] = c
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,16 +163,15 @@ def weighted_inner(f: TaylorPoly, g: TaylorPoly, w: WeightAlpha | float) -> comp
     The shorter input is zero-padded, so the sum effectively runs over the
     indices where either carries coefficients.
     """
-    w = as_weight(w)
     L = min(len(f.coeffs), len(g.coeffs))
-    k = np.arange(L) + 1.0
-    return complex(np.sum(f.coeffs[:L] * np.conj(g.coeffs[:L]) * k ** w.alpha))
+    lam = as_weight(w).diagonal(L - 1)
+    return complex(np.sum(f.coeffs[:L] * np.conj(g.coeffs[:L]) * lam))
 
 
 def weighted_norm(f: TaylorPoly, w: WeightAlpha | float) -> float:
-    """||f||_alpha, guaranteed real nonnegative."""
-    v = weighted_inner(f, f, w)
-    return float(np.sqrt(max(v.real, 0.0)))
+    """||f||_alpha = sqrt(sum_k |f_k|^2 (k+1)^alpha), one real dot product."""
+    c = f.coeffs
+    return float(np.sqrt((c.real * c.real + c.imag * c.imag) @ as_weight(w).diagonal(f.degree)))
 
 
 # ---------------------------------------------------------------------------

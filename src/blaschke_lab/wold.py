@@ -10,7 +10,8 @@ by the truncation itself.
 The cells u_j B^k of one (B, D) are built once into a ShellFrame, which owns
 its basis model_basis(B, D), and kept in a memo of the last
 _FRAME_MEMO_SIZE = 4 keys (B, D). Fewer shells are a column prefix of a
-frame, bitwise equal to a frame built for them; more shells rebuild it.
+frame; more shells continue its Krylov chain from the last cached cells.
+Either way the cells are bitwise those of a frame built for that count.
 Cached arrays are read-only. analyze and norm_equivalence_ratio also accept
 another basis of the model space; its cells are built outside the memo.
 """
@@ -77,16 +78,24 @@ def cell_matrix(
 ) -> np.ndarray:
     """Columns u_j B^k truncated at D, ordered k-major then j: column index
     k * n + j. Shape (D+1, n*(M+1)), Fortran order so a column prefix is
-    laid out as the cells of fewer shells.
+    laid out as the cells of fewer shells."""
+    U = np.stack([as_coeffs(u, D) for u in basis.orthonormal], axis=1)
+    return _continue_cells(U, basis.dim, B, M, D)
 
-    Block Krylov E_k = T_B E_(k-1) is exact: T_B is lower triangular, so
-    truncating before each product by B loses nothing below degree D.
+
+def _continue_cells(cells: np.ndarray, n: int, B: BlaschkeProduct, M: int, D: int) -> np.ndarray:
+    """The cells of shells 0..m (n columns a shell) continued to shells
+    0..M by block Krylov E_k = T_B E_(k-1), in a new Fortran-order array.
+
+    The recursion is exact: T_B is lower triangular, so truncating before
+    each product by B loses nothing below degree D. Each step reads only the
+    previous block, so a chain continued from a prefix is bitwise the chain
+    built from shell 0.
     """
-    n = basis.dim
     TB = B.toeplitz(D)
     E = np.empty((D + 1, n * (M + 1)), dtype=complex, order="F")
-    E[:, :n] = np.stack([as_coeffs(u, D) for u in basis.orthonormal], axis=1)
-    for k in range(1, M + 1):
+    E[:, : cells.shape[1]] = cells
+    for k in range(cells.shape[1] // n, M + 1):
         E[:, k * n : (k + 1) * n] = TB @ E[:, (k - 1) * n : k * n]
     return E
 
@@ -121,14 +130,22 @@ _FRAMES: OrderedDict[tuple, ShellFrame] = OrderedDict()  # least recently used f
 
 def shell_frame(B: BlaschkeProduct, M: int, D: int) -> ShellFrame:
     """The frame of (B, D) with at least M shells, from the memo (keyed by
-    (B, D)) when it has one. Cells of any other basis are not memoized."""
-    frame = _FRAMES.pop((B, D), None)
-    if frame is None or frame.shell_count < M:
-        basis = model_basis(B, D) if frame is None else frame.basis
+    (B, D)) when it has one; a frame with fewer shells is grown from its
+    last cells. Cells of any other basis are not memoized."""
+    key = (B, D)
+    frame = _FRAMES.get(key)
+    if frame is not None and frame.shell_count >= M:
+        _FRAMES.move_to_end(key)
+        return frame
+    if frame is None:
+        basis = model_basis(B, D)
         E = cell_matrix(basis, B, M, D)
-        E.setflags(write=False)
-        frame = ShellFrame(basis=basis, E=E)
-    _FRAMES[(B, D)] = frame
+    else:
+        basis = frame.basis
+        E = _continue_cells(frame.E, basis.dim, B, M, D)
+    E.setflags(write=False)
+    _FRAMES[key] = frame = ShellFrame(basis=basis, E=E)
+    _FRAMES.move_to_end(key)
     if len(_FRAMES) > _FRAME_MEMO_SIZE:
         _FRAMES.popitem(last=False)
     return frame
@@ -225,7 +242,8 @@ def analyze(
         )
     _check_tail(B, M, D, settings)
     basis, E = _cells(B, M, D, basis)
-    c = (E.T @ as_coeffs(f, D).conj()).conj()  # E^H f without copying E
+    # E^H f over the rows f occupies, without padding f or copying E
+    c = (E[: len(f.coeffs)].T @ f.coeffs.conj()).conj()
     return ShellDecomposition(B=B, basis=basis, coefficients=c.reshape(M + 1, basis.dim).T, degree=D)
 
 
@@ -241,10 +259,9 @@ def synthesize(dec: ShellDecomposition, D: int | None = None) -> TaylorPoly:
 def b_norm(dec: ShellDecomposition, w: WeightAlpha | float) -> float:
     """Norm of the expansion: (sum_k (k+1)^alpha ||h_k||_0^2)^(1/2), with
     ||h_k||_0 read off the orthonormal shell coordinates."""
-    w = as_weight(w)
-    k = np.arange(dec.shell_count + 1) + 1.0
-    per_shell = np.sum(np.abs(dec.coefficients) ** 2, axis=0)
-    return float(np.sqrt(np.sum(k ** w.alpha * per_shell)))
+    c = dec.coefficients
+    lam = as_weight(w).diagonal(dec.shell_count)  # weight of shell k, per column
+    return float(np.sqrt(np.vdot(c * lam, c).real))
 
 
 def norm_equivalence_ratio(
@@ -258,6 +275,7 @@ def norm_equivalence_ratio(
     settings: Settings = DEFAULT,
 ) -> float:
     """b_norm(analyze(f))^2 / ||f||_alpha^2, the empirical equivalence ratio."""
+    w = as_weight(w)
     nf = weighted_norm(f, w)
     if nf == 0.0:
         raise ZeroFunctionError("norm ratio undefined for the zero function")

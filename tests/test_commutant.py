@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import blaschke_lab as bl
+from blaschke_lab import cli
 from blaschke_lab.commutant import _component_map
 from blaschke_lab.config import safe_degree
 from blaschke_lab.errors import NotInCommutantError
@@ -141,6 +142,44 @@ class TestSymbols:
         W = bl.OperatorMatrix(rng.standard_normal((D + 1, D + 1)), 0.0)
         with pytest.raises(NotInCommutantError):
             bl.extract_symbols(W, B3, 8, D)
+
+    def test_built_element_supplies_its_residual_once(self, B2, B3, rng, monkeypatch):
+        calls = []
+        residual = bl.commutant.commutation_residual
+
+        def counted(*args, **kw):
+            calls.append(args[1])
+            return residual(*args, **kw)
+
+        monkeypatch.setattr(bl.commutant, "commutation_residual", counted)
+        D, M = 64, 32
+        phi = bl.MultiplierMatrix([[TaylorPoly(rng.standard_normal(3)) for _ in range(2)] for _ in range(2)])
+        op = bl.build(phi, B2, -1.0, M, D)
+        assert op.residual == residual(op.realization, B2, -1.0, D)
+        syms = bl.extract_symbols(op, B2, M, D)
+        assert calls == [B2]
+        bare = bl.extract_symbols(op.realization, B2, M, D)
+        assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(syms, bare))
+        # an element of another product gets its residual measured against B
+        phi3 = bl.MultiplierMatrix([[TaylorPoly(rng.standard_normal(3)) for _ in range(3)] for _ in range(3)])
+        op3 = bl.build(phi3, B3, -1.0, 21, D)
+        with pytest.raises(NotInCommutantError):
+            bl.extract_symbols(op3, B2, M, D)
+        assert calls[-1] == B2
+
+    def test_commutant_battery_measures_each_element_once(self, monkeypatch):
+        calls = []
+        residual = bl.commutant.commutation_residual
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return residual(*args, **kw)
+
+        monkeypatch.setattr(bl.commutant, "commutation_residual", counted)
+        B = {"theta": 0.0, "zeros": [{"re": 0.5, "im": 0.0}, {"re": -0.3, "im": 0.0}]}
+        rep = cli.run(cli.parse_config({"B": B, "alpha": -1.0, "degree": 64, "seed": 3}, "commutant"))
+        assert rep.all_passed
+        assert len(rep.records) == 6 and len(calls) == 3
 
     def test_symbols_to_matrix_identity(self, B3):
         D, M = 96, 16

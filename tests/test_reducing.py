@@ -4,7 +4,7 @@ import pytest
 import blaschke_lab as bl
 from blaschke_lab.config import DEFAULT, safe_degree
 from blaschke_lab.errors import ConditioningError, MembershipError
-from blaschke_lab.spaces import TaylorPoly
+from blaschke_lab.spaces import TaylorPoly, operator_norm_safe
 
 
 def _mobius_column_loop(a, N, j, D):
@@ -285,6 +285,40 @@ class TestHyperinvariance:
         ]
         op = bl.build(bl.MultiplierMatrix(diag), B, -1.0, M, D)
         assert bl.hyperinvariance_check(P, op) < 1e-7
+
+
+class TestSafeBlockDefects:
+    """projection_defects and hyperinvariance_check form only the safe
+    block; the oracle forms the full products and then slices it."""
+
+    @staticmethod
+    def projections():
+        D = 128
+        # spread over the whole window, so the safe block couples to the rest
+        basis = [TaylorPoly(0.9 ** np.arange(D + 1)), TaylorPoly(np.cos(np.arange(D - 20)) + 0.2j)]
+        return [
+            bl.monomial_reducing_projection(2, 1, -1.0, D),
+            bl.mobius_power_reducing_projection(0.8, 2, 0, D),
+            bl.mobius_power_reducing_projection(0.8, 2, 1, D),
+            bl.projection_from_basis(basis, 0.5, D),
+        ]
+
+    def test_projection_defects_equal_full_product_slice(self):
+        for P in self.projections():
+            m, D_safe = P.matrix.entries, safe_degree(P.degree)
+            adj = bl.weighted_adjoint(P.matrix, P.alpha).entries
+            ref = (operator_norm_safe(m @ m - m, P.alpha, D_safe), operator_norm_safe(m - adj, P.alpha, D_safe))
+            for got, want in zip(bl.projection_defects(P), ref):
+                assert abs(got - want) <= 1e-14 * max(1.0, want)
+
+    def test_hyperinvariance_equals_full_product_slice(self, B2, rng):
+        for P in self.projections():
+            m, D = P.matrix.entries, P.degree
+            phi = bl.MultiplierMatrix([[TaylorPoly(rng.standard_normal(3)) for _ in range(2)] for _ in range(2)])
+            for W in (bl.build(phi, B2, P.alpha, D // 2, D).realization.entries, rng.standard_normal((D + 1, D + 1))):
+                ref = operator_norm_safe((np.eye(D + 1) - m) @ W @ m, P.alpha, safe_degree(D))
+                got = bl.hyperinvariance_check(P, bl.OperatorMatrix(W, P.alpha))
+                assert abs(got - ref) <= 1e-14 * max(1.0, ref)
 
 
 class TestMonomialLattice:

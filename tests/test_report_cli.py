@@ -5,7 +5,7 @@ import pytest
 
 import blaschke_lab as bl
 from blaschke_lab.cli import main, parse_config, run
-from blaschke_lab.errors import ConfigError, MembershipError
+from blaschke_lab.errors import ConditioningError, ConfigError, MembershipError
 from blaschke_lab.report import CheckRecord, Report, parse_json, render
 
 
@@ -233,6 +233,24 @@ class TestBatteries:
         rep = run(parse_config(obj, "reducing"))
         assert rep.all_passed  # report-only records always pass
         assert "custom_projection" in rep.data
+
+    # 1 and 2 span one line: the custom basis is numerically dependent
+    DEPENDENT = dict(
+        BASE,
+        degree=32,
+        inputs={"family": "custom", "basis": [[[1, 0], [0, 0]], [[2, 0], [0, 0]]], "expected": "reducing"},
+    )
+
+    def test_reducing_custom_setup_error_becomes_an_errored_record(self):
+        rep = run(parse_config(self.DEPENDENT, "reducing"))
+        [r] = rep.records
+        assert r.name == "reducing/custom/residual" and not r.passed
+        assert r.error.startswith("ConditioningError: setup projection_from_basis: subspace basis numerically dependent")
+        assert "custom_projection" not in rep.data
+
+    def test_reducing_custom_setup_error_raises_in_strict_mode(self):
+        with pytest.raises(ConditioningError, match="setup projection_from_basis"):
+            run(parse_config(self.DEPENDENT, "reducing", strict=True))
 
     def test_ortho_battery(self):
         rep = run(parse_config(dict(BASE, degree=64, inputs={"kmax": 3}), "ortho"))

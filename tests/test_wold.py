@@ -45,6 +45,15 @@ class TestAnalyze:
             g = bl.synthesize(dec, D)
             assert np.linalg.norm((g - f.pad(D)).coeffs[:49]) < 1e-8
 
+    def test_short_input_equals_padded_input(self, B3, rng):
+        # analyze reads only the rows f occupies; padding f must not matter
+        D, M = 64, 12
+        for deg in (0, 7, 30, D):
+            f = TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+            c = bl.analyze(f, B3, M, D).coefficients
+            c_pad = bl.analyze(f.pad(D), B3, M, D).coefficients
+            assert np.max(np.abs(c - c_pad)) <= 1e-15 * max(1.0, np.max(np.abs(c_pad)))
+
     def test_degree_beyond_window_raises(self, B3, rng):
         f = TaylorPoly(rng.standard_normal(100))
         with pytest.raises(DimensionMismatchError):
@@ -119,6 +128,28 @@ class TestBNorm:
         hbk = bl.multiply(basis.orthonormal[0], B3.power_taylor(k, D), D)
         dec = bl.analyze(hbk, B3, 10, D, basis=basis)
         assert bl.b_norm(dec, alpha) == pytest.approx((k + 1.0) ** (alpha / 2), abs=1e-9)
+
+
+ALPHAS = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+class TestNormsAgainstInnerProducts:
+    """b_norm, weighted_norm and the ratio against oracles built from
+    weighted_inner: the expansion norm squared is the sum of the weighted
+    norms squared of the components f_j, (f_j)_k = c[j, k]."""
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_match_weighted_inner_oracles(self, B3, rng, alpha):
+        D, M = 96, 24
+        for deg in (0, 9, 30):
+            f = TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+            dec = bl.analyze(f, B3, M, D)
+            nf = np.sqrt(bl.weighted_inner(f, f, alpha).real)
+            nb = np.sqrt(sum(bl.weighted_inner(g, g, alpha).real for g in dec.components))
+            assert abs(bl.weighted_norm(f, alpha) - nf) <= 1e-15 * nf
+            assert abs(bl.b_norm(dec, alpha) - nb) <= 1e-15 * nb
+            ratio = (nb / nf) ** 2
+            assert abs(bl.norm_equivalence_ratio(f, B3, alpha, M, D) - ratio) <= 1e-15 * ratio
 
 
 class TestNormEquivalence:
@@ -319,6 +350,27 @@ class TestShellFrame:
         c_rot = bl.analyze(f, B3, M, D, basis=rotated).coefficients
         assert np.max(np.abs(c_rot - Q.conj().T @ c)) < 1e-12
 
+    @pytest.mark.parametrize("zeros", [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)]])
+    def test_grown_frame_equals_a_fresh_build(self, zeros, monkeypatch):
+        calls = []
+        build = wold.cell_matrix
+
+        def counted(basis, B, M, D):
+            calls.append((B, M, D))
+            return build(basis, B, M, D)
+
+        monkeypatch.setattr(wold, "cell_matrix", counted)
+        B = bl.BlaschkeProduct(0.0, zeros)
+        D = 128
+        M = D // B.degree
+        small = wold.shell_frame(B, M // 3, D)
+        grown = wold.shell_frame(B, M, D)
+        assert len(calls) == 1  # the growth continued the chain, no rebuild
+        assert grown.basis is small.basis
+        assert np.array_equal(grown.cells(M // 3), small.E)
+        assert np.array_equal(grown.E, build(bl.model_basis(B, D), B, M, D))
+        assert wold.shell_frame(B, M - 1, D) is grown  # a hit is the same frame
+
     def test_cached_arrays_are_read_only(self, B3):
         frame = wold.shell_frame(B3, 8, 64)
         for arr in (frame.E, frame.U, frame.cells(4)):
@@ -326,6 +378,10 @@ class TestShellFrame:
                 arr[0, 0] = 1.0
         with pytest.raises(ValueError):
             B3.taylor(64).coeffs[0] = 1.0
+        lam = bl.WeightAlpha(-0.5).diagonal(64)
+        assert lam is bl.WeightAlpha(-0.5).diagonal(64)
+        with pytest.raises(ValueError):
+            lam[0] = 2.0
 
     @pytest.mark.parametrize("zeros", [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)]])
     def test_krylov_cells_match_convolution(self, zeros):
