@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -103,9 +104,24 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
         raise ConfigError(str(exc)) from exc
 
 
+@dataclasses.dataclass(frozen=True)
+class _SeededGenerator:
+    """np.random.default_rng(seed), made on the first draw: a battery that
+    draws nothing does not import numpy.random."""
+
+    seed: int
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        return np.random.default_rng(self.seed)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 def run(cfg: ExperimentConfig) -> Report:
     """Dispatch to the named battery and assemble the report."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = _SeededGenerator(cfg.seed)
     battery = BATTERIES[cfg.command]
     try:
         records, data = battery(cfg, cfg.settings, rng, strict=cfg.strict)

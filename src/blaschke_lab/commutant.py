@@ -16,7 +16,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .config import DEFAULT, Settings, safe_degree
-from .errors import NotInCommutantError
+from .errors import DimensionMismatchError, NotInCommutantError
 from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, as_weight, commutator_residual
 from .wold import _check_tail, analyze, shell_frame
 
@@ -193,7 +193,7 @@ def build(
     w = as_weight(w)
     if phi.n != B.degree:
         raise ValueError("multiplier matrix size must equal deg B")
-    _check_tail(B, M, D, settings)
+    _check_tail(B, M, D, settings.tol_tail)
     M_out = M + phi.max_entry_degree
     frame = shell_frame(B, M_out, D)
     E_out, E = frame.cells(M_out), frame.cells(M)
@@ -238,6 +238,10 @@ def commutation_residual(
     """Safe-block operator norm of A T_B - T_B A (alpha geometry)."""
     if D is None:
         D = A.degree
+    if D != A.degree:
+        raise DimensionMismatchError(
+            f"operator of degree {A.degree} cannot be measured at D = {D}; pass D = {A.degree}"
+        )
     return commutator_residual(A.entries, B.toeplitz(D), w, D, guard)
 
 

@@ -3,11 +3,15 @@
 A projection reduces T_B exactly when it commutes with both T_B and its
 weighted adjoint; reducing_residual measures the worst of the two
 commutators on the safe block.
+
+Every class j of the Mobius-power projections of b_a^N reads the sections C_r
+and generators built once per (a, N, D), in a memo of the last two keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,31 +121,61 @@ def monomial_reducing_projection(
 
 
 def _mobius_columns(
-    beta: complex, alpha: complex, delta: complex, gamma: complex, c0: np.ndarray, j: int, N: int, ncol: int
+    beta: complex, alpha: complex, delta: complex, gamma: complex, c0: np.ndarray, ncol: int
 ) -> np.ndarray:
-    """Columns c_l = c0 psi^l, l = j, j + N, ..., j + (ncol - 1) N, of
+    """Columns c_l = c0 psi^l, l = 0..ncol-1, of
     psi = (beta + alpha z)/(delta + gamma z) to degree D = len(c0) - 1. The
     exact recursion (delta + gamma z) c_l = (beta + alpha z) c_(l-1) is swept
     along the anti-diagonals s = l + k: row s needs only rows s-1 and s-2, so
     a column costs O(D) and no numerator is expanded against its denominator
-    (that cancels badly). The stored entries of row s sit at the constant
-    stride N*ncol - 1 of the flattened output: one slice writes them."""
+    (that cancels badly). The entries of row s sit at the constant stride
+    ncol - 1 of the flattened output: one slice writes them."""
     D = len(c0) - 1
     b, al, g = beta / delta, alpha / delta, -gamma / delta
     flat = np.zeros((D + 1) * ncol, dtype=complex)  # row-major (D + 1) x ncol
-    step = max(N * ncol - 1, 1)  # N = ncol = 1 writes one entry per row
+    step = max(ncol - 1, 1)  # ncol = 1 writes one entry per row
     prev = row = np.zeros(D + 1, dtype=complex)  # rows are replaced, never written
-    for s in range(j + (ncol - 1) * N + D + 1):
+    for s in range(ncol + D):
         nxt = b * row
         nxt[1:] += g * row[:-1] + al * prev[:-1]
         nxt[s : s + 1] = c0[s : s + 1]  # column 0 (empty once s > D)
         prev, row = row, nxt
-        # stored columns i (l = j + i N) with 0 <= k = s - l <= D
-        i_lo, i_hi = max(0, -((D + j - s) // N)), min(ncol - 1, (s - j) // N)
-        if i_hi >= i_lo:
-            k_lo = s - j - i_hi * N
-            flat[k_lo * ncol + i_hi :: step][: i_hi - i_lo + 1] = row[k_lo : s - j - i_lo * N + 1 : N]
+        l_lo, l_hi = max(0, s - D), min(ncol - 1, s)  # columns with 0 <= k = s - l <= D
+        flat[(s - l_hi) * ncol + l_hi :: step][: l_hi - l_lo + 1] = row[s - l_hi : s - l_lo + 1]
     return flat.reshape(D + 1, ncol)
+
+
+@lru_cache(maxsize=2)
+def _mobius_frame(a: complex, N: int, D: int, clean_tol: float):
+    """Read-only (C, U, tail) of b_a^N at degree D: C[r - 1] the section of
+    C_r, U[:, p] the unit generator u_p on the padded window and tail[p] its
+    tail, p = 0..p_c, from one sweep. p_c grows until the last generator of
+    every class is unclean. The sweep's rows do not depend on which columns it
+    stores, so a class's generators are bitwise those of a sweep of its own."""
+    k = np.arange(D + 1)
+    C = []
+    for r in range(1, N):
+        om = np.exp(2j * np.pi * r / N)
+        beta, alpha, delta, gamma = a * (1 - om), om - abs(a) ** 2, 1 - om * abs(a) ** 2, np.conj(a) * (om - 1)
+        dpsi = (alpha * delta - beta * gamma) / delta**2 * (k + 1.0) * (-gamma / delta) ** k
+        C.append(_mobius_columns(beta, alpha, delta, gamma, dpsi, D + 1))
+    # v_p spreads over degrees ~[p(1-|a|)/(1+|a|), p(1+|a|)/(1-|a|)], so clean
+    # generators end near p = D(1-|a|)/(1+|a|). A padded window measures
+    # tails without cancellation.
+    D_pad = D + max(D // 2, 40)
+    pad_lam = as_weight(-1.0).diagonal(D_pad)
+    v0 = (np.arange(D_pad + 1) + 1.0) * np.conj(a) ** np.arange(D_pad + 1)  # 1/(1 - conj(a) z)^2
+    p_c = int(np.ceil(D * (1 - abs(a)) / (1 + abs(a)))) + 4 * N + 8
+    while True:
+        U = _mobius_columns(-a, 1.0, 1.0, -np.conj(a), v0, p_c + 1)
+        U *= np.sqrt(np.arange(p_c + 1) + 1.0) * (1.0 - abs(a) ** 2)
+        tail = np.sqrt(pad_lam[D + 1 :] @ np.abs(U[D + 1 :]) ** 2)
+        if np.all(tail[-N:] > clean_tol):
+            break
+        p_c *= 2
+    for arr in (*C, U, tail):
+        arr.setflags(write=False)
+    return tuple(C), U, tail
 
 
 def mobius_power_reducing_projection(
@@ -164,36 +198,17 @@ def mobius_power_reducing_projection(
     if not 0 <= j < N:
         raise ValueError("need 0 <= j < N")
     w = as_weight(-1.0)
-    k = np.arange(D + 1)
+    C, U, tail = _mobius_frame(a, N, D, settings.mobius_clean_tol)
     P = np.eye(D + 1, dtype=complex)
-    for r in range(1, N):
-        om = np.exp(2j * np.pi * r / N)
-        beta, alpha, delta, gamma = a * (1 - om), om - abs(a) ** 2, 1 - om * abs(a) ** 2, np.conj(a) * (om - 1)
-        dpsi = (alpha * delta - beta * gamma) / delta**2 * (k + 1.0) * (-gamma / delta) ** k
-        P += np.exp(-2j * np.pi * (j + 1) * r / N) * _mobius_columns(beta, alpha, delta, gamma, dpsi, 0, 1, D + 1)
+    for r, C_r in enumerate(C, start=1):
+        P += np.exp(-2j * np.pi * (j + 1) * r / N) * C_r
     P /= N
-    # v_p spreads over degrees ~[p(1-|a|)/(1+|a|), p(1+|a|)/(1-|a|)], so clean
-    # generators end near p = D(1-|a|)/(1+|a|); the range grows until its last
-    # is unclean. A padded window measures tails without cancellation.
-    D_pad = D + max(D // 2, 40)
-    pad_lam = w.diagonal(D_pad)
-    lam = pad_lam[: D + 1]
-    v0 = (np.arange(D_pad + 1) + 1.0) * np.conj(a) ** np.arange(D_pad + 1)  # 1/(1 - conj(a) z)^2
-    p_c = int(np.ceil(D * (1 - abs(a)) / (1 + abs(a)))) + 4 * N + 8
-    while True:
-        p = np.arange(j, p_c + 1, N)
-        U = _mobius_columns(-a, 1.0, 1.0, -np.conj(a), v0, j, N, len(p))
-        U *= np.sqrt(p + 1.0) * (1.0 - abs(a) ** 2)
-        tail = np.sqrt(pad_lam[D + 1 :] @ np.abs(U[D + 1 :]) ** 2)
-        if tail[-1] > settings.mobius_clean_tol:
-            break
-        p_c *= 2
-    Ub = U[: D + 1, tail <= settings.mobius_clean_tol]
+    Ub = U[: D + 1, j::N][:, tail[j::N] <= settings.mobius_clean_tol]
     if Ub.shape[1] == 0:
         raise ConditioningError(
             f"no Mobius-power generator is window-clean at D = {D}; increase D"
         )
-    defect = float(np.max(np.abs(Ub.conj().T @ (lam[:, None] * Ub) - np.eye(Ub.shape[1]))))
+    defect = float(np.max(np.abs(Ub.conj().T @ (w.diagonal(D)[:, None] * Ub) - np.eye(Ub.shape[1]))))
     if defect > settings.gram_tol:
         raise ConditioningError(
             f"clean generator Gram deviates from identity by {defect:.3e} "

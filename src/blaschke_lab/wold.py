@@ -19,7 +19,7 @@ another basis of the model space; its cells are built outside the memo.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -173,12 +173,14 @@ class ShellDecomposition:
     basis: ModelSpaceBasis
     coefficients: np.ndarray  # (n, M+1)
     degree: int
+    _fresh: InitVar[bool] = False  # analyze's own array: frozen without a copy
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh):
         c = np.asarray(self.coefficients, dtype=complex)
         if c.ndim != 2 or c.shape[0] != self.basis.dim:
             raise ValueError("coefficient array must be n x (M+1)")
-        c = c.copy()
+        if not _fresh:
+            c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
@@ -205,14 +207,14 @@ class ShellDecomposition:
 
 
 @lru_cache(maxsize=64)
-def _check_tail(B: BlaschkeProduct, M: int, D: int, settings: Settings) -> None:
+def _check_tail(B: BlaschkeProduct, M: int, D: int, tol_tail: float) -> None:
     """Raise TailError when B^M has lost too much mass past D. A passed
     check is remembered, so the guard runs once per key."""
     tail = power_tail(B, M, D)
-    if tail > settings.tol_tail:
+    if tail > tol_tail:
         raise TailError(
             f"B^{M} keeps only {(1 - tail**2) * 100:.1f}% of its mass below degree "
-            f"{D}; increase D or lower M (tail {tail:.3f} > tol_tail {settings.tol_tail})"
+            f"{D}; increase D or lower M (tail {tail:.3f} > tol_tail {tol_tail})"
         )
 
 
@@ -240,11 +242,11 @@ def analyze(
         raise DimensionMismatchError(
             f"function degree {f.degree} exceeds the window D = {D}; pass D >= deg f"
         )
-    _check_tail(B, M, D, settings)
+    _check_tail(B, M, D, settings.tol_tail)
     basis, E = _cells(B, M, D, basis)
     # E^H f over the rows f occupies, without padding f or copying E
     c = (E[: len(f.coeffs)].T @ f.coeffs.conj()).conj()
-    return ShellDecomposition(B=B, basis=basis, coefficients=c.reshape(M + 1, basis.dim).T, degree=D)
+    return ShellDecomposition(B, basis, c.reshape(M + 1, basis.dim).T, D, _fresh=True)
 
 
 def synthesize(dec: ShellDecomposition, D: int | None = None) -> TaylorPoly:

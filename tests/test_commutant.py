@@ -5,7 +5,7 @@ import blaschke_lab as bl
 from blaschke_lab import cli
 from blaschke_lab.commutant import _component_map
 from blaschke_lab.config import safe_degree
-from blaschke_lab.errors import NotInCommutantError
+from blaschke_lab.errors import DimensionMismatchError, NotInCommutantError
 from blaschke_lab.spaces import TaylorPoly
 
 
@@ -243,6 +243,20 @@ class TestCommutationResidual:
         rhs = bl.apply(TB, bl.apply(Tz_star, one))
         assert np.allclose(lhs.coeffs[1], 1.0)
         assert np.allclose(rhs.coeffs, 0.0)
+
+
+    def test_degree_mismatch_raises(self, B2):
+        # an operator of degree 64 measured at D = 48 is a caller error, not a numpy one
+        TB = bl.OperatorMatrix(B2.toeplitz(64), -1.0)
+        message = r"^operator of degree 64 cannot be measured at D = 48; pass D = 64$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            bl.commutation_residual(TB, B2, -1.0, 48)
+        with pytest.raises(DimensionMismatchError, match=message):
+            bl.extract_symbols(TB, B2, 12, 48)
+        element = bl.build(bl.MultiplierMatrix.identity(2), B2, -1.0, 16, 64)
+        with pytest.raises(DimensionMismatchError, match=message):
+            bl.extract_symbols(element, B2, 12, 48)
+        assert bl.commutation_residual(TB, B2, -1.0, 64) < 1e-14
 
 
 class TestIdempotent:

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 import blaschke_lab as bl
+from blaschke_lab import reducing as rd
 from blaschke_lab.config import DEFAULT, safe_degree
 from blaschke_lab.errors import ConditioningError, MembershipError
 from blaschke_lab.spaces import TaylorPoly, operator_norm_safe
 
 
-def _mobius_column_loop(a, N, j, D):
-    """Reference Mobius-power projection: every generator v_p by one
-    np.convolve with the Blaschke factor, P summed one rank-1 term at a time,
-    stopping at the first generator whose in-window mass is below 1e-14."""
+def _mobius_column_loop(a, N, D):
+    """Reference Mobius-power projections of every class j: each generator
+    v_p by one np.convolve with the Blaschke factor, P_j summed one rank-1
+    term at a time, class j stopping at its first generator whose in-window
+    mass is below 1e-14. Returns [(P_j, basis_j) for j < N]."""
     a = complex(a)
     scale = 1.0 - abs(a) ** 2
     p_bound = 2 * (int(np.ceil(D * (1 + abs(a)) / (1 - abs(a)))) + 4 * N + 8)
@@ -19,20 +21,25 @@ def _mobius_column_loop(a, N, j, D):
     k = np.arange(D_pad + 1)
     v = (k + 1.0) * np.conj(a) ** k
     fac = bl.blaschke_factor_taylor(a, D_pad).coeffs
-    P = np.zeros((D + 1, D + 1), dtype=complex)
-    basis = []
+    Ps = [np.zeros((D + 1, D + 1), dtype=complex) for _ in range(N)]
+    bases = [[] for _ in range(N)]
+    live = set(range(N))
     for p in range(p_bound + 1):
-        if p % N == j:
+        j = p % N
+        if j in live:
             u = v * (np.sqrt(p + 1.0) * scale)
             if np.sum(np.abs(u[: D + 1]) ** 2 * lam[: D + 1]) < 1e-14:
-                break
-            P += np.outer(u[: D + 1], np.conj(u[: D + 1]) * lam[: D + 1])
-            if np.sqrt(np.sum(np.abs(u[D + 1 :]) ** 2 * lam[D + 1 :])) <= DEFAULT.mobius_clean_tol:
-                basis.append(u[: D + 1])
+                live.discard(j)
+                if not live:
+                    break
+            else:
+                Ps[j] += np.outer(u[: D + 1], np.conj(u[: D + 1]) * lam[: D + 1])
+                if np.sqrt(np.sum(np.abs(u[D + 1 :]) ** 2 * lam[D + 1 :])) <= DEFAULT.mobius_clean_tol:
+                    bases[j].append(u[: D + 1])
         v = np.convolve(v, fac)[: D_pad + 1]
     else:
         raise AssertionError("the include cut never fired")
-    return P, basis
+    return list(zip(Ps, bases))
 
 
 class TestMonomialProjection:
@@ -130,9 +137,8 @@ class TestMobiusProjection:
 
     @pytest.mark.parametrize("a,N,D", [(0.8, 2, 256), (0.5j, 3, 64), (-0.3 + 0.4j, 1, 128)])
     def test_equals_column_loop(self, a, N, D):
-        for j in range(N):
+        for j, (P_ref, basis_ref) in enumerate(_mobius_column_loop(a, N, D)):
             P = bl.mobius_power_reducing_projection(a, N, j, D)
-            P_ref, basis_ref = _mobius_column_loop(a, N, j, D)
             assert np.max(np.abs(P.matrix.entries - P_ref)) < 1e-12
             assert len(P.basis) == len(basis_ref) > 0
             for v, ref in zip(P.basis, basis_ref):
@@ -146,6 +152,75 @@ class TestMobiusProjection:
     def test_classes_sum_to_identity_on_full_window(self, a, N, D):
         total = sum(bl.mobius_power_reducing_projection(a, N, j, D).matrix.entries for j in range(N))
         assert np.max(np.abs(total - np.eye(D + 1))) < 1e-13
+
+
+FRAME_GRID = [(a, N, D) for a in (0.8, 0.5, 0.3 + 0.4j) for N in (1, 2, 3) for D in (64, 128, 256)]
+
+
+def _mobius_class(a, N, j, D):
+    """(P entries, basis coefficients) of class j, or the error it raises."""
+    try:
+        P = bl.mobius_power_reducing_projection(a, N, j, D)
+    except ConditioningError as exc:
+        return str(exc)
+    return P.matrix.entries, [v.coeffs for v in P.basis]
+
+
+class TestMobiusFrame:
+    """The composition sections and generators of one (a, N, D) are built
+    once and shared by every class j."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        rd._mobius_frame.cache_clear()
+        yield
+        rd._mobius_frame.cache_clear()
+
+    @pytest.mark.parametrize("a,N,D", FRAME_GRID)
+    def test_shared_frame_equals_a_cold_build_and_the_column_loop(self, a, N, D):
+        shared = [_mobius_class(a, N, j, D) for j in range(N)]  # later classes hit the memo
+        reference = _mobius_column_loop(a, N, D)
+        for j, got in enumerate(shared):
+            rd._mobius_frame.cache_clear()
+            cold = _mobius_class(a, N, j, D)
+            if isinstance(got, str):
+                assert got == cold
+                continue
+            (P, basis), (P_cold, basis_cold), (P_ref, basis_ref) = got, cold, reference[j]
+            assert np.array_equal(P, P_cold)
+            assert len(basis) == len(basis_cold) and all(map(np.array_equal, basis, basis_cold))
+            assert np.max(np.abs(P - P_ref)) < 1e-12
+            assert len(basis) == len(basis_ref) > 0
+            assert max(np.max(np.abs(v - ref)) for v, ref in zip(basis, basis_ref)) < 1e-14
+
+    @pytest.mark.parametrize("a,N,D", FRAME_GRID)
+    def test_all_classes_share_one_sweep(self, a, N, D, monkeypatch):
+        sweeps = []
+        sweep = rd._mobius_columns
+
+        def counted(beta, alpha, delta, gamma, c0, ncol):
+            sweeps.append("section" if len(c0) == D + 1 else ncol)
+            return sweep(beta, alpha, delta, gamma, c0, ncol)
+
+        monkeypatch.setattr(rd, "_mobius_columns", counted)
+        for j in range(N):
+            _mobius_class(a, N, j, D)
+        assert sweeps.count("section") == N - 1
+        generators = [n for n in sweeps if n != "section"]
+        # one generator sweep per doubling of p_c (columns p = 0..p_c), none per class
+        assert generators == [(generators[0] - 1) * 2**i + 1 for i in range(len(generators))]
+        _, U, tail = rd._mobius_frame(complex(a), N, D, DEFAULT.mobius_clean_tol)
+        assert U.shape[1] == generators[-1]
+        assert np.all(tail[-N:] > DEFAULT.mobius_clean_tol)
+
+    def test_cached_arrays_are_read_only(self):
+        bl.mobius_power_reducing_projection(0.5, 3, 1, 64)
+        C, U, tail = rd._mobius_frame(0.5 + 0j, 3, 64, DEFAULT.mobius_clean_tol)
+        assert len(C) == 2
+        for arr in (*C, U, tail):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        assert rd._mobius_frame.cache_info().maxsize == 2
 
 
 class TestReducingResidual:

@@ -1,12 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blaschke_lab as bl
+from blaschke_lab import cli
 from blaschke_lab.cli import main, parse_config, run
 from blaschke_lab.errors import ConditioningError, ConfigError, MembershipError
 from blaschke_lab.report import CheckRecord, Report, parse_json, render
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def b_json(zeros):
@@ -134,6 +142,41 @@ class TestRun:
         r1 = run(parse_config(dict(BASE, seed=1), "decompose"))
         r2 = run(parse_config(dict(BASE, seed=2), "decompose"))
         assert render(r1) != render(r2)
+
+
+class TestSeededGenerator:
+    """run makes the battery's generator on its first draw."""
+
+    def test_batteries_that_draw_nothing_skip_numpy_random(self):
+        code = """
+import sys
+from blaschke_lab import cli
+mobius = {"B": {"theta": 0.0, "zeros": [{"re": 0.5, "im": 0.0, "mult": 2}]}, "alpha": -1.0,
+          "degree": 64, "inputs": {"family": "mobius_power", "a": [0.5, 0.0]}}
+monomial = {"B": {"theta": 0.0, "zeros": [{"re": 0.0, "im": 0.0, "mult": 2}]}, "alpha": -1.0,
+            "degree": 40, "inputs": {"family": "monomial"}}
+for obj in (mobius, monomial):
+    assert cli.run(cli.parse_config(obj, "reducing")).all_passed
+print("numpy.random" in sys.modules)
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    def test_draws_equal_default_rng(self):
+        lazy, ref = cli._SeededGenerator(7), np.random.default_rng(7)
+        assert np.array_equal(lazy.standard_normal(5), ref.standard_normal(5))
+        assert lazy.integers(0, 31) == ref.integers(0, 31)
+        assert lazy.uniform() == ref.uniform()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_suite_report_equals_an_eager_generator(self, seed, monkeypatch):
+        cfg = parse_config(dict(BASE, seed=seed), "suite")
+        blob = render(run(cfg))
+        monkeypatch.setattr(cli, "_SeededGenerator", np.random.default_rng)
+        assert render(run(cfg)) == blob
 
 
 class TestMainExitCodes:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import blaschke_lab as bl
 from blaschke_lab import cli, wold
+from blaschke_lab.config import DEFAULT, Settings
 from blaschke_lab.errors import DimensionMismatchError, TailError, ZeroFunctionError
 from blaschke_lab.spaces import TaylorPoly
 from blaschke_lab.wold import _power_coeffs, cell_matrix, default_shell_count, power_tail
@@ -62,6 +63,31 @@ class TestAnalyze:
     def test_tail_error_when_window_too_small(self, B3):
         with pytest.raises(TailError):
             bl.analyze(TaylorPoly([1.0]), B3, 40, 96)
+
+    def test_tail_guard_reads_only_tol_tail(self, B3, monkeypatch):
+        # the guard's memo is keyed by (B, M, D, tol_tail): no Settings hash per call
+        def unhashable(self):
+            raise AssertionError("Settings hashed")
+
+        monkeypatch.setattr(Settings, "__hash__", unhashable)
+        tight = DEFAULT.with_overrides(tol_tail=1e-300)
+        bl.analyze(TaylorPoly([1.0]), B3, 8, 64)
+        with pytest.raises(TailError, match=r"tol_tail 1e-300\)$"):
+            bl.analyze(TaylorPoly([1.0]), B3, 8, 64, settings=tight)
+        with pytest.raises(TailError):
+            bl.build(bl.MultiplierMatrix.identity(3), B3, 0.0, 8, 64, settings=tight)
+
+    def test_own_array_is_frozen_and_callers_array_is_copied(self, B3, rng):
+        f = TaylorPoly(rng.standard_normal(12))
+        dec = bl.analyze(f, B3, 8, 64)
+        assert not dec.coefficients.flags.writeable
+        assert not dec.coefficients.flags.owndata  # analyze's product, not a copy of it
+        c = np.array(dec.coefficients)
+        mine = bl.ShellDecomposition(B=B3, basis=dec.basis, coefficients=c, degree=64)
+        assert mine.coefficients is not c and not mine.coefficients.flags.writeable
+        c[0, 0] += 1.0
+        assert np.array_equal(mine.coefficients, dec.coefficients)
+        assert np.array_equal(bl.synthesize(mine).coeffs, bl.synthesize(dec).coeffs)
 
     def test_shells_and_components_are_same_data(self, B3, rng):
         f = TaylorPoly(rng.standard_normal(12))
