@@ -45,7 +45,6 @@ from .spaces import (
     TaylorPoly,
     WeightAlpha,
     apply,
-    compose_truncated,
     multiply,
     toeplitz_matrix,
     weighted_adjoint,

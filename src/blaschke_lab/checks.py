@@ -176,7 +176,7 @@ def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
         def roundtrip(phi=phi, built=built):
             if "op" not in built:
                 built["op"] = cm.build(phi, B, w, M, D, settings=settings)
-            syms = cm.extract_symbols(built["op"], B, M, D, settings=settings)
+            syms = cm.extract_symbols(built["op"], B, D, settings=settings)
             phi2 = cm.symbols_to_matrix(syms, B, M, D, settings=settings)
             return max(float(np.max(np.abs(e.coeffs))) for row in (phi - phi2).entries for e in row)
 
@@ -268,7 +268,10 @@ def ortho_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=Fa
     state = {}
 
     def build_chain():
-        state["chain"] = ox.x_spaces(B, w, kmax, D, settings=settings)
+        try:
+            state["chain"] = ox.x_spaces(B, w, kmax, D, settings=settings)
+        except ValueError as exc:
+            raise ConfigError(f"ortho needs a larger degree or a smaller inputs.kmax: {exc}") from exc
         return 0.0
 
     _timed(records, "ortho/chain_constructed", 0.5, build_chain, strict=strict)

@@ -232,8 +232,6 @@ def commutation_residual(
     B: BlaschkeProduct,
     w: WeightAlpha | float,
     D: int | None = None,
-    *,
-    guard: int | None = None,
 ) -> float:
     """Safe-block operator norm of A T_B - T_B A (alpha geometry)."""
     if D is None:
@@ -242,13 +240,12 @@ def commutation_residual(
         raise DimensionMismatchError(
             f"operator of degree {A.degree} cannot be measured at D = {D}; pass D = {A.degree}"
         )
-    return commutator_residual(A.entries, B.toeplitz(D), w, D, guard)
+    return commutator_residual(A.entries, B.toeplitz(D), w, D)
 
 
 def extract_symbols(
     W: OperatorMatrix | CommutantOperator,
     B: BlaschkeProduct,
-    M: int,
     D: int,
     *,
     settings: Settings = DEFAULT,
@@ -322,7 +319,6 @@ def cowen_residual(
     a: complex | Sequence[complex],
     D: int | None = None,
     *,
-    guard: int | None = None,
     settings: Settings = DEFAULT,
 ) -> float:
     """max_m |<W* k_a, (B - B(a)) z^m>_0| over m up to the safe degree, and
@@ -338,7 +334,7 @@ def cowen_residual(
         raise ValueError("sample points must be a point or 1-d sequence in the open disc")
     if D is None:
         D = W.degree
-    D_safe = safe_degree(D, guard)
+    D_safe = safe_degree(D)
     K = np.conj(pts)[None, :] ** np.arange(D + 1)[:, None]  # column i is k_(a_i)
     WK = (K.T.conj() @ W.entries).conj().T  # W^H K as one product
     Bvals = np.array([B.eval(p, settings=settings) for p in pts])

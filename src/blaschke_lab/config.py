@@ -14,14 +14,6 @@ class Settings:
     #: truncation error geometric with a uniform ratio.
     rho_max: float = 0.8
 
-    #: composition terminates early once the remaining terms are provably
-    #: below this coefficient-norm level.
-    tol_compose: float = 1e-14
-
-    #: composition errors out after max_terms = factor * D terms without
-    #: meeting tol_compose.
-    compose_max_terms_factor: int = 4
-
     #: reject shell counts M for which the truncated B^M has lost more than
     #: this fraction of its unit H^2 mass past the window. A coarse junk
     #: guard: analysis inner products are window-exact regardless, so only

@@ -18,10 +18,6 @@ class PoleError(BlaschkeLabError):
     """A Blaschke denominator came numerically too close to zero."""
 
 
-class CompositionDivergenceError(BlaschkeLabError):
-    """Truncated-series composition failed to converge within the term budget."""
-
-
 class DimensionMismatchError(BlaschkeLabError):
     """Operator/vector truncation degrees are incompatible."""
 

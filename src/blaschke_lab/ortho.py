@@ -49,7 +49,6 @@ class XSpaceChain:
     blocks: tuple[tuple[TaylorPoly, ...], ...]
     kmax: int
     degree: int
-    guard: int
     gaps: tuple[float, ...]
     tail_span: np.ndarray  # weighted-coordinate ONB of B^(kmax+1) columns
 
@@ -70,14 +69,13 @@ def x_spaces(
     kmax: int,
     D: int,
     *,
-    guard: int | None = None,
     settings: Settings = DEFAULT,
 ) -> XSpaceChain:
     """Compute the chain X_0, ..., X_kmax at truncation degree D.
 
     Block k is the weighted orthogonal complement of the column span of
-    {B^(k+1) z^m} inside that of {B^k z^m}. Column counts stop guard short
-    of the truncation edge (m <= D - k N - guard, default guard N) so the
+    {B^(k+1) z^m} inside that of {B^k z^m}. The column guard is N = deg B:
+    columns stop at m <= D - (k + 1) N, short of the truncation edge, so the
     complement is not inflated by edge junk. In weighted coordinates one
     complete QR per k splits the space into the range ONB Q_k and its
     complement P_k; then (I - Q_(k+1) Q_(k+1)^H) Q_k = P_(k+1) S_k with the
@@ -88,10 +86,8 @@ def x_spaces(
     """
     w = as_weight(w)
     N = B.degree
-    if guard is None:
-        guard = N
-    if D < (kmax + 2) * N + guard:
-        raise ValueError(f"D = {D} too small for kmax = {kmax} (need >= {(kmax + 2) * N + guard})")
+    if D < (kmax + 3) * N:
+        raise ValueError(f"D = {D} too small for kmax = {kmax} (need >= {(kmax + 3) * N})")
     sq = np.sqrt(w.diagonal(D))
     b = B.taylor(D)
     bk = TaylorPoly.one(D)
@@ -101,7 +97,7 @@ def x_spaces(
     blocks = []
     gaps = []
     for k in range(kmax + 1):
-        p = D - k * N - guard + 1  # columns of B^k z^m; B^(k+1) has p - N
+        p = D - (k + 1) * N + 1  # columns of B^k z^m; B^(k+1) has p - N
         bk = multiply(bk, b, D)
         cols = toeplitz_matrix(bk, D).entries[:, : p - N]
         Qnext, _ = np.linalg.qr(sq[:, None] * cols, mode="complete")
@@ -128,7 +124,6 @@ def x_spaces(
         blocks=tuple(blocks),
         kmax=kmax,
         degree=D,
-        guard=guard,
         gaps=tuple(gaps),
         tail_span=Q[:, : p - N],
     )
@@ -152,7 +147,7 @@ def k_spaces(
         if k == 0:
             out.append(list(blk))
             continue
-        m_max = D - k * N - chain.guard
+        m_max = D - (k + 1) * N
         A = (sq[:, None] * TBk)[:, : m_max + 1]
         X = sq[:, None] * np.stack([x.coeffs for x in blk], axis=1)
         G, *_ = np.linalg.lstsq(A, X, rcond=None)
@@ -193,13 +188,12 @@ def selfadjoint_block_check(
     chain: XSpaceChain,
     *,
     settings: Settings = DEFAULT,
-    guard: int | None = None,
 ) -> SelfAdjointReport:
     """For self-adjoint W: off-diagonal blocks should vanish and diagonal
     blocks should be Hermitian. Rejects inputs that are not self-adjoint to
     settings.selfadjoint_tol on the safe block."""
     D = chain.degree
-    D_safe = safe_degree(D, guard)
+    D_safe = safe_degree(D)
     defect_mat = W.entries - weighted_adjoint(W, chain.alpha).entries
     input_defect = operator_norm_safe(defect_mat, chain.alpha, D_safe)
     if input_defect > settings.selfadjoint_tol:

@@ -82,13 +82,11 @@ class SubspaceProjection:
         )
 
 
-def projection_defects(
-    P: SubspaceProjection, *, guard: int | None = None
-) -> tuple[float, float]:
+def projection_defects(P: SubspaceProjection) -> tuple[float, float]:
     """(idempotency, self-adjointness) defects on the safe block. Only that
     block is formed: (m m)[s, s] = m[s, :] m[:, s], and the weighted adjoint
     of m on [s, s] reads only m[s, s], since the weight is diagonal."""
-    D_safe = safe_degree(P.degree, guard)
+    D_safe = safe_degree(P.degree)
     s = slice(0, D_safe + 1)
     m = P.matrix.entries
     block = OperatorMatrix(m[s, s], P.alpha)
@@ -270,14 +268,12 @@ def reducing_residual(
 def hyperinvariance_check(
     P: SubspaceProjection,
     W: CommutantOperator | OperatorMatrix,
-    *,
-    guard: int | None = None,
 ) -> float:
     """Invariance defect ||(I - P) W P|| on the safe block: small means W
     maps the subspace into itself (invariance, not full commutation)."""
     Wm = W.realization.entries if isinstance(W, CommutantOperator) else W.entries
     m = P.matrix.entries
-    D_safe = safe_degree(P.degree, guard)
+    D_safe = safe_degree(P.degree)
     s = slice(0, D_safe + 1)
     # only the safe block: ((I - m) W m)[s, s] = (I - m)[s, :] W m[:, s]
     return operator_norm_safe((np.eye(D_safe + 1, len(m)) - m[s, :]) @ Wm @ m[:, s], P.alpha, D_safe)
@@ -391,15 +387,13 @@ def unitarity_defect(J: IntertwinerJ, *, M: int | None = None, settings: Setting
     return float(np.max(np.abs(G - target)))
 
 
-def intertwining_residual(
-    J: IntertwinerJ, *, guard: int | None = None
-) -> float:
+def intertwining_residual(J: IntertwinerJ) -> float:
     """Safe-block norm of J S - T_B J (alpha geometry): column k compares
     T_B J(z^k) with J(z^(k+1))."""
     D = J.images[0].degree
     cols = np.stack([f.coeffs for f in J.images], axis=1)
     diff = J.B.toeplitz(D) @ cols[:, :-1] - cols[:, 1:]
-    D_safe = safe_degree(D, guard)
+    D_safe = safe_degree(D)
     sq = np.sqrt(J.alpha.diagonal(D))
     return float(np.linalg.norm((sq[:, None] * diff)[: D_safe + 1, :], 2))
 

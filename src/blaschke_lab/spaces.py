@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import DEFAULT, Settings, safe_degree
-from .errors import CompositionDivergenceError, DimensionMismatchError
+from .config import safe_degree
+from .errors import DimensionMismatchError
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -178,17 +178,6 @@ def weighted_norm(f: TaylorPoly, w: WeightAlpha | float) -> float:
 # arithmetic
 
 
-def multiply(f: TaylorPoly, g: TaylorPoly, D: int) -> TaylorPoly:
-    """Cauchy product truncated at degree D. Exact for polynomial inputs
-    whenever deg f + deg g <= D."""
-    if D < 0:
-        raise ValueError("D must be nonnegative")
-    c = np.convolve(f.coeffs, g.coeffs)[: D + 1]
-    out = np.zeros(D + 1, dtype=complex)
-    out[: len(c)] = c
-    return TaylorPoly(out)
-
-
 def _trunc_mul(a: np.ndarray, b: np.ndarray, D: int) -> np.ndarray:
     c = np.convolve(a, b)[: D + 1]
     if len(c) < D + 1:
@@ -196,45 +185,12 @@ def _trunc_mul(a: np.ndarray, b: np.ndarray, D: int) -> np.ndarray:
     return c
 
 
-def compose_truncated(
-    f: TaylorPoly,
-    B: TaylorPoly,
-    D: int,
-    *,
-    settings: Settings = DEFAULT,
-) -> TaylorPoly:
-    """Taylor coefficients of f(B(z)) through degree D.
-
-    Accumulates sum_k a_k B^k with truncated powers. B(0) may be nonzero
-    (B is typically a Blaschke product), so the sum is genuinely infinite
-    for series inputs; the caller must supply f to enough terms. Terms stop
-    early once the largest remaining |a_k| times the current truncated-power
-    norm falls below settings.tol_compose; if that never happens within
-    settings.compose_max_terms_factor * D terms a divergence error is
-    raised. Polynomial inputs of degree below the term budget are summed
-    exactly.
-    """
-    max_terms = settings.compose_max_terms_factor * max(D, 1)
-    a = f.coeffs
-    # largest coefficient magnitude still ahead of position k
-    remaining = np.maximum.accumulate(np.abs(a)[::-1])[::-1]
-    acc = np.zeros(D + 1, dtype=complex)
-    power = np.zeros(D + 1, dtype=complex)
-    power[0] = 1.0
-    bc = as_coeffs(B, D)
-    for k in range(len(a)):
-        if k > 0:
-            power = _trunc_mul(power, bc, D)
-        acc += a[k] * power
-        tail_bound = remaining[k + 1] * np.linalg.norm(power) if k + 1 < len(a) else 0.0
-        if tail_bound < settings.tol_compose:
-            break
-        if k + 1 >= max_terms:
-            raise CompositionDivergenceError(
-                f"composition did not converge within {max_terms} terms "
-                f"(remaining term bound {tail_bound:.3e} >= {settings.tol_compose:.1e})"
-            )
-    return TaylorPoly(acc)
+def multiply(f: TaylorPoly, g: TaylorPoly, D: int) -> TaylorPoly:
+    """Cauchy product truncated at degree D. Exact for polynomial inputs
+    whenever deg f + deg g <= D."""
+    if D < 0:
+        raise ValueError("D must be nonnegative")
+    return TaylorPoly(_trunc_mul(f.coeffs, g.coeffs, D))
 
 
 # ---------------------------------------------------------------------------

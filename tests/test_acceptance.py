@@ -121,7 +121,7 @@ def test_05_commutant_roundtrip(built_sample):
     D, M, sample = built_sample
     worst = 0.0
     for phi, op in sample:
-        syms = bl.extract_symbols(op.realization, B3, M, D)
+        syms = bl.extract_symbols(op.realization, B3, D)
         phi2 = bl.symbols_to_matrix(syms, B3, M, D)
         for j in range(3):
             for k in range(3):

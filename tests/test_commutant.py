@@ -18,6 +18,40 @@ def random_phi(rng, n, deg=4):
     )
 
 
+class CompositionDivergenceError(ArithmeticError):
+    """compose_truncated ran out of its term budget."""
+
+
+def compose_truncated(f, B, D, *, tol=1e-14, max_terms_factor=4):
+    """Reference Taylor coefficients of f(B(z)) through degree D: sum_k a_k B^k
+    with truncated powers, one term at a time. B(0) may be nonzero, so the
+    sum is infinite for series inputs. Terms stop once the largest remaining
+    |a_k| times the current power's norm is below tol; a divergence error is
+    raised if that takes max_terms_factor * D terms. Polynomials of degree
+    below the term budget are summed exactly."""
+    max_terms = max_terms_factor * max(D, 1)
+    a = f.coeffs
+    # largest coefficient magnitude still ahead of position k
+    remaining = np.maximum.accumulate(np.abs(a)[::-1])[::-1]
+    acc = np.zeros(D + 1, dtype=complex)
+    power = np.zeros(D + 1, dtype=complex)
+    power[0] = 1.0
+    bc = B.pad(D).coeffs
+    for k in range(len(a)):
+        if k > 0:
+            power = np.convolve(power, bc)[: D + 1]
+        acc += a[k] * power
+        tail_bound = remaining[k + 1] * np.linalg.norm(power) if k + 1 < len(a) else 0.0
+        if tail_bound < tol:
+            break
+        if k + 1 >= max_terms:
+            raise CompositionDivergenceError(
+                f"composition did not converge within {max_terms} terms "
+                f"(remaining term bound {tail_bound:.3e} >= {tol:.1e})"
+            )
+    return TaylorPoly(acc)
+
+
 class TestBuild:
     def test_identity_phi_gives_identity(self, B3):
         # full-depth shells: exact column reconstruction needs n*M ~ D
@@ -96,16 +130,16 @@ class TestApplyFormula:
         f2 = TaylorPoly(rng.standard_normal(5))
         f = TaylorPoly.zero(D)
         for j, fj in enumerate((f1, f2)):
-            comp = bl.compose_truncated(fj, TaylorPoly.monomial(n), D)
+            comp = compose_truncated(fj, TaylorPoly.monomial(n), D)
             f = f + bl.multiply(TaylorPoly.monomial(j, D), comp, D)
         out = bl.apply_formula(phi, B, f, M, D)
         expected = TaylorPoly.zero(D)
         for k, fk in enumerate((f1, f2)):
             phik = TaylorPoly.zero(D)
             for j in range(n):
-                pj = bl.compose_truncated(phi.entries[j][k], TaylorPoly.monomial(n), D)
+                pj = compose_truncated(phi.entries[j][k], TaylorPoly.monomial(n), D)
                 phik = phik + bl.multiply(TaylorPoly.monomial(j, D), pj, D)
-            expected = expected + bl.multiply(phik, bl.compose_truncated(fk, TaylorPoly.monomial(n), D), D)
+            expected = expected + bl.multiply(phik, compose_truncated(fk, TaylorPoly.monomial(n), D), D)
         assert np.linalg.norm((out - expected).coeffs[: safe_degree(D) + 1]) < 1e-10
 
     def test_matches_built_realization(self, B3, rng):
@@ -120,19 +154,62 @@ class TestApplyFormula:
             assert np.linalg.norm(diff) < 1e-8
 
 
+class TestCompose:
+    def test_identity_symbol_returns_b(self, B3):
+        b = B3.taylor(24)
+        out = compose_truncated(TaylorPoly.monomial(1), b, 24)
+        assert np.allclose(out.coeffs, b.coeffs)
+
+    def test_monomial_composition(self):
+        out = compose_truncated(TaylorPoly.monomial(2), TaylorPoly.monomial(3), 6)
+        assert np.allclose(out.coeffs, TaylorPoly.monomial(6).coeffs)
+
+    def test_geometric_series_pointwise_oracle(self):
+        # f = 1/(1 - z/2) against the degree-1 factor with zero 0.5
+        D = 64
+        f = TaylorPoly(0.5 ** np.arange(D + 1))
+        B = bl.BlaschkeProduct(0.0, [0.5])
+        comp = compose_truncated(f, B.taylor(D), D)
+        for t in range(20):
+            z = 0.5 * (0.25 + 0.75 * t / 19) * np.exp(2j * np.pi * t / 20)
+            expected = 1.0 / (1.0 - B.eval(z) / 2)
+            assert abs(comp(z) - expected) < 1e-10
+
+    def test_divergence_error_on_budget_exhaustion(self):
+        # degree exceeds 4*D with coefficients that never decay
+        D = 4
+        f = TaylorPoly(np.ones(40))
+        B = bl.BlaschkeProduct(0.0, [0.5])
+        with pytest.raises(CompositionDivergenceError):
+            compose_truncated(f, B.taylor(D), D)
+
+    def test_composition_consistency_invariant(self, rng):
+        # taylor-of-composition agrees with pointwise composition inside
+        # the disc; zeros up to modulus 0.8 at D >= 64
+        D = 64
+        B = bl.BlaschkeProduct(0.3, [0.8, -0.5 + 0.3j])
+        fc = (0.6 ** np.arange(D + 1)) * (1 + 0.5j)
+        f = TaylorPoly(fc)
+        comp = compose_truncated(f, B.taylor(D), D)
+        for _ in range(10):
+            z = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            direct = f(B.eval(z))
+            assert abs(comp(z) - direct) < 1e-9
+
+
 class TestSymbols:
     def test_identity_symbols_are_basis(self, B3):
-        D, M = 96, 16
+        D = 96
         basis = bl.model_basis(B3, D)
-        syms = bl.extract_symbols(bl.OperatorMatrix.identity(D, 0.0), B3, M, D)
+        syms = bl.extract_symbols(bl.OperatorMatrix.identity(D, 0.0), B3, D)
         for s, u in zip(syms, basis.orthonormal):
             assert np.max(np.abs(s.coeffs - u.coeffs)) < 1e-14
 
     def test_tb_symbols_are_b_times_basis(self, B3):
-        D, M = 96, 16
+        D = 96
         basis = bl.model_basis(B3, D)
         TB = bl.toeplitz_matrix(B3.taylor(D), D, 0.0)
-        syms = bl.extract_symbols(TB, B3, M, D)
+        syms = bl.extract_symbols(TB, B3, D)
         for s, u in zip(syms, basis.orthonormal):
             expected = bl.multiply(B3.taylor(D), u, D)
             assert np.max(np.abs(s.coeffs - expected.coeffs)) < 1e-13
@@ -141,7 +218,7 @@ class TestSymbols:
         D = 64
         W = bl.OperatorMatrix(rng.standard_normal((D + 1, D + 1)), 0.0)
         with pytest.raises(NotInCommutantError):
-            bl.extract_symbols(W, B3, 8, D)
+            bl.extract_symbols(W, B3, D)
 
     def test_built_element_supplies_its_residual_once(self, B2, B3, rng, monkeypatch):
         calls = []
@@ -156,15 +233,15 @@ class TestSymbols:
         phi = bl.MultiplierMatrix([[TaylorPoly(rng.standard_normal(3)) for _ in range(2)] for _ in range(2)])
         op = bl.build(phi, B2, -1.0, M, D)
         assert op.residual == residual(op.realization, B2, -1.0, D)
-        syms = bl.extract_symbols(op, B2, M, D)
+        syms = bl.extract_symbols(op, B2, D)
         assert calls == [B2]
-        bare = bl.extract_symbols(op.realization, B2, M, D)
+        bare = bl.extract_symbols(op.realization, B2, D)
         assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(syms, bare))
         # an element of another product gets its residual measured against B
         phi3 = bl.MultiplierMatrix([[TaylorPoly(rng.standard_normal(3)) for _ in range(3)] for _ in range(3)])
         op3 = bl.build(phi3, B3, -1.0, 21, D)
         with pytest.raises(NotInCommutantError):
-            bl.extract_symbols(op3, B2, M, D)
+            bl.extract_symbols(op3, B2, D)
         assert calls[-1] == B2
 
     def test_commutant_battery_measures_each_element_once(self, monkeypatch):
@@ -210,7 +287,7 @@ class TestSymbols:
         for _ in range(3):
             phi = random_phi(rng, 3)
             op = bl.build(phi, B3, 0.0, M, D)
-            syms = bl.extract_symbols(op.realization, B3, M, D)
+            syms = bl.extract_symbols(op.realization, B3, D)
             phi2 = bl.symbols_to_matrix(syms, B3, M, D)
             for j in range(3):
                 for k in range(3):
@@ -252,10 +329,10 @@ class TestCommutationResidual:
         with pytest.raises(DimensionMismatchError, match=message):
             bl.commutation_residual(TB, B2, -1.0, 48)
         with pytest.raises(DimensionMismatchError, match=message):
-            bl.extract_symbols(TB, B2, 12, 48)
+            bl.extract_symbols(TB, B2, 48)
         element = bl.build(bl.MultiplierMatrix.identity(2), B2, -1.0, 16, 64)
         with pytest.raises(DimensionMismatchError, match=message):
-            bl.extract_symbols(element, B2, 12, 48)
+            bl.extract_symbols(element, B2, 48)
         assert bl.commutation_residual(TB, B2, -1.0, 64) < 1e-14
 
 
@@ -322,7 +399,7 @@ class TestAlgebraHomomorphism:
         TB = bl.toeplitz_matrix(B2.taylor(D), D, 0.0).entries
         A = TB @ TB + 0.5 * TB + np.eye(D + 1)
         Aop = bl.OperatorMatrix(A, 0.0)
-        syms = bl.extract_symbols(Aop, B2, M, D)
+        syms = bl.extract_symbols(Aop, B2, D)
         phi = bl.symbols_to_matrix(syms, B2, M, D)
         rebuilt = bl.build(phi, B2, 0.0, M, D).realization.entries
         Ds = safe_degree(D)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import blaschke_lab as bl
-from blaschke_lab import cli
+from blaschke_lab import checks, cli
 from blaschke_lab.cli import main, parse_config, run
 from blaschke_lab.errors import ConditioningError, ConfigError, MembershipError
 from blaschke_lab.report import CheckRecord, Report, parse_json, render
@@ -298,6 +298,27 @@ class TestBatteries:
     def test_ortho_battery(self):
         rep = run(parse_config(dict(BASE, degree=64, inputs={"kmax": 3}), "ortho"))
         assert rep.all_passed
+
+    # B2 at degree 10 is below the (kmax + 3) n = 12 the default chain needs
+    SHORT_WINDOW = dict(BASE, degree=10)
+    SHORT_WINDOW_ERROR = "ConfigError: ortho needs a larger degree or a smaller inputs.kmax: D = 10 too small for kmax = 3 (need >= 12)"
+
+    def test_suite_reports_past_a_short_ortho_window(self):
+        rep = run(parse_config(self.SHORT_WINDOW, "suite"))
+        ortho = [r for r in rep.records if r.name.startswith("ortho/")]
+        assert [(r.name, r.passed, r.error) for r in ortho] == [
+            ("ortho/chain_constructed", False, self.SHORT_WINDOW_ERROR)
+        ]
+        families = {r.name.split("/")[0] for r in rep.records}
+        assert families == {"decompose", "commutant", "ortho", "shift_equiv", "cowen", "reducing"}
+
+    def test_short_ortho_window_is_a_config_error_in_strict_mode(self, tmp_path):
+        cfg = parse_config(self.SHORT_WINDOW, "ortho", strict=True)
+        with pytest.raises(ConfigError, match=r"need >= 12\)$"):
+            checks.ortho_checks(cfg, cfg.settings, np.random.default_rng(0), strict=True)
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(self.SHORT_WINDOW))
+        assert main(["ortho", "--config", str(cfgp), "--strict"]) == 2
 
     def test_shift_equiv_monomial_battery(self):
         obj = dict(BASE, B=b_json([0.0 + 0j, 0.0 + 0j]), degree=60)

@@ -4,7 +4,7 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 import blaschke_lab as bl
-from blaschke_lab.errors import CompositionDivergenceError, DimensionMismatchError
+from blaschke_lab.errors import DimensionMismatchError
 from blaschke_lab.spaces import TaylorPoly, commutator_residual, operator_norm_safe
 
 
@@ -81,49 +81,6 @@ class TestMultiply:
             for j, bj in enumerate(b):
                 brute[i + j] += ai * bj
         assert np.allclose(out.coeffs, brute, atol=1e-9)
-
-
-class TestCompose:
-    def test_identity_symbol_returns_b(self, B3):
-        b = B3.taylor(24)
-        out = bl.compose_truncated(TaylorPoly.monomial(1), b, 24)
-        assert np.allclose(out.coeffs, b.coeffs)
-
-    def test_monomial_composition(self):
-        out = bl.compose_truncated(TaylorPoly.monomial(2), TaylorPoly.monomial(3), 6)
-        assert np.allclose(out.coeffs, TaylorPoly.monomial(6).coeffs)
-
-    def test_geometric_series_pointwise_oracle(self):
-        # f = 1/(1 - z/2) against the degree-1 factor with zero 0.5
-        D = 64
-        f = TaylorPoly(0.5 ** np.arange(D + 1))
-        B = bl.BlaschkeProduct(0.0, [0.5])
-        comp = bl.compose_truncated(f, B.taylor(D), D)
-        for t in range(20):
-            z = 0.5 * (0.25 + 0.75 * t / 19) * np.exp(2j * np.pi * t / 20)
-            expected = 1.0 / (1.0 - B.eval(z) / 2)
-            assert abs(comp(z) - expected) < 1e-10
-
-    def test_divergence_error_on_budget_exhaustion(self):
-        # degree exceeds 4*D with coefficients that never decay
-        D = 4
-        f = TaylorPoly(np.ones(40))
-        B = bl.BlaschkeProduct(0.0, [0.5])
-        with pytest.raises(CompositionDivergenceError):
-            bl.compose_truncated(f, B.taylor(D), D)
-
-    def test_composition_consistency_invariant(self, rng):
-        # taylor-of-composition agrees with pointwise composition inside
-        # the disc; zeros up to modulus 0.8 at D >= 64
-        D = 64
-        B = bl.BlaschkeProduct(0.3, [0.8, -0.5 + 0.3j])
-        fc = (0.6 ** np.arange(D + 1)) * (1 + 0.5j)
-        f = TaylorPoly(fc)
-        comp = bl.compose_truncated(f, B.taylor(D), D)
-        for _ in range(10):
-            z = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            direct = f(B.eval(z))
-            assert abs(comp(z) - direct) < 1e-9
 
 
 class TestToeplitz:
