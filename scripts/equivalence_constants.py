@@ -25,7 +25,7 @@ def main() -> None:
 
     B = bl.BlaschkeProduct(0.0, [0.5, -0.3 + 0.2j, 0.1])
     D = args.degree
-    M = 3 * D // (4 * B.degree)  # the decompose battery's shell count
+    M = bl.wold.shell_count(B, D)  # the count every battery derives from (B, D)
 
     print(f"B: degree {B.degree}; D = {D}, M = {M}, {args.samples} samples\n")
     print(f"{'alpha':>6}  {'bracket low':>12}  {'bracket high':>12}  {'spread':>8}")

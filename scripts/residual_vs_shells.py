@@ -3,7 +3,8 @@
 
 No convergence rate is asserted anywhere in the library for general
 products; this script reports the measured residual curve so the decay can
-be judged empirically for a given configuration.
+be judged empirically for a given configuration. The sweep ends at the shell
+count the library derives from (B, D), wold.shell_count, marked in the table.
 
 Usage: python scripts/residual_vs_shells.py [--degree D] [--fdeg N] [--seed S]
 """
@@ -35,16 +36,16 @@ def main() -> None:
     print(f"B: degree {B.degree}, zeros {[z for z, _ in B.zeros]}")
     print(f"D = {D}, {args.samples} random polynomials of degree {args.fdeg}\n")
     print(f"{'M':>4}  {'max residual (H2, deg <= ' + str(half) + ')':>34}  {'max residual (alpha = -1)':>26}")
-    M = 2
-    while M <= 3 * D // (4 * B.degree):
+    derived = bl.wold.shell_count(B, D)
+    for M in sorted({*range(2, derived, 2), derived}):
         worst0 = worst1 = 0.0
         for f in polys:
             g = bl.synthesize(bl.analyze(f, B, M, D), D)
             diff = bl.TaylorPoly((g - f.pad(D)).coeffs[: half + 1])
             worst0 = max(worst0, bl.weighted_norm(diff, 0.0))
             worst1 = max(worst1, bl.weighted_norm(diff, -1.0))
-        print(f"{M:>4}  {worst0:>34.3e}  {worst1:>26.3e}")
-        M += 2
+        mark = "  <- shell_count(B, D)" if M == derived else ""
+        print(f"{M:>4}  {worst0:>34.3e}  {worst1:>26.3e}{mark}")
 
 
 if __name__ == "__main__":

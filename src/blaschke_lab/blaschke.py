@@ -41,9 +41,9 @@ class BlaschkeProduct:
                 a, mult = complex(entry), 1
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
-            if abs(a) > rho_max:
+            if abs(a) > rho_max or abs(a) >= 1.0:
                 raise ValueError(
-                    f"zero {a} has modulus {abs(a):.4f} > rho_max = {rho_max}"
+                    f"zero {a} has modulus {abs(a):.4f}; need |a| <= rho_max = {rho_max} and |a| < 1"
                 )
             merged[a] = merged.get(a, 0) + mult
         degree = sum(merged.values())

@@ -103,6 +103,11 @@ def _tol(cfg, key: str) -> float:
     return float(cfg.check_tolerances.get(key, CHECK_TOLERANCES[key]))
 
 
+def _shells(cfg) -> int:
+    """The configured shell count, else the one derived from (B, D)."""
+    return cfg.shells if cfg.shells is not None else wold.shell_count(cfg.blaschke, cfg.degree)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -111,9 +116,7 @@ def decompose_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
     records: list[CheckRecord] = []
     data: dict = {}
     B, D = cfg.blaschke, cfg.degree
-    # deeper than the analysis default: round trips need ~12 shells of decay
-    # margin past deg(f)/n to reach the tolerance
-    M = cfg.shells if cfg.shells is not None else max(1, (3 * D) // (4 * B.degree))
+    M = _shells(cfg)
     D_safe = safe_degree(D)
     tol = _tol(cfg, "roundtrip")
 
@@ -129,7 +132,7 @@ def decompose_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
 
     for label, f in inputs:
         def roundtrip(f=f):
-            dec = wold.analyze(f, B, M, D, settings=settings)
+            dec = wold.analyze(f, B, M, D)
             g = wold.synthesize(dec, D)
             diff = (g - f.pad(D)).coeffs[: D_safe + 1]
             return np.linalg.norm(diff)
@@ -138,7 +141,7 @@ def decompose_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
 
     if explicit is not None:
         f = inputs[0][1]
-        dec = wold.analyze(f, B, M, D, settings=settings)
+        dec = wold.analyze(f, B, M, D)
         data["components"] = [[[c.real, c.imag] for c in comp.coeffs] for comp in dec.components]
         data["decomposition"] = dec.to_json()
     return records, data
@@ -149,7 +152,7 @@ def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
     records: list[CheckRecord] = []
     B, D, w = cfg.blaschke, cfg.degree, as_weight(cfg.alpha)
     n = B.degree
-    M = cfg.shells if cfg.shells is not None else D // n
+    M = _shells(cfg)
 
     phis = []
     if cfg.inputs.get("phi") is not None:
@@ -167,7 +170,7 @@ def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
         built = {}
 
         def commute(phi=phi, built=built):
-            op = cm.build(phi, B, w, M, D, settings=settings)
+            op = cm.build(phi, B, w, M, D)
             built["op"] = op
             return op.residual
 
@@ -175,9 +178,9 @@ def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
 
         def roundtrip(phi=phi, built=built):
             if "op" not in built:
-                built["op"] = cm.build(phi, B, w, M, D, settings=settings)
+                built["op"] = cm.build(phi, B, w, M, D)
             syms = cm.extract_symbols(built["op"], B, D, settings=settings)
-            phi2 = cm.symbols_to_matrix(syms, B, M, D, settings=settings)
+            phi2 = cm.symbols_to_matrix(syms, B, M, D)
             return max(float(np.max(np.abs(e.coeffs))) for row in (phi - phi2).entries for e in row)
 
         _timed(records, f"commutant/{label}/symbol_roundtrip", _tol(cfg, "symbol_roundtrip"), roundtrip, strict=strict)
@@ -311,10 +314,8 @@ def ortho_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=Fa
     _timed(records, "ortho/shift_action", _tol(cfg, "shift_action"), shift_action, strict=strict)
 
     def triangularity():
-        n = B.degree
-        M = D // n
-        phi = _random_phi(rng, n, 4)
-        op = cm.build(phi, B, w, M, D, settings=settings)
+        phi = _random_phi(rng, B.degree, 4)
+        op = cm.build(phi, B, w, _shells(cfg), D)
         blocks = ox.block_matrix(op.realization, chain)
         worst = 0.0
         for k in range(kmax + 1):
@@ -336,9 +337,9 @@ def shift_equiv_checks(cfg, settings: Settings, rng: np.random.Generator, *, str
         _timed(records, "shift_equiv/unitarity", _tol(cfg, "unitarity"), lambda: rd.unitarity_defect(J()), strict=strict)
         _timed(records, "shift_equiv/intertwining", _tol(cfg, "intertwining"), lambda: rd.intertwining_residual(J()), strict=strict)
     else:
-        # image count kept a third of the window so the analysis shells used
-        # in the residuals stay clean of edge tails
-        M = cfg.shells if cfg.shells is not None else max(2, D // (3 * B.degree))
+        # images h B^k while B^k fits the window, analysed on shells covering them
+        M = cfg.shells if cfg.shells is not None else wold.power_count(B, D)
+        M_ana = max(_shells(cfg), M)
 
         def general():
             if cfg.inputs.get("h") is not None:
@@ -352,7 +353,7 @@ def shift_equiv_checks(cfg, settings: Settings, rng: np.random.Generator, *, str
         def bnorm_identity():
             worst = 0.0
             for k, img in enumerate(intertwiner().images):
-                dec = wold.analyze(img, B, M + 2, D, settings=settings)
+                dec = wold.analyze(img, B, M_ana, D)
                 worst = max(worst, abs(wold.b_norm(dec, w) - (k + 1.0) ** (w.alpha / 2)))
             return worst
 
@@ -361,7 +362,7 @@ def shift_equiv_checks(cfg, settings: Settings, rng: np.random.Generator, *, str
             records,
             "shift_equiv/shell_shift",
             _tol(cfg, "shell_shift"),
-            lambda: rd.shell_shift_residual(intertwiner(), M + 2, D, settings=settings),
+            lambda: rd.shell_shift_residual(intertwiner(), M_ana, D),
             strict=strict,
         )
     return records, {}

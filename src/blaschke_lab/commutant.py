@@ -18,7 +18,7 @@ from .blaschke import BlaschkeProduct
 from .config import DEFAULT, Settings, safe_degree
 from .errors import DimensionMismatchError, NotInCommutantError
 from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, as_weight, commutator_residual
-from .wold import _check_tail, analyze, shell_frame
+from .wold import analyze, shell_frame
 
 __all__ = [
     "MultiplierMatrix",
@@ -179,21 +179,18 @@ def build(
     w: WeightAlpha | float,
     M: int,
     D: int,
-    *,
-    settings: Settings = DEFAULT,
 ) -> CommutantOperator:
     """Realize the commutant element of Phi as a dense matrix.
 
     Column m of the realization is the synthesis of Phi applied to the
     shell components of z^m. Output shells extend to M + deg(Phi) so the
     polynomial action loses nothing. Accuracy of the safe block improves
-    with M; M around D/n makes the commutation residual hit rounding level
-    for zeros of moderate modulus.
+    with M until M = wold.shell_count(B, D); past it the residual is limited
+    by D alone.
     """
     w = as_weight(w)
     if phi.n != B.degree:
         raise ValueError("multiplier matrix size must equal deg B")
-    _check_tail(B, M, D, settings.tol_tail)
     M_out = M + phi.max_entry_degree
     frame = shell_frame(B, M_out, D)
     E_out, E = frame.cells(M_out), frame.cells(M)
@@ -214,13 +211,11 @@ def apply_formula(
     f: TaylorPoly,
     M: int,
     D: int,
-    *,
-    settings: Settings = DEFAULT,
 ) -> TaylorPoly:
     """Action through the decomposition: analyze f, multiply the component
     vector by Phi, synthesize. Agrees with the built realization on the
     safe block."""
-    dec = analyze(f, B, M, D, settings=settings)
+    dec = analyze(f, B, M, D)
     M_out = M + phi.max_entry_degree
     V = _component_map(phi, M, M_out)
     g = V @ dec.coefficients.T.reshape(-1)
@@ -252,15 +247,21 @@ def extract_symbols(
 ) -> list[TaylorPoly]:
     """phi_k = W u_k for the orthonormal basis u_k; requires W to commute
     with T_B on the safe block (extraction is meaningless otherwise). A
-    built element for the same B and D supplies its memoized residual."""
+    built element for the same B and D supplies its memoized residual. The
+    error names the window's limit max|a|^(D - D_safe) (B's Taylor tail past
+    the guard), which no shell count lowers."""
     op, W = (W, W.realization) if isinstance(W, CommutantOperator) else (None, W)
     if op is not None and op.B == B and W.degree == D:
         res = op.residual
     else:
         res = commutation_residual(W, B, W.alpha, D)
     if res > settings.tol_commute:
+        D_safe = safe_degree(D)
+        limit = max(abs(a) for a, _ in B.zeros) ** (D - D_safe)
         raise NotInCommutantError(
-            f"commutation residual {res:.3e} exceeds tol_commute {settings.tol_commute:.1e}"
+            f"commutation residual {res:.3e} exceeds tol_commute {settings.tol_commute:.1e} "
+            f"at D = {D}, D_safe = {D_safe}; a commutant element truncated there keeps a "
+            f"residual near max|a|^(D - D_safe) = {limit:.1e}, so if W is one, increase D"
         )
     U = shell_frame(B, 0, D).U
     return [TaylorPoly(col) for col in (W.entries @ U).T]
@@ -271,12 +272,10 @@ def symbols_to_matrix(
     B: BlaschkeProduct,
     M: int,
     D: int,
-    *,
-    settings: Settings = DEFAULT,
 ) -> MultiplierMatrix:
     """Column k of Phi = shell components of phi_k (its decomposition in the
     {u_j B^m} system)."""
-    cols = [analyze(ph, B, M, D, settings=settings).coefficients for ph in phis]
+    cols = [analyze(ph, B, M, D).coefficients for ph in phis]
     n = len(phis)
     return MultiplierMatrix._derived([[cols[k][j] for k in range(n)] for j in range(n)])
 

@@ -1,8 +1,7 @@
 """Tolerance and truncation configuration.
 
-All numerical guards used by the library live here as documented defaults;
-no operation hard-codes a magic constant. Pass a modified Settings to any
-operation to override.
+The numerical guards a caller may tune live here as documented defaults;
+pass a modified Settings to the operations that take one.
 """
 
 from dataclasses import dataclass, replace
@@ -13,12 +12,6 @@ class Settings:
     #: largest admissible modulus for a Blaschke zero. Keeps Taylor
     #: truncation error geometric with a uniform ratio.
     rho_max: float = 0.8
-
-    #: reject shell counts M for which the truncated B^M has lost more than
-    #: this fraction of its unit H^2 mass past the window. A coarse junk
-    #: guard: analysis inner products are window-exact regardless, so only
-    #: grossly out-of-window shells are dangerous.
-    tol_tail: float = 0.75
 
     #: commutation residual above which an operator is not accepted as a
     #: commutant element.

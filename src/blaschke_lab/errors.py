@@ -22,10 +22,6 @@ class DimensionMismatchError(BlaschkeLabError):
     """Operator/vector truncation degrees are incompatible."""
 
 
-class TailError(BlaschkeLabError):
-    """B^M has lost too much coefficient mass to the truncation window."""
-
-
 class ZeroFunctionError(BlaschkeLabError):
     """An operation that divides by a norm received the zero function."""
 

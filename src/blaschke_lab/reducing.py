@@ -368,7 +368,7 @@ def shift_equiv_general(
     )
 
 
-def unitarity_defect(J: IntertwinerJ, *, M: int | None = None, settings: Settings = DEFAULT) -> float:
+def unitarity_defect(J: IntertwinerJ, *, M: int | None = None) -> float:
     """Entrywise deviation of the Gram matrix of {J(z^k)} from that of
     {z^k}, computed in the declared inner product."""
     target = np.diag((np.arange(J.count) + 1.0) ** J.alpha.alpha)
@@ -381,7 +381,7 @@ def unitarity_defect(J: IntertwinerJ, *, M: int | None = None, settings: Setting
     D = J.images[0].degree
     if M is None:
         M = J.count + 2
-    coords = [analyze(f, J.B, M, D, settings=settings).coefficients for f in J.images]
+    coords = [analyze(f, J.B, M, D).coefficients for f in J.images]
     kw = (np.arange(M + 1) + 1.0) ** J.alpha.alpha
     G = np.einsum("inm,jnm,m->ij", np.array(coords), np.conj(coords), kw)
     return float(np.max(np.abs(G - target)))
@@ -398,17 +398,15 @@ def intertwining_residual(J: IntertwinerJ) -> float:
     return float(np.linalg.norm((sq[:, None] * diff)[: D_safe + 1, :], 2))
 
 
-def shell_shift_residual(
-    J: IntertwinerJ, M: int, D: int, *, settings: Settings = DEFAULT
-) -> float:
+def shell_shift_residual(J: IntertwinerJ, M: int, D: int) -> float:
     """For the general construction: shell coordinates of B * J(z^k) must be
     those of J(z^k) shifted one shell up."""
     worst = 0.0
     b = J.B.taylor(D).coeffs
     for f in J.images:
-        dec = analyze(f, J.B, M, D, settings=settings)
+        dec = analyze(f, J.B, M, D)
         bf = TaylorPoly(np.convolve(as_coeffs(f, D), b)[: D + 1])
-        dec2 = analyze(bf, J.B, M, D, settings=settings)
+        dec2 = analyze(bf, J.B, M, D)
         shifted = np.zeros_like(dec.coefficients)
         shifted[:, 1:] = dec.coefficients[:, :-1]
         worst = max(worst, float(np.max(np.abs(dec2.coefficients - shifted))))

@@ -14,19 +14,21 @@ frame; more shells continue its Krylov chain from the last cached cells.
 Either way the cells are bitwise those of a frame built for that count.
 Cached arrays are read-only. analyze and norm_equivalence_ratio also accept
 another basis of the model space; its cells are built outside the memo.
+
+Shell counts are derived from (B, D): shell_count from the shell deficit on
+the safe block, power_count from how many powers B^k fit the window.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import InitVar, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct, ModelSpaceBasis, model_basis
-from .config import DEFAULT, Settings
-from .errors import DimensionMismatchError, TailError, ZeroFunctionError
+from .config import safe_degree
+from .errors import DimensionMismatchError, ZeroFunctionError
 from .spaces import TaylorPoly, WeightAlpha, _trunc_mul, as_coeffs, as_weight, weighted_norm
 
 __all__ = [
@@ -38,14 +40,31 @@ __all__ = [
     "b_norm",
     "norm_equivalence_ratio",
     "cell_matrix",
-    "default_shell_count",
+    "shell_count",
+    "power_count",
     "power_tail",
 ]
 
+#: H^2 mass of a truncated power of B that counts as rounding.
+_NEGLIGIBLE = 1e-15
 
-def default_shell_count(B: BlaschkeProduct, D: int) -> int:
-    """M = floor(D / (2 n)): shells filling the lower half of the window."""
-    return D // (2 * B.degree)
+
+def shell_count(B: BlaschkeProduct, D: int) -> int:
+    """The smallest M whose shell deficit ||B^(M+1)|| on degrees <= D_safe
+    = safe_degree(D) is at most 1e-15: shells past M carry nothing a
+    safe-block residual can see.
+
+    The deficit is summed directly from the sweep v <- T_B v on the safe
+    block of B.toeplitz(D), exact there since T_B is lower triangular. It
+    never grows, as that block is a contraction, and it falls below any
+    tolerance because every zero of B lies inside the disc.
+    """
+    D_safe = safe_degree(D)
+    T = B.toeplitz(D)[: D_safe + 1, : D_safe + 1]
+    v, M = T[:, 0], 0  # v = B^(M+1) on degrees <= D_safe
+    while np.vdot(v, v).real > _NEGLIGIBLE**2:
+        v, M = T @ v, M + 1
+    return M
 
 
 def _power_coeffs(B: BlaschkeProduct, M: int, D: int) -> np.ndarray:
@@ -61,13 +80,21 @@ def _power_coeffs(B: BlaschkeProduct, M: int, D: int) -> np.ndarray:
 
 
 def power_tail(B: BlaschkeProduct, M: int, D: int) -> float:
-    """Fraction of B^M's unit H^2 mass lost beyond degree D.
+    """H^2 norm of B^M's coefficients past degree D, summed directly on the
+    padded window D + max(D // 2, 40) (so a tail far below 1e-8 is resolved,
+    where 1 - ||truncation||^2 would cancel)."""
+    return float(np.linalg.norm(_power_coeffs(B, M, D + max(D // 2, 40))[D + 1 :]))
 
-    B^M is inner, so its full coefficient sequence has norm exactly 1 and
-    the out-of-window mass is 1 - ||truncation||^2.
-    """
-    captured = float(np.sum(np.abs(_power_coeffs(B, M, D)) ** 2))
-    return float(np.sqrt(max(0.0, 1.0 - captured)))
+
+def power_count(B: BlaschkeProduct, D: int) -> int:
+    """The largest M with power_tail(B, M, D) <= 1e-15: B^0, ..., B^M fit
+    the window. The tail never shrinks as M grows, and B^(D//n + 1) has its
+    mean degree n (D//n + 1) past D, so bisection on [0, D//n + 1] finds it."""
+    lo, hi = 0, D // B.degree + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if power_tail(B, mid, D) <= _NEGLIGIBLE else (lo, mid)
+    return lo
 
 
 def cell_matrix(
@@ -206,18 +233,6 @@ class ShellDecomposition:
         }
 
 
-@lru_cache(maxsize=64)
-def _check_tail(B: BlaschkeProduct, M: int, D: int, tol_tail: float) -> None:
-    """Raise TailError when B^M has lost too much mass past D. A passed
-    check is remembered, so the guard runs once per key."""
-    tail = power_tail(B, M, D)
-    if tail > tol_tail:
-        raise TailError(
-            f"B^{M} keeps only {(1 - tail**2) * 100:.1f}% of its mass below degree "
-            f"{D}; increase D or lower M (tail {tail:.3f} > tol_tail {tol_tail})"
-        )
-
-
 def analyze(
     f: TaylorPoly,
     B: BlaschkeProduct,
@@ -225,24 +240,22 @@ def analyze(
     D: int | None = None,
     *,
     basis: ModelSpaceBasis | None = None,
-    settings: Settings = DEFAULT,
 ) -> ShellDecomposition:
     """Shell coefficients c[j, k] = <f, u_j B^k>_0 for k = 0..M.
 
     This is the orthogonal projection of f onto span{u_j B^k} in H^2; the
     returned decomposition minimizes the H^2 residual over that span. The
     u_j are the shell frame's basis model_basis(B, D) unless another basis
-    of the model space is given.
+    of the model space is given. D defaults to deg f, M to shell_count(B, D).
     """
     if D is None:
         D = f.degree
     if M is None:
-        M = default_shell_count(B, D)
+        M = shell_count(B, D)
     if f.degree > D:
         raise DimensionMismatchError(
             f"function degree {f.degree} exceeds the window D = {D}; pass D >= deg f"
         )
-    _check_tail(B, M, D, settings.tol_tail)
     basis, E = _cells(B, M, D, basis)
     # E^H f over the rows f occupies, without padding f or copying E
     c = (E[: len(f.coeffs)].T @ f.coeffs.conj()).conj()
@@ -274,12 +287,11 @@ def norm_equivalence_ratio(
     D: int | None = None,
     *,
     basis: ModelSpaceBasis | None = None,
-    settings: Settings = DEFAULT,
 ) -> float:
     """b_norm(analyze(f))^2 / ||f||_alpha^2, the empirical equivalence ratio."""
     w = as_weight(w)
     nf = weighted_norm(f, w)
     if nf == 0.0:
         raise ZeroFunctionError("norm ratio undefined for the zero function")
-    dec = analyze(f, B, M, D, basis=basis, settings=settings)
+    dec = analyze(f, B, M, D, basis=basis)
     return (b_norm(dec, w) / nf) ** 2

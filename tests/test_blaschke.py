@@ -204,8 +204,8 @@ class TestModelBasis:
     def test_suite_with_near_duplicate_zeros(self, eps):
         zeros = [{"re": 0.5, "im": 0.0}, {"re": 0.5 + eps, "im": 0.0}, {"re": -0.3, "im": 0.0}]
         cfg = cli.parse_config({"B": {"theta": 0.0, "zeros": zeros}, "alpha": -1.0, "degree": 96}, "suite")
-        records = [r for r in cli.run(cfg).records if r.name.startswith(("decompose/", "commutant/"))]
-        assert len(records) == 11
+        records = cli.run(cfg).records
+        assert len(records) == 26
         assert all(r.passed for r in records), [(r.name, r.residual, r.error) for r in records if not r.passed]
 
 
@@ -235,6 +235,11 @@ class TestConstruction:
     def test_rejects_large_zero(self):
         with pytest.raises(ValueError):
             bl.BlaschkeProduct(0.0, [0.95])
+
+    def test_rejects_zero_on_the_circle_whatever_rho_max(self):
+        # a unimodular factor is constant: B^k would never leave the window
+        with pytest.raises(ValueError, match=r"\|a\| < 1"):
+            bl.BlaschkeProduct(0.0, [1.0], rho_max=1.0)
 
     def test_rejects_constant(self):
         with pytest.raises(ValueError):

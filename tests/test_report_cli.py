@@ -10,7 +10,7 @@ import pytest
 import blaschke_lab as bl
 from blaschke_lab import checks, cli
 from blaschke_lab.cli import main, parse_config, run
-from blaschke_lab.errors import ConditioningError, ConfigError, MembershipError
+from blaschke_lab.errors import ConditioningError, ConfigError, MembershipError, NotInCommutantError
 from blaschke_lab.report import CheckRecord, Report, parse_json, render
 
 
@@ -87,10 +87,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(obj, "suite")
 
-    def test_shell_window_invariant(self):
-        obj = dict(BASE, shells=40)
-        with pytest.raises(ConfigError):
-            parse_config(obj, "decompose")
+    def test_negative_shells_rejected(self):
+        with pytest.raises(ConfigError, match="shells must be >= 0, got -1"):
+            parse_config(dict(BASE, shells=-1), "decompose")
+
+    def test_shells_past_half_the_window_are_accepted(self):
+        # more shells than D/(2n) only add cells that analysis finds empty
+        cfg = parse_config(dict(BASE, shells=40), "decompose")
+        assert cfg.shells == 40 and run(cfg).all_passed
 
     def test_missing_b_rejected(self):
         with pytest.raises(ConfigError):
@@ -325,9 +329,24 @@ class TestBatteries:
         rep = run(parse_config(obj, "shift-equiv"))
         assert rep.all_passed
 
+    def test_shift_equiv_analysis_covers_every_image(self):
+        # for zeros 0 and 0.1 at D = 256, 99 powers fit the window but the
+        # deficit count is 83: analysis must still reach the last image
+        obj = dict(BASE, B=b_json([0j, 0.1 + 0j]), degree=256)
+        rep = run(parse_config(obj, "shift-equiv"))
+        assert rep.all_passed
+
     def test_cowen_battery(self):
         rep = run(parse_config(dict(BASE, degree=64), "cowen"))
         assert rep.all_passed
+
+    def test_commutant_failure_at_the_window_limit_says_increase_d(self):
+        # B3 at D = 48: the commutation residual stays 2.5e-8 to 1.0e-7 for
+        # any shell count, near 0.5^(48 - 24) = 6e-8
+        obj = dict(BASE, B=b_json([0.5 + 0j, -0.3 + 0.2j, 0.1 + 0j]), degree=48, seed=0)
+        msg = r"at D = 48, D_safe = 24; .* max\|a\|\^\(D - D_safe\) = 6\.0e-08, so if W is one, increase D$"
+        with pytest.raises(NotInCommutantError, match=msg):
+            run(parse_config(obj, "suite", strict=True))
 
     # (0.8, -0.79i) at D = 48: the model-space test of the default h fails
     NEAR_EDGE = dict(BASE, B=b_json([0.8 + 0j, -0.79j]), degree=48)

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 import blaschke_lab as bl
 from blaschke_lab import cli, wold
-from blaschke_lab.config import DEFAULT, Settings
-from blaschke_lab.errors import DimensionMismatchError, TailError, ZeroFunctionError
+from blaschke_lab.errors import DimensionMismatchError, ZeroFunctionError
 from blaschke_lab.spaces import TaylorPoly
-from blaschke_lab.wold import _power_coeffs, cell_matrix, default_shell_count, power_tail
+from blaschke_lab.wold import _power_coeffs, cell_matrix, power_tail
 
 
 def analyze_by_least_squares(f, B, M, D, *, basis):
@@ -59,23 +58,6 @@ class TestAnalyze:
         f = TaylorPoly(rng.standard_normal(100))
         with pytest.raises(DimensionMismatchError):
             bl.analyze(f, B3, 6, 40)
-
-    def test_tail_error_when_window_too_small(self, B3):
-        with pytest.raises(TailError):
-            bl.analyze(TaylorPoly([1.0]), B3, 40, 96)
-
-    def test_tail_guard_reads_only_tol_tail(self, B3, monkeypatch):
-        # the guard's memo is keyed by (B, M, D, tol_tail): no Settings hash per call
-        def unhashable(self):
-            raise AssertionError("Settings hashed")
-
-        monkeypatch.setattr(Settings, "__hash__", unhashable)
-        tight = DEFAULT.with_overrides(tol_tail=1e-300)
-        bl.analyze(TaylorPoly([1.0]), B3, 8, 64)
-        with pytest.raises(TailError, match=r"tol_tail 1e-300\)$"):
-            bl.analyze(TaylorPoly([1.0]), B3, 8, 64, settings=tight)
-        with pytest.raises(TailError):
-            bl.build(bl.MultiplierMatrix.identity(3), B3, 0.0, 8, 64, settings=tight)
 
     def test_own_array_is_frozen_and_callers_array_is_copied(self, B3, rng):
         f = TaylorPoly(rng.standard_normal(12))
@@ -280,18 +262,52 @@ def test_monomial_roundtrip_is_exact(coeffs, n):
     assert np.max(np.abs((g - f).coeffs)) < 1e-13 * scale
 
 
-def test_default_shell_count(B3):
-    assert default_shell_count(B3, 96) == 16
-
-
 def test_power_tail_monomial_is_zero():
     assert power_tail(bl.BlaschkeProduct.monomial(3), 10, 40) == 0.0
+
+
+def test_power_tail_resolves_tails_below_rounding_of_one(B2):
+    # 1 - ||truncation||^2 cannot read below ~1e-8; the direct sum can
+    assert power_tail(B2, 7, 256) <= 1e-15
+
+
+PRODUCTS = [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)], [0.8, -0.79j], [0.5, 0.5 + 1e-9, -0.3]]
+
+
+@pytest.mark.parametrize("zeros", PRODUCTS)
+@pytest.mark.parametrize("D", [48, 128])
+def test_shell_count_is_the_smallest_with_negligible_deficit(zeros, D):
+    B = bl.BlaschkeProduct(0.0, zeros)
+    M, D_safe = wold.shell_count(B, D), bl.safe_degree(D)
+    powers = B.power_list(M + 1, D_safe)  # sequential products: an independent oracle
+    assert np.linalg.norm(powers[M + 1].coeffs) <= 1e-15 < np.linalg.norm(powers[M].coeffs)
+
+
+@pytest.mark.parametrize("n,D", [(1, 40), (2, 64), (3, 96)])
+def test_monomial_counts(n, D):
+    # z^(n(M+1)) leaves degrees <= D - D//2 at M = (D - D//2)//n, and z^(nM)
+    # leaves the window at M = D//n + 1
+    B = bl.BlaschkeProduct.monomial(n)
+    assert wold.shell_count(B, D) == bl.safe_degree(D) // n
+    assert wold.power_count(B, D) == D // n
+
+
+@pytest.mark.parametrize("zeros", PRODUCTS + [[0.0, 0.1]])
+def test_power_count_is_the_largest_with_negligible_tail(zeros):
+    B, D = bl.BlaschkeProduct(0.0, zeros), 256
+    M = wold.power_count(B, D)
+    assert power_tail(B, M, D) <= 1e-15 < power_tail(B, M + 1, D)
+
+
+def test_analyze_defaults_to_the_derived_count(B3, rng):
+    f = TaylorPoly(rng.standard_normal(20))
+    assert bl.analyze(f, B3, D=64).shell_count == wold.shell_count(B3, 64)
 
 
 @pytest.mark.parametrize("zeros", [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)], [(0.0, 3)]])
 @pytest.mark.parametrize("M", [0, 1, 7, 64, 128])
 def test_power_by_squaring_matches_sequential_powers(zeros, M):
-    # the tail guard squares B's section; power_taylor multiplies M times
+    # power_tail squares B's section; power_taylor multiplies M times
     B, D = bl.BlaschkeProduct(0.0, zeros), 256
     squared, sequential = _power_coeffs(B, M, D), B.power_taylor(M, D).coeffs
     assert np.max(np.abs(squared - sequential)) <= 1e-14
