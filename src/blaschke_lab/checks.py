@@ -337,8 +337,9 @@ def shift_equiv_checks(cfg, settings: Settings, rng: np.random.Generator, *, str
         _timed(records, "shift_equiv/unitarity", _tol(cfg, "unitarity"), lambda: rd.unitarity_defect(J()), strict=strict)
         _timed(records, "shift_equiv/intertwining", _tol(cfg, "intertwining"), lambda: rd.intertwining_residual(J()), strict=strict)
     else:
-        # images h B^k while B^k fits the window, analysed on shells covering them
-        M = cfg.shells if cfg.shells is not None else wold.power_count(B, D)
+        # images h B^k while B^k fits the window, and never fewer than three,
+        # analysed on shells that cover them
+        M = max(2, wold.power_count(B, D))
         M_ana = max(_shells(cfg), M)
 
         def general():
@@ -394,9 +395,10 @@ def cowen_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=Fa
 
 
 def suite_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=False):
-    """Fixed-order composition of the per-command batteries."""
+    """Fixed-order composition of the per-command batteries on one shell count."""
     records: list[CheckRecord] = []
     data: dict = {}
+    cfg = cfg.with_updates(shells=_shells(cfg))
     for name, fn in (
         ("decompose", decompose_checks),
         ("commutant", commutant_checks),

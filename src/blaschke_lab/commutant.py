@@ -155,22 +155,18 @@ class CommutantOperator:
         return commutation_residual(self.realization, self.B, self.alpha)
 
 
-def _component_map(
-    phi: MultiplierMatrix, M: int, M_out: int
-) -> np.ndarray:
-    """Matrix of the action (f_k) -> (sum_k phi_jk f_k) on stacked shell
-    coordinates, cell order k-major: index k * n + j."""
+def _component_action(phi: MultiplierMatrix, X: np.ndarray, M_out: int) -> np.ndarray:
+    """The action (f_k) -> (sum_k phi_jk f_k) on the columns of X, shell
+    coordinates in cell order (row r * n + k), kept to shells 0..M_out: one
+    n x n product per coefficient of Phi, linear in the shell count."""
     n = phi.n
-    P = np.zeros((phi.max_entry_degree + 1, n, n), dtype=complex)  # P[t, j, k]
-    for j, row in enumerate(phi.entries):
-        for k, e in enumerate(row):
-            P[: len(e.coeffs), j, k] = e.coeffs
-    V = np.zeros((n * (M_out + 1), n * (M + 1)), dtype=complex)
-    V4 = V.reshape(M_out + 1, n, M + 1, n)  # V4[s, j, r, k] = V[s*n + j, r*n + k]
-    for t in range(min(len(P), M_out + 1)):
-        r = np.arange(min(M + 1, M_out + 1 - t))
-        V4[r + t, :, r, :] = P[t]
-    return V
+    X = X.reshape(-1, n, X.shape[-1])  # X[r, k, c]
+    Y = np.zeros((M_out + 1, n, X.shape[2]), dtype=complex)
+    for t in range(min(phi.max_entry_degree, M_out) + 1):
+        P_t = np.array([[e.coeffs[t] if t <= e.degree else 0.0 for e in row] for row in phi.entries])
+        r = min(len(X), M_out + 1 - t)
+        Y[t : t + r] += P_t @ X[:r]
+    return Y.reshape(n * (M_out + 1), -1)
 
 
 def build(
@@ -194,8 +190,7 @@ def build(
     M_out = M + phi.max_entry_degree
     frame = shell_frame(B, M_out, D)
     E_out, E = frame.cells(M_out), frame.cells(M)
-    V = _component_map(phi, M, M_out)
-    W = E_out @ (V @ E.conj().T)
+    W = E_out @ _component_action(phi, E.conj().T, M_out)
     return CommutantOperator(
         phi=phi,
         B=B,
@@ -217,9 +212,8 @@ def apply_formula(
     safe block."""
     dec = analyze(f, B, M, D)
     M_out = M + phi.max_entry_degree
-    V = _component_map(phi, M, M_out)
-    g = V @ dec.coefficients.T.reshape(-1)
-    return TaylorPoly(shell_frame(B, M_out, D).cells(M_out) @ g)
+    g = _component_action(phi, dec.coefficients.T.reshape(-1, 1), M_out)
+    return TaylorPoly(shell_frame(B, M_out, D).cells(M_out) @ g[:, 0])
 
 
 def commutation_residual(

@@ -30,7 +30,7 @@ from .spaces import (
     weighted_adjoint,
     weighted_norm,
 )
-from .wold import analyze
+from .wold import analyze, shell_frame
 
 __all__ = [
     "SubspaceProjection",
@@ -399,15 +399,9 @@ def intertwining_residual(J: IntertwinerJ) -> float:
 
 
 def shell_shift_residual(J: IntertwinerJ, M: int, D: int) -> float:
-    """For the general construction: shell coordinates of B * J(z^k) must be
-    those of J(z^k) shifted one shell up."""
-    worst = 0.0
-    b = J.B.taylor(D).coeffs
-    for f in J.images:
-        dec = analyze(f, J.B, M, D)
-        bf = TaylorPoly(np.convolve(as_coeffs(f, D), b)[: D + 1])
-        dec2 = analyze(bf, J.B, M, D)
-        shifted = np.zeros_like(dec.coefficients)
-        shifted[:, 1:] = dec.coefficients[:, :-1]
-        worst = max(worst, float(np.max(np.abs(dec2.coefficients - shifted))))
-    return worst
+    """For the general construction: shell coordinates of B * J(z^k), all
+    analysed at once, must be those of J(z^k) shifted one shell up."""
+    F = np.stack([as_coeffs(f, D) for f in J.images], axis=1)
+    EH = shell_frame(J.B, M, D).cells(M).conj().T
+    c, c_b = ((EH @ G).reshape(M + 1, J.B.degree, -1) for G in (F, J.B.toeplitz(D) @ F))
+    return float(np.max(np.abs(c_b[1:] - c[:-1]), initial=np.max(np.abs(c_b[0]))))

@@ -79,22 +79,34 @@ def _power_coeffs(B: BlaschkeProduct, M: int, D: int) -> np.ndarray:
     return power
 
 
+def _tail(c: np.ndarray, D: int) -> float:
+    """H^2 norm past degree D of an inner function with coefficients c:
+    sqrt(1 - captured) above 1e-4, and below, where that cancels, c past D."""
+    lost = 1.0 - np.vdot(c[: D + 1], c[: D + 1]).real
+    return float(np.sqrt(lost) if lost > 1e-8 else np.linalg.norm(c[D + 1 :]))
+
+
 def power_tail(B: BlaschkeProduct, M: int, D: int) -> float:
-    """H^2 norm of B^M's coefficients past degree D, summed directly on the
-    padded window D + max(D // 2, 40) (so a tail far below 1e-8 is resolved,
-    where 1 - ||truncation||^2 would cancel)."""
-    return float(np.linalg.norm(_power_coeffs(B, M, D + max(D // 2, 40))[D + 1 :]))
+    """H^2 norm of B^M's coefficients past degree D. A tail below 1e-4 is
+    summed directly over degrees D < k <= 2D: B^M then has its mass inside
+    the window, and past it the coefficients decay geometrically."""
+    return _tail(_power_coeffs(B, M, 2 * D), D)
 
 
 def power_count(B: BlaschkeProduct, D: int) -> int:
     """The largest M with power_tail(B, M, D) <= 1e-15: B^0, ..., B^M fit
-    the window. The tail never shrinks as M grows, and B^(D//n + 1) has its
-    mean degree n (D//n + 1) past D, so bisection on [0, D//n + 1] finds it."""
-    lo, hi = 0, D // B.degree + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if power_tail(B, mid, D) <= _NEGLIGIBLE else (lo, mid)
-    return lo
+    the window. The tail never shrinks as M grows and B^(D//n + 1) has its
+    mean degree past D, so M is read bit by bit from the squares B^(2^i)."""
+    L, hi = 2 * D, D // B.degree + 1
+    squares = [B.taylor(L).coeffs]  # B^(2^i) for 2^i < hi
+    while 2 ** len(squares) < hi:
+        squares.append(_trunc_mul(squares[-1], squares[-1], L))
+    M, power = 0, TaylorPoly.one(L).coeffs
+    for i in reversed(range(len(squares))):
+        trial = _trunc_mul(power, squares[i], L)
+        if M + 2**i < hi and _tail(trial, D) <= _NEGLIGIBLE:
+            M, power = M + 2**i, trial
+    return M
 
 
 def cell_matrix(

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import blaschke_lab as bl
 from blaschke_lab import cli
-from blaschke_lab.commutant import _component_map
+from blaschke_lab.commutant import _component_action
 from blaschke_lab.config import safe_degree
 from blaschke_lab.errors import DimensionMismatchError, NotInCommutantError
 from blaschke_lab.spaces import TaylorPoly
@@ -111,7 +113,26 @@ class TestComponentMap:
                     for r in range(M + 1):
                         if p[t] != 0 and r + t <= M_out:
                             expected[(r + t) * n + j, r * n + k] += p[t]
-        assert np.array_equal(_component_map(phi, M, M_out), expected)
+        # the action on the identity is the dense map, entry for entry
+        assert np.array_equal(_component_action(phi, np.eye(n * (M + 1)), M_out), expected)
+
+
+    def test_memory_is_linear_in_the_shell_count(self, rng):
+        # a zero at rho_max = 0.95 needs 2439 shells at D = 64: a dense component
+        # map would hold (M + 5)^2 complex entries (95 MB), the action a few frames
+        B, D = bl.BlaschkeProduct(0.0, [0.95], rho_max=0.95), 64
+        M = bl.wold.shell_count(B, D)
+        assert M > 2000
+        bl.wold.shell_frame(B, M + 4, D)
+        tracemalloc.start()
+        try:
+            op = bl.build(random_phi(rng, 1), B, -1.0, M, D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frame_bytes = 16 * (D + 1) * (M + 5)
+        assert peak < 4 * frame_bytes < 16 * (M + 5) ** 2 / 8
+        assert op.residual < 1e-10
 
 
 class TestApplyFormula:

@@ -21,7 +21,7 @@ ALPHAS = (-2.0, -1.0, 0.0, 1.0)
 #: records passed at every alpha below D = 256, of 24 for degree 2 and 26 for
 #: degree 3; the failures left do not move when the shell count doubles
 PASSED = {
-    48: {"B2": 24, "B3": 20, "0.6 double": 15, "0.8, -0.79i": 13, "near duplicate": 19},
+    48: {"B2": 24, "B3": 20, "0.6 double": 14, "0.8, -0.79i": 13, "near duplicate": 18},
     128: {"B2": 24, "B3": 26, "0.6 double": 24, "0.8, -0.79i": 17, "near duplicate": 26},
 }
 

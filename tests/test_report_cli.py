@@ -366,3 +366,17 @@ class TestBatteries:
         rep = run(parse_config(self.NEAR_EDGE, "suite"))
         names = [r.name for r in rep.records]
         assert "shift_equiv/shell_shift" in names and "cowen/T_B" in names
+
+    def test_shift_equiv_checks_three_images_when_no_power_fits(self, monkeypatch):
+        # B2 at D = 48: already B's own tail past D is above 1e-15
+        obj = dict(BASE, B=b_json([0.5 + 0j, -0.3 + 0j]), degree=48)
+        assert bl.wold.power_count(parse_config(obj, "shift-equiv").blaschke, 48) == 0
+        counts, general = [], checks.rd.shift_equiv_general
+
+        def counted(B, h, w, M, D, **kw):
+            counts.append(M)
+            return general(B, h, w, M, D, **kw)
+
+        monkeypatch.setattr(checks.rd, "shift_equiv_general", counted)
+        rep = run(parse_config(obj, "shift-equiv"))
+        assert counts == [2] and rep.all_passed

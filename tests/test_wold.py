@@ -271,6 +271,20 @@ def test_power_tail_resolves_tails_below_rounding_of_one(B2):
     assert power_tail(B2, 7, 256) <= 1e-15
 
 
+@pytest.mark.parametrize("M", [129, 200])
+def test_power_tail_past_the_doubled_window(M):
+    # z^(3M) lies past 2D: the whole mass is lost, not the empty direct sum
+    assert power_tail(bl.BlaschkeProduct.monomial(3), M, 256) == 1.0
+
+
+def test_large_tails_read_from_the_captured_mass():
+    # B^128 has 0.29 of its mass past D and 0.17 past 2D, so the direct sum
+    # would read low; B^M is inner, so 1 - captured is exact to rounding
+    B, M, D = bl.BlaschkeProduct(0.0, [(0.6, 2)]), 128, 256
+    captured = np.sum(np.abs(B.power_taylor(M, D).coeffs) ** 2)
+    assert power_tail(B, M, D) == pytest.approx(np.sqrt(1.0 - captured), rel=1e-12)
+
+
 PRODUCTS = [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)], [0.8, -0.79j], [0.5, 0.5 + 1e-9, -0.3]]
 
 
