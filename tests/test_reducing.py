@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,21 @@ class TestShiftEquivGeneral:
         basis = bl.model_basis(B2, D)
         J = bl.shift_equiv_general(B2, basis.orthonormal[0], -1.0, K, D)
         assert bl.shell_shift_residual(J, K + 2, D) < 1e-8
+
+    def test_shell_shift_matches_one_analysis_per_image(self, B3, rng):
+        # the images analysed one at a time, as a reference; random images
+        # so that the residual is O(1), not rounding
+        D, M = 64, 12
+        images = tuple(TaylorPoly(rng.standard_normal(D + 1) + 1j * rng.standard_normal(D + 1)) for _ in range(5))
+        J = bl.shift_equiv_general(B3, bl.model_basis(B3, D).orthonormal[0], 0.0, 4, D)
+        J = dataclasses.replace(J, images=images)
+        worst = 0.0
+        for f in images:
+            c = bl.analyze(f, B3, M, D).coefficients
+            c_b = bl.analyze(TaylorPoly(B3.toeplitz(D) @ f.coeffs), B3, M, D).coefficients
+            worst = max(worst, np.max(np.abs(c_b - np.pad(c[:, :-1], ((0, 0), (1, 0))))))
+        assert worst > 0.1
+        assert bl.shell_shift_residual(J, M, D) == pytest.approx(worst, rel=1e-13)
 
     def test_membership_rejected(self, B3):
         with pytest.raises(MembershipError):
