@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT, Settings
+from .config import DEFAULT
 from .errors import EvaluationDomainError, PoleError
 from .spaces import TaylorPoly, _trunc_mul, multiply, toeplitz_matrix
 
@@ -18,6 +18,10 @@ __all__ = [
     "reproducing_kernel",
     "blaschke_factor_taylor",
 ]
+
+
+#: |1 - conj(a) z| below this is a pole hit in BlaschkeProduct.eval.
+_POLE_TOL = 1e-14
 
 
 class BlaschkeProduct:
@@ -41,7 +45,7 @@ class BlaschkeProduct:
                 a, mult = complex(entry), 1
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
-            if abs(a) > rho_max or abs(a) >= 1.0:
+            if not abs(a) <= rho_max or abs(a) >= 1.0:  # a NaN rho_max admits nothing
                 raise ValueError(
                     f"zero {a} has modulus {abs(a):.4f}; need |a| <= rho_max = {rho_max} and |a| < 1"
                 )
@@ -80,7 +84,7 @@ class BlaschkeProduct:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, z: complex, *, settings: Settings = DEFAULT) -> complex:
+    def eval(self, z: complex) -> complex:
         """Product-formula value at a point of the closed disc."""
         z = complex(z)
         if abs(z) > 1.0 + 1e-12:
@@ -88,7 +92,7 @@ class BlaschkeProduct:
         out = np.exp(1j * self.theta)
         for a, mult in self.zeros:
             den = 1.0 - np.conj(a) * z
-            if abs(den) < settings.pole_tol:
+            if abs(den) < _POLE_TOL:
                 raise PoleError(f"denominator vanished at zero {a}")
             out *= ((z - a) / den) ** mult
         return complex(out)

@@ -1,9 +1,10 @@
 """Check batteries behind the CLI commands.
 
 Each battery turns a validated experiment configuration into a list of
-CheckRecords (plus optional payload data). All randomness flows from the
-config seed through numpy's default_rng (PCG64); records are assembled in a
-fixed order so reports are reproducible byte for byte.
+CheckRecords (plus optional payload data); it is called as (cfg, rng) and
+reads the settings and the strict flag from cfg. All randomness flows from
+the config seed through numpy's default_rng (PCG64); records are assembled
+in a fixed order so reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import ortho as ox
 from . import reducing as rd
 from . import wold
 from .blaschke import BlaschkeProduct, model_basis
-from .config import Settings, safe_degree
+from .config import safe_degree
 from .errors import BlaschkeLabError, ConfigError
 from .report import CheckRecord
 from .spaces import (
@@ -111,7 +112,7 @@ def _shells(cfg) -> int:
 # ---------------------------------------------------------------------------
 
 
-def decompose_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=False):
+def decompose_checks(cfg, rng: np.random.Generator):
     """Round-trip residuals of the shell decomposition on the safe block."""
     records: list[CheckRecord] = []
     data: dict = {}
@@ -137,7 +138,7 @@ def decompose_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
             diff = (g - f.pad(D)).coeffs[: D_safe + 1]
             return np.linalg.norm(diff)
 
-        _timed(records, f"decompose/{label}/roundtrip_h2", tol, roundtrip, strict=strict)
+        _timed(records, f"decompose/{label}/roundtrip_h2", tol, roundtrip, strict=cfg.strict)
 
     if explicit is not None:
         f = inputs[0][1]
@@ -147,7 +148,7 @@ def decompose_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
     return records, data
 
 
-def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=False):
+def commutant_checks(cfg, rng: np.random.Generator):
     """Forward commutation and symbol round trips for built operators."""
     records: list[CheckRecord] = []
     B, D, w = cfg.blaschke, cfg.degree, as_weight(cfg.alpha)
@@ -156,7 +157,7 @@ def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
 
     phis = []
     if cfg.inputs.get("phi") is not None:
-        explicit = cm.MultiplierMatrix.from_json(cfg.inputs["phi"], settings=settings)
+        explicit = cm.MultiplierMatrix.from_json(cfg.inputs["phi"])
         if explicit.n != n:
             raise ConfigError(f"phi is {explicit.n} x {explicit.n} but deg B = {n}")
         phis.append(("explicit", explicit))
@@ -174,20 +175,20 @@ def commutant_checks(cfg, settings: Settings, rng: np.random.Generator, *, stric
             built["op"] = op
             return op.residual
 
-        _timed(records, f"commutant/{label}/commutation", _tol(cfg, "commute"), commute, strict=strict)
+        _timed(records, f"commutant/{label}/commutation", _tol(cfg, "commute"), commute, strict=cfg.strict)
 
         def roundtrip(phi=phi, built=built):
             if "op" not in built:
                 built["op"] = cm.build(phi, B, w, M, D)
-            syms = cm.extract_symbols(built["op"], B, D, settings=settings)
+            syms = cm.extract_symbols(built["op"], B, D, settings=cfg.settings)
             phi2 = cm.symbols_to_matrix(syms, B, M, D)
             return max(float(np.max(np.abs(e.coeffs))) for row in (phi - phi2).entries for e in row)
 
-        _timed(records, f"commutant/{label}/symbol_roundtrip", _tol(cfg, "symbol_roundtrip"), roundtrip, strict=strict)
+        _timed(records, f"commutant/{label}/symbol_roundtrip", _tol(cfg, "symbol_roundtrip"), roundtrip, strict=cfg.strict)
     return records, {}
 
 
-def reducing_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=False):
+def reducing_checks(cfg, rng: np.random.Generator):
     records: list[CheckRecord] = []
     data: dict = {}
     B, D = cfg.blaschke, cfg.degree
@@ -203,14 +204,14 @@ def reducing_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict
                 f"reducing/monomial_{j}/projection_laws",
                 _tol(cfg, "projection_law"),
                 lambda P=P: max(rd.projection_defects(P())),
-                strict=strict,
+                strict=cfg.strict,
             )
             _timed(
                 records,
                 f"reducing/monomial_{j}/residual",
                 _tol(cfg, "reducing_monomial"),
                 lambda P=P: rd.reducing_residual(P(), B, w, D),
-                strict=strict,
+                strict=cfg.strict,
             )
     elif family == "mobius_power":
         a = complex(*cfg.inputs.get("a", [0.5, 0.0]))
@@ -232,23 +233,23 @@ def reducing_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict
             G = binom * np.conj(a) ** np.maximum(k - jj, 0)
             return float(np.max(np.abs(G.conj().T @ (w.diagonal(D)[:, None] * TB[:, : safe_degree(D) + 1]))))
 
-        _timed(records, "reducing/mobius/k0_orthogonality", _tol(cfg, "k0_orthogonality"), k0, strict=strict)
+        _timed(records, "reducing/mobius/k0_orthogonality", _tol(cfg, "k0_orthogonality"), k0, strict=cfg.strict)
         for j in range(N):
             _timed(
                 records,
                 f"reducing/mobius_{j}/residual",
                 _tol(cfg, "reducing_mobius"),
                 lambda j=j: rd.reducing_residual(
-                    rd.mobius_power_reducing_projection(a, N, j, D, settings=settings), B, w, D
+                    rd.mobius_power_reducing_projection(a, N, j, D, settings=cfg.settings), B, w, D
                 ),
-                strict=strict,
+                strict=cfg.strict,
             )
     elif family == "custom":
         basis_payload = cfg.inputs.get("basis")
         if not basis_payload:
             raise ConfigError("custom family requires inputs.basis")
         funcs = [TaylorPoly([complex(re, im) for re, im in f]) for f in basis_payload]
-        P = _setup("projection_from_basis", lambda: rd.projection_from_basis(funcs, w, D, settings=settings))
+        P = _setup("projection_from_basis", lambda: rd.projection_from_basis(funcs, w, D))
         expect = cfg.inputs.get("expected", "report-only")
         tol = _tol(cfg, "reducing_mobius") if expect == "reducing" else float("inf")
 
@@ -257,13 +258,13 @@ def reducing_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict
             data["custom_projection"] = {"idempotency_defect": idem, "selfadjoint_defect": sa}
             return rd.reducing_residual(P(), B, w, D)
 
-        _timed(records, "reducing/custom/residual", tol, custom, strict=strict)
+        _timed(records, "reducing/custom/residual", tol, custom, strict=cfg.strict)
     else:
         raise ConfigError(f"unknown reducing family {family!r}")
     return records, data
 
 
-def ortho_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=False):
+def ortho_checks(cfg, rng: np.random.Generator):
     records: list[CheckRecord] = []
     data: dict = {}
     B, D, w = cfg.blaschke, cfg.degree, as_weight(cfg.alpha)
@@ -272,12 +273,12 @@ def ortho_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=Fa
 
     def build_chain():
         try:
-            state["chain"] = ox.x_spaces(B, w, kmax, D, settings=settings)
+            state["chain"] = ox.x_spaces(B, w, kmax, D, settings=cfg.settings)
         except ValueError as exc:
             raise ConfigError(f"ortho needs a larger degree or a smaller inputs.kmax: {exc}") from exc
         return 0.0
 
-    _timed(records, "ortho/chain_constructed", 0.5, build_chain, strict=strict)
+    _timed(records, "ortho/chain_constructed", 0.5, build_chain, strict=cfg.strict)
     chain = state.get("chain")
     if chain is None:
         return records, data
@@ -292,7 +293,7 @@ def ortho_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=Fa
         block_max = G.reshape(K, N, K, N).max(axis=(1, 3))
         return float(np.max(block_max[np.triu_indices(K, 1)], initial=0.0))
 
-    _timed(records, "ortho/block_orthogonality", _tol(cfg, "block_orthogonality"), orthogonality, strict=strict)
+    _timed(records, "ortho/block_orthogonality", _tol(cfg, "block_orthogonality"), orthogonality, strict=cfg.strict)
 
     def shift_action():
         lam = w.diagonal(D)
@@ -311,7 +312,7 @@ def ortho_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=Fa
             worst = max(worst, float(np.linalg.norm(img, 2)))
         return worst
 
-    _timed(records, "ortho/shift_action", _tol(cfg, "shift_action"), shift_action, strict=strict)
+    _timed(records, "ortho/shift_action", _tol(cfg, "shift_action"), shift_action, strict=cfg.strict)
 
     def triangularity():
         phi = _random_phi(rng, B.degree, 4)
@@ -323,19 +324,19 @@ def ortho_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=Fa
                 worst = max(worst, float(np.linalg.norm(blocks[l, k], 2)))
         return worst
 
-    _timed(records, "ortho/commutant_triangularity", _tol(cfg, "triangularity"), triangularity, strict=strict)
+    _timed(records, "ortho/commutant_triangularity", _tol(cfg, "triangularity"), triangularity, strict=cfg.strict)
     return records, data
 
 
-def shift_equiv_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=False):
+def shift_equiv_checks(cfg, rng: np.random.Generator):
     records: list[CheckRecord] = []
     B, D, w = cfg.blaschke, cfg.degree, as_weight(cfg.alpha)
     mode = cfg.inputs.get("mode", "monomial" if B == BlaschkeProduct.monomial(B.degree) else "general")
 
     if mode == "monomial":
         J = _setup("shift_equiv_monomial", lambda: rd.shift_equiv_monomial(B.degree, w, D))
-        _timed(records, "shift_equiv/unitarity", _tol(cfg, "unitarity"), lambda: rd.unitarity_defect(J()), strict=strict)
-        _timed(records, "shift_equiv/intertwining", _tol(cfg, "intertwining"), lambda: rd.intertwining_residual(J()), strict=strict)
+        _timed(records, "shift_equiv/unitarity", _tol(cfg, "unitarity"), lambda: rd.unitarity_defect(J()), strict=cfg.strict)
+        _timed(records, "shift_equiv/intertwining", _tol(cfg, "intertwining"), lambda: rd.intertwining_residual(J()), strict=cfg.strict)
     else:
         # images h B^k while B^k fits the window, and never fewer than three,
         # analysed on shells that cover them
@@ -347,7 +348,7 @@ def shift_equiv_checks(cfg, settings: Settings, rng: np.random.Generator, *, str
                 h = TaylorPoly([complex(re, im) for re, im in cfg.inputs["h"]])
             else:
                 h = model_basis(B, D).orthonormal[0]
-            return rd.shift_equiv_general(B, h, w, M, D, settings=settings)
+            return rd.shift_equiv_general(B, h, w, M, D)
 
         intertwiner = _setup("shift_equiv_general", general)
 
@@ -358,18 +359,18 @@ def shift_equiv_checks(cfg, settings: Settings, rng: np.random.Generator, *, str
                 worst = max(worst, abs(wold.b_norm(dec, w) - (k + 1.0) ** (w.alpha / 2)))
             return worst
 
-        _timed(records, "shift_equiv/bnorm_identity", _tol(cfg, "bnorm_identity"), bnorm_identity, strict=strict)
+        _timed(records, "shift_equiv/bnorm_identity", _tol(cfg, "bnorm_identity"), bnorm_identity, strict=cfg.strict)
         _timed(
             records,
             "shift_equiv/shell_shift",
             _tol(cfg, "shell_shift"),
             lambda: rd.shell_shift_residual(intertwiner(), M_ana, D),
-            strict=strict,
+            strict=cfg.strict,
         )
     return records, {}
 
 
-def cowen_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=False):
+def cowen_checks(cfg, rng: np.random.Generator):
     records: list[CheckRecord] = []
     B, D = cfg.blaschke, cfg.degree
     num = int(cfg.inputs.get("num_points", 20))
@@ -380,21 +381,21 @@ def cowen_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=Fa
     ]
 
     def member(W):
-        return lambda: cm.cowen_residual(W, B, pts, D, settings=settings)
+        return lambda: cm.cowen_residual(W, B, pts, D)
 
-    _timed(records, "cowen/T_B", _tol(cfg, "cowen_member"), member(OperatorMatrix(B.toeplitz(D), 0.0)), strict=strict)
-    _timed(records, "cowen/identity", _tol(cfg, "cowen_member"), member(OperatorMatrix(np.eye(D + 1), 0.0)), strict=strict)
+    _timed(records, "cowen/T_B", _tol(cfg, "cowen_member"), member(OperatorMatrix(B.toeplitz(D), 0.0)), strict=cfg.strict)
+    _timed(records, "cowen/identity", _tol(cfg, "cowen_member"), member(OperatorMatrix(np.eye(D + 1), 0.0)), strict=cfg.strict)
 
     def witness():
         shift_adj = weighted_adjoint(toeplitz_matrix(TaylorPoly([0, 1]), D, 0.0), 0.0)
-        worst = cm.cowen_residual(shift_adj, B, pts, D, settings=settings)
+        worst = cm.cowen_residual(shift_adj, B, pts, D)
         return 1e-2 / max(worst, 1e-300)  # pass iff the witness exceeds 1e-2
 
-    _timed(records, "cowen/adjoint_shift_witness_margin", _tol(cfg, "witness_margin"), witness, strict=strict)
+    _timed(records, "cowen/adjoint_shift_witness_margin", _tol(cfg, "witness_margin"), witness, strict=cfg.strict)
     return records, {}
 
 
-def suite_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=False):
+def suite_checks(cfg, rng: np.random.Generator):
     """Fixed-order composition of the per-command batteries on one shell count."""
     records: list[CheckRecord] = []
     data: dict = {}
@@ -406,7 +407,7 @@ def suite_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=Fa
         ("shift-equiv", shift_equiv_checks),
         ("cowen", cowen_checks),
     ):
-        recs, d = fn(cfg, settings, rng, strict=strict)
+        recs, d = fn(cfg, rng)
         records.extend(recs)
         if d:
             data[name] = d
@@ -415,7 +416,7 @@ def suite_checks(cfg, settings: Settings, rng: np.random.Generator, *, strict=Fa
         blaschke=BlaschkeProduct.monomial(cfg.blaschke.degree),
         inputs={"family": "monomial"},
     )
-    recs, d = reducing_checks(mono_cfg, settings, rng, strict=strict)
+    recs, d = reducing_checks(mono_cfg, rng)
     records.extend(recs)
     if d:
         data["reducing"] = d

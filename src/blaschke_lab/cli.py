@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from functools import cached_property
 
@@ -53,13 +54,16 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
             raise ConfigError(
                 f"config names command {obj['command']!r} but {command!r} was invoked"
             )
-        tolerances = dict(obj.get("tolerances", {}))
+        tolerances = {}
         valid = SETTINGS_KEYS + tuple(CHECK_TOLERANCES)
-        for key in tolerances:
+        for key, value in dict(obj.get("tolerances", {})).items():
             if key not in valid:
                 raise ConfigError(f"unknown tolerances key {key!r}; valid keys: {', '.join(valid)}")
-        overrides = {k: float(v) for k, v in tolerances.items() if k in SETTINGS_KEYS}
-        check_tols = {k: float(v) for k, v in tolerances.items() if k not in SETTINGS_KEYS}
+            tolerances[key] = float(value)
+            if not 0 < tolerances[key] < math.inf:  # NaN fails too
+                raise ConfigError(f"tolerances key {key!r} must be finite and > 0, got {value!r}")
+        overrides = {k: v for k, v in tolerances.items() if k in SETTINGS_KEYS}
+        check_tols = {k: v for k, v in tolerances.items() if k not in SETTINGS_KEYS}
         settings = DEFAULT.with_overrides(**overrides)
         if "B" not in obj:
             raise ConfigError("missing required field 'B'")
@@ -122,7 +126,7 @@ def run(cfg: ExperimentConfig) -> Report:
     rng = _SeededGenerator(cfg.seed)
     battery = BATTERIES[cfg.command]
     try:
-        records, data = battery(cfg, cfg.settings, rng, strict=cfg.strict)
+        records, data = battery(cfg, rng)
     except (TypeError, KeyError, ValueError) as exc:
         # malformed input payloads surface as configuration errors
         raise ConfigError(f"invalid inputs for {cfg.command!r}: {exc}") from exc

@@ -37,16 +37,20 @@ __all__ = [
 RANK_SAMPLE_POINTS = (0.0 + 0.0j, 0.35 + 0.0j, -0.2 + 0.4j, 0.45 - 0.15j)
 
 
+#: max entry degree a MultiplierMatrix accepts from its caller.
+_MAX_SYMBOL_DEGREE = 64
+
+
 class MultiplierMatrix:
     """Square array of polynomial multipliers (TaylorPoly entries)."""
 
     __slots__ = ("entries", "n")
 
-    def __init__(self, entries: Sequence[Sequence[TaylorPoly]], *, settings: Settings = DEFAULT):
+    def __init__(self, entries: Sequence[Sequence[TaylorPoly]]):
         self._fill(entries)
-        if self.max_entry_degree > settings.max_symbol_degree:
+        if self.max_entry_degree > _MAX_SYMBOL_DEGREE:
             raise ValueError(
-                f"entry degree {self.max_entry_degree} exceeds max_symbol_degree {settings.max_symbol_degree}"
+                f"entry degree {self.max_entry_degree} exceeds the multiplier degree cap {_MAX_SYMBOL_DEGREE}"
             )
 
     def _fill(self, entries) -> None:
@@ -130,11 +134,8 @@ class MultiplierMatrix:
         ]
 
     @classmethod
-    def from_json(cls, obj, *, settings: Settings = DEFAULT) -> "MultiplierMatrix":
-        return cls(
-            [[TaylorPoly([complex(re, im) for re, im in e]) for e in row] for row in obj],
-            settings=settings,
-        )
+    def from_json(cls, obj) -> "MultiplierMatrix":
+        return cls([[TaylorPoly([complex(re, im) for re, im in e]) for e in row] for row in obj])
 
 
 @dataclass(frozen=True)
@@ -282,9 +283,11 @@ class IdempotentReport(NamedTuple):
     rank_consistent: bool
 
 
-def idempotent_residual(
-    phi: MultiplierMatrix, *, settings: Settings = DEFAULT
-) -> IdempotentReport:
+#: singular-value threshold for the pointwise rank in idempotent_residual.
+_RANK_POINT_TOL = 1e-8
+
+
+def idempotent_residual(phi: MultiplierMatrix) -> IdempotentReport:
     """Diagnostics for Phi as a candidate projection symbol.
 
     Returns the coefficient norm of Phi^2 - Phi (entry products exact), the
@@ -295,7 +298,7 @@ def idempotent_residual(
     ranks = []
     for z in RANK_SAMPLE_POINTS:
         s = np.linalg.svd(phi.evaluate_at(z), compute_uv=False)
-        ranks.append(int(np.sum(s > settings.rank_point_tol)))
+        ranks.append(int(np.sum(s > _RANK_POINT_TOL)))
     trace = complex(sum(phi.entries[j][j](0.0) for j in range(phi.n)))
     return IdempotentReport(
         residual=(phi.matmul(phi) - phi).coefficient_norm(),
@@ -311,8 +314,6 @@ def cowen_residual(
     B: BlaschkeProduct,
     a: complex | Sequence[complex],
     D: int | None = None,
-    *,
-    settings: Settings = DEFAULT,
 ) -> float:
     """max_m |<W* k_a, (B - B(a)) z^m>_0| over m up to the safe degree, and
     over the points when a is a 1-d sequence of them.
@@ -330,6 +331,6 @@ def cowen_residual(
     D_safe = safe_degree(D)
     K = np.conj(pts)[None, :] ** np.arange(D + 1)[:, None]  # column i is k_(a_i)
     WK = (K.T.conj() @ W.entries).conj().T  # W^H K as one product
-    Bvals = np.array([B.eval(p, settings=settings) for p in pts])
+    Bvals = np.array([B.eval(p) for p in pts])
     G = B.toeplitz(D)[:, : D_safe + 1].conj().T @ WK - Bvals.conj() * WK[: D_safe + 1]
     return float(np.max(np.abs(G)))

@@ -1,7 +1,10 @@
-"""Tolerance and truncation configuration.
+"""The values a config may set, and the safe degree of a window.
 
-The numerical guards a caller may tune live here as documented defaults;
-pass a modified Settings to the operations that take one.
+Settings holds the three library guards that the CLI `tolerances` keys
+override (cli.SETTINGS_KEYS); pass a modified Settings to the operations
+that take one (extract_symbols, x_spaces,
+mobius_power_reducing_projection). Every other guard is a fixed private
+constant of the module whose function reads it.
 """
 
 from dataclasses import dataclass, replace
@@ -20,36 +23,6 @@ class Settings:
     #: singular values below this threshold count as "inside the span" when
     #: detecting X-space block dimensions.
     gap_tol: float = 1e-6
-
-    #: smallest normalized singular value of a caller-supplied basis before
-    #: projection_from_basis declares it rank deficient.
-    basis_rank_tol: float = 1e-10
-
-    #: |1 - conj(a) z| below this is treated as a pole hit.
-    pole_tol: float = 1e-14
-
-    #: singular-value threshold for pointwise rank of a multiplier matrix.
-    rank_point_tol: float = 1e-8
-
-    #: max entry degree accepted in a MultiplierMatrix.
-    max_symbol_degree: int = 64
-
-    #: least-squares residual above which k_spaces refuses to divide by B^k.
-    kspace_residual_tol: float = 1e-6
-
-    #: tolerance for the H^2 model-space membership check.
-    membership_tol: float = 1e-8
-
-    #: self-adjointness input tolerance for block diagnostics.
-    selfadjoint_tol: float = 1e-8
-
-    #: Mobius-power frame: a generator is reported in the basis only when
-    #: its out-of-window mass fraction is below this.
-    mobius_clean_tol: float = 1e-10
-
-    #: maximal Gram deviation from identity tolerated for a frame that is
-    #: analytically orthonormal.
-    gram_tol: float = 1e-8
 
     def with_overrides(self, **kw) -> "Settings":
         return replace(self, **kw)

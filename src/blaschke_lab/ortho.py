@@ -86,6 +86,8 @@ def x_spaces(
     """
     w = as_weight(w)
     N = B.degree
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
     if D < (kmax + 3) * N:
         raise ValueError(f"D = {D} too small for kmax = {kmax} (need >= {(kmax + 3) * N})")
     sq = np.sqrt(w.diagonal(D))
@@ -129,9 +131,11 @@ def x_spaces(
     )
 
 
-def k_spaces(
-    chain: XSpaceChain, *, settings: Settings = DEFAULT
-) -> list[list[TaylorPoly]]:
+#: least-squares residual above which k_spaces refuses to divide by B^k.
+_KSPACE_RESIDUAL_TOL = 1e-6
+
+
+def k_spaces(chain: XSpaceChain) -> list[list[TaylorPoly]]:
     """Recover K_k from X_k by dividing out B^k: solve T_B^k g = x in least
     squares for each block vector x. K_0 equals X_0 identically."""
     D = chain.degree
@@ -152,10 +156,9 @@ def k_spaces(
         X = sq[:, None] * np.stack([x.coeffs for x in blk], axis=1)
         G, *_ = np.linalg.lstsq(A, X, rcond=None)
         for res in np.linalg.norm(A @ G - X, axis=0):
-            if res > settings.kspace_residual_tol:
+            if res > _KSPACE_RESIDUAL_TOL:
                 raise ConditioningError(
-                    f"division by B^{k} left residual {res:.3e} "
-                    f"(> {settings.kspace_residual_tol:.1e})"
+                    f"division by B^{k} left residual {res:.3e} (> {_KSPACE_RESIDUAL_TOL:.1e})"
                 )
         full = np.zeros((D + 1, N), dtype=complex)
         full[: m_max + 1] = G
@@ -183,23 +186,22 @@ class SelfAdjointReport(NamedTuple):
     input_defect: float
 
 
-def selfadjoint_block_check(
-    W: OperatorMatrix,
-    chain: XSpaceChain,
-    *,
-    settings: Settings = DEFAULT,
-) -> SelfAdjointReport:
+#: safe-block self-adjointness defect above which selfadjoint_block_check
+#: rejects its input.
+_SELFADJOINT_TOL = 1e-8
+
+
+def selfadjoint_block_check(W: OperatorMatrix, chain: XSpaceChain) -> SelfAdjointReport:
     """For self-adjoint W: off-diagonal blocks should vanish and diagonal
-    blocks should be Hermitian. Rejects inputs that are not self-adjoint to
-    settings.selfadjoint_tol on the safe block."""
+    blocks should be Hermitian. Rejects inputs whose safe-block
+    self-adjointness defect exceeds _SELFADJOINT_TOL (1e-8)."""
     D = chain.degree
     D_safe = safe_degree(D)
     defect_mat = W.entries - weighted_adjoint(W, chain.alpha).entries
     input_defect = operator_norm_safe(defect_mat, chain.alpha, D_safe)
-    if input_defect > settings.selfadjoint_tol:
+    if input_defect > _SELFADJOINT_TOL:
         raise NotSelfAdjointError(
-            f"input self-adjointness defect {input_defect:.3e} exceeds "
-            f"{settings.selfadjoint_tol:.1e}"
+            f"input self-adjointness defect {input_defect:.3e} exceeds {_SELFADJOINT_TOL:.1e}"
         )
     blocks = block_matrix(W, chain)
     K = chain.kmax + 1

@@ -143,8 +143,17 @@ def _mobius_columns(
     return flat.reshape(D + 1, ncol)
 
 
+#: Mobius-power frame: a generator is reported in the basis only when its
+#: padded-window tail is at most this.
+_MOBIUS_CLEAN_TOL = 1e-10
+
+#: maximal Gram deviation from identity tolerated for the clean generators,
+#: which are analytically orthonormal.
+_GRAM_TOL = 1e-8
+
+
 @lru_cache(maxsize=2)
-def _mobius_frame(a: complex, N: int, D: int, clean_tol: float):
+def _mobius_frame(a: complex, N: int, D: int):
     """Read-only (C, U, tail) of b_a^N at degree D: C[r - 1] the section of
     C_r, U[:, p] the unit generator u_p on the padded window and tail[p] its
     tail, p = 0..p_c, from one sweep. p_c grows until the last generator of
@@ -168,7 +177,7 @@ def _mobius_frame(a: complex, N: int, D: int, clean_tol: float):
         U = _mobius_columns(-a, 1.0, 1.0, -np.conj(a), v0, p_c + 1)
         U *= np.sqrt(np.arange(p_c + 1) + 1.0) * (1.0 - abs(a) ** 2)
         tail = np.sqrt(pad_lam[D + 1 :] @ np.abs(U[D + 1 :]) ** 2)
-        if np.all(tail[-N:] > clean_tol):
+        if np.all(tail[-N:] > _MOBIUS_CLEAN_TOL):
             break
         p_c *= 2
     for arr in (*C, U, tail):
@@ -188,7 +197,7 @@ def mobius_power_reducing_projection(
     psi_r = phi_a(omega^r phi_a): column l of C_r is psi_r^l psi_r'.
     The basis lists the unit generators u_p = (p+1)^(1/2) (1-|a|^2) v_p,
     v_p = (z - a)^p / (1 - conj(a) z)^(p+2) (a multiple of U_a z^p), whose
-    padded-window tail is at most settings.mobius_clean_tol.
+    padded-window tail is at most _MOBIUS_CLEAN_TOL (1e-10).
     """
     a = complex(a)
     if not 0 < abs(a) <= settings.rho_max:
@@ -196,21 +205,20 @@ def mobius_power_reducing_projection(
     if not 0 <= j < N:
         raise ValueError("need 0 <= j < N")
     w = as_weight(-1.0)
-    C, U, tail = _mobius_frame(a, N, D, settings.mobius_clean_tol)
+    C, U, tail = _mobius_frame(a, N, D)
     P = np.eye(D + 1, dtype=complex)
     for r, C_r in enumerate(C, start=1):
         P += np.exp(-2j * np.pi * (j + 1) * r / N) * C_r
     P /= N
-    Ub = U[: D + 1, j::N][:, tail[j::N] <= settings.mobius_clean_tol]
+    Ub = U[: D + 1, j::N][:, tail[j::N] <= _MOBIUS_CLEAN_TOL]
     if Ub.shape[1] == 0:
         raise ConditioningError(
             f"no Mobius-power generator is window-clean at D = {D}; increase D"
         )
     defect = float(np.max(np.abs(Ub.conj().T @ (w.diagonal(D)[:, None] * Ub) - np.eye(Ub.shape[1]))))
-    if defect > settings.gram_tol:
+    if defect > _GRAM_TOL:
         raise ConditioningError(
-            f"clean generator Gram deviates from identity by {defect:.3e} "
-            f"(> {settings.gram_tol:.1e}); increase D"
+            f"clean generator Gram deviates from identity by {defect:.3e} (> {_GRAM_TOL:.1e}); increase D"
         )
     return SubspaceProjection(
         basis=tuple(TaylorPoly(v) for v in Ub.T),
@@ -220,13 +228,12 @@ def mobius_power_reducing_projection(
     )
 
 
-def projection_from_basis(
-    functions: list[TaylorPoly],
-    w: WeightAlpha | float,
-    D: int,
-    *,
-    settings: Settings = DEFAULT,
-) -> SubspaceProjection:
+#: smallest normalized singular value of a caller-supplied basis before
+#: projection_from_basis declares it rank deficient.
+_BASIS_RANK_TOL = 1e-10
+
+
+def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D: int) -> SubspaceProjection:
     """Orthogonal projection onto the span of the given truncated functions
     under the weight w (weighted QR)."""
     w = as_weight(w)
@@ -234,7 +241,7 @@ def projection_from_basis(
     cols = np.stack([as_coeffs(f, D) for f in functions], axis=1)
     normed = cols / np.linalg.norm(cols, axis=0)
     svals = np.linalg.svd(normed, compute_uv=False)
-    if svals[-1] < settings.basis_rank_tol:
+    if svals[-1] < _BASIS_RANK_TOL:
         raise ConditioningError(
             f"subspace basis numerically dependent (sigma_min {svals[-1]:.2e})"
         )
@@ -326,14 +333,16 @@ def shift_equiv_monomial(n: int, w: WeightAlpha | float, D: int) -> IntertwinerJ
     )
 
 
+#: tolerance of the H^2 model-space membership test in shift_equiv_general.
+_MEMBERSHIP_TOL = 1e-8
+
+
 def shift_equiv_general(
     B: BlaschkeProduct,
     h: TaylorPoly,
     w: WeightAlpha | float,
     M: int,
     D: int,
-    *,
-    settings: Settings = DEFAULT,
 ) -> IntertwinerJ:
     """J(z^k) = h B^k for h in the model space, unitary in the expansion
     norm.
@@ -349,10 +358,10 @@ def shift_equiv_general(
     TB = B.toeplitz(D)
     D_safe = safe_degree(D)
     worst = float(np.max(np.abs(as_coeffs(h, D).conj() @ TB[:, : D_safe + 1])))
-    if worst / nrm0 > settings.membership_tol:
+    if worst / nrm0 > _MEMBERSHIP_TOL:
         raise MembershipError(
             f"h fails the model-space test at D = {D}, D_safe = {D_safe}: max over m <= D_safe of "
-            f"|<h, B z^m>|/||h|| = {worst / nrm0:.3e} > {settings.membership_tol:.1e}; h is not in "
+            f"|<h, B z^m>|/||h|| = {worst / nrm0:.3e} > {_MEMBERSHIP_TOL:.1e}; h is not in "
             f"the model space, or a true model-space function truncated at D can fail this way; increase D"
         )
     h_unit = (1.0 / nrm0) * h

@@ -241,6 +241,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"\|a\| < 1"):
             bl.BlaschkeProduct(0.0, [1.0], rho_max=1.0)
 
+    def test_nan_rho_max_admits_no_zero(self):
+        # abs(a) > nan is false: only a test that fails on NaN keeps 0.95 out
+        with pytest.raises(ValueError, match=r"need \|a\| <= rho_max = nan"):
+            bl.BlaschkeProduct(0.0, [0.95], rho_max=float("nan"))
+
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
             bl.BlaschkeProduct(0.0, [])

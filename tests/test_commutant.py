@@ -481,7 +481,7 @@ def test_multiplier_matrix_json_roundtrip(rng):
 
 
 def test_multiplier_matrix_rejects_oversize_degree():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entry degree 99 exceeds the multiplier degree cap 64$"):
         bl.MultiplierMatrix([[TaylorPoly(np.ones(100))]])
 
 
@@ -489,7 +489,7 @@ def test_derived_matrices_skip_the_degree_cap(rng):
     # the cap guards input; products and differences of admitted matrices may exceed it
     phi = random_phi(rng, 2, deg=40)
     prod = phi.matmul(phi)
-    assert prod.max_entry_degree == 80 > bl.DEFAULT.max_symbol_degree
+    assert prod.max_entry_degree == 80 > bl.commutant._MAX_SYMBOL_DEGREE
     diff = prod - phi
     assert diff.max_entry_degree == 80
     expected = np.convolve(phi[0, 0].coeffs, phi[0, 0].coeffs) + np.convolve(phi[0, 1].coeffs, phi[1, 0].coeffs)

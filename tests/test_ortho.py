@@ -116,6 +116,10 @@ class TestXSpaces:
         with pytest.raises(ValueError):
             bl.x_spaces(B2, -1.0, 14, 30)
 
+    def test_rejects_negative_kmax(self, B2):
+        with pytest.raises(ValueError, match=r"^kmax must be >= 0, got -1$"):
+            bl.x_spaces(B2, -1.0, -1, 64)
+
     def test_dimension_error_when_tails_exceed_tolerance(self, B2):
         # demanding unity beyond truncation-tail accuracy must trip the guard
         strict = bl.DEFAULT.with_overrides(gap_tol=1e-17)
@@ -220,11 +224,11 @@ class TestKSpaces:
                 diff = TBk @ g.coeffs - x.coeffs
                 assert np.sqrt(np.sum(np.abs(diff) ** 2 * lam)) < 1e-8
 
-    def test_residual_check_names_the_power(self, B2):
+    def test_residual_check_names_the_power(self, B2, monkeypatch):
         chain = bl.x_spaces(B2, -1.0, 2, 100)
-        strict = bl.DEFAULT.with_overrides(kspace_residual_tol=1e-30)
+        monkeypatch.setattr(bl.ortho, "_KSPACE_RESIDUAL_TOL", 1e-30)
         with pytest.raises(ConditioningError, match=r"^division by B\^1 left residual .* \(> 1\.0e-30\)$"):
-            bl.k_spaces(chain, settings=strict)
+            bl.k_spaces(chain)
 
 
 def block_matrix_by_loop(W, chain):

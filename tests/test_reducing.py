@@ -5,7 +5,7 @@ import pytest
 
 import blaschke_lab as bl
 from blaschke_lab import reducing as rd
-from blaschke_lab.config import DEFAULT, safe_degree
+from blaschke_lab.config import safe_degree
 from blaschke_lab.errors import ConditioningError, MembershipError
 from blaschke_lab.spaces import TaylorPoly, operator_norm_safe
 
@@ -36,7 +36,7 @@ def _mobius_column_loop(a, N, D):
                     break
             else:
                 Ps[j] += np.outer(u[: D + 1], np.conj(u[: D + 1]) * lam[: D + 1])
-                if np.sqrt(np.sum(np.abs(u[D + 1 :]) ** 2 * lam[D + 1 :])) <= DEFAULT.mobius_clean_tol:
+                if np.sqrt(np.sum(np.abs(u[D + 1 :]) ** 2 * lam[D + 1 :])) <= rd._MOBIUS_CLEAN_TOL:
                     bases[j].append(u[: D + 1])
         v = np.convolve(v, fac)[: D_pad + 1]
     else:
@@ -128,9 +128,10 @@ class TestMobiusProjection:
         with pytest.raises(ConditioningError):
             bl.mobius_power_reducing_projection(0.79, 2, 1, 6)
 
-    def test_gram_guard_says_increase_d(self):
+    def test_gram_guard_says_increase_d(self, monkeypatch):
+        monkeypatch.setattr(rd, "_GRAM_TOL", 0.0)
         with pytest.raises(ConditioningError, match=r"clean generator Gram deviates .*; increase D$") as exc:
-            bl.mobius_power_reducing_projection(0.5, 2, 0, 64, settings=DEFAULT.with_overrides(gram_tol=0.0))
+            bl.mobius_power_reducing_projection(0.5, 2, 0, 64)
         assert "shell cap" not in str(exc.value)
 
     def test_conditioning_error_when_no_generator_is_clean(self):
@@ -211,13 +212,13 @@ class TestMobiusFrame:
         generators = [n for n in sweeps if n != "section"]
         # one generator sweep per doubling of p_c (columns p = 0..p_c), none per class
         assert generators == [(generators[0] - 1) * 2**i + 1 for i in range(len(generators))]
-        _, U, tail = rd._mobius_frame(complex(a), N, D, DEFAULT.mobius_clean_tol)
+        _, U, tail = rd._mobius_frame(complex(a), N, D)
         assert U.shape[1] == generators[-1]
-        assert np.all(tail[-N:] > DEFAULT.mobius_clean_tol)
+        assert np.all(tail[-N:] > rd._MOBIUS_CLEAN_TOL)
 
     def test_cached_arrays_are_read_only(self):
         bl.mobius_power_reducing_projection(0.5, 3, 1, 64)
-        C, U, tail = rd._mobius_frame(0.5 + 0j, 3, 64, DEFAULT.mobius_clean_tol)
+        C, U, tail = rd._mobius_frame(0.5 + 0j, 3, 64)
         assert len(C) == 2
         for arr in (*C, U, tail):
             with pytest.raises(ValueError):

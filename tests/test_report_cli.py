@@ -111,6 +111,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"unknown tolerances key 'comute'; valid keys: tol_commute, .*commute"):
             parse_config(obj, "suite")
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("rho_max", float("nan")),
+            ("tol_commute", 0.0),
+            ("gap_tol", -1e-6),
+            ("roundtrip", float("nan")),
+            ("roundtrip", -1.0),
+            ("commute", float("inf")),
+        ],
+    )
+    def test_tolerance_values_must_be_finite_and_positive(self, key, value):
+        obj = dict(BASE, tolerances={key: value})
+        with pytest.raises(ConfigError, match=rf"^tolerances key '{key}' must be finite and > 0, got {value!r}$"):
+            parse_config(obj, "suite")
+
     def test_tol_compose_is_not_a_config_key(self):
         # no battery composes functions, so the key would change nothing
         obj = dict(BASE, tolerances={"tol_compose": 1e-12})
@@ -317,11 +333,26 @@ class TestBatteries:
         assert families == {"decompose", "commutant", "ortho", "shift_equiv", "cowen", "reducing"}
 
     def test_short_ortho_window_is_a_config_error_in_strict_mode(self, tmp_path):
-        cfg = parse_config(self.SHORT_WINDOW, "ortho", strict=True)
+        cfg = parse_config(self.SHORT_WINDOW, "ortho")
         with pytest.raises(ConfigError, match=r"need >= 12\)$"):
-            checks.ortho_checks(cfg, cfg.settings, np.random.default_rng(0), strict=True)
+            checks.ortho_checks(cfg.with_updates(strict=True), np.random.default_rng(0))
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(self.SHORT_WINDOW))
+        assert main(["ortho", "--config", str(cfgp), "--strict"]) == 2
+
+    NEGATIVE_KMAX = dict(BASE, inputs={"kmax": -1})
+
+    def test_negative_kmax_is_an_errored_record(self, tmp_path):
+        rep = run(parse_config(self.NEGATIVE_KMAX, "ortho"))
+        assert [(r.name, r.passed, r.error) for r in rep.records] == [
+            (
+                "ortho/chain_constructed",
+                False,
+                "ConfigError: ortho needs a larger degree or a smaller inputs.kmax: kmax must be >= 0, got -1",
+            )
+        ]
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(self.NEGATIVE_KMAX))
         assert main(["ortho", "--config", str(cfgp), "--strict"]) == 2
 
     def test_shift_equiv_monomial_battery(self):
