@@ -272,6 +272,8 @@ def ortho_checks(cfg, rng: np.random.Generator):
     state = {}
 
     def build_chain():
+        if kmax < 0:
+            raise ConfigError(f"inputs.kmax must be >= 0, got {kmax}")
         try:
             state["chain"] = ox.x_spaces(B, w, kmax, D, settings=cfg.settings)
         except ValueError as exc:

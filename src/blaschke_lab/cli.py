@@ -60,8 +60,8 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
             if key not in valid:
                 raise ConfigError(f"unknown tolerances key {key!r}; valid keys: {', '.join(valid)}")
             tolerances[key] = float(value)
-            if not 0 < tolerances[key] < math.inf:  # NaN fails too
-                raise ConfigError(f"tolerances key {key!r} must be finite and > 0, got {value!r}")
+            if not 0 <= tolerances[key] < math.inf:  # NaN fails too; 0 asks for exact
+                raise ConfigError(f"tolerances key {key!r} must be finite and >= 0, got {value!r}")
         overrides = {k: v for k, v in tolerances.items() if k in SETTINGS_KEYS}
         check_tols = {k: v for k, v in tolerances.items() if k not in SETTINGS_KEYS}
         settings = DEFAULT.with_overrides(**overrides)

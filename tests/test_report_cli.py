@@ -115,17 +115,23 @@ class TestConfig:
         "key,value",
         [
             ("rho_max", float("nan")),
-            ("tol_commute", 0.0),
+            ("tol_commute", -1.0),
             ("gap_tol", -1e-6),
             ("roundtrip", float("nan")),
             ("roundtrip", -1.0),
             ("commute", float("inf")),
         ],
     )
-    def test_tolerance_values_must_be_finite_and_positive(self, key, value):
+    def test_tolerance_values_must_be_finite_and_nonnegative(self, key, value):
         obj = dict(BASE, tolerances={key: value})
-        with pytest.raises(ConfigError, match=rf"^tolerances key '{key}' must be finite and > 0, got {value!r}$"):
+        with pytest.raises(ConfigError, match=rf"^tolerances key '{key}' must be finite and >= 0, got {value!r}$"):
             parse_config(obj, "suite")
+
+    def test_zero_tolerance_is_an_exact_request(self):
+        obj = dict(BASE, tolerances={"tol_commute": 0.0, "roundtrip": 0.0})
+        cfg = parse_config(obj, "suite")
+        assert cfg.settings.tol_commute == 0.0
+        assert cfg.check_tolerances == {"roundtrip": 0.0}
 
     def test_tol_compose_is_not_a_config_key(self):
         # no battery composes functions, so the key would change nothing
@@ -348,7 +354,7 @@ class TestBatteries:
             (
                 "ortho/chain_constructed",
                 False,
-                "ConfigError: ortho needs a larger degree or a smaller inputs.kmax: kmax must be >= 0, got -1",
+                "ConfigError: inputs.kmax must be >= 0, got -1",
             )
         ]
         cfgp = tmp_path / "c.json"
