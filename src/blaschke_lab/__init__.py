@@ -4,6 +4,7 @@ of multipliers, and reducing-subspace projections, all at finite truncation
 degree with every identity turned into a measurable residual."""
 
 from .blaschke import (
+    RHO_MAX,
     BlaschkeProduct,
     ModelSpaceBasis,
     blaschke_factor_taylor,
@@ -22,7 +23,6 @@ from .commutant import (
     idempotent_residual,
     symbols_to_matrix,
 )
-from .config import DEFAULT, Settings, safe_degree
 from .ortho import XSpaceChain, block_matrix, k_spaces, selfadjoint_block_check, x_spaces
 from .reducing import (
     IntertwinerJ,
@@ -46,6 +46,7 @@ from .spaces import (
     WeightAlpha,
     apply,
     multiply,
+    safe_degree,
     toeplitz_matrix,
     weighted_adjoint,
     weighted_inner,

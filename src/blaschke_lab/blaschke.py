@@ -7,8 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT
-from .errors import EvaluationDomainError, PoleError
+from .errors import EvaluationDomainError, PoleError, config_float, config_int, known_keys
 from .spaces import TaylorPoly, _trunc_mul, multiply, toeplitz_matrix
 
 __all__ = [
@@ -19,6 +18,10 @@ __all__ = [
     "blaschke_factor_taylor",
 ]
 
+
+#: default largest admissible modulus of a zero. Keeps Taylor truncation
+#: error geometric with a uniform ratio.
+RHO_MAX = 0.8
 
 #: |1 - conj(a) z| below this is a pole hit in BlaschkeProduct.eval.
 _POLE_TOL = 1e-14
@@ -34,9 +37,7 @@ class BlaschkeProduct:
 
     __slots__ = ("theta", "zeros", "degree")
 
-    def __init__(self, theta: float, zeros, *, rho_max: float | None = None):
-        if rho_max is None:
-            rho_max = DEFAULT.rho_max
+    def __init__(self, theta: float, zeros, *, rho_max: float = RHO_MAX):
         merged: dict[complex, int] = {}
         for entry in zeros:
             if isinstance(entry, tuple):
@@ -133,12 +134,15 @@ class BlaschkeProduct:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, *, rho_max: float | None = None) -> "BlaschkeProduct":
-        zeros = [
-            (complex(z.get("re", 0.0), z.get("im", 0.0)), int(z.get("mult", 1)))
-            for z in obj["zeros"]
-        ]
-        return cls(float(obj.get("theta", 0.0)), zeros, rho_max=rho_max)
+    def from_json(cls, obj: dict, *, rho_max: float = RHO_MAX) -> "BlaschkeProduct":
+        """Inverse of to_json. An unknown key or a non-integral mult is a
+        ConfigError."""
+        zeros = []
+        for z in known_keys(obj, "B", ("theta", "zeros"))["zeros"]:
+            known_keys(z, "zero", ("re", "im", "mult"))
+            re, im = config_float(z.get("re", 0.0), "zero re"), config_float(z.get("im", 0.0), "zero im")
+            zeros.append((complex(re, im), config_int(z.get("mult", 1), "zero mult")))
+        return cls(config_float(obj.get("theta", 0.0), "B theta"), zeros, rho_max=rho_max)
 
 
 # Bounded memos of (B, D), always called positionally: how a caller of

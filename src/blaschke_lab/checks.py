@@ -2,13 +2,16 @@
 
 Each battery turns a validated experiment configuration into a list of
 CheckRecords (plus optional payload data); it is called as (cfg, rng) and
-reads the settings and the strict flag from cfg. All randomness flows from
-the config seed through numpy's default_rng (PCG64); records are assembled
-in a fixed order so reports are reproducible byte for byte.
+reads the tolerances and the strict flag from cfg. A library guard is
+passed only when the config sets it, so each default lives once, in the
+function that reads it. All randomness flows from the config seed through
+numpy's default_rng (PCG64); records are assembled in a fixed order so
+reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from functools import cache
 
@@ -19,13 +22,13 @@ from . import ortho as ox
 from . import reducing as rd
 from . import wold
 from .blaschke import BlaschkeProduct, model_basis
-from .config import safe_degree
-from .errors import BlaschkeLabError, ConfigError
+from .errors import BlaschkeLabError, ConfigError, config_float, config_int
 from .report import CheckRecord
 from .spaces import (
     OperatorMatrix,
     TaylorPoly,
     as_weight,
+    safe_degree,
     toeplitz_matrix,
     weighted_adjoint,
 )
@@ -51,13 +54,13 @@ CHECK_TOLERANCES = {
 }
 
 
-def _timed(records: list[CheckRecord], name: str, tolerance: float, fn, *, strict: bool):
+def _timed(cfg, records: list[CheckRecord], name: str, tolerance: float, fn):
     t0 = time.perf_counter()
     try:
         residual = float(fn())
         err = None
     except BlaschkeLabError as exc:
-        if strict:
+        if cfg.strict:
             raise
         residual = float("nan")
         err = f"{type(exc).__name__}: {exc}"
@@ -101,7 +104,28 @@ def _random_phi(rng: np.random.Generator, n: int, deg: int) -> cm.MultiplierMatr
 
 
 def _tol(cfg, key: str) -> float:
-    return float(cfg.check_tolerances.get(key, CHECK_TOLERANCES[key]))
+    return float(cfg.tolerances.get(key, CHECK_TOLERANCES[key]))
+
+
+def _guard(cfg, key: str) -> dict:
+    """{key: value} when the config sets the guard, else {}."""
+    return {key: cfg.tolerances[key]} if key in cfg.tolerances else {}
+
+
+def _inputs(cfg, records: list[CheckRecord], family: str, **defaults) -> list | None:
+    """The named inputs, each read as the type of its default, never
+    truncated. If one is invalid, a single errored `<family>/inputs` record
+    stands for the battery and the result is None; strict mode raises."""
+    try:
+        return [
+            (config_float if isinstance(d, float) else config_int)(cfg.inputs.get(k, d), f"inputs.{k}")
+            for k, d in defaults.items()
+        ]
+    except ConfigError as exc:
+        if cfg.strict:
+            raise
+        records.append(CheckRecord(f"{family}/inputs", float("nan"), float("inf"), False, 0.0, f"ConfigError: {exc}"))
+        return None
 
 
 def _shells(cfg) -> int:
@@ -126,8 +150,9 @@ def decompose_checks(cfg, rng: np.random.Generator):
     if explicit is not None:
         inputs.append(("explicit", TaylorPoly([complex(re, im) for re, im in explicit])))
     else:
-        num = int(cfg.inputs.get("num_samples", 5))
-        max_deg = int(cfg.inputs.get("max_degree", min(16, max(D // 4, 1))))
+        if (sizes := _inputs(cfg, records, "decompose", num_samples=5, max_degree=min(16, max(D // 4, 1)))) is None:
+            return records, data
+        num, max_deg = sizes
         for i in range(num):
             inputs.append((f"sample_{i}", _random_poly(rng, int(rng.integers(0, max_deg + 1)))))
 
@@ -138,7 +163,7 @@ def decompose_checks(cfg, rng: np.random.Generator):
             diff = (g - f.pad(D)).coeffs[: D_safe + 1]
             return np.linalg.norm(diff)
 
-        _timed(records, f"decompose/{label}/roundtrip_h2", tol, roundtrip, strict=cfg.strict)
+        _timed(cfg, records, f"decompose/{label}/roundtrip_h2", tol, roundtrip)
 
     if explicit is not None:
         f = inputs[0][1]
@@ -162,8 +187,9 @@ def commutant_checks(cfg, rng: np.random.Generator):
             raise ConfigError(f"phi is {explicit.n} x {explicit.n} but deg B = {n}")
         phis.append(("explicit", explicit))
     else:
-        num = int(cfg.inputs.get("num_samples", 3))
-        deg = int(cfg.inputs.get("symbol_degree", 4))
+        if (sizes := _inputs(cfg, records, "commutant", num_samples=3, symbol_degree=4)) is None:
+            return records, {}
+        num, deg = sizes
         for i in range(num):
             phis.append((f"phi_{i}", _random_phi(rng, n, deg)))
 
@@ -175,16 +201,16 @@ def commutant_checks(cfg, rng: np.random.Generator):
             built["op"] = op
             return op.residual
 
-        _timed(records, f"commutant/{label}/commutation", _tol(cfg, "commute"), commute, strict=cfg.strict)
+        _timed(cfg, records, f"commutant/{label}/commutation", _tol(cfg, "commute"), commute)
 
         def roundtrip(phi=phi, built=built):
             if "op" not in built:
                 built["op"] = cm.build(phi, B, w, M, D)
-            syms = cm.extract_symbols(built["op"], B, D, settings=cfg.settings)
+            syms = cm.extract_symbols(built["op"], B, D, **_guard(cfg, "tol_commute"))
             phi2 = cm.symbols_to_matrix(syms, B, M, D)
             return max(float(np.max(np.abs(e.coeffs))) for row in (phi - phi2).entries for e in row)
 
-        _timed(records, f"commutant/{label}/symbol_roundtrip", _tol(cfg, "symbol_roundtrip"), roundtrip, strict=cfg.strict)
+        _timed(cfg, records, f"commutant/{label}/symbol_roundtrip", _tol(cfg, "symbol_roundtrip"), roundtrip)
     return records, {}
 
 
@@ -200,18 +226,12 @@ def reducing_checks(cfg, rng: np.random.Generator):
         for j in range(N):
             P = _setup("monomial_reducing_projection", lambda j=j: rd.monomial_reducing_projection(N, j, w, D))
             _timed(
-                records,
-                f"reducing/monomial_{j}/projection_laws",
-                _tol(cfg, "projection_law"),
+                cfg, records, f"reducing/monomial_{j}/projection_laws", _tol(cfg, "projection_law"),
                 lambda P=P: max(rd.projection_defects(P())),
-                strict=cfg.strict,
             )
             _timed(
-                records,
-                f"reducing/monomial_{j}/residual",
-                _tol(cfg, "reducing_monomial"),
+                cfg, records, f"reducing/monomial_{j}/residual", _tol(cfg, "reducing_monomial"),
                 lambda P=P: rd.reducing_residual(P(), B, w, D),
-                strict=cfg.strict,
             )
     elif family == "mobius_power":
         a = complex(*cfg.inputs.get("a", [0.5, 0.0]))
@@ -233,17 +253,13 @@ def reducing_checks(cfg, rng: np.random.Generator):
             G = binom * np.conj(a) ** np.maximum(k - jj, 0)
             return float(np.max(np.abs(G.conj().T @ (w.diagonal(D)[:, None] * TB[:, : safe_degree(D) + 1]))))
 
-        _timed(records, "reducing/mobius/k0_orthogonality", _tol(cfg, "k0_orthogonality"), k0, strict=cfg.strict)
+        _timed(cfg, records, "reducing/mobius/k0_orthogonality", _tol(cfg, "k0_orthogonality"), k0)
         for j in range(N):
-            _timed(
-                records,
-                f"reducing/mobius_{j}/residual",
-                _tol(cfg, "reducing_mobius"),
-                lambda j=j: rd.reducing_residual(
-                    rd.mobius_power_reducing_projection(a, N, j, D, settings=cfg.settings), B, w, D
-                ),
-                strict=cfg.strict,
-            )
+            def mobius(j=j):
+                P = rd.mobius_power_reducing_projection(a, N, j, D, **_guard(cfg, "rho_max"))
+                return rd.reducing_residual(P, B, w, D)
+
+            _timed(cfg, records, f"reducing/mobius_{j}/residual", _tol(cfg, "reducing_mobius"), mobius)
     elif family == "custom":
         basis_payload = cfg.inputs.get("basis")
         if not basis_payload:
@@ -258,7 +274,7 @@ def reducing_checks(cfg, rng: np.random.Generator):
             data["custom_projection"] = {"idempotency_defect": idem, "selfadjoint_defect": sa}
             return rd.reducing_residual(P(), B, w, D)
 
-        _timed(records, "reducing/custom/residual", tol, custom, strict=cfg.strict)
+        _timed(cfg, records, "reducing/custom/residual", tol, custom)
     else:
         raise ConfigError(f"unknown reducing family {family!r}")
     return records, data
@@ -268,22 +284,21 @@ def ortho_checks(cfg, rng: np.random.Generator):
     records: list[CheckRecord] = []
     data: dict = {}
     B, D, w = cfg.blaschke, cfg.degree, as_weight(cfg.alpha)
-    kmax = int(cfg.inputs.get("kmax", 3))
     state = {}
 
     def build_chain():
-        if kmax < 0:
-            raise ConfigError(f"inputs.kmax must be >= 0, got {kmax}")
+        kmax = config_int(cfg.inputs.get("kmax", 3), "inputs.kmax", minimum=0)
         try:
-            state["chain"] = ox.x_spaces(B, w, kmax, D, settings=cfg.settings)
+            state["chain"] = ox.x_spaces(B, w, kmax, D, **_guard(cfg, "gap_tol"))
         except ValueError as exc:
             raise ConfigError(f"ortho needs a larger degree or a smaller inputs.kmax: {exc}") from exc
         return 0.0
 
-    _timed(records, "ortho/chain_constructed", 0.5, build_chain, strict=cfg.strict)
+    _timed(cfg, records, "ortho/chain_constructed", 0.5, build_chain)
     chain = state.get("chain")
     if chain is None:
         return records, data
+    kmax = chain.kmax
     data["block_dims"] = [len(b) for b in chain.blocks]
     data["gaps"] = list(chain.gaps)
 
@@ -295,7 +310,7 @@ def ortho_checks(cfg, rng: np.random.Generator):
         block_max = G.reshape(K, N, K, N).max(axis=(1, 3))
         return float(np.max(block_max[np.triu_indices(K, 1)], initial=0.0))
 
-    _timed(records, "ortho/block_orthogonality", _tol(cfg, "block_orthogonality"), orthogonality, strict=cfg.strict)
+    _timed(cfg, records, "ortho/block_orthogonality", _tol(cfg, "block_orthogonality"), orthogonality)
 
     def shift_action():
         lam = w.diagonal(D)
@@ -314,7 +329,7 @@ def ortho_checks(cfg, rng: np.random.Generator):
             worst = max(worst, float(np.linalg.norm(img, 2)))
         return worst
 
-    _timed(records, "ortho/shift_action", _tol(cfg, "shift_action"), shift_action, strict=cfg.strict)
+    _timed(cfg, records, "ortho/shift_action", _tol(cfg, "shift_action"), shift_action)
 
     def triangularity():
         phi = _random_phi(rng, B.degree, 4)
@@ -326,7 +341,7 @@ def ortho_checks(cfg, rng: np.random.Generator):
                 worst = max(worst, float(np.linalg.norm(blocks[l, k], 2)))
         return worst
 
-    _timed(records, "ortho/commutant_triangularity", _tol(cfg, "triangularity"), triangularity, strict=cfg.strict)
+    _timed(cfg, records, "ortho/commutant_triangularity", _tol(cfg, "triangularity"), triangularity)
     return records, data
 
 
@@ -337,8 +352,8 @@ def shift_equiv_checks(cfg, rng: np.random.Generator):
 
     if mode == "monomial":
         J = _setup("shift_equiv_monomial", lambda: rd.shift_equiv_monomial(B.degree, w, D))
-        _timed(records, "shift_equiv/unitarity", _tol(cfg, "unitarity"), lambda: rd.unitarity_defect(J()), strict=cfg.strict)
-        _timed(records, "shift_equiv/intertwining", _tol(cfg, "intertwining"), lambda: rd.intertwining_residual(J()), strict=cfg.strict)
+        _timed(cfg, records, "shift_equiv/unitarity", _tol(cfg, "unitarity"), lambda: rd.unitarity_defect(J()))
+        _timed(cfg, records, "shift_equiv/intertwining", _tol(cfg, "intertwining"), lambda: rd.intertwining_residual(J()))
     else:
         # images h B^k while B^k fits the window, and never fewer than three,
         # analysed on shells that cover them
@@ -361,22 +376,18 @@ def shift_equiv_checks(cfg, rng: np.random.Generator):
                 worst = max(worst, abs(wold.b_norm(dec, w) - (k + 1.0) ** (w.alpha / 2)))
             return worst
 
-        _timed(records, "shift_equiv/bnorm_identity", _tol(cfg, "bnorm_identity"), bnorm_identity, strict=cfg.strict)
-        _timed(
-            records,
-            "shift_equiv/shell_shift",
-            _tol(cfg, "shell_shift"),
-            lambda: rd.shell_shift_residual(intertwiner(), M_ana, D),
-            strict=cfg.strict,
-        )
+        _timed(cfg, records, "shift_equiv/bnorm_identity", _tol(cfg, "bnorm_identity"), bnorm_identity)
+        tol = _tol(cfg, "shell_shift")
+        _timed(cfg, records, "shift_equiv/shell_shift", tol, lambda: rd.shell_shift_residual(intertwiner(), M_ana, D))
     return records, {}
 
 
 def cowen_checks(cfg, rng: np.random.Generator):
     records: list[CheckRecord] = []
     B, D = cfg.blaschke, cfg.degree
-    num = int(cfg.inputs.get("num_points", 20))
-    radius = float(cfg.inputs.get("radius", 0.5))
+    if (read := _inputs(cfg, records, "cowen", num_points=20, radius=0.5)) is None:
+        return records, {}
+    num, radius = read
     pts = [
         radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         for _ in range(num)
@@ -385,15 +396,15 @@ def cowen_checks(cfg, rng: np.random.Generator):
     def member(W):
         return lambda: cm.cowen_residual(W, B, pts, D)
 
-    _timed(records, "cowen/T_B", _tol(cfg, "cowen_member"), member(OperatorMatrix(B.toeplitz(D), 0.0)), strict=cfg.strict)
-    _timed(records, "cowen/identity", _tol(cfg, "cowen_member"), member(OperatorMatrix(np.eye(D + 1), 0.0)), strict=cfg.strict)
+    _timed(cfg, records, "cowen/T_B", _tol(cfg, "cowen_member"), member(OperatorMatrix(B.toeplitz(D), 0.0)))
+    _timed(cfg, records, "cowen/identity", _tol(cfg, "cowen_member"), member(OperatorMatrix(np.eye(D + 1), 0.0)))
 
     def witness():
         shift_adj = weighted_adjoint(toeplitz_matrix(TaylorPoly([0, 1]), D, 0.0), 0.0)
         worst = cm.cowen_residual(shift_adj, B, pts, D)
         return 1e-2 / max(worst, 1e-300)  # pass iff the witness exceeds 1e-2
 
-    _timed(records, "cowen/adjoint_shift_witness_margin", _tol(cfg, "witness_margin"), witness, strict=cfg.strict)
+    _timed(cfg, records, "cowen/adjoint_shift_witness_margin", _tol(cfg, "witness_margin"), witness)
     return records, {}
 
 
@@ -401,7 +412,7 @@ def suite_checks(cfg, rng: np.random.Generator):
     """Fixed-order composition of the per-command batteries on one shell count."""
     records: list[CheckRecord] = []
     data: dict = {}
-    cfg = cfg.with_updates(shells=_shells(cfg))
+    cfg = dataclasses.replace(cfg, shells=_shells(cfg))
     for name, fn in (
         ("decompose", decompose_checks),
         ("commutant", commutant_checks),
@@ -414,7 +425,8 @@ def suite_checks(cfg, rng: np.random.Generator):
         if d:
             data[name] = d
     # reducing battery: monomial family on z^N with the config degree
-    mono_cfg = cfg.with_updates(
+    mono_cfg = dataclasses.replace(
+        cfg,
         blaschke=BlaschkeProduct.monomial(cfg.blaschke.degree),
         inputs={"family": "monomial"},
     )

@@ -16,16 +16,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
+from .blaschke import RHO_MAX, BlaschkeProduct
 from .checks import BATTERIES, CHECK_TOLERANCES
-from .config import DEFAULT, Settings
-from .errors import BlaschkeLabError, ConfigError
+from .errors import BlaschkeLabError, ConfigError, config_float, config_int, known_keys
 from .report import Report, render
 
 COMMANDS = tuple(BATTERIES)
 
-#: tolerance override keys accepted in config "tolerances".
-SETTINGS_KEYS = ("tol_commute", "gap_tol", "rho_max")
+#: top-level keys of a config.
+CONFIG_KEYS = ("command", "B", "alpha", "degree", "shells", "seed", "inputs", "tolerances", "format", "output")
+
+#: library guards a config's "tolerances" may set, each the keyword of the
+#: one function that reads it; the other keys are CHECK_TOLERANCES.
+GUARD_KEYS = ("tol_commute", "gap_tol", "rho_max")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,68 +40,47 @@ class ExperimentConfig:
     shells: int | None
     seed: int
     inputs: dict
-    check_tolerances: dict
-    settings: Settings
+    tolerances: dict  # the config's overrides, guard and check keys alike
     output: str | None
     format: str
     strict: bool
-    raw: dict
-
-    def with_updates(self, **kw) -> "ExperimentConfig":
-        return dataclasses.replace(self, **kw)
 
 
 def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -> ExperimentConfig:
     try:
+        known_keys(obj, "config", CONFIG_KEYS)
         if "command" in obj and obj["command"] != command:
             raise ConfigError(
                 f"config names command {obj['command']!r} but {command!r} was invoked"
             )
         tolerances = {}
-        valid = SETTINGS_KEYS + tuple(CHECK_TOLERANCES)
-        for key, value in dict(obj.get("tolerances", {})).items():
-            if key not in valid:
-                raise ConfigError(f"unknown tolerances key {key!r}; valid keys: {', '.join(valid)}")
-            tolerances[key] = float(value)
+        valid = GUARD_KEYS + tuple(CHECK_TOLERANCES)
+        for key, value in known_keys(obj.get("tolerances", {}), "tolerances", valid).items():
+            tolerances[key] = config_float(value, f"tolerances key {key!r}")
             if not 0 <= tolerances[key] < math.inf:  # NaN fails too; 0 asks for exact
                 raise ConfigError(f"tolerances key {key!r} must be finite and >= 0, got {value!r}")
-        overrides = {k: v for k, v in tolerances.items() if k in SETTINGS_KEYS}
-        check_tols = {k: v for k, v in tolerances.items() if k not in SETTINGS_KEYS}
-        settings = DEFAULT.with_overrides(**overrides)
         if "B" not in obj:
             raise ConfigError("missing required field 'B'")
         try:
-            B = BlaschkeProduct.from_json(obj["B"], rho_max=settings.rho_max)
+            B = BlaschkeProduct.from_json(obj["B"], rho_max=tolerances.get("rho_max", RHO_MAX))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid field 'B': {exc}") from exc
-        alpha = float(obj.get("alpha", 0.0))
-        degree = int(obj.get("degree", 64))
-        if degree < 1:
-            raise ConfigError("degree must be >= 1")
         shells = obj.get("shells")
-        if shells is not None:
-            shells = int(shells)
-            if shells < 0:
-                raise ConfigError(f"shells must be >= 0, got {shells}")
-        seed = int(obj.get("seed", 0))
-        inputs = dict(obj.get("inputs", {}))
         fmt = fmt or obj.get("format", "json")
         if fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {fmt!r}")
         return ExperimentConfig(
             command=command,
             blaschke=B,
-            alpha=alpha,
-            degree=degree,
-            shells=shells,
-            seed=seed,
-            inputs=inputs,
-            check_tolerances=check_tols,
-            settings=settings,
+            alpha=config_float(obj.get("alpha", 0.0), "alpha"),
+            degree=config_int(obj.get("degree", 64), "degree", minimum=1),
+            shells=None if shells is None else config_int(shells, "shells", minimum=0),
+            seed=config_int(obj.get("seed", 0), "seed"),
+            inputs=dict(obj.get("inputs", {})),
+            tolerances=tolerances,
             output=out or obj.get("output"),
             format=fmt,
             strict=strict,
-            raw=obj,
         )
     except ConfigError:
         raise
@@ -138,7 +120,7 @@ def run(cfg: ExperimentConfig) -> Report:
         "shells": cfg.shells,
         "seed": cfg.seed,
         "inputs": cfg.inputs,
-        "tolerances": cfg.check_tolerances,
+        "tolerances": cfg.tolerances,
     }
     report = Report(config=echo, records=records, data=data)
     report.validate()

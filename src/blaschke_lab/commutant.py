@@ -15,9 +15,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .config import DEFAULT, Settings, safe_degree
 from .errors import DimensionMismatchError, NotInCommutantError
-from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, as_weight, commutator_residual
+from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, as_weight, commutator_residual, safe_degree
 from .wold import analyze, shell_frame
 
 __all__ = [
@@ -238,7 +237,7 @@ def extract_symbols(
     B: BlaschkeProduct,
     D: int,
     *,
-    settings: Settings = DEFAULT,
+    tol_commute: float = 1e-8,
 ) -> list[TaylorPoly]:
     """phi_k = W u_k for the orthonormal basis u_k; requires W to commute
     with T_B on the safe block (extraction is meaningless otherwise). A
@@ -250,11 +249,11 @@ def extract_symbols(
         res = op.residual
     else:
         res = commutation_residual(W, B, W.alpha, D)
-    if res > settings.tol_commute:
+    if res > tol_commute:
         D_safe = safe_degree(D)
         limit = max(abs(a) for a, _ in B.zeros) ** (D - D_safe)
         raise NotInCommutantError(
-            f"commutation residual {res:.3e} exceeds tol_commute {settings.tol_commute:.1e} "
+            f"commutation residual {res:.3e} exceeds tol_commute {tol_commute:.1e} "
             f"at D = {D}, D_safe = {D_safe}; a commutant element truncated there keeps a "
             f"residual near max|a|^(D - D_safe) = {limit:.1e}, so if W is one, increase D"
         )

@@ -1,5 +1,9 @@
 """Exception hierarchy. Every failure mode the library raises deliberately
-derives from BlaschkeLabError so the CLI can map them to exit codes."""
+derives from BlaschkeLabError so the CLI can map them to exit codes. The
+config readers at the end raise ConfigError for a value that would
+otherwise be truncated or ignored."""
+
+import numbers
 
 
 class BlaschkeLabError(Exception):
@@ -44,3 +48,31 @@ class MembershipError(BlaschkeLabError):
 
 class NotSelfAdjointError(BlaschkeLabError):
     """Self-adjoint block analysis requested for a non-self-adjoint operator."""
+
+
+def known_keys(obj, where: str, valid: tuple[str, ...]) -> dict:
+    """obj, once it is a mapping whose every key is in valid."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    for key in obj:
+        if key not in valid:
+            raise ConfigError(f"unknown {where} key {key!r}; valid keys: {', '.join(valid)}")
+    return obj
+
+
+def config_int(value, key: str, minimum: int | None = None) -> int:
+    """value as an int. A bool, a string or a non-integral number is an
+    error, never truncated."""
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {int(value)}")
+    return int(value)
+
+
+def config_float(value, key: str) -> float:
+    """value as a float. A bool or a string is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)

@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .config import DEFAULT, Settings, safe_degree
 from .errors import ConditioningError, DimensionGapError, NotSelfAdjointError
 from .spaces import (
     OperatorMatrix,
@@ -24,6 +23,7 @@ from .spaces import (
     as_weight,
     multiply,
     operator_norm_safe,
+    safe_degree,
     toeplitz_matrix,
     weighted_adjoint,
 )
@@ -69,7 +69,7 @@ def x_spaces(
     kmax: int,
     D: int,
     *,
-    settings: Settings = DEFAULT,
+    gap_tol: float = 1e-6,
 ) -> XSpaceChain:
     """Compute the chain X_0, ..., X_kmax at truncation degree D.
 
@@ -108,12 +108,12 @@ def x_spaces(
         # genuine complement directions sit entirely outside the next span
         # (singular value 1 up to truncation tails); anything detached from
         # unity is edge junk, not a complement direction
-        detected = int(np.sum(s > 1.0 - settings.gap_tol))
+        detected = int(np.sum(s > 1.0 - gap_tol))
         s_ext = np.concatenate([s, [0.0]])
         gap = float(s_ext[N - 1] - s_ext[N])
         if detected != N:
             raise DimensionGapError(
-                f"block {k}: {detected} singular values within {settings.gap_tol:.1e} "
+                f"block {k}: {detected} singular values within {gap_tol:.1e} "
                 f"of unity (expected {N}); increase D"
             )
         blocks.append(tuple(TaylorPoly(x / sq) for x in (P @ U[:, :N]).T))

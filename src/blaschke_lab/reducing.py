@@ -15,9 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
+from .blaschke import RHO_MAX, BlaschkeProduct
 from .commutant import CommutantOperator
-from .config import DEFAULT, Settings, safe_degree
 from .errors import ConditioningError, MembershipError
 from .spaces import (
     OperatorMatrix,
@@ -27,6 +26,7 @@ from .spaces import (
     as_weight,
     commutator_residual,
     operator_norm_safe,
+    safe_degree,
     weighted_adjoint,
     weighted_norm,
 )
@@ -186,7 +186,7 @@ def _mobius_frame(a: complex, N: int, D: int):
 
 
 def mobius_power_reducing_projection(
-    a: complex, N: int, j: int, D: int, *, settings: Settings = DEFAULT
+    a: complex, N: int, j: int, D: int, *, rho_max: float = RHO_MAX
 ) -> SubspaceProjection:
     """Reducing projection for B = ((z - a)/(1 - conj(a) z))^N on the
     Bergman weight onto U_a span{z^p : p = j mod N}, where U_a f =
@@ -200,7 +200,7 @@ def mobius_power_reducing_projection(
     padded-window tail is at most _MOBIUS_CLEAN_TOL (1e-10).
     """
     a = complex(a)
-    if not 0 < abs(a) <= settings.rho_max:
+    if not 0 < abs(a) <= rho_max:
         raise ValueError(f"need 0 < |a| <= rho_max, got |a| = {abs(a):.4f}")
     if not 0 <= j < N:
         raise ValueError("need 0 <= j < N")

@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import safe_degree
 from .errors import DimensionMismatchError
 
 
@@ -221,6 +220,20 @@ def apply(A: OperatorMatrix, f: TaylorPoly) -> TaylorPoly:
             f"function degree {f.degree} exceeds operator degree {A.degree}"
         )
     return TaylorPoly(A.entries @ as_coeffs(f, A.degree))
+
+
+def safe_degree(D: int, guard: int | None = None) -> int:
+    """Largest degree on which finite sections are trusted.
+
+    Residuals that compare operators are measured after projecting inputs
+    and outputs to degree <= safe_degree(D). The default guard D//2 keeps
+    comparisons away from the truncation edge.
+    """
+    if guard is None:
+        guard = D // 2
+    if guard < 0 or guard > D:
+        raise ValueError(f"guard must lie in [0, {D}], got {guard}")
+    return D - guard
 
 
 def operator_norm_safe(

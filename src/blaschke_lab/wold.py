@@ -27,9 +27,8 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct, ModelSpaceBasis, model_basis
-from .config import safe_degree
 from .errors import DimensionMismatchError, ZeroFunctionError
-from .spaces import TaylorPoly, WeightAlpha, _trunc_mul, as_coeffs, as_weight, weighted_norm
+from .spaces import TaylorPoly, WeightAlpha, _trunc_mul, as_coeffs, as_weight, safe_degree, weighted_norm
 
 __all__ = [
     "ShellDecomposition",

@@ -11,7 +11,7 @@ import pytest
 
 import blaschke_lab as bl
 from blaschke_lab.cli import main, parse_config, run
-from blaschke_lab.config import safe_degree
+from blaschke_lab import safe_degree
 from blaschke_lab.report import render
 from blaschke_lab.spaces import TaylorPoly
 

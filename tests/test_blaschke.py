@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import blaschke_lab as bl
 from blaschke_lab import cli
-from blaschke_lab.config import safe_degree
+from blaschke_lab import safe_degree
 from blaschke_lab.errors import EvaluationDomainError
 from blaschke_lab.spaces import TaylorPoly
 

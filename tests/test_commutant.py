@@ -6,7 +6,7 @@ import pytest
 import blaschke_lab as bl
 from blaschke_lab import cli
 from blaschke_lab.commutant import _component_action
-from blaschke_lab.config import safe_degree
+from blaschke_lab import safe_degree
 from blaschke_lab.errors import DimensionMismatchError, NotInCommutantError
 from blaschke_lab.spaces import TaylorPoly
 

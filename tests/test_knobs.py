@@ -1,29 +1,24 @@
-"""Every settable value must be read somewhere: a Settings field or CLI
-tolerances key that no library code reads is a knob that does nothing.
-Settings holds only what a config can set, and every settings parameter
-is read or passed on."""
+"""Every settable value must be read somewhere: a CLI tolerances key that
+no library code reads is a knob that does nothing. A guard key set in a
+config's tolerances reaches the one function that reads it; a check key
+is read through checks._tol."""
 
 import ast
-import dataclasses
 from pathlib import Path
+
+import pytest
 
 import blaschke_lab as bl
 from blaschke_lab import checks, cli
+from blaschke_lab.errors import ConfigError
 
 SRC = Path(bl.__file__).resolve().parent
 
-
-def _trees(exclude=()):
-    return [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py")) if p.name not in exclude]
+B2 = {"theta": 0.0, "zeros": [{"re": 0.5, "im": 0.0, "mult": 1}, {"re": -0.3, "im": 0.0, "mult": 1}]}
 
 
-def _attributes_read(trees):
-    return {
-        node.attr
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+def _run(command, **obj):
+    return cli.run(cli.parse_config({"B": B2, "alpha": -1.0, "degree": 48, **obj}, command))
 
 
 def _tol_keys(tree):
@@ -39,45 +34,50 @@ def _tol_keys(tree):
     }
 
 
-def test_every_settings_field_is_read_outside_config():
-    read = _attributes_read(_trees(exclude={"config.py"}))
-    fields = {f.name for f in dataclasses.fields(bl.Settings)}
-    assert sorted(fields - read) == []
+def test_rho_max_admits_a_zero_and_the_mobius_point():
+    double = {"theta": 0.0, "zeros": [{"re": 0.9, "im": 0.0, "mult": 2}]}
+    obj = {"B": double, "alpha": -1.0, "degree": 256, "inputs": {"family": "mobius_power", "a": [0.9, 0.0]}}
+    with pytest.raises(ConfigError, match=r"need \|a\| <= rho_max = 0\.8"):
+        cli.parse_config(obj, "reducing")
+    rep = cli.run(cli.parse_config(dict(obj, tolerances={"rho_max": 0.95}), "reducing"))
+    # the projection at |a| = 0.9 is built, not refused by the default guard
+    [mobius_0] = [r for r in rep.records if r.name == "reducing/mobius_0/residual"]
+    assert mobius_0.error is None and mobius_0.residual < 1e-4
+    with pytest.raises(ConfigError, match=r"need \|a\| <= rho_max = 0\.4"):
+        cli.parse_config(dict(obj, B=B2, tolerances={"rho_max": 0.4}), "reducing")
 
 
-def test_every_cli_settings_key_is_a_field_that_is_read():
-    read = _attributes_read(_trees(exclude={"config.py"}))
-    fields = {f.name for f in dataclasses.fields(bl.Settings)}
-    assert [k for k in cli.SETTINGS_KEYS if k not in fields or k not in read] == []
+def test_tol_commute_reaches_symbol_extraction():
+    assert _run("commutant").all_passed
+    rep = _run("commutant", tolerances={"tol_commute": 0.0})
+    roundtrips = [r for r in rep.records if r.name.endswith("/symbol_roundtrip")]
+    assert len(roundtrips) == 3
+    for r in roundtrips:
+        assert not r.passed
+        assert r.error.startswith("NotInCommutantError: commutation residual ")
+        assert "exceeds tol_commute 0.0e+00" in r.error
 
 
-def test_settings_fields_are_the_cli_keys():
-    # a guard no config can set is a constant beside the function reading it
-    assert {f.name for f in dataclasses.fields(bl.Settings)} == set(cli.SETTINGS_KEYS)
+def test_gap_tol_changes_what_x_spaces_detects():
+    assert _run("ortho").data["block_dims"] == [2, 2, 2, 2]
+    rep = _run("ortho", tolerances={"gap_tol": 1e-17})
+    assert [(r.name, r.error) for r in rep.records] == [
+        (
+            "ortho/chain_constructed",
+            "DimensionGapError: block 0: 0 singular values within 1.0e-17 of unity (expected 2); increase D",
+        )
+    ]
 
 
-def _uses_settings(fn):
-    """fn reads settings.<field> or passes settings=settings to a call."""
-
-    def is_settings(node):
-        return isinstance(node, ast.Name) and node.id == "settings"
-
-    return any(
-        (isinstance(node, ast.Attribute) and is_settings(node.value))
-        or (isinstance(node, ast.keyword) and node.arg == "settings" and is_settings(node.value))
-        for node in ast.walk(fn)
-    )
-
-
-def test_every_settings_parameter_is_used():
-    unused = []
-    for path in sorted(SRC.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(fn, ast.FunctionDef):
-                params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
-                if "settings" in params and not _uses_settings(fn):
-                    unused.append(f"{path.name}:{fn.name}")
-    assert unused == []
+def test_every_guard_key_is_a_keyword_of_a_library_function():
+    keywords = {
+        a.arg
+        for path in SRC.glob("*.py")
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+        for a in fn.args.kwonlyargs
+    }
+    assert sorted(set(cli.GUARD_KEYS) - keywords) == []
 
 
 def test_every_check_tolerance_is_read_through_tol():

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ PRODUCTS = {
     "double0.6": bl.BlaschkeProduct(0.0, [(0.6, 2)]),
     "near_rho_max": bl.BlaschkeProduct(0.0, [0.8, -0.79j]),
 }
+
+X_SPACES_GAP_TOL = inspect.signature(bl.x_spaces).parameters["gap_tol"].default
 
 
 def alpha_gram(vecs_a, vecs_b, alpha, D):
@@ -30,7 +34,7 @@ def power_columns(B, k, m_max, D):
     return cols
 
 
-def x_spaces_by_residual_svd(B, alpha, kmax, D, settings=bl.DEFAULT):
+def x_spaces_by_residual_svd(B, alpha, kmax, D, gap_tol=X_SPACES_GAP_TOL):
     """Reference chain: reduced QR of every range, the full-size residual
     Q_k - Q_(k+1) Q_(k+1)^H Q_k, and its full SVD. Returns weighted-coordinate
     block ONBs, gaps and the tail ONB."""
@@ -44,10 +48,10 @@ def x_spaces_by_residual_svd(B, alpha, kmax, D, settings=bl.DEFAULT):
     for k in range(kmax + 1):
         resid = onbs[k] - onbs[k + 1] @ (onbs[k + 1].conj().T @ onbs[k])
         U, s, _ = np.linalg.svd(resid)
-        detected = int(np.sum(s > 1.0 - settings.gap_tol))
+        detected = int(np.sum(s > 1.0 - gap_tol))
         if detected != N:
             raise DimensionGapError(
-                f"block {k}: {detected} singular values within {settings.gap_tol:.1e} "
+                f"block {k}: {detected} singular values within {gap_tol:.1e} "
                 f"of unity (expected {N}); increase D"
             )
         s_ext = np.concatenate([s, [0.0]])
@@ -122,9 +126,8 @@ class TestXSpaces:
 
     def test_dimension_error_when_tails_exceed_tolerance(self, B2):
         # demanding unity beyond truncation-tail accuracy must trip the guard
-        strict = bl.DEFAULT.with_overrides(gap_tol=1e-17)
         with pytest.raises(DimensionGapError):
-            bl.x_spaces(B2, -1.0, 5, 120, settings=strict)
+            bl.x_spaces(B2, -1.0, 5, 120, gap_tol=1e-17)
 
     def test_cumulative_dimension(self, B2):
         D, kmax = 120, 4
@@ -160,21 +163,20 @@ class TestXSpaces:
 
     # gap_tol 0.5 also counts the third singular value (0.84 to 0.86 for the
     # double zero and near rho_max), so both sides must raise the same error
-    @pytest.mark.parametrize("gap_tol", [bl.DEFAULT.gap_tol, 0.5])
+    @pytest.mark.parametrize("gap_tol", [X_SPACES_GAP_TOL, 0.5])
     @pytest.mark.parametrize("D", [48, 128])
     @pytest.mark.parametrize("alpha", [-2.0, -1.0, 0.0, 1.0])
     @pytest.mark.parametrize("name", list(PRODUCTS))
     def test_equals_residual_svd(self, name, alpha, D, gap_tol):
         B, kmax = PRODUCTS[name], 3
-        settings = bl.DEFAULT.with_overrides(gap_tol=gap_tol)
         try:
-            ref_blocks, ref_gaps, ref_tail = x_spaces_by_residual_svd(B, alpha, kmax, D, settings)
+            ref_blocks, ref_gaps, ref_tail = x_spaces_by_residual_svd(B, alpha, kmax, D, gap_tol)
         except DimensionGapError as exc:
             with pytest.raises(DimensionGapError) as got:
-                bl.x_spaces(B, alpha, kmax, D, settings=settings)
+                bl.x_spaces(B, alpha, kmax, D, gap_tol=gap_tol)
             assert str(got.value) == str(exc)
             return
-        chain = bl.x_spaces(B, alpha, kmax, D, settings=settings)
+        chain = bl.x_spaces(B, alpha, kmax, D, gap_tol=gap_tol)
         for ref, blk in zip(ref_blocks, chain.blocks, strict=True):
             got = projector(weighted_stack(blk, alpha, D))
             assert np.max(np.abs(got - projector(ref))) < 1e-12

@@ -5,7 +5,7 @@ import pytest
 
 import blaschke_lab as bl
 from blaschke_lab import reducing as rd
-from blaschke_lab.config import safe_degree
+from blaschke_lab import safe_degree
 from blaschke_lab.errors import ConditioningError, MembershipError
 from blaschke_lab.spaces import TaylorPoly, operator_norm_safe
 

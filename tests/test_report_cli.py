@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -100,11 +101,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config({"alpha": 0.0}, "suite")
 
-    def test_tolerance_overrides_split(self):
+    def test_tolerance_overrides_are_one_map(self):
         obj = dict(BASE, tolerances={"tol_commute": 1e-6, "roundtrip": 1e-5})
         cfg = parse_config(obj, "suite")
-        assert cfg.settings.tol_commute == 1e-6
-        assert cfg.check_tolerances == {"roundtrip": 1e-5}
+        assert cfg.tolerances == {"tol_commute": 1e-6, "roundtrip": 1e-5}
 
     def test_unknown_tolerance_key_rejected(self):
         obj = dict(BASE, tolerances={"comute": 1e-30})
@@ -130,8 +130,49 @@ class TestConfig:
     def test_zero_tolerance_is_an_exact_request(self):
         obj = dict(BASE, tolerances={"tol_commute": 0.0, "roundtrip": 0.0})
         cfg = parse_config(obj, "suite")
-        assert cfg.settings.tol_commute == 0.0
-        assert cfg.check_tolerances == {"roundtrip": 0.0}
+        assert cfg.tolerances == {"tol_commute": 0.0, "roundtrip": 0.0}
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            (dict(BASE, degre=32), r"^unknown config key 'degre'; valid keys: command, B, alpha, degree, shells, seed, "
+             r"inputs, tolerances, format, output$"),
+            (dict(BASE, alhpa=-1), r"^unknown config key 'alhpa'; valid keys: command, B, "),
+            (dict(BASE, B={"theta": 0.0, "zeros": [], "zeroes": []}), r"^unknown B key 'zeroes'; valid keys: theta, zeros$"),
+            (dict(BASE, B={"zeros": [{"Re": 0.5}]}), r"^unknown zero key 'Re'; valid keys: re, im, mult$"),
+        ],
+        ids=["degre", "alhpa", "B-zeroes", "zero-Re"],
+    )
+    def test_unknown_keys_rejected(self, obj, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(obj, "suite")
+
+    @pytest.mark.parametrize("key", ["degree", "shells", "seed"])
+    @pytest.mark.parametrize("value", [64.9, "64", True, 3.7, 1.5])
+    def test_integer_fields_are_never_truncated(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be an integer, got {value!r}$"):
+            parse_config(dict(BASE, **{key: value}), "suite")
+
+    @pytest.mark.parametrize("mult", [1.8, "2", True])
+    def test_zero_multiplicity_is_never_truncated(self, mult):
+        obj = dict(BASE, B={"theta": 0.0, "zeros": [{"re": 0.5, "im": 0.0, "mult": mult}]})
+        with pytest.raises(ConfigError, match=rf"^zero mult must be an integer, got {mult!r}$"):
+            parse_config(obj, "suite")
+
+    @pytest.mark.parametrize("value", ["0.5", True])
+    @pytest.mark.parametrize("key", ["alpha", "tolerances"])
+    def test_float_fields_reject_bools_and_strings(self, key, value):
+        obj = dict(BASE, **({"tolerances": {"roundtrip": value}} if key == "tolerances" else {key: value}))
+        name = "tolerances key 'roundtrip'" if key == "tolerances" else key
+        with pytest.raises(ConfigError, match=rf"^{name} must be a number, got {value!r}$"):
+            parse_config(obj, "suite")
+
+    def test_integral_floats_and_every_echo_parse(self):
+        cfg = parse_config(dict(BASE, degree=64.0, shells=3.0, seed=3.0), "decompose")
+        assert (cfg.degree, cfg.shells, cfg.seed) == (64, 3, 3)
+        assert all(type(v) is int for v in (cfg.degree, cfg.shells, cfg.seed))
+        rep = run(cfg)
+        assert render(run(parse_config(rep.config, "decompose"))) == render(rep)
 
     def test_tol_compose_is_not_a_config_key(self):
         # no battery composes functions, so the key would change nothing
@@ -203,6 +244,21 @@ print("numpy.random" in sys.modules)
         blob = render(run(cfg))
         monkeypatch.setattr(cli, "_SeededGenerator", np.random.default_rng)
         assert render(run(cfg)) == blob
+
+
+class TestEcho:
+    """A report's config re-runs to the same report."""
+
+    TOLERANCES = {"tol_commute": 1e-30, "gap_tol": 1e-17, "rho_max": 0.9, "roundtrip": 1e-7}
+
+    def test_echo_keeps_every_override(self):
+        rep = run(parse_config(dict(BASE, degree=48, tolerances=self.TOLERANCES), "suite"))
+        assert rep.config["tolerances"] == self.TOLERANCES
+        # the guards show: symbol extraction and the X-chain both refuse
+        errors = {r.name: r.error for r in rep.records if r.error}
+        assert errors["ortho/chain_constructed"].startswith("DimensionGapError")
+        assert errors["commutant/phi_0/symbol_roundtrip"].startswith("NotInCommutantError")
+        assert render(run(parse_config(rep.config, "suite"))) == render(rep)
 
 
 class TestMainExitCodes:
@@ -341,7 +397,7 @@ class TestBatteries:
     def test_short_ortho_window_is_a_config_error_in_strict_mode(self, tmp_path):
         cfg = parse_config(self.SHORT_WINDOW, "ortho")
         with pytest.raises(ConfigError, match=r"need >= 12\)$"):
-            checks.ortho_checks(cfg.with_updates(strict=True), np.random.default_rng(0))
+            checks.ortho_checks(dataclasses.replace(cfg, strict=True), np.random.default_rng(0))
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(self.SHORT_WINDOW))
         assert main(["ortho", "--config", str(cfgp), "--strict"]) == 2
@@ -360,6 +416,39 @@ class TestBatteries:
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(self.NEGATIVE_KMAX))
         assert main(["ortho", "--config", str(cfgp), "--strict"]) == 2
+
+    @pytest.mark.parametrize(
+        "command,key,value,record",
+        [
+            ("decompose", "num_samples", 2.9, "decompose/inputs"),
+            ("decompose", "max_degree", "16", "decompose/inputs"),
+            ("commutant", "num_samples", True, "commutant/inputs"),
+            ("commutant", "symbol_degree", 4.5, "commutant/inputs"),
+            ("ortho", "kmax", 2.5, "ortho/chain_constructed"),
+            ("cowen", "num_points", 20.5, "cowen/inputs"),
+            ("cowen", "radius", "0.5", "cowen/inputs"),
+        ],
+    )
+    def test_bad_input_value_is_an_errored_record(self, tmp_path, command, key, value, record):
+        obj = dict(BASE, inputs={key: value})
+        kind = "a number" if key == "radius" else "an integer"
+        rep = run(parse_config(obj, command))
+        assert [(r.name, r.passed, r.error) for r in rep.records] == [
+            (record, False, f"ConfigError: inputs.{key} must be {kind}, got {value!r}")
+        ]
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(obj))
+        assert main([command, "--config", str(cfgp), "--strict"]) == 2
+
+    def test_suite_reports_past_a_bad_input_value(self):
+        rep = run(parse_config(dict(BASE, degree=48, inputs={"num_samples": 2.9}), "suite"))
+        errored = [(r.name, r.error) for r in rep.records if r.error]
+        assert errored == [
+            ("decompose/inputs", "ConfigError: inputs.num_samples must be an integer, got 2.9"),
+            ("commutant/inputs", "ConfigError: inputs.num_samples must be an integer, got 2.9"),
+        ]
+        families = {r.name.split("/")[0] for r in rep.records}
+        assert families == {"decompose", "commutant", "ortho", "shift_equiv", "cowen", "reducing"}
 
     def test_shift_equiv_monomial_battery(self):
         obj = dict(BASE, B=b_json([0.0 + 0j, 0.0 + 0j]), degree=60)
