@@ -240,7 +240,8 @@ def extract_symbols(
     tol_commute: float = 1e-8,
 ) -> list[TaylorPoly]:
     """phi_k = W u_k for the orthonormal basis u_k; requires W to commute
-    with T_B on the safe block (extraction is meaningless otherwise). A
+    with T_B on the safe block, to a commutation residual of at most
+    tol_commute (extraction is meaningless otherwise). A
     built element for the same B and D supplies its memoized residual. The
     error names the window's limit max|a|^(D - D_safe) (B's Taylor tail past
     the guard), which no shell count lowers."""
