@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Per-layer timings against the window D: x_spaces, and build plus
+commutation_residual at the derived shell count M = wold.shell_count(B, D).
+
+Each layer is called once untimed, to warm the memos a battery shares (the
+shell frame of (B, D), T_B), then --repeats times under a timer; the medians
+are written to a JSON file and printed as a table. BLAS is pinned to one
+thread before numpy loads.
+
+Usage: python scripts/layer_timings.py [--degrees 64 128 256 512]
+                                       [--repeats R] [--out BENCH_layers.json]
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import platform
+import statistics
+import time
+
+import numpy as np
+
+import blaschke_lab as bl
+from blaschke_lab import wold
+
+#: a mild product and one with both zeros near rho_max = 0.8, where the
+#: derived shell count is largest
+PRODUCTS = {"B2": [0.5, -0.3], "(0.8, -0.79i)": [0.8, -0.79j]}
+ALPHA, KMAX, SYMBOL_DEGREE = -1.0, 3, 4
+
+
+def median_s(fn, repeats: int) -> float:
+    fn()
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Generator) -> dict:
+    M = wold.shell_count(B, D)
+    phi = bl.MultiplierMatrix(
+        [[bl.TaylorPoly(rng.standard_normal(SYMBOL_DEGREE + 1) + 1j * rng.standard_normal(SYMBOL_DEGREE + 1))
+          for _ in range(B.degree)] for _ in range(B.degree)]
+    )
+    op = bl.build(phi, B, ALPHA, M, D)
+    return {
+        "D": D,
+        "M": M,
+        "x_spaces_s": median_s(lambda: bl.x_spaces(B, ALPHA, KMAX, D), repeats),
+        "build_s": median_s(lambda: bl.build(phi, B, ALPHA, M, D), repeats),
+        "commutation_residual_s": median_s(lambda: bl.commutation_residual(op.realization, B, ALPHA), repeats),
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--degrees", type=int, nargs="+", default=[64, 128, 256, 512])
+    ap.add_argument("--repeats", type=int, default=15)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--out", default="BENCH_layers.json")
+    args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be >= 1")
+
+    rng = np.random.default_rng(args.seed)
+    rows = []
+    print(f"{'product':>14} {'D':>4} {'M':>5} {'x_spaces ms':>12} {'build ms':>10} {'residual ms':>12}")
+    for name, zeros in PRODUCTS.items():
+        B = bl.BlaschkeProduct(0.0, zeros)
+        for D in args.degrees:
+            row = {"product": name, **time_layers(B, D, args.repeats, rng)}
+            rows.append(row)
+            print(
+                f"{name:>14} {D:>4} {row['M']:>5} {row['x_spaces_s'] * 1e3:>12.3f} "
+                f"{row['build_s'] * 1e3:>10.3f} {row['commutation_residual_s'] * 1e3:>12.3f}"
+            )
+
+    result = {
+        "statistic": f"median of {args.repeats} warm calls, seconds",
+        "blas_threads": 1,
+        "machine": {
+            "cpus": os.cpu_count(),
+            "arch": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "alpha": ALPHA,
+        "kmax": KMAX,
+        "symbol_degree": SYMBOL_DEGREE,
+        "seed": args.seed,
+        "products": {name: [[complex(a).real, complex(a).imag] for a in zeros] for name, zeros in PRODUCTS.items()},
+        "rows": rows,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    print(f"written to {args.out}")
+
+
+if __name__ == "__main__":
+    main()

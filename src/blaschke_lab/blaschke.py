@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,17 +41,14 @@ class BlaschkeProduct:
     def __init__(self, theta: float, zeros, *, rho_max: float = RHO_MAX):
         merged: dict[complex, int] = {}
         for entry in zeros:
-            if isinstance(entry, tuple):
-                a, mult = complex(entry[0]), int(entry[1])
-            else:
-                a, mult = complex(entry), 1
-            if mult < 1:
-                raise ValueError("multiplicities must be positive")
+            a, mult = (complex(entry[0]), entry[1]) if isinstance(entry, tuple) else (complex(entry), 1)
+            if not isinstance(mult, numbers.Integral) or isinstance(mult, bool) or mult < 1:
+                raise ValueError(f"multiplicity must be an integer >= 1, got {mult!r}")
             if not abs(a) <= rho_max or abs(a) >= 1.0:  # a NaN rho_max admits nothing
                 raise ValueError(
                     f"zero {a} has modulus {abs(a):.4f}; need |a| <= rho_max = {rho_max} and |a| < 1"
                 )
-            merged[a] = merged.get(a, 0) + mult
+            merged[a] = merged.get(a, 0) + int(mult)
         degree = sum(merged.values())
         if degree < 1:
             raise ValueError("a Blaschke product here must be nonconstant")

@@ -112,15 +112,25 @@ def _guard(cfg, key: str) -> dict:
     return {key: cfg.tolerances[key]} if key in cfg.tolerances else {}
 
 
+#: the least value of each integer input: a count of at least one draw, a
+#: degree of at least zero.
+_INPUT_MINIMUM = {"num_samples": 1, "num_points": 1, "max_degree": 0, "symbol_degree": 0}
+
+
 def _inputs(cfg, records: list[CheckRecord], family: str, **defaults) -> list | None:
     """The named inputs, each read as the type of its default, never
-    truncated. If one is invalid, a single errored `<family>/inputs` record
-    stands for the battery and the result is None; strict mode raises."""
+    truncated, an integer no less than its _INPUT_MINIMUM. If one is
+    invalid, a single errored `<family>/inputs` record stands for the
+    battery and the result is None; strict mode raises."""
+
+    def read(key, default):
+        value, name = cfg.inputs.get(key, default), f"inputs.{key}"
+        if isinstance(default, float):
+            return config_float(value, name)
+        return config_int(value, name, minimum=_INPUT_MINIMUM[key])
+
     try:
-        return [
-            (config_float if isinstance(d, float) else config_int)(cfg.inputs.get(k, d), f"inputs.{k}")
-            for k, d in defaults.items()
-        ]
+        return [read(k, d) for k, d in defaults.items()]
     except ConfigError as exc:
         if cfg.strict:
             raise
@@ -289,7 +299,7 @@ def ortho_checks(cfg, rng: np.random.Generator):
     def build_chain():
         kmax = config_int(cfg.inputs.get("kmax", 3), "inputs.kmax", minimum=0)
         try:
-            state["chain"] = ox.x_spaces(B, w, kmax, D, **_guard(cfg, "gap_tol"))
+            state["chain"] = ox.x_spaces(B, w, kmax, D)
         except ValueError as exc:
             raise ConfigError(f"ortho needs a larger degree or a smaller inputs.kmax: {exc}") from exc
         return 0.0
@@ -300,7 +310,6 @@ def ortho_checks(cfg, rng: np.random.Generator):
         return records, data
     kmax = chain.kmax
     data["block_dims"] = [len(b) for b in chain.blocks]
-    data["gaps"] = list(chain.gaps)
 
     def orthogonality():
         S = np.hstack(chain.block_matrix_stack())
@@ -313,21 +322,11 @@ def ortho_checks(cfg, rng: np.random.Generator):
     _timed(cfg, records, "ortho/block_orthogonality", _tol(cfg, "block_orthogonality"), orthogonality)
 
     def shift_action():
-        lam = w.diagonal(D)
-        sq = np.sqrt(lam)
-        TB = B.toeplitz(D)
-        TBw = sq[:, None] * TB / sq[None, :]
-        stacks = chain.block_matrix_stack()
-        worst = 0.0
-        for k in range(kmax):
-            img = TBw @ (sq[:, None] * stacks[k])
-            for l in range(k + 1, kmax + 1):
-                Q = sq[:, None] * stacks[l]
-                img = img - Q @ (Q.conj().T @ img)
-            Q = chain.tail_span
-            img = img - Q @ (Q.conj().T @ img)
-            worst = max(worst, float(np.linalg.norm(img, 2)))
-        return worst
+        # T_B maps X_k into B^(k+1) A, which is orthogonal to X_0, ..., X_k:
+        # the blocks [l, k], l <= k, of T_B against the chain vanish
+        blocks = ox.block_matrix(OperatorMatrix(B.toeplitz(D), w), chain)
+        N = chain.block_dim
+        return max((np.linalg.norm(blocks[: k + 1, k].reshape(-1, N), 2) for k in range(kmax)), default=0.0)
 
     _timed(cfg, records, "ortho/shift_action", _tol(cfg, "shift_action"), shift_action)
 
@@ -413,13 +412,8 @@ def suite_checks(cfg, rng: np.random.Generator):
     records: list[CheckRecord] = []
     data: dict = {}
     cfg = dataclasses.replace(cfg, shells=_shells(cfg))
-    for name, fn in (
-        ("decompose", decompose_checks),
-        ("commutant", commutant_checks),
-        ("ortho", ortho_checks),
-        ("shift-equiv", shift_equiv_checks),
-        ("cowen", cowen_checks),
-    ):
+    for name in SUITE_COMMANDS:
+        fn = BATTERIES[name]
         recs, d = fn(cfg, rng)
         records.extend(recs)
         if d:
@@ -437,6 +431,10 @@ def suite_checks(cfg, rng: np.random.Generator):
     return records, data
 
 
+#: the batteries suite runs on the config's inputs, in report order; it adds
+#: the reducing battery's monomial family on z^N with inputs of its own.
+SUITE_COMMANDS = ("decompose", "commutant", "ortho", "shift-equiv", "cowen")
+
 BATTERIES = {
     "decompose": decompose_checks,
     "commutant": commutant_checks,
@@ -446,3 +444,15 @@ BATTERIES = {
     "cowen": cowen_checks,
     "suite": suite_checks,
 }
+
+#: inputs keys each battery reads; suite forwards its inputs to the
+#: batteries of SUITE_COMMANDS, so it reads the keys of all of them.
+INPUT_KEYS = {
+    "decompose": ("f", "num_samples", "max_degree"),
+    "commutant": ("phi", "num_samples", "symbol_degree"),
+    "reducing": ("family", "a", "basis", "expected"),
+    "ortho": ("kmax",),
+    "shift-equiv": ("mode", "h"),
+    "cowen": ("num_points", "radius"),
+}
+INPUT_KEYS["suite"] = tuple(dict.fromkeys(key for name in SUITE_COMMANDS for key in INPUT_KEYS[name]))

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .blaschke import RHO_MAX, BlaschkeProduct
-from .checks import BATTERIES, CHECK_TOLERANCES
+from .checks import BATTERIES, CHECK_TOLERANCES, INPUT_KEYS
 from .errors import BlaschkeLabError, ConfigError, config_float, config_int, known_keys
 from .report import Report, render
 
@@ -28,7 +28,7 @@ CONFIG_KEYS = ("command", "B", "alpha", "degree", "shells", "seed", "inputs", "t
 
 #: library guards a config's "tolerances" may set, each the keyword of the
 #: one function that reads it; the other keys are CHECK_TOLERANCES.
-GUARD_KEYS = ("tol_commute", "gap_tol", "rho_max")
+GUARD_KEYS = ("tol_commute", "rho_max")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,7 +76,7 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
             degree=config_int(obj.get("degree", 64), "degree", minimum=1),
             shells=None if shells is None else config_int(shells, "shells", minimum=0),
             seed=config_int(obj.get("seed", 0), "seed"),
-            inputs=dict(obj.get("inputs", {})),
+            inputs=dict(known_keys(obj.get("inputs", {}), "inputs", INPUT_KEYS[command])),
             tolerances=tolerances,
             output=out or obj.get("output"),
             format=fmt,

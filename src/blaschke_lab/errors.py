@@ -34,10 +34,6 @@ class NotInCommutantError(BlaschkeLabError):
     """Symbol extraction requested for an operator that does not commute with T_B."""
 
 
-class DimensionGapError(BlaschkeLabError):
-    """Singular-value gap detection failed (truncation degree too small)."""
-
-
 class ConditioningError(BlaschkeLabError):
     """A Gram matrix or least-squares system is too ill conditioned to trust."""
 

@@ -14,17 +14,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import wold
 from .blaschke import BlaschkeProduct
-from .errors import ConditioningError, DimensionGapError, NotSelfAdjointError
+from .errors import ConditioningError, NotSelfAdjointError
 from .spaces import (
     OperatorMatrix,
     TaylorPoly,
     WeightAlpha,
     as_weight,
-    multiply,
     operator_norm_safe,
     safe_degree,
-    toeplitz_matrix,
     weighted_adjoint,
 )
 
@@ -40,17 +39,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class XSpaceChain:
-    """Orthonormal bases (under the stored weight) of X_0 .. X_kmax, plus the
-    weighted orthonormal basis of the remaining span B^(kmax+1) A used to
-    close residual computations."""
+    """Orthonormal bases (under the stored weight) of X_0 .. X_kmax."""
 
     B: BlaschkeProduct
     alpha: WeightAlpha
     blocks: tuple[tuple[TaylorPoly, ...], ...]
     kmax: int
     degree: int
-    gaps: tuple[float, ...]
-    tail_span: np.ndarray  # weighted-coordinate ONB of B^(kmax+1) columns
 
     @property
     def block_dim(self) -> int:
@@ -63,26 +58,18 @@ class XSpaceChain:
         )
 
 
-def x_spaces(
-    B: BlaschkeProduct,
-    w: WeightAlpha | float,
-    kmax: int,
-    D: int,
-    *,
-    gap_tol: float = 1e-6,
-) -> XSpaceChain:
+def x_spaces(B: BlaschkeProduct, w: WeightAlpha | float, kmax: int, D: int) -> XSpaceChain:
     """Compute the chain X_0, ..., X_kmax at truncation degree D.
 
-    Block k is the weighted orthogonal complement of the column span of
-    {B^(k+1) z^m} inside that of {B^k z^m}. The column guard is N = deg B:
-    columns stop at m <= D - (k + 1) N, short of the truncation edge, so the
-    complement is not inflated by edge junk. In weighted coordinates one
-    complete QR per k splits the space into the range ONB Q_k and its
-    complement P_k; then (I - Q_(k+1) Q_(k+1)^H) Q_k = P_(k+1) S_k with the
-    small S_k = P_(k+1)^H Q_k, so the principal vectors come from one SVD of
-    S_k and no full-size residual is formed (Bjorck & Golub, 1973). Block
-    dimension is the count of singular values within gap_tol of unity and
-    must equal N.
+    For every weight, the alpha-orthogonal complement of B^(k+1) A is
+    Lambda^(-1) K_(B^(k+1)), with Lambda = diag(lambda_m) and the model space
+    K_(B^(k+1)) = K_B + B K_B + ... + B^k K_B spanned by the shell cells
+    u_j B^i, i <= k. In weighted coordinates (sqrt(lambda) f) these
+    complements are the nested column prefixes of Lambda^(-1/2) E, E the
+    cells of shells 0..kmax of shell_frame(B, kmax, D). One thin QR of that
+    (D+1) x (kmax+1)N matrix orthonormalises the prefixes in order, so block
+    k of Q spans X_k, the complement of B^(k+1) A minus that of B^k A.
+    Accuracy is limited by the cells' tails past D, never by a rank decision.
     """
     w = as_weight(w)
     N = B.degree
@@ -91,44 +78,10 @@ def x_spaces(
     if D < (kmax + 3) * N:
         raise ValueError(f"D = {D} too small for kmax = {kmax} (need >= {(kmax + 3) * N})")
     sq = np.sqrt(w.diagonal(D))
-    b = B.taylor(D)
-    bk = TaylorPoly.one(D)
-    # the k = 0 columns sq_m e_m are already orthogonal: Q_0 is the identity
-    Q = np.eye(D + 1, dtype=complex)
-
-    blocks = []
-    gaps = []
-    for k in range(kmax + 1):
-        p = D - (k + 1) * N + 1  # columns of B^k z^m; B^(k+1) has p - N
-        bk = multiply(bk, b, D)
-        cols = toeplitz_matrix(bk, D).entries[:, : p - N]
-        Qnext, _ = np.linalg.qr(sq[:, None] * cols, mode="complete")
-        P = Qnext[:, p - N :]
-        U, s, _ = np.linalg.svd(P.conj().T @ Q[:, :p], full_matrices=False)
-        # genuine complement directions sit entirely outside the next span
-        # (singular value 1 up to truncation tails); anything detached from
-        # unity is edge junk, not a complement direction
-        detected = int(np.sum(s > 1.0 - gap_tol))
-        s_ext = np.concatenate([s, [0.0]])
-        gap = float(s_ext[N - 1] - s_ext[N])
-        if detected != N:
-            raise DimensionGapError(
-                f"block {k}: {detected} singular values within {gap_tol:.1e} "
-                f"of unity (expected {N}); increase D"
-            )
-        blocks.append(tuple(TaylorPoly(x / sq) for x in (P @ U[:, :N]).T))
-        gaps.append(gap)
-        Q = Qnext
-
-    return XSpaceChain(
-        B=B,
-        alpha=w,
-        blocks=tuple(blocks),
-        kmax=kmax,
-        degree=D,
-        gaps=tuple(gaps),
-        tail_span=Q[:, : p - N],
-    )
+    Q, _ = np.linalg.qr(wold.shell_frame(B, kmax, D).cells(kmax) / sq[:, None])
+    X = (Q / sq[:, None]).T
+    blocks = tuple(tuple(TaylorPoly(x) for x in X[k * N : (k + 1) * N]) for k in range(kmax + 1))
+    return XSpaceChain(B=B, alpha=w, blocks=blocks, kmax=kmax, degree=D)
 
 
 #: least-squares residual above which k_spaces refuses to divide by B^k.

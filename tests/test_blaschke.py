@@ -250,6 +250,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             bl.BlaschkeProduct(0.0, [])
 
+    @pytest.mark.parametrize("mult", [1.8, 2.0, 0, -1, True, "2"])
+    def test_multiplicity_is_an_integer_of_at_least_one(self, mult):
+        # never truncated: int(1.8) would build a degree-1 product
+        with pytest.raises(ValueError, match=rf"^multiplicity must be an integer >= 1, got {mult!r}$"):
+            bl.BlaschkeProduct(0.0, [(0.5, mult)])
+
+    def test_numpy_integer_multiplicity_is_stored_as_int(self):
+        B = bl.BlaschkeProduct(0.0, [(0.5, np.int64(2))])
+        assert B.degree == 2 and type(B.zeros[0][1]) is int
+
     def test_merges_duplicate_zeros(self):
         B = bl.BlaschkeProduct(0.0, [0.5, (0.5, 2)])
         assert B.degree == 3

@@ -58,15 +58,35 @@ def test_tol_commute_reaches_symbol_extraction():
         assert "exceeds tol_commute 0.0e+00" in r.error
 
 
-def test_gap_tol_changes_what_x_spaces_detects():
-    assert _run("ortho").data["block_dims"] == [2, 2, 2, 2]
-    rep = _run("ortho", tolerances={"gap_tol": 1e-17})
-    assert [(r.name, r.error) for r in rep.records] == [
-        (
-            "ortho/chain_constructed",
-            "DimensionGapError: block 0: 0 singular values within 1.0e-17 of unity (expected 2); increase D",
-        )
-    ]
+def test_gap_tol_is_an_unknown_key():
+    # the X-chain counts no singular values, so it has no gap guard to set
+    assert _run("ortho").data == {"block_dims": [2, 2, 2, 2]}
+    with pytest.raises(ConfigError, match=r"^unknown tolerances key 'gap_tol'; valid keys: tol_commute, rho_max, "):
+        _run("ortho", tolerances={"gap_tol": 1e-6})
+
+
+def _input_reads(fn):
+    """inputs keys a battery reads: cfg.inputs.get("k"), cfg.inputs["k"]
+    and the keywords of its _inputs call."""
+    keys = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_inputs":
+            keys |= {kw.arg for kw in node.keywords}
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+            owner, args = node.func.value, node.args
+            if isinstance(owner, ast.Attribute) and owner.attr == "inputs" and isinstance(args[0], ast.Constant):
+                keys.add(args[0].value)
+        elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "inputs":
+            keys.add(node.slice.value)
+    return keys
+
+
+def test_input_keys_are_the_keys_each_battery_reads():
+    tree = ast.parse((SRC / "checks.py").read_text(encoding="utf-8"))
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    reads = {command: _input_reads(functions[fn.__name__]) for command, fn in checks.BATTERIES.items()}
+    reads["suite"] = set().union(*(reads[command] for command in checks.SUITE_COMMANDS))
+    assert {command: set(keys) for command, keys in checks.INPUT_KEYS.items()} == reads
 
 
 def test_every_guard_key_is_a_keyword_of_a_library_function():

@@ -1,11 +1,10 @@
-import inspect
-
 import numpy as np
 import pytest
 
 import blaschke_lab as bl
 from blaschke_lab.cli import parse_config, run
-from blaschke_lab.errors import ConditioningError, DimensionGapError, NotSelfAdjointError
+from blaschke_lab import wold
+from blaschke_lab.errors import ConditioningError, NotSelfAdjointError
 from blaschke_lab.spaces import TaylorPoly, weighted_adjoint
 
 PRODUCTS = {
@@ -14,8 +13,6 @@ PRODUCTS = {
     "double0.6": bl.BlaschkeProduct(0.0, [(0.6, 2)]),
     "near_rho_max": bl.BlaschkeProduct(0.0, [0.8, -0.79j]),
 }
-
-X_SPACES_GAP_TOL = inspect.signature(bl.x_spaces).parameters["gap_tol"].default
 
 
 def alpha_gram(vecs_a, vecs_b, alpha, D):
@@ -34,30 +31,23 @@ def power_columns(B, k, m_max, D):
     return cols
 
 
-def x_spaces_by_residual_svd(B, alpha, kmax, D, gap_tol=X_SPACES_GAP_TOL):
+def x_spaces_by_residual_svd(B, alpha, kmax, D):
     """Reference chain: reduced QR of every range, the full-size residual
     Q_k - Q_(k+1) Q_(k+1)^H Q_k, and its full SVD. Returns weighted-coordinate
-    block ONBs, gaps and the tail ONB."""
+    block ONBs and the singular values of each residual."""
     N, guard = B.degree, B.degree
     sq = np.sqrt((np.arange(D + 1) + 1.0) ** alpha)
     onbs = [
         np.linalg.qr(sq[:, None] * power_columns(B, k, D - k * N - guard, D))[0]
         for k in range(kmax + 2)
     ]
-    blocks, gaps = [], []
+    blocks, svals = [], []
     for k in range(kmax + 1):
         resid = onbs[k] - onbs[k + 1] @ (onbs[k + 1].conj().T @ onbs[k])
         U, s, _ = np.linalg.svd(resid)
-        detected = int(np.sum(s > 1.0 - gap_tol))
-        if detected != N:
-            raise DimensionGapError(
-                f"block {k}: {detected} singular values within {gap_tol:.1e} "
-                f"of unity (expected {N}); increase D"
-            )
-        s_ext = np.concatenate([s, [0.0]])
         blocks.append(U[:, :N])
-        gaps.append(s_ext[N - 1] - s_ext[N])
-    return blocks, gaps, onbs[kmax + 1]
+        svals.append(s)
+    return blocks, svals
 
 
 def weighted_stack(vecs, alpha, D):
@@ -124,10 +114,18 @@ class TestXSpaces:
         with pytest.raises(ValueError, match=r"^kmax must be >= 0, got -1$"):
             bl.x_spaces(B2, -1.0, -1, 64)
 
-    def test_dimension_error_when_tails_exceed_tolerance(self, B2):
-        # demanding unity beyond truncation-tail accuracy must trip the guard
-        with pytest.raises(DimensionGapError):
-            bl.x_spaces(B2, -1.0, 5, 120, gap_tol=1e-17)
+    def test_reads_the_memoized_shell_frame(self, B2, monkeypatch):
+        D = 96
+        frame = wold.shell_frame(B2, 10, D)
+
+        def no_new_cells(*args):
+            raise AssertionError("x_spaces built cells the frame already holds")
+
+        monkeypatch.setattr(wold, "cell_matrix", no_new_cells)
+        monkeypatch.setattr(wold, "_continue_cells", no_new_cells)
+        chain = bl.x_spaces(B2, -1.0, 3, D)
+        assert wold.shell_frame(B2, 10, D) is frame
+        assert chain.block_dim == B2.degree
 
     def test_cumulative_dimension(self, B2):
         D, kmax = 120, 4
@@ -161,27 +159,40 @@ class TestXSpaces:
         rank = np.linalg.matrix_rank(cols, tol=1e-8)
         assert full - rank == B2.degree
 
-    # gap_tol 0.5 also counts the third singular value (0.84 to 0.86 for the
-    # double zero and near rho_max), so both sides must raise the same error
-    @pytest.mark.parametrize("gap_tol", [X_SPACES_GAP_TOL, 0.5])
-    @pytest.mark.parametrize("D", [48, 128])
+    # the principal-vector split of the ranges needs a complete QR per block,
+    # so it is compared at D = 256 only, where every product's cells fit
     @pytest.mark.parametrize("alpha", [-2.0, -1.0, 0.0, 1.0])
     @pytest.mark.parametrize("name", list(PRODUCTS))
-    def test_equals_residual_svd(self, name, alpha, D, gap_tol):
-        B, kmax = PRODUCTS[name], 3
-        try:
-            ref_blocks, ref_gaps, ref_tail = x_spaces_by_residual_svd(B, alpha, kmax, D, gap_tol)
-        except DimensionGapError as exc:
-            with pytest.raises(DimensionGapError) as got:
-                bl.x_spaces(B, alpha, kmax, D, gap_tol=gap_tol)
-            assert str(got.value) == str(exc)
-            return
-        chain = bl.x_spaces(B, alpha, kmax, D, gap_tol=gap_tol)
+    def test_equals_residual_svd(self, name, alpha):
+        B, D, kmax = PRODUCTS[name], 256, 3
+        ref_blocks, svals = x_spaces_by_residual_svd(B, alpha, kmax, D)
+        N = B.degree
+        for s in svals:  # the reference found exactly N complement directions
+            assert s[N - 1] > 1.0 - 1e-6 and s[N] < 0.9
+        chain = bl.x_spaces(B, alpha, kmax, D)
         for ref, blk in zip(ref_blocks, chain.blocks, strict=True):
             got = projector(weighted_stack(blk, alpha, D))
             assert np.max(np.abs(got - projector(ref))) < 1e-12
-        assert np.max(np.abs(np.subtract(chain.gaps, ref_gaps))) < 1e-12
-        assert np.max(np.abs(projector(chain.tail_span) - projector(ref_tail))) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [-2.0, -1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("name", list(PRODUCTS))
+    def test_equals_large_window_chain(self, name, alpha):
+        # the chain at D against a D_ref = 1024 chain cut to degree D: they
+        # differ by less than the reference's weighted mass past D, which at
+        # D = 128 is below 1e-7 even next to rho_max
+        B, D_ref, kmax = PRODUCTS[name], 1024, 3
+        ref = np.hstack(bl.x_spaces(B, alpha, kmax, D_ref).block_matrix_stack())
+        ref = ref * np.sqrt((np.arange(D_ref + 1) + 1.0) ** alpha)[:, None]
+        N = B.degree
+        for D in (48, 96, 128):
+            chain = bl.x_spaces(B, alpha, kmax, D)
+            tail = np.linalg.norm(ref[D + 1 :], 2)
+            worst = max(
+                np.max(np.abs(projector(weighted_stack(blk, alpha, D)) - projector(ref[: D + 1, k * N : (k + 1) * N])))
+                for k, blk in enumerate(chain.blocks)
+            )
+            assert worst <= tail + 1e-15, f"D = {D}"
+        assert worst <= 1e-12
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
     @pytest.mark.parametrize("name", ["B2", "B3"])
@@ -325,6 +336,7 @@ class TestSelfAdjointCheck:
 
 
 def test_shift_maps_blocks_upward(B2):
+    # T_B X_k lies in B^(k+1) A, orthogonal to X_0, ..., X_k
     D, kmax = 120, 4
     chain = bl.x_spaces(B2, -1.0, kmax, D)
     lam = (np.arange(D + 1) + 1.0) ** -1.0
@@ -332,9 +344,6 @@ def test_shift_maps_blocks_upward(B2):
     TB = bl.toeplitz_matrix(B2.taylor(D), D, -1.0).entries
     TBw = sq[:, None] * TB / sq[None, :]
     for k in range(kmax):
-        img = TBw @ np.stack([sq * v.coeffs for v in chain.blocks[k]], axis=1)
-        for l in range(k + 1, kmax + 1):
-            Q = np.stack([sq * v.coeffs for v in chain.blocks[l]], axis=1)
-            img = img - Q @ (Q.conj().T @ img)
-        img = img - chain.tail_span @ (chain.tail_span.conj().T @ img)
-        assert np.linalg.norm(img, 2) < 1e-8
+        img = TBw @ weighted_stack(chain.blocks[k], -1.0, D)
+        below = weighted_stack([v for blk in chain.blocks[: k + 1] for v in blk], -1.0, D)
+        assert np.linalg.norm(below.conj().T @ img, 2) < 1e-8

@@ -116,7 +116,7 @@ class TestConfig:
         [
             ("rho_max", float("nan")),
             ("tol_commute", -1.0),
-            ("gap_tol", -1e-6),
+            ("rho_max", -0.5),
             ("roundtrip", float("nan")),
             ("roundtrip", -1.0),
             ("commute", float("inf")),
@@ -126,6 +126,28 @@ class TestConfig:
         obj = dict(BASE, tolerances={key: value})
         with pytest.raises(ConfigError, match=rf"^tolerances key '{key}' must be finite and >= 0, got {value!r}$"):
             parse_config(obj, "suite")
+
+    @pytest.mark.parametrize(
+        "command,inputs,message",
+        [
+            ("ortho", {"kmx": 9}, r"^unknown inputs key 'kmx'; valid keys: kmax$"),
+            ("cowen", {"kmax": 2}, r"^unknown inputs key 'kmax'; valid keys: num_points, radius$"),
+            ("reducing", {"familly": "monomial"}, r"^unknown inputs key 'familly'; valid keys: family, a, basis, expected$"),
+            # suite runs the reducing battery on inputs of its own
+            ("suite", {"family": "monomial"}, r"^unknown inputs key 'family'; valid keys: f, num_samples, max_degree, "
+             r"phi, symbol_degree, kmax, mode, h, num_points, radius$"),
+            ("suite", [["kmax", 2]], r"^inputs must be an object, got \[\['kmax', 2\]\]$"),
+        ],
+    )
+    def test_unknown_inputs_keys_rejected(self, command, inputs, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(dict(BASE, inputs=inputs), command)
+
+    def test_suite_takes_every_key_it_forwards(self):
+        inputs = {"num_samples": 1, "symbol_degree": 2, "kmax": 1, "num_points": 3}
+        rep = run(parse_config(dict(BASE, degree=48, inputs=inputs), "suite"))
+        assert rep.data["ortho"]["block_dims"] == [2, 2]
+        assert sum(r.name.startswith("decompose/") for r in rep.records) == 1
 
     def test_zero_tolerance_is_an_exact_request(self):
         obj = dict(BASE, tolerances={"tol_commute": 0.0, "roundtrip": 0.0})
@@ -249,14 +271,13 @@ print("numpy.random" in sys.modules)
 class TestEcho:
     """A report's config re-runs to the same report."""
 
-    TOLERANCES = {"tol_commute": 1e-30, "gap_tol": 1e-17, "rho_max": 0.9, "roundtrip": 1e-7}
+    TOLERANCES = {"tol_commute": 1e-30, "rho_max": 0.9, "roundtrip": 1e-7}
 
     def test_echo_keeps_every_override(self):
         rep = run(parse_config(dict(BASE, degree=48, tolerances=self.TOLERANCES), "suite"))
         assert rep.config["tolerances"] == self.TOLERANCES
-        # the guards show: symbol extraction and the X-chain both refuse
+        # the guard shows: symbol extraction refuses
         errors = {r.name: r.error for r in rep.records if r.error}
-        assert errors["ortho/chain_constructed"].startswith("DimensionGapError")
         assert errors["commutant/phi_0/symbol_roundtrip"].startswith("NotInCommutantError")
         assert render(run(parse_config(rep.config, "suite"))) == render(rep)
 
@@ -439,6 +460,36 @@ class TestBatteries:
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps(obj))
         assert main([command, "--config", str(cfgp), "--strict"]) == 2
+
+    @pytest.mark.parametrize(
+        "command,key,value,least,record",
+        [
+            ("decompose", "num_samples", 0, 1, "decompose/inputs"),
+            ("decompose", "num_samples", -1, 1, "decompose/inputs"),
+            ("decompose", "max_degree", -1, 0, "decompose/inputs"),
+            ("commutant", "num_samples", 0, 1, "commutant/inputs"),
+            ("commutant", "symbol_degree", -1, 0, "commutant/inputs"),
+            ("cowen", "num_points", 0, 1, "cowen/inputs"),
+        ],
+    )
+    def test_input_below_its_minimum_is_an_errored_record(self, tmp_path, command, key, value, least, record):
+        # a count of zero would check nothing and pass
+        obj = dict(BASE, inputs={key: value})
+        rep = run(parse_config(obj, command))
+        assert [(r.name, r.passed, r.error) for r in rep.records] == [
+            (record, False, f"ConfigError: inputs.{key} must be >= {least}, got {value}")
+        ]
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(obj))
+        assert main([command, "--config", str(cfgp), "--strict"]) == 2
+
+    def test_smallest_inputs_are_accepted(self):
+        obj = dict(BASE, degree=48, inputs={"num_samples": 1, "max_degree": 0, "symbol_degree": 0, "num_points": 1})
+        rep = run(parse_config(obj, "suite"))
+        names = [r.name for r in rep.records]
+        assert names.count("decompose/sample_0/roundtrip_h2") == 1 and "decompose/sample_1/roundtrip_h2" not in names
+        assert "commutant/phi_0/commutation" in names and "commutant/phi_1/commutation" not in names
+        assert not any(r.error for r in rep.records)
 
     def test_suite_reports_past_a_bad_input_value(self):
         rep = run(parse_config(dict(BASE, degree=48, inputs={"num_samples": 2.9}), "suite"))

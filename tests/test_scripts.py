@@ -1,5 +1,6 @@
 """Smoke tests: every script under scripts/ runs to exit 0 at a small size."""
 
+import json
 import os
 import subprocess
 import sys
@@ -39,3 +40,13 @@ def test_run_suite_writes_report(tmp_path):
     proc = _run("run_suite.py", "--degree", "64", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert out.stat().st_size > 0
+
+
+def test_layer_timings_writes_json(tmp_path):
+    out = tmp_path / "BENCH_layers.json"
+    proc = _run("layer_timings.py", "--degrees", "64", "--repeats", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["product"], r["D"]) for r in rows] == [("B2", 64), ("(0.8, -0.79i)", 64)]
+    for r in rows:
+        assert r["M"] > 0 and min(r["x_spaces_s"], r["build_s"], r["commutation_residual_s"]) > 0
