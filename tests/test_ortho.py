@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,11 @@ def x_spaces_by_residual_svd(B, alpha, kmax, D):
         blocks.append(U[:, :N])
         svals.append(s)
     return blocks, svals
+
+
+@functools.lru_cache(maxsize=None)
+def residual_svd_reference(name, alpha, kmax, D_ref=256):
+    return x_spaces_by_residual_svd(PRODUCTS[name], alpha, kmax, D_ref)
 
 
 def weighted_stack(vecs, alpha, D):
@@ -160,19 +167,23 @@ class TestXSpaces:
         assert full - rank == B2.degree
 
     # the principal-vector split of the ranges needs a complete QR per block,
-    # so it is compared at D = 256 only, where every product's cells fit
+    # so the reference is built at D_ref = 256 only, where every product's
+    # cells fit; a chain at D < D_ref is held to the reference cut to degree D,
+    # which it matches up to the reference's weighted mass past D
+    @pytest.mark.parametrize("D", [48, 128, 256])
     @pytest.mark.parametrize("alpha", [-2.0, -1.0, 0.0, 1.0])
     @pytest.mark.parametrize("name", list(PRODUCTS))
-    def test_equals_residual_svd(self, name, alpha):
-        B, D, kmax = PRODUCTS[name], 256, 3
-        ref_blocks, svals = x_spaces_by_residual_svd(B, alpha, kmax, D)
+    def test_equals_residual_svd(self, name, alpha, D):
+        B, kmax = PRODUCTS[name], 3
+        ref_blocks, svals = residual_svd_reference(name, alpha, kmax)
         N = B.degree
         for s in svals:  # the reference found exactly N complement directions
             assert s[N - 1] > 1.0 - 1e-6 and s[N] < 0.9
+        tail = np.linalg.norm(np.hstack(ref_blocks)[D + 1 :], 2)
         chain = bl.x_spaces(B, alpha, kmax, D)
         for ref, blk in zip(ref_blocks, chain.blocks, strict=True):
             got = projector(weighted_stack(blk, alpha, D))
-            assert np.max(np.abs(got - projector(ref))) < 1e-12
+            assert np.max(np.abs(got - projector(ref[: D + 1]))) <= tail + 1e-12
 
     @pytest.mark.parametrize("alpha", [-2.0, -1.0, 0.0, 1.0])
     @pytest.mark.parametrize("name", list(PRODUCTS))
