@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Per-layer timings against the window D: x_spaces, and build plus
-commutation_residual at the derived shell count M = wold.shell_count(B, D).
+"""Per-layer timings against the window D: x_spaces, the shell cells
+(wold.cell_matrix), build plus commutation_residual at the derived shell
+count M = wold.shell_count(B, D), and the safe-block norm
+spaces.operator_norm_safe on a nonzero and on an exactly zero section of
+D//2 + 1 rows.
 
 Each layer is called once untimed, to warm the memos a battery shares (the
 shell frame of (B, D), T_B), then --repeats times under a timer; the medians
-are written to a JSON file and printed as a table. BLAS is pinned to one
-thread before numpy loads.
+are written to a JSON file and printed as a table. cell_matrix is timed cold:
+every call builds the cells of shells 0..M anew, outside the frame memo.
+BLAS is pinned to one thread before numpy loads.
 
 Usage: python scripts/layer_timings.py [--degrees 64 128 256 512]
                                        [--repeats R] [--out BENCH_layers.json]
@@ -25,7 +29,7 @@ import time
 import numpy as np
 
 import blaschke_lab as bl
-from blaschke_lab import wold
+from blaschke_lab import spaces, wold
 
 #: a mild product and one with both zeros near rho_max = 0.8, where the
 #: derived shell count is largest
@@ -50,12 +54,17 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
           for _ in range(B.degree)] for _ in range(B.degree)]
     )
     op = bl.build(phi, B, ALPHA, M, D)
+    basis, W, D_safe = wold.shell_frame(B, M, D).basis, op.realization.entries, bl.safe_degree(D)
+    zero = np.zeros_like(W)
     return {
         "D": D,
         "M": M,
         "x_spaces_s": median_s(lambda: bl.x_spaces(B, ALPHA, KMAX, D), repeats),
+        "cell_matrix_s": median_s(lambda: wold.cell_matrix(basis, B, M, D), repeats),
         "build_s": median_s(lambda: bl.build(phi, B, ALPHA, M, D), repeats),
         "commutation_residual_s": median_s(lambda: bl.commutation_residual(op.realization, B, ALPHA), repeats),
+        "operator_norm_safe_s": median_s(lambda: spaces.operator_norm_safe(W, ALPHA, D_safe), repeats),
+        "operator_norm_safe_zero_s": median_s(lambda: spaces.operator_norm_safe(zero, ALPHA, D_safe), repeats),
     }
 
 
@@ -71,16 +80,21 @@ def main() -> None:
 
     rng = np.random.default_rng(args.seed)
     rows = []
-    print(f"{'product':>14} {'D':>4} {'M':>5} {'x_spaces ms':>12} {'build ms':>10} {'residual ms':>12}")
+    columns = {
+        "x_spaces": "x_spaces_s",
+        "cells": "cell_matrix_s",
+        "build": "build_s",
+        "residual": "commutation_residual_s",
+        "norm": "operator_norm_safe_s",
+        "zero norm": "operator_norm_safe_zero_s",
+    }
+    print(f"{'product':>14} {'D':>4} {'M':>5} " + " ".join(f"{c + ' ms':>12}" for c in columns))
     for name, zeros in PRODUCTS.items():
         B = bl.BlaschkeProduct(0.0, zeros)
         for D in args.degrees:
             row = {"product": name, **time_layers(B, D, args.repeats, rng)}
             rows.append(row)
-            print(
-                f"{name:>14} {D:>4} {row['M']:>5} {row['x_spaces_s'] * 1e3:>12.3f} "
-                f"{row['build_s'] * 1e3:>10.3f} {row['commutation_residual_s'] * 1e3:>12.3f}"
-            )
+            print(f"{name:>14} {D:>4} {row['M']:>5} " + " ".join(f"{row[k] * 1e3:>12.3f}" for k in columns.values()))
 
     result = {
         "statistic": f"median of {args.repeats} warm calls, seconds",

@@ -116,17 +116,25 @@ def _guard(cfg, key: str) -> dict:
 #: degree of at least zero.
 _INPUT_MINIMUM = {"num_samples": 1, "num_points": 1, "max_degree": 0, "symbol_degree": 0}
 
+#: the open interval of each float input: a sampling radius inside the
+#: disc, off the origin.
+_INPUT_INTERVAL = {"radius": (0.0, 1.0)}
+
 
 def _inputs(cfg, records: list[CheckRecord], family: str, **defaults) -> list | None:
     """The named inputs, each read as the type of its default, never
-    truncated, an integer no less than its _INPUT_MINIMUM. If one is
-    invalid, a single errored `<family>/inputs` record stands for the
-    battery and the result is None; strict mode raises."""
+    truncated: an integer no less than its _INPUT_MINIMUM, a float inside
+    its open _INPUT_INTERVAL. If one is invalid, a single errored
+    `<family>/inputs` record stands for the battery and the result is None;
+    strict mode raises."""
 
     def read(key, default):
         value, name = cfg.inputs.get(key, default), f"inputs.{key}"
         if isinstance(default, float):
-            return config_float(value, name)
+            x, (lo, hi) = config_float(value, name), _INPUT_INTERVAL[key]
+            if not lo < x < hi:
+                raise ConfigError(f"{name} must lie in ({lo:g}, {hi:g}), got {x!r}")
+            return x
         return config_int(value, name, minimum=_INPUT_MINIMUM[key])
 
     try:

@@ -13,6 +13,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blaschke import BlaschkeProduct
 from .errors import DimensionMismatchError, NotInCommutantError
@@ -155,18 +156,21 @@ class CommutantOperator:
         return commutation_residual(self.realization, self.B, self.alpha)
 
 
-def _component_action(phi: MultiplierMatrix, X: np.ndarray, M_out: int) -> np.ndarray:
-    """The action (f_k) -> (sum_k phi_jk f_k) on the columns of X, shell
-    coordinates in cell order (row r * n + k), kept to shells 0..M_out: one
-    n x n product per coefficient of Phi, linear in the shell count."""
-    n = phi.n
-    X = X.reshape(-1, n, X.shape[-1])  # X[r, k, c]
-    Y = np.zeros((M_out + 1, n, X.shape[2]), dtype=complex)
-    for t in range(min(phi.max_entry_degree, M_out) + 1):
-        P_t = np.array([[e.coeffs[t] if t <= e.degree else 0.0 for e in row] for row in phi.entries])
-        r = min(len(X), M_out + 1 - t)
-        Y[t : t + r] += P_t @ X[:r]
-    return Y.reshape(n * (M_out + 1), -1)
+def _cell_images(phi: MultiplierMatrix, E_out: np.ndarray) -> np.ndarray:
+    """The images Z_r = sum_t E_(r+t) P_t of the cells u_k B^r under Phi, in
+    cell order (column r * n + k), from the cells E_out of shells 0..M + T:
+    E_s is the n-column block of shell s, P_t the t-th coefficient matrix of
+    Phi and T its entry degree. One batched product of the stacked P_t
+    against the windows of (T + 1) n columns that start at each shell."""
+    n, T = phi.n, phi.max_entry_degree
+    P = np.zeros((T + 1, n, n), dtype=complex)
+    for j, row in enumerate(phi.entries):
+        for k, e in enumerate(row):
+            P[: e.degree + 1, j, k] = e.coeffs
+    windows = sliding_window_view(E_out, (T + 1) * n, axis=1)[:, ::n]  # [i, r, t*n + j]
+    Z = np.empty((E_out.shape[0], windows.shape[1], n), dtype=complex)
+    np.matmul(windows.transpose(1, 0, 2), P.reshape(-1, n), out=Z.transpose(1, 0, 2))
+    return Z.reshape(E_out.shape[0], -1)
 
 
 def build(
@@ -178,19 +182,18 @@ def build(
 ) -> CommutantOperator:
     """Realize the commutant element of Phi as a dense matrix.
 
-    Column m of the realization is the synthesis of Phi applied to the
-    shell components of z^m. Output shells extend to M + deg(Phi) so the
-    polynomial action loses nothing. Accuracy of the safe block improves
-    with M until M = wold.shell_count(B, D); past it the residual is limited
-    by D alone.
+    Phi sends the cell u_k B^r to Z_r = sum_t E_(r+t) P_t (see
+    _cell_images), and the realization is W = Z E^H over the cells E of
+    shells 0..M. Output shells extend to M + deg(Phi) so the polynomial
+    action loses nothing. Accuracy of the safe block improves with M until
+    M = wold.shell_count(B, D); past it the residual is limited by D alone.
     """
     w = as_weight(w)
     if phi.n != B.degree:
         raise ValueError("multiplier matrix size must equal deg B")
     M_out = M + phi.max_entry_degree
     frame = shell_frame(B, M_out, D)
-    E_out, E = frame.cells(M_out), frame.cells(M)
-    W = E_out @ _component_action(phi, E.conj().T, M_out)
+    W = _cell_images(phi, frame.cells(M_out)) @ frame.cells(M).conj().T
     return CommutantOperator(
         phi=phi,
         B=B,
@@ -207,13 +210,13 @@ def apply_formula(
     M: int,
     D: int,
 ) -> TaylorPoly:
-    """Action through the decomposition: analyze f, multiply the component
-    vector by Phi, synthesize. Agrees with the built realization on the
-    safe block."""
+    """Action through the decomposition: analyze f, send each cell to its
+    image under Phi, sum with the shell coefficients. Agrees with the built
+    realization on the safe block."""
     dec = analyze(f, B, M, D)
     M_out = M + phi.max_entry_degree
-    g = _component_action(phi, dec.coefficients.T.reshape(-1, 1), M_out)
-    return TaylorPoly(shell_frame(B, M_out, D).cells(M_out) @ g[:, 0])
+    Z = _cell_images(phi, shell_frame(B, M_out, D).cells(M_out))
+    return TaylorPoly(Z @ dec.coefficients.T.reshape(-1))
 
 
 def commutation_residual(

@@ -242,9 +242,12 @@ def operator_norm_safe(
     D_safe: int,
 ) -> float:
     """Largest singular value of the safe-block section of X, measured in
-    the alpha geometry (similarity by Lambda^(1/2))."""
+    the alpha geometry (similarity by Lambda^(1/2)). An exactly zero
+    section has norm 0.0 without an SVD; a NaN in it still reaches the SVD."""
     w = as_weight(w)
     sub = X[: D_safe + 1, : D_safe + 1]
+    if not sub.any():
+        return 0.0
     sq = np.sqrt(w.diagonal(D_safe))
     scaled = sq[:, None] * sub / sq[None, :]
     return float(np.linalg.svd(scaled, compute_uv=False)[0])

@@ -9,9 +9,11 @@ by the truncation itself.
 
 The cells u_j B^k of one (B, D) are built once into a ShellFrame, which owns
 its basis model_basis(B, D), and kept in a memo of the last
-_FRAME_MEMO_SIZE = 4 keys (B, D). Fewer shells are a column prefix of a
-frame; more shells continue its Krylov chain from the last cached cells.
-Either way the cells are bitwise those of a frame built for that count.
+_FRAME_MEMO_SIZE = 4 keys (B, D). The chain of cells takes the Krylov step
+T_B for shells 1.._BLOCK-1 and then one step T_(B^_BLOCK) per block of
+_BLOCK shells. Fewer shells are a column prefix of a frame; more shells
+continue its chain from the last cached cells. Either way the cells are
+bitwise those of a frame built for that count.
 Cached arrays are read-only. analyze and norm_equivalence_ratio also accept
 another basis of the model space; its cells are built outside the memo.
 
@@ -28,7 +30,16 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, ModelSpaceBasis, model_basis
 from .errors import DimensionMismatchError, ZeroFunctionError
-from .spaces import TaylorPoly, WeightAlpha, _trunc_mul, as_coeffs, as_weight, safe_degree, weighted_norm
+from .spaces import (
+    TaylorPoly,
+    WeightAlpha,
+    _trunc_mul,
+    as_coeffs,
+    as_weight,
+    safe_degree,
+    toeplitz_matrix,
+    weighted_norm,
+)
 
 __all__ = [
     "ShellDecomposition",
@@ -121,20 +132,35 @@ def cell_matrix(
     return _continue_cells(U, basis.dim, B, M, D)
 
 
+#: shells per block of the frame chain past its first block
+_BLOCK = 8
+
+
 def _continue_cells(cells: np.ndarray, n: int, B: BlaschkeProduct, M: int, D: int) -> np.ndarray:
     """The cells of shells 0..m (n columns a shell) continued to shells
-    0..M by block Krylov E_k = T_B E_(k-1), in a new Fortran-order array.
+    0..M, in a new Fortran-order array.
 
-    The recursion is exact: T_B is lower triangular, so truncating before
-    each product by B loses nothing below degree D. Each step reads only the
-    previous block, so a chain continued from a prefix is bitwise the chain
-    built from shell 0.
+    Shells 1.._BLOCK-1 are the block Krylov steps E_k = T_B E_(k-1); past
+    them each block of _BLOCK shells is T_(B^_BLOCK) times the block before
+    it, one product of _BLOCK * n columns. The recursion is exact: Toeplitz
+    sections are lower triangular, so truncating before each product loses
+    nothing below degree D. Every block is computed whole from the whole
+    block before it, and only its shells up to M are kept, so a chain
+    continued from a prefix is bitwise the chain built from shell 0.
     """
-    TB = B.toeplitz(D)
     E = np.empty((D + 1, n * (M + 1)), dtype=complex, order="F")
     E[:, : cells.shape[1]] = cells
-    for k in range(cells.shape[1] // n, M + 1):
+    m = cells.shape[1] // n - 1
+    TB = B.toeplitz(D)
+    for k in range(m + 1, min(M, _BLOCK - 1) + 1):
         E[:, k * n : (k + 1) * n] = TB @ E[:, (k - 1) * n : k * n]
+    width = _BLOCK * n
+    starts = range(max(m + 1, _BLOCK) // _BLOCK * width, E.shape[1], width)  # from the block of shell m + 1
+    if starts:
+        TB8 = toeplitz_matrix(TaylorPoly(_power_coeffs(B, _BLOCK, D)), D).entries
+        for start in starts:
+            block = TB8 @ E[:, start - width : start]
+            E[:, start : start + width] = block[:, : E.shape[1] - start]
     return E
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import blaschke_lab as bl
 from blaschke_lab import cli
-from blaschke_lab.commutant import _component_action
+from blaschke_lab.commutant import _cell_images
 from blaschke_lab import safe_degree
 from blaschke_lab.errors import DimensionMismatchError, NotInCommutantError
 from blaschke_lab.spaces import TaylorPoly
@@ -91,9 +91,25 @@ class TestBuild:
             assert bl.commutation_residual(op.realization, B3, -1.0, D) < 1e-8
 
 
+def dense_component_map(phi, M, M_out):
+    """The map (f_k) -> (sum_k phi_jk f_k) on shell coordinates in cell order
+    (row (r + t) * n + j, column r * n + k), kept to shells 0..M_out, built
+    entry by entry."""
+    n = phi.n
+    A = np.zeros((n * (M_out + 1), n * (M + 1)), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            p = phi.entries[j][k].coeffs
+            for t in range(len(p)):
+                for r in range(M + 1):
+                    if p[t] != 0 and r + t <= M_out:
+                        A[(r + t) * n + j, r * n + k] += p[t]
+    return A
+
+
 class TestComponentMap:
     @pytest.mark.parametrize("n,deg,M,M_out", [(1, 0, 5, 5), (2, 3, 16, 19), (3, 4, 10, 12), (2, 6, 8, 3)])
-    def test_equals_column_loop(self, rng, n, deg, M, M_out):
+    def test_images_of_identity_cells_are_the_dense_map(self, rng, n, deg, M, M_out):
         # entries of mixed degree, with exact zero coefficients
         entries = []
         for j in range(n):
@@ -105,17 +121,21 @@ class TestComponentMap:
                 row.append(TaylorPoly(c))
             entries.append(row)
         phi = bl.MultiplierMatrix(entries)
-        expected = np.zeros((n * (M_out + 1), n * (M + 1)), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                p = phi.entries[j][k].coeffs
-                for t in range(len(p)):
-                    for r in range(M + 1):
-                        if p[t] != 0 and r + t <= M_out:
-                            expected[(r + t) * n + j, r * n + k] += p[t]
-        # the action on the identity is the dense map, entry for entry
-        assert np.array_equal(_component_action(phi, np.eye(n * (M + 1)), M_out), expected)
+        # cell s * n + j is the unit vector e_(s*n+j), cut to the shells 0..M_out
+        cells = np.eye(n * (M_out + 1), n * (M + phi.max_entry_degree + 1))
+        # the images of the identity cells are the dense map, entry for entry
+        assert np.array_equal(_cell_images(phi, cells), dense_component_map(phi, M, M_out))
 
+    @pytest.mark.parametrize("zeros", [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)], [0.8, -0.79j]])
+    def test_build_equals_the_dense_map_between_frames(self, rng, zeros):
+        B, D = bl.BlaschkeProduct(0.0, zeros), 96
+        M = bl.wold.shell_count(B, D)
+        phi = random_phi(rng, B.degree)
+        M_out = M + phi.max_entry_degree
+        frame = bl.wold.shell_frame(B, M_out, D)
+        expected = frame.cells(M_out) @ dense_component_map(phi, M, M_out) @ frame.cells(M).conj().T
+        W = bl.build(phi, B, -1.0, M, D).realization.entries
+        assert np.max(np.abs(W - expected)) <= 1e-13
 
     def test_memory_is_linear_in_the_shell_count(self, rng):
         # a zero at rho_max = 0.95 needs 2439 shells at D = 64: a dense component

@@ -483,6 +483,20 @@ class TestBatteries:
         cfgp.write_text(json.dumps(obj))
         assert main([command, "--config", str(cfgp), "--strict"]) == 2
 
+    @pytest.mark.parametrize("radius", [0.0, -0.5, 1.0, 1.5, float("nan")])
+    def test_radius_outside_the_open_unit_interval_is_an_errored_record(self, tmp_path, radius):
+        # 0.0 samples only the origin, -0.5 rotates the points, 1.5 leaves the disc
+        obj = dict(BASE, inputs={"radius": radius})
+        rep = run(parse_config(obj, "cowen"))
+        assert [(r.name, r.passed, r.error) for r in rep.records] == [
+            ("cowen/inputs", False, f"ConfigError: inputs.radius must lie in (0, 1), got {radius!r}")
+        ]
+        suite = run(parse_config(dict(obj, degree=48), "suite"))
+        assert [r.name for r in suite.records if r.error] == ["cowen/inputs"]
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(obj))
+        assert main(["cowen", "--config", str(cfgp), "--strict"]) == 2
+
     def test_smallest_inputs_are_accepted(self):
         obj = dict(BASE, degree=48, inputs={"num_samples": 1, "max_degree": 0, "symbol_degree": 0, "num_points": 1})
         rep = run(parse_config(obj, "suite"))

@@ -168,6 +168,38 @@ class TestCommutatorResidual:
             assert abs(commutator_residual(A, X, -1.0, D) - ref) <= 1e-14 * max(1.0, ref)
 
 
+class TestOperatorNormSafe:
+    @pytest.mark.parametrize("shape,D_safe", [((129, 129), 128), ((257, 257), 128), ((9, 9), 4)])
+    def test_zero_section_needs_no_svd(self, shape, D_safe, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD of an exactly zero section")
+
+        X = np.zeros(shape, dtype=complex)
+        X[D_safe + 1 :, :] = 1.0  # outside the section
+        X[0, 0] = -0.0
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        norm = operator_norm_safe(X, -1.0, D_safe)
+        assert norm == 0.0 and type(norm) is float
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
+    def test_nonzero_section_is_its_largest_singular_value(self, rng, alpha):
+        D, D_safe = 64, 32
+        X = np.zeros((D + 1, D + 1), dtype=complex)
+        X[D_safe, 3] = 1e-300  # one tiny entry is enough to take the SVD
+        dense = rng.standard_normal((D + 1, D + 1)) + 1j * rng.standard_normal((D + 1, D + 1))
+        sq = np.sqrt(bl.WeightAlpha(alpha).diagonal(D_safe))
+        for A in (X, dense):
+            sub = A[: D_safe + 1, : D_safe + 1]
+            expected = np.linalg.svd(sq[:, None] * sub / sq[None, :], compute_uv=False)[0]
+            assert operator_norm_safe(A, alpha, D_safe) == expected > 0.0
+
+    def test_nan_section_still_reaches_the_svd(self):
+        X = np.zeros((9, 9), dtype=complex)
+        X[0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            operator_norm_safe(X, -1.0, 4)
+
+
 class TestApply:
     def test_identity(self, rng):
         f = TaylorPoly(rng.standard_normal(5))

@@ -12,6 +12,16 @@ from blaschke_lab.spaces import TaylorPoly
 from blaschke_lab.wold import _power_coeffs, cell_matrix, power_tail
 
 
+#: the products of the regression matrix
+CHAIN_PRODUCTS = {
+    "B2": [0.5, -0.3],
+    "B3": [0.5, -0.3 + 0.2j, 0.1],
+    "0.6 double": [(0.6, 2)],
+    "0.8, -0.79i": [0.8, -0.79j],
+    "near duplicate": [0.5, 0.5 + 1e-9, -0.3],
+}
+
+
 def analyze_by_least_squares(f, B, M, D, *, basis):
     """Cross-check oracle: invert the finite-section synthesis map in the
     least-squares sense instead of using orthogonality."""
@@ -406,8 +416,11 @@ class TestShellFrame:
         c_rot = bl.analyze(f, B3, M, D, basis=rotated).coefficients
         assert np.max(np.abs(c_rot - Q.conj().T @ c)) < 1e-12
 
+    @pytest.mark.parametrize("growth", [None, (3, 20), (8, 9), (10, 30)], ids=["third", "3-20", "8-9", "10-30"])
     @pytest.mark.parametrize("zeros", [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)]])
-    def test_grown_frame_equals_a_fresh_build(self, zeros, monkeypatch):
+    def test_grown_frame_equals_a_fresh_build(self, zeros, growth, monkeypatch):
+        # growths that start inside the first block, end mid-block, or
+        # continue from a shell count inside a later block
         calls = []
         build = wold.cell_matrix
 
@@ -418,14 +431,31 @@ class TestShellFrame:
         monkeypatch.setattr(wold, "cell_matrix", counted)
         B = bl.BlaschkeProduct(0.0, zeros)
         D = 128
-        M = D // B.degree
-        small = wold.shell_frame(B, M // 3, D)
+        m, M = growth or (D // B.degree // 3, D // B.degree)
+        small = wold.shell_frame(B, m, D)
         grown = wold.shell_frame(B, M, D)
         assert len(calls) == 1  # the growth continued the chain, no rebuild
         assert grown.basis is small.basis
-        assert np.array_equal(grown.cells(M // 3), small.E)
+        assert np.array_equal(grown.cells(m), small.E)
         assert np.array_equal(grown.E, build(bl.model_basis(B, D), B, M, D))
         assert wold.shell_frame(B, M - 1, D) is grown  # a hit is the same frame
+
+    @pytest.mark.parametrize("M", [0, 6, 7, 8, 9, 16, None])
+    @pytest.mark.parametrize("D", [64, 256])
+    @pytest.mark.parametrize("name", list(CHAIN_PRODUCTS))
+    def test_block_chain_equals_sequential_krylov(self, name, D, M):
+        # the blocks T_(B^8) E_(block before) against E_k = T_B E_(k-1) alone
+        B = bl.BlaschkeProduct(0.0, CHAIN_PRODUCTS[name])
+        if M is None:
+            M = wold.shell_count(B, D)
+        basis = bl.model_basis(B, D)
+        E = cell_matrix(basis, B, M, D)
+        TB = B.toeplitz(D)
+        reference = [np.stack([u.pad(D).coeffs for u in basis.orthonormal], axis=1)]
+        for _ in range(M):
+            reference.append(TB @ reference[-1])
+        assert E.shape == (D + 1, B.degree * (M + 1))
+        assert np.max(np.abs(E - np.hstack(reference))) <= 1e-13
 
     def test_cached_arrays_are_read_only(self, B3):
         frame = wold.shell_frame(B3, 8, 64)
