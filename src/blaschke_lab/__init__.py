@@ -13,21 +13,17 @@ from .blaschke import (
 )
 from .commutant import (
     CommutantOperator,
-    IdempotentReport,
     MultiplierMatrix,
-    apply_formula,
     build,
     commutation_residual,
     cowen_residual,
     extract_symbols,
-    idempotent_residual,
     symbols_to_matrix,
 )
-from .ortho import XSpaceChain, block_matrix, k_spaces, selfadjoint_block_check, x_spaces
+from .ortho import XSpaceChain, block_matrix, x_spaces
 from .reducing import (
     IntertwinerJ,
     SubspaceProjection,
-    hyperinvariance_check,
     intertwining_residual,
     mobius_power_reducing_projection,
     monomial_reducing_projection,
@@ -44,7 +40,6 @@ from .spaces import (
     OperatorMatrix,
     TaylorPoly,
     WeightAlpha,
-    apply,
     multiply,
     safe_degree,
     toeplitz_matrix,

@@ -107,12 +107,6 @@ class BlaschkeProduct:
         entry (j, k) = b_(j-k), memoized by (B, D)."""
         return _toeplitz(self, D)
 
-    def power_taylor(self, m: int, D: int) -> TaylorPoly:
-        """Truncated Taylor series of B^m; m = 0 gives the constant 1."""
-        if m < 0:
-            raise ValueError("power must be nonnegative")
-        return self.power_list(m, D)[m]
-
     def power_list(self, M: int, D: int) -> list[TaylorPoly]:
         """[B^0, B^1, ..., B^M] truncated at degree D."""
         out = [TaylorPoly.one(D)]

@@ -174,18 +174,18 @@ def decompose_checks(cfg, rng: np.random.Generator):
         for i in range(num):
             inputs.append((f"sample_{i}", _random_poly(rng, int(rng.integers(0, max_deg + 1)))))
 
+    decs = {}  # the decomposition of each round trip that completed
     for label, f in inputs:
-        def roundtrip(f=f):
+        def roundtrip(f=f, label=label):
             dec = wold.analyze(f, B, M, D)
             g = wold.synthesize(dec, D)
             diff = (g - f.pad(D)).coeffs[: D_safe + 1]
+            decs[label] = dec
             return np.linalg.norm(diff)
 
         _timed(cfg, records, f"decompose/{label}/roundtrip_h2", tol, roundtrip)
 
-    if explicit is not None:
-        f = inputs[0][1]
-        dec = wold.analyze(f, B, M, D)
+    if (dec := decs.get("explicit")) is not None:
         data["components"] = [[[c.real, c.imag] for c in comp.coeffs] for comp in dec.components]
         data["decomposition"] = dec.to_json()
     return records, data

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,19 +23,12 @@ from .wold import analyze, shell_frame
 __all__ = [
     "MultiplierMatrix",
     "CommutantOperator",
-    "IdempotentReport",
     "build",
-    "apply_formula",
     "extract_symbols",
     "symbols_to_matrix",
     "commutation_residual",
-    "idempotent_residual",
     "cowen_residual",
 ]
-
-#: fixed interior sample points for pointwise rank checks (plus the origin).
-RANK_SAMPLE_POINTS = (0.0 + 0.0j, 0.35 + 0.0j, -0.2 + 0.4j, 0.45 - 0.15j)
-
 
 #: max entry degree a MultiplierMatrix accepts from its caller.
 _MAX_SYMBOL_DEGREE = 64
@@ -63,8 +56,8 @@ class MultiplierMatrix:
 
     @classmethod
     def _derived(cls, entries) -> "MultiplierMatrix":
-        """A matrix computed by the library (product, difference, extracted
-        symbols): the degree cap guards only config and user input."""
+        """A matrix computed by the library (difference, extracted symbols):
+        the degree cap guards only config and user input."""
         out = cls.__new__(cls)
         out._fill(entries)
         return out
@@ -93,39 +86,12 @@ class MultiplierMatrix:
     def max_entry_degree(self) -> int:
         return max(e.degree for row in self.entries for e in row)
 
-    def evaluate_at(self, z: complex) -> np.ndarray:
-        return np.array([[e(z) for e in row] for row in self.entries])
-
-    def matmul(self, other: "MultiplierMatrix") -> "MultiplierMatrix":
-        """Entrywise-polynomial matrix product, degrees summed exactly."""
-        if other.n != self.n:
-            raise ValueError("size mismatch")
-        n = self.n
-        D = self.max_entry_degree + other.max_entry_degree
-        out = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                acc = np.zeros(D + 1, dtype=complex)
-                for l in range(n):
-                    prod = np.convolve(self.entries[j][l].coeffs, other.entries[l][k].coeffs)
-                    acc[: len(prod)] += prod
-                row.append(TaylorPoly(acc))
-            out.append(row)
-        return MultiplierMatrix._derived(out)
-
     def __sub__(self, other: "MultiplierMatrix") -> "MultiplierMatrix":
         return MultiplierMatrix._derived(
             [
                 [self.entries[j][k] - other.entries[j][k] for k in range(self.n)]
                 for j in range(self.n)
             ]
-        )
-
-    def coefficient_norm(self) -> float:
-        """sqrt of the summed squared coefficient norms of all entries."""
-        return float(
-            np.sqrt(sum(np.sum(np.abs(e.coeffs) ** 2) for row in self.entries for e in row))
         )
 
     def to_json(self) -> list:
@@ -203,22 +169,6 @@ def build(
     )
 
 
-def apply_formula(
-    phi: MultiplierMatrix,
-    B: BlaschkeProduct,
-    f: TaylorPoly,
-    M: int,
-    D: int,
-) -> TaylorPoly:
-    """Action through the decomposition: analyze f, send each cell to its
-    image under Phi, sum with the shell coefficients. Agrees with the built
-    realization on the safe block."""
-    dec = analyze(f, B, M, D)
-    M_out = M + phi.max_entry_degree
-    Z = _cell_images(phi, shell_frame(B, M_out, D).cells(M_out))
-    return TaylorPoly(Z @ dec.coefficients.T.reshape(-1))
-
-
 def commutation_residual(
     A: OperatorMatrix,
     B: BlaschkeProduct,
@@ -276,40 +226,6 @@ def symbols_to_matrix(
     cols = [analyze(ph, B, M, D).coefficients for ph in phis]
     n = len(phis)
     return MultiplierMatrix._derived([[cols[k][j] for k in range(n)] for j in range(n)])
-
-
-class IdempotentReport(NamedTuple):
-    residual: float
-    rank: int
-    trace: complex
-    ranks_by_point: tuple[int, ...]
-    rank_consistent: bool
-
-
-#: singular-value threshold for the pointwise rank in idempotent_residual.
-_RANK_POINT_TOL = 1e-8
-
-
-def idempotent_residual(phi: MultiplierMatrix) -> IdempotentReport:
-    """Diagnostics for Phi as a candidate projection symbol.
-
-    Returns the coefficient norm of Phi^2 - Phi (entry products exact), the
-    numerical rank at the origin, and the trace evaluated at 0. Rank is also
-    sampled at three fixed interior points; a rank-1, trace-1 idempotent
-    signals a candidate minimal projection.
-    """
-    ranks = []
-    for z in RANK_SAMPLE_POINTS:
-        s = np.linalg.svd(phi.evaluate_at(z), compute_uv=False)
-        ranks.append(int(np.sum(s > _RANK_POINT_TOL)))
-    trace = complex(sum(phi.entries[j][j](0.0) for j in range(phi.n)))
-    return IdempotentReport(
-        residual=(phi.matmul(phi) - phi).coefficient_norm(),
-        rank=ranks[0],
-        trace=trace,
-        ranks_by_point=tuple(ranks),
-        rank_consistent=len(set(ranks)) == 1,
-    )
 
 
 def cowen_residual(

@@ -42,10 +42,6 @@ class MembershipError(BlaschkeLabError):
     """A function claimed to lie in the model space fails the membership check."""
 
 
-class NotSelfAdjointError(BlaschkeLabError):
-    """Self-adjoint block analysis requested for a non-self-adjoint operator."""
-
-
 def known_keys(obj, where: str, valid: tuple[str, ...]) -> dict:
     """obj, once it is a mapping whose every key is in valid."""
     if not isinstance(obj, dict):

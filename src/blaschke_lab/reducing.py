@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .blaschke import RHO_MAX, BlaschkeProduct
-from .commutant import CommutantOperator
 from .errors import ConditioningError, MembershipError
 from .spaces import (
     OperatorMatrix,
@@ -26,11 +25,12 @@ from .spaces import (
     as_weight,
     commutator_residual,
     operator_norm_safe,
+    require_window,
     safe_degree,
     weighted_adjoint,
     weighted_norm,
 )
-from .wold import analyze, shell_frame
+from .wold import shell_frame
 
 __all__ = [
     "SubspaceProjection",
@@ -42,7 +42,6 @@ __all__ = [
     "reducing_residual",
     "shift_equiv_monomial",
     "shift_equiv_general",
-    "hyperinvariance_check",
     "unitarity_defect",
     "intertwining_residual",
     "shell_shift_residual",
@@ -65,21 +64,10 @@ class SubspaceProjection:
     basis: tuple[TaylorPoly, ...]
     matrix: OperatorMatrix
     alpha: WeightAlpha
-    kind: str = "custom"
 
     @property
     def degree(self) -> int:
         return self.matrix.degree
-
-    def complement(self) -> "SubspaceProjection":
-        return SubspaceProjection(
-            basis=(),
-            matrix=OperatorMatrix(
-                np.eye(self.degree + 1) - self.matrix.entries, self.alpha
-            ),
-            alpha=self.alpha,
-            kind=f"complement({self.kind})",
-        )
 
 
 def projection_defects(P: SubspaceProjection) -> tuple[float, float]:
@@ -114,7 +102,6 @@ def monomial_reducing_projection(
         basis=tuple(basis),
         matrix=OperatorMatrix(np.diag(mask.astype(complex)), w),
         alpha=w,
-        kind="monomial",
     )
 
 
@@ -224,7 +211,6 @@ def mobius_power_reducing_projection(
         basis=tuple(TaylorPoly(v) for v in Ub.T),
         matrix=OperatorMatrix(P, w),
         alpha=w,
-        kind="mobius_power",
     )
 
 
@@ -235,8 +221,10 @@ _BASIS_RANK_TOL = 1e-10
 
 def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D: int) -> SubspaceProjection:
     """Orthogonal projection onto the span of the given truncated functions
-    under the weight w (weighted QR)."""
+    under the weight w (weighted QR). Every function must fit the window D."""
     w = as_weight(w)
+    for f in functions:
+        require_window(f, D)
     sq = np.sqrt(w.diagonal(D))
     cols = np.stack([as_coeffs(f, D) for f in functions], axis=1)
     normed = cols / np.linalg.norm(cols, axis=0)
@@ -248,7 +236,7 @@ def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D
     Q, _ = np.linalg.qr(sq[:, None] * cols)
     P = (Q @ Q.conj().T) * sq[None, :] / sq[:, None]
     basis = tuple(TaylorPoly(Q[:, i] / sq) for i in range(Q.shape[1]))
-    return SubspaceProjection(basis=basis, matrix=OperatorMatrix(P, w), alpha=w, kind="custom")
+    return SubspaceProjection(basis=basis, matrix=OperatorMatrix(P, w), alpha=w)
 
 
 def reducing_residual(
@@ -272,39 +260,17 @@ def reducing_residual(
     )
 
 
-def hyperinvariance_check(
-    P: SubspaceProjection,
-    W: CommutantOperator | OperatorMatrix,
-) -> float:
-    """Invariance defect ||(I - P) W P|| on the safe block: small means W
-    maps the subspace into itself (invariance, not full commutation)."""
-    Wm = W.realization.entries if isinstance(W, CommutantOperator) else W.entries
-    m = P.matrix.entries
-    D_safe = safe_degree(P.degree)
-    s = slice(0, D_safe + 1)
-    # only the safe block: ((I - m) W m)[s, s] = (I - m)[s, :] W m[:, s]
-    return operator_norm_safe((np.eye(D_safe + 1, len(m)) - m[s, :]) @ Wm @ m[:, s], P.alpha, D_safe)
-
-
 # ---------------------------------------------------------------------------
 # shift equivalence
 
 
 @dataclass(frozen=True)
 class IntertwinerJ:
-    """Map J with J S = T_B J given by its images J(z^k).
-
-    norm_mode declares the inner product under which J is unitary onto its
-    range: "alpha_norm" for the monomial construction, "b_norm" for the
-    general one (unitarity holds in shell coordinates there, not in the
-    plain weighted norm).
-    """
+    """Map J with J S = T_B J given by its images J(z^k)."""
 
     images: tuple[TaylorPoly, ...]
-    norm_mode: str
     alpha: WeightAlpha
     B: BlaschkeProduct
-    h_alpha_norm: float | None = None
 
     @property
     def count(self) -> int:
@@ -325,12 +291,7 @@ def shift_equiv_monomial(n: int, w: WeightAlpha | float, D: int) -> IntertwinerJ
         v[(k + 1) * n - 1] = scale
         images.append(TaylorPoly(v))
         k += 1
-    return IntertwinerJ(
-        images=tuple(images),
-        norm_mode="alpha_norm",
-        alpha=w,
-        B=BlaschkeProduct.monomial(n),
-    )
+    return IntertwinerJ(images=tuple(images), alpha=w, B=BlaschkeProduct.monomial(n))
 
 
 #: tolerance of the H^2 model-space membership test in shift_equiv_general.
@@ -345,13 +306,13 @@ def shift_equiv_general(
     D: int,
 ) -> IntertwinerJ:
     """J(z^k) = h B^k for h in the model space, unitary in the expansion
-    norm.
+    norm. h must fit the window D.
 
-    h is renormalized to unit H^2 norm (the expansion-norm identity
-    ||h B^k||_B^2 = (k+1)^alpha reads norms of shells in H^2); its weighted
-    norm is recorded on the result instead of being used for scaling.
+    h is renormalized to unit H^2 norm: the expansion-norm identity
+    ||h B^k||_B^2 = (k+1)^alpha reads norms of shells in H^2.
     """
     w = as_weight(w)
+    require_window(h, D)
     nrm0 = weighted_norm(h, 0.0)
     if nrm0 == 0.0:
         raise MembershipError("h is zero")
@@ -368,31 +329,16 @@ def shift_equiv_general(
     images = [as_coeffs(h_unit, D)]
     for _ in range(M):  # h B^k = T_B h B^(k-1), exact below degree D
         images.append(TB @ images[-1])
-    return IntertwinerJ(
-        images=tuple(TaylorPoly(v) for v in images),
-        norm_mode="b_norm",
-        alpha=w,
-        B=B,
-        h_alpha_norm=weighted_norm(h_unit, w),
-    )
+    return IntertwinerJ(images=tuple(TaylorPoly(v) for v in images), alpha=w, B=B)
 
 
-def unitarity_defect(J: IntertwinerJ, *, M: int | None = None) -> float:
-    """Entrywise deviation of the Gram matrix of {J(z^k)} from that of
-    {z^k}, computed in the declared inner product."""
+def unitarity_defect(J: IntertwinerJ) -> float:
+    """Entrywise deviation of the alpha-norm Gram matrix of {J(z^k)} from
+    that of {z^k}."""
     target = np.diag((np.arange(J.count) + 1.0) ** J.alpha.alpha)
-    if J.norm_mode == "alpha_norm":
-        X = np.stack([f.coeffs for f in J.images], axis=1)
-        # G_ij = sum_k x_ik conj(x_jk) lam_k, each term in weighted_inner's order
-        G = np.einsum("ki,kj,k->ij", X, X.conj(), J.alpha.diagonal(X.shape[0] - 1))
-        return float(np.max(np.abs(G - target)))
-    # b_norm: Gram in shell coordinates
-    D = J.images[0].degree
-    if M is None:
-        M = J.count + 2
-    coords = [analyze(f, J.B, M, D).coefficients for f in J.images]
-    kw = (np.arange(M + 1) + 1.0) ** J.alpha.alpha
-    G = np.einsum("inm,jnm,m->ij", np.array(coords), np.conj(coords), kw)
+    X = np.stack([f.coeffs for f in J.images], axis=1)
+    # G_ij = sum_k x_ik conj(x_jk) lam_k, each term in weighted_inner's order
+    G = np.einsum("ki,kj,k->ij", X, X.conj(), J.alpha.diagonal(X.shape[0] - 1))
     return float(np.max(np.abs(G - target)))
 
 

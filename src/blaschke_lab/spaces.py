@@ -128,6 +128,13 @@ def as_coeffs(f: TaylorPoly, D: int) -> np.ndarray:
     return out
 
 
+def require_window(f: TaylorPoly, D: int) -> None:
+    """Raise if f has coefficients past degree D: an input the window would
+    cut is an error, never silently truncated."""
+    if f.degree > D:
+        raise DimensionMismatchError(f"function degree {f.degree} exceeds the window D = {D}; pass D >= deg f")
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Finite section of an operator: a dense (D+1) x (D+1) matrix acting on
@@ -211,15 +218,6 @@ def weighted_adjoint(A: OperatorMatrix, w: WeightAlpha | float | None = None) ->
     lam = w.diagonal(A.degree)
     m = (A.entries.conj().T * lam[None, :]) / lam[:, None]
     return OperatorMatrix(m, w)
-
-
-def apply(A: OperatorMatrix, f: TaylorPoly) -> TaylorPoly:
-    """Matrix-vector action on coefficients; f is zero-padded if shorter."""
-    if f.degree > A.degree:
-        raise DimensionMismatchError(
-            f"function degree {f.degree} exceeds operator degree {A.degree}"
-        )
-    return TaylorPoly(A.entries @ as_coeffs(f, A.degree))
 
 
 def safe_degree(D: int, guard: int | None = None) -> int:

@@ -29,13 +29,14 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct, ModelSpaceBasis, model_basis
-from .errors import DimensionMismatchError, ZeroFunctionError
+from .errors import ZeroFunctionError
 from .spaces import (
     TaylorPoly,
     WeightAlpha,
     _trunc_mul,
     as_coeffs,
     as_weight,
+    require_window,
     safe_degree,
     toeplitz_matrix,
     weighted_norm,
@@ -253,11 +254,6 @@ class ShellDecomposition:
         return self.coefficients.shape[1] - 1
 
     @property
-    def shells(self) -> list[np.ndarray]:
-        """Coordinate vectors of h_k in the orthonormal basis, k = 0..M."""
-        return [self.coefficients[:, k] for k in range(self.shell_count + 1)]
-
-    @property
     def components(self) -> list[TaylorPoly]:
         """f_1, ..., f_n with (f_j)_k = c[j, k]."""
         return [TaylorPoly(row) for row in self.coefficients]
@@ -289,10 +285,7 @@ def analyze(
         D = f.degree
     if M is None:
         M = shell_count(B, D)
-    if f.degree > D:
-        raise DimensionMismatchError(
-            f"function degree {f.degree} exceeds the window D = {D}; pass D >= deg f"
-        )
+    require_window(f, D)
     basis, E = _cells(B, M, D, basis)
     # E^H f over the rows f occupies, without padding f or copying E
     c = (E[: len(f.coeffs)].T @ f.coeffs.conj()).conj()

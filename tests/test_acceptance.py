@@ -141,14 +141,8 @@ def test_06_idempotent_examples():
         ),
         "half": bl.MultiplierMatrix.from_scalars([[0.5, 0.5], [0.5, 0.5]]),
     }
-    worst_sym = 0.0
     worst_op = 0.0
-    for name, phi in matrices.items():
-        rep = bl.idempotent_residual(phi)
-        assert rep.residual < 1e-12, f"{name}: symbol idempotency {rep.residual:.2e}"
-        assert rep.rank == 1 and rep.rank_consistent, f"{name}: rank {rep.ranks_by_point}"
-        assert abs(rep.trace - 1.0) < 1e-14, f"{name}: trace {rep.trace}"
-        worst_sym = max(worst_sym, rep.residual)
+    for phi in matrices.values():
         W = bl.build(phi, B, 0.0, M, D).realization.entries
         Ds = safe_degree(D)
         worst_op = max(worst_op, float(np.max(np.abs((W @ W - W)[: Ds + 1, : Ds + 1]))))
@@ -160,7 +154,6 @@ def test_06_idempotent_examples():
         Ds = safe_degree(D)
         worst_sa = max(worst_sa, float(np.max(np.abs(diff[: Ds + 1, : Ds + 1]))))
     verdict_parts(6, "idempotent-examples", {
-        "symbol-idempotency": (worst_sym, 1e-12),
         "operator-idempotency": (worst_op, 1e-8),
         "parity-self-adjointness": (worst_sa, 1e-10),
     })

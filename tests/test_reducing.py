@@ -6,8 +6,8 @@ import pytest
 import blaschke_lab as bl
 from blaschke_lab import reducing as rd
 from blaschke_lab import safe_degree
-from blaschke_lab.errors import ConditioningError, MembershipError
-from blaschke_lab.spaces import TaylorPoly, operator_norm_safe
+from blaschke_lab.errors import ConditioningError, DimensionMismatchError, MembershipError
+from blaschke_lab.spaces import TaylorPoly, as_coeffs, operator_norm_safe
 
 
 def _mobius_column_loop(a, N, D):
@@ -66,7 +66,7 @@ class TestMonomialProjection:
         idem, sa = bl.projection_defects(P)
         assert idem < 1e-12 and sa < 1e-12
         for v in P.basis:
-            out = bl.apply(P.matrix, v)
+            out = TaylorPoly(P.matrix.entries @ as_coeffs(v, P.degree))
             assert bl.weighted_norm(out - v, -1.0) < 1e-12
 
 
@@ -101,7 +101,7 @@ class TestMobiusProjection:
         _, sa = bl.projection_defects(P)
         assert sa < 1e-10
         for v in P.basis:
-            out = bl.apply(P.matrix, v)
+            out = TaylorPoly(P.matrix.entries @ as_coeffs(v, P.degree))
             assert bl.weighted_norm(out - v, -1.0) < 1e-10
 
     def test_bottom_generator_is_kernel(self):
@@ -260,7 +260,8 @@ class TestReducingResidual:
         B = bl.BlaschkeProduct.monomial(2)
         P = bl.monomial_reducing_projection(2, 0, -1.0, D)
         r1 = bl.reducing_residual(P, B, -1.0, D)
-        r2 = bl.reducing_residual(P.complement(), B, -1.0, D)
+        complement = dataclasses.replace(P, basis=(), matrix=bl.OperatorMatrix(np.eye(D + 1) - P.matrix.entries, -1.0))
+        r2 = bl.reducing_residual(complement, B, -1.0, D)
         assert abs(r1 - r2) < 1e-12
 
     def test_pairwise_annihilation(self):
@@ -290,6 +291,18 @@ class TestShiftEquivMonomial:
         assert bl.intertwining_residual(J) < 1e-13
 
 
+def b_norm_unitarity_defect(J, *, M):
+    """Entrywise deviation of the Gram matrix of {J(z^k)} from that of
+    {z^k} in shell coordinates on shells 0..M: the expansion norm, in which
+    the general construction is unitary."""
+    target = np.diag((np.arange(J.count) + 1.0) ** J.alpha.alpha)
+    D = J.images[0].degree
+    coords = [bl.analyze(f, J.B, M, D).coefficients for f in J.images]
+    kw = (np.arange(M + 1) + 1.0) ** J.alpha.alpha
+    G = np.einsum("inm,jnm,m->ij", np.array(coords), np.conj(coords), kw)
+    return float(np.max(np.abs(G - target)))
+
+
 class TestShiftEquivGeneral:
     def test_monomial_h_reduces_to_monomial_construction(self):
         # B = z^n with h = z^(n-1): shells of h B^k are single monomials
@@ -312,8 +325,8 @@ class TestShiftEquivGeneral:
         D, K = 96, 8
         basis = bl.model_basis(B3, D)
         J = bl.shift_equiv_general(B3, basis.orthonormal[0], -1.0, K, D)
-        assert bl.unitarity_defect(J, M=K + 2) < 1e-9
-        assert J.h_alpha_norm is not None
+        assert b_norm_unitarity_defect(J, M=K + 2) < 1e-9
+        assert bl.unitarity_defect(J) > 1e-2
 
     def test_shell_shift(self, B2):
         D = 96
@@ -341,6 +354,14 @@ class TestShiftEquivGeneral:
         with pytest.raises(MembershipError):
             bl.shift_equiv_general(B3, TaylorPoly.monomial(7, 40), -1.0, 6, 96)
 
+    def test_h_past_the_window_is_rejected(self):
+        # h = z + 5 z^30 at D = 8: cut to z, it would pass the model-space
+        # test of B = z^2 and then fail the expansion-norm identity
+        c = np.zeros(31)
+        c[1], c[30] = 1.0, 5.0
+        with pytest.raises(DimensionMismatchError, match=r"^function degree 30 exceeds the window D = 8; "):
+            bl.shift_equiv_general(bl.BlaschkeProduct.monomial(2), TaylorPoly(c), -1.0, 3, 8)
+
     def test_truncated_model_function_asks_for_larger_D(self):
         # the library's own basis vector for a zero at 0.8 still carries mass
         # past D = 48, so the window test fails; the error says why and what
@@ -356,17 +377,31 @@ class TestShiftEquivGeneral:
         bl.shift_equiv_general(B, bl.model_basis(B, 96).orthonormal[0], -1.0, 4, 96)
 
 
+def hyperinvariance_check(
+    P: bl.SubspaceProjection,
+    W: bl.CommutantOperator | bl.OperatorMatrix,
+) -> float:
+    """Invariance defect ||(I - P) W P|| on the safe block: small means W
+    maps the subspace into itself (invariance, not full commutation)."""
+    Wm = W.realization.entries if isinstance(W, bl.CommutantOperator) else W.entries
+    m = P.matrix.entries
+    D_safe = safe_degree(P.degree)
+    s = slice(0, D_safe + 1)
+    # only the safe block: ((I - m) W m)[s, s] = (I - m)[s, :] W m[:, s]
+    return operator_norm_safe((np.eye(D_safe + 1, len(m)) - m[s, :]) @ Wm @ m[:, s], P.alpha, D_safe)
+
+
 class TestHyperinvariance:
     def test_tb_on_reducing_projection(self):
         D = 60
         B = bl.BlaschkeProduct.monomial(2)
         P = bl.monomial_reducing_projection(2, 0, -1.0, D)
         TB = bl.toeplitz_matrix(B.taylor(D), D, -1.0)
-        assert bl.hyperinvariance_check(P, TB) < 1e-8
+        assert hyperinvariance_check(P, TB) < 1e-8
 
     def test_identity(self):
         P = bl.monomial_reducing_projection(2, 1, -1.0, 30)
-        assert bl.hyperinvariance_check(P, bl.OperatorMatrix.identity(30, -1.0)) == 0.0
+        assert hyperinvariance_check(P, bl.OperatorMatrix.identity(30, -1.0)) == 0.0
 
     def test_diagonal_phi_preserves_parity_component(self, rng):
         D, M = 64, 32
@@ -377,7 +412,7 @@ class TestHyperinvariance:
             for j in range(2)
         ]
         op = bl.build(bl.MultiplierMatrix(diag), B, -1.0, M, D)
-        assert bl.hyperinvariance_check(P, op) < 1e-7
+        assert hyperinvariance_check(P, op) < 1e-7
 
 
 class TestSafeBlockDefects:
@@ -410,7 +445,7 @@ class TestSafeBlockDefects:
             phi = bl.MultiplierMatrix([[TaylorPoly(rng.standard_normal(3)) for _ in range(2)] for _ in range(2)])
             for W in (bl.build(phi, B2, P.alpha, D // 2, D).realization.entries, rng.standard_normal((D + 1, D + 1))):
                 ref = operator_norm_safe((np.eye(D + 1) - m) @ W @ m, P.alpha, safe_degree(D))
-                got = bl.hyperinvariance_check(P, bl.OperatorMatrix(W, P.alpha))
+                got = hyperinvariance_check(P, bl.OperatorMatrix(W, P.alpha))
                 assert abs(got - ref) <= 1e-14 * max(1.0, ref)
 
 

@@ -11,7 +11,13 @@ import pytest
 import blaschke_lab as bl
 from blaschke_lab import checks, cli
 from blaschke_lab.cli import main, parse_config, run
-from blaschke_lab.errors import ConditioningError, ConfigError, MembershipError, NotInCommutantError
+from blaschke_lab.errors import (
+    ConditioningError,
+    ConfigError,
+    DimensionMismatchError,
+    MembershipError,
+    NotInCommutantError,
+)
 from blaschke_lab.report import CheckRecord, Report, parse_json, render
 
 
@@ -220,6 +226,23 @@ class TestRun:
         assert comps[1][0] == [2.0, 0.0] and comps[1][1] == [4.0, 0.0]
         assert rep.records[0].residual < 1e-12
 
+    # 12 coefficients do not fit the window D = 8
+    LONG_F = dict(BASE, degree=8, inputs={"f": [[1.0, 0.0]] * 12})
+
+    def test_decompose_f_past_the_window_is_an_errored_record(self, tmp_path):
+        cfgp, out = tmp_path / "c.json", tmp_path / "r.json"
+        cfgp.write_text(json.dumps(self.LONG_F))
+        assert main(["decompose", "--config", str(cfgp), "--out", str(out)]) == 1
+        rep = parse_json(out.read_bytes())
+        [r] = rep.records
+        assert r.name == "decompose/explicit/roundtrip_h2" and not r.passed
+        assert r.error == "DimensionMismatchError: function degree 11 exceeds the window D = 8; pass D >= deg f"
+        assert rep.data == {}  # no payload for a round trip that errored
+
+    def test_decompose_f_past_the_window_raises_in_strict_mode(self):
+        with pytest.raises(DimensionMismatchError, match="exceeds the window D = 8"):
+            run(parse_config(self.LONG_F, "decompose", strict=True))
+
     def test_suite_passes_and_is_deterministic(self):
         cfg = parse_config(dict(BASE), "suite")
         r1 = run(cfg)
@@ -397,6 +420,21 @@ class TestBatteries:
     def test_reducing_custom_setup_error_raises_in_strict_mode(self):
         with pytest.raises(ConditioningError, match="setup projection_from_basis"):
             run(parse_config(self.DEPENDENT, "reducing", strict=True))
+
+    def test_reducing_custom_basis_past_the_window_is_an_errored_record(self, tmp_path):
+        # 1 + z^6 at D = 4: cut to 1, it would report the span of 1
+        obj = dict(BASE, degree=4, inputs={"family": "custom", "basis": [[[1, 0]] + [[0, 0]] * 5 + [[1, 0]]]})
+        cfgp, out = tmp_path / "c.json", tmp_path / "r.json"
+        cfgp.write_text(json.dumps(obj))
+        assert main(["reducing", "--config", str(cfgp), "--out", str(out)]) == 1
+        rep = parse_json(out.read_bytes())
+        [r] = rep.records
+        assert r.name == "reducing/custom/residual" and not r.passed
+        assert r.error == (
+            "DimensionMismatchError: setup projection_from_basis: function degree 6 exceeds the window D = 4; "
+            "pass D >= deg f"
+        )
+        assert rep.data == {}
 
     def test_ortho_battery(self):
         rep = run(parse_config(dict(BASE, degree=64, inputs={"kmax": 3}), "ortho"))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import blaschke_lab as bl
 from blaschke_lab.errors import DimensionMismatchError
-from blaschke_lab.spaces import TaylorPoly, commutator_residual, operator_norm_safe
+from blaschke_lab.spaces import TaylorPoly, as_coeffs, commutator_residual, operator_norm_safe, require_window
 
 
 def poly(*coeffs):
@@ -97,9 +97,9 @@ class TestToeplitz:
         D = 24
         g = TaylorPoly(rng.standard_normal(6) + 1j * rng.standard_normal(6))
         f = TaylorPoly(rng.standard_normal(10) + 1j * rng.standard_normal(10))
-        via_matrix = bl.apply(bl.toeplitz_matrix(g, D, 0.0), f)
+        via_matrix = bl.toeplitz_matrix(g, D, 0.0).entries @ as_coeffs(f, D)
         via_mul = bl.multiply(g, f, D)
-        assert np.allclose(via_matrix.coeffs, via_mul.coeffs)
+        assert np.allclose(via_matrix, via_mul.coeffs)
 
     def test_homomorphism_on_block(self, rng):
         # T_{fg} = T_f T_g exactly for lower-triangular truncations
@@ -137,8 +137,8 @@ class TestAdjoint:
         for _ in range(50):
             f = TaylorPoly(rng.standard_normal(D + 1) + 1j * rng.standard_normal(D + 1))
             g = TaylorPoly(rng.standard_normal(D + 1) + 1j * rng.standard_normal(D + 1))
-            lhs = bl.weighted_inner(bl.apply(Tz, f), g, -1.0)
-            rhs = bl.weighted_inner(f, bl.apply(Tzs, g), -1.0)
+            lhs = bl.weighted_inner(TaylorPoly(Tz.entries @ f.coeffs), g, -1.0)
+            rhs = bl.weighted_inner(f, TaylorPoly(Tzs.entries @ g.coeffs), -1.0)
             assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(lhs))
 
     def test_involution(self, rng):
@@ -200,27 +200,11 @@ class TestOperatorNormSafe:
             operator_norm_safe(X, -1.0, 4)
 
 
-class TestApply:
-    def test_identity(self, rng):
-        f = TaylorPoly(rng.standard_normal(5))
-        out = bl.apply(bl.OperatorMatrix.identity(4, 0.0), f)
-        assert np.allclose(out.coeffs, f.coeffs)
-
-    def test_shift(self):
-        out = bl.apply(bl.toeplitz_matrix(TaylorPoly.monomial(1), 3, 0.0), poly(1, 1))
-        assert np.allclose(out.coeffs, [0, 1, 1, 0])
-
-    def test_rejects_longer_input(self):
-        with pytest.raises(DimensionMismatchError):
-            bl.apply(bl.OperatorMatrix.identity(2, 0.0), TaylorPoly(np.ones(5)))
-
-    def test_matches_row_dots(self, rng):
-        D = 9
-        m = rng.standard_normal((D + 1, D + 1))
-        f = rng.standard_normal(D + 1)
-        out = bl.apply(bl.OperatorMatrix(m, 0.0), TaylorPoly(f))
-        expected = np.array([np.dot(m[i], f) for i in range(D + 1)])
-        assert np.allclose(out.coeffs, expected)
+def test_require_window_rejects_a_function_past_the_window():
+    require_window(TaylorPoly(np.ones(3)), 2)
+    require_window(TaylorPoly(np.ones(3)), 5)
+    with pytest.raises(DimensionMismatchError, match=r"^function degree 4 exceeds the window D = 2; pass D >= deg f$"):
+        require_window(TaylorPoly(np.ones(5)), 2)
 
 
 def test_taylor_poly_rejects_nonfinite():

@@ -1,0 +1,80 @@
+"""Every public module-level function and class of the library must be
+reached by code that is not a test: a battery, the CLI, a script or the
+benchmark. A name that only tests call belongs in the tests, as an oracle
+next to the test that uses it. References are read from the source by name:
+a Name or an attribute anywhere in src/, scripts/ or perfbench/ outside the
+definition itself, or a segment of a layer the benchmark traces. Re-exports
+in __init__ and the strings of __all__ do not count."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "blaschke_lab"
+
+#: the one public name no code outside the tests reads, and why it stays.
+EXEMPT = {
+    "weighted_inner": "the inner product that defines each weighted space; "
+    "the tests check adjoints, Grams and norms against it",
+}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _layer_segments():
+    """The dotted segments of perfbench/tracing.LAYERS after the module."""
+    tree = _parse(ROOT / "perfbench" / "tracing.py")
+    [layers] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
+    ]
+    return {part for name in layers for part in name.split(".")[1:]}
+
+
+def _definitions():
+    """{(module, name): (first line, last line)} of the public top-level
+    functions and classes of every module but __init__."""
+    defs = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defs[(path.stem, node.name)] = (node.lineno, node.end_lineno)
+    return defs
+
+
+def _references():
+    """[(file, line, name)] of every Name and attribute read outside the
+    tests and __init__."""
+    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    refs = []
+    for path in files:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.lineno, node.attr))
+    return refs
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    layers, refs = _layer_segments(), _references()
+    unreached = []
+    for (module, name), (first, last) in _definitions().items():
+        own = SRC / f"{module}.py"
+        outside = any(n == name and not (path == own and first <= line <= last) for path, line, n in refs)
+        if not (outside or name in layers or name in EXEMPT):
+            unreached.append(f"{module}.{name}")
+    assert unreached == []
+
+
+def test_the_exemption_is_still_needed():
+    # an exempt name that gained a reader no longer needs its exemption
+    refs = {n for _, _, n in _references()}
+    assert sorted(name for name in EXEMPT if name in refs) == []
+    assert all(("spaces", name) in _definitions() for name in EXEMPT)
