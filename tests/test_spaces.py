@@ -200,6 +200,34 @@ class TestOperatorNormSafe:
             operator_norm_safe(X, -1.0, 4)
 
 
+class TestApply:
+    # The action of a finite section on a function: entries @ as_coeffs(f, D).
+    def test_identity(self, rng):
+        f = TaylorPoly(rng.standard_normal(5))
+        I = bl.OperatorMatrix.identity(4, 0.0)
+        out = I.entries @ as_coeffs(f, I.degree)
+        assert np.allclose(out, f.coeffs)
+
+    def test_shift(self):
+        S = bl.toeplitz_matrix(TaylorPoly.monomial(1), 3, 0.0)
+        out = S.entries @ as_coeffs(poly(1, 1), S.degree)
+        assert np.allclose(out, [0, 1, 1, 0])
+
+    def test_rejects_longer_input(self):
+        I = bl.OperatorMatrix.identity(2, 0.0)
+        with pytest.raises(DimensionMismatchError):
+            require_window(TaylorPoly(np.ones(5)), I.degree)
+
+    def test_matches_row_dots(self, rng):
+        D = 9
+        m = rng.standard_normal((D + 1, D + 1))
+        f = rng.standard_normal(D + 1)
+        A = bl.OperatorMatrix(m, 0.0)
+        out = A.entries @ as_coeffs(TaylorPoly(f), A.degree)
+        expected = np.array([np.dot(m[i], f) for i in range(D + 1)])
+        assert np.allclose(out, expected)
+
+
 def test_require_window_rejects_a_function_past_the_window():
     require_window(TaylorPoly(np.ones(3)), 2)
     require_window(TaylorPoly(np.ones(3)), 5)
