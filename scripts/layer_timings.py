@@ -49,7 +49,7 @@ def median_s(fn, repeats: int) -> float:
 
 def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Generator) -> dict:
     M = wold.shell_count(B, D)
-    phi = bl.MultiplierMatrix(
+    phi = bl.MultiplierMatrix.from_polys(
         [[bl.TaylorPoly(rng.standard_normal(SYMBOL_DEGREE + 1) + 1j * rng.standard_normal(SYMBOL_DEGREE + 1))
           for _ in range(B.degree)] for _ in range(B.degree)]
     )

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .blaschke import BlaschkeProduct
 from .errors import DimensionMismatchError, NotInCommutantError
-from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, as_weight, commutator_residual, safe_degree
+from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, _freeze, as_weight, commutator_residual, safe_degree
 from .wold import analyze, shell_frame
 
 __all__ = [
@@ -34,74 +34,53 @@ __all__ = [
 _MAX_SYMBOL_DEGREE = 64
 
 
+@dataclass(frozen=True, eq=False)
 class MultiplierMatrix:
-    """Square array of polynomial multipliers (TaylorPoly entries)."""
+    """Square array of polynomial multipliers phi_jk = sum_t coeffs[t, j, k] z^t,
+    held as one read-only (T + 1) x n x n array: coeffs[t] is the t-th
+    coefficient matrix of Phi and T its entry degree."""
 
-    __slots__ = ("entries", "n")
+    coeffs: np.ndarray
 
-    def __init__(self, entries: Sequence[Sequence[TaylorPoly]]):
-        self._fill(entries)
-        if self.max_entry_degree > _MAX_SYMBOL_DEGREE:
-            raise ValueError(
-                f"entry degree {self.max_entry_degree} exceeds the multiplier degree cap {_MAX_SYMBOL_DEGREE}"
-            )
+    def __post_init__(self):
+        c = np.asarray(self.coeffs, dtype=complex)
+        if c.ndim != 3 or c.shape[0] == 0 or c.shape[1] != c.shape[2]:
+            raise ValueError("multiplier coefficients must be a (T + 1) x n x n array")
+        object.__setattr__(self, "coeffs", _freeze(c))
 
-    def _fill(self, entries) -> None:
-        rows = tuple(tuple(self._coerce(e) for e in row) for row in entries)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+    @classmethod
+    def from_polys(cls, entries: Sequence[Sequence[TaylorPoly]]) -> "MultiplierMatrix":
+        """The matrix of nested rows of TaylorPoly entries, each zero-padded to
+        the largest entry degree, which is capped at _MAX_SYMBOL_DEGREE: the
+        cap guards config and user input, not matrices the library computes."""
+        n = len(entries)
+        if any(len(row) != n for row in entries):
             raise ValueError("multiplier matrix must be square")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "n", n)
+        T = max(e.degree for row in entries for e in row)
+        if T > _MAX_SYMBOL_DEGREE:
+            raise ValueError(f"entry degree {T} exceeds the multiplier degree cap {_MAX_SYMBOL_DEGREE}")
+        c = np.zeros((T + 1, n, n), dtype=complex)
+        for j, row in enumerate(entries):
+            for k, e in enumerate(row):
+                c[: e.degree + 1, j, k] = e.coeffs
+        return cls(c)
 
-    @classmethod
-    def _derived(cls, entries) -> "MultiplierMatrix":
-        """A matrix computed by the library (difference, extracted symbols):
-        the degree cap guards only config and user input."""
-        out = cls.__new__(cls)
-        out._fill(entries)
-        return out
-
-    @staticmethod
-    def _coerce(e) -> TaylorPoly:
-        return e if isinstance(e, TaylorPoly) else TaylorPoly(np.atleast_1d(np.asarray(e, dtype=complex)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MultiplierMatrix is immutable")
-
-    def __getitem__(self, jk: tuple[int, int]) -> TaylorPoly:
-        j, k = jk
-        return self.entries[j][k]
-
-    @classmethod
-    def identity(cls, n: int) -> "MultiplierMatrix":
-        return cls.from_scalars(np.eye(n))
-
-    @classmethod
-    def from_scalars(cls, m) -> "MultiplierMatrix":
-        m = np.asarray(m, dtype=complex)
-        return cls([[TaylorPoly([v]) for v in row] for row in m])
+    @property
+    def n(self) -> int:
+        return self.coeffs.shape[1]
 
     @property
     def max_entry_degree(self) -> int:
-        return max(e.degree for row in self.entries for e in row)
+        return self.coeffs.shape[0] - 1
 
     def __sub__(self, other: "MultiplierMatrix") -> "MultiplierMatrix":
-        return MultiplierMatrix._derived(
-            [
-                [self.entries[j][k] - other.entries[j][k] for k in range(self.n)]
-                for j in range(self.n)
-            ]
-        )
-
-    def to_json(self) -> list:
-        return [
-            [[[c.real, c.imag] for c in e.coeffs] for e in row] for row in self.entries
-        ]
+        T = max(self.max_entry_degree, other.max_entry_degree)
+        a, b = (np.pad(m.coeffs, ((0, T - m.max_entry_degree), (0, 0), (0, 0))) for m in (self, other))
+        return MultiplierMatrix(a - b)
 
     @classmethod
     def from_json(cls, obj) -> "MultiplierMatrix":
-        return cls([[TaylorPoly([complex(re, im) for re, im in e]) for e in row] for row in obj])
+        return cls.from_polys([[TaylorPoly([complex(re, im) for re, im in e]) for e in row] for row in obj])
 
 
 @dataclass(frozen=True)
@@ -128,11 +107,7 @@ def _cell_images(phi: MultiplierMatrix, E_out: np.ndarray) -> np.ndarray:
     E_s is the n-column block of shell s, P_t the t-th coefficient matrix of
     Phi and T its entry degree. One batched product of the stacked P_t
     against the windows of (T + 1) n columns that start at each shell."""
-    n, T = phi.n, phi.max_entry_degree
-    P = np.zeros((T + 1, n, n), dtype=complex)
-    for j, row in enumerate(phi.entries):
-        for k, e in enumerate(row):
-            P[: e.degree + 1, j, k] = e.coeffs
+    n, T, P = phi.n, phi.max_entry_degree, phi.coeffs
     windows = sliding_window_view(E_out, (T + 1) * n, axis=1)[:, ::n]  # [i, r, t*n + j]
     Z = np.empty((E_out.shape[0], windows.shape[1], n), dtype=complex)
     np.matmul(windows.transpose(1, 0, 2), P.reshape(-1, n), out=Z.transpose(1, 0, 2))
@@ -223,9 +198,8 @@ def symbols_to_matrix(
 ) -> MultiplierMatrix:
     """Column k of Phi = shell components of phi_k (its decomposition in the
     {u_j B^m} system)."""
-    cols = [analyze(ph, B, M, D).coefficients for ph in phis]
-    n = len(phis)
-    return MultiplierMatrix._derived([[cols[k][j] for k in range(n)] for j in range(n)])
+    cols = np.stack([analyze(ph, B, M, D).coefficients for ph in phis], axis=2)  # [j, t, k]
+    return MultiplierMatrix(cols.transpose(1, 0, 2))
 
 
 def cowen_residual(

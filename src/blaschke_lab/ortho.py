@@ -14,30 +14,26 @@ import numpy as np
 
 from . import wold
 from .blaschke import BlaschkeProduct
-from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, as_weight
+from .spaces import OperatorMatrix, WeightAlpha, _freeze, as_weight
 
 __all__ = ["XSpaceChain", "x_spaces", "block_matrix"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XSpaceChain:
-    """Orthonormal bases (under the stored weight) of X_0 .. X_kmax."""
+    """Orthonormal bases (under the stored weight) of X_0 .. X_kmax as the
+    columns of one read-only (D+1) x (kmax+1)N array X: block k, the basis
+    of X_k, is columns kN..(k+1)N-1."""
 
     B: BlaschkeProduct
     alpha: WeightAlpha
-    blocks: tuple[tuple[TaylorPoly, ...], ...]
+    X: np.ndarray
     kmax: int
     degree: int
 
     @property
     def block_dim(self) -> int:
-        return len(self.blocks[0])
-
-    def block_matrix_stack(self) -> np.ndarray:
-        """Blocks as an (kmax+1, D+1, N) array of coefficient columns."""
-        return np.stack(
-            [np.stack([v.coeffs for v in blk], axis=1) for blk in self.blocks]
-        )
+        return self.B.degree
 
 
 def x_spaces(B: BlaschkeProduct, w: WeightAlpha | float, kmax: int, D: int) -> XSpaceChain:
@@ -61,9 +57,7 @@ def x_spaces(B: BlaschkeProduct, w: WeightAlpha | float, kmax: int, D: int) -> X
         raise ValueError(f"D = {D} too small for kmax = {kmax} (need >= {(kmax + 3) * N})")
     sq = np.sqrt(w.diagonal(D))
     Q, _ = np.linalg.qr(wold.shell_frame(B, kmax, D).cells(kmax) / sq[:, None])
-    X = (Q / sq[:, None]).T
-    blocks = tuple(tuple(TaylorPoly(x) for x in X[k * N : (k + 1) * N]) for k in range(kmax + 1))
-    return XSpaceChain(B=B, alpha=w, blocks=blocks, kmax=kmax, degree=D)
+    return XSpaceChain(B=B, alpha=w, X=_freeze(Q / sq[:, None]), kmax=kmax, degree=D)
 
 
 def block_matrix(W: OperatorMatrix, chain: XSpaceChain) -> np.ndarray:
@@ -73,8 +67,6 @@ def block_matrix(W: OperatorMatrix, chain: XSpaceChain) -> np.ndarray:
         raise ValueError("operator and chain degrees differ")
     D = chain.degree
     lam = chain.alpha.diagonal(D)
-    S = np.hstack(chain.block_matrix_stack())  # (D+1, K N), block k in columns kN..
-    K = chain.kmax + 1
-    N = chain.block_dim
+    S, K, N = chain.X, chain.kmax + 1, chain.block_dim
     G = S.conj().T @ (lam[:, None] * (W.entries @ S))
     return G.reshape(K, N, K, N).transpose(0, 2, 1, 3)

@@ -16,11 +16,12 @@ from functools import lru_cache
 import numpy as np
 
 from .blaschke import RHO_MAX, BlaschkeProduct
-from .errors import ConditioningError, MembershipError
+from .errors import ConditioningError, MembershipError, ZeroFunctionError
 from .spaces import (
     OperatorMatrix,
     TaylorPoly,
     WeightAlpha,
+    _freeze,
     as_coeffs,
     as_weight,
     commutator_residual,
@@ -48,20 +49,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceProjection:
     """Orthogonal projection onto a subspace, as a dense finite section.
 
-    basis holds alpha-orthonormal truncated functions spanning the visible
-    part of the subspace. For families whose elements outgrow any finite
-    window (the Mobius-power family), matrix is the finite section of the
-    infinite-dimensional projection: it stays self-adjoint and commutes
+    The columns of the read-only array V are alpha-orthonormal truncated
+    functions spanning the visible part of the subspace. For families whose
+    elements outgrow any finite window (the Mobius-power family), matrix is
+    the finite section of the infinite-dimensional projection: it stays self-adjoint and commutes
     correctly, but matrix-squared only approximates matrix up to the mass
     the true projection sends past the window; projection_defects measures
     both laws honestly.
     """
 
-    basis: tuple[TaylorPoly, ...]
+    V: np.ndarray
     matrix: OperatorMatrix
     alpha: WeightAlpha
 
@@ -91,15 +92,9 @@ def monomial_reducing_projection(
     if not 0 <= j < N:
         raise ValueError("need 0 <= j < N")
     w = as_weight(w)
-    idx = np.arange(D + 1)
-    mask = (idx % N) == j
-    basis = []
-    for m in idx[mask]:
-        v = np.zeros(D + 1, dtype=complex)
-        v[m] = 1.0 / (m + 1.0) ** (w.alpha / 2)
-        basis.append(TaylorPoly(v))
+    mask = np.arange(D + 1) % N == j
     return SubspaceProjection(
-        basis=tuple(basis),
+        V=_freeze(np.diag(w.diagonal(D) ** -0.5)[:, mask]),
         matrix=OperatorMatrix(np.diag(mask.astype(complex)), w),
         alpha=w,
     )
@@ -182,7 +177,7 @@ def mobius_power_reducing_projection(
     sum_r omega^(-(j+1)r) C_r, omega = exp(2 pi i / N), where Q_j projects
     onto the monomials of residue j and C_r f = (f o psi_r) psi_r' for
     psi_r = phi_a(omega^r phi_a): column l of C_r is psi_r^l psi_r'.
-    The basis lists the unit generators u_p = (p+1)^(1/2) (1-|a|^2) v_p,
+    The columns of V are the unit generators u_p = (p+1)^(1/2) (1-|a|^2) v_p,
     v_p = (z - a)^p / (1 - conj(a) z)^(p+2) (a multiple of U_a z^p), whose
     padded-window tail is at most _MOBIUS_CLEAN_TOL (1e-10).
     """
@@ -207,11 +202,7 @@ def mobius_power_reducing_projection(
         raise ConditioningError(
             f"clean generator Gram deviates from identity by {defect:.3e} (> {_GRAM_TOL:.1e}); increase D"
         )
-    return SubspaceProjection(
-        basis=tuple(TaylorPoly(v) for v in Ub.T),
-        matrix=OperatorMatrix(P, w),
-        alpha=w,
-    )
+    return SubspaceProjection(V=_freeze(Ub), matrix=OperatorMatrix(P, w), alpha=w)
 
 
 #: smallest normalized singular value of a caller-supplied basis before
@@ -227,7 +218,10 @@ def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D
         require_window(f, D)
     sq = np.sqrt(w.diagonal(D))
     cols = np.stack([as_coeffs(f, D) for f in functions], axis=1)
-    normed = cols / np.linalg.norm(cols, axis=0)
+    norms = np.linalg.norm(cols, axis=0)
+    if not norms.all():
+        raise ZeroFunctionError(f"basis function {int(np.argmin(norms))} is the zero function")
+    normed = cols / norms
     svals = np.linalg.svd(normed, compute_uv=False)
     if svals[-1] < _BASIS_RANK_TOL:
         raise ConditioningError(
@@ -235,8 +229,7 @@ def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D
         )
     Q, _ = np.linalg.qr(sq[:, None] * cols)
     P = (Q @ Q.conj().T) * sq[None, :] / sq[:, None]
-    basis = tuple(TaylorPoly(Q[:, i] / sq) for i in range(Q.shape[1]))
-    return SubspaceProjection(basis=basis, matrix=OperatorMatrix(P, w), alpha=w)
+    return SubspaceProjection(V=_freeze(Q / sq[:, None]), matrix=OperatorMatrix(P, w), alpha=w)
 
 
 def reducing_residual(
@@ -244,8 +237,6 @@ def reducing_residual(
     B: BlaschkeProduct,
     w: WeightAlpha | float | None = None,
     D: int | None = None,
-    *,
-    guard: int | None = None,
 ) -> float:
     """max of the safe-block commutator norms of P with T_B and with the
     weighted adjoint of T_B. Zero characterizes a reducing subspace."""
@@ -255,8 +246,8 @@ def reducing_residual(
     TB = OperatorMatrix(B.toeplitz(D), w)
     m = P.matrix.entries
     return max(
-        commutator_residual(m, TB.entries, w, D, guard),
-        commutator_residual(m, weighted_adjoint(TB, w).entries, w, D, guard),
+        commutator_residual(m, TB.entries, w, D),
+        commutator_residual(m, weighted_adjoint(TB, w).entries, w, D),
     )
 
 
@@ -264,17 +255,14 @@ def reducing_residual(
 # shift equivalence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntertwinerJ:
-    """Map J with J S = T_B J given by its images J(z^k)."""
+    """Map J with J S = T_B J given by its images: column k of the read-only
+    (D+1) x K array F is J(z^k)."""
 
-    images: tuple[TaylorPoly, ...]
+    F: np.ndarray
     alpha: WeightAlpha
     B: BlaschkeProduct
-
-    @property
-    def count(self) -> int:
-        return len(self.images)
 
 
 def shift_equiv_monomial(n: int, w: WeightAlpha | float, D: int) -> IntertwinerJ:
@@ -283,15 +271,8 @@ def shift_equiv_monomial(n: int, w: WeightAlpha | float, D: int) -> IntertwinerJ
     if n < 1:
         raise ValueError("n must be >= 1")
     w = as_weight(w)
-    scale = float(n) ** (-w.alpha / 2)
-    images = []
-    k = 0
-    while (k + 1) * n - 1 <= D:
-        v = np.zeros(D + 1, dtype=complex)
-        v[(k + 1) * n - 1] = scale
-        images.append(TaylorPoly(v))
-        k += 1
-    return IntertwinerJ(images=tuple(images), alpha=w, B=BlaschkeProduct.monomial(n))
+    F = float(n) ** (-w.alpha / 2) * np.eye(D + 1)[:, n - 1 :: n]
+    return IntertwinerJ(F=_freeze(F), alpha=w, B=BlaschkeProduct.monomial(n))
 
 
 #: tolerance of the H^2 model-space membership test in shift_equiv_general.
@@ -325,18 +306,18 @@ def shift_equiv_general(
             f"|<h, B z^m>|/||h|| = {worst / nrm0:.3e} > {_MEMBERSHIP_TOL:.1e}; h is not in "
             f"the model space, or a true model-space function truncated at D can fail this way; increase D"
         )
-    h_unit = (1.0 / nrm0) * h
-    images = [as_coeffs(h_unit, D)]
-    for _ in range(M):  # h B^k = T_B h B^(k-1), exact below degree D
-        images.append(TB @ images[-1])
-    return IntertwinerJ(images=tuple(TaylorPoly(v) for v in images), alpha=w, B=B)
+    F = np.empty((D + 1, M + 1), dtype=complex)
+    F[:, 0] = as_coeffs((1.0 / nrm0) * h, D)
+    for k in range(1, M + 1):  # h B^k = T_B h B^(k-1), exact below degree D
+        F[:, k] = TB @ F[:, k - 1]
+    return IntertwinerJ(F=_freeze(F), alpha=w, B=B)
 
 
 def unitarity_defect(J: IntertwinerJ) -> float:
     """Entrywise deviation of the alpha-norm Gram matrix of {J(z^k)} from
     that of {z^k}."""
-    target = np.diag((np.arange(J.count) + 1.0) ** J.alpha.alpha)
-    X = np.stack([f.coeffs for f in J.images], axis=1)
+    X = J.F
+    target = np.diag((np.arange(X.shape[1]) + 1.0) ** J.alpha.alpha)
     # G_ij = sum_k x_ik conj(x_jk) lam_k, each term in weighted_inner's order
     G = np.einsum("ki,kj,k->ij", X, X.conj(), J.alpha.diagonal(X.shape[0] - 1))
     return float(np.max(np.abs(G - target)))
@@ -345,18 +326,18 @@ def unitarity_defect(J: IntertwinerJ) -> float:
 def intertwining_residual(J: IntertwinerJ) -> float:
     """Safe-block norm of J S - T_B J (alpha geometry): column k compares
     T_B J(z^k) with J(z^(k+1))."""
-    D = J.images[0].degree
-    cols = np.stack([f.coeffs for f in J.images], axis=1)
-    diff = J.B.toeplitz(D) @ cols[:, :-1] - cols[:, 1:]
+    D = J.F.shape[0] - 1
+    diff = J.B.toeplitz(D) @ J.F[:, :-1] - J.F[:, 1:]
     D_safe = safe_degree(D)
     sq = np.sqrt(J.alpha.diagonal(D))
     return float(np.linalg.norm((sq[:, None] * diff)[: D_safe + 1, :], 2))
 
 
-def shell_shift_residual(J: IntertwinerJ, M: int, D: int) -> float:
+def shell_shift_residual(J: IntertwinerJ, M: int) -> float:
     """For the general construction: shell coordinates of B * J(z^k), all
-    analysed at once, must be those of J(z^k) shifted one shell up."""
-    F = np.stack([as_coeffs(f, D) for f in J.images], axis=1)
+    analysed at once on shells 0..M, must be those of J(z^k) shifted one
+    shell up."""
+    F, D = J.F, J.F.shape[0] - 1
     EH = shell_frame(J.B, M, D).cells(M).conj().T
     c, c_b = ((EH @ G).reshape(M + 1, J.B.degree, -1) for G in (F, J.B.toeplitz(D) @ F))
     return float(np.max(np.abs(c_b[1:] - c[:-1]), initial=np.max(np.abs(c_b[0]))))

@@ -71,24 +71,9 @@ class TaylorPoly:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, D: int = 0) -> "TaylorPoly":
-        return cls(np.zeros(D + 1))
-
-    @classmethod
     def one(cls, D: int = 0) -> "TaylorPoly":
         c = np.zeros(D + 1, dtype=complex)
         c[0] = 1.0
-        return cls(c)
-
-    @classmethod
-    def monomial(cls, m: int, D: int | None = None) -> "TaylorPoly":
-        """z^m truncated at degree D (default m)."""
-        if D is None:
-            D = m
-        if m > D:
-            raise ValueError("monomial exponent exceeds truncation degree")
-        c = np.zeros(D + 1, dtype=complex)
-        c[m] = 1.0
         return cls(c)
 
     def pad(self, D: int) -> "TaylorPoly":
@@ -107,13 +92,6 @@ class TaylorPoly:
         return TaylorPoly(self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __call__(self, z: complex) -> complex:
-        """Horner evaluation of the truncated series at a point."""
-        acc = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc
 
 
 def as_coeffs(f: TaylorPoly, D: int) -> np.ndarray:
@@ -153,10 +131,6 @@ class OperatorMatrix:
     @property
     def degree(self) -> int:
         return self.entries.shape[0] - 1
-
-    @classmethod
-    def identity(cls, D: int, w: WeightAlpha | float = 0.0) -> "OperatorMatrix":
-        return cls(np.eye(D + 1), as_weight(w))
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +194,14 @@ def weighted_adjoint(A: OperatorMatrix, w: WeightAlpha | float | None = None) ->
     return OperatorMatrix(m, w)
 
 
-def safe_degree(D: int, guard: int | None = None) -> int:
+def safe_degree(D: int) -> int:
     """Largest degree on which finite sections are trusted.
 
     Residuals that compare operators are measured after projecting inputs
-    and outputs to degree <= safe_degree(D). The default guard D//2 keeps
+    and outputs to degree <= safe_degree(D) = D - D//2: the guard D//2 keeps
     comparisons away from the truncation edge.
     """
-    if guard is None:
-        guard = D // 2
-    if guard < 0 or guard > D:
-        raise ValueError(f"guard must lie in [0, {D}], got {guard}")
-    return D - guard
+    return D - D // 2
 
 
 def operator_norm_safe(
@@ -256,10 +226,9 @@ def commutator_residual(
     Bmat: np.ndarray,
     w: WeightAlpha | float,
     D: int,
-    guard: int | None = None,
 ) -> float:
     """Safe-block operator norm of A B - B A. Only that block of the two
     products is formed: rows and columns 0..D_safe, summed over all D + 1."""
-    D_safe = safe_degree(D, guard)
+    D_safe = safe_degree(D)
     s = slice(0, D_safe + 1)
     return operator_norm_safe(A[s, :] @ Bmat[:, s] - Bmat[s, :] @ A[:, s], w, D_safe)

@@ -9,6 +9,7 @@ from blaschke_lab.cli import parse_config, run
 from blaschke_lab import wold
 from blaschke_lab.errors import BlaschkeLabError, ConditioningError
 from blaschke_lab.spaces import OperatorMatrix, TaylorPoly, operator_norm_safe, safe_degree, weighted_adjoint
+from conftest import identity
 
 PRODUCTS = {
     "B2": bl.BlaschkeProduct(0.0, [0.5, -0.3]),
@@ -18,10 +19,14 @@ PRODUCTS = {
 }
 
 
-def alpha_gram(vecs_a, vecs_b, alpha, D):
+def blocks(chain):
+    """[X_0, ..., X_kmax]: block k of the chain as its (D+1) x N columns."""
+    N = chain.block_dim
+    return [chain.X[:, k * N : (k + 1) * N] for k in range(chain.kmax + 1)]
+
+
+def alpha_gram(A, Bm, alpha, D):
     lam = (np.arange(D + 1) + 1.0) ** alpha
-    A = np.stack([v.coeffs for v in vecs_a], axis=1)
-    Bm = np.stack([v.coeffs for v in vecs_b], axis=1)
     return A.conj().T @ (lam[:, None] * Bm)
 
 
@@ -58,9 +63,9 @@ def residual_svd_reference(name, alpha, kmax, D_ref=256):
     return x_spaces_by_residual_svd(PRODUCTS[name], alpha, kmax, D_ref)
 
 
-def weighted_stack(vecs, alpha, D):
+def weighted_stack(cols, alpha, D):
     sq = np.sqrt((np.arange(D + 1) + 1.0) ** alpha)
-    return np.stack([sq * v.coeffs for v in vecs], axis=1)
+    return sq[:, None] * cols
 
 
 def projector(Q):
@@ -71,10 +76,8 @@ class TestXSpaces:
     def test_monomial_blocks_are_monomial_spans(self):
         N, D, kmax = 2, 60, 4
         chain = bl.x_spaces(bl.BlaschkeProduct.monomial(N), -1.0, kmax, D)
-        for k, blk in enumerate(chain.blocks):
-            support = set()
-            for v in blk:
-                support |= set(np.nonzero(np.abs(v.coeffs) > 1e-12)[0])
+        for k, blk in enumerate(blocks(chain)):
+            support = set(np.nonzero(np.abs(blk) > 1e-12)[0])
             assert support == {k * N, k * N + 1}
 
     def test_block_zero_orthogonal_to_b_times_everything(self, B2):
@@ -83,9 +86,9 @@ class TestXSpaces:
         lam = (np.arange(D + 1) + 1.0) ** -1.0
         TB = bl.toeplitz_matrix(B2.taylor(D), D, -1.0)
         worst = 0.0
-        for v in chain.blocks[0]:
+        for v in blocks(chain)[0].T:
             for m in range(bl.safe_degree(D) + 1):
-                worst = max(worst, abs(np.sum(v.coeffs * np.conj(TB.entries[:, m]) * lam)))
+                worst = max(worst, abs(np.sum(v * np.conj(TB.entries[:, m]) * lam)))
         assert worst < 1e-9
 
     def test_mobius_power_block_zero_is_kernel_span(self):
@@ -101,7 +104,7 @@ class TestXSpaces:
         lam = (k + 1.0) ** -1.0
         sq = np.sqrt(lam)
         Q1, _ = np.linalg.qr(sq[:, None] * np.stack([g0, g1], axis=1).astype(complex))
-        Q2 = np.stack([sq * v.coeffs for v in chain.blocks[0]], axis=1)
+        Q2 = sq[:, None] * blocks(chain)[0]
         s = np.linalg.svd(Q1.conj().T @ Q2, compute_uv=False)
         angles = np.arccos(np.clip(s, 0, 1))
         assert np.max(angles) < 1e-6
@@ -111,7 +114,7 @@ class TestXSpaces:
         chain = bl.x_spaces(B2, -1.0, kmax, D)
         for k in range(kmax + 1):
             for l in range(k + 1, kmax + 1):
-                G = alpha_gram(chain.blocks[k], chain.blocks[l], -1.0, D)
+                G = alpha_gram(blocks(chain)[k], blocks(chain)[l], -1.0, D)
                 assert np.max(np.abs(G)) < 1e-9
 
     def test_rejects_kmax_beyond_window(self, B2):
@@ -138,16 +141,16 @@ class TestXSpaces:
     def test_cumulative_dimension(self, B2):
         D, kmax = 120, 4
         chain = bl.x_spaces(B2, -1.0, kmax, D)
-        assert sum(len(b) for b in chain.blocks) == (kmax + 1) * B2.degree
+        assert chain.X.shape == (D + 1, (kmax + 1) * B2.degree)
+        assert [b.shape[1] for b in blocks(chain)] == [B2.degree] * (kmax + 1)
 
     def test_completeness_monomial(self):
         # union of blocks spans the monomials below (kmax+1) N
         N, D, kmax = 2, 60, 4
         chain = bl.x_spaces(bl.BlaschkeProduct.monomial(N), -1.0, kmax, D)
-        vecs = [v for blk in chain.blocks for v in blk]
         lam = (np.arange(D + 1) + 1.0) ** -1.0
         sq = np.sqrt(lam)
-        Q = np.stack([sq * v.coeffs for v in vecs], axis=1)
+        Q = sq[:, None] * chain.X
         target = np.zeros((D + 1, (kmax + 1) * N))
         for m in range((kmax + 1) * N):
             target[m, m] = 1.0
@@ -182,7 +185,7 @@ class TestXSpaces:
             assert s[N - 1] > 1.0 - 1e-6 and s[N] < 0.9
         tail = np.linalg.norm(np.hstack(ref_blocks)[D + 1 :], 2)
         chain = bl.x_spaces(B, alpha, kmax, D)
-        for ref, blk in zip(ref_blocks, chain.blocks, strict=True):
+        for ref, blk in zip(ref_blocks, blocks(chain), strict=True):
             got = projector(weighted_stack(blk, alpha, D))
             assert np.max(np.abs(got - projector(ref[: D + 1]))) <= tail + 1e-12
 
@@ -193,7 +196,7 @@ class TestXSpaces:
         # differ by less than the reference's weighted mass past D, which at
         # D = 128 is below 1e-7 even next to rho_max
         B, D_ref, kmax = PRODUCTS[name], 1024, 3
-        ref = np.hstack(bl.x_spaces(B, alpha, kmax, D_ref).block_matrix_stack())
+        ref = bl.x_spaces(B, alpha, kmax, D_ref).X
         ref = ref * np.sqrt((np.arange(D_ref + 1) + 1.0) ** alpha)[:, None]
         N = B.degree
         for D in (48, 96, 128):
@@ -201,7 +204,7 @@ class TestXSpaces:
             tail = np.linalg.norm(ref[D + 1 :], 2)
             worst = max(
                 np.max(np.abs(projector(weighted_stack(blk, alpha, D)) - projector(ref[: D + 1, k * N : (k + 1) * N])))
-                for k, blk in enumerate(chain.blocks)
+                for k, blk in enumerate(blocks(chain))
             )
             assert worst <= tail + 1e-15, f"D = {D}"
         assert worst <= 1e-12
@@ -213,7 +216,7 @@ class TestXSpaces:
         N = B.degree
         sq = np.sqrt((np.arange(D + 1) + 1.0) ** alpha)
         chain = bl.x_spaces(B, alpha, kmax, D)
-        for k, blk in enumerate(chain.blocks):
+        for k, blk in enumerate(blocks(chain)):
             X = weighted_stack(blk, alpha, D)
             here = sq[:, None] * power_columns(B, k, D - k * N - N, D)
             Q, _ = np.linalg.qr(here)
@@ -226,9 +229,10 @@ class TestXSpaces:
 _KSPACE_RESIDUAL_TOL = 1e-6
 
 
-def k_spaces(chain: bl.XSpaceChain) -> list[list[TaylorPoly]]:
+def k_spaces(chain: bl.XSpaceChain) -> list[np.ndarray]:
     """Recover K_k from X_k by dividing out B^k: solve T_B^k g = x in least
-    squares for each block vector x. K_0 equals X_0 identically."""
+    squares for each block vector x, a column of the result. K_0 equals X_0
+    identically."""
     D = chain.degree
     w = chain.alpha
     sq = np.sqrt(w.diagonal(D))
@@ -236,15 +240,15 @@ def k_spaces(chain: bl.XSpaceChain) -> list[list[TaylorPoly]]:
     TB = chain.B.toeplitz(D)
     out = []
     TBk = np.eye(D + 1, dtype=complex)
-    for k, blk in enumerate(chain.blocks):
+    for k, blk in enumerate(blocks(chain)):
         if k > 0:
             TBk = TBk @ TB
         if k == 0:
-            out.append(list(blk))
+            out.append(blk)
             continue
         m_max = D - (k + 1) * N
         A = (sq[:, None] * TBk)[:, : m_max + 1]
-        X = sq[:, None] * np.stack([x.coeffs for x in blk], axis=1)
+        X = sq[:, None] * blk
         G, *_ = np.linalg.lstsq(A, X, rcond=None)
         for res in np.linalg.norm(A @ G - X, axis=0):
             if res > _KSPACE_RESIDUAL_TOL:
@@ -253,7 +257,7 @@ def k_spaces(chain: bl.XSpaceChain) -> list[list[TaylorPoly]]:
                 )
         full = np.zeros((D + 1, N), dtype=complex)
         full[: m_max + 1] = G
-        out.append([TaylorPoly(g) for g in full.T])
+        out.append(full)
     return out
 
 
@@ -261,16 +265,14 @@ class TestKSpaces:
     def test_k0_is_x0(self, B2):
         chain = bl.x_spaces(B2, -1.0, 2, 100)
         ks = k_spaces(chain)
-        for u, v in zip(ks[0], chain.blocks[0]):
-            assert np.max(np.abs(u.coeffs - v.coeffs)) < 1e-14
+        assert np.max(np.abs(ks[0] - blocks(chain)[0])) < 1e-14
 
     def test_monomial_k_spaces_are_low_monomials(self):
         N, D = 2, 60
         chain = bl.x_spaces(bl.BlaschkeProduct.monomial(N), -1.0, 3, D)
         ks = k_spaces(chain)
-        for k, basis in enumerate(ks):
-            for g in basis:
-                assert np.max(np.abs(g.coeffs[N:])) < 1e-10
+        for basis in ks:
+            assert np.max(np.abs(basis[N:])) < 1e-10
 
     def test_division_roundtrip(self, B2):
         D, kmax = 120, 4
@@ -280,9 +282,8 @@ class TestKSpaces:
         TB = bl.toeplitz_matrix(B2.taylor(D), D, -1.0).entries
         for k in range(kmax + 1):
             TBk = np.linalg.matrix_power(TB, k)
-            for g, x in zip(ks[k], chain.blocks[k]):
-                diff = TBk @ g.coeffs - x.coeffs
-                assert np.sqrt(np.sum(np.abs(diff) ** 2 * lam)) < 1e-8
+            diff = TBk @ ks[k] - blocks(chain)[k]
+            assert np.max(np.sqrt(lam @ np.abs(diff) ** 2)) < 1e-8
 
     def test_residual_check_names_the_power(self, B2, monkeypatch):
         chain = bl.x_spaces(B2, -1.0, 2, 100)
@@ -293,7 +294,7 @@ class TestKSpaces:
 
 def block_matrix_by_loop(W, chain):
     lam = chain.alpha.diagonal(chain.degree)
-    stacks = chain.block_matrix_stack()
+    stacks = blocks(chain)
     K = chain.kmax + 1
     out = np.empty((K, K, chain.block_dim, chain.block_dim), dtype=complex)
     for k in range(K):
@@ -318,14 +319,14 @@ class TestBlockMatrix:
         B, D, kmax = PRODUCTS[name], 96, 3
         cfg = {"B": B.to_json(), "alpha": alpha, "degree": D, "seed": 0, "inputs": {"kmax": kmax}}
         rec = {r.name: r for r in run(parse_config(cfg, "ortho")).records}["ortho/block_orthogonality"]
-        blocks = block_matrix_by_loop(bl.OperatorMatrix.identity(D, alpha), bl.x_spaces(B, alpha, kmax, D))
+        blocks = block_matrix_by_loop(identity(D, alpha), bl.x_spaces(B, alpha, kmax, D))
         worst = max(np.max(np.abs(blocks[l, k])) for k in range(kmax + 1) for l in range(k + 1, kmax + 1))
         assert abs(rec.residual - worst) < 1e-13
 
     def test_identity_blocks(self, B2):
         D = 100
         chain = bl.x_spaces(B2, -1.0, 3, D)
-        blocks = bl.block_matrix(bl.OperatorMatrix.identity(D, -1.0), chain)
+        blocks = bl.block_matrix(identity(D, -1.0), chain)
         N = B2.degree
         for k in range(4):
             for l in range(4):
@@ -346,7 +347,7 @@ class TestBlockMatrix:
     def test_built_commutant_lower_triangular(self, B2, rng):
         D, kmax = 120, 5
         chain = bl.x_spaces(B2, -1.0, kmax, D)
-        phi = bl.MultiplierMatrix(
+        phi = bl.MultiplierMatrix.from_polys(
             [[TaylorPoly(rng.standard_normal(5) + 1j * rng.standard_normal(5)) for _ in range(2)] for _ in range(2)]
         )
         op = bl.build(phi, B2, -1.0, D // 2, D)
@@ -402,7 +403,7 @@ def selfadjoint_block_check(W: OperatorMatrix, chain: bl.XSpaceChain) -> SelfAdj
 class TestSelfAdjointCheck:
     def test_identity(self, B2):
         chain = bl.x_spaces(B2, -1.0, 3, 100)
-        rep = selfadjoint_block_check(bl.OperatorMatrix.identity(100, -1.0), chain)
+        rep = selfadjoint_block_check(identity(100, -1.0), chain)
         assert rep.off_diag_max < 1e-12
         assert rep.block_defect_max < 1e-12
 
@@ -434,6 +435,6 @@ def test_shift_maps_blocks_upward(B2):
     TB = bl.toeplitz_matrix(B2.taylor(D), D, -1.0).entries
     TBw = sq[:, None] * TB / sq[None, :]
     for k in range(kmax):
-        img = TBw @ weighted_stack(chain.blocks[k], -1.0, D)
-        below = weighted_stack([v for blk in chain.blocks[: k + 1] for v in blk], -1.0, D)
+        img = TBw @ weighted_stack(blocks(chain)[k], -1.0, D)
+        below = weighted_stack(chain.X[:, : (k + 1) * B2.degree], -1.0, D)
         assert np.linalg.norm(below.conj().T @ img, 2) < 1e-8

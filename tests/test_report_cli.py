@@ -17,6 +17,7 @@ from blaschke_lab.errors import (
     DimensionMismatchError,
     MembershipError,
     NotInCommutantError,
+    ZeroFunctionError,
 )
 from blaschke_lab.report import CheckRecord, Report, parse_json, render
 
@@ -435,6 +436,34 @@ class TestBatteries:
             "pass D >= deg f"
         )
         assert rep.data == {}
+
+    @pytest.mark.parametrize("expected", ["reduce", "Reducing", "", None, 1])
+    def test_reducing_custom_unknown_expected_is_a_config_error(self, tmp_path, expected):
+        # a typo never turns the record report-only: "reduce" would pass at residual 0.638
+        inputs = {"family": "custom", "basis": [[[1, 0], [2, 0], [1, 0]]], "expected": expected}
+        obj = dict(BASE, degree=32, inputs=inputs)
+        with pytest.raises(ConfigError, match=r"^unknown custom expected .*; valid values: reducing, report-only$"):
+            run(parse_config(obj, "reducing"))
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(obj))
+        assert main(["reducing", "--config", str(cfgp)]) == 2
+
+    # the second basis function is zero
+    ZERO_FUNCTION = dict(BASE, degree=16, inputs={"family": "custom", "basis": [[[1, 0], [1, 0]], [[0, 0]]]})
+
+    def test_reducing_custom_zero_function_is_an_errored_record(self, tmp_path):
+        cfgp, out = tmp_path / "c.json", tmp_path / "r.json"
+        cfgp.write_text(json.dumps(self.ZERO_FUNCTION))
+        assert main(["reducing", "--config", str(cfgp), "--out", str(out)]) == 1
+        rep = parse_json(out.read_bytes())
+        [r] = rep.records
+        assert r.name == "reducing/custom/residual" and not r.passed
+        assert r.error == "ZeroFunctionError: setup projection_from_basis: basis function 1 is the zero function"
+        assert rep.data == {}
+
+    def test_reducing_custom_zero_function_raises_in_strict_mode(self):
+        with pytest.raises(ZeroFunctionError, match="basis function 1 is the zero function"):
+            run(parse_config(self.ZERO_FUNCTION, "reducing", strict=True))
 
     def test_ortho_battery(self):
         rep = run(parse_config(dict(BASE, degree=64, inputs={"kmax": 3}), "ortho"))

@@ -1,7 +1,9 @@
-"""Smoke tests: every script under scripts/ runs to exit 0 at a small size."""
+"""Smoke tests: every script under scripts/ runs to exit 0 at a small size,
+and so do the README's python examples."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +13,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+def _run(script: str | Path, *args: str) -> subprocess.CompletedProcess:
+    """Run scripts/<script>, or the file at a Path, with src/ on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, str(script if isinstance(script, Path) else ROOT / "scripts" / script), *args],
         env=env,
         capture_output=True,
         text=True,
@@ -52,3 +55,15 @@ def test_layer_timings_writes_json(tmp_path):
         layers = ("x_spaces_s", "cell_matrix_s", "build_s", "commutation_residual_s", "operator_norm_safe_s",
                   "operator_norm_safe_zero_s")
         assert r["M"] > 0 and min(r[k] for k in layers) > 0
+
+
+def test_readme_python_examples_run(tmp_path):
+    # the docs call the library as it is: every ```python block of the README
+    # runs, in order, in one fresh interpreter
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.S | re.M)
+    assert blocks
+    script = tmp_path / "readme_examples.py"
+    script.write_text("\n".join(blocks), encoding="utf-8")
+    proc = _run(script)
+    assert proc.returncode == 0, proc.stderr

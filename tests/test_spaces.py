@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import blaschke_lab as bl
 from blaschke_lab.errors import DimensionMismatchError
 from blaschke_lab.spaces import TaylorPoly, as_coeffs, commutator_residual, operator_norm_safe, require_window
+from conftest import identity, monomial, zero
 
 
 def poly(*coeffs):
@@ -19,11 +20,11 @@ coeff_lists = st.lists(small_complex, min_size=1, max_size=12)
 class TestWeightedInner:
     def test_disjoint_monomials_orthogonal(self):
         for j, k in [(0, 1), (2, 5), (1, 7)]:
-            assert bl.weighted_inner(TaylorPoly.monomial(j, 8), TaylorPoly.monomial(k, 8), -1.0) == 0
+            assert bl.weighted_inner(monomial(j, 8), monomial(k, 8), -1.0) == 0
 
     def test_z3_bergman_value(self):
         # <z^3, z^3> at alpha = -1 is (3+1)^(-1) = 1/4
-        v = bl.weighted_inner(TaylorPoly.monomial(3), TaylorPoly.monomial(3), -1.0)
+        v = bl.weighted_inner(monomial(3), monomial(3), -1.0)
         assert v == pytest.approx(0.25)
 
     def test_parseval_alpha0(self):
@@ -40,11 +41,11 @@ class TestWeightedInner:
 
 class TestWeightedNorm:
     def test_zero(self):
-        assert bl.weighted_norm(TaylorPoly.zero(5), -1.0) == 0.0
+        assert bl.weighted_norm(zero(5), -1.0) == 0.0
 
     @pytest.mark.parametrize("k,alpha", [(0, -1.0), (3, -1.0), (2, 0.0), (5, 1.0), (4, 0.37)])
     def test_monomial(self, k, alpha):
-        assert bl.weighted_norm(TaylorPoly.monomial(k), alpha) == pytest.approx((k + 1) ** (alpha / 2))
+        assert bl.weighted_norm(monomial(k), alpha) == pytest.approx((k + 1) ** (alpha / 2))
 
     def test_three_terms_bergman(self):
         # |1|^2/1 + |2|^2/2 + |3|^2/3 = 6
@@ -89,7 +90,7 @@ class TestToeplitz:
         assert np.allclose(T.entries, np.eye(6))
 
     def test_z_gives_forward_shift(self):
-        T = bl.toeplitz_matrix(TaylorPoly.monomial(1), 4, 0.0)
+        T = bl.toeplitz_matrix(monomial(1), 4, 0.0)
         expected = np.diag(np.ones(4), -1)
         assert np.allclose(T.entries, expected)
 
@@ -122,7 +123,7 @@ class TestToeplitz:
 
 class TestAdjoint:
     def test_identity(self):
-        I = bl.OperatorMatrix.identity(6, -1.0)
+        I = identity(6, -1.0)
         assert np.allclose(bl.weighted_adjoint(I).entries, np.eye(7))
 
     def test_alpha0_is_conjugate_transpose(self, rng):
@@ -132,7 +133,7 @@ class TestAdjoint:
 
     def test_defining_identity_bergman(self, rng):
         D = 32
-        Tz = bl.toeplitz_matrix(TaylorPoly.monomial(1), D, -1.0)
+        Tz = bl.toeplitz_matrix(monomial(1), D, -1.0)
         Tzs = bl.weighted_adjoint(Tz)
         for _ in range(50):
             f = TaylorPoly(rng.standard_normal(D + 1) + 1j * rng.standard_normal(D + 1))
@@ -156,7 +157,7 @@ class TestCommutatorResidual:
         for B in (B2, B3):
             TB = bl.toeplitz_matrix(B.taylor(D), D, -1.0)
             n = B.degree
-            phi = bl.MultiplierMatrix([[TaylorPoly(rng.standard_normal(3)) for _ in range(n)] for _ in range(n)])
+            phi = bl.MultiplierMatrix(rng.standard_normal((3, n, n)))
             A = bl.build(phi, B, -1.0, D // n, D).realization.entries
             pairs += [(A, TB.entries), (rng.standard_normal((D + 1, D + 1)), TB.entries)]
         P = bl.mobius_power_reducing_projection(0.5, 2, 1, D).matrix.entries
@@ -204,17 +205,17 @@ class TestApply:
     # The action of a finite section on a function: entries @ as_coeffs(f, D).
     def test_identity(self, rng):
         f = TaylorPoly(rng.standard_normal(5))
-        I = bl.OperatorMatrix.identity(4, 0.0)
+        I = identity(4, 0.0)
         out = I.entries @ as_coeffs(f, I.degree)
         assert np.allclose(out, f.coeffs)
 
     def test_shift(self):
-        S = bl.toeplitz_matrix(TaylorPoly.monomial(1), 3, 0.0)
+        S = bl.toeplitz_matrix(monomial(1), 3, 0.0)
         out = S.entries @ as_coeffs(poly(1, 1), S.degree)
         assert np.allclose(out, [0, 1, 1, 0])
 
     def test_rejects_longer_input(self):
-        I = bl.OperatorMatrix.identity(2, 0.0)
+        I = identity(2, 0.0)
         with pytest.raises(DimensionMismatchError):
             require_window(TaylorPoly(np.ones(5)), I.degree)
 

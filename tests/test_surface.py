@@ -1,10 +1,13 @@
-"""Every public module-level function and class of the library must be
-reached by code that is not a test: a battery, the CLI, a script or the
-benchmark. A name that only tests call belongs in the tests, as an oracle
-next to the test that uses it. References are read from the source by name:
-a Name or an attribute anywhere in src/, scripts/ or perfbench/ outside the
-definition itself, or a segment of a layer the benchmark traces. Re-exports
-in __init__ and the strings of __all__ do not count."""
+"""Every public module-level function and class of the library, and every
+public method of a public class, must be reached by code that is not a
+test: a battery, the CLI, a script or the benchmark. A name that only tests
+call belongs in the tests, as an oracle or a helper next to the tests that
+use it. References are read from the source by name: a Name or an
+attribute anywhere in src/, scripts/ or perfbench/ outside the definition
+itself, or a segment of a layer the benchmark traces. A method is matched
+by its name alone, so a method that shares its name with a reached one
+(TaylorPoly.monomial with BlaschkeProduct.monomial) is not flagged.
+Re-exports in __init__ and the strings of __all__ do not count."""
 
 import ast
 from pathlib import Path
@@ -34,16 +37,23 @@ def _layer_segments():
     return {part for name in layers for part in name.split(".")[1:]}
 
 
+def _public(nodes, kinds):
+    return [node for node in nodes if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
 def _definitions():
     """{(module, name): (first line, last line)} of the public top-level
-    functions and classes of every module but __init__."""
+    functions and classes of every module but __init__, and of the public
+    methods of those classes, named "Class.method". Dunders are not public."""
     defs = {}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in _parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defs[(path.stem, node.name)] = (node.lineno, node.end_lineno)
+        for node in _public(_parse(path).body, (ast.FunctionDef, ast.ClassDef)):
+            defs[(path.stem, node.name)] = (node.lineno, node.end_lineno)
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for method in _public(methods, ast.FunctionDef):
+                defs[(path.stem, f"{node.name}.{method.name}")] = (method.lineno, method.end_lineno)
     return defs
 
 
@@ -65,11 +75,11 @@ def _references():
 def test_every_public_name_is_reached_outside_the_tests():
     layers, refs = _layer_segments(), _references()
     unreached = []
-    for (module, name), (first, last) in _definitions().items():
-        own = SRC / f"{module}.py"
+    for (module, qualname), (first, last) in _definitions().items():
+        own, name = SRC / f"{module}.py", qualname.rpartition(".")[2]
         outside = any(n == name and not (path == own and first <= line <= last) for path, line, n in refs)
         if not (outside or name in layers or name in EXEMPT):
-            unreached.append(f"{module}.{name}")
+            unreached.append(f"{module}.{qualname}")
     assert unreached == []
 
 

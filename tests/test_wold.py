@@ -9,6 +9,7 @@ import blaschke_lab as bl
 from blaschke_lab import cli, wold
 from blaschke_lab.errors import DimensionMismatchError, ZeroFunctionError
 from blaschke_lab.spaces import TaylorPoly
+from conftest import zero
 from blaschke_lab.wold import _power_coeffs, cell_matrix, power_tail
 
 
@@ -177,7 +178,7 @@ class TestNormEquivalence:
 
     def test_zero_function_rejected(self, B3):
         with pytest.raises(ZeroFunctionError):
-            bl.norm_equivalence_ratio(TaylorPoly.zero(8), B3, -1.0, 4, 64)
+            bl.norm_equivalence_ratio(zero(8), B3, -1.0, 4, 64)
 
     def test_bracket_stable_under_window_doubling(self, B2):
         rng = np.random.default_rng(42)
