@@ -24,6 +24,7 @@ from .ortho import XSpaceChain, block_matrix, x_spaces
 from .reducing import (
     IntertwinerJ,
     SubspaceProjection,
+    bnorm_defect,
     intertwining_residual,
     mobius_power_reducing_projection,
     monomial_reducing_projection,

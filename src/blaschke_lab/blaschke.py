@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EvaluationDomainError, PoleError, config_float, config_int, known_keys
-from .spaces import TaylorPoly, _trunc_mul, multiply, toeplitz_matrix
+from .spaces import TaylorPoly, _freeze, _readonly, _trunc_mul, multiply, toeplitz_matrix
 
 __all__ = [
     "BlaschkeProduct",
@@ -146,7 +146,7 @@ def _taylor(B: BlaschkeProduct, D: int) -> TaylorPoly:
     acc[0] = np.exp(1j * B.theta)
     for a in B.expanded_zeros():
         acc = _trunc_mul(acc, blaschke_factor_taylor(a, D).coeffs, D)
-    return TaylorPoly(acc)
+    return TaylorPoly(_readonly(acc))
 
 
 @lru_cache(maxsize=8)
@@ -160,25 +160,28 @@ def blaschke_factor_taylor(a: complex, D: int) -> TaylorPoly:
     c[0] = -a
     if D >= 1:
         c[1:] = (1.0 - abs(a) ** 2) * np.conj(a) ** np.arange(D)
-    return TaylorPoly(c)
+    return TaylorPoly(_readonly(c))
 
 
 def reproducing_kernel(a: complex, D: int) -> TaylorPoly:
     """H^2 kernel k_a(z) = 1/(1 - conj(a) z) truncated at degree D."""
     if abs(a) >= 1.0:
         raise EvaluationDomainError("kernel point must lie in the open disc")
-    return TaylorPoly(np.conj(a) ** np.arange(D + 1))
+    return TaylorPoly(_readonly(np.conj(a) ** np.arange(D + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpaceBasis:
-    """H^2-orthonormal basis of the n-dimensional model space H^2 minus B H^2."""
+    """H^2-orthonormal basis u_j of the model space H^2 minus B H^2: column j of the read-only (D+1) x n array U."""
 
-    orthonormal: tuple[TaylorPoly, ...]
+    U: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "U", _freeze(self.U))
 
     @property
     def dim(self) -> int:
-        return len(self.orthonormal)
+        return self.U.shape[1]
 
 
 def model_basis(B: BlaschkeProduct, D: int) -> ModelSpaceBasis:
@@ -199,9 +202,8 @@ def model_basis(B: BlaschkeProduct, D: int) -> ModelSpaceBasis:
 @lru_cache(maxsize=64)
 def _model_basis(B: BlaschkeProduct, D: int) -> ModelSpaceBasis:
     prefix = TaylorPoly.one(D).coeffs  # prod_(i<k) of the Blaschke factors
-    ortho = []
-    for a in B.expanded_zeros():
-        kernel = np.sqrt(1.0 - abs(a) ** 2) * reproducing_kernel(a, D).coeffs
-        ortho.append(TaylorPoly(_trunc_mul(prefix, kernel, D)))
+    U = np.empty((D + 1, B.degree), dtype=complex)
+    for k, a in enumerate(B.expanded_zeros()):
+        U[:, k] = _trunc_mul(prefix, np.sqrt(1.0 - abs(a) ** 2) * reproducing_kernel(a, D).coeffs, D)
         prefix = _trunc_mul(prefix, blaschke_factor_taylor(a, D).coeffs, D)
-    return ModelSpaceBasis(orthonormal=tuple(ortho))
+    return ModelSpaceBasis(_readonly(U))

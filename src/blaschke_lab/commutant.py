@@ -15,10 +15,10 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .blaschke import BlaschkeProduct
+from .blaschke import BlaschkeProduct, model_basis
 from .errors import DimensionMismatchError, NotInCommutantError
-from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, _freeze, as_weight, commutator_residual, safe_degree
-from .wold import analyze, shell_frame
+from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, _freeze, _readonly, as_weight, commutator_residual, safe_degree
+from .wold import _shell_coordinates, shell_frame
 
 __all__ = [
     "MultiplierMatrix",
@@ -63,7 +63,7 @@ class MultiplierMatrix:
         for j, row in enumerate(entries):
             for k, e in enumerate(row):
                 c[: e.degree + 1, j, k] = e.coeffs
-        return cls(c)
+        return cls(_readonly(c))
 
     @property
     def n(self) -> int:
@@ -76,7 +76,7 @@ class MultiplierMatrix:
     def __sub__(self, other: "MultiplierMatrix") -> "MultiplierMatrix":
         T = max(self.max_entry_degree, other.max_entry_degree)
         a, b = (np.pad(m.coeffs, ((0, T - m.max_entry_degree), (0, 0), (0, 0))) for m in (self, other))
-        return MultiplierMatrix(a - b)
+        return MultiplierMatrix(_readonly(a - b))
 
     @classmethod
     def from_json(cls, obj) -> "MultiplierMatrix":
@@ -139,7 +139,7 @@ def build(
         phi=phi,
         B=B,
         alpha=w,
-        realization=OperatorMatrix(W, w),
+        realization=OperatorMatrix(_readonly(W), w),
         shell_count=M,
     )
 
@@ -166,10 +166,10 @@ def extract_symbols(
     D: int,
     *,
     tol_commute: float = 1e-8,
-) -> list[TaylorPoly]:
-    """phi_k = W u_k for the orthonormal basis u_k; requires W to commute
-    with T_B on the safe block, to a commutation residual of at most
-    tol_commute (extraction is meaningless otherwise). A
+) -> np.ndarray:
+    """phi_k = W u_k as the read-only (D+1) x n array W U, U = model_basis(B, D).U;
+    requires W to commute with T_B on the safe block, to a commutation
+    residual of at most tol_commute (extraction is meaningless otherwise). A
     built element for the same B and D supplies its memoized residual. The
     error names the window's limit max|a|^(D - D_safe) (B's Taylor tail past
     the guard), which no shell count lowers."""
@@ -186,20 +186,20 @@ def extract_symbols(
             f"at D = {D}, D_safe = {D_safe}; a commutant element truncated there keeps a "
             f"residual near max|a|^(D - D_safe) = {limit:.1e}, so if W is one, increase D"
         )
-    U = shell_frame(B, 0, D).U
-    return [TaylorPoly(col) for col in (W.entries @ U).T]
+    return _readonly(W.entries @ model_basis(B, D).U)
 
 
 def symbols_to_matrix(
-    phis: Sequence[TaylorPoly],
+    F: np.ndarray,
     B: BlaschkeProduct,
     M: int,
     D: int,
 ) -> MultiplierMatrix:
-    """Column k of Phi = shell components of phi_k (its decomposition in the
-    {u_j B^m} system)."""
-    cols = np.stack([analyze(ph, B, M, D).coefficients for ph in phis], axis=2)  # [j, t, k]
-    return MultiplierMatrix(cols.transpose(1, 0, 2))
+    """Column k of Phi = shell components of the symbol phi_k = F[:, k]:
+    coeffs[t, j, k] = <phi_k, u_j B^t>_0 for t = 0..M, one product E^H F."""
+    if F.shape[0] != D + 1:
+        raise DimensionMismatchError(f"symbols have {F.shape[0]} rows, not D + 1 = {D + 1}")
+    return MultiplierMatrix(_readonly(_shell_coordinates(F, B, M)))
 
 
 def cowen_residual(

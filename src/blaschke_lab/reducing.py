@@ -16,12 +16,12 @@ from functools import lru_cache
 import numpy as np
 
 from .blaschke import RHO_MAX, BlaschkeProduct
-from .errors import ConditioningError, MembershipError, ZeroFunctionError
+from .errors import ConditioningError, DimensionMismatchError, MembershipError, ZeroFunctionError
 from .spaces import (
     OperatorMatrix,
     TaylorPoly,
     WeightAlpha,
-    _freeze,
+    _readonly,
     as_coeffs,
     as_weight,
     commutator_residual,
@@ -31,7 +31,7 @@ from .spaces import (
     weighted_adjoint,
     weighted_norm,
 )
-from .wold import shell_frame
+from .wold import _shell_coordinates
 
 __all__ = [
     "SubspaceProjection",
@@ -44,6 +44,7 @@ __all__ = [
     "shift_equiv_monomial",
     "shift_equiv_general",
     "unitarity_defect",
+    "bnorm_defect",
     "intertwining_residual",
     "shell_shift_residual",
 ]
@@ -94,8 +95,8 @@ def monomial_reducing_projection(
     w = as_weight(w)
     mask = np.arange(D + 1) % N == j
     return SubspaceProjection(
-        V=_freeze(np.diag(w.diagonal(D) ** -0.5)[:, mask]),
-        matrix=OperatorMatrix(np.diag(mask.astype(complex)), w),
+        V=_readonly(np.diag(w.diagonal(D) ** -0.5)[:, mask]),
+        matrix=OperatorMatrix(_readonly(np.diag(mask.astype(complex))), w),
         alpha=w,
     )
 
@@ -202,7 +203,7 @@ def mobius_power_reducing_projection(
         raise ConditioningError(
             f"clean generator Gram deviates from identity by {defect:.3e} (> {_GRAM_TOL:.1e}); increase D"
         )
-    return SubspaceProjection(V=_freeze(Ub), matrix=OperatorMatrix(P, w), alpha=w)
+    return SubspaceProjection(V=_readonly(Ub), matrix=OperatorMatrix(_readonly(P), w), alpha=w)
 
 
 #: smallest normalized singular value of a caller-supplied basis before
@@ -229,7 +230,7 @@ def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D
         )
     Q, _ = np.linalg.qr(sq[:, None] * cols)
     P = (Q @ Q.conj().T) * sq[None, :] / sq[:, None]
-    return SubspaceProjection(V=_freeze(Q / sq[:, None]), matrix=OperatorMatrix(P, w), alpha=w)
+    return SubspaceProjection(V=_readonly(Q / sq[:, None]), matrix=OperatorMatrix(_readonly(P), w), alpha=w)
 
 
 def reducing_residual(
@@ -266,13 +267,15 @@ class IntertwinerJ:
 
 
 def shift_equiv_monomial(n: int, w: WeightAlpha | float, D: int) -> IntertwinerJ:
-    """J(z^k) = z^((k+1)n - 1) / n^(alpha/2): unitary onto the span of
-    z^(n-1), z^(2n-1), ..., intertwining the shift with T_(z^n)."""
+    """J(z^k) = z^((k+1)n - 1) / n^(alpha/2): unitary onto the span of z^(n-1),
+    z^(2n-1), ... (two on the safe block at least), intertwining S with T_(z^n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if 2 * n - 1 > safe_degree(D):
+        raise DimensionMismatchError(f"fewer than two images fit the safe block of D = {D}; increase D to >= {4 * n - 3}")
     w = as_weight(w)
     F = float(n) ** (-w.alpha / 2) * np.eye(D + 1)[:, n - 1 :: n]
-    return IntertwinerJ(F=_freeze(F), alpha=w, B=BlaschkeProduct.monomial(n))
+    return IntertwinerJ(F=_readonly(F), alpha=w, B=BlaschkeProduct.monomial(n))
 
 
 #: tolerance of the H^2 model-space membership test in shift_equiv_general.
@@ -310,7 +313,7 @@ def shift_equiv_general(
     F[:, 0] = as_coeffs((1.0 / nrm0) * h, D)
     for k in range(1, M + 1):  # h B^k = T_B h B^(k-1), exact below degree D
         F[:, k] = TB @ F[:, k - 1]
-    return IntertwinerJ(F=_freeze(F), alpha=w, B=B)
+    return IntertwinerJ(F=_readonly(F), alpha=w, B=B)
 
 
 def unitarity_defect(J: IntertwinerJ) -> float:
@@ -321,6 +324,14 @@ def unitarity_defect(J: IntertwinerJ) -> float:
     # G_ij = sum_k x_ik conj(x_jk) lam_k, each term in weighted_inner's order
     G = np.einsum("ki,kj,k->ij", X, X.conj(), J.alpha.diagonal(X.shape[0] - 1))
     return float(np.max(np.abs(G - target)))
+
+
+def bnorm_defect(J: IntertwinerJ, M: int) -> float:
+    """max_k | ||J(z^k)||_B - (k+1)^(alpha/2) |, each expansion norm read off
+    the shell coordinates c[m, j, k] of all images on shells 0..M."""
+    c = _shell_coordinates(J.F, J.B, M)
+    norms = np.sqrt(np.einsum("mjk,m->k", (c * c.conj()).real, J.alpha.diagonal(M)))
+    return float(np.max(np.abs(norms - (np.arange(J.F.shape[1]) + 1.0) ** (J.alpha.alpha / 2))))
 
 
 def intertwining_residual(J: IntertwinerJ) -> float:
@@ -337,7 +348,5 @@ def shell_shift_residual(J: IntertwinerJ, M: int) -> float:
     """For the general construction: shell coordinates of B * J(z^k), all
     analysed at once on shells 0..M, must be those of J(z^k) shifted one
     shell up."""
-    F, D = J.F, J.F.shape[0] - 1
-    EH = shell_frame(J.B, M, D).cells(M).conj().T
-    c, c_b = ((EH @ G).reshape(M + 1, J.B.degree, -1) for G in (F, J.B.toeplitz(D) @ F))
+    c, c_b = (_shell_coordinates(G, J.B, M) for G in (J.F, J.B.toeplitz(J.F.shape[0] - 1) @ J.F))
     return float(np.max(np.abs(c_b[1:] - c[:-1]), initial=np.max(np.abs(c_b[0]))))

@@ -19,10 +19,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DimensionMismatchError
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _readonly(a) -> np.ndarray:
+    """An array the library has just built, as a read-only contiguous complex array."""
     a = np.ascontiguousarray(a, dtype=complex)
     a.setflags(write=False)
     return a
+
+
+def _freeze(a) -> np.ndarray:
+    """A value's input as a read-only contiguous complex array: a writeable array is copied,
+    so the caller's stays writeable; a read-only one (what _readonly hands over) is not."""
+    return _readonly(np.array(a, dtype=complex, order="C") if isinstance(a, np.ndarray) and a.flags.writeable else a)
 
 
 @dataclass(frozen=True)
@@ -59,12 +66,12 @@ class TaylorPoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
+        c = _freeze(self.coeffs)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", _freeze(c))
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def degree(self) -> int:
@@ -74,22 +81,22 @@ class TaylorPoly:
     def one(cls, D: int = 0) -> "TaylorPoly":
         c = np.zeros(D + 1, dtype=complex)
         c[0] = 1.0
-        return cls(c)
+        return cls(_readonly(c))
 
     def pad(self, D: int) -> "TaylorPoly":
         """Zero-extend (or cut) to degree D."""
-        return self if D == self.degree else TaylorPoly(as_coeffs(self, D))
+        return self if D == self.degree else TaylorPoly(_readonly(as_coeffs(self, D)))
 
     def __add__(self, other: "TaylorPoly") -> "TaylorPoly":
         D = max(self.degree, other.degree)
-        return TaylorPoly(self.pad(D).coeffs + other.pad(D).coeffs)
+        return TaylorPoly(_readonly(self.pad(D).coeffs + other.pad(D).coeffs))
 
     def __sub__(self, other: "TaylorPoly") -> "TaylorPoly":
         D = max(self.degree, other.degree)
-        return TaylorPoly(self.pad(D).coeffs - other.pad(D).coeffs)
+        return TaylorPoly(_readonly(self.pad(D).coeffs - other.pad(D).coeffs))
 
     def __mul__(self, scalar: complex) -> "TaylorPoly":
-        return TaylorPoly(self.coeffs * complex(scalar))
+        return TaylorPoly(_readonly(self.coeffs * complex(scalar)))
 
     __rmul__ = __mul__
 
@@ -122,10 +129,10 @@ class OperatorMatrix:
     alpha: WeightAlpha = field(default_factory=lambda: WeightAlpha(0.0))
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = _freeze(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must be a square matrix")
-        object.__setattr__(self, "entries", _freeze(m))
+        object.__setattr__(self, "entries", m)
         object.__setattr__(self, "alpha", as_weight(self.alpha))
 
     @property
@@ -170,7 +177,7 @@ def multiply(f: TaylorPoly, g: TaylorPoly, D: int) -> TaylorPoly:
     whenever deg f + deg g <= D."""
     if D < 0:
         raise ValueError("D must be nonnegative")
-    return TaylorPoly(_trunc_mul(f.coeffs, g.coeffs, D))
+    return TaylorPoly(_readonly(_trunc_mul(f.coeffs, g.coeffs, D)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +198,7 @@ def weighted_adjoint(A: OperatorMatrix, w: WeightAlpha | float | None = None) ->
     w = A.alpha if w is None else as_weight(w)
     lam = w.diagonal(A.degree)
     m = (A.entries.conj().T * lam[None, :]) / lam[:, None]
-    return OperatorMatrix(m, w)
+    return OperatorMatrix(_readonly(m), w)
 
 
 def safe_degree(D: int) -> int:

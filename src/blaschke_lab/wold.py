@@ -33,8 +33,8 @@ from .errors import ZeroFunctionError
 from .spaces import (
     TaylorPoly,
     WeightAlpha,
+    _readonly,
     _trunc_mul,
-    as_coeffs,
     as_weight,
     require_window,
     safe_degree,
@@ -128,9 +128,8 @@ def cell_matrix(
 ) -> np.ndarray:
     """Columns u_j B^k truncated at D, ordered k-major then j: column index
     k * n + j. Shape (D+1, n*(M+1)), Fortran order so a column prefix is
-    laid out as the cells of fewer shells."""
-    U = np.stack([as_coeffs(u, D) for u in basis.orthonormal], axis=1)
-    return _continue_cells(U, basis.dim, B, M, D)
+    laid out as the cells of fewer shells. The basis holds degrees 0..D."""
+    return _continue_cells(basis.U, basis.dim, B, M, D)
 
 
 #: shells per block of the frame chain past its first block
@@ -158,7 +157,7 @@ def _continue_cells(cells: np.ndarray, n: int, B: BlaschkeProduct, M: int, D: in
     width = _BLOCK * n
     starts = range(max(m + 1, _BLOCK) // _BLOCK * width, E.shape[1], width)  # from the block of shell m + 1
     if starts:
-        TB8 = toeplitz_matrix(TaylorPoly(_power_coeffs(B, _BLOCK, D)), D).entries
+        TB8 = toeplitz_matrix(TaylorPoly(_readonly(_power_coeffs(B, _BLOCK, D))), D).entries
         for start in starts:
             block = TB8 @ E[:, start - width : start]
             E[:, start : start + width] = block[:, : E.shape[1] - start]
@@ -168,15 +167,11 @@ def _continue_cells(cells: np.ndarray, n: int, B: BlaschkeProduct, M: int, D: in
 @dataclass(frozen=True, eq=False)
 class ShellFrame:
     """Read-only cells u_j B^k of one (B, D) in its basis u_j =
-    model_basis(B, D): E[:, k*n + j] for k = 0..shell_count, U = E[:, :n]
-    the basis matrix."""
+    model_basis(B, D): E[:, k*n + j] for k = 0..shell_count, so shell 0 is
+    the basis matrix basis.U."""
 
     basis: ModelSpaceBasis
     E: np.ndarray
-
-    @property
-    def U(self) -> np.ndarray:
-        return self.E[:, : self.basis.dim]
 
     @property
     def shell_count(self) -> int:
@@ -225,6 +220,12 @@ def _cells(B: BlaschkeProduct, M: int, D: int, basis: ModelSpaceBasis | None):
     return basis, cell_matrix(basis, B, M, D)
 
 
+def _shell_coordinates(F: np.ndarray, B: BlaschkeProduct, M: int) -> np.ndarray:
+    """c[k, j, i] = <F[:, i], u_j B^k>_0 on shells 0..M for every column of
+    F (degrees 0..D), in the frame's basis: one product E^H F."""
+    return (shell_frame(B, M, F.shape[0] - 1).cells(M).conj().T @ F).reshape(M + 1, B.degree, -1)
+
+
 @dataclass(frozen=True)
 class ShellDecomposition:
     """Coefficients c[j, k] of f against the orthonormal system {u_j B^k}.
@@ -252,11 +253,6 @@ class ShellDecomposition:
     @property
     def shell_count(self) -> int:
         return self.coefficients.shape[1] - 1
-
-    @property
-    def components(self) -> list[TaylorPoly]:
-        """f_1, ..., f_n with (f_j)_k = c[j, k]."""
-        return [TaylorPoly(row) for row in self.coefficients]
 
     def to_json(self) -> dict:
         return {
@@ -298,7 +294,7 @@ def synthesize(dec: ShellDecomposition, D: int | None = None) -> TaylorPoly:
         D = dec.degree
     _, E = _cells(dec.B, dec.shell_count, D, dec.basis)
     flat = dec.coefficients.T.reshape(-1)  # k-major matching cell_matrix
-    return TaylorPoly(E @ flat)
+    return TaylorPoly(_readonly(E @ flat))
 
 
 def b_norm(dec: ShellDecomposition, w: WeightAlpha | float) -> float:

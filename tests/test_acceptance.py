@@ -297,7 +297,7 @@ def test_11_shift_equivalence():
 
     D, K = 96, 10
     basis = bl.model_basis(B3, D)
-    h = basis.orthonormal[0]
+    h = TaylorPoly(basis.U[:, 0])
     worst_b = 0.0
     worst_shift = 0.0
     for alpha in (-1.0, 0.0, 1.0):

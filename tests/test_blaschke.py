@@ -103,14 +103,14 @@ class TestPowerList:
 
 def _span_residual(basis, f: TaylorPoly) -> float:
     """H^2 distance from f to the span of the orthonormal basis."""
-    U = np.stack([u.coeffs for u in basis.orthonormal], axis=1)
+    U = basis.U
     return float(np.linalg.norm(f.coeffs - U @ (U.conj().T @ f.coeffs)))
 
 
 def _basis_defects(B, D: int) -> tuple[float, float]:
     """(orthonormality, membership): max |U^H U - I| and the largest
     |<u_j, B z^m>_0| over m up to the safe degree."""
-    U = np.stack([u.coeffs for u in bl.model_basis(B, D).orthonormal], axis=1)
+    U = bl.model_basis(B, D).U
     TB = bl.toeplitz_matrix(B.taylor(D), D, 0.0).entries[:, : safe_degree(D) + 1]
     ortho = float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))))
     return ortho, float(np.max(np.abs(TB.conj().T @ U)))
@@ -120,8 +120,9 @@ class TestModelBasis:
     def test_monomial_case(self):
         basis = bl.model_basis(bl.BlaschkeProduct.monomial(3), 16)
         assert basis.dim == 3
-        for j, u in enumerate(basis.orthonormal):
-            assert np.array_equal(u.coeffs, monomial(j, 16).coeffs)
+        assert basis.U.shape == (17, 3)
+        for j, u in enumerate(basis.U.T):
+            assert np.array_equal(u, monomial(j, 16).coeffs)
 
     def test_cauchy_case(self):
         # distinct zeros: e_1 is the normalized kernel of the first zero, and
@@ -131,7 +132,7 @@ class TestModelBasis:
         basis = bl.model_basis(B, D)
         a1 = B.expanded_zeros()[0]
         e1 = np.sqrt(1 - abs(a1) ** 2) * bl.reproducing_kernel(a1, D).coeffs
-        assert np.max(np.abs(basis.orthonormal[0].coeffs - e1)) < 1e-15
+        assert np.max(np.abs(basis.U[:, 0] - e1)) < 1e-15
         for a in (0.5, -0.3):
             assert _span_residual(basis, bl.reproducing_kernel(a, D)) < 1e-12
 
@@ -144,24 +145,23 @@ class TestModelBasis:
         for j in range(2):
             assert _span_residual(basis, TaylorPoly(np.concatenate([np.zeros(j), den[: D + 1 - j]]))) < 1e-12
         TB = bl.toeplitz_matrix(B.taylor(D), D, 0.0)
-        for u in basis.orthonormal:
+        for u in basis.U.T:
             for m in range(safe_degree(D) + 1):
-                ip = np.sum(u.coeffs * np.conj(TB.entries[:, m]))
+                ip = np.sum(u * np.conj(TB.entries[:, m]))
                 assert abs(ip) < 1e-10
 
     def test_orthonormality_and_span(self, B3):
         D = 64
         basis = bl.model_basis(B3, D)
         n = basis.dim
-        G = np.array(
-            [[bl.weighted_inner(basis.orthonormal[i], basis.orthonormal[j], 0.0) for j in range(n)] for i in range(n)]
-        )
+        us = [TaylorPoly(u) for u in basis.U.T]
+        G = np.array([[bl.weighted_inner(us[i], us[j], 0.0) for j in range(n)] for i in range(n)])
         assert np.max(np.abs(G - np.eye(n))) < 1e-12
         # each Cauchy kernel of a zero reconstructs from the orthonormal set
         for a, _ in B3.zeros:
             r = bl.reproducing_kernel(a, D)
             proj = zero(D)
-            for u in basis.orthonormal:
+            for u in us:
                 proj = proj + bl.weighted_inner(r, u, 0.0) * u
             assert bl.weighted_norm(r - proj, 0.0) < 1e-12
 
@@ -180,9 +180,9 @@ class TestModelBasis:
         basis = bl.model_basis(B3, D)
         TB = bl.toeplitz_matrix(B3.taylor(D), D, 0.0)
         worst = 0.0
-        for u in basis.orthonormal:
+        for u in basis.U.T:
             for m in range(safe_degree(D) + 1):
-                worst = max(worst, abs(np.sum(u.coeffs * np.conj(TB.entries[:, m]))))
+                worst = max(worst, abs(np.sum(u * np.conj(TB.entries[:, m]))))
         assert worst < 1e-10
 
     @pytest.mark.parametrize(

@@ -21,6 +21,23 @@ def random_phi(rng, n, deg=4):
     )
 
 
+#: the products of the regression matrix
+PRODUCTS = {
+    "B2": [0.5, -0.3],
+    "B3": [0.5, -0.3 + 0.2j, 0.1],
+    "0.6 double": [(0.6, 2)],
+    "0.8, -0.79i": [0.8, -0.79j],
+    "near duplicate": [0.5, 0.5 + 1e-9, -0.3],
+}
+
+
+def symbols_to_matrix_by_analysis(F, B, M, D):
+    """Reference for symbols_to_matrix: column k of Phi from analyze(phi_k),
+    one symbol at a time."""
+    cols = np.stack([bl.analyze(TaylorPoly(f), B, M, D).coefficients for f in F.T], axis=2)  # [j, t, k]
+    return bl.MultiplierMatrix(cols.transpose(1, 0, 2))
+
+
 class CompositionDivergenceError(ArithmeticError):
     """compose_truncated ran out of its term budget."""
 
@@ -237,17 +254,17 @@ class TestSymbols:
         D = 96
         basis = bl.model_basis(B3, D)
         syms = bl.extract_symbols(identity(D, 0.0), B3, D)
-        for s, u in zip(syms, basis.orthonormal):
-            assert np.max(np.abs(s.coeffs - u.coeffs)) < 1e-14
+        assert syms.shape == (D + 1, 3) and not syms.flags.writeable
+        assert np.max(np.abs(syms - basis.U)) < 1e-14
 
     def test_tb_symbols_are_b_times_basis(self, B3):
         D = 96
         basis = bl.model_basis(B3, D)
         TB = bl.toeplitz_matrix(B3.taylor(D), D, 0.0)
         syms = bl.extract_symbols(TB, B3, D)
-        for s, u in zip(syms, basis.orthonormal):
-            expected = bl.multiply(B3.taylor(D), u, D)
-            assert np.max(np.abs(s.coeffs - expected.coeffs)) < 1e-13
+        for s, u in zip(syms.T, basis.U.T):
+            expected = bl.multiply(B3.taylor(D), TaylorPoly(u), D)
+            assert np.max(np.abs(s - expected.coeffs)) < 1e-13
 
     def test_extraction_rejects_noncommuting(self, B3, rng):
         D = 64
@@ -271,7 +288,7 @@ class TestSymbols:
         syms = bl.extract_symbols(op, B2, D)
         assert calls == [B2]
         bare = bl.extract_symbols(op.realization, B2, D)
-        assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(syms, bare))
+        assert np.array_equal(syms, bare)
         # an element of another product gets its residual measured against B
         phi3 = bl.MultiplierMatrix(rng.standard_normal((3, 3, 3)))
         op3 = bl.build(phi3, B3, -1.0, 21, D)
@@ -296,7 +313,7 @@ class TestSymbols:
     def test_symbols_to_matrix_identity(self, B3):
         D, M = 96, 16
         basis = bl.model_basis(B3, D)
-        phi = bl.symbols_to_matrix(list(basis.orthonormal), B3, M, D)
+        phi = bl.symbols_to_matrix(basis.U, B3, M, D)
         for j in range(3):
             for k in range(3):
                 expect = 1.0 if j == k else 0.0
@@ -308,7 +325,7 @@ class TestSymbols:
         D, M = 96, 16
         basis = bl.model_basis(B3, D)
         b = B3.taylor(D)
-        syms = [bl.multiply(b, u, D) for u in basis.orthonormal]
+        syms = np.stack([bl.multiply(b, TaylorPoly(u), D).coeffs for u in basis.U.T], axis=1)
         phi = bl.symbols_to_matrix(syms, B3, M, D)
         for j in range(3):
             for k in range(3):
@@ -316,6 +333,23 @@ class TestSymbols:
                 expect1 = 1.0 if j == k else 0.0
                 assert abs(c[1] - expect1) < 1e-10
                 assert abs(c[0]) < 1e-10
+
+    def test_symbols_must_fill_the_window(self, B3):
+        F = bl.model_basis(B3, 64).U
+        with pytest.raises(DimensionMismatchError, match=r"^symbols have 65 rows, not D \+ 1 = 97$"):
+            bl.symbols_to_matrix(F, B3, 8, 96)
+
+    @pytest.mark.parametrize("D", [64, 256])
+    @pytest.mark.parametrize("zeros", list(PRODUCTS.values()), ids=list(PRODUCTS))
+    def test_one_product_matches_one_analysis_per_symbol(self, zeros, D, rng):
+        # the symbols W U of a built element, read in one product E^H F and
+        # one analyze call at a time, on the shells the battery uses; W U is
+        # formed directly, since at D = 64 some W miss extract_symbols' gate
+        B = bl.BlaschkeProduct(0.0, zeros)
+        M = bl.wold.shell_count(B, D)
+        F = bl.build(random_phi(rng, B.degree), B, -1.0, M, D).realization.entries @ bl.model_basis(B, D).U
+        one = bl.symbols_to_matrix(F, B, M, D).coeffs
+        assert np.max(np.abs(one - symbols_to_matrix_by_analysis(F, B, M, D).coeffs)) <= 1e-14
 
     def test_roundtrip(self, B3, rng):
         D, M = 96, 32
@@ -493,7 +527,7 @@ def test_derived_matrices_skip_the_degree_cap(B2):
     # the cap guards input; extracted symbols on 80 shells and their
     # differences from an admitted matrix may exceed it
     D, M = 64, 80
-    phi = bl.symbols_to_matrix(list(bl.model_basis(B2, D).orthonormal), B2, M, D)
+    phi = bl.symbols_to_matrix(bl.model_basis(B2, D).U, B2, M, D)
     assert phi.max_entry_degree == 80 > bl.commutant._MAX_SYMBOL_DEGREE
     one = bl.MultiplierMatrix(np.eye(2)[None])
     diff = phi - one

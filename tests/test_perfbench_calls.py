@@ -13,6 +13,7 @@ perfbench/test_perfbench.py.
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import blaschke_lab as bl
@@ -77,3 +78,24 @@ def test_suite_battery_passes_its_gate():
     ops, failures = child.battery_gate(result, report)
     assert failures == []
     assert ops == 25  # 24 checks and the canonical round trip
+
+
+def test_suite_analyzes_one_function_only_in_decompose(monkeypatch):
+    # wold.analyze.calls of a traced suite pass: the symbols and the
+    # intertwiner images are each analysed in one product E^H F, so only
+    # the round trips of decompose (5 samples by default) call analyze
+    calls, analyze = [], bl.wold.analyze
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return analyze(*args, **kw)
+
+    for name, module in list(sys.modules.items()):
+        if name == "blaschke_lab" or name.startswith("blaschke_lab."):
+            for attr, value in list(vars(module).items()):
+                if value is analyze:
+                    monkeypatch.setattr(module, attr, counted)
+    B = {"theta": 0.0, "zeros": [{"re": 0.5, "im": 0.0, "mult": 1}, {"re": -0.3, "im": 0.0, "mult": 1}]}
+    rep = cli.run(cli.parse_config({"B": B, "alpha": -1.0, "degree": 64, "inputs": {}, "seed": 3}, "suite"))
+    assert rep.all_passed
+    assert len(calls) == 5

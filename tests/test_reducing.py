@@ -278,6 +278,20 @@ class TestShiftEquivMonomial:
         J = bl.shift_equiv_monomial(1, -1.0, 10)
         assert np.array_equal(J.F, np.eye(11))
 
+    @pytest.mark.parametrize("n,D", [(3, 1), (3, 3), (3, 4), (3, 8), (2, 4), (1, 0)])
+    def test_small_window_asks_for_larger_D(self, n, D):
+        # the safe block must hold z^(n-1) and z^(2n-1), or J S - T_B J
+        # compares no pair of images
+        with pytest.raises(DimensionMismatchError, match=rf"; increase D to >= {4 * n - 3}$"):
+            bl.shift_equiv_monomial(n, -1.0, D)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_smallest_window_compares_two_images(self, n):
+        D = 4 * n - 3
+        J = bl.shift_equiv_monomial(n, -1.0, D)
+        assert 2 * n - 1 <= safe_degree(D) and J.F.shape[1] >= 2
+        assert bl.intertwining_residual(J) == 0.0
+
     def test_n2_bergman_first_image(self):
         # J(1) = sqrt(2) z and its Bergman norm matches the constant's
         J = bl.shift_equiv_monomial(2, -1.0, 12)
@@ -290,6 +304,27 @@ class TestShiftEquivMonomial:
         J = bl.shift_equiv_monomial(n, alpha, 60)
         assert bl.unitarity_defect(J) < 1e-10
         assert bl.intertwining_residual(J) < 1e-13
+
+
+#: the products of the regression matrix
+PRODUCTS = {
+    "B2": [0.5, -0.3],
+    "B3": [0.5, -0.3 + 0.2j, 0.1],
+    "0.6 double": [(0.6, 2)],
+    "0.8, -0.79i": [0.8, -0.79j],
+    "near duplicate": [0.5, 0.5 + 1e-9, -0.3],
+}
+
+
+def bnorm_defect_by_analysis(J, M):
+    """Reference for bnorm_defect: the expansion-norm identity one image at
+    a time, b_norm of analyze(J(z^k)) on shells 0..M against (k+1)^(alpha/2)."""
+    D = J.F.shape[0] - 1
+    worst = 0.0
+    for k, img in enumerate(J.F.T):
+        dec = bl.analyze(TaylorPoly(img), J.B, M, D)
+        worst = max(worst, abs(bl.b_norm(dec, J.alpha) - (k + 1.0) ** (J.alpha.alpha / 2)))
+    return worst
 
 
 def b_norm_unitarity_defect(J, *, M):
@@ -316,15 +351,41 @@ class TestShiftEquivGeneral:
     def test_bnorm_identity(self, B3):
         D, K = 96, 10
         basis = bl.model_basis(B3, D)
-        J = bl.shift_equiv_general(B3, basis.orthonormal[1], -1.0, K, D)
+        J = bl.shift_equiv_general(B3, TaylorPoly(basis.U[:, 1]), -1.0, K, D)
         for k, img in enumerate(J.F.T):
             dec = bl.analyze(TaylorPoly(img), B3, K + 2, D, basis=basis)
             assert bl.b_norm(dec, -1.0) == pytest.approx((k + 1.0) ** (-0.5), abs=1e-9)
+        assert bl.bnorm_defect(J, K + 2) < 1e-9
+
+    @pytest.mark.parametrize("D", [64, 256])
+    @pytest.mark.parametrize("zeros", list(PRODUCTS.values()), ids=list(PRODUCTS))
+    def test_bnorm_defect_matches_one_analysis_per_image(self, zeros, D):
+        # the battery's images h B^k and shells, read in one product and one
+        # analyze call at a time; the images are formed without
+        # shift_equiv_general's membership gate, which some miss at D = 64
+        B = bl.BlaschkeProduct(0.0, zeros)
+        M = max(2, bl.wold.power_count(B, D))
+        F = [bl.model_basis(B, D).U[:, 0]]
+        for _ in range(M):
+            F.append(B.toeplitz(D) @ F[-1])
+        for alpha in (-1.0, 0.0, 1.0):
+            J = bl.IntertwinerJ(F=np.stack(F, axis=1), alpha=bl.WeightAlpha(alpha), B=B)
+            M_ana = max(bl.wold.shell_count(B, D), M)
+            assert abs(bl.bnorm_defect(J, M_ana) - bnorm_defect_by_analysis(J, M_ana)) <= 1e-14
+
+    def test_bnorm_defect_matches_one_analysis_per_image_off_the_identity(self, B3, rng):
+        # random images, so that the defect is O(1), not rounding
+        D, M = 64, 12
+        F = rng.standard_normal((D + 1, 5)) + 1j * rng.standard_normal((D + 1, 5))
+        J = bl.IntertwinerJ(F=F, alpha=bl.WeightAlpha(-1.0), B=B3)
+        worst = bnorm_defect_by_analysis(J, M)
+        assert worst > 1.0
+        assert bl.bnorm_defect(J, M) == pytest.approx(worst, rel=1e-14)
 
     def test_unitary_in_b_norm_not_alpha_norm(self, B3):
         D, K = 96, 8
         basis = bl.model_basis(B3, D)
-        J = bl.shift_equiv_general(B3, basis.orthonormal[0], -1.0, K, D)
+        J = bl.shift_equiv_general(B3, TaylorPoly(basis.U[:, 0]), -1.0, K, D)
         assert b_norm_unitarity_defect(J, M=K + 2) < 1e-9
         assert bl.unitarity_defect(J) > 1e-2
 
@@ -332,7 +393,7 @@ class TestShiftEquivGeneral:
         D = 96
         K = max(2, D // (3 * B2.degree))
         basis = bl.model_basis(B2, D)
-        J = bl.shift_equiv_general(B2, basis.orthonormal[0], -1.0, K, D)
+        J = bl.shift_equiv_general(B2, TaylorPoly(basis.U[:, 0]), -1.0, K, D)
         assert bl.shell_shift_residual(J, K + 2) < 1e-8
 
     def test_shell_shift_matches_one_analysis_per_image(self, B3, rng):
@@ -340,7 +401,7 @@ class TestShiftEquivGeneral:
         # so that the residual is O(1), not rounding
         D, M = 64, 12
         F = rng.standard_normal((D + 1, 5)) + 1j * rng.standard_normal((D + 1, 5))
-        J = bl.shift_equiv_general(B3, bl.model_basis(B3, D).orthonormal[0], 0.0, 4, D)
+        J = bl.shift_equiv_general(B3, TaylorPoly(bl.model_basis(B3, D).U[:, 0]), 0.0, 4, D)
         J = dataclasses.replace(J, F=F)
         worst = 0.0
         for f in F.T:
@@ -367,14 +428,14 @@ class TestShiftEquivGeneral:
         # past D = 48, so the window test fails; the error says why and what
         # to change, and D = 96 passes
         B = bl.BlaschkeProduct(0.0, [0.8])
-        h = bl.model_basis(B, 48).orthonormal[0]
+        h = TaylorPoly(bl.model_basis(B, 48).U[:, 0])
         with pytest.raises(MembershipError) as err:
             bl.shift_equiv_general(B, h, -1.0, 4, 48)
         msg = str(err.value)
         assert "D = 48" in msg and "D_safe = 24" in msg
         assert "true model-space function truncated at D can fail this way" in msg
         assert msg.endswith("increase D")
-        bl.shift_equiv_general(B, bl.model_basis(B, 96).orthonormal[0], -1.0, 4, 96)
+        bl.shift_equiv_general(B, TaylorPoly(bl.model_basis(B, 96).U[:, 0]), -1.0, 4, 96)
 
 
 def hyperinvariance_check(

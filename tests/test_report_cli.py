@@ -620,6 +620,19 @@ class TestBatteries:
         with pytest.raises(MembershipError, match="setup shift_equiv_general"):
             run(parse_config(self.NEAR_EDGE, "shift-equiv", strict=True))
 
+    @pytest.mark.parametrize("degree", [1, 3, 4])
+    def test_shift_equiv_monomial_small_window_is_errored(self, degree):
+        # z^3: the safe block must hold z^2 and z^5, so D >= 9
+        obj = dict(BASE, B={"theta": 0.0, "zeros": [{"re": 0.0, "im": 0.0, "mult": 3}]}, degree=degree)
+        rep = run(parse_config(obj, "shift-equiv"))
+        assert [r.name for r in rep.records] == ["shift_equiv/unitarity", "shift_equiv/intertwining"]
+        for r in rep.records:
+            assert not r.passed
+            assert r.error.startswith("DimensionMismatchError: setup shift_equiv_monomial: ")
+            assert r.error.endswith("increase D to >= 9")
+        with pytest.raises(DimensionMismatchError, match="increase D to >= 9"):
+            run(parse_config(obj, "shift-equiv", strict=True))
+
     def test_suite_reports_past_a_shift_equiv_setup_error(self):
         rep = run(parse_config(self.NEAR_EDGE, "suite"))
         names = [r.name for r in rep.records]

@@ -247,3 +247,18 @@ def test_taylor_poly_immutable():
     f = poly(1, 2)
     with pytest.raises(ValueError):
         f.coeffs[0] = 5
+
+
+@pytest.mark.parametrize(
+    "make,shape",
+    [(TaylorPoly, (3,)), (bl.OperatorMatrix, (3, 3)), (bl.MultiplierMatrix, (2, 2, 2)), (bl.ModelSpaceBasis, (3, 2))],
+    ids=["TaylorPoly", "OperatorMatrix", "MultiplierMatrix", "ModelSpaceBasis"],
+)
+def test_values_copy_a_writeable_input_and_take_a_read_only_one(make, shape):
+    x = np.zeros(shape, dtype=complex)
+    value = make(x)
+    held = next(a for a in vars(value).values() if isinstance(a, np.ndarray))
+    x[(0,) * len(shape)] = 1.0  # the caller's array stays writeable
+    assert not held.any() and not held.flags.writeable
+    x.setflags(write=False)
+    assert next(a for a in vars(make(x)).values() if isinstance(a, np.ndarray)) is x

@@ -7,7 +7,11 @@ attribute anywhere in src/, scripts/ or perfbench/ outside the definition
 itself, or a segment of a layer the benchmark traces. A method is matched
 by its name alone, so a method that shares its name with a reached one
 (TaylorPoly.monomial with BlaschkeProduct.monomial) is not flagged.
-Re-exports in __init__ and the strings of __all__ do not count."""
+Re-exports in __init__ and the strings of __all__ do not count.
+
+A family of functions is one coefficient array, not a list of TaylorPoly:
+no public function or method returns, and no public field of a public
+class holds, TaylorPoly inside list[...], tuple[...] or Sequence[...]."""
 
 import ast
 from pathlib import Path
@@ -22,19 +26,30 @@ EXEMPT = {
 }
 
 
+#: the one family still returned as a list of TaylorPoly, and why it stays.
+FAMILY_EXEMPT = {
+    "blaschke.BlaschkeProduct.power_list": "the benchmark traces it by this name (perfbench/tracing.py)",
+}
+
+
 def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _layer_segments():
-    """The dotted segments of perfbench/tracing.LAYERS after the module."""
+def _layers():
+    """perfbench/tracing.LAYERS, read from the source."""
     tree = _parse(ROOT / "perfbench" / "tracing.py")
     [layers] = [
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
     ]
-    return {part for name in layers for part in name.split(".")[1:]}
+    return layers
+
+
+def _layer_segments():
+    """The dotted segments of perfbench/tracing.LAYERS after the module."""
+    return {part for name in _layers() for part in name.split(".")[1:]}
 
 
 def _public(nodes, kinds):
@@ -88,3 +103,59 @@ def test_the_exemption_is_still_needed():
     refs = {n for _, _, n in _references()}
     assert sorted(name for name in EXEMPT if name in refs) == []
     assert all(("spaces", name) in _definitions() for name in EXEMPT)
+
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _holds_taylor_polys(annotation) -> bool:
+    """Whether the annotation puts TaylorPoly inside list[...], tuple[...]
+    or Sequence[...]; quoted parts are read as code."""
+    if annotation is None:
+        return False
+    tree = ast.parse(ast.unparse(annotation).replace("'", "").replace('"', ""), mode="eval")
+    return any(
+        isinstance(node, ast.Subscript)
+        and _name(node.value) in ("list", "tuple", "Sequence")
+        and any(_name(n) == "TaylorPoly" for n in ast.walk(node.slice))
+        for node in ast.walk(tree)
+    )
+
+
+def _families_of_taylor_polys():
+    """["module.name"] of the public functions and methods whose return
+    annotation, and of the public fields of public classes whose annotation,
+    puts TaylorPoly inside a list, tuple or Sequence."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in _public(_parse(path).body, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.FunctionDef):
+                members = [(node.name, node.returns)]
+            else:
+                members = [(f"{node.name}.{m.name}", m.returns) for m in node.body if isinstance(m, ast.FunctionDef)]
+                members += [
+                    (f"{node.name}.{m.target.id}", m.annotation)
+                    for m in node.body
+                    if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)
+                ]
+            found += [
+                f"{path.stem}.{name}"
+                for name, annotation in members
+                if not name.rpartition(".")[2].startswith("_") and _holds_taylor_polys(annotation)
+            ]
+    return found
+
+
+def test_no_family_of_functions_is_a_list_of_taylor_polys():
+    assert [name for name in _families_of_taylor_polys() if name not in FAMILY_EXEMPT] == []
+
+
+def test_the_family_exemption_is_still_needed():
+    # an exempt name that no longer returns a list, or that the benchmark
+    # no longer traces, no longer needs its exemption
+    found, layers = _families_of_taylor_polys(), _layers()
+    assert sorted(name for name in FAMILY_EXEMPT if name not in found or name not in layers) == []

@@ -35,14 +35,14 @@ class TestAnalyze:
     def test_slicing_for_z2(self):
         # f = 1 + 2z + 3z^2 + 4z^3 against B = z^2 slices by parity
         dec = bl.analyze(TaylorPoly([1, 2, 3, 4]), bl.BlaschkeProduct.monomial(2), 3, 12)
-        f1, f2 = dec.components
-        assert np.allclose(f1.coeffs[:2], [1, 3])
-        assert np.allclose(f2.coeffs[:2], [2, 4])
-        assert np.allclose(f1.coeffs[2:], 0)
+        f1, f2 = dec.coefficients  # row j holds the component f_(j+1)
+        assert np.allclose(f1[:2], [1, 3])
+        assert np.allclose(f2[:2], [2, 4])
+        assert np.allclose(f1[2:], 0)
 
     def test_basis_element_hits_single_cell(self, B3):
         basis = bl.model_basis(B3, 64)
-        dec = bl.analyze(basis.orthonormal[0], B3, 6, 64, basis=basis)
+        dec = bl.analyze(TaylorPoly(basis.U[:, 0]), B3, 6, 64, basis=basis)
         expected = np.zeros((3, 7), dtype=complex)
         expected[0, 0] = 1
         assert np.max(np.abs(dec.coefficients - expected)) < 1e-12
@@ -105,7 +105,7 @@ class TestSynthesize:
         c[0, 1] = 1.0
         dec = bl.ShellDecomposition(B=B3, basis=basis, coefficients=c, degree=48)
         out = bl.synthesize(dec)
-        expected = bl.multiply(basis.orthonormal[0], B3.taylor(48), 48)
+        expected = bl.multiply(TaylorPoly(basis.U[:, 0]), B3.taylor(48), 48)
         assert np.max(np.abs(out.coeffs - expected.coeffs)) < 1e-14
 
     def test_exact_slicing_roundtrip_for_monomial(self, rng):
@@ -122,7 +122,7 @@ class TestSynthesize:
 class TestBNorm:
     def test_single_zero_shell_is_one_for_every_alpha(self, B3):
         basis = bl.model_basis(B3, 64)
-        dec = bl.analyze(basis.orthonormal[0], B3, 6, 64, basis=basis)
+        dec = bl.analyze(TaylorPoly(basis.U[:, 0]), B3, 6, 64, basis=basis)
         for alpha in (-1.0, 0.0, 1.0, 0.3):
             assert bl.b_norm(dec, alpha) == pytest.approx(1.0, abs=1e-12)
 
@@ -137,7 +137,7 @@ class TestBNorm:
         # ||h B^k||_B = (k+1)^(alpha/2) for unit h
         D = 96
         basis = bl.model_basis(B3, D)
-        hbk = bl.multiply(basis.orthonormal[0], B3.power_list(k, D)[k], D)
+        hbk = bl.multiply(TaylorPoly(basis.U[:, 0]), B3.power_list(k, D)[k], D)
         dec = bl.analyze(hbk, B3, 10, D, basis=basis)
         assert bl.b_norm(dec, alpha) == pytest.approx((k + 1.0) ** (alpha / 2), abs=1e-9)
 
@@ -157,7 +157,7 @@ class TestNormsAgainstInnerProducts:
             f = TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
             dec = bl.analyze(f, B3, M, D)
             nf = np.sqrt(bl.weighted_inner(f, f, alpha).real)
-            nb = np.sqrt(sum(bl.weighted_inner(g, g, alpha).real for g in dec.components))
+            nb = np.sqrt(sum(bl.weighted_inner(g, g, alpha).real for g in map(TaylorPoly, dec.coefficients)))
             assert abs(bl.weighted_norm(f, alpha) - nf) <= 1e-15 * nf
             assert abs(bl.b_norm(dec, alpha) - nb) <= 1e-15 * nb
             ratio = (nb / nf) ** 2
@@ -172,7 +172,7 @@ class TestNormEquivalence:
 
     def test_basis_element_ratio(self, B3):
         basis = bl.model_basis(B3, 64)
-        u1 = basis.orthonormal[0]
+        u1 = TaylorPoly(basis.U[:, 0])
         r = bl.norm_equivalence_ratio(u1, B3, -1.0, 6, 64, basis=basis)
         assert r == pytest.approx(1.0 / bl.weighted_norm(u1, -1.0) ** 2, rel=1e-10)
 
@@ -402,9 +402,8 @@ class TestShellFrame:
     def test_rotated_basis_gets_rotated_coefficients(self, B3, rng):
         D, M = 64, 8
         basis = bl.model_basis(B3, D)
-        U = np.stack([u.coeffs for u in basis.orthonormal], axis=1)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        rotated = bl.ModelSpaceBasis(orthonormal=tuple(TaylorPoly(col) for col in (U @ Q).T))
+        rotated = bl.ModelSpaceBasis(basis.U @ Q)
         f = TaylorPoly(rng.standard_normal(20) + 1j * rng.standard_normal(20))
         c = bl.analyze(f, B3, M, D, basis=basis).coefficients
         c_rot = bl.analyze(f, B3, M, D, basis=rotated).coefficients
@@ -445,7 +444,7 @@ class TestShellFrame:
         basis = bl.model_basis(B, D)
         E = cell_matrix(basis, B, M, D)
         TB = B.toeplitz(D)
-        reference = [np.stack([u.pad(D).coeffs for u in basis.orthonormal], axis=1)]
+        reference = [basis.U]
         for _ in range(M):
             reference.append(TB @ reference[-1])
         assert E.shape == (D + 1, B.degree * (M + 1))
@@ -453,7 +452,9 @@ class TestShellFrame:
 
     def test_cached_arrays_are_read_only(self, B3):
         frame = wold.shell_frame(B3, 8, 64)
-        for arr in (frame.E, frame.U, frame.cells(4)):
+        assert frame.basis is bl.model_basis(B3, 64)
+        assert np.array_equal(frame.basis.U, frame.cells(0))
+        for arr in (frame.E, frame.basis.U, frame.cells(4)):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -473,7 +474,7 @@ class TestShellFrame:
         grown, basis = frame.E, frame.basis
         powers = B.power_list(M, D)
         reference = np.stack(
-            [np.convolve(u.coeffs, p.coeffs)[: D + 1] for p in powers for u in basis.orthonormal],
+            [np.convolve(u, p.coeffs)[: D + 1] for p in powers for u in basis.U.T],
             axis=1,
         )
         assert np.max(np.abs(grown - reference)) < 1e-13
