@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Per-layer timings against the window D: x_spaces, the shell cells
-(wold.cell_matrix), build plus commutation_residual at the derived shell
-count M = wold.shell_count(B, D), and the safe-block norm
-spaces.operator_norm_safe on a nonzero and on an exactly zero section of
-D//2 + 1 rows.
+"""Per-layer timings against the window D: the model basis, x_spaces, the
+shell cells (wold.cell_matrix), analyze plus synthesize of one function of
+degree D//4, build plus commutation_residual at the derived shell count
+M = wold.shell_count(B, D), the safe-block norm spaces.operator_norm_safe
+on a nonzero and on an exactly zero section of D//2 + 1 rows, and the
+Mobius-power projection of class 0 for b_a^N, a = 0.5, N = 2 (the same for
+every product).
 
 Each layer is called once untimed, to warm the memos a battery shares (the
 shell frame of (B, D), T_B), then --repeats times under a timer; the medians
-are written to a JSON file and printed as a table. cell_matrix is timed cold:
-every call builds the cells of shells 0..M anew, outside the frame memo.
+are written to a JSON file and printed as a table. Three layers are timed
+cold: cell_matrix builds the cells of shells 0..M anew, outside the frame
+memo; the model basis is built by the function under the (B, D) memo
+(blaschke._model_basis.__wrapped__); and the projection builds its frame
+through reducing._mobius_frame.__wrapped__, outside the (a, N, D) memo.
 BLAS is pinned to one thread before numpy loads.
 
 Usage: python scripts/layer_timings.py [--degrees 64 128 256 512]
@@ -29,12 +34,14 @@ import time
 import numpy as np
 
 import blaschke_lab as bl
-from blaschke_lab import spaces, wold
+from blaschke_lab import blaschke, reducing, spaces, wold
 
 #: a mild product and one with both zeros near rho_max = 0.8, where the
 #: derived shell count is largest
 PRODUCTS = {"B2": [0.5, -0.3], "(0.8, -0.79i)": [0.8, -0.79j]}
 ALPHA, KMAX, SYMBOL_DEGREE = -1.0, 3, 4
+#: the zero and power of the Mobius-power projection
+MOBIUS_A, MOBIUS_N = 0.5, 2
 
 
 def median_s(fn, repeats: int) -> float:
@@ -47,24 +54,42 @@ def median_s(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
+def random_poly(rng: np.random.Generator, degree: int) -> bl.TaylorPoly:
+    return bl.TaylorPoly(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+
+
+def cold_mobius_s(D: int, repeats: int) -> float:
+    """Median seconds of the class-0 Mobius-power projection with its frame
+    built on every call, outside the memo."""
+    memo = reducing._mobius_frame
+    reducing._mobius_frame = memo.__wrapped__
+    try:
+        return median_s(lambda: bl.mobius_power_reducing_projection(MOBIUS_A, MOBIUS_N, 0, D), repeats)
+    finally:
+        reducing._mobius_frame = memo
+
+
 def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Generator) -> dict:
     M = wold.shell_count(B, D)
     phi = bl.MultiplierMatrix.from_polys(
-        [[bl.TaylorPoly(rng.standard_normal(SYMBOL_DEGREE + 1) + 1j * rng.standard_normal(SYMBOL_DEGREE + 1))
-          for _ in range(B.degree)] for _ in range(B.degree)]
+        [[random_poly(rng, SYMBOL_DEGREE) for _ in range(B.degree)] for _ in range(B.degree)]
     )
+    f = random_poly(rng, D // 4)
     op = bl.build(phi, B, ALPHA, M, D)
     basis, W, D_safe = wold.shell_frame(B, M, D).basis, op.realization.entries, bl.safe_degree(D)
     zero = np.zeros_like(W)
     return {
         "D": D,
         "M": M,
+        "model_basis_s": median_s(lambda: blaschke._model_basis.__wrapped__(B, D), repeats),
         "x_spaces_s": median_s(lambda: bl.x_spaces(B, ALPHA, KMAX, D), repeats),
         "cell_matrix_s": median_s(lambda: wold.cell_matrix(basis, B, M, D), repeats),
+        "analyze_synthesize_s": median_s(lambda: bl.synthesize(bl.analyze(f, B, M, D)), repeats),
         "build_s": median_s(lambda: bl.build(phi, B, ALPHA, M, D), repeats),
-        "commutation_residual_s": median_s(lambda: bl.commutation_residual(op.realization, B, ALPHA), repeats),
+        "commutation_residual_s": median_s(lambda: bl.commutation_residual(op.realization, B), repeats),
         "operator_norm_safe_s": median_s(lambda: spaces.operator_norm_safe(W, ALPHA, D_safe), repeats),
         "operator_norm_safe_zero_s": median_s(lambda: spaces.operator_norm_safe(zero, ALPHA, D_safe), repeats),
+        "mobius_projection_s": cold_mobius_s(D, repeats),
     }
 
 
@@ -81,12 +106,15 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     rows = []
     columns = {
+        "basis": "model_basis_s",
         "x_spaces": "x_spaces_s",
         "cells": "cell_matrix_s",
+        "ana+syn": "analyze_synthesize_s",
         "build": "build_s",
         "residual": "commutation_residual_s",
         "norm": "operator_norm_safe_s",
         "zero norm": "operator_norm_safe_zero_s",
+        "mobius": "mobius_projection_s",
     }
     print(f"{'product':>14} {'D':>4} {'M':>5} " + " ".join(f"{c + ' ms':>12}" for c in columns))
     for name, zeros in PRODUCTS.items():
@@ -108,6 +136,7 @@ def main() -> None:
         "alpha": ALPHA,
         "kmax": KMAX,
         "symbol_degree": SYMBOL_DEGREE,
+        "mobius": {"a": MOBIUS_A, "N": MOBIUS_N},
         "seed": args.seed,
         "products": {name: [[complex(a).real, complex(a).imag] for a in zeros] for name, zeros in PRODUCTS.items()},
         "rows": rows,

@@ -16,8 +16,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .blaschke import BlaschkeProduct, model_basis
-from .errors import DimensionMismatchError, NotInCommutantError
-from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, _freeze, _readonly, as_weight, commutator_residual, safe_degree
+from .errors import NotInCommutantError
+from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, _freeze, _readonly, commutator_residual, safe_degree
 from .wold import _shell_coordinates, shell_frame
 
 __all__ = [
@@ -85,20 +85,17 @@ class MultiplierMatrix:
 
 @dataclass(frozen=True)
 class CommutantOperator:
-    """A commutant element: multiplier matrix, the product it refers to, the
-    ambient weight, and its dense finite-section realization."""
+    """A commutant element: multiplier matrix, the product it refers to, and
+    its dense finite-section realization, which carries the ambient weight."""
 
     phi: MultiplierMatrix
     B: BlaschkeProduct
-    alpha: WeightAlpha
     realization: OperatorMatrix
-    shell_count: int
 
     @cached_property
     def residual(self) -> float:
-        """commutation_residual of the realization at its own degree and
-        weight, computed once per element."""
-        return commutation_residual(self.realization, self.B, self.alpha)
+        """commutation_residual of the realization, computed once per element."""
+        return commutation_residual(self.realization, self.B)
 
 
 def _cell_images(phi: MultiplierMatrix, E_out: np.ndarray) -> np.ndarray:
@@ -129,55 +126,34 @@ def build(
     action loses nothing. Accuracy of the safe block improves with M until
     M = wold.shell_count(B, D); past it the residual is limited by D alone.
     """
-    w = as_weight(w)
     if phi.n != B.degree:
         raise ValueError("multiplier matrix size must equal deg B")
     M_out = M + phi.max_entry_degree
     frame = shell_frame(B, M_out, D)
     W = _cell_images(phi, frame.cells(M_out)) @ frame.cells(M).conj().T
-    return CommutantOperator(
-        phi=phi,
-        B=B,
-        alpha=w,
-        realization=OperatorMatrix(_readonly(W), w),
-        shell_count=M,
-    )
+    return CommutantOperator(phi=phi, B=B, realization=OperatorMatrix(_readonly(W), w))
 
 
-def commutation_residual(
-    A: OperatorMatrix,
-    B: BlaschkeProduct,
-    w: WeightAlpha | float,
-    D: int | None = None,
-) -> float:
-    """Safe-block operator norm of A T_B - T_B A (alpha geometry)."""
-    if D is None:
-        D = A.degree
-    if D != A.degree:
-        raise DimensionMismatchError(
-            f"operator of degree {A.degree} cannot be measured at D = {D}; pass D = {A.degree}"
-        )
-    return commutator_residual(A.entries, B.toeplitz(D), w, D)
+def commutation_residual(A: OperatorMatrix, B: BlaschkeProduct) -> float:
+    """Safe-block operator norm of A T_B - T_B A in A's weight and window."""
+    return commutator_residual(A.entries, B.toeplitz(A.degree), A.alpha, A.degree)
 
 
 def extract_symbols(
     W: OperatorMatrix | CommutantOperator,
     B: BlaschkeProduct,
-    D: int,
     *,
     tol_commute: float = 1e-8,
 ) -> np.ndarray:
-    """phi_k = W u_k as the read-only (D+1) x n array W U, U = model_basis(B, D).U;
-    requires W to commute with T_B on the safe block, to a commutation
-    residual of at most tol_commute (extraction is meaningless otherwise). A
-    built element for the same B and D supplies its memoized residual. The
-    error names the window's limit max|a|^(D - D_safe) (B's Taylor tail past
-    the guard), which no shell count lowers."""
+    """phi_k = W u_k as the read-only (D+1) x n array W U, U = model_basis(B, D).U
+    and D the degree of W; requires W to commute with T_B on the safe block,
+    to a commutation residual of at most tol_commute (extraction is
+    meaningless otherwise). A built element for the same B supplies its
+    memoized residual. The error names the window's limit max|a|^(D - D_safe)
+    (B's Taylor tail past the guard), which no shell count lowers."""
     op, W = (W, W.realization) if isinstance(W, CommutantOperator) else (None, W)
-    if op is not None and op.B == B and W.degree == D:
-        res = op.residual
-    else:
-        res = commutation_residual(W, B, W.alpha, D)
+    D = W.degree
+    res = op.residual if op is not None and op.B == B else commutation_residual(W, B)
     if res > tol_commute:
         D_safe = safe_degree(D)
         limit = max(abs(a) for a, _ in B.zeros) ** (D - D_safe)
@@ -189,25 +165,14 @@ def extract_symbols(
     return _readonly(W.entries @ model_basis(B, D).U)
 
 
-def symbols_to_matrix(
-    F: np.ndarray,
-    B: BlaschkeProduct,
-    M: int,
-    D: int,
-) -> MultiplierMatrix:
-    """Column k of Phi = shell components of the symbol phi_k = F[:, k]:
-    coeffs[t, j, k] = <phi_k, u_j B^t>_0 for t = 0..M, one product E^H F."""
-    if F.shape[0] != D + 1:
-        raise DimensionMismatchError(f"symbols have {F.shape[0]} rows, not D + 1 = {D + 1}")
+def symbols_to_matrix(F: np.ndarray, B: BlaschkeProduct, M: int) -> MultiplierMatrix:
+    """Column k of Phi = shell components of the symbol phi_k = F[:, k], a
+    function of degrees 0..D = F.shape[0] - 1: coeffs[t, j, k] =
+    <phi_k, u_j B^t>_0 for t = 0..M, one product E^H F."""
     return MultiplierMatrix(_readonly(_shell_coordinates(F, B, M)))
 
 
-def cowen_residual(
-    W: OperatorMatrix,
-    B: BlaschkeProduct,
-    a: complex | Sequence[complex],
-    D: int | None = None,
-) -> float:
+def cowen_residual(W: OperatorMatrix, B: BlaschkeProduct, a: complex | Sequence[complex]) -> float:
     """max_m |<W* k_a, (B - B(a)) z^m>_0| over m up to the safe degree, and
     over the points when a is a 1-d sequence of them.
 
@@ -219,8 +184,7 @@ def cowen_residual(
     pts = np.atleast_1d(np.asarray(a, dtype=complex))
     if pts.ndim != 1 or np.any(np.abs(pts) >= 1.0):
         raise ValueError("sample points must be a point or 1-d sequence in the open disc")
-    if D is None:
-        D = W.degree
+    D = W.degree
     D_safe = safe_degree(D)
     K = np.conj(pts)[None, :] ** np.arange(D + 1)[:, None]  # column i is k_(a_i)
     WK = (K.T.conj() @ W.entries).conj().T  # W^H K as one product

@@ -28,12 +28,18 @@ class XSpaceChain:
     B: BlaschkeProduct
     alpha: WeightAlpha
     X: np.ndarray
-    kmax: int
-    degree: int
 
     @property
     def block_dim(self) -> int:
         return self.B.degree
+
+    @property
+    def kmax(self) -> int:
+        return self.X.shape[1] // self.block_dim - 1
+
+    @property
+    def degree(self) -> int:
+        return self.X.shape[0] - 1
 
 
 def x_spaces(B: BlaschkeProduct, w: WeightAlpha | float, kmax: int, D: int) -> XSpaceChain:
@@ -57,7 +63,7 @@ def x_spaces(B: BlaschkeProduct, w: WeightAlpha | float, kmax: int, D: int) -> X
         raise ValueError(f"D = {D} too small for kmax = {kmax} (need >= {(kmax + 3) * N})")
     sq = np.sqrt(w.diagonal(D))
     Q, _ = np.linalg.qr(wold.shell_frame(B, kmax, D).cells(kmax) / sq[:, None])
-    return XSpaceChain(B=B, alpha=w, X=_freeze(Q / sq[:, None]), kmax=kmax, degree=D)
+    return XSpaceChain(B=B, alpha=w, X=_freeze(Q / sq[:, None]))
 
 
 def block_matrix(W: OperatorMatrix, chain: XSpaceChain) -> np.ndarray:

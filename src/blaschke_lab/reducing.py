@@ -65,7 +65,6 @@ class SubspaceProjection:
 
     V: np.ndarray
     matrix: OperatorMatrix
-    alpha: WeightAlpha
 
     @property
     def degree(self) -> int:
@@ -78,10 +77,10 @@ def projection_defects(P: SubspaceProjection) -> tuple[float, float]:
     of m on [s, s] reads only m[s, s], since the weight is diagonal."""
     D_safe = safe_degree(P.degree)
     s = slice(0, D_safe + 1)
-    m = P.matrix.entries
-    block = OperatorMatrix(m[s, s], P.alpha)
-    idem = operator_norm_safe(m[s, :] @ m[:, s] - block.entries, P.alpha, D_safe)
-    sa = operator_norm_safe(block.entries - weighted_adjoint(block).entries, P.alpha, D_safe)
+    m, w = P.matrix.entries, P.matrix.alpha
+    block = OperatorMatrix(m[s, s], w)
+    idem = operator_norm_safe(m[s, :] @ m[:, s] - block.entries, w, D_safe)
+    sa = operator_norm_safe(block.entries - weighted_adjoint(block).entries, w, D_safe)
     return idem, sa
 
 
@@ -97,7 +96,6 @@ def monomial_reducing_projection(
     return SubspaceProjection(
         V=_readonly(np.diag(w.diagonal(D) ** -0.5)[:, mask]),
         matrix=OperatorMatrix(_readonly(np.diag(mask.astype(complex))), w),
-        alpha=w,
     )
 
 
@@ -203,7 +201,7 @@ def mobius_power_reducing_projection(
         raise ConditioningError(
             f"clean generator Gram deviates from identity by {defect:.3e} (> {_GRAM_TOL:.1e}); increase D"
         )
-    return SubspaceProjection(V=_readonly(Ub), matrix=OperatorMatrix(_readonly(P), w), alpha=w)
+    return SubspaceProjection(V=_readonly(Ub), matrix=OperatorMatrix(_readonly(P), w))
 
 
 #: smallest normalized singular value of a caller-supplied basis before
@@ -230,25 +228,19 @@ def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D
         )
     Q, _ = np.linalg.qr(sq[:, None] * cols)
     P = (Q @ Q.conj().T) * sq[None, :] / sq[:, None]
-    return SubspaceProjection(V=_readonly(Q / sq[:, None]), matrix=OperatorMatrix(_readonly(P), w), alpha=w)
+    return SubspaceProjection(V=_readonly(Q / sq[:, None]), matrix=OperatorMatrix(_readonly(P), w))
 
 
-def reducing_residual(
-    P: SubspaceProjection,
-    B: BlaschkeProduct,
-    w: WeightAlpha | float | None = None,
-    D: int | None = None,
-) -> float:
+def reducing_residual(P: SubspaceProjection, B: BlaschkeProduct) -> float:
     """max of the safe-block commutator norms of P with T_B and with the
-    weighted adjoint of T_B. Zero characterizes a reducing subspace."""
-    w = P.alpha if w is None else as_weight(w)
-    if D is None:
-        D = P.degree
+    weighted adjoint of T_B, in P's weight and window. Zero characterizes a
+    reducing subspace."""
+    w, D = P.matrix.alpha, P.degree
     TB = OperatorMatrix(B.toeplitz(D), w)
     m = P.matrix.entries
     return max(
         commutator_residual(m, TB.entries, w, D),
-        commutator_residual(m, weighted_adjoint(TB, w).entries, w, D),
+        commutator_residual(m, weighted_adjoint(TB).entries, w, D),
     )
 
 

@@ -192,13 +192,12 @@ def toeplitz_matrix(g: TaylorPoly, D: int, w: WeightAlpha | float = 0.0) -> Oper
     return OperatorMatrix(sliding_window_view(padded, D + 1)[::-1], as_weight(w))
 
 
-def weighted_adjoint(A: OperatorMatrix, w: WeightAlpha | float | None = None) -> OperatorMatrix:
-    """Adjoint with respect to <.,.>_alpha: Lambda^-1 A^H Lambda with
-    Lambda = diag((k+1)^alpha). Defaults to the weight stored on A."""
-    w = A.alpha if w is None else as_weight(w)
-    lam = w.diagonal(A.degree)
+def weighted_adjoint(A: OperatorMatrix) -> OperatorMatrix:
+    """Adjoint with respect to A's weight <.,.>_alpha: Lambda^-1 A^H Lambda
+    with Lambda = diag((k+1)^alpha)."""
+    lam = A.alpha.diagonal(A.degree)
     m = (A.entries.conj().T * lam[None, :]) / lam[:, None]
-    return OperatorMatrix(_readonly(m), w)
+    return OperatorMatrix(_readonly(m), A.alpha)
 
 
 def safe_degree(D: int) -> int:

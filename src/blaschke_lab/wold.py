@@ -24,7 +24,7 @@ the safe block, power_count from how many powers B^k fit the window.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .errors import ZeroFunctionError
 from .spaces import (
     TaylorPoly,
     WeightAlpha,
+    _freeze,
     _readonly,
     _trunc_mul,
     as_weight,
@@ -239,15 +240,11 @@ class ShellDecomposition:
     basis: ModelSpaceBasis
     coefficients: np.ndarray  # (n, M+1)
     degree: int
-    _fresh: InitVar[bool] = False  # analyze's own array: frozen without a copy
 
-    def __post_init__(self, _fresh):
-        c = np.asarray(self.coefficients, dtype=complex)
+    def __post_init__(self):
+        c = _freeze(self.coefficients)
         if c.ndim != 2 or c.shape[0] != self.basis.dim:
             raise ValueError("coefficient array must be n x (M+1)")
-        if not _fresh:
-            c = c.copy()
-        c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
     @property
@@ -285,7 +282,7 @@ def analyze(
     basis, E = _cells(B, M, D, basis)
     # E^H f over the rows f occupies, without padding f or copying E
     c = (E[: len(f.coeffs)].T @ f.coeffs.conj()).conj()
-    return ShellDecomposition(B, basis, c.reshape(M + 1, basis.dim).T, D, _fresh=True)
+    return ShellDecomposition(B, basis, _readonly(c.reshape(M + 1, basis.dim).T), D)
 
 
 def synthesize(dec: ShellDecomposition, D: int | None = None) -> TaylorPoly:

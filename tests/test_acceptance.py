@@ -112,7 +112,7 @@ def test_04_commutant_forward(built_sample):
     worst = 0.0
     for _, op in sample:
         for alpha in (-1.0, 0.0, 1.0):
-            worst = max(worst, bl.commutation_residual(op.realization, B3, alpha, D))
+            worst = max(worst, bl.commutation_residual(bl.OperatorMatrix(op.realization.entries, alpha), B3))
     verdict(4, "commutant-forward-direction", worst, 1e-8)
 
 
@@ -120,8 +120,8 @@ def test_05_commutant_roundtrip(built_sample):
     D, M, sample = built_sample
     worst = 0.0
     for phi, op in sample:
-        syms = bl.extract_symbols(op.realization, B3, D)
-        phi2 = bl.symbols_to_matrix(syms, B3, M, D)
+        syms = bl.extract_symbols(op.realization, B3)
+        phi2 = bl.symbols_to_matrix(syms, B3, M)
         worst = max(worst, float(np.max(np.abs((phi - phi2).coeffs[:11]))))
     verdict(5, "commutant-symbol-roundtrip", worst, 1e-7)
 
@@ -162,13 +162,13 @@ def test_07_cowen_condition():
     for a in pts:
         worst_member = max(
             worst_member,
-            bl.cowen_residual(TB, B3, a, D),
-            bl.cowen_residual(I, B3, a, D),
+            bl.cowen_residual(TB, B3, a),
+            bl.cowen_residual(I, B3, a),
         )
     assert worst_member < 1e-12, f"member residual {worst_member:.2e}"
     B = bl.BlaschkeProduct.monomial(2)
     Tz_star = bl.weighted_adjoint(bl.toeplitz_matrix(monomial(1), D, 0.0))
-    witness = max(bl.cowen_residual(Tz_star, B, a, D) for a in pts)
+    witness = max(bl.cowen_residual(Tz_star, B, a) for a in pts)
     verdict(7, "cowen-condition", witness, 1e-2, larger_is_better=True)
 
 
@@ -231,7 +231,7 @@ def test_09_mobius_power_proposition():
     worst = 0.0
     for j in range(N):
         P = bl.mobius_power_reducing_projection(a, N, j, D)
-        worst = max(worst, bl.reducing_residual(P, B, -1.0, D))
+        worst = max(worst, bl.reducing_residual(P, B))
     verdict_parts(9, "mobius-power-proposition", {
         "k0-orthogonality": (k0, 1e-8),
         "reducing-residual": (worst, 1e-6),
@@ -279,8 +279,8 @@ def test_10_monomial_lattice():
         c[2 * k] = 1
         c[2 * k + 1] = 1
         funcs.append(TaylorPoly(c))
-    hardy = bl.reducing_residual(bl.projection_from_basis(funcs, 0.0, D2), B, 0.0, D2)
-    bergman = bl.reducing_residual(bl.projection_from_basis(funcs, -1.0, D2), B, -1.0, D2)
+    hardy = bl.reducing_residual(bl.projection_from_basis(funcs, 0.0, D2), B)
+    bergman = bl.reducing_residual(bl.projection_from_basis(funcs, -1.0, D2), B)
     assert hardy < 1e-10, f"Hardy-space residual {hardy:.2e}"
     assert bergman > 1e-3, f"Bergman residual {bergman:.2e} unexpectedly small"
     verdict(10, "monomial-lattice", worst_pass, 1e-10)

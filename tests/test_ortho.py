@@ -143,6 +143,7 @@ class TestXSpaces:
         chain = bl.x_spaces(B2, -1.0, kmax, D)
         assert chain.X.shape == (D + 1, (kmax + 1) * B2.degree)
         assert [b.shape[1] for b in blocks(chain)] == [B2.degree] * (kmax + 1)
+        assert (chain.kmax, chain.degree) == (kmax, D)  # read off the shape of X
 
     def test_completeness_monomial(self):
         # union of blocks spans the monomials below (kmax+1) N
@@ -378,7 +379,7 @@ def selfadjoint_block_check(W: OperatorMatrix, chain: bl.XSpaceChain) -> SelfAdj
     self-adjointness defect exceeds _SELFADJOINT_TOL (1e-8)."""
     D = chain.degree
     D_safe = safe_degree(D)
-    defect_mat = W.entries - weighted_adjoint(W, chain.alpha).entries
+    defect_mat = W.entries - weighted_adjoint(OperatorMatrix(W.entries, chain.alpha)).entries
     input_defect = operator_norm_safe(defect_mat, chain.alpha, D_safe)
     if input_defect > _SELFADJOINT_TOL:
         raise NotSelfAdjointError(

@@ -60,7 +60,7 @@ class TestMonomialProjection:
         B = bl.BlaschkeProduct.monomial(N)
         for j in range(N):
             P = bl.monomial_reducing_projection(N, j, alpha, D)
-            assert bl.reducing_residual(P, B, alpha, D) < 1e-12
+            assert bl.reducing_residual(P, B) < 1e-12
 
     def test_projection_laws(self):
         P = bl.monomial_reducing_projection(2, 0, -1.0, 40)
@@ -95,7 +95,7 @@ class TestMobiusProjection:
         B = bl.BlaschkeProduct(0.0, [(a, 2)])
         for j in range(N):
             P = bl.mobius_power_reducing_projection(a, N, j, D)
-            assert bl.reducing_residual(P, B, -1.0, D) < 1e-6
+            assert bl.reducing_residual(P, B) < 1e-6
 
     def test_self_adjoint_and_fixes_clean_basis(self):
         a, N, D = 0.5, 2, 120
@@ -228,8 +228,8 @@ class TestMobiusFrame:
 class TestReducingResidual:
     def test_identity_projection(self, B2):
         D = 60
-        P = bl.SubspaceProjection(V=np.zeros((D + 1, 0)), matrix=identity(D, -1.0), alpha=bl.WeightAlpha(-1.0))
-        assert bl.reducing_residual(P, B2, -1.0, D) == 0.0
+        P = bl.SubspaceProjection(V=np.zeros((D + 1, 0)), matrix=identity(D, -1.0))
+        assert bl.reducing_residual(P, B2) == 0.0
 
     def test_hardy_subspace_passes_alpha0_fails_bergman(self):
         # span{(1+z) z^(2k)}: reducing on the Hardy weight, not on Bergman
@@ -242,24 +242,24 @@ class TestReducingResidual:
             c[2 * k + 1] = 1
             funcs.append(TaylorPoly(c))
         P0 = bl.projection_from_basis(funcs, 0.0, D)
-        assert bl.reducing_residual(P0, B, 0.0, D) < 1e-10
+        assert bl.reducing_residual(P0, B) < 1e-10
         P1 = bl.projection_from_basis(funcs, -1.0, D)
-        assert bl.reducing_residual(P1, B, -1.0, D) > 1e-3
+        assert bl.reducing_residual(P1, B) > 1e-3
 
     def test_random_subspace_fails(self, B2, rng):
         D = 48
         funcs = [TaylorPoly(rng.standard_normal(D + 1) + 1j * rng.standard_normal(D + 1)) for _ in range(3)]
         P = bl.projection_from_basis(funcs, -1.0, D)
-        assert bl.reducing_residual(P, B2, -1.0, D) > 1e-2
+        assert bl.reducing_residual(P, B2) > 1e-2
 
     def test_complement_closure(self):
         D = 40
         B = bl.BlaschkeProduct.monomial(2)
         P = bl.monomial_reducing_projection(2, 0, -1.0, D)
-        r1 = bl.reducing_residual(P, B, -1.0, D)
+        r1 = bl.reducing_residual(P, B)
         complement = bl.OperatorMatrix(np.eye(D + 1) - P.matrix.entries, -1.0)
         complement = dataclasses.replace(P, V=np.zeros((D + 1, 0)), matrix=complement)
-        r2 = bl.reducing_residual(complement, B, -1.0, D)
+        r2 = bl.reducing_residual(complement, B)
         assert abs(r1 - r2) < 1e-12
 
     def test_zero_basis_function_is_named_before_normalising(self):
@@ -449,7 +449,7 @@ def hyperinvariance_check(
     D_safe = safe_degree(P.degree)
     s = slice(0, D_safe + 1)
     # only the safe block: ((I - m) W m)[s, s] = (I - m)[s, :] W m[:, s]
-    return operator_norm_safe((np.eye(D_safe + 1, len(m)) - m[s, :]) @ Wm @ m[:, s], P.alpha, D_safe)
+    return operator_norm_safe((np.eye(D_safe + 1, len(m)) - m[s, :]) @ Wm @ m[:, s], P.matrix.alpha, D_safe)
 
 
 class TestHyperinvariance:
@@ -494,19 +494,19 @@ class TestSafeBlockDefects:
 
     def test_projection_defects_equal_full_product_slice(self):
         for P in self.projections():
-            m, D_safe = P.matrix.entries, safe_degree(P.degree)
-            adj = bl.weighted_adjoint(P.matrix, P.alpha).entries
-            ref = (operator_norm_safe(m @ m - m, P.alpha, D_safe), operator_norm_safe(m - adj, P.alpha, D_safe))
+            m, w, D_safe = P.matrix.entries, P.matrix.alpha, safe_degree(P.degree)
+            adj = bl.weighted_adjoint(P.matrix).entries
+            ref = (operator_norm_safe(m @ m - m, w, D_safe), operator_norm_safe(m - adj, w, D_safe))
             for got, want in zip(bl.projection_defects(P), ref):
                 assert abs(got - want) <= 1e-14 * max(1.0, want)
 
     def test_hyperinvariance_equals_full_product_slice(self, B2, rng):
         for P in self.projections():
-            m, D = P.matrix.entries, P.degree
+            m, w, D = P.matrix.entries, P.matrix.alpha, P.degree
             phi = bl.MultiplierMatrix(rng.standard_normal((3, 2, 2)))
-            for W in (bl.build(phi, B2, P.alpha, D // 2, D).realization.entries, rng.standard_normal((D + 1, D + 1))):
-                ref = operator_norm_safe((np.eye(D + 1) - m) @ W @ m, P.alpha, safe_degree(D))
-                got = hyperinvariance_check(P, bl.OperatorMatrix(W, P.alpha))
+            for W in (bl.build(phi, B2, w, D // 2, D).realization.entries, rng.standard_normal((D + 1, D + 1))):
+                ref = operator_norm_safe((np.eye(D + 1) - m) @ W @ m, w, safe_degree(D))
+                got = hyperinvariance_check(P, bl.OperatorMatrix(W, w))
                 assert abs(got - ref) <= 1e-14 * max(1.0, ref)
 
 

@@ -633,6 +633,26 @@ class TestBatteries:
         with pytest.raises(DimensionMismatchError, match="increase D to >= 9"):
             run(parse_config(obj, "shift-equiv", strict=True))
 
+    @pytest.mark.parametrize("degree, shells", [(1, 0), (22, 3), (23, 4)])
+    def test_symbol_roundtrip_below_the_symbol_degree_is_errored(self, degree, shells):
+        # z^3 with the default symbol degree T = 4: the derived shell count
+        # reaches 4 at D = 23; below it the coefficients of Phi past shell M
+        # have no shell to come back on, so the round trip cannot pass
+        obj = dict(BASE, B={"theta": 0.0, "zeros": [{"re": 0.0, "im": 0.0, "mult": 3}]}, alpha=0.0, degree=degree)
+        assert bl.wold.shell_count(bl.BlaschkeProduct.monomial(3), degree) == shells
+        rep = run(parse_config(obj, "commutant"))
+        assert [r.passed for r in rep.records if r.name.endswith("/commutation")] == [True] * 3
+        roundtrips = [r for r in rep.records if r.name.endswith("/symbol_roundtrip")]
+        assert len(roundtrips) == 3
+        if shells >= 4:
+            assert rep.all_passed
+            return
+        message = f"symbol degree T = 4 exceeds the shell count M = {shells}; increase D or shells"
+        for r in roundtrips:
+            assert not r.passed and r.error == f"DimensionMismatchError: {message}"
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            run(parse_config(obj, "commutant", strict=True))
+
     def test_suite_reports_past_a_shift_equiv_setup_error(self):
         rep = run(parse_config(self.NEAR_EDGE, "suite"))
         names = [r.name for r in rep.records]

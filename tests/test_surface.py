@@ -11,7 +11,11 @@ Re-exports in __init__ and the strings of __all__ do not count.
 
 A family of functions is one coefficient array, not a list of TaylorPoly:
 no public function or method returns, and no public field of a public
-class holds, TaylorPoly inside list[...], tuple[...] or Sequence[...]."""
+class holds, TaylorPoly inside list[...], tuple[...] or Sequence[...].
+
+A value carries its own weight and window: no public function or method
+takes both a value of a type in CARRIES_WINDOW and a parameter w or D that
+could only repeat (or contradict) them."""
 
 import ast
 from pathlib import Path
@@ -159,3 +163,40 @@ def test_the_family_exemption_is_still_needed():
     # no longer traces, no longer needs its exemption
     found, layers = _families_of_taylor_polys(), _layers()
     assert sorted(name for name in FAMILY_EXEMPT if name not in found or name not in layers) == []
+
+
+#: the values that carry their weight (alpha) and window (degree) themselves
+CARRIES_WINDOW = {"OperatorMatrix", "CommutantOperator", "SubspaceProjection", "IntertwinerJ", "XSpaceChain"}
+
+
+def _annotation_names(annotation) -> set:
+    """The names an annotation mentions; quoted parts are read as code."""
+    if annotation is None:
+        return set()
+    tree = ast.parse(ast.unparse(annotation).replace("'", "").replace('"', ""), mode="eval")
+    return {_name(node) for node in ast.walk(tree)} - {None}
+
+
+def _window_repeated(src=SRC):
+    """["module.name"] of the public functions and methods of src that take a
+    parameter annotated with a type of CARRIES_WINDOW and one named w or D."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in _public(_parse(path).body, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node.name, node)]
+            else:
+                functions = [(f"{node.name}.{m.name}", m) for m in _public(node.body, ast.FunctionDef)]
+            for name, fn in functions:
+                params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                if any(CARRIES_WINDOW & _annotation_names(p.annotation) for p in params) and any(
+                    p.arg in ("w", "D") for p in params
+                ):
+                    found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_no_value_is_passed_with_its_own_weight_or_window():
+    assert _window_repeated() == []

@@ -74,7 +74,9 @@ class TestAnalyze:
         f = TaylorPoly(rng.standard_normal(12))
         dec = bl.analyze(f, B3, 8, 64)
         assert not dec.coefficients.flags.writeable
-        assert not dec.coefficients.flags.owndata  # analyze's product, not a copy of it
+        # a read-only array is handed over, not copied again
+        again = bl.ShellDecomposition(B=B3, basis=dec.basis, coefficients=dec.coefficients, degree=64)
+        assert again.coefficients is dec.coefficients
         c = np.array(dec.coefficients)
         mine = bl.ShellDecomposition(B=B3, basis=dec.basis, coefficients=c, degree=64)
         assert mine.coefficients is not c and not mine.coefficients.flags.writeable
