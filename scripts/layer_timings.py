@@ -4,8 +4,8 @@ shell cells (wold.cell_matrix), analyze plus synthesize of one function of
 degree D//4, build plus commutation_residual at the derived shell count
 M = wold.shell_count(B, D), the safe-block norm spaces.operator_norm_safe
 on a nonzero and on an exactly zero section of D//2 + 1 rows, and the
-Mobius-power projection of class 0 for b_a^N, a = 0.5, N = 2 (the same for
-every product).
+Mobius-power projection of class 0 for b_a^N, a = 0.5, N = 2, and its
+reducing_residual against b_a^N (both the same for every product).
 
 Each layer is called once untimed, to warm the memos a battery shares (the
 shell frame of (B, D), T_B), then --repeats times under a timer; the medians
@@ -78,6 +78,8 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
     op = bl.build(phi, B, ALPHA, M, D)
     basis, W, D_safe = wold.shell_frame(B, M, D).basis, op.realization.entries, bl.safe_degree(D)
     zero = np.zeros_like(W)
+    B_mobius = bl.BlaschkeProduct(0.0, [(MOBIUS_A, MOBIUS_N)])
+    P = bl.mobius_power_reducing_projection(MOBIUS_A, MOBIUS_N, 0, D)
     return {
         "D": D,
         "M": M,
@@ -90,6 +92,7 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
         "operator_norm_safe_s": median_s(lambda: spaces.operator_norm_safe(W, ALPHA, D_safe), repeats),
         "operator_norm_safe_zero_s": median_s(lambda: spaces.operator_norm_safe(zero, ALPHA, D_safe), repeats),
         "mobius_projection_s": cold_mobius_s(D, repeats),
+        "reducing_residual_s": median_s(lambda: bl.reducing_residual(P, B_mobius), repeats),
     }
 
 
@@ -115,6 +118,7 @@ def main() -> None:
         "norm": "operator_norm_safe_s",
         "zero norm": "operator_norm_safe_zero_s",
         "mobius": "mobius_projection_s",
+        "reducing": "reducing_residual_s",
     }
     print(f"{'product':>14} {'D':>4} {'M':>5} " + " ".join(f"{c + ' ms':>12}" for c in columns))
     for name, zeros in PRODUCTS.items():

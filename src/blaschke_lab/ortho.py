@@ -14,6 +14,7 @@ import numpy as np
 
 from . import wold
 from .blaschke import BlaschkeProduct
+from .errors import DimensionMismatchError
 from .spaces import OperatorMatrix, WeightAlpha, _freeze, as_weight
 
 __all__ = ["XSpaceChain", "x_spaces", "block_matrix"]
@@ -68,9 +69,12 @@ def x_spaces(B: BlaschkeProduct, w: WeightAlpha | float, kmax: int, D: int) -> X
 
 def block_matrix(W: OperatorMatrix, chain: XSpaceChain) -> np.ndarray:
     """Array of blocks <W x_k, x_l>_alpha, shape (kmax+1, kmax+1, N, N);
-    index [l, k] holds the (target l, source k) block."""
+    index [l, k] holds the (target l, source k) block. W must carry the
+    chain's window and weight."""
     if W.degree != chain.degree:
         raise ValueError("operator and chain degrees differ")
+    if W.alpha != chain.alpha:
+        raise DimensionMismatchError(f"operator alpha {W.alpha.alpha} differs from the chain's alpha {chain.alpha.alpha}")
     D = chain.degree
     lam = chain.alpha.diagonal(D)
     S, K, N = chain.X, chain.kmax + 1, chain.block_dim

@@ -187,9 +187,12 @@ def mobius_power_reducing_projection(
         raise ValueError("need 0 <= j < N")
     w = as_weight(-1.0)
     C, U, tail = _mobius_frame(a, N, D)
-    P = np.eye(D + 1, dtype=complex)
-    for r, C_r in enumerate(C, start=1):
-        P += np.exp(-2j * np.pi * (j + 1) * r / N) * C_r
+    # one array, no identity temporary: omega^(-(j+1)) C_1 (zero for N = 1), 1 on the diagonal, the other C_r
+    phase = [np.exp(-2j * np.pi * (j + 1) * r / N) for r in range(1, N)]
+    P = phase[0] * C[0] if C else np.zeros((D + 1, D + 1), dtype=complex)
+    P.flat[:: D + 2] += 1.0
+    for ph, C_r in zip(phase[1:], C[1:]):
+        P += ph * C_r
     P /= N
     Ub = U[: D + 1, j::N][:, tail[j::N] <= _MOBIUS_CLEAN_TOL]
     if Ub.shape[1] == 0:
@@ -232,15 +235,16 @@ def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D
 
 
 def reducing_residual(P: SubspaceProjection, B: BlaschkeProduct) -> float:
-    """max of the safe-block commutator norms of P with T_B and with the
-    weighted adjoint of T_B, in P's weight and window. Zero characterizes a
-    reducing subspace."""
-    w, D = P.matrix.alpha, P.degree
-    TB = OperatorMatrix(B.toeplitz(D), w)
-    m = P.matrix.entries
+    """max of the safe-block commutator norms of P with T_B and with its weighted adjoint T_B*, in P's weight
+    and window; zero characterizes a reducing subspace. T_B is lower triangular, so only the rows s = 0..D_safe
+    of T_B*, adj = Lambda_s^-1 T_B[:, s]^H Lambda, are formed, and (m T_B*)[s, s] = m[s, s] adj[:, s]."""
+    w, D, m = P.matrix.alpha, P.degree, P.matrix.entries
+    TB, lam, D_safe = B.toeplitz(D), w.diagonal(D), safe_degree(D)
+    s = slice(0, D_safe + 1)
+    adj = (TB[:, s].conj().T * lam[None, :]) / lam[s, None]
     return max(
-        commutator_residual(m, TB.entries, w, D),
-        commutator_residual(m, weighted_adjoint(TB).entries, w, D),
+        commutator_residual(m, TB, w, D),
+        operator_norm_safe(m[s, s] @ adj[:, s] - adj @ m[:, s], w, D_safe),
     )
 
 

@@ -227,14 +227,12 @@ def operator_norm_safe(
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
-def commutator_residual(
-    A: np.ndarray,
-    Bmat: np.ndarray,
-    w: WeightAlpha | float,
-    D: int,
-) -> float:
-    """Safe-block operator norm of A B - B A. Only that block of the two
-    products is formed: rows and columns 0..D_safe, summed over all D + 1."""
+def commutator_residual(A: np.ndarray, T: np.ndarray, w: WeightAlpha | float, D: int) -> float:
+    """Safe-block operator norm of A T - T A for a lower-triangular T (a multiplication section),
+    formed on that block alone: (A T)[s, s] = A[s, :] T[:, s] sums over all D + 1, and (T A)[s, s] =
+    T[s, s] A[s, s] since T[s, :] vanishes past column D_safe. ValueError if it does not."""
     D_safe = safe_degree(D)
     s = slice(0, D_safe + 1)
-    return operator_norm_safe(A[s, :] @ Bmat[:, s] - Bmat[s, :] @ A[:, s], w, D_safe)
+    if T[s, D_safe + 1 :].any():
+        raise ValueError(f"T has entries past column D_safe = {D_safe} in rows 0..D_safe; it must be lower triangular")
+    return operator_norm_safe(A[s, :] @ T[:, s] - T[s, s] @ A[s, s], w, D_safe)

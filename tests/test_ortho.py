@@ -7,7 +7,7 @@ import pytest
 import blaschke_lab as bl
 from blaschke_lab.cli import parse_config, run
 from blaschke_lab import wold
-from blaschke_lab.errors import BlaschkeLabError, ConditioningError
+from blaschke_lab.errors import BlaschkeLabError, ConditioningError, DimensionMismatchError
 from blaschke_lab.spaces import OperatorMatrix, TaylorPoly, operator_norm_safe, safe_degree, weighted_adjoint
 from conftest import identity
 
@@ -323,6 +323,13 @@ class TestBlockMatrix:
         blocks = block_matrix_by_loop(identity(D, alpha), bl.x_spaces(B, alpha, kmax, D))
         worst = max(np.max(np.abs(blocks[l, k])) for k in range(kmax + 1) for l in range(k + 1, kmax + 1))
         assert abs(rec.residual - worst) < 1e-13
+
+    def test_weight_must_be_the_chains(self, B2):
+        # W is read in the chain's inner product: a section of another weight is an error
+        chain = bl.x_spaces(B2, -1.0, 3, 64)
+        with pytest.raises(DimensionMismatchError, match=r"^operator alpha 0\.0 differs from the chain's alpha -1\.0$"):
+            bl.block_matrix(OperatorMatrix(B2.toeplitz(64), 0.0), chain)
+        assert bl.block_matrix(OperatorMatrix(B2.toeplitz(64), -1.0), chain).shape == (4, 4, 2, 2)
 
     def test_identity_blocks(self, B2):
         D = 100

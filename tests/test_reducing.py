@@ -146,6 +146,17 @@ class TestMobiusProjection:
             assert P.V.shape[1] == len(basis_ref) > 0
             assert np.max(np.abs(P.V - np.stack(basis_ref, axis=1))) < 1e-14
 
+    @pytest.mark.parametrize("a,N,D", [(0.8, 1, 128), (0.8, 2, 256), (0.5j, 3, 64), (0.5, 3, 128)])
+    def test_equals_identity_plus_sections_over_n(self, a, N, D):
+        # the oracle sums (I + sum_r omega^(-(j+1)r) C_r)/N from an identity
+        C, _, _ = rd._mobius_frame(complex(a), N, D)
+        for j in range(N):
+            ref = np.eye(D + 1, dtype=complex)
+            for r, C_r in enumerate(C, start=1):
+                ref += np.exp(-2j * np.pi * (j + 1) * r / N) * C_r
+            ref /= N
+            assert np.array_equal(bl.mobius_power_reducing_projection(a, N, j, D).matrix.entries, ref)
+
     def test_single_class_is_identity(self):
         P = bl.mobius_power_reducing_projection(0.8, 1, 0, 128)
         assert np.max(np.abs(P.matrix.entries - np.eye(129))) < 1e-14
@@ -225,7 +236,50 @@ class TestMobiusFrame:
         assert rd._mobius_frame.cache_info().maxsize == 2
 
 
+def reducing_residual_by_full_products(P, B):
+    """Oracle of reducing_residual: the full products m T, T m, m T* and T* m
+    with T* the weighted adjoint of the whole section, then the safe block."""
+    m, w, D = P.matrix.entries, P.matrix.alpha, P.degree
+    T = B.toeplitz(D)
+    T_star = bl.weighted_adjoint(bl.OperatorMatrix(T, w)).entries
+    return max(operator_norm_safe(m @ X - X @ m, w, safe_degree(D)) for X in (T, T_star))
+
+
+def _residual_cases(D):
+    """(label, P, B): Mobius classes of N = 2 and 3, monomial classes in two
+    weights, and custom projections that do and do not reduce."""
+    cases = []
+    for a, N in [(0.5, 2), (0.5j, 3)] + ([(0.8, 2), (0.8, 3)] if D >= 256 else []):
+        B = bl.BlaschkeProduct(0.0, [(a, N)])
+        cases += [(f"mobius {a} {N} {j}", bl.mobius_power_reducing_projection(a, N, j, D), B) for j in range(N)]
+    for N, alpha in [(2, -1.0), (3, 0.0)]:
+        B = bl.BlaschkeProduct.monomial(N)
+        cases += [(f"monomial {N} {j} {alpha}", bl.monomial_reducing_projection(N, j, alpha, D), B) for j in range(N)]
+    # span{(1+z) z^(2k)} reduces z^2 on the Hardy weight only; a spread-out basis reduces nothing
+    parity = [TaylorPoly(np.eye(D + 1)[2 * k] + np.eye(D + 1)[2 * k + 1]) for k in range(D // 2)]
+    spread = [TaylorPoly(0.9 ** np.arange(D + 1)), TaylorPoly(np.cos(np.arange(D - 20)) + 0.2j)]
+    for alpha in (0.0, -1.0):
+        cases.append((f"custom parity {alpha}", bl.projection_from_basis(parity, alpha, D), bl.BlaschkeProduct.monomial(2)))
+        cases.append((f"custom spread {alpha}", bl.projection_from_basis(spread, alpha, D), bl.BlaschkeProduct(0.0, [0.5, -0.3])))
+    # a self-adjoint P has equal commutator norms with T and T*; a random
+    # section does not, so it tells the two commutators apart
+    re, im = np.random.default_rng(D).standard_normal((2, D + 1, D + 1))
+    m = re + 1j * im
+    for alpha in (-1.0, 0.5):
+        P = bl.SubspaceProjection(V=np.zeros((D + 1, 0)), matrix=bl.OperatorMatrix(m, alpha))
+        cases.append((f"random section {alpha}", P, bl.BlaschkeProduct(0.0, [0.5, -0.3 + 0.2j, 0.1])))
+    return cases
+
+
 class TestReducingResidual:
+    @pytest.mark.parametrize("D", [96, 256])
+    def test_equals_full_product_slice(self, D):
+        # D = 256 is where BLAS blocking of the full products moves the last bits
+        for label, P, B in _residual_cases(D):
+            ref = reducing_residual_by_full_products(P, B)
+            got = bl.reducing_residual(P, B)
+            assert abs(got - ref) <= 1e-14 * max(1.0, ref), label
+
     def test_identity_projection(self, B2):
         D = 60
         P = bl.SubspaceProjection(V=np.zeros((D + 1, 0)), matrix=identity(D, -1.0))

@@ -375,6 +375,27 @@ class TestBatteries:
         rep = run(parse_config(obj, "reducing"))
         assert rep.all_passed
 
+    @pytest.mark.parametrize("a, mult, degree", [(0.8, 2, 256), (0.5, 3, 128)])
+    def test_reducing_mobius_battery_forms_no_weighted_adjoint(self, monkeypatch, a, mult, degree):
+        # reducing_residual forms only the safe rows of T_B*, never the
+        # weighted adjoint of a whole section
+        def no_adjoint(A):
+            raise AssertionError(f"weighted_adjoint of a {A.entries.shape} section")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "blaschke_lab" and hasattr(module, "weighted_adjoint"):
+                monkeypatch.setattr(module, "weighted_adjoint", no_adjoint)
+        obj = {
+            "B": {"theta": 0.0, "zeros": [{"re": a, "im": 0.0, "mult": mult}]},
+            "alpha": -1.0,
+            "degree": degree,
+            "seed": 13,
+            "inputs": {"family": "mobius_power", "a": [a, 0.0]},
+        }
+        rep = run(parse_config(obj, "reducing", strict=True))
+        assert [r.name for r in rep.records][1:] == [f"reducing/mobius_{j}/residual" for j in range(mult)]
+        assert rep.all_passed
+
     def test_reducing_mobius_battery_rejects_non_bergman_weight(self, tmp_path):
         # the Mobius-power family is a reducing subspace of the Bergman weight only
         obj = {
@@ -597,6 +618,24 @@ class TestBatteries:
     def test_cowen_battery(self):
         rep = run(parse_config(dict(BASE, degree=64), "cowen"))
         assert rep.all_passed
+
+    @pytest.mark.parametrize("zeros, degree", [([0.5 + 0j, -0.3 + 0j], 64), ([0.5 + 0j, -0.3 + 0.2j, 0.1 + 0j], 256)])
+    def test_cowen_witness_is_the_h2_adjoint_shift(self, monkeypatch, zeros, degree):
+        # the witness's residual is that of the H^2 adjoint of T_z, bit for bit
+        seen, residual = [], checks.cm.cowen_residual
+
+        def recorded(W, B, pts):
+            seen.append((W, B, pts))
+            return residual(W, B, pts)
+
+        monkeypatch.setattr(checks.cm, "cowen_residual", recorded)
+        rep = run(parse_config(dict(BASE, B=b_json(zeros), degree=degree), "cowen"))
+        W, B, pts = seen[-1]
+        T_z = bl.toeplitz_matrix(bl.TaylorPoly([0, 1]), degree, 0.0)
+        worst = residual(bl.weighted_adjoint(T_z), B, pts)
+        assert W.alpha == bl.WeightAlpha(0.0) and np.array_equal(W.entries, bl.weighted_adjoint(T_z).entries)
+        assert rep.records[-1].name == "cowen/adjoint_shift_witness_margin"
+        assert rep.records[-1].residual == 1e-2 / worst and rep.all_passed
 
     def test_commutant_failure_at_the_window_limit_says_increase_d(self):
         # B3 at D = 48: the commutation residual stays 2.5e-8 to 1.0e-7 for

@@ -162,11 +162,29 @@ class TestCommutatorResidual:
             pairs += [(A, TB.entries), (rng.standard_normal((D + 1, D + 1)), TB.entries)]
         P = bl.mobius_power_reducing_projection(0.5, 2, 1, D).matrix.entries
         TB = bl.toeplitz_matrix(bl.BlaschkeProduct(0.0, [(0.5, 2)]).taylor(D), D, -1.0)
-        pairs += [(P, TB.entries), (P, bl.weighted_adjoint(TB).entries)]
+        # T's top rows need only vanish past column D_safe: an entry above the
+        # diagonal inside the safe block is still measured exactly
+        inside = TB.entries.copy()
+        inside[0, bl.safe_degree(D)] = 1.0
+        pairs += [(P, TB.entries), (P, inside)]
         for A, X in pairs:
             # the oracle forms both full products, then slices the safe block
             ref = operator_norm_safe(A @ X - X @ A, -1.0, bl.safe_degree(D))
             assert abs(commutator_residual(A, X, -1.0, D) - ref) <= 1e-14 * max(1.0, ref)
+
+    @pytest.mark.parametrize("D", [2, 3, 96])
+    def test_entries_past_the_safe_block_in_the_top_rows_raise(self, B2, rng, D):
+        # (T A)[s, s] is read as T[s, s] A[s, s]: a T that is not lower
+        # triangular there would be measured as a different product
+        D_safe = bl.safe_degree(D)
+        A = rng.standard_normal((D + 1, D + 1))
+        TB = bl.toeplitz_matrix(B2.taylor(D), D, -1.0)
+        commutator_residual(A, TB.entries, -1.0, D)
+        above = TB.entries.copy()
+        above[D_safe, D_safe + 1] = 1e-300
+        for T in (above, bl.weighted_adjoint(TB).entries, A):
+            with pytest.raises(ValueError, match=f"past column D_safe = {D_safe} in rows 0..D_safe"):
+                commutator_residual(A, T, -1.0, D)
 
 
 class TestOperatorNormSafe:
