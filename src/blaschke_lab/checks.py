@@ -177,7 +177,6 @@ def decompose_checks(cfg, rng: np.random.Generator):
         _timed(cfg, records, f"decompose/{label}/roundtrip_h2", tol, roundtrip)
 
     if (dec := decs.get("explicit")) is not None:
-        data["components"] = [[[c.real, c.imag] for c in row] for row in dec.coefficients]
         data["decomposition"] = dec.to_json()
     return records, data
 

@@ -5,11 +5,13 @@ weighted adjoint; reducing_residual measures the worst of the two
 commutators on the safe block.
 
 Every class j of the Mobius-power projections of b_a^N reads the sections C_r
-and generators built once per (a, N, D), in a memo of the last two keys.
+built once per (a, N, D), in a memo of the last two keys; a class is built
+only when the window shows its first generator.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,18 +54,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SubspaceProjection:
-    """Orthogonal projection onto a subspace, as a dense finite section.
-
-    The columns of the read-only array V are alpha-orthonormal truncated
-    functions spanning the visible part of the subspace. For families whose
-    elements outgrow any finite window (the Mobius-power family), matrix is
-    the finite section of the infinite-dimensional projection: it stays self-adjoint and commutes
+    """Orthogonal projection onto a subspace, as a dense finite section in
+    its weight and window. For families whose elements outgrow any finite
+    window (the Mobius-power family), matrix is the finite section of the
+    infinite-dimensional projection: it stays self-adjoint and commutes
     correctly, but matrix-squared only approximates matrix up to the mass
     the true projection sends past the window; projection_defects measures
     both laws honestly.
     """
 
-    V: np.ndarray
     matrix: OperatorMatrix
 
     @property
@@ -93,10 +92,7 @@ def monomial_reducing_projection(
         raise ValueError("need 0 <= j < N")
     w = as_weight(w)
     mask = np.arange(D + 1) % N == j
-    return SubspaceProjection(
-        V=_readonly(np.diag(w.diagonal(D) ** -0.5)[:, mask]),
-        matrix=OperatorMatrix(_readonly(np.diag(mask.astype(complex))), w),
-    )
+    return SubspaceProjection(matrix=OperatorMatrix(_readonly(np.diag(mask.astype(complex))), w))
 
 
 def _mobius_columns(
@@ -124,46 +120,50 @@ def _mobius_columns(
     return flat.reshape(D + 1, ncol)
 
 
-#: Mobius-power frame: a generator is reported in the basis only when its
-#: padded-window tail is at most this.
+#: Mobius-power guard: class j is built only when the padded-window tail of
+#: its first generator u_j is at most this.
 _MOBIUS_CLEAN_TOL = 1e-10
-
-#: maximal Gram deviation from identity tolerated for the clean generators,
-#: which are analytically orthonormal.
-_GRAM_TOL = 1e-8
 
 
 @lru_cache(maxsize=2)
-def _mobius_frame(a: complex, N: int, D: int):
-    """Read-only (C, U, tail) of b_a^N at degree D: C[r - 1] the section of
-    C_r, U[:, p] the unit generator u_p on the padded window and tail[p] its
-    tail, p = 0..p_c, from one sweep. p_c grows until the last generator of
-    every class is unclean. The sweep's rows do not depend on which columns it
-    stores, so a class's generators are bitwise those of a sweep of its own."""
+def _mobius_frame(a: complex, N: int, D: int) -> tuple[np.ndarray, ...]:
+    """Read-only sections C[r - 1] of C_r, r = 1..N-1, of b_a^N at degree D."""
     k = np.arange(D + 1)
     C = []
     for r in range(1, N):
         om = np.exp(2j * np.pi * r / N)
         beta, alpha, delta, gamma = a * (1 - om), om - abs(a) ** 2, 1 - om * abs(a) ** 2, np.conj(a) * (om - 1)
         dpsi = (alpha * delta - beta * gamma) / delta**2 * (k + 1.0) * (-gamma / delta) ** k
-        C.append(_mobius_columns(beta, alpha, delta, gamma, dpsi, D + 1))
-    # v_p spreads over degrees ~[p(1-|a|)/(1+|a|), p(1+|a|)/(1-|a|)], so clean
-    # generators end near p = D(1-|a|)/(1+|a|). A padded window measures
-    # tails without cancellation.
-    D_pad = D + max(D // 2, 40)
-    pad_lam = as_weight(-1.0).diagonal(D_pad)
-    v0 = (np.arange(D_pad + 1) + 1.0) * np.conj(a) ** np.arange(D_pad + 1)  # 1/(1 - conj(a) z)^2
-    p_c = int(np.ceil(D * (1 - abs(a)) / (1 + abs(a)))) + 4 * N + 8
-    while True:
-        U = _mobius_columns(-a, 1.0, 1.0, -np.conj(a), v0, p_c + 1)
-        U *= np.sqrt(np.arange(p_c + 1) + 1.0) * (1.0 - abs(a) ** 2)
-        tail = np.sqrt(pad_lam[D + 1 :] @ np.abs(U[D + 1 :]) ** 2)
-        if np.all(tail[-N:] > _MOBIUS_CLEAN_TOL):
-            break
-        p_c *= 2
-    for arr in (*C, U, tail):
-        arr.setflags(write=False)
-    return tuple(C), U, tail
+        C.append(_readonly(_mobius_columns(beta, alpha, delta, gamma, dpsi, D + 1)))
+    return tuple(C)
+
+
+def _generator_tail(a: complex, j: int, D: int) -> float:
+    """Bergman-weight tail of u_j = (j+1)^(1/2) (1-|a|^2) b^j/(1 - conj(a) z)^2, b = (z-a)/(1-conj(a) z), the
+    first generator of class j, on the degrees D+1..D_pad = D + max(D//2, 40). Each factor b is a product with
+    z - a and a division by 1 - conj(a) z, the division a prefix scan of log2(D_pad) doublings, so no loop runs
+    over degrees; the binomial sums for these coefficients cancel past j ~ 10."""
+    D_pad, ca = D + max(D // 2, 40), np.conj(a)
+    u = (np.arange(D_pad + 1) + 1.0) * ca ** np.arange(D_pad + 1)  # 1/(1 - conj(a) z)^2
+    for _ in range(j):
+        v = -a * u
+        v[1:] += u[:-1]  # (z - a) u
+        s = 1
+        while s <= D_pad:  # after the step of shift s, v_k sums conj(a)^i v_(k-i) over i < 2s
+            v[s:] += ca**s * v[:-s]
+            s *= 2
+        u = v
+    lam = as_weight(-1.0).diagonal(D_pad)[D + 1 :]
+    return float(np.sqrt(lam @ np.abs(u[D + 1 :]) ** 2) * np.sqrt(j + 1.0) * (1.0 - abs(a) ** 2))
+
+
+def _clean_degree(a: complex, j: int, D: int) -> int:
+    """Smallest window above D at which u_j is clean, by doubling and then
+    bisection: near _MOBIUS_CLEAN_TOL the tail falls with the window."""
+    lo, hi = D, 2 * D + 1
+    while _generator_tail(a, j, hi) > _MOBIUS_CLEAN_TOL:
+        lo, hi = hi, 2 * hi
+    return lo + 1 + bisect_left(range(lo + 1, hi), True, key=lambda d: _generator_tail(a, j, d) <= _MOBIUS_CLEAN_TOL)
 
 
 def mobius_power_reducing_projection(
@@ -176,17 +176,23 @@ def mobius_power_reducing_projection(
     sum_r omega^(-(j+1)r) C_r, omega = exp(2 pi i / N), where Q_j projects
     onto the monomials of residue j and C_r f = (f o psi_r) psi_r' for
     psi_r = phi_a(omega^r phi_a): column l of C_r is psi_r^l psi_r'.
-    The columns of V are the unit generators u_p = (p+1)^(1/2) (1-|a|^2) v_p,
-    v_p = (z - a)^p / (1 - conj(a) z)^(p+2) (a multiple of U_a z^p), whose
-    padded-window tail is at most _MOBIUS_CLEAN_TOL (1e-10).
+    The subspace is spanned by the unit generators u_p = (p+1)^(1/2)
+    (1-|a|^2) (z - a)^p / (1 - conj(a) z)^(p+2), p = j mod N (a multiple of
+    U_a z^p). The window must show the first of them, u_j: a padded-window
+    tail above _MOBIUS_CLEAN_TOL (1e-10) is a ConditioningError naming the
+    smallest D that clears it.
     """
     a = complex(a)
-    if not 0 < abs(a) <= rho_max:
-        raise ValueError(f"need 0 < |a| <= rho_max, got |a| = {abs(a):.4f}")
+    if not 0 < abs(a) <= rho_max or abs(a) >= 1.0:
+        raise ValueError(f"need 0 < |a| <= rho_max and |a| < 1, got |a| = {abs(a):.4f}")
     if not 0 <= j < N:
         raise ValueError("need 0 <= j < N")
-    w = as_weight(-1.0)
-    C, U, tail = _mobius_frame(a, N, D)
+    if (tail := _generator_tail(a, j, D)) > _MOBIUS_CLEAN_TOL:
+        raise ConditioningError(
+            f"no Mobius-power generator is window-clean at D = {D}: class {j}'s first generator has padded-window "
+            f"tail {tail:.3e} > {_MOBIUS_CLEAN_TOL:.0e}; increase D to >= {_clean_degree(a, j, D)}"
+        )
+    C = _mobius_frame(a, N, D)
     # one array, no identity temporary: omega^(-(j+1)) C_1 (zero for N = 1), 1 on the diagonal, the other C_r
     phase = [np.exp(-2j * np.pi * (j + 1) * r / N) for r in range(1, N)]
     P = phase[0] * C[0] if C else np.zeros((D + 1, D + 1), dtype=complex)
@@ -194,17 +200,7 @@ def mobius_power_reducing_projection(
     for ph, C_r in zip(phase[1:], C[1:]):
         P += ph * C_r
     P /= N
-    Ub = U[: D + 1, j::N][:, tail[j::N] <= _MOBIUS_CLEAN_TOL]
-    if Ub.shape[1] == 0:
-        raise ConditioningError(
-            f"no Mobius-power generator is window-clean at D = {D}; increase D"
-        )
-    defect = float(np.max(np.abs(Ub.conj().T @ (w.diagonal(D)[:, None] * Ub) - np.eye(Ub.shape[1]))))
-    if defect > _GRAM_TOL:
-        raise ConditioningError(
-            f"clean generator Gram deviates from identity by {defect:.3e} (> {_GRAM_TOL:.1e}); increase D"
-        )
-    return SubspaceProjection(V=_readonly(Ub), matrix=OperatorMatrix(_readonly(P), w))
+    return SubspaceProjection(matrix=OperatorMatrix(_readonly(P), as_weight(-1.0)))
 
 
 #: smallest normalized singular value of a caller-supplied basis before
@@ -231,7 +227,7 @@ def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D
         )
     Q, _ = np.linalg.qr(sq[:, None] * cols)
     P = (Q @ Q.conj().T) * sq[None, :] / sq[:, None]
-    return SubspaceProjection(V=_readonly(Q / sq[:, None]), matrix=OperatorMatrix(_readonly(P), w))
+    return SubspaceProjection(matrix=OperatorMatrix(_readonly(P), w))
 
 
 def reducing_residual(P: SubspaceProjection, B: BlaschkeProduct) -> float:

@@ -7,9 +7,11 @@ example if norm_equivalence_ratio or analyze lost their basis= argument,
 or if a traced layer were renamed (the tracer then only reports it with
 zero calls). child.py and tracing.py are loaded by path and only read; the
 sizes are those of the "sweep-d48" and "suite-d64" entries of
-perfbench/test_perfbench.py.
+perfbench/test_perfbench.py, except the Mobius-power battery, which runs the
+"mobius-d256" workload of perfbench/run.py as it stands.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -78,6 +80,28 @@ def test_suite_battery_passes_its_gate():
     ops, failures = child.battery_gate(result, report)
     assert failures == []
     assert ops == 25  # 24 checks and the canonical round trip
+
+
+def workload(name):
+    """perfbench/run.WORKLOADS[name], read from the source."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    [workloads] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WORKLOADS"]
+    ]
+    [spec] = [ast.literal_eval(v) for k, v in zip(workloads.keys, workloads.values) if ast.literal_eval(k) == name]
+    return spec
+
+
+def test_mobius_battery_passes_its_gate():
+    child = load_child()
+    spec = workload("mobius-d256")
+    spec["config"]["seed"] = 3
+    result = child.battery_pass(child.battery_inputs(spec, cli), cli, report)
+    ops, failures = child.battery_gate(result, report)
+    assert failures == []
+    assert ops == 4  # k0_orthogonality, the residuals of classes 0 and 1, and the canonical round trip
 
 
 def test_suite_analyzes_one_function_only_in_decompose(monkeypatch):

@@ -15,10 +15,14 @@ def _mobius_column_loop(a, N, D):
     """Reference Mobius-power projections of every class j: each generator
     v_p by one np.convolve with the Blaschke factor, P_j summed one rank-1
     term at a time, class j stopping at its first generator whose in-window
-    mass is below 1e-14. Returns [(P_j, basis_j) for j < N]."""
+    mass is below 1e-14. Returns [(P_j, clean_j) for j < N], clean_j the
+    unit generators u_p, p = j mod N, whose padded-window tail is at most
+    the library's guard tolerance, truncated at D."""
     a = complex(a)
     scale = 1.0 - abs(a) ** 2
-    p_bound = 2 * (int(np.ceil(D * (1 + abs(a)) / (1 - abs(a)))) + 4 * N + 8)
+    # only a cap on the loop: below D = 40 the in-window mass of u_p falls
+    # under 1e-14 later than D alone predicts
+    p_bound = 2 * (int(np.ceil(max(D, 40) * (1 + abs(a)) / (1 - abs(a)))) + 4 * N + 8)
     D_pad = D + max(D // 2, 40)
     lam = (np.arange(D_pad + 1) + 1.0) ** -1.0
     k = np.arange(D_pad + 1)
@@ -45,6 +49,18 @@ def _mobius_column_loop(a, N, D):
     return list(zip(Ps, bases))
 
 
+def _generator_by_convolution(a, j, D):
+    """u_j on the padded window of D: the normalized kernel at a times j
+    Blaschke factors, one np.convolve each."""
+    D_pad = D + max(D // 2, 40)
+    k = np.arange(D_pad + 1)
+    u = np.sqrt(j + 1.0) * (1 - abs(a) ** 2) * (k + 1.0) * np.conj(a) ** k
+    fac = bl.blaschke_factor_taylor(a, D_pad).coeffs
+    for _ in range(j):
+        u = np.convolve(u, fac)[: D_pad + 1]
+    return u
+
+
 class TestMonomialProjection:
     def test_whole_space_for_n1(self):
         P = bl.monomial_reducing_projection(1, 0, -1.0, 8)
@@ -66,10 +82,12 @@ class TestMonomialProjection:
         P = bl.monomial_reducing_projection(2, 0, -1.0, 40)
         idem, sa = bl.projection_defects(P)
         assert idem < 1e-12 and sa < 1e-12
-        assert P.V.shape == (41, 21)
-        for v in P.V.T:
-            assert bl.weighted_norm(TaylorPoly(P.matrix.entries @ v - v), -1.0) < 1e-12
+        assert np.trace(P.matrix.entries) == 21
+        # the unit monomials (k+1)^(1/2) z^k: even k fixed, odd k annihilated
+        for k, v in enumerate(np.diag(np.sqrt(np.arange(41) + 1.0))):
             assert bl.weighted_norm(TaylorPoly(v), -1.0) == pytest.approx(1.0, abs=1e-15)
+            image = v if k % 2 == 0 else np.zeros(41)
+            assert bl.weighted_norm(TaylorPoly(P.matrix.entries @ v - image), -1.0) < 1e-12
 
 
 class TestMobiusProjection:
@@ -97,21 +115,27 @@ class TestMobiusProjection:
             P = bl.mobius_power_reducing_projection(a, N, j, D)
             assert bl.reducing_residual(P, B) < 1e-6
 
-    def test_self_adjoint_and_fixes_clean_basis(self):
-        a, N, D = 0.5, 2, 120
-        P = bl.mobius_power_reducing_projection(a, N, 0, D)
-        _, sa = bl.projection_defects(P)
-        assert sa < 1e-10
-        for v in P.V.T:
-            assert bl.weighted_norm(TaylorPoly(P.matrix.entries @ v - v), -1.0) < 1e-10
+    @pytest.mark.parametrize("a,N,D", [(0.5, 2, 120), (0.8, 3, 256), (0.3 + 0.4j, 4, 96)])
+    def test_self_adjoint_and_fixes_clean_generators(self, a, N, D):
+        # P_j u_p = u_p for every clean generator of the oracle, p = j mod N
+        for j, (_, clean) in enumerate(_mobius_column_loop(a, N, D)):
+            P = bl.mobius_power_reducing_projection(a, N, j, D)
+            _, sa = bl.projection_defects(P)
+            assert sa < 1e-10
+            assert len(clean) > 0
+            for u in clean:
+                assert bl.weighted_norm(TaylorPoly(P.matrix.entries @ u - u), -1.0) < 1e-10
 
     def test_bottom_generator_is_kernel(self):
-        # first generator of the j = 0 family is the weighted kernel at a
-        a, D = 0.5, 80
-        P = bl.mobius_power_reducing_projection(a, 2, 0, D)
+        # the first generator of the j = 0 family is the normalized weighted
+        # kernel (1 - |a|^2)/(1 - conj(a) z)^2 at a, and P_0 fixes it
+        a, D = 0.3 + 0.4j, 80
+        [(_, clean), _] = _mobius_column_loop(a, 2, D)
         k = np.arange(D + 1)
-        expected = (1 - a**2) * (k + 1.0) * a**k
-        assert np.max(np.abs(P.V[:, 0] - expected)) < 1e-12
+        kernel = (1 - abs(a) ** 2) * (k + 1.0) * np.conj(a) ** k
+        assert np.max(np.abs(clean[0] - kernel)) < 1e-12
+        P = bl.mobius_power_reducing_projection(a, 2, 0, D)
+        assert bl.weighted_norm(TaylorPoly(P.matrix.entries @ kernel - kernel), -1.0) < 1e-10
 
     def test_complement_family_sums_to_identity_on_safe_block(self):
         a, N, D = 0.5, 2, 120
@@ -124,32 +148,79 @@ class TestMobiusProjection:
         with pytest.raises(ValueError):
             bl.mobius_power_reducing_projection(0.0, 2, 0, 40)
 
+    @pytest.mark.parametrize("a", [1.0, 1.2j])
+    def test_rejects_a_off_the_disc_whatever_rho_max(self, a):
+        with pytest.raises(ValueError, match=r"\|a\| < 1"):
+            bl.mobius_power_reducing_projection(a, 2, 0, 40, rho_max=2.0)
+
     def test_conditioning_error_when_window_tiny(self):
         with pytest.raises(ConditioningError):
             bl.mobius_power_reducing_projection(0.79, 2, 1, 6)
 
-    def test_gram_guard_says_increase_d(self, monkeypatch):
-        monkeypatch.setattr(rd, "_GRAM_TOL", 0.0)
-        with pytest.raises(ConditioningError, match=r"clean generator Gram deviates .*; increase D$") as exc:
-            bl.mobius_power_reducing_projection(0.5, 2, 0, 64)
-        assert "shell cap" not in str(exc.value)
+    @pytest.mark.parametrize("a,N,D", [(0.5, 2, 64), (0.8, 3, 256), (0.5j, 3, 64), (0.6 - 0.5j, 4, 128)])
+    def test_clean_generators_are_orthonormal(self, a, N, D):
+        # across all classes: U_a is unitary and the unit monomials are orthonormal
+        lam = (np.arange(D + 1) + 1.0) ** -1.0
+        U = np.stack([u for _, clean in _mobius_column_loop(a, N, D) for u in clean], axis=1)
+        assert np.max(np.abs(U.conj().T @ (lam[:, None] * U) - np.eye(U.shape[1]))) < 1e-8
 
     def test_conditioning_error_when_no_generator_is_clean(self):
-        with pytest.raises(ConditioningError, match=r"^no Mobius-power generator is window-clean at D = 48; increase D$"):
+        with pytest.raises(
+            ConditioningError,
+            match=r"^no Mobius-power generator is window-clean at D = 48: class 0's first generator has "
+            r"padded-window tail 7\.703e-05 > 1e-10; increase D to >= 111$",
+        ):
             bl.mobius_power_reducing_projection(0.8, 2, 0, 48)
+
+    @pytest.mark.parametrize(
+        "a,N,j,D", [(0.8, 2, 0, 48), (0.8, 4, 3, 4), (0.1, 1, 0, 4), (-0.79j, 3, 2, 128), (0.6 - 0.5j, 2, 1, 24)]
+    )
+    def test_class_builds_at_the_window_the_error_names(self, a, N, j, D):
+        with pytest.raises(ConditioningError, match=r"increase D to >= \d+$") as exc:
+            bl.mobius_power_reducing_projection(a, N, j, D)
+        D_min = int(str(exc.value).rpartition(" ")[2])
+        assert D_min > D
+        assert bl.mobius_power_reducing_projection(a, N, j, D_min).degree == D_min
+        with pytest.raises(ConditioningError, match=rf"^no Mobius-power generator is window-clean at D = {D_min - 1}: "):
+            bl.mobius_power_reducing_projection(a, N, j, D_min - 1)
+
+    @pytest.mark.parametrize(
+        "a,j,D",
+        [
+            (0.8, 32, 512),
+            (-0.79j, 32, 512),
+            (0.5, 63, 256),
+            (0.3 + 0.4j, 48, 128),
+            (0.8, 3, 128),
+            (0.8, 3, 8),  # the tail reaches the end of the padded window
+            (0.8, 0, 110),  # the last D below and the first D at the tolerance
+            (0.8, 0, 111),
+        ],
+    )
+    def test_guard_tail_equals_a_convolution_oracle(self, a, j, D):
+        # the binomial sums for the coefficients of u_j cancel past j ~ 10
+        # (at (0.8, 32, 512) they read 1e-4 for a clean 3.6e-12 tail)
+        a = complex(a)
+        lam = (np.arange(D + max(D // 2, 40) + 1) + 1.0) ** -1.0
+        u = _generator_by_convolution(a, j, D)
+        ref = np.sqrt(np.sum(np.abs(u[D + 1 :]) ** 2 * lam[D + 1 :]))
+        got = rd._generator_tail(a, j, D)
+        assert abs(got - ref) <= 1e-4 * ref + 1e-14
+        assert (got <= rd._MOBIUS_CLEAN_TOL) == (ref <= rd._MOBIUS_CLEAN_TOL)
 
     @pytest.mark.parametrize("a,N,D", [(0.8, 2, 256), (0.5j, 3, 64), (-0.3 + 0.4j, 1, 128)])
     def test_equals_column_loop(self, a, N, D):
-        for j, (P_ref, basis_ref) in enumerate(_mobius_column_loop(a, N, D)):
+        for j, (P_ref, clean) in enumerate(_mobius_column_loop(a, N, D)):
             P = bl.mobius_power_reducing_projection(a, N, j, D)
             assert np.max(np.abs(P.matrix.entries - P_ref)) < 1e-12
-            assert P.V.shape[1] == len(basis_ref) > 0
-            assert np.max(np.abs(P.V - np.stack(basis_ref, axis=1))) < 1e-14
+            assert len(clean) > 0
+            for u in clean:
+                assert bl.weighted_norm(TaylorPoly(P.matrix.entries @ u - u), -1.0) < 1e-10
 
     @pytest.mark.parametrize("a,N,D", [(0.8, 1, 128), (0.8, 2, 256), (0.5j, 3, 64), (0.5, 3, 128)])
     def test_equals_identity_plus_sections_over_n(self, a, N, D):
         # the oracle sums (I + sum_r omega^(-(j+1)r) C_r)/N from an identity
-        C, _, _ = rd._mobius_frame(complex(a), N, D)
+        C = rd._mobius_frame(complex(a), N, D)
         for j in range(N):
             ref = np.eye(D + 1, dtype=complex)
             for r, C_r in enumerate(C, start=1):
@@ -170,18 +241,22 @@ class TestMobiusProjection:
 FRAME_GRID = [(a, N, D) for a in (0.8, 0.5, 0.3 + 0.4j) for N in (1, 2, 3) for D in (64, 128, 256)]
 
 
+#: a subset of the grid on which the first-generator guard was checked
+#: against a sweep of every generator; both verdicts occur for every a
+VERDICT_GRID = [(a, N, D) for a in (0.3, 0.5j, 0.8, 0.6 - 0.5j) for N in (1, 2, 3, 4) for D in (4, 8, 16, 32, 64, 128)]
+
+
 def _mobius_class(a, N, j, D):
-    """(P entries, basis coefficients) of class j, or the error it raises."""
+    """The P entries of class j, or the error it raises."""
     try:
-        P = bl.mobius_power_reducing_projection(a, N, j, D)
+        return bl.mobius_power_reducing_projection(a, N, j, D).matrix.entries
     except ConditioningError as exc:
         return str(exc)
-    return P.matrix.entries, list(P.V.T)
 
 
 class TestMobiusFrame:
-    """The composition sections and generators of one (a, N, D) are built
-    once and shared by every class j."""
+    """The composition sections of one (a, N, D) are built once and shared
+    by every class j; the guard reads one generator per class."""
 
     @pytest.fixture(autouse=True)
     def cold_memo(self):
@@ -193,18 +268,22 @@ class TestMobiusFrame:
     def test_shared_frame_equals_a_cold_build_and_the_column_loop(self, a, N, D):
         shared = [_mobius_class(a, N, j, D) for j in range(N)]  # later classes hit the memo
         reference = _mobius_column_loop(a, N, D)
-        for j, got in enumerate(shared):
+        for j, (got, (P_ref, clean)) in enumerate(zip(shared, reference)):
             rd._mobius_frame.cache_clear()
             cold = _mobius_class(a, N, j, D)
+            assert isinstance(got, str) == (len(clean) == 0)
             if isinstance(got, str):
                 assert got == cold
                 continue
-            (P, basis), (P_cold, basis_cold), (P_ref, basis_ref) = got, cold, reference[j]
-            assert np.array_equal(P, P_cold)
-            assert len(basis) == len(basis_cold) and all(map(np.array_equal, basis, basis_cold))
-            assert np.max(np.abs(P - P_ref)) < 1e-12
-            assert len(basis) == len(basis_ref) > 0
-            assert max(np.max(np.abs(v - ref)) for v, ref in zip(basis, basis_ref)) < 1e-14
+            assert np.array_equal(got, cold)
+            assert np.max(np.abs(got - P_ref)) < 1e-12
+
+    @pytest.mark.parametrize("a,N,D", VERDICT_GRID)
+    def test_guard_verdict_is_some_clean_generator(self, a, N, D):
+        # the first generator decides: a class builds exactly when the
+        # oracle's sweep of all its generators finds a clean one
+        for j, (_, clean) in enumerate(_mobius_column_loop(a, N, D)):
+            assert isinstance(_mobius_class(a, N, j, D), str) == (len(clean) == 0), j
 
     @pytest.mark.parametrize("a,N,D", FRAME_GRID)
     def test_all_classes_share_one_sweep(self, a, N, D, monkeypatch):
@@ -216,23 +295,18 @@ class TestMobiusFrame:
             return sweep(beta, alpha, delta, gamma, c0, ncol)
 
         monkeypatch.setattr(rd, "_mobius_columns", counted)
-        for j in range(N):
-            _mobius_class(a, N, j, D)
-        assert sweeps.count("section") == N - 1
-        generators = [n for n in sweeps if n != "section"]
-        # one generator sweep per doubling of p_c (columns p = 0..p_c), none per class
-        assert generators == [(generators[0] - 1) * 2**i + 1 for i in range(len(generators))]
-        _, U, tail = rd._mobius_frame(complex(a), N, D)
-        assert U.shape[1] == generators[-1]
-        assert np.all(tail[-N:] > rd._MOBIUS_CLEAN_TOL)
+        built = [not isinstance(_mobius_class(a, N, j, D), str) for j in range(N)]
+        # the sections C_1..C_(N-1), once for all classes; no generator sweep,
+        # and no frame when the guard rejects every class
+        assert sweeps == ["section"] * (N - 1 if any(built) else 0)
 
     def test_cached_arrays_are_read_only(self):
         bl.mobius_power_reducing_projection(0.5, 3, 1, 64)
-        C, U, tail = rd._mobius_frame(0.5 + 0j, 3, 64)
+        C = rd._mobius_frame(0.5 + 0j, 3, 64)
         assert len(C) == 2
-        for arr in (*C, U, tail):
+        for arr in C:
             with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = 1.0
+                arr[0, 0] = 1.0
         assert rd._mobius_frame.cache_info().maxsize == 2
 
 
@@ -266,7 +340,7 @@ def _residual_cases(D):
     re, im = np.random.default_rng(D).standard_normal((2, D + 1, D + 1))
     m = re + 1j * im
     for alpha in (-1.0, 0.5):
-        P = bl.SubspaceProjection(V=np.zeros((D + 1, 0)), matrix=bl.OperatorMatrix(m, alpha))
+        P = bl.SubspaceProjection(matrix=bl.OperatorMatrix(m, alpha))
         cases.append((f"random section {alpha}", P, bl.BlaschkeProduct(0.0, [0.5, -0.3 + 0.2j, 0.1])))
     return cases
 
@@ -282,7 +356,7 @@ class TestReducingResidual:
 
     def test_identity_projection(self, B2):
         D = 60
-        P = bl.SubspaceProjection(V=np.zeros((D + 1, 0)), matrix=identity(D, -1.0))
+        P = bl.SubspaceProjection(matrix=identity(D, -1.0))
         assert bl.reducing_residual(P, B2) == 0.0
 
     def test_hardy_subspace_passes_alpha0_fails_bergman(self):
@@ -312,7 +386,7 @@ class TestReducingResidual:
         P = bl.monomial_reducing_projection(2, 0, -1.0, D)
         r1 = bl.reducing_residual(P, B)
         complement = bl.OperatorMatrix(np.eye(D + 1) - P.matrix.entries, -1.0)
-        complement = dataclasses.replace(P, V=np.zeros((D + 1, 0)), matrix=complement)
+        complement = dataclasses.replace(P, matrix=complement)
         r2 = bl.reducing_residual(complement, B)
         assert abs(r1 - r2) < 1e-12
 

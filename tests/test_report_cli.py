@@ -222,7 +222,7 @@ class TestRun:
         cfg = parse_config(obj, "decompose")
         rep = run(cfg)
         assert rep.all_passed
-        comps = rep.data["components"]
+        comps = rep.data["decomposition"]["c"]
         assert comps[0][0] == [1.0, 0.0] and comps[0][1] == [3.0, 0.0]
         assert comps[1][0] == [2.0, 0.0] and comps[1][1] == [4.0, 0.0]
         assert rep.records[0].residual < 1e-12
