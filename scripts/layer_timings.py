@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Per-layer timings against the window D: the model basis, x_spaces, the
 shell cells (wold.cell_matrix), analyze plus synthesize of one function of
-degree D//4, build plus commutation_residual at the derived shell count
-M = wold.shell_count(B, D), the safe-block norm spaces.operator_norm_safe
-on a nonzero and on an exactly zero section of D//2 + 1 rows, and the
+degree D//4; at the derived shell count M = wold.shell_count(B, D), build
+(the cell images alone), commutation_residual of the built element (its
+safe rows formed from the factors) and the dense realization Z E^H, formed
+only on request; the safe-block norm spaces.operator_norm_safe on a nonzero
+and on an exactly zero section of D//2 + 1 rows, and the
 Mobius-power projection of class 0 for b_a^N, a = 0.5, N = 2, and its
 reducing_residual against b_a^N (both the same for every product).
 
@@ -88,7 +90,8 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
         "cell_matrix_s": median_s(lambda: wold.cell_matrix(basis, B, M, D), repeats),
         "analyze_synthesize_s": median_s(lambda: bl.synthesize(bl.analyze(f, B, M, D)), repeats),
         "build_s": median_s(lambda: bl.build(phi, B, ALPHA, M, D), repeats),
-        "commutation_residual_s": median_s(lambda: bl.commutation_residual(op.realization, B), repeats),
+        "commutation_residual_s": median_s(lambda: bl.commutation_residual(op, B), repeats),
+        "realization_s": median_s(lambda: bl.CommutantOperator.realization.func(op), repeats),
         "operator_norm_safe_s": median_s(lambda: spaces.operator_norm_safe(W, ALPHA, D_safe), repeats),
         "operator_norm_safe_zero_s": median_s(lambda: spaces.operator_norm_safe(zero, ALPHA, D_safe), repeats),
         "mobius_projection_s": cold_mobius_s(D, repeats),
@@ -115,6 +118,7 @@ def main() -> None:
         "ana+syn": "analyze_synthesize_s",
         "build": "build_s",
         "residual": "commutation_residual_s",
+        "dense": "realization_s",
         "norm": "operator_norm_safe_s",
         "zero norm": "operator_norm_safe_zero_s",
         "mobius": "mobius_projection_s",

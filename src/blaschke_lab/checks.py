@@ -337,7 +337,7 @@ def ortho_checks(cfg, rng: np.random.Generator):
     def triangularity():
         phi = _random_phi(rng, B.degree, 4)
         op = cm.build(phi, B, w, _shells(cfg), D)
-        blocks = ox.block_matrix(op.realization, chain)
+        blocks = ox.block_matrix(op, chain)
         above = np.triu_indices(kmax + 1, 1)  # (l, k) with l < k
         return float(np.max(np.linalg.norm(blocks, 2, axis=(2, 3))[above], initial=0.0))
 

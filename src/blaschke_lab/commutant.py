@@ -1,8 +1,9 @@
 """Commutant of T_B realized as n x n matrices of polynomial multipliers.
 
 A matrix Phi = (phi_jk) of polynomials acts on the shell components of a
-function; conjugating that action by the shell isomorphism realizes a dense
-operator commuting with T_B. Polynomial entries are multipliers of every
+function; conjugating that action by the shell isomorphism realizes an
+operator commuting with T_B, held as its factors: the images of the shell
+cells and the cells themselves. Polynomial entries are multipliers of every
 weighted space, which keeps the construction weight-independent.
 """
 
@@ -17,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .blaschke import BlaschkeProduct, model_basis
 from .errors import NotInCommutantError
-from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, _freeze, _readonly, commutator_residual, safe_degree
+from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, _freeze, _readonly, as_weight, commutator_residual, safe_degree
 from .wold import _shell_coordinates, shell_frame
 
 __all__ = [
@@ -44,8 +45,8 @@ class MultiplierMatrix:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 3 or c.shape[0] == 0 or c.shape[1] != c.shape[2]:
-            raise ValueError("multiplier coefficients must be a (T + 1) x n x n array")
+        if c.ndim != 3 or 0 in c.shape or c.shape[1] != c.shape[2]:
+            raise ValueError("multiplier coefficients must be a nonempty (T + 1) x n x n array with n >= 1")
         object.__setattr__(self, "coeffs", _freeze(c))
 
     @classmethod
@@ -56,7 +57,7 @@ class MultiplierMatrix:
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise ValueError("multiplier matrix must be square")
-        T = max(e.degree for row in entries for e in row)
+        T = max((e.degree for row in entries for e in row), default=0)
         if T > _MAX_SYMBOL_DEGREE:
             raise ValueError(f"entry degree {T} exceeds the multiplier degree cap {_MAX_SYMBOL_DEGREE}")
         c = np.zeros((T + 1, n, n), dtype=complex)
@@ -83,19 +84,41 @@ class MultiplierMatrix:
         return cls.from_polys([[TaylorPoly([complex(re, im) for re, im in e]) for e in row] for row in obj])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommutantOperator:
-    """A commutant element: multiplier matrix, the product it refers to, and
-    its dense finite-section realization, which carries the ambient weight."""
+    """A commutant element held as its factors W = Z E^H: the read-only
+    images Z of the cells under Phi (see _cell_images) and the cells E of
+    shells 0..M, a view of the memoized shell frame. It carries the ambient
+    weight and the window D of E. Readers ask it for rows of W or for a thin
+    product W X; the dense W is formed only when realization is read."""
 
     phi: MultiplierMatrix
     B: BlaschkeProduct
-    realization: OperatorMatrix
+    alpha: WeightAlpha
+    images: np.ndarray
+    cells: np.ndarray
+
+    @property
+    def degree(self) -> int:
+        return self.cells.shape[0] - 1
+
+    def rows(self, k: int) -> np.ndarray:
+        """Rows 0..k-1 of W, Z[:k] E^H."""
+        return self.images[:k] @ self.cells.conj().T
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """W X = Z (E^H X), with E^H X formed without a conjugate copy of E."""
+        return self.images @ (self.cells.T @ X.conj()).conj()
+
+    @cached_property
+    def realization(self) -> OperatorMatrix:
+        """The dense (D+1) x (D+1) section Z E^H, formed on first read."""
+        return OperatorMatrix(_readonly(self.rows(self.degree + 1)), self.alpha)
 
     @cached_property
     def residual(self) -> float:
-        """commutation_residual of the realization, computed once per element."""
-        return commutation_residual(self.realization, self.B)
+        """commutation_residual of the element, computed once."""
+        return commutation_residual(self, self.B)
 
 
 def _cell_images(phi: MultiplierMatrix, E_out: np.ndarray) -> np.ndarray:
@@ -111,49 +134,40 @@ def _cell_images(phi: MultiplierMatrix, E_out: np.ndarray) -> np.ndarray:
     return Z.reshape(E_out.shape[0], -1)
 
 
-def build(
-    phi: MultiplierMatrix,
-    B: BlaschkeProduct,
-    w: WeightAlpha | float,
-    M: int,
-    D: int,
-) -> CommutantOperator:
-    """Realize the commutant element of Phi as a dense matrix.
+def build(phi: MultiplierMatrix, B: BlaschkeProduct, w: WeightAlpha | float, M: int, D: int) -> CommutantOperator:
+    """The commutant element of Phi, as its factors.
 
     Phi sends the cell u_k B^r to Z_r = sum_t E_(r+t) P_t (see
-    _cell_images), and the realization is W = Z E^H over the cells E of
-    shells 0..M. Output shells extend to M + deg(Phi) so the polynomial
-    action loses nothing. Accuracy of the safe block improves with M until
-    M = wold.shell_count(B, D); past it the residual is limited by D alone.
+    _cell_images), and the element is W = Z E^H over the cells E of
+    shells 0..M; only Z is computed. Output shells extend to M + deg(Phi)
+    so the polynomial action loses nothing. Accuracy of the safe block
+    improves with M until M = wold.shell_count(B, D); past it the residual
+    is limited by D alone.
     """
     if phi.n != B.degree:
         raise ValueError("multiplier matrix size must equal deg B")
     M_out = M + phi.max_entry_degree
     frame = shell_frame(B, M_out, D)
-    W = _cell_images(phi, frame.cells(M_out)) @ frame.cells(M).conj().T
-    return CommutantOperator(phi=phi, B=B, realization=OperatorMatrix(_readonly(W), w))
+    Z = _readonly(_cell_images(phi, frame.cells(M_out)))
+    return CommutantOperator(phi=phi, B=B, alpha=as_weight(w), images=Z, cells=frame.cells(M))
 
 
-def commutation_residual(A: OperatorMatrix, B: BlaschkeProduct) -> float:
-    """Safe-block operator norm of A T_B - T_B A in A's weight and window."""
-    return commutator_residual(A.entries, B.toeplitz(A.degree), A.alpha, A.degree)
+def commutation_residual(A: OperatorMatrix | CommutantOperator, B: BlaschkeProduct) -> float:
+    """Safe-block operator norm of A T_B - T_B A in A's weight and window,
+    from rows 0..D_safe of A alone: an element forms only Z[:D_safe+1] E^H."""
+    return commutator_residual(A.rows(safe_degree(A.degree) + 1), B.toeplitz(A.degree), A.alpha, A.degree)
 
 
-def extract_symbols(
-    W: OperatorMatrix | CommutantOperator,
-    B: BlaschkeProduct,
-    *,
-    tol_commute: float = 1e-8,
-) -> np.ndarray:
+def extract_symbols(W: OperatorMatrix | CommutantOperator, B: BlaschkeProduct, *, tol_commute: float = 1e-8) -> np.ndarray:
     """phi_k = W u_k as the read-only (D+1) x n array W U, U = model_basis(B, D).U
-    and D the degree of W; requires W to commute with T_B on the safe block,
-    to a commutation residual of at most tol_commute (extraction is
-    meaningless otherwise). A built element for the same B supplies its
-    memoized residual. The error names the window's limit max|a|^(D - D_safe)
-    (B's Taylor tail past the guard), which no shell count lowers."""
-    op, W = (W, W.realization) if isinstance(W, CommutantOperator) else (None, W)
+    and D the degree of W, one thin product (Z (E^H U) for an element);
+    requires W to commute with T_B on the safe block, to a commutation
+    residual of at most tol_commute (extraction is meaningless otherwise).
+    A built element for the same B supplies its memoized residual. The error
+    names the window's limit max|a|^(D - D_safe) (B's Taylor tail past the
+    guard), which no shell count lowers."""
     D = W.degree
-    res = op.residual if op is not None and op.B == B else commutation_residual(W, B)
+    res = W.residual if getattr(W, "B", None) == B else commutation_residual(W, B)
     if res > tol_commute:
         D_safe = safe_degree(D)
         limit = max(abs(a) for a, _ in B.zeros) ** (D - D_safe)
@@ -162,7 +176,7 @@ def extract_symbols(
             f"at D = {D}, D_safe = {D_safe}; a commutant element truncated there keeps a "
             f"residual near max|a|^(D - D_safe) = {limit:.1e}, so if W is one, increase D"
         )
-    return _readonly(W.entries @ model_basis(B, D).U)
+    return _readonly(W.apply(model_basis(B, D).U))
 
 
 def symbols_to_matrix(F: np.ndarray, B: BlaschkeProduct, M: int) -> MultiplierMatrix:

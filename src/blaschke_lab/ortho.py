@@ -14,6 +14,7 @@ import numpy as np
 
 from . import wold
 from .blaschke import BlaschkeProduct
+from .commutant import CommutantOperator
 from .errors import DimensionMismatchError
 from .spaces import OperatorMatrix, WeightAlpha, _freeze, as_weight
 
@@ -67,10 +68,11 @@ def x_spaces(B: BlaschkeProduct, w: WeightAlpha | float, kmax: int, D: int) -> X
     return XSpaceChain(B=B, alpha=w, X=_freeze(Q / sq[:, None]))
 
 
-def block_matrix(W: OperatorMatrix, chain: XSpaceChain) -> np.ndarray:
+def block_matrix(W: OperatorMatrix | CommutantOperator, chain: XSpaceChain) -> np.ndarray:
     """Array of blocks <W x_k, x_l>_alpha, shape (kmax+1, kmax+1, N, N);
     index [l, k] holds the (target l, source k) block. W must carry the
-    chain's window and weight."""
+    chain's window and weight. W is read through the thin product W S with
+    the chain's bases S, so an element gives S^H Lambda Z (E^H S)."""
     if W.degree != chain.degree:
         raise ValueError("operator and chain degrees differ")
     if W.alpha != chain.alpha:
@@ -78,5 +80,5 @@ def block_matrix(W: OperatorMatrix, chain: XSpaceChain) -> np.ndarray:
     D = chain.degree
     lam = chain.alpha.diagonal(D)
     S, K, N = chain.X, chain.kmax + 1, chain.block_dim
-    G = S.conj().T @ (lam[:, None] * (W.entries @ S))
+    G = S.conj().T @ (lam[:, None] * W.apply(S))
     return G.reshape(K, N, K, N).transpose(0, 2, 1, 3)

@@ -139,6 +139,12 @@ class OperatorMatrix:
     def degree(self) -> int:
         return self.entries.shape[0] - 1
 
+    def rows(self, k: int) -> np.ndarray:
+        return self.entries[:k]
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        return self.entries @ X
+
 
 # ---------------------------------------------------------------------------
 # inner products and norms
@@ -210,11 +216,7 @@ def safe_degree(D: int) -> int:
     return D - D // 2
 
 
-def operator_norm_safe(
-    X: np.ndarray,
-    w: WeightAlpha | float,
-    D_safe: int,
-) -> float:
+def operator_norm_safe(X: np.ndarray, w: WeightAlpha | float, D_safe: int) -> float:
     """Largest singular value of the safe-block section of X, measured in
     the alpha geometry (similarity by Lambda^(1/2)). An exactly zero
     section has norm 0.0 without an SVD; a NaN in it still reaches the SVD."""
@@ -228,11 +230,13 @@ def operator_norm_safe(
 
 
 def commutator_residual(A: np.ndarray, T: np.ndarray, w: WeightAlpha | float, D: int) -> float:
-    """Safe-block operator norm of A T - T A for a lower-triangular T (a multiplication section),
-    formed on that block alone: (A T)[s, s] = A[s, :] T[:, s] sums over all D + 1, and (T A)[s, s] =
-    T[s, s] A[s, s] since T[s, :] vanishes past column D_safe. ValueError if it does not."""
+    """Safe-block operator norm of A T - T A for a lower-triangular T (a multiplication section), read
+    from rows 0..D_safe of A alone (ValueError on fewer): (A T)[s, s] = A[s, :] T[:, s] sums over all D + 1
+    columns, and (T A)[s, s] = T[s, s] A[s, s] since T[s, :] vanishes past column D_safe. ValueError if not."""
     D_safe = safe_degree(D)
     s = slice(0, D_safe + 1)
+    if A.shape[0] <= D_safe:
+        raise ValueError(f"A has {A.shape[0]} rows; the commutator reads rows 0..D_safe = {D_safe}")
     if T[s, D_safe + 1 :].any():
         raise ValueError(f"T has entries past column D_safe = {D_safe} in rows 0..D_safe; it must be lower triangular")
     return operator_norm_safe(A[s, :] @ T[:, s] - T[s, s] @ A[s, s], w, D_safe)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,12 @@ PRODUCTS = {
     "0.8, -0.79i": [0.8, -0.79j],
     "near duplicate": [0.5, 0.5 + 1e-9, -0.3],
 }
+
+
+def symbols_agree(a, b):
+    """Whether two symbol arrays agree to 1e-13 * max(1, |entry|): the thin
+    Z (E^H U) and the dense (Z E^H) U associate one product differently."""
+    return bool(np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b))))
 
 
 def symbols_to_matrix_by_analysis(F, B, M, D):
@@ -288,7 +295,7 @@ class TestSymbols:
         syms = bl.extract_symbols(op, B2)
         assert calls == [B2]
         bare = bl.extract_symbols(op.realization, B2)
-        assert np.array_equal(syms, bare)
+        assert symbols_agree(syms, bare)
         # an element of another product gets its residual measured against B
         phi3 = bl.MultiplierMatrix(rng.standard_normal((3, 3, 3)))
         op3 = bl.build(phi3, B3, -1.0, 21, D)
@@ -356,6 +363,41 @@ class TestSymbols:
             assert np.max(np.abs((phi - phi2).coeffs[:11])) < 1e-7
 
 
+class TestFactoredElement:
+    """A built element is read through its factors Z and E; the dense
+    realization Z E^H is the oracle."""
+
+    @pytest.mark.parametrize("D", [64, 256])
+    @pytest.mark.parametrize("name", ["B2", "B3"])
+    def test_reads_equal_the_dense_realization(self, name, D, rng):
+        B = bl.BlaschkeProduct(0.0, PRODUCTS[name])
+        op = bl.build(random_phi(rng, B.degree), B, -1.0, bl.wold.shell_count(B, D), D)
+        assert (op.alpha, op.degree) == (bl.WeightAlpha(-1.0), D)
+        assert op.residual == bl.commutation_residual(op.realization, B)
+        assert symbols_agree(bl.extract_symbols(op, B), bl.extract_symbols(op.realization, B))
+
+    def test_cells_are_a_view_of_the_frame(self, B2, rng):
+        D, M = 64, 32
+        op = bl.build(random_phi(rng, 2), B2, -1.0, M, D)
+        frame = bl.wold.shell_frame(B2, M, D)
+        assert np.shares_memory(op.cells, frame.E) and op.cells.shape == (D + 1, 2 * (M + 1))
+        assert not op.images.flags.writeable and not op.cells.flags.writeable
+
+    def test_no_battery_forms_a_dense_element(self, tmp_path, monkeypatch):
+        def dense(self):
+            raise AssertionError("a battery formed the dense realization")
+
+        monkeypatch.setattr(bl.CommutantOperator, "realization", property(dense))
+        B = {"theta": 0.0, "zeros": [{"re": 0.5, "im": 0.0}, {"re": -0.3, "im": 0.0}]}
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"B": B, "alpha": -1.0, "degree": 64, "seed": 3, "inputs": {}}))
+        for command in ("commutant", "ortho", "suite"):
+            out = tmp_path / f"{command}.json"
+            assert cli.main([command, "--config", str(cfgp), "--strict", "--out", str(out)]) == 0
+            records = json.loads(out.read_text())["records"]
+            assert records and all(r["pass"] and r["error"] is None for r in records)
+
+
 class TestCommutationResidual:
     def test_tb_commutes_with_itself(self, B3):
         D = 64
@@ -367,6 +409,16 @@ class TestCommutationResidual:
         D = 32
         Tz = bl.toeplitz_matrix(monomial(1), D, 0.0)
         assert bl.commutation_residual(Tz, B) < 1e-14
+
+    def test_safe_rows_are_required(self, B2):
+        # rows 0..D_safe of A are read; a shorter stack is an error, a longer one is cut
+        D = 64
+        Ds = safe_degree(D)
+        A = bl.toeplitz_matrix(B2.taylor(D), D, 0.0).entries @ np.diag(np.arange(1.0, D + 2))
+        full = bl.spaces.commutator_residual(A, B2.toeplitz(D), 0.0, D)
+        assert bl.spaces.commutator_residual(A[: Ds + 1], B2.toeplitz(D), 0.0, D) == full
+        with pytest.raises(ValueError, match=rf"^A has {Ds} rows; the commutator reads rows 0..D_safe = {Ds}$"):
+            bl.spaces.commutator_residual(A[:Ds], B2.toeplitz(D), 0.0, D)
 
     def test_adjoint_shift_fails_with_witness(self):
         B = bl.BlaschkeProduct.monomial(2)
@@ -497,6 +549,19 @@ def test_multiplier_matrix_is_one_read_only_array():
             bl.MultiplierMatrix(bad)
     with pytest.raises(ValueError, match="square"):
         bl.MultiplierMatrix.from_polys([[TaylorPoly([1.0]), TaylorPoly([0.0])]])
+
+
+EMPTY_PHI = r"^multiplier coefficients must be a nonempty \(T \+ 1\) x n x n array with n >= 1$"
+
+
+def test_multiplier_matrix_rejects_an_empty_list_of_rows():
+    with pytest.raises(ValueError, match=EMPTY_PHI):
+        bl.MultiplierMatrix.from_polys([])
+
+
+def test_multiplier_matrix_rejects_a_zero_size_matrix():
+    with pytest.raises(ValueError, match=EMPTY_PHI):
+        bl.MultiplierMatrix(np.zeros((1, 0, 0)))
 
 
 def test_multiplier_matrix_rejects_oversize_degree():

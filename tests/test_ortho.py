@@ -364,6 +364,16 @@ class TestBlockMatrix:
             for l in range(k):
                 assert np.max(np.abs(blocks[l, k])) < 1e-7
 
+    @pytest.mark.parametrize("D", [64, 256])
+    @pytest.mark.parametrize("name", ["B2", "B3"])
+    def test_element_read_through_its_factors_equals_block_loop(self, name, D, rng):
+        # S^H Lambda Z (E^H S) against the loop over the dense realization Z E^H
+        B = PRODUCTS[name]
+        chain = bl.x_spaces(B, -1.0, 3, D)
+        phi = bl.MultiplierMatrix(rng.standard_normal((5, B.degree, B.degree)) + 1j * rng.standard_normal((5, B.degree, B.degree)))
+        op = bl.build(phi, B, -1.0, wold.shell_count(B, D), D)
+        assert np.max(np.abs(bl.block_matrix(op, chain) - block_matrix_by_loop(op.realization, chain))) < 1e-13
+
 
 class NotSelfAdjointError(BlaschkeLabError):
     """Self-adjoint block analysis requested for a non-self-adjoint operator."""

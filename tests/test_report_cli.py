@@ -329,6 +329,15 @@ class TestMainExitCodes:
         code = main(["suite", "--config", str(cfgp)])
         assert code == 2
 
+    def test_empty_phi_exits_two_and_says_why(self, tmp_path, capsys):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(dict(BASE, inputs={"phi": []})))
+        assert main(["commutant", "--config", str(cfgp)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid inputs for 'commutant': multiplier coefficients must be "
+            "a nonempty (T + 1) x n x n array with n >= 1\n"
+        )
+
     def test_malformed_json_exits_two(self, tmp_path):
         cfgp = tmp_path / "c.json"
         cfgp.write_text("{not json")
