@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Per-layer timings against the window D: the model basis, x_spaces, the
 shell cells (wold.cell_matrix), analyze plus synthesize of one function of
-degree D//4; at the derived shell count M = wold.shell_count(B, D), build
+degree D//4 and norm_equivalence_ratio of the same function at the derived
+shell count M = wold.shell_count(B, D); at that M, build
 (the cell images alone), commutation_residual of the built element (its
 safe rows formed from the factors) and the dense realization Z E^H, formed
 only on request; the safe-block norm spaces.operator_norm_safe on a nonzero
@@ -89,6 +90,7 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
         "x_spaces_s": median_s(lambda: bl.x_spaces(B, ALPHA, KMAX, D), repeats),
         "cell_matrix_s": median_s(lambda: wold.cell_matrix(basis, B, M, D), repeats),
         "analyze_synthesize_s": median_s(lambda: bl.synthesize(bl.analyze(f, B, M, D)), repeats),
+        "norm_equivalence_ratio_s": median_s(lambda: bl.norm_equivalence_ratio(f, B, ALPHA, M, D), repeats),
         "build_s": median_s(lambda: bl.build(phi, B, ALPHA, M, D), repeats),
         "commutation_residual_s": median_s(lambda: bl.commutation_residual(op, B), repeats),
         "realization_s": median_s(lambda: bl.CommutantOperator.realization.func(op), repeats),
@@ -116,6 +118,7 @@ def main() -> None:
         "x_spaces": "x_spaces_s",
         "cells": "cell_matrix_s",
         "ana+syn": "analyze_synthesize_s",
+        "ratio": "norm_equivalence_ratio_s",
         "build": "build_s",
         "residual": "commutation_residual_s",
         "dense": "realization_s",

@@ -51,7 +51,6 @@ from .spaces import (
 from .wold import (
     ShellDecomposition,
     analyze,
-    b_norm,
     norm_equivalence_ratio,
     synthesize,
 )

@@ -36,7 +36,7 @@ class BlaschkeProduct:
     merged. The product must be nonconstant (degree >= 1).
     """
 
-    __slots__ = ("theta", "zeros", "degree")
+    __slots__ = ("theta", "zeros", "degree", "_hash")
 
     def __init__(self, theta: float, zeros, *, rho_max: float = RHO_MAX):
         merged: dict[complex, int] = {}
@@ -55,6 +55,7 @@ class BlaschkeProduct:
         object.__setattr__(self, "theta", float(theta))
         object.__setattr__(self, "zeros", tuple(sorted(merged.items(), key=lambda t: (t[0].real, t[0].imag))))
         object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "_hash", hash((self.theta, self.zeros)))  # once: it keys every (B, D) memo
 
     def __setattr__(self, *a):
         raise AttributeError("BlaschkeProduct is immutable")
@@ -70,7 +71,7 @@ class BlaschkeProduct:
         )
 
     def __hash__(self):
-        return hash((self.theta, self.zeros))
+        return self._hash
 
     @classmethod
     def monomial(cls, n: int) -> "BlaschkeProduct":

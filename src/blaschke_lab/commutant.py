@@ -110,6 +110,10 @@ class CommutantOperator:
         """W X = Z (E^H X), with E^H X formed without a conjugate copy of E."""
         return self.images @ (self.cells.T @ X.conj()).conj()
 
+    def apply_left(self, X: np.ndarray) -> np.ndarray:
+        """X W = (X Z) E^H, for a thin X."""
+        return (X @ self.images) @ self.cells.conj().T
+
     @cached_property
     def realization(self) -> OperatorMatrix:
         """The dense (D+1) x (D+1) section Z E^H, formed on first read."""
@@ -146,7 +150,7 @@ def build(phi: MultiplierMatrix, B: BlaschkeProduct, w: WeightAlpha | float, M: 
     """
     if phi.n != B.degree:
         raise ValueError("multiplier matrix size must equal deg B")
-    M_out = M + phi.max_entry_degree
+    M_out = M + phi.max_entry_degree if M >= 0 else M  # shell_frame names a negative M
     frame = shell_frame(B, M_out, D)
     Z = _readonly(_cell_images(phi, frame.cells(M_out)))
     return CommutantOperator(phi=phi, B=B, alpha=as_weight(w), images=Z, cells=frame.cells(M))
@@ -186,14 +190,15 @@ def symbols_to_matrix(F: np.ndarray, B: BlaschkeProduct, M: int) -> MultiplierMa
     return MultiplierMatrix(_readonly(_shell_coordinates(F, B, M)))
 
 
-def cowen_residual(W: OperatorMatrix, B: BlaschkeProduct, a: complex | Sequence[complex]) -> float:
+def cowen_residual(W: OperatorMatrix | CommutantOperator, B: BlaschkeProduct, a: complex | Sequence[complex]) -> float:
     """max_m |<W* k_a, (B - B(a)) z^m>_0| over m up to the safe degree, and
     over the points when a is a 1-d sequence of them.
 
     Vanishing at a non-Blaschke sampling set characterizes membership in the
     commutant on H^2; a finite set can only falsify, not certify. W is read
     as an operator on the unweighted space (the criterion lives on H^2).
-    W^H K is one product for all kernels; no section of B - B(a) is built.
+    W^H K = (K^H W)^H is one thin product for all kernels, (K^H Z) E^H for
+    an element; no section of B - B(a) is built.
     """
     pts = np.atleast_1d(np.asarray(a, dtype=complex))
     if pts.ndim != 1 or np.any(np.abs(pts) >= 1.0):
@@ -201,7 +206,7 @@ def cowen_residual(W: OperatorMatrix, B: BlaschkeProduct, a: complex | Sequence[
     D = W.degree
     D_safe = safe_degree(D)
     K = np.conj(pts)[None, :] ** np.arange(D + 1)[:, None]  # column i is k_(a_i)
-    WK = (K.T.conj() @ W.entries).conj().T  # W^H K as one product
+    WK = W.apply_left(K.T.conj()).conj().T  # W^H K as one product
     Bvals = np.array([B.eval(p) for p in pts])
     G = B.toeplitz(D)[:, : D_safe + 1].conj().T @ WK - Bvals.conj() * WK[: D_safe + 1]
     return float(np.max(np.abs(G)))

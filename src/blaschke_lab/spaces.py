@@ -10,6 +10,7 @@ Everything here is immutable and pure; values can be shared freely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -39,7 +40,7 @@ class WeightAlpha:
     alpha: float
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha):
+        if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
 
     def diagonal(self, D: int) -> np.ndarray:
@@ -69,7 +70,7 @@ class TaylorPoly:
         c = _freeze(self.coeffs)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
@@ -144,6 +145,9 @@ class OperatorMatrix:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return self.entries @ X
+
+    def apply_left(self, X: np.ndarray) -> np.ndarray:
+        return X @ self.entries
 
 
 # ---------------------------------------------------------------------------

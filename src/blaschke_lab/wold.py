@@ -24,12 +24,12 @@ the safe block, power_count from how many powers B^k fit the window.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blaschke import BlaschkeProduct, ModelSpaceBasis, model_basis
-from .errors import ZeroFunctionError
+from .errors import DimensionMismatchError, ZeroFunctionError
 from .spaces import (
     TaylorPoly,
     WeightAlpha,
@@ -40,7 +40,6 @@ from .spaces import (
     require_window,
     safe_degree,
     toeplitz_matrix,
-    weighted_norm,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "shell_frame",
     "analyze",
     "synthesize",
-    "b_norm",
     "norm_equivalence_ratio",
     "cell_matrix",
     "shell_count",
@@ -169,20 +167,22 @@ def _continue_cells(cells: np.ndarray, n: int, B: BlaschkeProduct, M: int, D: in
 class ShellFrame:
     """Read-only cells u_j B^k of one (B, D) in its basis u_j =
     model_basis(B, D): E[:, k*n + j] for k = 0..shell_count, so shell 0 is
-    the basis matrix basis.U."""
+    the basis matrix basis.U. n and shell_count are read once, at construction."""
 
     basis: ModelSpaceBasis
     E: np.ndarray
+    n: int = field(init=False)
+    shell_count: int = field(init=False)
 
-    @property
-    def shell_count(self) -> int:
-        return self.E.shape[1] // self.basis.dim - 1
+    def __post_init__(self):
+        object.__setattr__(self, "n", self.basis.dim)
+        object.__setattr__(self, "shell_count", self.E.shape[1] // self.n - 1)
 
     def cells(self, M: int) -> np.ndarray:
         """Cells of shells 0..M, a prefix of E."""
-        if M > self.shell_count:
-            raise ValueError(f"frame holds {self.shell_count} shells, not {M}")
-        return self.E[:, : self.basis.dim * (M + 1)]
+        if not 0 <= M <= self.shell_count:
+            raise ValueError(f"frame holds shells 0..{self.shell_count}, not 0..{M}")
+        return self.E[:, : self.n * (M + 1)]
 
 
 _FRAME_MEMO_SIZE = 4
@@ -192,7 +192,9 @@ _FRAMES: OrderedDict[tuple, ShellFrame] = OrderedDict()  # least recently used f
 def shell_frame(B: BlaschkeProduct, M: int, D: int) -> ShellFrame:
     """The frame of (B, D) with at least M shells, from the memo (keyed by
     (B, D)) when it has one; a frame with fewer shells is grown from its
-    last cells. Cells of any other basis are not memoized."""
+    last cells. Cells of any other basis are not memoized. A negative M is a DimensionMismatchError."""
+    if M < 0:
+        raise DimensionMismatchError(f"shell count M = {M} is negative; pass M >= 0")
     key = (B, D)
     frame = _FRAMES.get(key)
     if frame is not None and frame.shell_count >= M:
@@ -203,7 +205,7 @@ def shell_frame(B: BlaschkeProduct, M: int, D: int) -> ShellFrame:
         E = cell_matrix(basis, B, M, D)
     else:
         basis = frame.basis
-        E = _continue_cells(frame.E, basis.dim, B, M, D)
+        E = _continue_cells(frame.E, frame.n, B, M, D)
     E.setflags(write=False)
     _FRAMES[key] = frame = ShellFrame(basis=basis, E=E)
     _FRAMES.move_to_end(key)
@@ -259,6 +261,17 @@ class ShellDecomposition:
         }
 
 
+def _coordinates(f: TaylorPoly, B: BlaschkeProduct, M: int | None, D: int | None, basis: ModelSpaceBasis | None):
+    """(basis, c, D): the coordinates c[k*n + j] = <f, u_j B^k>_0 on shells
+    0..M, one product E^H f. D defaults to deg f, M to shell_count(B, D)."""
+    D = f.degree if D is None else D
+    M = shell_count(B, D) if M is None else M
+    require_window(f, D)
+    basis, E = _cells(B, M, D, basis)
+    # E^H f over the rows f occupies, without padding f or copying E
+    return basis, (E[: len(f.coeffs)].T @ f.coeffs.conj()).conj(), D
+
+
 def analyze(
     f: TaylorPoly,
     B: BlaschkeProduct,
@@ -274,32 +287,16 @@ def analyze(
     u_j are the shell frame's basis model_basis(B, D) unless another basis
     of the model space is given. D defaults to deg f, M to shell_count(B, D).
     """
-    if D is None:
-        D = f.degree
-    if M is None:
-        M = shell_count(B, D)
-    require_window(f, D)
-    basis, E = _cells(B, M, D, basis)
-    # E^H f over the rows f occupies, without padding f or copying E
-    c = (E[: len(f.coeffs)].T @ f.coeffs.conj()).conj()
-    return ShellDecomposition(B, basis, _readonly(c.reshape(M + 1, basis.dim).T), D)
+    basis, c, D = _coordinates(f, B, M, D, basis)
+    return ShellDecomposition(B, basis, _readonly(c.reshape(-1, basis.dim).T), D)
 
 
 def synthesize(dec: ShellDecomposition, D: int | None = None) -> TaylorPoly:
     """sum_{k<=M} sum_j c[j, k] u_j B^k truncated at degree D."""
-    if D is None:
-        D = dec.degree
+    D = dec.degree if D is None else D
     _, E = _cells(dec.B, dec.shell_count, D, dec.basis)
     flat = dec.coefficients.T.reshape(-1)  # k-major matching cell_matrix
     return TaylorPoly(_readonly(E @ flat))
-
-
-def b_norm(dec: ShellDecomposition, w: WeightAlpha | float) -> float:
-    """Norm of the expansion: (sum_k (k+1)^alpha ||h_k||_0^2)^(1/2), with
-    ||h_k||_0 read off the orthonormal shell coordinates."""
-    c = dec.coefficients
-    lam = as_weight(w).diagonal(dec.shell_count)  # weight of shell k, per column
-    return float(np.sqrt(np.vdot(c * lam, c).real))
 
 
 def norm_equivalence_ratio(
@@ -311,10 +308,14 @@ def norm_equivalence_ratio(
     *,
     basis: ModelSpaceBasis | None = None,
 ) -> float:
-    """b_norm(analyze(f))^2 / ||f||_alpha^2, the empirical equivalence ratio."""
+    """||f||_B^2 / ||f||_alpha^2, the empirical equivalence ratio, with the
+    expansion norm ||f||_B^2 = sum_k (k+1)^alpha ||h_k||_0^2 over shells
+    0..M. Each is one dot product: <c, Lambda c> over the coefficients c of
+    f, <y, Lambda_M y> over its (M+1) x n shell coordinates y = E^H f."""
     w = as_weight(w)
-    nf = weighted_norm(f, w)
-    if nf == 0.0:
+    nf2 = np.vdot(f.coeffs, w.diagonal(f.degree) * f.coeffs).real
+    if nf2 == 0.0:
         raise ZeroFunctionError("norm ratio undefined for the zero function")
-    dec = analyze(f, B, M, D, basis=basis)
-    return (b_norm(dec, w) / nf) ** 2
+    basis, y, _ = _coordinates(f, B, M, D, basis)
+    y = y.reshape(-1, basis.dim)  # row k holds shell k
+    return float(np.vdot(y, w.diagonal(len(y) - 1)[:, None] * y).real / nf2)

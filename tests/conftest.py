@@ -46,3 +46,12 @@ def horner(f: bl.TaylorPoly, z: complex) -> complex:
 def identity(D: int, w: float = 0.0) -> bl.OperatorMatrix:
     """The identity section of degree D under the weight w."""
     return bl.OperatorMatrix(np.eye(D + 1), w)
+
+
+def b_norm(dec: bl.ShellDecomposition, w) -> float:
+    """Norm of the expansion: (sum_k (k+1)^alpha ||h_k||_0^2)^(1/2), with
+    ||h_k||_0 read off the orthonormal shell coordinates. The oracle of
+    norm_equivalence_ratio, which forms the same sum without a decomposition."""
+    c = dec.coefficients
+    lam = bl.spaces.as_weight(w).diagonal(dec.shell_count)  # weight of shell k, per column
+    return float(np.sqrt(np.vdot(c * lam, c).real))

@@ -14,7 +14,7 @@ from blaschke_lab.cli import main, parse_config, run
 from blaschke_lab import safe_degree
 from blaschke_lab.report import render
 from blaschke_lab.spaces import TaylorPoly, operator_norm_safe
-from conftest import identity, monomial
+from conftest import b_norm, identity, monomial
 
 
 def verdict(num, name, value, tol, *, larger_is_better=False):
@@ -304,7 +304,7 @@ def test_11_shift_equivalence():
         J = bl.shift_equiv_general(B3, h, alpha, K, D)
         for k, img in enumerate(J.F.T):
             dec = bl.analyze(TaylorPoly(img), B3, K + 2, D, basis=basis)
-            worst_b = max(worst_b, abs(bl.b_norm(dec, alpha) - (k + 1.0) ** (alpha / 2)))
+            worst_b = max(worst_b, abs(b_norm(dec, alpha) - (k + 1.0) ** (alpha / 2)))
         worst_shift = max(worst_shift, bl.shell_shift_residual(J, K + 2))
     verdict_parts(11, "shift-equivalence", {
         "unitarity": (worst_unit, 1e-10),

@@ -268,3 +268,16 @@ class TestConstruction:
 
     def test_json_roundtrip(self, B3):
         assert bl.BlaschkeProduct.from_json(B3.to_json()) == B3
+
+    def test_equal_products_hash_equal_whatever_the_order_of_their_zeros(self, B3):
+        # the cached hash is the key of the frame and (B, D) memos
+        for zeros in ([0.1, 0.5, -0.3 + 0.2j], [-0.3 + 0.2j, 0.1, 0.5], [(0.1, 1), 0.5, -0.3 + 0.2j]):
+            B = bl.BlaschkeProduct(0.0, zeros)
+            assert B == B3 and hash(B) == hash(B3) == hash((B3.theta, B3.zeros))
+        assert {B3: 1}[bl.BlaschkeProduct(0.0, [0.5, 0.1, -0.3 + 0.2j])] == 1
+
+    def test_cached_hash_cannot_be_overwritten(self, B3):
+        before = hash(B3)
+        with pytest.raises(AttributeError, match="^BlaschkeProduct is immutable$"):
+            B3._hash = 0
+        assert hash(B3) == before

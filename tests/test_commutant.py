@@ -526,6 +526,31 @@ class TestCowen:
             a = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             assert bl.cowen_residual(op.realization, B2, a) < 1e-8
 
+    @pytest.mark.parametrize("D", [64, 256])
+    @pytest.mark.parametrize("name", ["B2", "B3"])
+    def test_element_is_read_through_its_factors(self, name, D, request, rng):
+        # K^H W = (K^H Z) E^H agrees with the dense realization
+        B = request.getfixturevalue(name)
+        phi = random_phi(rng, B.degree, deg=2)
+        pts = 0.5 * np.sqrt(rng.uniform(size=8)) * np.exp(2j * np.pi * rng.uniform(size=8))
+        for a in (pts[0], pts):
+            op = bl.build(phi, B, -1.0, bl.wold.shell_count(B, D), D)
+            from_factors = bl.cowen_residual(op, B, a)
+            assert "realization" not in vars(op)  # the dense section is not formed
+            G = bl.cowen_residual(op.realization, B, a)
+            assert abs(from_factors - G) <= 1e-13 * max(1.0, G)
+
+    def test_operator_matrix_path_is_bitwise_the_dense_formula(self, B3, rng):
+        D = 96
+        D_safe = safe_degree(D)
+        pts = 0.5 * np.sqrt(rng.uniform(size=6)) * np.exp(2j * np.pi * rng.uniform(size=6))
+        for W in (bl.OperatorMatrix(B3.toeplitz(D), 0.0), bl.weighted_adjoint(bl.toeplitz_matrix(monomial(1), D, 0.0))):
+            K = np.conj(pts)[None, :] ** np.arange(D + 1)[:, None]
+            WK = (K.T.conj() @ W.entries).conj().T
+            Bvals = np.array([B3.eval(p) for p in pts])
+            G = B3.toeplitz(D)[:, : D_safe + 1].conj().T @ WK - Bvals.conj() * WK[: D_safe + 1]
+            assert bl.cowen_residual(W, B3, pts) == float(np.max(np.abs(G)))
+
 
 def test_multiplier_matrix_json_roundtrip(rng):
     # entries of the payload may differ in length; each is zero-padded

@@ -52,7 +52,8 @@ def test_layer_timings_writes_json(tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert [(r["product"], r["D"]) for r in rows] == [("B2", 64), ("(0.8, -0.79i)", 64)]
     for r in rows:
-        layers = ("model_basis_s", "x_spaces_s", "cell_matrix_s", "analyze_synthesize_s", "build_s",
+        layers = ("model_basis_s", "x_spaces_s", "cell_matrix_s", "analyze_synthesize_s",
+                  "norm_equivalence_ratio_s", "build_s",
                   "commutation_residual_s", "realization_s", "operator_norm_safe_s", "operator_norm_safe_zero_s",
                   "mobius_projection_s", "reducing_residual_s")
         assert r["M"] > 0 and min(r[k] for k in layers) > 0

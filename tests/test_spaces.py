@@ -255,10 +255,17 @@ def test_require_window_rejects_a_function_past_the_window():
 
 
 def test_taylor_poly_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        TaylorPoly([1.0, np.nan])
-    with pytest.raises(ValueError):
-        TaylorPoly([np.inf])
+    for c in ([1.0, np.nan], [np.inf], [1.0, complex(0.0, np.nan)], [complex(-np.inf, 1.0)]):
+        with pytest.raises(ValueError, match=r"^coefficients must be finite$"):
+            TaylorPoly(c)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, np.float64(np.nan)])
+def test_weight_rejects_nonfinite_alpha(alpha):
+    with pytest.raises(ValueError, match=r"^alpha must be finite$"):
+        bl.WeightAlpha(alpha)
+    with pytest.raises(ValueError, match=r"^alpha must be finite$"):
+        bl.spaces.as_weight(alpha)
 
 
 def test_taylor_poly_immutable():

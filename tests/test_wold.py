@@ -9,7 +9,7 @@ import blaschke_lab as bl
 from blaschke_lab import cli, wold
 from blaschke_lab.errors import DimensionMismatchError, ZeroFunctionError
 from blaschke_lab.spaces import TaylorPoly
-from conftest import zero
+from conftest import b_norm, zero
 from blaschke_lab.wold import _power_coeffs, cell_matrix, power_tail
 
 
@@ -126,13 +126,13 @@ class TestBNorm:
         basis = bl.model_basis(B3, 64)
         dec = bl.analyze(TaylorPoly(basis.U[:, 0]), B3, 6, 64, basis=basis)
         for alpha in (-1.0, 0.0, 1.0, 0.3):
-            assert bl.b_norm(dec, alpha) == pytest.approx(1.0, abs=1e-12)
+            assert b_norm(dec, alpha) == pytest.approx(1.0, abs=1e-12)
 
     def test_monomial_alpha0_matches_h2_norm(self, rng):
         B = bl.BlaschkeProduct.monomial(2)
         f = TaylorPoly(rng.standard_normal(17) + 1j * rng.standard_normal(17))
         dec = bl.analyze(f, B, 10, 40)
-        assert bl.b_norm(dec, 0.0) == pytest.approx(bl.weighted_norm(f, 0.0), rel=1e-12)
+        assert b_norm(dec, 0.0) == pytest.approx(bl.weighted_norm(f, 0.0), rel=1e-12)
 
     @pytest.mark.parametrize("k,alpha", [(0, -1.0), (3, -1.0), (2, 1.0), (5, 0.0)])
     def test_shifted_basis_element(self, B3, k, alpha):
@@ -141,7 +141,7 @@ class TestBNorm:
         basis = bl.model_basis(B3, D)
         hbk = bl.multiply(TaylorPoly(basis.U[:, 0]), B3.power_list(k, D)[k], D)
         dec = bl.analyze(hbk, B3, 10, D, basis=basis)
-        assert bl.b_norm(dec, alpha) == pytest.approx((k + 1.0) ** (alpha / 2), abs=1e-9)
+        assert b_norm(dec, alpha) == pytest.approx((k + 1.0) ** (alpha / 2), abs=1e-9)
 
 
 ALPHAS = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0]
@@ -161,9 +161,96 @@ class TestNormsAgainstInnerProducts:
             nf = np.sqrt(bl.weighted_inner(f, f, alpha).real)
             nb = np.sqrt(sum(bl.weighted_inner(g, g, alpha).real for g in map(TaylorPoly, dec.coefficients)))
             assert abs(bl.weighted_norm(f, alpha) - nf) <= 1e-15 * nf
-            assert abs(bl.b_norm(dec, alpha) - nb) <= 1e-15 * nb
+            assert abs(b_norm(dec, alpha) - nb) <= 1e-15 * nb
             ratio = (nb / nf) ** 2
             assert abs(bl.norm_equivalence_ratio(f, B3, alpha, M, D) - ratio) <= 1e-15 * ratio
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("which", ["frame", "rotated"])
+    def test_ratio_with_a_basis_matches_the_oracle(self, B3, rng, alpha, which):
+        # the frame's own basis takes the memo path; a unitary rotation of it
+        # is another basis of the model space, whose cells are built anew
+        D, M = 96, 24
+        basis = bl.model_basis(B3, D)
+        if which == "rotated":
+            Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+            basis = bl.ModelSpaceBasis(basis.U @ Q)
+        for deg in (0, 9, 30):
+            f = TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+            dec = bl.analyze(f, B3, M, D, basis=basis)
+            nf = np.sqrt(bl.weighted_inner(f, f, alpha).real)
+            nb = np.sqrt(sum(bl.weighted_inner(g, g, alpha).real for g in map(TaylorPoly, dec.coefficients)))
+            ratio = (nb / nf) ** 2
+            assert abs(bl.norm_equivalence_ratio(f, B3, alpha, M, D, basis=basis) - ratio) <= 1e-15 * ratio
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_ratio_with_default_window_and_shells_matches_the_oracle(self, B3, rng, alpha):
+        # D = deg f and M = shell_count(B, D), as analyze derives them
+        for deg in (0, 9, 30):
+            f = TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+            dec = bl.analyze(f, B3)
+            assert (dec.degree, dec.shell_count) == (deg, wold.shell_count(B3, deg))
+            nf = np.sqrt(bl.weighted_inner(f, f, alpha).real)
+            nb = np.sqrt(sum(bl.weighted_inner(g, g, alpha).real for g in map(TaylorPoly, dec.coefficients)))
+            ratio = (nb / nf) ** 2
+            assert abs(bl.norm_equivalence_ratio(f, B3, alpha) - ratio) <= 1e-15 * ratio
+
+    def test_ratio_builds_no_decomposition(self, B3, rng, monkeypatch):
+        D, M = 96, 24
+        f = TaylorPoly(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+        expected = {alpha: (b_norm(bl.analyze(f, B3, M, D), alpha) / bl.weighted_norm(f, alpha)) ** 2 for alpha in ALPHAS}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("norm_equivalence_ratio built a ShellDecomposition")
+
+        monkeypatch.setattr(wold, "ShellDecomposition", forbidden)
+        for alpha in ALPHAS:
+            assert bl.norm_equivalence_ratio(f, B3, alpha, M, D) == pytest.approx(expected[alpha], rel=1e-14)
+        with pytest.raises(AssertionError, match="built a ShellDecomposition"):
+            bl.analyze(f, B3, M, D)  # the patch is live
+
+
+class TestNegativeShellCount:
+    """A negative M is a DimensionMismatchError naming M for every shell
+    reader, whether or not the memo already holds a frame of (B, D)."""
+
+    D = 16
+
+    @pytest.fixture(params=["cold", "warm"])
+    def memo(self, request, monkeypatch, B2):
+        monkeypatch.setattr(wold, "_FRAMES", OrderedDict())
+        if request.param == "warm":
+            bl.analyze(TaylorPoly(np.arange(1.0, 6.0)), B2, 4, self.D)
+            assert (B2, self.D) in wold._FRAMES
+        return request.param
+
+    @pytest.mark.parametrize("M", [-1, -2])
+    @pytest.mark.parametrize("T", [0, 1])
+    def test_readers_reject_a_negative_shell_count(self, B2, rng, memo, M, T):
+        f = TaylorPoly(rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        phi = bl.MultiplierMatrix(rng.standard_normal((T + 1, 2, 2)))
+        calls = {
+            "analyze": lambda: bl.analyze(f, B2, M, self.D),
+            "analyze, basis=": lambda: bl.analyze(f, B2, M, self.D, basis=bl.model_basis(B2, self.D)),
+            "ratio": lambda: bl.norm_equivalence_ratio(f, B2, -1.0, M, self.D),
+            "build": lambda: bl.build(phi, B2, -1.0, M, self.D),
+        }
+        for name, call in calls.items():
+            with pytest.raises(DimensionMismatchError, match=rf"^shell count M = {M} is negative; pass M >= 0$"):
+                call()
+
+    @pytest.mark.parametrize("M", [-1, -2, 5])
+    def test_a_frame_serves_only_the_shells_it_holds(self, B2, memo, M):
+        frame = wold.shell_frame(B2, 4, self.D)
+        with pytest.raises(ValueError, match=rf"^frame holds shells 0..{frame.shell_count}, not 0..{M}$"):
+            frame.cells(M)
+
+    def test_synthesize_rejects_a_decomposition_of_no_shells(self, B2, memo):
+        # M = -1 is the one negative count a decomposition can hold: n x 0 coefficients
+        dec = bl.ShellDecomposition(B2, bl.model_basis(B2, self.D), np.zeros((2, 0)), self.D)
+        assert dec.shell_count == -1
+        with pytest.raises(DimensionMismatchError, match=r"^shell count M = -1 is negative; pass M >= 0$"):
+            bl.synthesize(dec)
 
 
 class TestNormEquivalence:
