@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-layer timings against the window D: the model basis, x_spaces, the
+"""Per-layer timings against the window D: the shell counts
+wold.shell_count and wold.power_count, the model basis, x_spaces, the
 shell cells (wold.cell_matrix), analyze plus synthesize of one function of
 degree D//4 and norm_equivalence_ratio of the same function at the derived
 shell count M = wold.shell_count(B, D); at that M, build
@@ -12,7 +13,8 @@ reducing_residual against b_a^N (both the same for every product).
 
 Each layer is called once untimed, to warm the memos a battery shares (the
 shell frame of (B, D), T_B), then --repeats times under a timer; the medians
-are written to a JSON file and printed as a table. Three layers are timed
+are written to a JSON file and printed as a table. The two shell counts are
+not memoized, so every call searches anew. Three layers are timed
 cold: cell_matrix builds the cells of shells 0..M anew, outside the frame
 memo; the model basis is built by the function under the (B, D) memo
 (blaschke._model_basis.__wrapped__); and the projection builds its frame
@@ -86,6 +88,8 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
     return {
         "D": D,
         "M": M,
+        "shell_count_s": median_s(lambda: wold.shell_count(B, D), repeats),
+        "power_count_s": median_s(lambda: wold.power_count(B, D), repeats),
         "model_basis_s": median_s(lambda: blaschke._model_basis.__wrapped__(B, D), repeats),
         "x_spaces_s": median_s(lambda: bl.x_spaces(B, ALPHA, KMAX, D), repeats),
         "cell_matrix_s": median_s(lambda: wold.cell_matrix(basis, B, M, D), repeats),
@@ -114,6 +118,8 @@ def main() -> None:
     rng = np.random.default_rng(args.seed)
     rows = []
     columns = {
+        "shells": "shell_count_s",
+        "powers": "power_count_s",
         "basis": "model_basis_s",
         "x_spaces": "x_spaces_s",
         "cells": "cell_matrix_s",

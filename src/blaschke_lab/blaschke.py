@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,13 +50,23 @@ class BlaschkeProduct:
                     f"zero {a} has modulus {abs(a):.4f}; need |a| <= rho_max = {rho_max} and |a| < 1"
                 )
             merged[a] = merged.get(a, 0) + int(mult)
-        degree = sum(merged.values())
-        if degree < 1:
+        if sum(merged.values()) < 1:
             raise ValueError("a Blaschke product here must be nonconstant")
-        object.__setattr__(self, "theta", float(theta))
-        object.__setattr__(self, "zeros", tuple(sorted(merged.items(), key=lambda t: (t[0].real, t[0].imag))))
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_hash", hash((self.theta, self.zeros)))  # once: it keys every (B, D) memo
+        if not math.isfinite(theta := float(theta)):
+            raise ValueError(f"theta must be finite, got {theta!r}")
+        self.__setstate__((theta, tuple(sorted(merged.items(), key=lambda t: (t[0].real, t[0].imag)))))
+
+    def __getstate__(self):
+        return self.theta, self.zeros
+
+    def __setstate__(self, state):
+        """Set the fields from an admitted (theta, zeros): a copy or an unpickled
+        product is not judged again against the rho_max that admitted it."""
+        theta, zeros = state
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "zeros", zeros)
+        object.__setattr__(self, "degree", sum(m for _, m in zeros))
+        object.__setattr__(self, "_hash", hash((theta, zeros)))  # once: it keys every (B, D) memo
 
     def __setattr__(self, *a):
         raise AttributeError("BlaschkeProduct is immutable")

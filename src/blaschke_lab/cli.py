@@ -69,10 +69,13 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
         fmt = fmt or obj.get("format", "json")
         if fmt not in ("json", "csv"):
             raise ConfigError(f"unknown format {fmt!r}")
+        alpha = config_float(obj.get("alpha", 0.0), "alpha")
+        if not math.isfinite(alpha):
+            raise ConfigError(f"alpha must be finite, got {alpha!r}")
         return ExperimentConfig(
             command=command,
             blaschke=B,
-            alpha=config_float(obj.get("alpha", 0.0), "alpha"),
+            alpha=alpha,
             degree=config_int(obj.get("degree", 64), "degree", minimum=1),
             shells=None if shells is None else config_int(shells, "shells", minimum=0),
             seed=config_int(obj.get("seed", 0), "seed"),

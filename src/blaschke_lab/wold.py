@@ -14,11 +14,11 @@ T_B for shells 1.._BLOCK-1 and then one step T_(B^_BLOCK) per block of
 _BLOCK shells. Fewer shells are a column prefix of a frame; more shells
 continue its chain from the last cached cells. Either way the cells are
 bitwise those of a frame built for that count.
-Cached arrays are read-only. analyze and norm_equivalence_ratio also accept
-another basis of the model space; its cells are built outside the memo.
+Cached arrays are read-only. The frame is the only source of cells; the
+u_j of model_basis(B, D) are the same functions at every window D.
 
-Shell counts are derived from (B, D): shell_count from the shell deficit on
-the safe block, power_count from how many powers B^k fit the window.
+Both shell counts of (B, D) are one bit search over the squares of B: shell_count
+from the shell deficit on the safe block, power_count from the powers B^k that fit the window.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blaschke import BlaschkeProduct, ModelSpaceBasis, model_basis
-from .errors import DimensionMismatchError, ZeroFunctionError
+from .errors import BlaschkeLabError, DimensionMismatchError, ZeroFunctionError
 from .spaces import (
     TaylorPoly,
     WeightAlpha,
@@ -59,22 +59,29 @@ __all__ = [
 _NEGLIGIBLE = 1e-15
 
 
+def _last_power(b: np.ndarray, keep) -> int:
+    """The largest p with keep(B^p through degree L), b being B through degree
+    L, for a keep that once false stays false: the squares B^(2^i) are formed
+    until keep fails on one, and p is read from them bit by bit."""
+    L, squares = len(b) - 1, [b]
+    while keep(squares[-1]):
+        squares.append(_trunc_mul(squares[-1], squares[-1], L))
+    p, power = 0, TaylorPoly.one(L).coeffs
+    for i in reversed(range(len(squares) - 1)):  # p < 2^i for the last square
+        if keep(trial := _trunc_mul(power, squares[i], L)):
+            p, power = p + 2**i, trial
+    return p
+
+
 def shell_count(B: BlaschkeProduct, D: int) -> int:
     """The smallest M whose shell deficit ||B^(M+1)|| on degrees <= D_safe
-    = safe_degree(D) is at most 1e-15: shells past M carry nothing a
-    safe-block residual can see.
-
-    The deficit is summed directly from the sweep v <- T_B v on the safe
-    block of B.toeplitz(D), exact there since T_B is lower triangular. It
-    never grows, as that block is a contraction, and it falls below any
-    tolerance because every zero of B lies inside the disc.
-    """
+    = safe_degree(D) is at most 1e-15, i.e. the last power B^M whose mass
+    there exceeds 1e-30: shells past M carry nothing a safe-block residual
+    can see. That mass never grows with M, as the safe block of T_B is a
+    lower-triangular contraction, and falls below any tolerance as every
+    zero of B lies inside the disc, so the search stops."""
     D_safe = safe_degree(D)
-    T = B.toeplitz(D)[: D_safe + 1, : D_safe + 1]
-    v, M = T[:, 0], 0  # v = B^(M+1) on degrees <= D_safe
-    while np.vdot(v, v).real > _NEGLIGIBLE**2:
-        v, M = T @ v, M + 1
-    return M
+    return _last_power(B.taylor(D).coeffs[: D_safe + 1], lambda c: np.vdot(c, c).real > _NEGLIGIBLE**2)
 
 
 def _power_coeffs(B: BlaschkeProduct, M: int, D: int) -> np.ndarray:
@@ -105,18 +112,10 @@ def power_tail(B: BlaschkeProduct, M: int, D: int) -> float:
 
 def power_count(B: BlaschkeProduct, D: int) -> int:
     """The largest M with power_tail(B, M, D) <= 1e-15: B^0, ..., B^M fit
-    the window. The tail never shrinks as M grows and B^(D//n + 1) has its
-    mean degree past D, so M is read bit by bit from the squares B^(2^i)."""
-    L, hi = 2 * D, D // B.degree + 1
-    squares = [B.taylor(L).coeffs]  # B^(2^i) for 2^i < hi
-    while 2 ** len(squares) < hi:
-        squares.append(_trunc_mul(squares[-1], squares[-1], L))
-    M, power = 0, TaylorPoly.one(L).coeffs
-    for i in reversed(range(len(squares))):
-        trial = _trunc_mul(power, squares[i], L)
-        if M + 2**i < hi and _tail(trial, D) <= _NEGLIGIBLE:
-            M, power = M + 2**i, trial
-    return M
+    the window. The tail never shrinks as M grows, as T_B is an isometry that
+    moves no mass below degree D, and tends to 1, as B^M tends to 0 on degrees
+    <= D, so the search through degree 2D stops."""
+    return _last_power(B.taylor(2 * D).coeffs, lambda c: _tail(c, D) <= _NEGLIGIBLE)
 
 
 def cell_matrix(
@@ -192,7 +191,7 @@ _FRAMES: OrderedDict[tuple, ShellFrame] = OrderedDict()  # least recently used f
 def shell_frame(B: BlaschkeProduct, M: int, D: int) -> ShellFrame:
     """The frame of (B, D) with at least M shells, from the memo (keyed by
     (B, D)) when it has one; a frame with fewer shells is grown from its
-    last cells. Cells of any other basis are not memoized. A negative M is a DimensionMismatchError."""
+    last cells. A negative M is a DimensionMismatchError."""
     if M < 0:
         raise DimensionMismatchError(f"shell count M = {M} is negative; pass M >= 0")
     key = (B, D)
@@ -214,24 +213,16 @@ def shell_frame(B: BlaschkeProduct, M: int, D: int) -> ShellFrame:
     return frame
 
 
-def _cells(B: BlaschkeProduct, M: int, D: int, basis: ModelSpaceBasis | None):
-    """(basis, cells of shells 0..M): the frame's for its own basis or
-    none, built outside the memo for any other basis."""
-    frame = shell_frame(B, M, D)
-    if basis is None or basis is frame.basis:
-        return frame.basis, frame.cells(M)
-    return basis, cell_matrix(basis, B, M, D)
-
-
 def _shell_coordinates(F: np.ndarray, B: BlaschkeProduct, M: int) -> np.ndarray:
     """c[k, j, i] = <F[:, i], u_j B^k>_0 on shells 0..M for every column of
     F (degrees 0..D), in the frame's basis: one product E^H F."""
-    return (shell_frame(B, M, F.shape[0] - 1).cells(M).conj().T @ F).reshape(M + 1, B.degree, -1)
+    E = shell_frame(B, M, F.shape[0] - 1).cells(M)  # no conjugate copy of E
+    return (E.T @ F.conj()).conj().reshape(M + 1, B.degree, -1)
 
 
 @dataclass(frozen=True)
 class ShellDecomposition:
-    """Coefficients c[j, k] of f against the orthonormal system {u_j B^k}.
+    """Coefficients c[j, k] of f against the orthonormal system {u_j B^k} of model_basis(B, .).
 
     Row j of c is also the coefficient sequence of the component function
     f_{j+1}(w) = sum_k c[j, k] w^k, so shells and components are two views
@@ -239,13 +230,12 @@ class ShellDecomposition:
     """
 
     B: BlaschkeProduct
-    basis: ModelSpaceBasis
     coefficients: np.ndarray  # (n, M+1)
     degree: int
 
     def __post_init__(self):
         c = _freeze(self.coefficients)
-        if c.ndim != 2 or c.shape[0] != self.basis.dim:
+        if c.ndim != 2 or c.shape[0] != self.B.degree:
             raise ValueError("coefficient array must be n x (M+1)")
         object.__setattr__(self, "coefficients", c)
 
@@ -262,14 +252,16 @@ class ShellDecomposition:
 
 
 def _coordinates(f: TaylorPoly, B: BlaschkeProduct, M: int | None, D: int | None, basis: ModelSpaceBasis | None):
-    """(basis, c, D): the coordinates c[k*n + j] = <f, u_j B^k>_0 on shells
-    0..M, one product E^H f. D defaults to deg f, M to shell_count(B, D)."""
+    """(c, D): the coordinates c[k*n + j] = <f, u_j B^k>_0 on shells 0..M, one product
+    E^H f. D defaults to deg f, M to shell_count(B, D); basis= may only be model_basis(B, D)."""
     D = f.degree if D is None else D
     M = shell_count(B, D) if M is None else M
     require_window(f, D)
-    basis, E = _cells(B, M, D, basis)
-    # E^H f over the rows f occupies, without padding f or copying E
-    return basis, (E[: len(f.coeffs)].T @ f.coeffs.conj()).conj(), D
+    frame = shell_frame(B, M, D)
+    if basis is not None and basis is not frame.basis and not np.array_equal(basis.U, frame.basis.U):
+        raise BlaschkeLabError(f"basis= must be model_basis(B, D) at D = {D}; shells are read in no other basis")
+    E = frame.cells(M)[: len(f.coeffs)]  # the rows f occupies, without padding f or copying E
+    return (E.T @ f.coeffs.conj()).conj(), D
 
 
 def analyze(
@@ -284,19 +276,17 @@ def analyze(
 
     This is the orthogonal projection of f onto span{u_j B^k} in H^2; the
     returned decomposition minimizes the H^2 residual over that span. The
-    u_j are the shell frame's basis model_basis(B, D) unless another basis
-    of the model space is given. D defaults to deg f, M to shell_count(B, D).
+    u_j are the shell frame's basis model_basis(B, D); basis= may only name
+    it. D defaults to deg f, M to shell_count(B, D).
     """
-    basis, c, D = _coordinates(f, B, M, D, basis)
-    return ShellDecomposition(B, basis, _readonly(c.reshape(-1, basis.dim).T), D)
+    c, D = _coordinates(f, B, M, D, basis)
+    return ShellDecomposition(B, _readonly(c.reshape(-1, B.degree).T), D)
 
 
 def synthesize(dec: ShellDecomposition, D: int | None = None) -> TaylorPoly:
-    """sum_{k<=M} sum_j c[j, k] u_j B^k truncated at degree D."""
-    D = dec.degree if D is None else D
-    _, E = _cells(dec.B, dec.shell_count, D, dec.basis)
-    flat = dec.coefficients.T.reshape(-1)  # k-major matching cell_matrix
-    return TaylorPoly(_readonly(E @ flat))
+    """sum_{k<=M} sum_j c[j, k] u_j B^k truncated at degree D, read from the frame of any D."""
+    E = shell_frame(dec.B, dec.shell_count, dec.degree if D is None else D).cells(dec.shell_count)
+    return TaylorPoly(_readonly(E @ dec.coefficients.T.reshape(-1)))  # k-major, as the cells
 
 
 def norm_equivalence_ratio(
@@ -316,6 +306,5 @@ def norm_equivalence_ratio(
     nf2 = np.vdot(f.coeffs, w.diagonal(f.degree) * f.coeffs).real
     if nf2 == 0.0:
         raise ZeroFunctionError("norm ratio undefined for the zero function")
-    basis, y, _ = _coordinates(f, B, M, D, basis)
-    y = y.reshape(-1, basis.dim)  # row k holds shell k
+    y = _coordinates(f, B, M, D, basis)[0].reshape(-1, B.degree)  # row k holds shell k
     return float(np.vdot(y, w.diagonal(len(y) - 1)[:, None] * y).real / nf2)

@@ -1,10 +1,15 @@
+import copy
+import pickle
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 import blaschke_lab as bl
-from blaschke_lab import cli
+from blaschke_lab import cli, wold
+from blaschke_lab.blaschke import RHO_MAX
 from blaschke_lab import safe_degree
 from blaschke_lab.errors import EvaluationDomainError
 from blaschke_lab.spaces import TaylorPoly
@@ -250,6 +255,30 @@ class TestConstruction:
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
             bl.BlaschkeProduct(0.0, [])
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_theta_is_finite(self, theta):
+        with pytest.raises(ValueError, match=rf"^theta must be finite, got {theta!r}$"):
+            bl.BlaschkeProduct(theta, [0.5])
+
+    @pytest.mark.parametrize("copier", ["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize(
+        "theta,zeros,rho_max",
+        [(0.0, [0.5, -0.3], RHO_MAX), (0.7, [(0.6, 2)], RHO_MAX), (0.0, [0.9], 0.95)],
+        ids=["B2", "double zero", "0.9 under rho_max 0.95"],
+    )
+    def test_pickle_and_copy_round_trip(self, copier, theta, zeros, rho_max, monkeypatch):
+        # restored as admitted: the 0.9 zero is not judged again against the
+        # default rho_max, and the copy keys the same frame in the memo
+        monkeypatch.setattr(wold, "_FRAMES", OrderedDict())
+        B = bl.BlaschkeProduct(theta, zeros, rho_max=rho_max)
+        C = {"pickle": lambda: pickle.loads(pickle.dumps(B)), "copy": lambda: copy.copy(B),
+             "deepcopy": lambda: copy.deepcopy(B)}[copier]()
+        assert C is not B and C == B and (C.theta, C.zeros, C.degree) == (B.theta, B.zeros, B.degree)
+        assert hash(C) == hash(B) == hash((C.theta, C.zeros))
+        assert wold.shell_frame(C, 4, 32) is wold.shell_frame(B, 4, 32)
+        with pytest.raises(AttributeError, match="^BlaschkeProduct is immutable$"):
+            C.theta = 1.0
 
     @pytest.mark.parametrize("mult", [1.8, 2.0, 0, -1, True, "2"])
     def test_multiplicity_is_an_integer_of_at_least_one(self, mult):

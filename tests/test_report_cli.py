@@ -338,6 +338,18 @@ class TestMainExitCodes:
             "a nonempty (T + 1) x n x n array with n >= 1\n"
         )
 
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["alpha", "theta"])
+    def test_non_finite_alpha_or_theta_exits_two_and_names_it(self, tmp_path, capsys, command, value, field):
+        # refused where it is read, not accepted or blamed on a battery's inputs
+        obj = dict(BASE, alpha=value) if field == "alpha" else dict(BASE, B=dict(BASE["B"], theta=value))
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(obj))
+        assert main([command, "--config", str(cfgp)]) == 2
+        message = "alpha must be finite" if field == "alpha" else "invalid field 'B': theta must be finite"
+        assert capsys.readouterr().err == f"config error: {message}, got {value!r}\n"
+
     def test_malformed_json_exits_two(self, tmp_path):
         cfgp = tmp_path / "c.json"
         cfgp.write_text("{not json")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import blaschke_lab as bl
 from blaschke_lab import cli, wold
-from blaschke_lab.errors import DimensionMismatchError, ZeroFunctionError
+from blaschke_lab.errors import BlaschkeLabError, DimensionMismatchError, ZeroFunctionError
 from blaschke_lab.spaces import TaylorPoly
 from conftest import b_norm, zero
 from blaschke_lab.wold import _power_coeffs, cell_matrix, power_tail
@@ -23,12 +23,12 @@ CHAIN_PRODUCTS = {
 }
 
 
-def analyze_by_least_squares(f, B, M, D, *, basis):
+def analyze_by_least_squares(f, B, M, D):
     """Cross-check oracle: invert the finite-section synthesis map in the
     least-squares sense instead of using orthogonality."""
     E = wold.shell_frame(B, M, D).cells(M)
     c, *_ = np.linalg.lstsq(E, f.pad(D).coeffs, rcond=None)
-    return bl.ShellDecomposition(B=B, basis=basis, coefficients=c.reshape(M + 1, basis.dim).T, degree=D)
+    return bl.ShellDecomposition(B=B, coefficients=c.reshape(M + 1, B.degree).T, degree=D)
 
 
 class TestAnalyze:
@@ -75,10 +75,10 @@ class TestAnalyze:
         dec = bl.analyze(f, B3, 8, 64)
         assert not dec.coefficients.flags.writeable
         # a read-only array is handed over, not copied again
-        again = bl.ShellDecomposition(B=B3, basis=dec.basis, coefficients=dec.coefficients, degree=64)
+        again = bl.ShellDecomposition(B=B3, coefficients=dec.coefficients, degree=64)
         assert again.coefficients is dec.coefficients
         c = np.array(dec.coefficients)
-        mine = bl.ShellDecomposition(B=B3, basis=dec.basis, coefficients=c, degree=64)
+        mine = bl.ShellDecomposition(B=B3, coefficients=c, degree=64)
         assert mine.coefficients is not c and not mine.coefficients.flags.writeable
         c[0, 0] += 1.0
         assert np.array_equal(mine.coefficients, dec.coefficients)
@@ -89,23 +89,21 @@ class TestAnalyze:
         basis = bl.model_basis(B3, D)
         f = TaylorPoly(rng.standard_normal(15) + 1j * rng.standard_normal(15))
         a = bl.analyze(f, B3, M, D, basis=basis)
-        b = analyze_by_least_squares(f, B3, M, D, basis=basis)
+        b = analyze_by_least_squares(f, B3, M, D)
         # both routes agree on the shells that carry the function
         assert np.max(np.abs(a.coefficients[:, :10] - b.coefficients[:, :10])) < 1e-8
 
 
 class TestSynthesize:
     def test_zero(self, B3):
-        dec = bl.ShellDecomposition(
-            B=B3, basis=bl.model_basis(B3, 32), coefficients=np.zeros((3, 5)), degree=32
-        )
+        dec = bl.ShellDecomposition(B=B3, coefficients=np.zeros((3, 5)), degree=32)
         assert bl.weighted_norm(bl.synthesize(dec), 0.0) == 0.0
 
     def test_single_cell(self, B3):
         basis = bl.model_basis(B3, 48)
         c = np.zeros((3, 3), dtype=complex)
         c[0, 1] = 1.0
-        dec = bl.ShellDecomposition(B=B3, basis=basis, coefficients=c, degree=48)
+        dec = bl.ShellDecomposition(B=B3, coefficients=c, degree=48)
         out = bl.synthesize(dec)
         expected = bl.multiply(TaylorPoly(basis.U[:, 0]), B3.taylor(48), 48)
         assert np.max(np.abs(out.coeffs - expected.coeffs)) < 1e-14
@@ -166,15 +164,14 @@ class TestNormsAgainstInnerProducts:
             assert abs(bl.norm_equivalence_ratio(f, B3, alpha, M, D) - ratio) <= 1e-15 * ratio
 
     @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("which", ["frame", "rotated"])
+    @pytest.mark.parametrize("which", ["frame", "equal"])
     def test_ratio_with_a_basis_matches_the_oracle(self, B3, rng, alpha, which):
-        # the frame's own basis takes the memo path; a unitary rotation of it
-        # is another basis of the model space, whose cells are built anew
+        # basis= may name the frame's own basis, or a distinct basis with an
+        # equal U; either reads the frame's cells
         D, M = 96, 24
         basis = bl.model_basis(B3, D)
-        if which == "rotated":
-            Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-            basis = bl.ModelSpaceBasis(basis.U @ Q)
+        if which == "equal":
+            basis = bl.ModelSpaceBasis(np.array(basis.U))
         for deg in (0, 9, 30):
             f = TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
             dec = bl.analyze(f, B3, M, D, basis=basis)
@@ -247,7 +244,7 @@ class TestNegativeShellCount:
 
     def test_synthesize_rejects_a_decomposition_of_no_shells(self, B2, memo):
         # M = -1 is the one negative count a decomposition can hold: n x 0 coefficients
-        dec = bl.ShellDecomposition(B2, bl.model_basis(B2, self.D), np.zeros((2, 0)), self.D)
+        dec = bl.ShellDecomposition(B2, np.zeros((2, 0)), self.D)
         assert dec.shell_count == -1
         with pytest.raises(DimensionMismatchError, match=r"^shell count M = -1 is negative; pass M >= 0$"):
             bl.synthesize(dec)
@@ -379,13 +376,19 @@ def test_large_tails_read_from_the_captured_mass():
 
 
 PRODUCTS = [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)], [0.8, -0.79j], [0.5, 0.5 + 1e-9, -0.3]]
+#: the counts' products, with z^3 and a zero at the origin; each runs at COUNT_DEGREES,
+#: and one zero at 0.95 (rho_max = 0.95) runs at D = 64, where M = 2439
+COUNT_PRODUCTS = PRODUCTS + [[(0.0, 3)], [0.0, 0.1], [0.0, 0.5 - 0.4j]]
+COUNT_DEGREES = [1, 2, 5, 48, 128, 256]
+COUNT_CASES = [(zeros, D) for zeros in COUNT_PRODUCTS for D in COUNT_DEGREES] + [([0.95], 64)]
 
 
-@pytest.mark.parametrize("zeros", PRODUCTS)
-@pytest.mark.parametrize("D", [48, 128])
+@pytest.mark.parametrize("zeros,D", COUNT_CASES)
 def test_shell_count_is_the_smallest_with_negligible_deficit(zeros, D):
-    B = bl.BlaschkeProduct(0.0, zeros)
+    B = bl.BlaschkeProduct(0.0, zeros, rho_max=0.95)
     M, D_safe = wold.shell_count(B, D), bl.safe_degree(D)
+    if zeros == [0.95]:
+        assert M == 2439
     powers = B.power_list(M + 1, D_safe)  # sequential products: an independent oracle
     assert np.linalg.norm(powers[M + 1].coeffs) <= 1e-15 < np.linalg.norm(powers[M].coeffs)
 
@@ -399,9 +402,9 @@ def test_monomial_counts(n, D):
     assert wold.power_count(B, D) == D // n
 
 
-@pytest.mark.parametrize("zeros", PRODUCTS + [[0.0, 0.1]])
-def test_power_count_is_the_largest_with_negligible_tail(zeros):
-    B, D = bl.BlaschkeProduct(0.0, zeros), 256
+@pytest.mark.parametrize("zeros,D", COUNT_CASES)
+def test_power_count_is_the_largest_with_negligible_tail(zeros, D):
+    B = bl.BlaschkeProduct(0.0, zeros, rho_max=0.95)
     M = wold.power_count(B, D)
     assert power_tail(B, M, D) <= 1e-15 < power_tail(B, M + 1, D)
 
@@ -466,9 +469,8 @@ class TestShellFrame:
         basis = bl.model_basis(B3, D)
         f = TaylorPoly(rng.standard_normal(20))
         for _ in range(3):
-            dec = bl.analyze(f, B3, M, D, basis=basis)
-            bl.synthesize(dec, D)
-        assert dec.basis is basis is wold.shell_frame(B3, M, D).basis
+            bl.synthesize(bl.analyze(f, B3, M, D, basis=basis), D)
+        assert basis is wold.shell_frame(B3, M, D).basis
         assert len(calls) == 1
 
     def test_keyword_built_basis_is_the_frames(self, B3, rng, monkeypatch):
@@ -489,14 +491,49 @@ class TestShellFrame:
         assert len(calls) == 1
 
     def test_rotated_basis_gets_rotated_coefficients(self, B3, rng):
+        # the cells of the rotated basis U Q are the frame's cells times
+        # I (x) Q, so coordinates in them are (I (x) Q^H) c
         D, M = 64, 8
-        basis = bl.model_basis(B3, D)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        rotated = bl.ModelSpaceBasis(basis.U @ Q)
+        E = wold.shell_frame(B3, M, D).cells(M)
+        E_rot = cell_matrix(bl.ModelSpaceBasis(bl.model_basis(B3, D).U @ Q), B3, M, D)
+        assert np.max(np.abs(E_rot - E @ np.kron(np.eye(M + 1), Q))) < 1e-13
         f = TaylorPoly(rng.standard_normal(20) + 1j * rng.standard_normal(20))
-        c = bl.analyze(f, B3, M, D, basis=basis).coefficients
-        c_rot = bl.analyze(f, B3, M, D, basis=rotated).coefficients
+        c = bl.analyze(f, B3, M, D).coefficients
+        c_rot = (E_rot.conj().T @ f.pad(D).coeffs).reshape(M + 1, 3).T
         assert np.max(np.abs(c_rot - Q.conj().T @ c)) < 1e-12
+
+    @pytest.mark.parametrize("which", ["rotated", "half window", "double window"])
+    def test_a_basis_other_than_the_frames_is_refused(self, B3, rng, which):
+        # shells are read against model_basis(B, D) alone: a rotation of it,
+        # or the basis of another window, names other coordinates
+        D, M = 64, 8
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        basis = {
+            "rotated": lambda: bl.ModelSpaceBasis(bl.model_basis(B3, D).U @ Q),
+            "half window": lambda: bl.model_basis(B3, D // 2),
+            "double window": lambda: bl.model_basis(B3, 2 * D),
+        }[which]()
+        f = TaylorPoly(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+        for call in (lambda: bl.analyze(f, B3, M, D, basis=basis),
+                     lambda: bl.norm_equivalence_ratio(f, B3, -1.0, M, D, basis=basis)):
+            with pytest.raises(BlaschkeLabError, match=r"model_basis\(B, D\) at D = 64"):
+                call()
+
+    @pytest.mark.parametrize("zeros", [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)], [(0.0, 3)]])
+    def test_synthesize_reads_the_frame_of_any_window(self, zeros, rng):
+        # the u_j are the same functions at every window, so a decomposition
+        # made at D synthesizes at D' from the frame of (B, D')
+        B, D, M = bl.BlaschkeProduct(0.0, zeros), 64, 20
+        f = TaylorPoly(rng.standard_normal(21) + 1j * rng.standard_normal(21))
+        dec = bl.analyze(f, B, M, D)
+        g = bl.synthesize(dec, D).coeffs
+        scale = np.max(np.abs(dec.coefficients))
+        for D2 in (D // 2, 2 * D):
+            g2 = bl.synthesize(dec, D2).coeffs
+            assert len(g2) == D2 + 1
+            shared = min(D, D2) + 1
+            assert np.max(np.abs(g2[:shared] - g[:shared])) <= 1e-15 * scale
 
     @pytest.mark.parametrize("growth", [None, (3, 20), (8, 9), (10, 30)], ids=["third", "3-20", "8-9", "10-30"])
     @pytest.mark.parametrize("zeros", [[0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [(0.6, 2)]])
