@@ -112,9 +112,9 @@ def power_tail(B: BlaschkeProduct, M: int, D: int) -> float:
 
 def power_count(B: BlaschkeProduct, D: int) -> int:
     """The largest M with power_tail(B, M, D) <= 1e-15: B^0, ..., B^M fit
-    the window. The tail never shrinks as M grows, as T_B is an isometry that
-    moves no mass below degree D, and tends to 1, as B^M tends to 0 on degrees
-    <= D, so the search through degree 2D stops."""
+    the window. The tail never shrinks as M grows, as T_B is a lower-triangular
+    isometry, and it tends to 1, as B^M tends to 0 on degrees <= D, so the
+    search through degree 2D stops."""
     return _last_power(B.taylor(2 * D).coeffs, lambda c: _tail(c, D) <= _NEGLIGIBLE)
 
 
