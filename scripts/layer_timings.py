@@ -81,7 +81,7 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
     )
     f = random_poly(rng, D // 4)
     op = bl.build(phi, B, ALPHA, M, D)
-    basis, W, D_safe = wold.shell_frame(B, M, D).basis, op.realization.entries, bl.safe_degree(D)
+    basis, W, D_safe = bl.model_basis(B, D), op.realization.entries, bl.safe_degree(D)
     zero = np.zeros_like(W)
     B_mobius = bl.BlaschkeProduct(0.0, [(MOBIUS_A, MOBIUS_N)])
     P = bl.mobius_power_reducing_projection(MOBIUS_A, MOBIUS_N, 0, D)

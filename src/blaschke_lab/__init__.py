@@ -23,7 +23,6 @@ from .commutant import (
 from .ortho import XSpaceChain, block_matrix, x_spaces
 from .reducing import (
     IntertwinerJ,
-    SubspaceProjection,
     bnorm_defect,
     intertwining_residual,
     mobius_power_reducing_projection,

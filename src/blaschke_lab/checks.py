@@ -348,7 +348,12 @@ def ortho_checks(cfg, rng: np.random.Generator):
 def shift_equiv_checks(cfg, rng: np.random.Generator):
     records: list[CheckRecord] = []
     B, D, w = cfg.blaschke, cfg.degree, as_weight(cfg.alpha)
-    mode = cfg.inputs.get("mode", "monomial" if B == BlaschkeProduct.monomial(B.degree) else "general")
+    z_n = BlaschkeProduct.monomial(B.degree)
+    mode = cfg.inputs.get("mode", "monomial" if B == z_n else "general")
+    if mode not in ("monomial", "general"):
+        raise ConfigError(f"unknown shift-equiv mode {mode!r}; valid values: monomial, general")
+    if mode == "monomial" and B != z_n:
+        raise ConfigError(f"shift-equiv mode 'monomial' requires B = z^{B.degree}; set mode 'general' for this B")
 
     if mode == "monomial":
         J = _setup("shift_equiv_monomial", lambda: rd.shift_equiv_monomial(B.degree, w, D))

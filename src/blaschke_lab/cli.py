@@ -78,7 +78,7 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
             alpha=alpha,
             degree=config_int(obj.get("degree", 64), "degree", minimum=1),
             shells=None if shells is None else config_int(shells, "shells", minimum=0),
-            seed=config_int(obj.get("seed", 0), "seed"),
+            seed=config_int(obj.get("seed", 0), "seed", minimum=0),
             inputs=dict(known_keys(obj.get("inputs", {}), "inputs", INPUT_KEYS[command])),
             tolerances=tolerances,
             output=out or obj.get("output"),

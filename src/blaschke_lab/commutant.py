@@ -151,9 +151,9 @@ def build(phi: MultiplierMatrix, B: BlaschkeProduct, w: WeightAlpha | float, M: 
     if phi.n != B.degree:
         raise ValueError("multiplier matrix size must equal deg B")
     M_out = M + phi.max_entry_degree if M >= 0 else M  # shell_frame names a negative M
-    frame = shell_frame(B, M_out, D)
-    Z = _readonly(_cell_images(phi, frame.cells(M_out)))
-    return CommutantOperator(phi=phi, B=B, alpha=as_weight(w), images=Z, cells=frame.cells(M))
+    E = shell_frame(B, M_out, D)
+    Z = _readonly(_cell_images(phi, E))
+    return CommutantOperator(phi=phi, B=B, alpha=as_weight(w), images=Z, cells=E[:, : phi.n * (M + 1)])
 
 
 def commutation_residual(A: OperatorMatrix | CommutantOperator, B: BlaschkeProduct) -> float:
@@ -169,16 +169,23 @@ def extract_symbols(W: OperatorMatrix | CommutantOperator, B: BlaschkeProduct, *
     residual of at most tol_commute (extraction is meaningless otherwise).
     A built element for the same B supplies its memoized residual. The error
     names the window's limit max|a|^(D - D_safe) (B's Taylor tail past the
-    guard), which no shell count lowers."""
+    guard), which no shell count lowers; it suggests a larger D only when
+    that limit reaches tol_commute, as below it truncation cannot explain
+    the residual."""
     D = W.degree
     res = W.residual if getattr(W, "B", None) == B else commutation_residual(W, B)
     if res > tol_commute:
         D_safe = safe_degree(D)
         limit = max(abs(a) for a, _ in B.zeros) ** (D - D_safe)
+        why = (
+            f"a commutant element truncated there keeps a residual near max|a|^(D - D_safe) = {limit:.1e}, "
+            "so if W is one, increase D"
+            if limit >= tol_commute
+            else f"the window's limit max|a|^(D - D_safe) = {limit:.1e} is below tol_commute, "
+            "so W does not commute with T_B at this window"
+        )
         raise NotInCommutantError(
-            f"commutation residual {res:.3e} exceeds tol_commute {tol_commute:.1e} "
-            f"at D = {D}, D_safe = {D_safe}; a commutant element truncated there keeps a "
-            f"residual near max|a|^(D - D_safe) = {limit:.1e}, so if W is one, increase D"
+            f"commutation residual {res:.3e} exceeds tol_commute {tol_commute:.1e} at D = {D}, D_safe = {D_safe}; {why}"
         )
     return _readonly(W.apply(model_basis(B, D).U))
 
@@ -187,7 +194,7 @@ def symbols_to_matrix(F: np.ndarray, B: BlaschkeProduct, M: int) -> MultiplierMa
     """Column k of Phi = shell components of the symbol phi_k = F[:, k], a
     function of degrees 0..D = F.shape[0] - 1: coeffs[t, j, k] =
     <phi_k, u_j B^t>_0 for t = 0..M, one product E^H F."""
-    return MultiplierMatrix(_readonly(_shell_coordinates(F, B, M)))
+    return MultiplierMatrix(_readonly(_shell_coordinates(F, B, M, F.shape[0] - 1).reshape(M + 1, B.degree, -1)))
 
 
 def cowen_residual(W: OperatorMatrix | CommutantOperator, B: BlaschkeProduct, a: complex | Sequence[complex]) -> float:

@@ -52,7 +52,7 @@ def x_spaces(B: BlaschkeProduct, w: WeightAlpha | float, kmax: int, D: int) -> X
     K_(B^(k+1)) = K_B + B K_B + ... + B^k K_B spanned by the shell cells
     u_j B^i, i <= k. In weighted coordinates (sqrt(lambda) f) these
     complements are the nested column prefixes of Lambda^(-1/2) E, E the
-    cells of shells 0..kmax of shell_frame(B, kmax, D). One thin QR of that
+    cells shell_frame(B, kmax, D) of shells 0..kmax. One thin QR of that
     (D+1) x (kmax+1)N matrix orthonormalises the prefixes in order, so block
     k of Q spans X_k, the complement of B^(k+1) A minus that of B^k A.
     Accuracy is limited by the cells' tails past D, never by a rank decision.
@@ -64,7 +64,7 @@ def x_spaces(B: BlaschkeProduct, w: WeightAlpha | float, kmax: int, D: int) -> X
     if D < (kmax + 3) * N:
         raise ValueError(f"D = {D} too small for kmax = {kmax} (need >= {(kmax + 3) * N})")
     sq = np.sqrt(w.diagonal(D))
-    Q, _ = np.linalg.qr(wold.shell_frame(B, kmax, D).cells(kmax) / sq[:, None])
+    Q, _ = np.linalg.qr(wold.shell_frame(B, kmax, D) / sq[:, None])
     return XSpaceChain(B=B, alpha=w, X=_freeze(Q / sq[:, None]))
 
 

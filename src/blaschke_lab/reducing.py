@@ -1,6 +1,7 @@
 """Reducing-subspace projections and shift-equivalence intertwiners.
 
-A projection reduces T_B exactly when it commutes with both T_B and its
+A projection is its dense finite section, an OperatorMatrix in its weight
+and window. It reduces T_B exactly when it commutes with both T_B and its
 weighted adjoint; reducing_residual measures the worst of the two
 commutators on the safe block.
 
@@ -36,7 +37,6 @@ from .spaces import (
 from .wold import _shell_coordinates
 
 __all__ = [
-    "SubspaceProjection",
     "IntertwinerJ",
     "monomial_reducing_projection",
     "mobius_power_reducing_projection",
@@ -52,31 +52,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SubspaceProjection:
-    """Orthogonal projection onto a subspace, as a dense finite section in
-    its weight and window. For families whose elements outgrow any finite
-    window (the Mobius-power family), matrix is the finite section of the
-    infinite-dimensional projection: it stays self-adjoint and commutes
-    correctly, but matrix-squared only approximates matrix up to the mass
-    the true projection sends past the window; projection_defects measures
-    both laws honestly.
-    """
-
-    matrix: OperatorMatrix
-
-    @property
-    def degree(self) -> int:
-        return self.matrix.degree
-
-
-def projection_defects(P: SubspaceProjection) -> tuple[float, float]:
-    """(idempotency, self-adjointness) defects on the safe block. Only that
-    block is formed: (m m)[s, s] = m[s, :] m[:, s], and the weighted adjoint
-    of m on [s, s] reads only m[s, s], since the weight is diagonal."""
+def projection_defects(P: OperatorMatrix) -> tuple[float, float]:
+    """(idempotency, self-adjointness) defects on the safe block, as measured:
+    the finite section of a projection onto a subspace that outgrows every
+    window (the Mobius-power family) is self-adjoint but only nearly
+    idempotent. Only the safe block is formed: (m m)[s, s] = m[s, :] m[:, s],
+    and the weighted adjoint of m on [s, s] reads only m[s, s], since the
+    weight is diagonal."""
     D_safe = safe_degree(P.degree)
     s = slice(0, D_safe + 1)
-    m, w = P.matrix.entries, P.matrix.alpha
+    m, w = P.entries, P.alpha
     block = OperatorMatrix(m[s, s], w)
     idem = operator_norm_safe(m[s, :] @ m[:, s] - block.entries, w, D_safe)
     sa = operator_norm_safe(block.entries - weighted_adjoint(block).entries, w, D_safe)
@@ -85,14 +70,14 @@ def projection_defects(P: SubspaceProjection) -> tuple[float, float]:
 
 def monomial_reducing_projection(
     N: int, j: int, w: WeightAlpha | float, D: int
-) -> SubspaceProjection:
+) -> OperatorMatrix:
     """Projection onto span{z^(j+kN) : k >= 0}: a 0/1 diagonal matrix, since
     monomials are orthogonal in every weight."""
     if not 0 <= j < N:
         raise ValueError("need 0 <= j < N")
     w = as_weight(w)
     mask = np.arange(D + 1) % N == j
-    return SubspaceProjection(matrix=OperatorMatrix(_readonly(np.diag(mask.astype(complex))), w))
+    return OperatorMatrix(_readonly(np.diag(mask.astype(complex))), w)
 
 
 def _mobius_columns(
@@ -168,7 +153,7 @@ def _clean_degree(a: complex, j: int, D: int) -> int:
 
 def mobius_power_reducing_projection(
     a: complex, N: int, j: int, D: int, *, rho_max: float = RHO_MAX
-) -> SubspaceProjection:
+) -> OperatorMatrix:
     """Reducing projection for B = ((z - a)/(1 - conj(a) z))^N on the
     Bergman weight onto U_a span{z^p : p = j mod N}, where U_a f =
     (f o phi_a) phi_a' for the involution phi_a = (a - z)/(1 - conj(a) z).
@@ -180,7 +165,9 @@ def mobius_power_reducing_projection(
     (1-|a|^2) (z - a)^p / (1 - conj(a) z)^(p+2), p = j mod N (a multiple of
     U_a z^p). The window must show the first of them, u_j: a padded-window
     tail above _MOBIUS_CLEAN_TOL (1e-10) is a ConditioningError naming the
-    smallest D that clears it.
+    smallest D that clears it. The elements outgrow every window, so the
+    section is self-adjoint and commutes correctly, but it is not
+    idempotent: its square misses it by the mass P_j sends past the window.
     """
     a = complex(a)
     if not 0 < abs(a) <= rho_max or abs(a) >= 1.0:
@@ -200,7 +187,7 @@ def mobius_power_reducing_projection(
     for ph, C_r in zip(phase[1:], C[1:]):
         P += ph * C_r
     P /= N
-    return SubspaceProjection(matrix=OperatorMatrix(_readonly(P), as_weight(-1.0)))
+    return OperatorMatrix(_readonly(P), as_weight(-1.0))
 
 
 #: smallest normalized singular value of a caller-supplied basis before
@@ -208,7 +195,7 @@ def mobius_power_reducing_projection(
 _BASIS_RANK_TOL = 1e-10
 
 
-def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D: int) -> SubspaceProjection:
+def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D: int) -> OperatorMatrix:
     """Orthogonal projection onto the span of the given truncated functions
     under the weight w (weighted QR). Every function must fit the window D."""
     w = as_weight(w)
@@ -227,14 +214,14 @@ def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D
         )
     Q, _ = np.linalg.qr(sq[:, None] * cols)
     P = (Q @ Q.conj().T) * sq[None, :] / sq[:, None]
-    return SubspaceProjection(matrix=OperatorMatrix(_readonly(P), w))
+    return OperatorMatrix(_readonly(P), w)
 
 
-def reducing_residual(P: SubspaceProjection, B: BlaschkeProduct) -> float:
+def reducing_residual(P: OperatorMatrix, B: BlaschkeProduct) -> float:
     """max of the safe-block commutator norms of P with T_B and with its weighted adjoint T_B*, in P's weight
     and window; zero characterizes a reducing subspace. T_B is lower triangular, so only the rows s = 0..D_safe
     of T_B*, adj = Lambda_s^-1 T_B[:, s]^H Lambda, are formed, and (m T_B*)[s, s] = m[s, s] adj[:, s]."""
-    w, D, m = P.matrix.alpha, P.degree, P.matrix.entries
+    w, D, m = P.alpha, P.degree, P.entries
     TB, lam, D_safe = B.toeplitz(D), w.diagonal(D), safe_degree(D)
     s = slice(0, D_safe + 1)
     adj = (TB[:, s].conj().T * lam[None, :]) / lam[s, None]
@@ -321,7 +308,7 @@ def unitarity_defect(J: IntertwinerJ) -> float:
 def bnorm_defect(J: IntertwinerJ, M: int) -> float:
     """max_k | ||J(z^k)||_B - (k+1)^(alpha/2) |, each expansion norm read off
     the shell coordinates c[m, j, k] of all images on shells 0..M."""
-    c = _shell_coordinates(J.F, J.B, M)
+    c = _shell_coordinates(J.F, J.B, M, J.F.shape[0] - 1).reshape(M + 1, J.B.degree, -1)
     norms = np.sqrt(np.einsum("mjk,m->k", (c * c.conj()).real, J.alpha.diagonal(M)))
     return float(np.max(np.abs(norms - (np.arange(J.F.shape[1]) + 1.0) ** (J.alpha.alpha / 2))))
 
@@ -340,5 +327,6 @@ def shell_shift_residual(J: IntertwinerJ, M: int) -> float:
     """For the general construction: shell coordinates of B * J(z^k), all
     analysed at once on shells 0..M, must be those of J(z^k) shifted one
     shell up."""
-    c, c_b = (_shell_coordinates(G, J.B, M) for G in (J.F, J.B.toeplitz(J.F.shape[0] - 1) @ J.F))
+    D = J.F.shape[0] - 1
+    c, c_b = (_shell_coordinates(G, J.B, M, D).reshape(M + 1, J.B.degree, -1) for G in (J.F, J.B.toeplitz(D) @ J.F))
     return float(np.max(np.abs(c_b[1:] - c[:-1]), initial=np.max(np.abs(c_b[0]))))

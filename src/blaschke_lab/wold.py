@@ -7,15 +7,15 @@ are exact for any input supported inside the window; accuracy of a round
 trip is limited by the expansion tail beyond the largest computed shell, not
 by the truncation itself.
 
-The cells u_j B^k of one (B, D) are built once into a ShellFrame, which owns
-its basis model_basis(B, D), and kept in a memo of the last
+The cells u_j B^k of one (B, D), in the basis u_j = model_basis(B, D), are
+built once into one read-only array, the frame, kept in a memo of the last
 _FRAME_MEMO_SIZE = 4 keys (B, D). The chain of cells takes the Krylov step
 T_B for shells 1.._BLOCK-1 and then one step T_(B^_BLOCK) per block of
-_BLOCK shells. Fewer shells are a column prefix of a frame; more shells
-continue its chain from the last cached cells. Either way the cells are
-bitwise those of a frame built for that count.
-Cached arrays are read-only. The frame is the only source of cells; the
-u_j of model_basis(B, D) are the same functions at every window D.
+_BLOCK shells. Fewer shells are a column prefix (a view) of the frame; more
+shells continue its chain from the last cached cells. Either way the cells
+are bitwise those of a frame built for that count. The frame is the only
+source of cells; the u_j of model_basis(B, D) are the same functions at
+every window D.
 
 Both shell counts of (B, D) are one bit search over the squares of B: shell_count
 from the shell deficit on the safe block, power_count from the powers B^k that fit the window.
@@ -24,7 +24,7 @@ from the shell deficit on the safe block, power_count from the powers B^k that f
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .spaces import (
 
 __all__ = [
     "ShellDecomposition",
-    "ShellFrame",
     "shell_frame",
     "analyze",
     "synthesize",
@@ -162,62 +161,35 @@ def _continue_cells(cells: np.ndarray, n: int, B: BlaschkeProduct, M: int, D: in
     return E
 
 
-@dataclass(frozen=True, eq=False)
-class ShellFrame:
-    """Read-only cells u_j B^k of one (B, D) in its basis u_j =
-    model_basis(B, D): E[:, k*n + j] for k = 0..shell_count, so shell 0 is
-    the basis matrix basis.U. n and shell_count are read once, at construction."""
-
-    basis: ModelSpaceBasis
-    E: np.ndarray
-    n: int = field(init=False)
-    shell_count: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", self.basis.dim)
-        object.__setattr__(self, "shell_count", self.E.shape[1] // self.n - 1)
-
-    def cells(self, M: int) -> np.ndarray:
-        """Cells of shells 0..M, a prefix of E."""
-        if not 0 <= M <= self.shell_count:
-            raise ValueError(f"frame holds shells 0..{self.shell_count}, not 0..{M}")
-        return self.E[:, : self.n * (M + 1)]
-
-
 _FRAME_MEMO_SIZE = 4
-_FRAMES: OrderedDict[tuple, ShellFrame] = OrderedDict()  # least recently used first
+_FRAMES: OrderedDict[tuple, np.ndarray] = OrderedDict()  # least recently used first
 
 
-def shell_frame(B: BlaschkeProduct, M: int, D: int) -> ShellFrame:
-    """The frame of (B, D) with at least M shells, from the memo (keyed by
-    (B, D)) when it has one; a frame with fewer shells is grown from its
+def shell_frame(B: BlaschkeProduct, M: int, D: int) -> np.ndarray:
+    """The read-only cells of shells 0..M of (B, D), E[:, k*n + j] = u_j B^k,
+    so shell 0 is model_basis(B, D).U. They are a column prefix of the frame
+    the memo keeps for (B, D); a frame with fewer shells is grown from its
     last cells. A negative M is a DimensionMismatchError."""
     if M < 0:
         raise DimensionMismatchError(f"shell count M = {M} is negative; pass M >= 0")
-    key = (B, D)
-    frame = _FRAMES.get(key)
-    if frame is not None and frame.shell_count >= M:
-        _FRAMES.move_to_end(key)
-        return frame
-    if frame is None:
-        basis = model_basis(B, D)
-        E = cell_matrix(basis, B, M, D)
-    else:
-        basis = frame.basis
-        E = _continue_cells(frame.E, frame.n, B, M, D)
-    E.setflags(write=False)
-    _FRAMES[key] = frame = ShellFrame(basis=basis, E=E)
+    key, width = (B, D), B.degree * (M + 1)
+    E = _FRAMES.get(key)
+    if E is None or E.shape[1] < width:
+        E = cell_matrix(model_basis(B, D), B, M, D) if E is None else _continue_cells(E, B.degree, B, M, D)
+        E.setflags(write=False)
+        _FRAMES[key] = E
+        if len(_FRAMES) > _FRAME_MEMO_SIZE:
+            _FRAMES.popitem(last=False)
     _FRAMES.move_to_end(key)
-    if len(_FRAMES) > _FRAME_MEMO_SIZE:
-        _FRAMES.popitem(last=False)
-    return frame
+    return E[:, :width]
 
 
-def _shell_coordinates(F: np.ndarray, B: BlaschkeProduct, M: int) -> np.ndarray:
-    """c[k, j, i] = <F[:, i], u_j B^k>_0 on shells 0..M for every column of
-    F (degrees 0..D), in the frame's basis: one product E^H F."""
-    E = shell_frame(B, M, F.shape[0] - 1).cells(M)  # no conjugate copy of E
-    return (E.T @ F.conj()).conj().reshape(M + 1, B.degree, -1)
+def _shell_coordinates(F: np.ndarray, B: BlaschkeProduct, M: int, D: int) -> np.ndarray:
+    """c[k*n + j] = <F, u_j B^k>_0 on shells 0..M of the frame of (B, D), for
+    one function F or a column per function, F holding degrees 0..len(F)-1
+    <= D: one product E^H F over the rows F occupies, without padding F or
+    a conjugate copy of E."""
+    return (shell_frame(B, M, D)[: len(F)].T @ F.conj()).conj()
 
 
 @dataclass(frozen=True)
@@ -252,16 +224,14 @@ class ShellDecomposition:
 
 
 def _coordinates(f: TaylorPoly, B: BlaschkeProduct, M: int | None, D: int | None, basis: ModelSpaceBasis | None):
-    """(c, D): the coordinates c[k*n + j] = <f, u_j B^k>_0 on shells 0..M, one product
-    E^H f. D defaults to deg f, M to shell_count(B, D); basis= may only be model_basis(B, D)."""
+    """(c, D): the coordinates c[k*n + j] = <f, u_j B^k>_0 on shells 0..M. D defaults
+    to deg f, M to shell_count(B, D); basis= may only be model_basis(B, D)."""
     D = f.degree if D is None else D
     M = shell_count(B, D) if M is None else M
     require_window(f, D)
-    frame = shell_frame(B, M, D)
-    if basis is not None and basis is not frame.basis and not np.array_equal(basis.U, frame.basis.U):
+    if basis is not None and basis is not (own := model_basis(B, D)) and not np.array_equal(basis.U, own.U):
         raise BlaschkeLabError(f"basis= must be model_basis(B, D) at D = {D}; shells are read in no other basis")
-    E = frame.cells(M)[: len(f.coeffs)]  # the rows f occupies, without padding f or copying E
-    return (E.T @ f.coeffs.conj()).conj(), D
+    return _shell_coordinates(f.coeffs, B, M, D), D
 
 
 def analyze(
@@ -285,7 +255,7 @@ def analyze(
 
 def synthesize(dec: ShellDecomposition, D: int | None = None) -> TaylorPoly:
     """sum_{k<=M} sum_j c[j, k] u_j B^k truncated at degree D, read from the frame of any D."""
-    E = shell_frame(dec.B, dec.shell_count, dec.degree if D is None else D).cells(dec.shell_count)
+    E = shell_frame(dec.B, dec.shell_count, dec.degree if D is None else D)
     return TaylorPoly(_readonly(E @ dec.coefficients.T.reshape(-1)))  # k-major, as the cells
 
 

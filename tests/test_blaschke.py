@@ -276,7 +276,8 @@ class TestConstruction:
              "deepcopy": lambda: copy.deepcopy(B)}[copier]()
         assert C is not B and C == B and (C.theta, C.zeros, C.degree) == (B.theta, B.zeros, B.degree)
         assert hash(C) == hash(B) == hash((C.theta, C.zeros))
-        assert wold.shell_frame(C, 4, 32) is wold.shell_frame(B, 4, 32)
+        assert np.shares_memory(wold.shell_frame(C, 4, 32), wold.shell_frame(B, 4, 32))
+        assert len(wold._FRAMES) == 1
         with pytest.raises(AttributeError, match="^BlaschkeProduct is immutable$"):
             C.theta = 1.0
 

@@ -155,8 +155,8 @@ class TestComponentMap:
         M = bl.wold.shell_count(B, D)
         phi = random_phi(rng, B.degree)
         M_out = M + phi.max_entry_degree
-        frame = bl.wold.shell_frame(B, M_out, D)
-        expected = frame.cells(M_out) @ dense_component_map(phi, M, M_out) @ frame.cells(M).conj().T
+        E_out, E = bl.wold.shell_frame(B, M_out, D), bl.wold.shell_frame(B, M, D)
+        expected = E_out @ dense_component_map(phi, M, M_out) @ E.conj().T
         W = bl.build(phi, B, -1.0, M, D).realization.entries
         assert np.max(np.abs(W - expected)) <= 1e-13
 
@@ -279,6 +279,21 @@ class TestSymbols:
         with pytest.raises(NotInCommutantError):
             bl.extract_symbols(W, B3)
 
+    @pytest.mark.parametrize("zeros", [[(0.0, 2)], [0.5, -0.3]], ids=["z^2", "B2"])
+    def test_a_residual_truncation_cannot_explain_names_no_larger_d(self, zeros):
+        # the H^2 adjoint shift misses the commutant by ~1 at D = 64, where
+        # the window's limit max|a|^32 is 0 for z^2 and 2.3e-10 for B2
+        B, D = bl.BlaschkeProduct(0.0, zeros), 64
+        limit = max(abs(a) for a, _ in B.zeros) ** 32
+        with pytest.raises(NotInCommutantError) as err:
+            bl.extract_symbols(bl.OperatorMatrix(np.eye(D + 1, k=1), 0.0), B)
+        msg = str(err.value)
+        assert msg.startswith("commutation residual ") and "increase D" not in msg
+        assert msg.endswith(
+            f"at D = 64, D_safe = 32; the window's limit max|a|^(D - D_safe) = {limit:.1e} is below tol_commute, "
+            "so W does not commute with T_B at this window"
+        )
+
     def test_built_element_supplies_its_residual_once(self, B2, B3, rng, monkeypatch):
         calls = []
         residual = bl.commutant.commutation_residual
@@ -379,8 +394,7 @@ class TestFactoredElement:
     def test_cells_are_a_view_of_the_frame(self, B2, rng):
         D, M = 64, 32
         op = bl.build(random_phi(rng, 2), B2, -1.0, M, D)
-        frame = bl.wold.shell_frame(B2, M, D)
-        assert np.shares_memory(op.cells, frame.E) and op.cells.shape == (D + 1, 2 * (M + 1))
+        assert np.shares_memory(op.cells, bl.wold.shell_frame(B2, M, D)) and op.cells.shape == (D + 1, 2 * (M + 1))
         assert not op.images.flags.writeable and not op.cells.flags.writeable
 
     def test_no_battery_forms_a_dense_element(self, tmp_path, monkeypatch):

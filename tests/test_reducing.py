@@ -64,11 +64,11 @@ def _generator_by_convolution(a, j, D):
 class TestMonomialProjection:
     def test_whole_space_for_n1(self):
         P = bl.monomial_reducing_projection(1, 0, -1.0, 8)
-        assert np.allclose(P.matrix.entries, np.eye(9))
+        assert np.allclose(P.entries, np.eye(9))
 
     def test_odd_indices_for_n2_j1(self):
         P = bl.monomial_reducing_projection(2, 1, -1.0, 5)
-        assert np.allclose(np.diag(P.matrix.entries), [0, 1, 0, 1, 0, 1])
+        assert np.allclose(np.diag(P.entries), [0, 1, 0, 1, 0, 1])
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
     def test_reduces_monomial_product(self, alpha):
@@ -82,12 +82,12 @@ class TestMonomialProjection:
         P = bl.monomial_reducing_projection(2, 0, -1.0, 40)
         idem, sa = bl.projection_defects(P)
         assert idem < 1e-12 and sa < 1e-12
-        assert np.trace(P.matrix.entries) == 21
+        assert np.trace(P.entries) == 21
         # the unit monomials (k+1)^(1/2) z^k: even k fixed, odd k annihilated
         for k, v in enumerate(np.diag(np.sqrt(np.arange(41) + 1.0))):
             assert bl.weighted_norm(TaylorPoly(v), -1.0) == pytest.approx(1.0, abs=1e-15)
             image = v if k % 2 == 0 else np.zeros(41)
-            assert bl.weighted_norm(TaylorPoly(P.matrix.entries @ v - image), -1.0) < 1e-12
+            assert bl.weighted_norm(TaylorPoly(P.entries @ v - image), -1.0) < 1e-12
 
 
 class TestMobiusProjection:
@@ -124,7 +124,7 @@ class TestMobiusProjection:
             assert sa < 1e-10
             assert len(clean) > 0
             for u in clean:
-                assert bl.weighted_norm(TaylorPoly(P.matrix.entries @ u - u), -1.0) < 1e-10
+                assert bl.weighted_norm(TaylorPoly(P.entries @ u - u), -1.0) < 1e-10
 
     def test_bottom_generator_is_kernel(self):
         # the first generator of the j = 0 family is the normalized weighted
@@ -135,11 +135,11 @@ class TestMobiusProjection:
         kernel = (1 - abs(a) ** 2) * (k + 1.0) * np.conj(a) ** k
         assert np.max(np.abs(clean[0] - kernel)) < 1e-12
         P = bl.mobius_power_reducing_projection(a, 2, 0, D)
-        assert bl.weighted_norm(TaylorPoly(P.matrix.entries @ kernel - kernel), -1.0) < 1e-10
+        assert bl.weighted_norm(TaylorPoly(P.entries @ kernel - kernel), -1.0) < 1e-10
 
     def test_complement_family_sums_to_identity_on_safe_block(self):
         a, N, D = 0.5, 2, 120
-        Ps = [bl.mobius_power_reducing_projection(a, N, j, D).matrix.entries for j in range(N)]
+        Ps = [bl.mobius_power_reducing_projection(a, N, j, D).entries for j in range(N)]
         total = sum(Ps)
         Ds = safe_degree(D)
         assert np.max(np.abs((total - np.eye(D + 1))[: Ds + 1, : Ds + 1])) < 1e-10
@@ -212,10 +212,10 @@ class TestMobiusProjection:
     def test_equals_column_loop(self, a, N, D):
         for j, (P_ref, clean) in enumerate(_mobius_column_loop(a, N, D)):
             P = bl.mobius_power_reducing_projection(a, N, j, D)
-            assert np.max(np.abs(P.matrix.entries - P_ref)) < 1e-12
+            assert np.max(np.abs(P.entries - P_ref)) < 1e-12
             assert len(clean) > 0
             for u in clean:
-                assert bl.weighted_norm(TaylorPoly(P.matrix.entries @ u - u), -1.0) < 1e-10
+                assert bl.weighted_norm(TaylorPoly(P.entries @ u - u), -1.0) < 1e-10
 
     @pytest.mark.parametrize("a,N,D", [(0.8, 1, 128), (0.8, 2, 256), (0.5j, 3, 64), (0.5, 3, 128)])
     def test_equals_identity_plus_sections_over_n(self, a, N, D):
@@ -226,15 +226,15 @@ class TestMobiusProjection:
             for r, C_r in enumerate(C, start=1):
                 ref += np.exp(-2j * np.pi * (j + 1) * r / N) * C_r
             ref /= N
-            assert np.array_equal(bl.mobius_power_reducing_projection(a, N, j, D).matrix.entries, ref)
+            assert np.array_equal(bl.mobius_power_reducing_projection(a, N, j, D).entries, ref)
 
     def test_single_class_is_identity(self):
         P = bl.mobius_power_reducing_projection(0.8, 1, 0, 128)
-        assert np.max(np.abs(P.matrix.entries - np.eye(129))) < 1e-14
+        assert np.max(np.abs(P.entries - np.eye(129))) < 1e-14
 
     @pytest.mark.parametrize("a,N,D", [(0.8, 2, 256), (0.5j, 3, 64), (0.6, 4, 128)])
     def test_classes_sum_to_identity_on_full_window(self, a, N, D):
-        total = sum(bl.mobius_power_reducing_projection(a, N, j, D).matrix.entries for j in range(N))
+        total = sum(bl.mobius_power_reducing_projection(a, N, j, D).entries for j in range(N))
         assert np.max(np.abs(total - np.eye(D + 1))) < 1e-13
 
 
@@ -249,7 +249,7 @@ VERDICT_GRID = [(a, N, D) for a in (0.3, 0.5j, 0.8, 0.6 - 0.5j) for N in (1, 2, 
 def _mobius_class(a, N, j, D):
     """The P entries of class j, or the error it raises."""
     try:
-        return bl.mobius_power_reducing_projection(a, N, j, D).matrix.entries
+        return bl.mobius_power_reducing_projection(a, N, j, D).entries
     except ConditioningError as exc:
         return str(exc)
 
@@ -313,7 +313,7 @@ class TestMobiusFrame:
 def reducing_residual_by_full_products(P, B):
     """Oracle of reducing_residual: the full products m T, T m, m T* and T* m
     with T* the weighted adjoint of the whole section, then the safe block."""
-    m, w, D = P.matrix.entries, P.matrix.alpha, P.degree
+    m, w, D = P.entries, P.alpha, P.degree
     T = B.toeplitz(D)
     T_star = bl.weighted_adjoint(bl.OperatorMatrix(T, w)).entries
     return max(operator_norm_safe(m @ X - X @ m, w, safe_degree(D)) for X in (T, T_star))
@@ -340,7 +340,7 @@ def _residual_cases(D):
     re, im = np.random.default_rng(D).standard_normal((2, D + 1, D + 1))
     m = re + 1j * im
     for alpha in (-1.0, 0.5):
-        P = bl.SubspaceProjection(matrix=bl.OperatorMatrix(m, alpha))
+        P = bl.OperatorMatrix(m, alpha)
         cases.append((f"random section {alpha}", P, bl.BlaschkeProduct(0.0, [0.5, -0.3 + 0.2j, 0.1])))
     return cases
 
@@ -356,7 +356,7 @@ class TestReducingResidual:
 
     def test_identity_projection(self, B2):
         D = 60
-        P = bl.SubspaceProjection(matrix=identity(D, -1.0))
+        P = identity(D, -1.0)
         assert bl.reducing_residual(P, B2) == 0.0
 
     def test_hardy_subspace_passes_alpha0_fails_bergman(self):
@@ -385,8 +385,7 @@ class TestReducingResidual:
         B = bl.BlaschkeProduct.monomial(2)
         P = bl.monomial_reducing_projection(2, 0, -1.0, D)
         r1 = bl.reducing_residual(P, B)
-        complement = bl.OperatorMatrix(np.eye(D + 1) - P.matrix.entries, -1.0)
-        complement = dataclasses.replace(P, matrix=complement)
+        complement = bl.OperatorMatrix(np.eye(D + 1) - P.entries, -1.0)
         r2 = bl.reducing_residual(complement, B)
         assert abs(r1 - r2) < 1e-12
 
@@ -398,7 +397,7 @@ class TestReducingResidual:
         D = 30
         P0 = bl.monomial_reducing_projection(2, 0, -1.0, D)
         P1 = bl.monomial_reducing_projection(2, 1, -1.0, D)
-        assert np.max(np.abs(P0.matrix.entries @ P1.matrix.entries)) == 0.0
+        assert np.max(np.abs(P0.entries @ P1.entries)) == 0.0
 
 
 class TestShiftEquivMonomial:
@@ -567,17 +566,17 @@ class TestShiftEquivGeneral:
 
 
 def hyperinvariance_check(
-    P: bl.SubspaceProjection,
+    P: bl.OperatorMatrix,
     W: bl.CommutantOperator | bl.OperatorMatrix,
 ) -> float:
     """Invariance defect ||(I - P) W P|| on the safe block: small means W
     maps the subspace into itself (invariance, not full commutation)."""
     Wm = W.realization.entries if isinstance(W, bl.CommutantOperator) else W.entries
-    m = P.matrix.entries
+    m = P.entries
     D_safe = safe_degree(P.degree)
     s = slice(0, D_safe + 1)
     # only the safe block: ((I - m) W m)[s, s] = (I - m)[s, :] W m[:, s]
-    return operator_norm_safe((np.eye(D_safe + 1, len(m)) - m[s, :]) @ Wm @ m[:, s], P.matrix.alpha, D_safe)
+    return operator_norm_safe((np.eye(D_safe + 1, len(m)) - m[s, :]) @ Wm @ m[:, s], P.alpha, D_safe)
 
 
 class TestHyperinvariance:
@@ -622,15 +621,15 @@ class TestSafeBlockDefects:
 
     def test_projection_defects_equal_full_product_slice(self):
         for P in self.projections():
-            m, w, D_safe = P.matrix.entries, P.matrix.alpha, safe_degree(P.degree)
-            adj = bl.weighted_adjoint(P.matrix).entries
+            m, w, D_safe = P.entries, P.alpha, safe_degree(P.degree)
+            adj = bl.weighted_adjoint(P).entries
             ref = (operator_norm_safe(m @ m - m, w, D_safe), operator_norm_safe(m - adj, w, D_safe))
             for got, want in zip(bl.projection_defects(P), ref):
                 assert abs(got - want) <= 1e-14 * max(1.0, want)
 
     def test_hyperinvariance_equals_full_product_slice(self, B2, rng):
         for P in self.projections():
-            m, w, D = P.matrix.entries, P.matrix.alpha, P.degree
+            m, w, D = P.entries, P.alpha, P.degree
             phi = bl.MultiplierMatrix(rng.standard_normal((3, 2, 2)))
             for W in (bl.build(phi, B2, w, D // 2, D).realization.entries, rng.standard_normal((D + 1, D + 1))):
                 ref = operator_norm_safe((np.eye(D + 1) - m) @ W @ m, w, safe_degree(D))

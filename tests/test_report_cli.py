@@ -182,6 +182,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{key} must be an integer, got {value!r}$"):
             parse_config(dict(BASE, **{key: value}), "suite")
 
+    @pytest.mark.parametrize("key,value,least", [("degree", 0, 1), ("shells", -1, 0), ("seed", -3, 0)])
+    @pytest.mark.parametrize("command", ["decompose", "reducing", "suite"])
+    def test_integer_fields_below_their_minimum_are_rejected(self, command, key, value, least):
+        # a negative seed is named as the seed, for a battery that draws and one that does not
+        with pytest.raises(ConfigError, match=rf"^{key} must be >= {least}, got {value}$"):
+            parse_config(dict(BASE, **{key: value}), command)
+
     @pytest.mark.parametrize("mult", [1.8, "2", True])
     def test_zero_multiplicity_is_never_truncated(self, mult):
         obj = dict(BASE, B={"theta": 0.0, "zeros": [{"re": 0.5, "im": 0.0, "mult": mult}]})
@@ -628,6 +635,36 @@ class TestBatteries:
         obj = dict(BASE, B=b_json([0.0 + 0j, 0.0 + 0j]), degree=60)
         rep = run(parse_config(obj, "shift-equiv"))
         assert rep.all_passed
+
+    @pytest.mark.parametrize("command", ["shift-equiv", "suite"])
+    @pytest.mark.parametrize("mode", ["monomal", None, 1])
+    def test_shift_equiv_unknown_mode_is_a_config_error(self, tmp_path, command, mode):
+        # a typo never falls through to the general mode
+        obj = dict(BASE, inputs={"mode": mode})
+        with pytest.raises(ConfigError, match=r"^unknown shift-equiv mode .*; valid values: monomial, general$"):
+            run(parse_config(obj, command))
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(obj))
+        assert main([command, "--config", str(cfgp)]) == 2
+
+    @pytest.mark.parametrize("command", ["shift-equiv", "suite"])
+    @pytest.mark.parametrize("B", [b_json([0.5 + 0j, -0.3 + 0j]), {"theta": 0.5, "zeros": [{"re": 0.0, "im": 0.0, "mult": 2}]}],
+                             ids=["B2", "rotated z^2"])
+    def test_shift_equiv_monomial_mode_requires_z_n(self, command, B):
+        # the monomial intertwiner is built for T_(z^n): on another B both
+        # records would measure T_(z^n), not the configured T_B
+        with pytest.raises(ConfigError, match=r"^shift-equiv mode 'monomial' requires B = z\^2; set mode 'general' for this B$"):
+            run(parse_config(dict(BASE, B=B, inputs={"mode": "monomial"}), command))
+
+    def test_shift_equiv_general_mode_on_z_n(self):
+        obj = dict(BASE, B=b_json([0.0 + 0j, 0.0 + 0j]), degree=60)
+        rep = run(parse_config(dict(obj, inputs={"mode": "general"}), "shift-equiv"))
+        assert [r.name for r in rep.records] == ["shift_equiv/bnorm_identity", "shift_equiv/shell_shift"]
+        assert rep.all_passed
+        explicit = run(parse_config(dict(obj, inputs={"mode": "monomial"}), "shift-equiv"))
+        default = run(parse_config(obj, "shift-equiv"))
+        assert [r.name for r in default.records] == ["shift_equiv/unitarity", "shift_equiv/intertwining"]
+        assert [r.residual for r in explicit.records] == [r.residual for r in default.records]
 
     def test_shift_equiv_analysis_covers_every_image(self):
         # for zeros 0 and 0.1 at D = 256, 99 powers fit the window but the

@@ -160,7 +160,7 @@ class TestCommutatorResidual:
             phi = bl.MultiplierMatrix(rng.standard_normal((3, n, n)))
             A = bl.build(phi, B, -1.0, D // n, D).realization.entries
             pairs += [(A, TB.entries), (rng.standard_normal((D + 1, D + 1)), TB.entries)]
-        P = bl.mobius_power_reducing_projection(0.5, 2, 1, D).matrix.entries
+        P = bl.mobius_power_reducing_projection(0.5, 2, 1, D).entries
         TB = bl.toeplitz_matrix(bl.BlaschkeProduct(0.0, [(0.5, 2)]).taylor(D), D, -1.0)
         # T's top rows need only vanish past column D_safe: an entry above the
         # diagonal inside the safe block is still measured exactly

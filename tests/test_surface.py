@@ -166,7 +166,7 @@ def test_the_family_exemption_is_still_needed():
 
 
 #: the values that carry their weight (alpha) and window (degree) themselves
-CARRIES_WINDOW = {"OperatorMatrix", "CommutantOperator", "SubspaceProjection", "IntertwinerJ", "XSpaceChain"}
+CARRIES_WINDOW = {"OperatorMatrix", "CommutantOperator", "IntertwinerJ", "XSpaceChain"}
 
 
 def _annotation_names(annotation) -> set:

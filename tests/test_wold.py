@@ -26,7 +26,7 @@ CHAIN_PRODUCTS = {
 def analyze_by_least_squares(f, B, M, D):
     """Cross-check oracle: invert the finite-section synthesis map in the
     least-squares sense instead of using orthogonality."""
-    E = wold.shell_frame(B, M, D).cells(M)
+    E = wold.shell_frame(B, M, D)
     c, *_ = np.linalg.lstsq(E, f.pad(D).coeffs, rcond=None)
     return bl.ShellDecomposition(B=B, coefficients=c.reshape(M + 1, B.degree).T, degree=D)
 
@@ -231,16 +231,19 @@ class TestNegativeShellCount:
             "analyze, basis=": lambda: bl.analyze(f, B2, M, self.D, basis=bl.model_basis(B2, self.D)),
             "ratio": lambda: bl.norm_equivalence_ratio(f, B2, -1.0, M, self.D),
             "build": lambda: bl.build(phi, B2, -1.0, M, self.D),
+            "shell_frame": lambda: wold.shell_frame(B2, M, self.D),
         }
         for name, call in calls.items():
             with pytest.raises(DimensionMismatchError, match=rf"^shell count M = {M} is negative; pass M >= 0$"):
                 call()
 
-    @pytest.mark.parametrize("M", [-1, -2, 5])
+    @pytest.mark.parametrize("M", [0, 3, 4, 5])
     def test_a_frame_serves_only_the_shells_it_holds(self, B2, memo, M):
-        frame = wold.shell_frame(B2, 4, self.D)
-        with pytest.raises(ValueError, match=rf"^frame holds shells 0..{frame.shell_count}, not 0..{M}$"):
-            frame.cells(M)
+        # exactly n(M+1) columns, a prefix sharing memory with a larger request
+        larger = wold.shell_frame(B2, M + 3, self.D)
+        E = wold.shell_frame(B2, M, self.D)
+        assert E.shape == (self.D + 1, 2 * (M + 1))
+        assert np.shares_memory(E, larger) and np.array_equal(E, larger[:, : E.shape[1]])
 
     def test_synthesize_rejects_a_decomposition_of_no_shells(self, B2, memo):
         # M = -1 is the one negative count a decomposition can hold: n x 0 coefficients
@@ -470,7 +473,8 @@ class TestShellFrame:
         f = TaylorPoly(rng.standard_normal(20))
         for _ in range(3):
             bl.synthesize(bl.analyze(f, B3, M, D, basis=basis), D)
-        assert basis is wold.shell_frame(B3, M, D).basis
+        assert basis is bl.model_basis(B3, D)
+        assert np.array_equal(wold.shell_frame(B3, M, D)[:, :3], basis.U)
         assert len(calls) == 1
 
     def test_keyword_built_basis_is_the_frames(self, B3, rng, monkeypatch):
@@ -487,7 +491,7 @@ class TestShellFrame:
         f = TaylorPoly(rng.standard_normal(20))
         for _ in range(3):
             bl.synthesize(bl.analyze(f, B3, M, D, basis=basis), D)
-        assert basis is wold.shell_frame(B3, M, D).basis
+        assert basis is bl.model_basis(B3, D)
         assert len(calls) == 1
 
     def test_rotated_basis_gets_rotated_coefficients(self, B3, rng):
@@ -495,7 +499,7 @@ class TestShellFrame:
         # I (x) Q, so coordinates in them are (I (x) Q^H) c
         D, M = 64, 8
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        E = wold.shell_frame(B3, M, D).cells(M)
+        E = wold.shell_frame(B3, M, D)
         E_rot = cell_matrix(bl.ModelSpaceBasis(bl.model_basis(B3, D).U @ Q), B3, M, D)
         assert np.max(np.abs(E_rot - E @ np.kron(np.eye(M + 1), Q))) < 1e-13
         f = TaylorPoly(rng.standard_normal(20) + 1j * rng.standard_normal(20))
@@ -554,10 +558,35 @@ class TestShellFrame:
         small = wold.shell_frame(B, m, D)
         grown = wold.shell_frame(B, M, D)
         assert len(calls) == 1  # the growth continued the chain, no rebuild
-        assert grown.basis is small.basis
-        assert np.array_equal(grown.cells(m), small.E)
-        assert np.array_equal(grown.E, build(bl.model_basis(B, D), B, M, D))
-        assert wold.shell_frame(B, M - 1, D) is grown  # a hit is the same frame
+        assert np.array_equal(grown[:, : small.shape[1]], small)
+        assert np.array_equal(grown, build(bl.model_basis(B, D), B, M, D))
+        assert np.shares_memory(wold.shell_frame(B, M - 1, D), grown)  # a hit is a view of the same frame
+
+    def test_the_memo_keeps_the_last_four_keys(self, B2, monkeypatch):
+        # least recently used first: a hit or a growth moves its key to the
+        # end, and each key holds one entry
+        calls = []
+        build = wold.cell_matrix
+
+        def counted(basis, B, M, D):
+            calls.append((B, D))
+            return build(basis, B, M, D)
+
+        monkeypatch.setattr(wold, "cell_matrix", counted)
+        assert wold._FRAME_MEMO_SIZE == 4
+        keys = [(B2, D) for D in (16, 20, 24, 28, 32)]
+        for B, D in keys[:4]:
+            wold.shell_frame(B, 2, D)
+        assert list(wold._FRAMES) == keys[:4] and len(calls) == 4
+        wold.shell_frame(B2, 1, 16)  # a hit refreshes (B2, 16)
+        assert list(wold._FRAMES) == keys[1:4] + keys[:1] and len(calls) == 4
+        wold.shell_frame(B2, 2, 32)  # a fifth key evicts the least recently used, (B2, 20)
+        assert list(wold._FRAMES) == [keys[2], keys[3], keys[0], keys[4]] and len(calls) == 5
+        wold.shell_frame(B2, 6, 24)  # a growth replaces the entry of (B2, 24), builds nothing anew
+        assert list(wold._FRAMES) == [keys[3], keys[0], keys[4], keys[2]] and len(calls) == 5
+        wold.shell_frame(B2, 2, 20)  # the evicted key is built again
+        assert list(wold._FRAMES) == [keys[0], keys[4], keys[2], keys[1]]
+        assert calls[5:] == [keys[1]]
 
     @pytest.mark.parametrize("M", [0, 6, 7, 8, 9, 16, None])
     @pytest.mark.parametrize("D", [64, 256])
@@ -577,10 +606,9 @@ class TestShellFrame:
         assert np.max(np.abs(E - np.hstack(reference))) <= 1e-13
 
     def test_cached_arrays_are_read_only(self, B3):
-        frame = wold.shell_frame(B3, 8, 64)
-        assert frame.basis is bl.model_basis(B3, 64)
-        assert np.array_equal(frame.basis.U, frame.cells(0))
-        for arr in (frame.E, frame.basis.U, frame.cells(4)):
+        E, basis = wold.shell_frame(B3, 8, 64), bl.model_basis(B3, 64)
+        assert np.array_equal(E[:, :3], basis.U)  # shell 0 is the basis, bitwise
+        for arr in (E, E[:, :3], basis.U, wold.shell_frame(B3, 4, 64)):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -596,8 +624,7 @@ class TestShellFrame:
         D = 128
         M = D // B.degree
         wold.shell_frame(B, M // 2, D)
-        frame = wold.shell_frame(B, M, D)
-        grown, basis = frame.E, frame.basis
+        grown, basis = wold.shell_frame(B, M, D), bl.model_basis(B, D)
         powers = B.power_list(M, D)
         reference = np.stack(
             [np.convolve(u, p.coeffs)[: D + 1] for p in powers for u in basis.U.T],
