@@ -6,10 +6,12 @@ degree D//4 and norm_equivalence_ratio of the same function at the derived
 shell count M = wold.shell_count(B, D); at that M, build
 (the cell images alone), commutation_residual of the built element (its
 safe rows formed from the factors) and the dense realization Z E^H, formed
-only on request; the safe-block norm spaces.operator_norm_safe on a nonzero
-and on an exactly zero section of D//2 + 1 rows, and the
-Mobius-power projection of class 0 for b_a^N, a = 0.5, N = 2, and its
-reducing_residual against b_a^N (both the same for every product).
+only on request; the safe-block norm spaces.operator_norm_safe of D//2 + 1
+rows on the dense realization (an SVD), on the rank-one section u u^H with u
+the first model-space basis vector (certified without an SVD) and on an
+exactly zero section, and the Mobius-power projection of class 0 for b_a^N,
+a = 0.5, N = 2, and its reducing_residual against b_a^N (both the same for
+every product).
 
 Each layer is called once untimed, to warm the memos a battery shares (the
 shell frame of (B, D), T_B), then --repeats times under a timer; the medians
@@ -82,7 +84,8 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
     f = random_poly(rng, D // 4)
     op = bl.build(phi, B, ALPHA, M, D)
     basis, W, D_safe = bl.model_basis(B, D), op.realization.entries, bl.safe_degree(D)
-    zero = np.zeros_like(W)
+    u = basis.U[:, 0]
+    rank_one, zero = np.outer(u, u.conj()), np.zeros_like(W)
     B_mobius = bl.BlaschkeProduct(0.0, [(MOBIUS_A, MOBIUS_N)])
     P = bl.mobius_power_reducing_projection(MOBIUS_A, MOBIUS_N, 0, D)
     return {
@@ -99,6 +102,7 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
         "commutation_residual_s": median_s(lambda: bl.commutation_residual(op, B), repeats),
         "realization_s": median_s(lambda: bl.CommutantOperator.realization.func(op), repeats),
         "operator_norm_safe_s": median_s(lambda: spaces.operator_norm_safe(W, ALPHA, D_safe), repeats),
+        "operator_norm_safe_rank_one_s": median_s(lambda: spaces.operator_norm_safe(rank_one, ALPHA, D_safe), repeats),
         "operator_norm_safe_zero_s": median_s(lambda: spaces.operator_norm_safe(zero, ALPHA, D_safe), repeats),
         "mobius_projection_s": cold_mobius_s(D, repeats),
         "reducing_residual_s": median_s(lambda: bl.reducing_residual(P, B_mobius), repeats),
@@ -129,6 +133,7 @@ def main() -> None:
         "residual": "commutation_residual_s",
         "dense": "realization_s",
         "norm": "operator_norm_safe_s",
+        "rank-1 norm": "operator_norm_safe_rank_one_s",
         "zero norm": "operator_norm_safe_zero_s",
         "mobius": "mobius_projection_s",
         "reducing": "reducing_residual_s",

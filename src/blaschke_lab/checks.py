@@ -231,7 +231,7 @@ def reducing_checks(cfg, rng: np.random.Generator):
     data: dict = {}
     B, D = cfg.blaschke, cfg.degree
     w = as_weight(cfg.alpha)
-    family = cfg.inputs.get("family", "monomial")
+    family = cfg.inputs.get("family", "monomial")  # one of INPUT_CHOICES["family"]
 
     if family == "monomial":
         N = B.degree
@@ -272,16 +272,13 @@ def reducing_checks(cfg, rng: np.random.Generator):
                 return rd.reducing_residual(P, B)
 
             _timed(cfg, records, f"reducing/mobius_{j}/residual", _tol(cfg, "reducing_mobius"), mobius)
-    elif family == "custom":
+    else:  # custom
         basis_payload = cfg.inputs.get("basis")
         if not basis_payload:
             raise ConfigError("custom family requires inputs.basis")
         funcs = [TaylorPoly([complex(re, im) for re, im in f]) for f in basis_payload]
         P = _setup("projection_from_basis", lambda: rd.projection_from_basis(funcs, w, D))
-        expect = cfg.inputs.get("expected", "report-only")
-        if expect not in ("reducing", "report-only"):
-            raise ConfigError(f"unknown custom expected {expect!r}; valid values: reducing, report-only")
-        tol = _tol(cfg, "reducing_mobius") if expect == "reducing" else float("inf")
+        tol = _tol(cfg, "reducing_mobius") if cfg.inputs.get("expected") == "reducing" else float("inf")
 
         def custom():
             idem, sa = rd.projection_defects(P())
@@ -289,8 +286,6 @@ def reducing_checks(cfg, rng: np.random.Generator):
             return rd.reducing_residual(P(), B)
 
         _timed(cfg, records, "reducing/custom/residual", tol, custom)
-    else:
-        raise ConfigError(f"unknown reducing family {family!r}")
     return records, data
 
 
@@ -348,14 +343,8 @@ def ortho_checks(cfg, rng: np.random.Generator):
 def shift_equiv_checks(cfg, rng: np.random.Generator):
     records: list[CheckRecord] = []
     B, D, w = cfg.blaschke, cfg.degree, as_weight(cfg.alpha)
-    z_n = BlaschkeProduct.monomial(B.degree)
-    mode = cfg.inputs.get("mode", "monomial" if B == z_n else "general")
-    if mode not in ("monomial", "general"):
-        raise ConfigError(f"unknown shift-equiv mode {mode!r}; valid values: monomial, general")
-    if mode == "monomial" and B != z_n:
-        raise ConfigError(f"shift-equiv mode 'monomial' requires B = z^{B.degree}; set mode 'general' for this B")
-
-    if mode == "monomial":
+    # parse_config admits mode 'monomial' only for B = z^n
+    if cfg.inputs.get("mode", "monomial" if B == BlaschkeProduct.monomial(B.degree) else "general") == "monomial":
         J = _setup("shift_equiv_monomial", lambda: rd.shift_equiv_monomial(B.degree, w, D))
         _timed(cfg, records, "shift_equiv/unitarity", _tol(cfg, "unitarity"), lambda: rd.unitarity_defect(J()))
         _timed(cfg, records, "shift_equiv/intertwining", _tol(cfg, "intertwining"), lambda: rd.intertwining_residual(J()))
@@ -453,3 +442,22 @@ INPUT_KEYS = {
     "cowen": ("num_points", "radius"),
 }
 INPUT_KEYS["suite"] = tuple(dict.fromkeys(key for name in SUITE_COMMANDS for key in INPUT_KEYS[name]))
+
+#: the valid values of each enumerated inputs key, after the name its error
+#: gives the key; parse_config checks them before any battery runs.
+INPUT_CHOICES = {
+    "family": ("reducing family", ("monomial", "mobius_power", "custom")),
+    "expected": ("custom expected", ("reducing", "report-only")),
+    "mode": ("shift-equiv mode", ("monomial", "general")),
+}
+
+
+def check_choices(inputs: dict, B: BlaschkeProduct) -> None:
+    """ConfigError for an enumerated inputs value outside INPUT_CHOICES, and
+    for the shift-equiv mode 'monomial' on a B other than z^n: its
+    intertwiner is built for T_(z^n), so its records would not measure T_B."""
+    for key, (name, valid) in INPUT_CHOICES.items():
+        if key in inputs and inputs[key] not in valid:
+            raise ConfigError(f"unknown {name} {inputs[key]!r}; valid values: {', '.join(valid)}")
+    if inputs.get("mode") == "monomial" and B != BlaschkeProduct.monomial(B.degree):
+        raise ConfigError(f"shift-equiv mode 'monomial' requires B = z^{B.degree}; set mode 'general' for this B")

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .blaschke import RHO_MAX, BlaschkeProduct
-from .checks import BATTERIES, CHECK_TOLERANCES, INPUT_KEYS
+from .checks import BATTERIES, CHECK_TOLERANCES, INPUT_KEYS, check_choices
 from .errors import BlaschkeLabError, ConfigError, config_float, config_int, known_keys
 from .report import Report, render
 
@@ -72,7 +72,7 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
         alpha = config_float(obj.get("alpha", 0.0), "alpha")
         if not math.isfinite(alpha):
             raise ConfigError(f"alpha must be finite, got {alpha!r}")
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             command=command,
             blaschke=B,
             alpha=alpha,
@@ -85,6 +85,8 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
             format=fmt,
             strict=strict,
         )
+        check_choices(cfg.inputs, B)
+        return cfg
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError) as exc:

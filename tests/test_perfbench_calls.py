@@ -7,8 +7,8 @@ example if norm_equivalence_ratio or analyze lost their basis= argument,
 or if a traced layer were renamed (the tracer then only reports it with
 zero calls). child.py and tracing.py are loaded by path and only read; the
 sizes are those of the "sweep-d48" and "suite-d64" entries of
-perfbench/test_perfbench.py, except the Mobius-power battery, which runs the
-"mobius-d256" workload of perfbench/run.py as it stands.
+perfbench/test_perfbench.py, except where a test runs the "mobius-d256" or
+"suite-d256" workload of perfbench/run.py as it stands.
 """
 
 import ast
@@ -17,6 +17,8 @@ import importlib.util
 import inspect
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import blaschke_lab as bl
 from blaschke_lab import checks, cli, report
@@ -83,15 +85,20 @@ def test_suite_battery_passes_its_gate():
 
 
 def workload(name):
-    """perfbench/run.WORKLOADS[name], read from the source."""
+    """perfbench/run.WORKLOADS[name], read from the source: the entry is
+    evaluated among the literal constants assigned above it (_SUITE_B)."""
     tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
-    [workloads] = [
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WORKLOADS"]
-    ]
-    [spec] = [ast.literal_eval(v) for k, v in zip(workloads.keys, workloads.values) if ast.literal_eval(k) == name]
-    return spec
+    constants = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WORKLOADS"]:
+            [spec] = [v for k, v in zip(node.value.keys, node.value.values) if ast.literal_eval(k) == name]
+            return eval(compile(ast.Expression(spec), "run.py", "eval"), {"__builtins__": {}}, constants)
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            try:
+                constants[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:
+                pass
+    raise LookupError("perfbench/run.py assigns no WORKLOADS")
 
 
 def test_mobius_battery_passes_its_gate():
@@ -102,6 +109,41 @@ def test_mobius_battery_passes_its_gate():
     ops, failures = child.battery_gate(result, report)
     assert failures == []
     assert ops == 4  # k0_orthogonality, the residuals of classes 0 and 1, and the canonical round trip
+
+
+def svd_values(monkeypatch) -> list:
+    """The largest singular value of each np.linalg.svd call from here on."""
+    values, svd = [], np.linalg.svd
+
+    def spy(*args, **kw):
+        s = svd(*args, **kw)
+        values.append(s[0])
+        return s
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return values
+
+
+def test_mobius_battery_certifies_its_norms_without_an_svd(monkeypatch):
+    # the residuals of b_a^N are limited by its tail past the window and so
+    # dominated by one direction: operator_norm_safe returns ||S||_F
+    spec = workload("mobius-d256")
+    spec["config"]["seed"] = 3
+    values = svd_values(monkeypatch)
+    rep = cli.run(cli.parse_config(spec["config"], spec["command"]))
+    assert rep.all_passed
+    assert values == []
+
+
+def test_suite_commutation_residuals_are_largest_singular_values(monkeypatch):
+    # rounding-level commutators have a flat spectrum and keep the SVD
+    spec = workload("suite-d256")
+    spec["config"]["seed"] = 3
+    values = svd_values(monkeypatch)
+    rep = cli.run(cli.parse_config(spec["config"], spec["command"]))
+    commutation = [r.residual for r in rep.records if r.name.endswith("/commutation")]
+    assert rep.all_passed and len(commutation) == 3
+    assert all(r in values for r in commutation)
 
 
 def test_suite_analyzes_one_function_only_in_decompose(monkeypatch):

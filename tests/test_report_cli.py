@@ -79,6 +79,12 @@ class TestRender:
             rep.validate()
 
 
+#: the messages of an enumerated inputs value outside its valid values
+MODE = r"^unknown shift-equiv mode {}; valid values: monomial, general$"
+FAMILY = r"^unknown reducing family {}; valid values: monomial, mobius_power, custom$"
+EXPECTED = r"^unknown custom expected {}; valid values: reducing, report-only$"
+
+
 class TestConfig:
     def test_minimal_config(self):
         cfg = parse_config(dict(BASE), "suite")
@@ -147,6 +153,35 @@ class TestConfig:
         ],
     )
     def test_unknown_inputs_keys_rejected(self, command, inputs, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(dict(BASE, inputs=inputs), command)
+
+    @pytest.mark.parametrize(
+        "command,inputs,message",
+        [
+            *[
+                (command, {"mode": value}, MODE.format(shown))
+                for command in ("shift-equiv", "suite")
+                for value, shown in [("monomal", "'monomal'"), (None, "None"), (1, "1"), (["general"], r"\['general'\]")]
+            ],
+            *[
+                (command, {"mode": "monomial"}, r"^shift-equiv mode 'monomial' requires B = z\^2; set mode 'general' for this B$")
+                for command in ("shift-equiv", "suite")
+            ],
+            ("reducing", {"family": "mobius"}, FAMILY.format("'mobius'")),
+            ("reducing", {"family": None, "a": [0.5, 0.0]}, FAMILY.format("None")),
+            ("reducing", {"family": "custom", "basis": [[[1, 0]]], "expected": "reduce"}, EXPECTED.format("'reduce'")),
+            ("reducing", {"family": "mobius_power", "expected": 0}, EXPECTED.format("0")),
+            ("reducing", {"expected": None}, EXPECTED.format("None")),
+        ],
+    )
+    def test_enumerated_inputs_are_checked_before_any_battery_runs(self, monkeypatch, command, inputs, message):
+        # parse_config raises by itself: in suite no battery runs before the bad mode is named
+        def no_battery(cfg, rng):
+            raise AssertionError(f"a battery ran on {cfg.inputs}")
+
+        for name in checks.BATTERIES:
+            monkeypatch.setitem(checks.BATTERIES, name, no_battery)
         with pytest.raises(ConfigError, match=message):
             parse_config(dict(BASE, inputs=inputs), command)
 

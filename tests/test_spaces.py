@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings
@@ -187,30 +189,113 @@ class TestCommutatorResidual:
                 commutator_residual(A, T, -1.0, D)
 
 
+SVD, EPS = np.linalg.svd, np.finfo(float).eps
+
+
+def alpha_block(X, alpha, D_safe):
+    """The safe block of X in the alpha geometry, Lambda^(1/2) X Lambda^(-1/2), formed as operator_norm_safe forms it."""
+    sq = np.sqrt(bl.WeightAlpha(alpha).diagonal(D_safe))
+    return sq[:, None] * X[: D_safe + 1, : D_safe + 1] / sq[None, :]
+
+
+def svd_spy(monkeypatch) -> list:
+    """The arrays np.linalg.svd is called on from here on, each recorded as it runs."""
+    calls = []
+
+    def spy(a, *args, **kwargs):
+        calls.append(a)
+        return SVD(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
 class TestOperatorNormSafe:
     @pytest.mark.parametrize("shape,D_safe", [((129, 129), 128), ((257, 257), 128), ((9, 9), 4)])
     def test_zero_section_needs_no_svd(self, shape, D_safe, monkeypatch):
-        def no_svd(*args, **kwargs):
-            raise AssertionError("SVD of an exactly zero section")
-
         X = np.zeros(shape, dtype=complex)
         X[D_safe + 1 :, :] = 1.0  # outside the section
         X[0, 0] = -0.0
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        calls = svd_spy(monkeypatch)
         norm = operator_norm_safe(X, -1.0, D_safe)
-        assert norm == 0.0 and type(norm) is float
+        assert norm == 0.0 and type(norm) is float and calls == []
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
-    def test_nonzero_section_is_its_largest_singular_value(self, rng, alpha):
+    def test_nonzero_section_is_its_largest_singular_value(self, rng, alpha, monkeypatch):
         D, D_safe = 64, 32
         X = np.zeros((D + 1, D + 1), dtype=complex)
         X[D_safe, 3] = 1e-300  # one tiny entry is enough to take the SVD
         dense = rng.standard_normal((D + 1, D + 1)) + 1j * rng.standard_normal((D + 1, D + 1))
-        sq = np.sqrt(bl.WeightAlpha(alpha).diagonal(D_safe))
+        calls = svd_spy(monkeypatch)
         for A in (X, dense):
-            sub = A[: D_safe + 1, : D_safe + 1]
-            expected = np.linalg.svd(sq[:, None] * sub / sq[None, :], compute_uv=False)[0]
+            expected = SVD(alpha_block(A, alpha, D_safe), compute_uv=False)[0]
             assert operator_norm_safe(A, alpha, D_safe) == expected > 0.0
+        assert len(calls) == 2  # rank one, but too small to square; flat
+
+    @staticmethod
+    def section(rng, n, ratio, alpha, D_safe):
+        """sigma x y^H + ratio sigma G on the safe block of an (n x n) array holding
+        junk past it, with the largest singular value s1 of its alpha-scaled block."""
+        x, y = (rng.standard_normal(D_safe + 1) + 1j * rng.standard_normal(D_safe + 1) for _ in range(2))
+        sigma = 3.7
+        G = rng.standard_normal((D_safe + 1, D_safe + 1)) + 1j * rng.standard_normal((D_safe + 1, D_safe + 1))
+        X = np.full((n, n), 1e3, dtype=complex)
+        X[: D_safe + 1, : D_safe + 1] = sigma * np.outer(x / np.linalg.norm(x), (y / np.linalg.norm(y)).conj()) + ratio * sigma * G
+        S = alpha_block(X, alpha, D_safe)
+        return X, S, SVD(S, compute_uv=False)[0]
+
+    @staticmethod
+    def certified(S) -> bool:
+        """||S||_F <= (1 + 1e-5) ||S^H q||, q the unit vector along S's largest column."""
+        q = S[:, np.argmax(np.linalg.norm(S, axis=0))]
+        return np.linalg.norm(S) <= (1 + 1e-5) * np.linalg.norm(S.conj().T @ q) / np.linalg.norm(q)
+
+    @pytest.mark.parametrize("ratio", [0.0, 1e-9, 1e-6, 1e-3, 1.0])
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
+    def test_a_dominant_direction_is_certified_without_an_svd(self, rng, monkeypatch, alpha, ratio):
+        D, D_safe = 96, 64
+        X, S, s1 = self.section(rng, D + 1, ratio, alpha, D_safe)
+        certified = self.certified(S)
+        assert certified == (ratio <= 1e-6)  # both paths are taken
+        calls = svd_spy(monkeypatch)
+        norm = operator_norm_safe(X, alpha, D_safe)
+        assert type(norm) is float and len(calls) == (0 if certified else 1)
+        if certified:
+            assert s1 * (1 - 4 * EPS) <= norm <= s1 * (1 + 1e-5)
+        else:
+            assert norm == s1
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 40),
+        rank=st.integers(1, 3),
+        noise=st.sampled_from([0.0, 1e-12, 1e-8, 1e-6, 1e-4, 1e-2]),
+        scale=st.floats(-30.0, 30.0),
+        alpha=st.sampled_from([-1.0, -0.5, 0.0, 1.0]),
+    )
+    def test_low_rank_plus_noise_stays_within_its_bounds(self, seed, size, rank, noise, scale, alpha):
+        # never below the largest singular value s1, and above it by at most 1e-5 relative
+        g = np.random.default_rng(seed)
+
+        def gauss(*shape):
+            return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+
+        X = 10.0**scale * (gauss(size, rank) * np.logspace(0, -3, rank)) @ gauss(rank, size) + 10.0**scale * noise * gauss(size, size)
+        s1 = SVD(alpha_block(X, alpha, size - 1), compute_uv=False)[0]
+        assert s1 * (1 - 4 * EPS) <= operator_norm_safe(X, alpha, size - 1) <= s1 * (1 + 1e-5)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-300])
+    def test_a_section_too_large_or_small_to_square_takes_the_svd(self, rng, monkeypatch, scale):
+        # rank one, so certified at unit scale; its squares would overflow or underflow here
+        X, S, _ = self.section(rng, 33, 0.0, -1.0, 16)
+        assert self.certified(S)
+        X = scale * X
+        calls = svd_spy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = operator_norm_safe(X, -1.0, 16)
+        assert len(calls) == 1 and norm == SVD(alpha_block(X, -1.0, 16), compute_uv=False)[0]
 
     def test_nan_section_still_reaches_the_svd(self):
         X = np.zeros((9, 9), dtype=complex)
