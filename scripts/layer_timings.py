@@ -10,8 +10,9 @@ only on request; the safe-block norm spaces.operator_norm_safe of D//2 + 1
 rows on the dense realization (an SVD), on the rank-one section u u^H with u
 the first model-space basis vector (certified without an SVD) and on an
 exactly zero section, and the Mobius-power projection of class 0 for b_a^N,
-a = 0.5, N = 2, and its reducing_residual against b_a^N (both the same for
-every product).
+a = 0.5, N = 2, its reducing_residual against b_a^N, and the same residual
+read from the shared section commutators, mobius_power_reducing_residual
+(all three the same for every product).
 
 Each layer is called once untimed, to warm the memos a battery shares (the
 shell frame of (B, D), T_B), then --repeats times under a timer; the medians
@@ -19,8 +20,11 @@ are written to a JSON file and printed as a table. The two shell counts are
 not memoized, so every call searches anew. Three layers are timed
 cold: cell_matrix builds the cells of shells 0..M anew, outside the frame
 memo; the model basis is built by the function under the (B, D) memo
-(blaschke._model_basis.__wrapped__); and the projection builds its frame
-through reducing._mobius_frame.__wrapped__, outside the (a, N, D) memo.
+(blaschke._model_basis.__wrapped__); and the projection and
+mobius_power_reducing_residual build their sections through
+reducing._mobius_frame.__wrapped__, outside the (a, N, D) memo, the
+residual its section commutators through
+reducing._mobius_commutators.__wrapped__ as well.
 BLAS is pinned to one thread before numpy loads.
 
 Usage: python scripts/layer_timings.py [--degrees 64 128 256 512]
@@ -65,15 +69,17 @@ def random_poly(rng: np.random.Generator, degree: int) -> bl.TaylorPoly:
     return bl.TaylorPoly(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
 
 
-def cold_mobius_s(D: int, repeats: int) -> float:
-    """Median seconds of the class-0 Mobius-power projection with its frame
-    built on every call, outside the memo."""
-    memo = reducing._mobius_frame
-    reducing._mobius_frame = memo.__wrapped__
+def cold_mobius_s(fn, repeats: int) -> float:
+    """Median seconds of fn with the Mobius-power sections and their
+    commutators built on every call, outside their memos."""
+    memos = {name: getattr(reducing, name) for name in ("_mobius_frame", "_mobius_commutators")}
+    for name, memo in memos.items():
+        setattr(reducing, name, memo.__wrapped__)
     try:
-        return median_s(lambda: bl.mobius_power_reducing_projection(MOBIUS_A, MOBIUS_N, 0, D), repeats)
+        return median_s(fn, repeats)
     finally:
-        reducing._mobius_frame = memo
+        for name, memo in memos.items():
+            setattr(reducing, name, memo)
 
 
 def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Generator) -> dict:
@@ -104,8 +110,11 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
         "operator_norm_safe_s": median_s(lambda: spaces.operator_norm_safe(W, ALPHA, D_safe), repeats),
         "operator_norm_safe_rank_one_s": median_s(lambda: spaces.operator_norm_safe(rank_one, ALPHA, D_safe), repeats),
         "operator_norm_safe_zero_s": median_s(lambda: spaces.operator_norm_safe(zero, ALPHA, D_safe), repeats),
-        "mobius_projection_s": cold_mobius_s(D, repeats),
+        "mobius_projection_s": cold_mobius_s(lambda: bl.mobius_power_reducing_projection(MOBIUS_A, MOBIUS_N, 0, D), repeats),
         "reducing_residual_s": median_s(lambda: bl.reducing_residual(P, B_mobius), repeats),
+        "mobius_residual_s": cold_mobius_s(
+            lambda: bl.mobius_power_reducing_residual(MOBIUS_A, MOBIUS_N, 0, D, B_mobius), repeats
+        ),
     }
 
 
@@ -137,6 +146,7 @@ def main() -> None:
         "zero norm": "operator_norm_safe_zero_s",
         "mobius": "mobius_projection_s",
         "reducing": "reducing_residual_s",
+        "mobius residual": "mobius_residual_s",
     }
     print(f"{'product':>14} {'D':>4} {'M':>5} " + " ".join(f"{c + ' ms':>12}" for c in columns))
     for name, zeros in PRODUCTS.items():

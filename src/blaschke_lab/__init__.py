@@ -26,6 +26,7 @@ from .reducing import (
     bnorm_defect,
     intertwining_residual,
     mobius_power_reducing_projection,
+    mobius_power_reducing_residual,
     monomial_reducing_projection,
     projection_from_basis,
     projection_defects,

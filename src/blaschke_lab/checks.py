@@ -245,18 +245,10 @@ def reducing_checks(cfg, rng: np.random.Generator):
                 cfg, records, f"reducing/monomial_{j}/residual", _tol(cfg, "reducing_monomial"),
                 lambda P=P: rd.reducing_residual(P(), B),
             )
-    elif family == "mobius_power":
-        a = complex(*cfg.inputs.get("a", [0.5, 0.0]))
-        N = B.degree
-        zeros = B.expanded_zeros()
-        if any(z != a for z in zeros):
-            raise ConfigError(
-                "mobius_power family requires B to be a power of the factor through a"
-            )
-        if w.alpha != -1.0:
-            raise ConfigError("mobius_power family is defined on the Bergman weight; set alpha = -1")
+    elif family == "mobius_power":  # parse_config admits it only for B = b_a^N and alpha = -1
+        a, N = _mobius_point(cfg.inputs.get("a", _MOBIUS_A)), B.degree
 
-        def k0(a=a):
+        def k0():
             # derivative kernels z^j/(1-conj(a) z)^(j+2), j < N, against B A:
             # column j holds comb(k+1, j+1) conj(a)^(k-j) at degrees k >= j
             TB = B.toeplitz(D)
@@ -267,11 +259,10 @@ def reducing_checks(cfg, rng: np.random.Generator):
 
         _timed(cfg, records, "reducing/mobius/k0_orthogonality", _tol(cfg, "k0_orthogonality"), k0)
         for j in range(N):
-            def mobius(j=j):
-                P = rd.mobius_power_reducing_projection(a, N, j, D, **_guard(cfg, "rho_max"))
-                return rd.reducing_residual(P, B)
-
-            _timed(cfg, records, f"reducing/mobius_{j}/residual", _tol(cfg, "reducing_mobius"), mobius)
+            _timed(
+                cfg, records, f"reducing/mobius_{j}/residual", _tol(cfg, "reducing_mobius"),
+                lambda j=j: rd.mobius_power_reducing_residual(a, N, j, D, B, **_guard(cfg, "rho_max")),
+            )
     else:  # custom
         basis_payload = cfg.inputs.get("basis")
         if not basis_payload:
@@ -452,12 +443,32 @@ INPUT_CHOICES = {
 }
 
 
-def check_choices(inputs: dict, B: BlaschkeProduct) -> None:
-    """ConfigError for an enumerated inputs value outside INPUT_CHOICES, and
-    for the shift-equiv mode 'monomial' on a B other than z^n: its
-    intertwiner is built for T_(z^n), so its records would not measure T_B."""
+#: the Mobius point of the reducing family mobius_power when inputs.a is absent.
+_MOBIUS_A = [0.5, 0.0]
+
+
+def _mobius_point(value) -> complex:
+    """The value of inputs.a, [re, im] with each part read by config_float."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"inputs.a must be [re, im], two numbers, got {value!r}")
+    re, im = (config_float(x, f"inputs.a[{i}]") for i, x in enumerate(value))
+    return complex(re, im)
+
+
+def check_choices(inputs: dict, B: BlaschkeProduct, alpha: float) -> None:
+    """ConfigError for an enumerated inputs value outside INPUT_CHOICES; for
+    the shift-equiv mode 'monomial' on a B other than z^n, since its
+    intertwiner is built for T_(z^n) and its records would not measure T_B;
+    for an inputs.a that is not two numbers; and for the mobius_power family
+    unless every zero of B is a and alpha = -1, where its classes reduce T_B."""
     for key, (name, valid) in INPUT_CHOICES.items():
         if key in inputs and inputs[key] not in valid:
             raise ConfigError(f"unknown {name} {inputs[key]!r}; valid values: {', '.join(valid)}")
     if inputs.get("mode") == "monomial" and B != BlaschkeProduct.monomial(B.degree):
         raise ConfigError(f"shift-equiv mode 'monomial' requires B = z^{B.degree}; set mode 'general' for this B")
+    a = _mobius_point(inputs.get("a", _MOBIUS_A))
+    if inputs.get("family") == "mobius_power":
+        if any(z != a for z in B.expanded_zeros()):
+            raise ConfigError("mobius_power family requires B to be a power of the factor through a")
+        if alpha != -1.0:
+            raise ConfigError("mobius_power family is defined on the Bergman weight; set alpha = -1")

@@ -85,7 +85,7 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
             format=fmt,
             strict=strict,
         )
-        check_choices(cfg.inputs, B)
+        check_choices(cfg.inputs, B, alpha)
         return cfg
     except ConfigError:
         raise

@@ -7,7 +7,9 @@ commutators on the safe block.
 
 Every class j of the Mobius-power projections of b_a^N reads the sections C_r
 built once per (a, N, D), in a memo of the last two keys; a class is built
-only when the window shows its first generator.
+only when the window shows its first generator. Its reducing residual reads
+the safe-block commutators of those sections with T_B and T_B*, built once
+per (a, N, D, B) beside them, and forms no projection.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from .spaces import (
     OperatorMatrix,
     TaylorPoly,
     WeightAlpha,
+    _commutator_block,
     _readonly,
     as_coeffs,
     as_weight,
-    commutator_residual,
     operator_norm_safe,
     require_window,
     safe_degree,
@@ -40,6 +42,7 @@ __all__ = [
     "IntertwinerJ",
     "monomial_reducing_projection",
     "mobius_power_reducing_projection",
+    "mobius_power_reducing_residual",
     "projection_from_basis",
     "projection_defects",
     "reducing_residual",
@@ -151,6 +154,23 @@ def _clean_degree(a: complex, j: int, D: int) -> int:
     return lo + 1 + bisect_left(range(lo + 1, hi), True, key=lambda d: _generator_tail(a, j, d) <= _MOBIUS_CLEAN_TOL)
 
 
+def _mobius_class(a: complex, N: int, j: int, D: int, rho_max: float) -> tuple[complex, list[complex]]:
+    """(a, [omega^(-(j+1)r) for r = 1..N-1]) for class j of b_a^N at degree D, once a and j are valid
+    (ValueError) and the window shows the class's first generator u_j (ConditioningError naming the
+    smallest D that clears it)."""
+    a = complex(a)
+    if not 0 < abs(a) <= rho_max or abs(a) >= 1.0:
+        raise ValueError(f"need 0 < |a| <= rho_max and |a| < 1, got |a| = {abs(a):.4f}")
+    if not 0 <= j < N:
+        raise ValueError("need 0 <= j < N")
+    if (tail := _generator_tail(a, j, D)) > _MOBIUS_CLEAN_TOL:
+        raise ConditioningError(
+            f"no Mobius-power generator is window-clean at D = {D}: class {j}'s first generator has padded-window "
+            f"tail {tail:.3e} > {_MOBIUS_CLEAN_TOL:.0e}; increase D to >= {_clean_degree(a, j, D)}"
+        )
+    return a, [np.exp(-2j * np.pi * (j + 1) * r / N) for r in range(1, N)]
+
+
 def mobius_power_reducing_projection(
     a: complex, N: int, j: int, D: int, *, rho_max: float = RHO_MAX
 ) -> OperatorMatrix:
@@ -169,25 +189,42 @@ def mobius_power_reducing_projection(
     section is self-adjoint and commutes correctly, but it is not
     idempotent: its square misses it by the mass P_j sends past the window.
     """
-    a = complex(a)
-    if not 0 < abs(a) <= rho_max or abs(a) >= 1.0:
-        raise ValueError(f"need 0 < |a| <= rho_max and |a| < 1, got |a| = {abs(a):.4f}")
-    if not 0 <= j < N:
-        raise ValueError("need 0 <= j < N")
-    if (tail := _generator_tail(a, j, D)) > _MOBIUS_CLEAN_TOL:
-        raise ConditioningError(
-            f"no Mobius-power generator is window-clean at D = {D}: class {j}'s first generator has padded-window "
-            f"tail {tail:.3e} > {_MOBIUS_CLEAN_TOL:.0e}; increase D to >= {_clean_degree(a, j, D)}"
-        )
+    a, phase = _mobius_class(a, N, j, D, rho_max)
     C = _mobius_frame(a, N, D)
     # one array, no identity temporary: omega^(-(j+1)) C_1 (zero for N = 1), 1 on the diagonal, the other C_r
-    phase = [np.exp(-2j * np.pi * (j + 1) * r / N) for r in range(1, N)]
     P = phase[0] * C[0] if C else np.zeros((D + 1, D + 1), dtype=complex)
     P.flat[:: D + 2] += 1.0
     for ph, C_r in zip(phase[1:], C[1:]):
         P += ph * C_r
     P /= N
     return OperatorMatrix(_readonly(P), as_weight(-1.0))
+
+
+@lru_cache(maxsize=2)
+def _mobius_commutators(a: complex, N: int, D: int, B: BlaschkeProduct) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Read-only safe blocks ([C_r, T_B], [C_r, T_B*]), r = 1..N-1, of the sections of _mobius_frame(a, N, D)
+    in the Bergman weight."""
+    w = as_weight(-1.0)
+    return tuple(tuple(map(_readonly, _reducing_blocks(C_r, B, w, D))) for C_r in _mobius_frame(a, N, D))
+
+
+def mobius_power_reducing_residual(
+    a: complex, N: int, j: int, D: int, B: BlaschkeProduct, *, rho_max: float = RHO_MAX
+) -> float:
+    """reducing_residual(mobius_power_reducing_projection(a, N, j, D), B) up to rounding, with no projection
+    formed: [I, T] = 0, so [P_j, T] = (1/N) sum_r omega^(-(j+1)r) [C_r, T] for T = T_B and T_B*, and the
+    blocks [C_r, T] are built once per (a, N, D, B) for every class. The phase of C_1 is factored out of each
+    sum, since a unit factor leaves its norm unchanged: the two classes of N = 2 read one value. The errors
+    are the projection's."""
+    a, phase = _mobius_class(a, N, j, D, rho_max)
+    K = _mobius_commutators(a, N, D, B)
+    if not K:  # N = 1: P_0 = I commutes exactly
+        return 0.0
+    rel = [ph / phase[0] for ph in phase[1:]]
+    w, D_safe = as_weight(-1.0), safe_degree(D)
+    return max(
+        operator_norm_safe(sum((c * K_r[i] for c, K_r in zip(rel, K[1:])), K[0][i]), w, D_safe) for i in (0, 1)
+    ) / N
 
 
 #: smallest normalized singular value of a caller-supplied basis before
@@ -217,18 +254,21 @@ def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D
     return OperatorMatrix(_readonly(P), w)
 
 
+def _reducing_blocks(m: np.ndarray, B: BlaschkeProduct, w: WeightAlpha, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Safe blocks of the commutators of the section m with T_B (spaces._commutator_block) and with its
+    weighted adjoint T_B*. T_B is lower triangular, so only the rows s = 0..D_safe of T_B*,
+    adj = Lambda_s^-1 T_B[:, s]^H Lambda, are formed, and (m T_B*)[s, s] = m[s, s] adj[:, s]."""
+    TB, lam = B.toeplitz(D), w.diagonal(D)
+    s = slice(0, safe_degree(D) + 1)
+    adj = (TB[:, s].conj().T * lam[None, :]) / lam[s, None]
+    return _commutator_block(m, TB, D), m[s, s] @ adj[:, s] - adj @ m[:, s]
+
+
 def reducing_residual(P: OperatorMatrix, B: BlaschkeProduct) -> float:
     """max of the safe-block commutator norms of P with T_B and with its weighted adjoint T_B*, in P's weight
-    and window; zero characterizes a reducing subspace. T_B is lower triangular, so only the rows s = 0..D_safe
-    of T_B*, adj = Lambda_s^-1 T_B[:, s]^H Lambda, are formed, and (m T_B*)[s, s] = m[s, s] adj[:, s]."""
-    w, D, m = P.alpha, P.degree, P.entries
-    TB, lam, D_safe = B.toeplitz(D), w.diagonal(D), safe_degree(D)
-    s = slice(0, D_safe + 1)
-    adj = (TB[:, s].conj().T * lam[None, :]) / lam[s, None]
-    return max(
-        commutator_residual(m, TB, w, D),
-        operator_norm_safe(m[s, s] @ adj[:, s] - adj @ m[:, s], w, D_safe),
-    )
+    and window; zero characterizes a reducing subspace."""
+    D_safe = safe_degree(P.degree)
+    return max(operator_norm_safe(X, P.alpha, D_safe) for X in _reducing_blocks(P.entries, B, P.alpha, P.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +354,15 @@ def bnorm_defect(J: IntertwinerJ, M: int) -> float:
 
 
 def intertwining_residual(J: IntertwinerJ) -> float:
-    """Safe-block norm of J S - T_B J (alpha geometry): column k compares
-    T_B J(z^k) with J(z^(k+1))."""
+    """Safe-block norm of J S - T_B J in the alpha geometry of both sides:
+    column k compares T_B J(z^k) with J(z^(k+1)), row m is scaled by
+    (m+1)^(alpha/2) and column k by (k+1)^(-alpha/2), the norm of z^k in
+    J's domain (see unitarity_defect)."""
     D = J.F.shape[0] - 1
-    diff = J.B.toeplitz(D) @ J.F[:, :-1] - J.F[:, 1:]
-    D_safe = safe_degree(D)
-    sq = np.sqrt(J.alpha.diagonal(D))
-    return float(np.linalg.norm((sq[:, None] * diff)[: D_safe + 1, :], 2))
+    s = slice(0, safe_degree(D) + 1)
+    diff = J.B.toeplitz(D)[s] @ J.F[:, :-1] - J.F[s, 1:]
+    rows, cols = np.sqrt(J.alpha.diagonal(D)[s]), np.sqrt(J.alpha.diagonal(diff.shape[1] - 1))
+    return float(np.linalg.norm(rows[:, None] * diff / cols[None, :], 2))
 
 
 def shell_shift_residual(J: IntertwinerJ, M: int) -> float:

@@ -204,9 +204,11 @@ def toeplitz_matrix(g: TaylorPoly, D: int, w: WeightAlpha | float = 0.0) -> Oper
 
 def weighted_adjoint(A: OperatorMatrix) -> OperatorMatrix:
     """Adjoint with respect to A's weight <.,.>_alpha: Lambda^-1 A^H Lambda
-    with Lambda = diag((k+1)^alpha)."""
+    with Lambda = diag((k+1)^alpha), one product with the ratios lam_k / lam_j.
+    Their diagonal is exactly 1, so a real diagonal section is its own adjoint
+    bit for bit."""
     lam = A.alpha.diagonal(A.degree)
-    m = (A.entries.conj().T * lam[None, :]) / lam[:, None]
+    m = A.entries.conj().T * (lam[None, :] / lam[:, None])
     return OperatorMatrix(_readonly(m), A.alpha)
 
 
@@ -251,9 +253,9 @@ def operator_norm_safe(X: np.ndarray, w: WeightAlpha | float, D_safe: int) -> fl
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
-def commutator_residual(A: np.ndarray, T: np.ndarray, w: WeightAlpha | float, D: int) -> float:
-    """Safe-block operator norm of A T - T A for a lower-triangular T (a multiplication section), read
-    from rows 0..D_safe of A alone (ValueError on fewer): (A T)[s, s] = A[s, :] T[:, s] sums over all D + 1
+def _commutator_block(A: np.ndarray, T: np.ndarray, D: int) -> np.ndarray:
+    """Safe block of A T - T A for a lower-triangular T (a multiplication section), read from rows
+    0..D_safe of A alone (ValueError on fewer): (A T)[s, s] = A[s, :] T[:, s] sums over all D + 1
     columns, and (T A)[s, s] = T[s, s] A[s, s] since T[s, :] vanishes past column D_safe. ValueError if not."""
     D_safe = safe_degree(D)
     s = slice(0, D_safe + 1)
@@ -261,4 +263,9 @@ def commutator_residual(A: np.ndarray, T: np.ndarray, w: WeightAlpha | float, D:
         raise ValueError(f"A has {A.shape[0]} rows; the commutator reads rows 0..D_safe = {D_safe}")
     if T[s, D_safe + 1 :].any():
         raise ValueError(f"T has entries past column D_safe = {D_safe} in rows 0..D_safe; it must be lower triangular")
-    return operator_norm_safe(A[s, :] @ T[:, s] - T[s, s] @ A[s, s], w, D_safe)
+    return A[s, :] @ T[:, s] - T[s, s] @ A[s, s]
+
+
+def commutator_residual(A: np.ndarray, T: np.ndarray, w: WeightAlpha | float, D: int) -> float:
+    """Safe-block operator norm of A T - T A for a lower-triangular T, formed by _commutator_block."""
+    return operator_norm_safe(_commutator_block(A, T, D), w, safe_degree(D))

@@ -126,12 +126,21 @@ def svd_values(monkeypatch) -> list:
 
 def test_mobius_battery_certifies_its_norms_without_an_svd(monkeypatch):
     # the residuals of b_a^N are limited by its tail past the window and so
-    # dominated by one direction: operator_norm_safe returns ||S||_F
+    # dominated by one direction: operator_norm_safe returns ||S||_F. Each
+    # class's residual is read from the commutators of the shared sections
+    # C_r; the projection stays for users, and no battery forms it
+    def no_projection(*args, **kw):
+        raise AssertionError("the battery formed a Mobius-power projection")
+
+    monkeypatch.setattr(bl.reducing, "mobius_power_reducing_projection", no_projection)
     spec = workload("mobius-d256")
     spec["config"]["seed"] = 3
     values = svd_values(monkeypatch)
     rep = cli.run(cli.parse_config(spec["config"], spec["command"]))
     assert rep.all_passed
+    assert [r.name for r in rep.records] == [
+        "reducing/mobius/k0_orthogonality", "reducing/mobius_0/residual", "reducing/mobius_1/residual"
+    ]
     assert values == []
 
 

@@ -6,7 +6,7 @@ import pytest
 import blaschke_lab as bl
 from blaschke_lab import reducing as rd
 from blaschke_lab import safe_degree
-from blaschke_lab.errors import ConditioningError, DimensionMismatchError, MembershipError, ZeroFunctionError
+from blaschke_lab.errors import BlaschkeLabError, ConditioningError, DimensionMismatchError, MembershipError, ZeroFunctionError
 from blaschke_lab.spaces import TaylorPoly, operator_norm_safe
 from conftest import b_norm, identity, monomial, zero
 
@@ -88,6 +88,16 @@ class TestMonomialProjection:
             assert bl.weighted_norm(TaylorPoly(v), -1.0) == pytest.approx(1.0, abs=1e-15)
             image = v if k % 2 == 0 else np.zeros(41)
             assert bl.weighted_norm(TaylorPoly(P.entries @ v - image), -1.0) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_defects_are_exactly_zero(self, alpha, N):
+        # a 0/1 diagonal is idempotent and, with the weight ratios' unit
+        # diagonal, weighted-self-adjoint bit for bit
+        for j in range(N):
+            P = bl.monomial_reducing_projection(N, j, alpha, 256)
+            assert np.array_equal(bl.weighted_adjoint(P).entries, P.entries)
+            assert bl.projection_defects(P) == (0.0, 0.0)
 
 
 class TestMobiusProjection:
@@ -310,6 +320,97 @@ class TestMobiusFrame:
         assert rd._mobius_frame.cache_info().maxsize == 2
 
 
+#: a grid over real, imaginary and off-axis points up to |a| = 0.79, read with rho_max 0.85
+SECTION_GRID = [(a, N, D) for a in (0.3, 0.5, 0.8, 0.5j, 0.6 - 0.5j, -0.79j) for N in (2, 3) for D in (64, 128, 256)]
+
+
+def _outcome(fn):
+    """fn's value, or the (type, message) of the library error it raises."""
+    try:
+        return fn()
+    except (BlaschkeLabError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMobiusSectionResidual:
+    """mobius_power_reducing_residual reads each class's residual from the
+    commutators of the sections C_r, shared by every class, and forms no
+    projection."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        rd._mobius_frame.cache_clear()
+        rd._mobius_commutators.cache_clear()
+        yield
+        rd._mobius_frame.cache_clear()
+        rd._mobius_commutators.cache_clear()
+
+    @pytest.mark.parametrize("a,N,D", SECTION_GRID)
+    def test_equals_the_residual_of_the_projection(self, a, N, D):
+        B = bl.BlaschkeProduct(0.0, [(a, N)], rho_max=0.85)
+        for j in range(N):
+            got = _outcome(lambda: bl.mobius_power_reducing_residual(a, N, j, D, B, rho_max=0.85))
+            ref = _outcome(lambda: bl.reducing_residual(bl.mobius_power_reducing_projection(a, N, j, D, rho_max=0.85), B))
+            if isinstance(ref, tuple):
+                assert got == ref, j  # the same error type and message
+            elif ref > 1e-13:
+                assert abs(got - ref) <= 1e-4 * ref, j
+            else:
+                assert abs(got - ref) <= 1e-13, j
+
+    @pytest.mark.parametrize("a,D", sorted({(a, D) for a, N, D in SECTION_GRID}, key=str))
+    def test_the_classes_of_n2_read_one_value(self, a, D):
+        B = bl.BlaschkeProduct(0.0, [(a, 2)], rho_max=0.85)
+        zero, one = (_outcome(lambda j=j: bl.mobius_power_reducing_residual(a, 2, j, D, B, rho_max=0.85)) for j in (0, 1))
+        if not isinstance(zero, tuple) and not isinstance(one, tuple):
+            assert zero == one
+
+    @pytest.mark.parametrize("a,N,D", [(0.5, 2, 64), (0.8, 3, 256), (0.6 - 0.5j, 3, 256)])
+    def test_section_commutators_are_built_once_per_key(self, a, N, D, monkeypatch):
+        blocks, built = [], rd._reducing_blocks
+
+        def counted(m, B, w, D):
+            blocks.append(B)
+            return built(m, B, w, D)
+
+        monkeypatch.setattr(rd, "_reducing_blocks", counted)
+        B = bl.BlaschkeProduct(0.0, [(a, N)])
+        for _ in range(2):
+            for j in range(N):
+                bl.mobius_power_reducing_residual(a, N, j, D, B)
+        assert blocks == [B] * (N - 1)
+        # T_B enters the key: a rotated product has other commutators
+        rotated = bl.BlaschkeProduct(0.5, [(a, N)])
+        bl.mobius_power_reducing_residual(a, N, 0, D, rotated)
+        assert blocks == [B] * (N - 1) + [rotated] * (N - 1)
+        assert rd._mobius_commutators.cache_info().maxsize == 2
+        for pair in rd._mobius_commutators(complex(a), N, D, B):
+            for X in pair:
+                with pytest.raises(ValueError):
+                    X[0, 0] = 1.0
+
+    def test_forms_no_projection(self, monkeypatch):
+        def no_projection(*args, **kw):
+            raise AssertionError("a projection was formed")
+
+        monkeypatch.setattr(rd, "mobius_power_reducing_projection", no_projection)
+        B = bl.BlaschkeProduct(0.0, [(0.8, 2)])
+        assert 0 < bl.mobius_power_reducing_residual(0.8, 2, 0, 256, B) < 1e-6
+
+    def test_one_class_is_the_identity(self):
+        B = bl.BlaschkeProduct(0.0, [0.8])
+        assert bl.mobius_power_reducing_residual(0.8, 1, 0, 128, B) == 0.0
+
+    @pytest.mark.parametrize(
+        "a,N,j,D,kw", [(0.0, 2, 0, 40, {}), (1.0, 2, 0, 40, {"rho_max": 2.0}), (0.5, 2, 2, 40, {}), (0.8, 2, 0, 48, {})]
+    )
+    def test_raises_what_the_projection_raises(self, a, N, j, D, kw):
+        B = bl.BlaschkeProduct(0.0, [(0.5, 2)])
+        got = _outcome(lambda: bl.mobius_power_reducing_residual(a, N, j, D, B, **kw))
+        assert isinstance(got, tuple)
+        assert got == _outcome(lambda: bl.mobius_power_reducing_projection(a, N, j, D, **kw))
+
+
 def reducing_residual_by_full_products(P, B):
     """Oracle of reducing_residual: the full products m T, T m, m T* and T* m
     with T* the weighted adjoint of the whole section, then the safe block."""
@@ -317,6 +418,20 @@ def reducing_residual_by_full_products(P, B):
     T = B.toeplitz(D)
     T_star = bl.weighted_adjoint(bl.OperatorMatrix(T, w)).entries
     return max(operator_norm_safe(m @ X - X @ m, w, safe_degree(D)) for X in (T, T_star))
+
+
+def reducing_residual_written_out(P, B):
+    """reducing_residual as one expression: the safe block of [P, T_B] as
+    spaces.commutator_residual forms it, and the safe rows adj of T_B*.
+    Sharing these blocks with the Mobius-power path must not move a bit."""
+    w, D, m = P.alpha, P.degree, P.entries
+    TB, lam, D_safe = B.toeplitz(D), w.diagonal(D), safe_degree(D)
+    s = slice(0, D_safe + 1)
+    adj = (TB[:, s].conj().T * lam[None, :]) / lam[s, None]
+    return max(
+        operator_norm_safe(m[s, :] @ TB[:, s] - TB[s, s] @ m[s, s], w, D_safe),
+        operator_norm_safe(m[s, s] @ adj[:, s] - adj @ m[:, s], w, D_safe),
+    )
 
 
 def _residual_cases(D):
@@ -353,6 +468,11 @@ class TestReducingResidual:
             ref = reducing_residual_by_full_products(P, B)
             got = bl.reducing_residual(P, B)
             assert abs(got - ref) <= 1e-14 * max(1.0, ref), label
+
+    @pytest.mark.parametrize("D", [96, 256])
+    def test_equals_its_expression_written_out_bit_for_bit(self, D):
+        for label, P, B in _residual_cases(D):
+            assert bl.reducing_residual(P, B) == reducing_residual_written_out(P, B), label
 
     def test_identity_projection(self, B2):
         D = 60
@@ -400,6 +520,17 @@ class TestReducingResidual:
         assert np.max(np.abs(P0.entries @ P1.entries)) == 0.0
 
 
+def intertwining_by_dense_operators(J):
+    """Oracle of intertwining_residual: J S - T_B J on z^0..z^(K-2) with S the
+    K x K shift, as Lambda^(1/2) (...) Lambda_K^(-1/2) in the weights of
+    target and domain, its rows cut to the safe block, by one SVD."""
+    D, K = J.F.shape[0] - 1, J.F.shape[1]
+    X = (J.F @ np.eye(K, k=-1) - J.B.toeplitz(D) @ J.F)[:, : K - 1]
+    a = J.alpha.alpha
+    scaled = ((np.arange(D + 1) + 1.0) ** (a / 2))[:, None] * X * ((np.arange(K - 1) + 1.0) ** (-a / 2))[None, :]
+    return float(np.linalg.svd(scaled[: safe_degree(D) + 1], compute_uv=False)[0])
+
+
 class TestShiftEquivMonomial:
     def test_n1_is_identity(self):
         J = bl.shift_equiv_monomial(1, -1.0, 10)
@@ -425,6 +556,29 @@ class TestShiftEquivMonomial:
         img = TaylorPoly(J.F[:, 0])
         assert img.coeffs[1] == pytest.approx(np.sqrt(2.0))
         assert bl.weighted_norm(img, -1.0) == pytest.approx(bl.weighted_norm(TaylorPoly.one(), -1.0))
+
+    @pytest.mark.parametrize("alpha,expected", [(-1.0, 6.81e-7), (0.0, 1.0e-6), (1.0, 1.47e-6)])
+    def test_intertwining_measures_both_sides_in_the_alpha_geometry(self, alpha, expected):
+        # one image off by 1e-6: J(z^12) gains 1e-6 z^25. The defect reaches
+        # columns 11 and 12, whose unit vectors z^k / (k+1)^(alpha/2) scale it
+        J = bl.shift_equiv_monomial(2, alpha, 64)
+        assert bl.intertwining_residual(J) == 0.0
+        F = J.F.copy()
+        F[25, 12] += 1e-6
+        perturbed = dataclasses.replace(J, F=F)
+        got = bl.intertwining_residual(perturbed)
+        assert got == pytest.approx(expected, rel=2e-3)
+        assert got == pytest.approx(intertwining_by_dense_operators(perturbed), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 1.0])
+    def test_intertwining_equals_the_dense_oracle(self, B3, rng, alpha):
+        D = 64
+        h = TaylorPoly(bl.model_basis(B3, D).U[:, 1])
+        general = bl.shift_equiv_general(B3, h, alpha, 10, D)
+        noise = rng.standard_normal(general.F.shape) * 1e-3
+        for J in (general, dataclasses.replace(general, F=general.F + noise)):
+            ref = intertwining_by_dense_operators(J)
+            assert abs(bl.intertwining_residual(J) - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("n,alpha", [(2, -1.0), (3, 1.0), (2, 0.0)])
     def test_unitarity_and_intertwining(self, n, alpha):

@@ -185,6 +185,47 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(dict(BASE, inputs=inputs), command)
 
+    MOBIUS = {"B": {"theta": 0.0, "zeros": [{"re": 0.8, "im": 0.0, "mult": 2}]}, "alpha": -1.0, "degree": 128}
+
+    @pytest.mark.parametrize(
+        "a,message",
+        [
+            ([0.8, False], r"^inputs\.a\[1\] must be a number, got False$"),
+            ([True, 0], r"^inputs\.a\[0\] must be a number, got True$"),
+            (["0.8", 0], r"^inputs\.a\[0\] must be a number, got '0\.8'$"),
+            ([0.8], r"^inputs\.a must be \[re, im\], two numbers, got \[0\.8\]$"),
+            ([0.8, 0.0, 0.0], r"^inputs\.a must be \[re, im\], two numbers, got \[0\.8, 0\.0, 0\.0\]$"),
+            (0.8, r"^inputs\.a must be \[re, im\], two numbers, got 0\.8$"),
+            ({"re": 0.8}, r"^inputs\.a must be \[re, im\], two numbers, got \{'re': 0\.8\}$"),
+        ],
+    )
+    @pytest.mark.parametrize("family", ["mobius_power", "monomial"])
+    def test_mobius_point_is_two_numbers(self, monkeypatch, a, message, family):
+        for name in checks.BATTERIES:
+            monkeypatch.setitem(checks.BATTERIES, name, lambda cfg, rng: pytest.fail("a battery ran"))
+        with pytest.raises(ConfigError, match=message):
+            parse_config(dict(self.MOBIUS, inputs={"family": family, "a": a}), "reducing")
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"inputs": {"family": "mobius_power", "a": [0.5, 0]}}, r"requires B to be a power of the factor through a$"),
+            ({"inputs": {"family": "mobius_power"}}, r"requires B to be a power of the factor through a$"),
+            ({"alpha": 0.0, "inputs": {"family": "mobius_power", "a": [0.8, 0]}}, r"; set alpha = -1$"),
+        ],
+    )
+    def test_mobius_power_preconditions_are_checked_before_any_battery_runs(self, monkeypatch, change, message):
+        for name in checks.BATTERIES:
+            monkeypatch.setitem(checks.BATTERIES, name, lambda cfg, rng: pytest.fail("a battery ran"))
+        with pytest.raises(ConfigError, match=message):
+            parse_config(dict(self.MOBIUS, **change), "reducing")
+
+    def test_an_integral_mobius_point_reads_as_its_float(self):
+        # the echoed inputs keep the config's own value
+        cfg = parse_config(dict(self.MOBIUS, B=b_json([0.5 + 0j, 0.5 + 0j]), inputs={"family": "mobius_power", "a": [0.5, 0]}), "reducing")
+        assert checks._mobius_point(cfg.inputs["a"]) == 0.5 and cfg.inputs["a"] == [0.5, 0]
+        assert run(cfg).all_passed
+
     def test_suite_takes_every_key_it_forwards(self):
         inputs = {"num_samples": 1, "symbol_degree": 2, "kmax": 1, "num_points": 3}
         rep = run(parse_config(dict(BASE, degree=48, inputs=inputs), "suite"))
