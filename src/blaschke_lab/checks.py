@@ -12,6 +12,7 @@ reports are reproducible byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from functools import cache
 
@@ -246,7 +247,7 @@ def reducing_checks(cfg, rng: np.random.Generator):
                 lambda P=P: rd.reducing_residual(P(), B),
             )
     elif family == "mobius_power":  # parse_config admits it only for B = b_a^N and alpha = -1
-        a, N = _mobius_point(cfg.inputs.get("a", _MOBIUS_A)), B.degree
+        a, N = _pairs(cfg.inputs.get("a", _MOBIUS_A), "inputs.a"), B.degree
 
         def k0():
             # derivative kernels z^j/(1-conj(a) z)^(j+2), j < N, against B A:
@@ -447,11 +448,21 @@ INPUT_CHOICES = {
 _MOBIUS_A = [0.5, 0.0]
 
 
-def _mobius_point(value) -> complex:
-    """The value of inputs.a, [re, im] with each part read by config_float."""
+def _pairs(value, name: str, depth: int = 0) -> complex | None:
+    """The pair value = [re, im] as re + i im, once it is two finite numbers
+    read by config_float; for depth > 0, each pair depth lists deep in value
+    read so, its ConfigError naming the index. A level that is not a list is
+    left to the shape errors of the reader of that key."""
+    if depth:
+        for i, item in enumerate(value if isinstance(value, (list, tuple)) else ()):
+            _pairs(item, f"{name}[{i}]", depth - 1)
+        return None
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"inputs.a must be [re, im], two numbers, got {value!r}")
-    re, im = (config_float(x, f"inputs.a[{i}]") for i, x in enumerate(value))
+        raise ConfigError(f"{name} must be [re, im], two numbers, got {value!r}")
+    re, im = (config_float(x, f"{name}[{i}]") for i, x in enumerate(value))
+    for i, x in enumerate((re, im)):
+        if not math.isfinite(x):
+            raise ConfigError(f"{name}[{i}] must be finite, got {x!r}")
     return complex(re, im)
 
 
@@ -459,14 +470,17 @@ def check_choices(inputs: dict, B: BlaschkeProduct, alpha: float) -> None:
     """ConfigError for an enumerated inputs value outside INPUT_CHOICES; for
     the shift-equiv mode 'monomial' on a B other than z^n, since its
     intertwiner is built for T_(z^n) and its records would not measure T_B;
-    for an inputs.a that is not two numbers; and for the mobius_power family
-    unless every zero of B is a and alpha = -1, where its classes reduce T_B."""
+    for a coefficient pair of inputs.a, f, h, basis or phi that is not two
+    finite numbers; and for the mobius_power family unless every zero
+    of B is a and alpha = -1, where its classes reduce T_B."""
     for key, (name, valid) in INPUT_CHOICES.items():
         if key in inputs and inputs[key] not in valid:
             raise ConfigError(f"unknown {name} {inputs[key]!r}; valid values: {', '.join(valid)}")
     if inputs.get("mode") == "monomial" and B != BlaschkeProduct.monomial(B.degree):
         raise ConfigError(f"shift-equiv mode 'monomial' requires B = z^{B.degree}; set mode 'general' for this B")
-    a = _mobius_point(inputs.get("a", _MOBIUS_A))
+    for key, depth in {"f": 1, "h": 1, "basis": 2, "phi": 3}.items():  # lists above each key's [re, im] pairs
+        _pairs(inputs.get(key), f"inputs.{key}", depth)
+    a = _pairs(inputs.get("a", _MOBIUS_A), "inputs.a")
     if inputs.get("family") == "mobius_power":
         if any(z != a for z in B.expanded_zeros()):
             raise ConfigError("mobius_power family requires B to be a power of the factor through a")

@@ -18,7 +18,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .blaschke import BlaschkeProduct, model_basis
 from .errors import NotInCommutantError
-from .spaces import OperatorMatrix, TaylorPoly, WeightAlpha, _freeze, _readonly, as_weight, commutator_residual, safe_degree
+from .spaces import (
+    OperatorMatrix, TaylorPoly, WeightAlpha, _commutator_block, _freeze, _readonly, as_weight, operator_norm_safe,
+    safe_degree,
+)
 from .wold import _shell_coordinates, shell_frame
 
 __all__ = [
@@ -159,7 +162,8 @@ def build(phi: MultiplierMatrix, B: BlaschkeProduct, w: WeightAlpha | float, M: 
 def commutation_residual(A: OperatorMatrix | CommutantOperator, B: BlaschkeProduct) -> float:
     """Safe-block operator norm of A T_B - T_B A in A's weight and window,
     from rows 0..D_safe of A alone: an element forms only Z[:D_safe+1] E^H."""
-    return commutator_residual(A.rows(safe_degree(A.degree) + 1), B.toeplitz(A.degree), A.alpha, A.degree)
+    D_safe = safe_degree(A.degree)
+    return operator_norm_safe(_commutator_block(A.rows(D_safe + 1), B, A.degree), A.alpha, D_safe)
 
 
 def extract_symbols(W: OperatorMatrix | CommutantOperator, B: BlaschkeProduct, *, tol_commute: float = 1e-8) -> np.ndarray:
@@ -210,6 +214,8 @@ def cowen_residual(W: OperatorMatrix | CommutantOperator, B: BlaschkeProduct, a:
     pts = np.atleast_1d(np.asarray(a, dtype=complex))
     if pts.ndim != 1 or np.any(np.abs(pts) >= 1.0):
         raise ValueError("sample points must be a point or 1-d sequence in the open disc")
+    if not pts.size:
+        raise ValueError("cowen_residual needs at least one sample point")
     D = W.degree
     D_safe = safe_degree(D)
     K = np.conj(pts)[None, :] ** np.arange(D + 1)[:, None]  # column i is k_(a_i)

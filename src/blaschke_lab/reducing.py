@@ -26,6 +26,7 @@ from .spaces import (
     OperatorMatrix,
     TaylorPoly,
     WeightAlpha,
+    _adjoint_commutator_block,
     _commutator_block,
     _readonly,
     as_coeffs,
@@ -36,7 +37,7 @@ from .spaces import (
     weighted_adjoint,
     weighted_norm,
 )
-from .wold import _shell_coordinates
+from .wold import _continue_cells, _shell_coordinates
 
 __all__ = [
     "IntertwinerJ",
@@ -202,10 +203,10 @@ def mobius_power_reducing_projection(
 
 @lru_cache(maxsize=2)
 def _mobius_commutators(a: complex, N: int, D: int, B: BlaschkeProduct) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Read-only safe blocks ([C_r, T_B], [C_r, T_B*]), r = 1..N-1, of the sections of _mobius_frame(a, N, D)
-    in the Bergman weight."""
+    """The read-only safe blocks ([C_r, T_B*], [C_r, T_B]), r = 1..N-1, of the sections of _mobius_frame(a, N, D)
+    in the Bergman weight w. The T_B* block, with the larger temporaries, is formed while no block is held."""
     w = as_weight(-1.0)
-    return tuple(tuple(map(_readonly, _reducing_blocks(C_r, B, w, D))) for C_r in _mobius_frame(a, N, D))
+    return tuple((_adjoint_commutator_block(C, B, w, D), _commutator_block(C, B, D)) for C in _mobius_frame(a, N, D))
 
 
 def mobius_power_reducing_residual(
@@ -254,21 +255,12 @@ def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D
     return OperatorMatrix(_readonly(P), w)
 
 
-def _reducing_blocks(m: np.ndarray, B: BlaschkeProduct, w: WeightAlpha, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """Safe blocks of the commutators of the section m with T_B (spaces._commutator_block) and with its
-    weighted adjoint T_B*. T_B is lower triangular, so only the rows s = 0..D_safe of T_B*,
-    adj = Lambda_s^-1 T_B[:, s]^H Lambda, are formed, and (m T_B*)[s, s] = m[s, s] adj[:, s]."""
-    TB, lam = B.toeplitz(D), w.diagonal(D)
-    s = slice(0, safe_degree(D) + 1)
-    adj = (TB[:, s].conj().T * lam[None, :]) / lam[s, None]
-    return _commutator_block(m, TB, D), m[s, s] @ adj[:, s] - adj @ m[:, s]
-
-
 def reducing_residual(P: OperatorMatrix, B: BlaschkeProduct) -> float:
     """max of the safe-block commutator norms of P with T_B and with its weighted adjoint T_B*, in P's weight
     and window; zero characterizes a reducing subspace."""
-    D_safe = safe_degree(P.degree)
-    return max(operator_norm_safe(X, P.alpha, D_safe) for X in _reducing_blocks(P.entries, B, P.alpha, P.degree))
+    m, w, D = P.entries, P.alpha, P.degree
+    blocks = _adjoint_commutator_block(m, B, w, D), _commutator_block(m, B, D)  # T_B* first, as in _mobius_commutators
+    return max(operator_norm_safe(X, w, safe_degree(D)) for X in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +306,22 @@ def shift_equiv_general(
     h is renormalized to unit H^2 norm: the expansion-norm identity
     ||h B^k||_B^2 = (k+1)^alpha reads norms of shells in H^2.
     """
+    if M < 0:
+        raise DimensionMismatchError(f"image count M = {M} is negative; the images h B^k run over k = 0..M, so pass M >= 0")
     w = as_weight(w)
     require_window(h, D)
     nrm0 = weighted_norm(h, 0.0)
     if nrm0 == 0.0:
         raise MembershipError("h is zero")
-    TB = B.toeplitz(D)
     D_safe = safe_degree(D)
-    worst = float(np.max(np.abs(as_coeffs(h, D).conj() @ TB[:, : D_safe + 1])))
+    worst = float(np.max(np.abs(as_coeffs(h, D).conj() @ B.toeplitz(D)[:, : D_safe + 1])))
     if worst / nrm0 > _MEMBERSHIP_TOL:
         raise MembershipError(
             f"h fails the model-space test at D = {D}, D_safe = {D_safe}: max over m <= D_safe of "
             f"|<h, B z^m>|/||h|| = {worst / nrm0:.3e} > {_MEMBERSHIP_TOL:.1e}; h is not in "
             f"the model space, or a true model-space function truncated at D can fail this way; increase D"
         )
-    F = np.empty((D + 1, M + 1), dtype=complex)
-    F[:, 0] = as_coeffs((1.0 / nrm0) * h, D)
-    for k in range(1, M + 1):  # h B^k = T_B h B^(k-1), exact below degree D
-        F[:, k] = TB @ F[:, k - 1]
+    F = _continue_cells(as_coeffs((1.0 / nrm0) * h, D)[:, None], 1, B, M, D)  # h B^k, the frame's chain on one column
     return IntertwinerJ(F=_readonly(F), alpha=w, B=B)
 
 

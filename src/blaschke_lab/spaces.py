@@ -253,19 +253,18 @@ def operator_norm_safe(X: np.ndarray, w: WeightAlpha | float, D_safe: int) -> fl
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
-def _commutator_block(A: np.ndarray, T: np.ndarray, D: int) -> np.ndarray:
-    """Safe block of A T - T A for a lower-triangular T (a multiplication section), read from rows
-    0..D_safe of A alone (ValueError on fewer): (A T)[s, s] = A[s, :] T[:, s] sums over all D + 1
-    columns, and (T A)[s, s] = T[s, s] A[s, s] since T[s, :] vanishes past column D_safe. ValueError if not."""
-    D_safe = safe_degree(D)
-    s = slice(0, D_safe + 1)
-    if A.shape[0] <= D_safe:
-        raise ValueError(f"A has {A.shape[0]} rows; the commutator reads rows 0..D_safe = {D_safe}")
-    if T[s, D_safe + 1 :].any():
-        raise ValueError(f"T has entries past column D_safe = {D_safe} in rows 0..D_safe; it must be lower triangular")
-    return A[s, :] @ T[:, s] - T[s, s] @ A[s, s]
+def _commutator_block(A: np.ndarray, B, D: int) -> np.ndarray:
+    """Read-only safe block of A T_B - T_B A for the section T_B = B.toeplitz(D) of a BlaschkeProduct B,
+    read from rows 0..D_safe of A alone: (A T_B)[s, s] = A[s, :] T_B[:, s] sums over all D + 1 columns,
+    and (T_B A)[s, s] = T_B[s, s] A[s, s] since T_B is lower triangular."""
+    TB, s = B.toeplitz(D), slice(0, safe_degree(D) + 1)
+    return _readonly(A[s, :] @ TB[:, s] - TB[s, s] @ A[s, s])
 
 
-def commutator_residual(A: np.ndarray, T: np.ndarray, w: WeightAlpha | float, D: int) -> float:
-    """Safe-block operator norm of A T - T A for a lower-triangular T, formed by _commutator_block."""
-    return operator_norm_safe(_commutator_block(A, T, D), w, safe_degree(D))
+def _adjoint_commutator_block(A: np.ndarray, B, w: WeightAlpha, D: int) -> np.ndarray:
+    """Read-only safe block of A T_B* - T_B* A for the w-weighted adjoint T_B* of T_B = B.toeplitz(D).
+    T_B is lower triangular, so only the rows s = 0..D_safe of T_B*, adj = Lambda_s^-1 T_B[:, s]^H Lambda,
+    are formed, and (A T_B*)[s, s] = A[s, s] adj[:, s]."""
+    TB, lam, s = B.toeplitz(D), w.diagonal(D), slice(0, safe_degree(D) + 1)
+    adj = (TB[:, s].conj().T * lam[None, :]) / lam[s, None]
+    return _readonly(A[s, s] @ adj[:, s] - adj @ A[:, s])

@@ -424,15 +424,15 @@ class TestCommutationResidual:
         Tz = bl.toeplitz_matrix(monomial(1), D, 0.0)
         assert bl.commutation_residual(Tz, B) < 1e-14
 
-    def test_safe_rows_are_required(self, B2):
-        # rows 0..D_safe of A are read; a shorter stack is an error, a longer one is cut
+    def test_rows_past_the_safe_block_are_not_read(self, B2):
+        # rows 0..D_safe of A are read; what lies below them cannot move the residual
         D = 64
         Ds = safe_degree(D)
         A = bl.toeplitz_matrix(B2.taylor(D), D, 0.0).entries @ np.diag(np.arange(1.0, D + 2))
-        full = bl.spaces.commutator_residual(A, B2.toeplitz(D), 0.0, D)
-        assert bl.spaces.commutator_residual(A[: Ds + 1], B2.toeplitz(D), 0.0, D) == full
-        with pytest.raises(ValueError, match=rf"^A has {Ds} rows; the commutator reads rows 0..D_safe = {Ds}$"):
-            bl.spaces.commutator_residual(A[:Ds], B2.toeplitz(D), 0.0, D)
+        cut = A.copy()
+        cut[Ds + 1 :] = np.nan
+        full = bl.commutation_residual(bl.OperatorMatrix(A, 0.0), B2)
+        assert bl.commutation_residual(bl.OperatorMatrix(cut, 0.0), B2) == full > 0
 
     def test_adjoint_shift_fails_with_witness(self):
         B = bl.BlaschkeProduct.monomial(2)
@@ -529,6 +529,11 @@ class TestCowen:
         I = identity(32, 0.0)
         with pytest.raises(ValueError):
             bl.cowen_residual(I, B3, [0.1, 0.2j, 1.0])
+
+    @pytest.mark.parametrize("pts", [[], (), np.array([], dtype=complex)], ids=["list", "tuple", "array"])
+    def test_no_points_is_an_error_of_its_own(self, B3, pts):
+        with pytest.raises(ValueError, match=r"^cowen_residual needs at least one sample point$"):
+            bl.cowen_residual(identity(32, 0.0), B3, pts)
 
     def test_cowen_equivalence_sampled(self, B2, rng):
         # operators passing the commutation test also pass the kernel test

@@ -16,6 +16,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -174,3 +175,45 @@ def test_suite_analyzes_one_function_only_in_decompose(monkeypatch):
     rep = cli.run(cli.parse_config({"B": B, "alpha": -1.0, "degree": 64, "inputs": {}, "seed": 3}, "suite"))
     assert rep.all_passed
     assert len(calls) == 5
+
+
+#: the one memo no workload hits, and why it stays.
+MEMO_EXEMPT = {
+    "reducing._mobius_frame": "it shares the sections C_r between the classes of "
+    "mobius_power_reducing_projection, which only the tests and scripts/layer_timings.py call; "
+    "the batteries read the classes through the _mobius_commutators memo",
+}
+
+
+def memos() -> dict:
+    """{"module.name": function} of every functools.lru_cache defined at the top level of a blaschke_lab module."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("blaschke_lab."):
+            for attr, value in vars(module).items():
+                if callable(getattr(value, "cache_info", None)) and value.__module__ == name:
+                    found[f"{name.removeprefix('blaschke_lab.')}.{attr}"] = value
+    return found
+
+
+def test_every_memo_is_hit_by_a_workload(monkeypatch):
+    # each workload of perfbench/run.py from cold memos, as in its fresh child
+    # interpreter: a memo that none of them hits keeps memory and buys nothing,
+    # unless MEMO_EXEMPT says why it stays (and no workload hits an exempt one)
+    child, caches = load_child(), memos()
+    assert {"spaces._diagonal", "reducing._mobius_commutators"} <= set(caches)
+    hits = {name: [] for name in caches}
+    for name in ("suite-d256", "mobius-d256", "shell-sweep-d96"):
+        spec = workload(name)
+        for cache in caches.values():
+            cache.cache_clear()
+        monkeypatch.setattr(bl.wold, "_FRAMES", OrderedDict())
+        if spec["kind"] == "battery":
+            spec["config"]["seed"] = 3
+            child.battery_pass(child.battery_inputs(spec, cli), cli, report)
+        else:
+            spec["seed"] = 3
+            child.sweep_pass(child.sweep_inputs(spec, bl), spec, bl)
+        for memo, cache in caches.items():
+            hits[memo].append(cache.cache_info().hits)
+    assert sorted(memo for memo, counts in hits.items() if not any(counts)) == sorted(MEMO_EXEMPT), hits

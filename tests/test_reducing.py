@@ -5,9 +5,9 @@ import pytest
 
 import blaschke_lab as bl
 from blaschke_lab import reducing as rd
-from blaschke_lab import safe_degree
+from blaschke_lab import safe_degree, spaces
 from blaschke_lab.errors import BlaschkeLabError, ConditioningError, DimensionMismatchError, MembershipError, ZeroFunctionError
-from blaschke_lab.spaces import TaylorPoly, operator_norm_safe
+from blaschke_lab.spaces import TaylorPoly, as_coeffs, operator_norm_safe
 from conftest import b_norm, identity, monomial, zero
 
 
@@ -367,22 +367,27 @@ class TestMobiusSectionResidual:
 
     @pytest.mark.parametrize("a,N,D", [(0.5, 2, 64), (0.8, 3, 256), (0.6 - 0.5j, 3, 256)])
     def test_section_commutators_are_built_once_per_key(self, a, N, D, monkeypatch):
-        blocks, built = [], rd._reducing_blocks
+        blocks = []
 
-        def counted(m, B, w, D):
-            blocks.append(B)
-            return built(m, B, w, D)
+        def counted(kernel):
+            def call(m, B, *args):
+                blocks.append((kernel, B))
+                return getattr(spaces, kernel)(m, B, *args)
 
-        monkeypatch.setattr(rd, "_reducing_blocks", counted)
+            return call
+
+        kernels = ("_adjoint_commutator_block", "_commutator_block")
+        for kernel in kernels:
+            monkeypatch.setattr(rd, kernel, counted(kernel))
         B = bl.BlaschkeProduct(0.0, [(a, N)])
         for _ in range(2):
             for j in range(N):
                 bl.mobius_power_reducing_residual(a, N, j, D, B)
-        assert blocks == [B] * (N - 1)
+        assert blocks == [(k, B) for k in kernels] * (N - 1)
         # T_B enters the key: a rotated product has other commutators
         rotated = bl.BlaschkeProduct(0.5, [(a, N)])
         bl.mobius_power_reducing_residual(a, N, 0, D, rotated)
-        assert blocks == [B] * (N - 1) + [rotated] * (N - 1)
+        assert blocks[2 * (N - 1) :] == [(k, rotated) for k in kernels] * (N - 1)
         assert rd._mobius_commutators.cache_info().maxsize == 2
         for pair in rd._mobius_commutators(complex(a), N, D, B):
             for X in pair:
@@ -422,7 +427,7 @@ def reducing_residual_by_full_products(P, B):
 
 def reducing_residual_written_out(P, B):
     """reducing_residual as one expression: the safe block of [P, T_B] as
-    spaces.commutator_residual forms it, and the safe rows adj of T_B*.
+    spaces._commutator_block forms it, and the safe rows adj of T_B*.
     Sharing these blocks with the Mobius-power path must not move a bit."""
     w, D, m = P.alpha, P.degree, P.entries
     TB, lam, D_safe = B.toeplitz(D), w.diagonal(D), safe_degree(D)
@@ -620,6 +625,16 @@ def b_norm_unitarity_defect(J, *, M):
     return float(np.max(np.abs(G - target)))
 
 
+def images_one_product_at_a_time(B, h, M, D):
+    """Reference for the images of shift_equiv_general: h B^k = T_B h B^(k-1), one
+    product per image, with h at unit H^2 norm."""
+    F = np.empty((D + 1, M + 1), dtype=complex)
+    F[:, 0] = as_coeffs((1.0 / bl.weighted_norm(h, 0.0)) * h, D)
+    for k in range(1, M + 1):
+        F[:, k] = B.toeplitz(D) @ F[:, k - 1]
+    return F
+
+
 class TestShiftEquivGeneral:
     def test_monomial_h_reduces_to_monomial_construction(self):
         # B = z^n with h = z^(n-1): shells of h B^k are single monomials
@@ -628,6 +643,22 @@ class TestShiftEquivGeneral:
         J = bl.shift_equiv_general(B, monomial(n - 1, D), -1.0, 10, D)
         assert J.F.shape == (D + 1, 11)
         assert np.max(np.abs(J.F - np.eye(D + 1)[:, n - 1 : 11 * n : n])) < 1e-14
+
+    @pytest.mark.parametrize("D", [64, 256])
+    @pytest.mark.parametrize("name", ["B2", "B3", "0.8, -0.79i"])
+    def test_images_are_one_product_at_a_time(self, name, D):
+        # the frame's chain takes the step T_B through shell 7, then one step
+        # T_(B^8) per block of 8 shells: bitwise the reference below the first
+        # block, within rounding past it
+        B = bl.BlaschkeProduct(0.0, PRODUCTS[name])
+        h = TaylorPoly(bl.model_basis(B, D).U[:, 0])
+        for M in (0, 1, 7, 8, 9, 17, 46):
+            F, ref = bl.shift_equiv_general(B, h, -1.0, M, D).F, images_one_product_at_a_time(B, h, M, D)
+            assert F.shape == ref.shape == (D + 1, M + 1)
+            if M <= 7:
+                assert np.array_equal(F, ref), M
+            else:
+                assert np.max(np.abs(F - ref)) <= 1e-14 * np.max(np.abs(ref)), M
 
     def test_bnorm_identity(self, B3):
         D, K = 96, 10
@@ -691,6 +722,13 @@ class TestShiftEquivGeneral:
             worst = max(worst, np.max(np.abs(c_b - np.pad(c[:, :-1], ((0, 0), (1, 0))))))
         assert worst > 0.1
         assert bl.shell_shift_residual(J, M) == pytest.approx(worst, rel=1e-13)
+
+    @pytest.mark.parametrize("M", [-1, -2])
+    def test_a_negative_image_count_is_an_error(self, B3, M):
+        # the chain would return no images at M = -1, not fail
+        h = TaylorPoly(bl.model_basis(B3, 64).U[:, 0])
+        with pytest.raises(DimensionMismatchError, match=rf"^image count M = {M} is negative; "):
+            bl.shift_equiv_general(B3, h, -1.0, M, 64)
 
     def test_membership_rejected(self, B3):
         with pytest.raises(MembershipError):

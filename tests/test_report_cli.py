@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +198,7 @@ class TestConfig:
             ([0.8, 0.0, 0.0], r"^inputs\.a must be \[re, im\], two numbers, got \[0\.8, 0\.0, 0\.0\]$"),
             (0.8, r"^inputs\.a must be \[re, im\], two numbers, got 0\.8$"),
             ({"re": 0.8}, r"^inputs\.a must be \[re, im\], two numbers, got \{'re': 0\.8\}$"),
+            ([float("nan"), 0.0], r"^inputs\.a\[0\] must be finite, got nan$"),
         ],
     )
     @pytest.mark.parametrize("family", ["mobius_power", "monomial"])
@@ -223,8 +225,54 @@ class TestConfig:
     def test_an_integral_mobius_point_reads_as_its_float(self):
         # the echoed inputs keep the config's own value
         cfg = parse_config(dict(self.MOBIUS, B=b_json([0.5 + 0j, 0.5 + 0j]), inputs={"family": "mobius_power", "a": [0.5, 0]}), "reducing")
-        assert checks._mobius_point(cfg.inputs["a"]) == 0.5 and cfg.inputs["a"] == [0.5, 0]
+        assert checks._pairs(cfg.inputs["a"], "inputs.a") == 0.5 and cfg.inputs["a"] == [0.5, 0]
         assert run(cfg).all_passed
+
+    #: per inputs key of coefficient pairs: a command that reads it, its
+    #: inputs around one given pair, and the index of that pair
+    PAIR_INPUTS = {
+        "f": ("decompose", lambda p: {"f": [p, [2, 0]]}, "[0]"),
+        "h": ("shift-equiv", lambda p: {"mode": "general", "h": [[0, 0], p]}, "[1]"),
+        "basis": ("reducing", lambda p: {"family": "custom", "basis": [[[1, 0]], [[0, 1], p]]}, "[1][1]"),
+        "phi": ("commutant", lambda p: {"phi": [[[[1, 0]], [[0, 0]]], [[[0, 0]], [[0, 0], p]]]}, "[1][1][1]"),
+    }
+
+    @pytest.mark.parametrize(
+        "pair,message",
+        [
+            ([True, 0], r"\[0\] must be a number, got True"),
+            ([2, False], r"\[1\] must be a number, got False"),
+            (["1", 0], r"\[0\] must be a number, got '1'"),
+            ([1], r" must be \[re, im\], two numbers, got \[1\]"),
+            ([1, 0, 5], r" must be \[re, im\], two numbers, got \[1, 0, 5\]"),
+            (3, r" must be \[re, im\], two numbers, got 3"),
+            ([float("nan"), 0], r"\[0\] must be finite, got nan"),
+            ([0, float("-inf")], r"\[1\] must be finite, got -inf"),
+        ],
+        ids=["true", "false", "string", "one", "three", "number", "nan", "-inf"],
+    )
+    @pytest.mark.parametrize("key", list(PAIR_INPUTS))
+    def test_coefficient_pairs_are_two_finite_numbers(self, monkeypatch, key, pair, message):
+        # a bool is not read as 1 or 0, and a malformed pair is named by its
+        # index when the config is parsed, before any battery runs
+        for name in checks.BATTERIES:
+            monkeypatch.setitem(checks.BATTERIES, name, lambda cfg, rng: pytest.fail("a battery ran"))
+        command, inputs, index = self.PAIR_INPUTS[key]
+        with pytest.raises(ConfigError, match=rf"^inputs\.{key}{re.escape(index)}{message}$"):
+            parse_config(dict(BASE, inputs=inputs(pair)), command)
+
+    @pytest.mark.parametrize("key", list(PAIR_INPUTS))
+    def test_integral_and_float_pairs_parse(self, key):
+        # the echoed inputs keep the config's own values
+        command, inputs, _ = self.PAIR_INPUTS[key]
+        for pair in ([1, 0], [0.5, -2.0]):
+            assert parse_config(dict(BASE, inputs=inputs(pair)), command).inputs == inputs(pair)
+
+    def test_a_malformed_pair_exits_two_and_names_it(self, tmp_path, capsys):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(dict(BASE, inputs={"f": [[1, 0], [1, 0, 5]]})))
+        assert main(["decompose", "--config", str(cfgp)]) == 2
+        assert capsys.readouterr().err == "config error: inputs.f[1] must be [re, im], two numbers, got [1, 0, 5]\n"
 
     def test_suite_takes_every_key_it_forwards(self):
         inputs = {"num_samples": 1, "symbol_degree": 2, "kmax": 1, "num_points": 3}

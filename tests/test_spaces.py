@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import blaschke_lab as bl
 from blaschke_lab.errors import DimensionMismatchError
-from blaschke_lab.spaces import TaylorPoly, as_coeffs, commutator_residual, operator_norm_safe, require_window
+from blaschke_lab.spaces import (
+    TaylorPoly,
+    _adjoint_commutator_block,
+    _commutator_block,
+    as_coeffs,
+    operator_norm_safe,
+    require_window,
+)
 from conftest import identity, monomial, zero
 
 
@@ -152,41 +159,31 @@ class TestAdjoint:
         assert np.max(np.abs(back.entries - m)) < 1e-14 * np.max(np.abs(m))
 
 
-class TestCommutatorResidual:
-    def test_safe_block_equals_full_product_slice(self, B2, B3, rng):
+class TestCommutatorBlocks:
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5])
+    def test_safe_blocks_equal_full_product_slices(self, B2, B3, rng, alpha):
         D = 96
-        pairs = []
+        D_safe = bl.safe_degree(D)
+        w = bl.WeightAlpha(alpha)
+        cases = []
         for B in (B2, B3):
-            TB = bl.toeplitz_matrix(B.taylor(D), D, -1.0)
             n = B.degree
             phi = bl.MultiplierMatrix(rng.standard_normal((3, n, n)))
-            A = bl.build(phi, B, -1.0, D // n, D).realization.entries
-            pairs += [(A, TB.entries), (rng.standard_normal((D + 1, D + 1)), TB.entries)]
+            A = bl.build(phi, B, alpha, D // n, D).realization.entries
+            cases += [(A, B), (rng.standard_normal((D + 1, D + 1)) + 1j * rng.standard_normal((D + 1, D + 1)), B)]
         P = bl.mobius_power_reducing_projection(0.5, 2, 1, D).entries
-        TB = bl.toeplitz_matrix(bl.BlaschkeProduct(0.0, [(0.5, 2)]).taylor(D), D, -1.0)
-        # T's top rows need only vanish past column D_safe: an entry above the
-        # diagonal inside the safe block is still measured exactly
-        inside = TB.entries.copy()
-        inside[0, bl.safe_degree(D)] = 1.0
-        pairs += [(P, TB.entries), (P, inside)]
-        for A, X in pairs:
-            # the oracle forms both full products, then slices the safe block
-            ref = operator_norm_safe(A @ X - X @ A, -1.0, bl.safe_degree(D))
-            assert abs(commutator_residual(A, X, -1.0, D) - ref) <= 1e-14 * max(1.0, ref)
-
-    @pytest.mark.parametrize("D", [2, 3, 96])
-    def test_entries_past_the_safe_block_in_the_top_rows_raise(self, B2, rng, D):
-        # (T A)[s, s] is read as T[s, s] A[s, s]: a T that is not lower
-        # triangular there would be measured as a different product
-        D_safe = bl.safe_degree(D)
-        A = rng.standard_normal((D + 1, D + 1))
-        TB = bl.toeplitz_matrix(B2.taylor(D), D, -1.0)
-        commutator_residual(A, TB.entries, -1.0, D)
-        above = TB.entries.copy()
-        above[D_safe, D_safe + 1] = 1e-300
-        for T in (above, bl.weighted_adjoint(TB).entries, A):
-            with pytest.raises(ValueError, match=f"past column D_safe = {D_safe} in rows 0..D_safe"):
-                commutator_residual(A, T, -1.0, D)
+        cases.append((P, bl.BlaschkeProduct(0.0, [(0.5, 2)])))
+        for A, B in cases:
+            # the oracle forms both full products with the whole sections of T_B
+            # and of its weighted adjoint, then slices the safe block
+            T = B.toeplitz(D)
+            T_star = bl.weighted_adjoint(bl.OperatorMatrix(T, w)).entries
+            for got, X in ((_commutator_block(A, B, D), T), (_adjoint_commutator_block(A, B, w, D), T_star)):
+                full = (A @ X - X @ A)[: D_safe + 1, : D_safe + 1]
+                assert got.shape == full.shape
+                assert np.max(np.abs(got - full)) <= 1e-13 * max(1.0, np.max(np.abs(full)))
+                ref = operator_norm_safe(full, w, D_safe)
+                assert abs(operator_norm_safe(got, w, D_safe) - ref) <= 1e-14 * max(1.0, ref)
 
 
 SVD, EPS = np.linalg.svd, np.finfo(float).eps
