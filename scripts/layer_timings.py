@@ -20,11 +20,10 @@ are written to a JSON file and printed as a table. The two shell counts are
 not memoized, so every call searches anew. Three layers are timed
 cold: cell_matrix builds the cells of shells 0..M anew, outside the frame
 memo; the model basis is built by the function under the (B, D) memo
-(blaschke._model_basis.__wrapped__); and the projection and
-mobius_power_reducing_residual build their sections through
-reducing._mobius_frame.__wrapped__, outside the (a, N, D) memo, the
-residual its section commutators through
-reducing._mobius_commutators.__wrapped__ as well.
+(blaschke._model_basis.__wrapped__); and
+mobius_power_reducing_residual builds its section commutators through
+reducing._mobius_commutators.__wrapped__, outside the (a, N, D, B) memo.
+The Mobius-power projection builds its sections on every call.
 BLAS is pinned to one thread before numpy loads.
 
 Usage: python scripts/layer_timings.py [--degrees 64 128 256 512]
@@ -70,16 +69,14 @@ def random_poly(rng: np.random.Generator, degree: int) -> bl.TaylorPoly:
 
 
 def cold_mobius_s(fn, repeats: int) -> float:
-    """Median seconds of fn with the Mobius-power sections and their
-    commutators built on every call, outside their memos."""
-    memos = {name: getattr(reducing, name) for name in ("_mobius_frame", "_mobius_commutators")}
-    for name, memo in memos.items():
-        setattr(reducing, name, memo.__wrapped__)
+    """Median seconds of fn with the Mobius-power section commutators built
+    on every call, outside their memo."""
+    memo = reducing._mobius_commutators
+    reducing._mobius_commutators = memo.__wrapped__
     try:
         return median_s(fn, repeats)
     finally:
-        for name, memo in memos.items():
-            setattr(reducing, name, memo)
+        reducing._mobius_commutators = memo
 
 
 def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Generator) -> dict:
@@ -110,7 +107,7 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
         "operator_norm_safe_s": median_s(lambda: spaces.operator_norm_safe(W, ALPHA, D_safe), repeats),
         "operator_norm_safe_rank_one_s": median_s(lambda: spaces.operator_norm_safe(rank_one, ALPHA, D_safe), repeats),
         "operator_norm_safe_zero_s": median_s(lambda: spaces.operator_norm_safe(zero, ALPHA, D_safe), repeats),
-        "mobius_projection_s": cold_mobius_s(lambda: bl.mobius_power_reducing_projection(MOBIUS_A, MOBIUS_N, 0, D), repeats),
+        "mobius_projection_s": median_s(lambda: bl.mobius_power_reducing_projection(MOBIUS_A, MOBIUS_N, 0, D), repeats),
         "reducing_residual_s": median_s(lambda: bl.reducing_residual(P, B_mobius), repeats),
         "mobius_residual_s": cold_mobius_s(
             lambda: bl.mobius_power_reducing_residual(MOBIUS_A, MOBIUS_N, 0, D, B_mobius), repeats

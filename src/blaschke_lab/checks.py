@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -104,38 +104,10 @@ def _guard(cfg, key: str) -> dict:
     return {key: cfg.tolerances[key]} if key in cfg.tolerances else {}
 
 
-#: the least value of each integer input: a count of at least one draw, a
-#: degree of at least zero.
-_INPUT_MINIMUM = {"num_samples": 1, "num_points": 1, "max_degree": 0, "symbol_degree": 0}
-
-#: the open interval of each float input: a sampling radius inside the
-#: disc, off the origin.
-_INPUT_INTERVAL = {"radius": (0.0, 1.0)}
-
-
-def _inputs(cfg, records: list[CheckRecord], family: str, **defaults) -> list | None:
-    """The named inputs, each read as the type of its default, never
-    truncated: an integer no less than its _INPUT_MINIMUM, a float inside
-    its open _INPUT_INTERVAL. If one is invalid, a single errored
-    `<family>/inputs` record stands for the battery and the result is None;
-    strict mode raises."""
-
-    def read(key, default):
-        value, name = cfg.inputs.get(key, default), f"inputs.{key}"
-        if isinstance(default, float):
-            x, (lo, hi) = config_float(value, name), _INPUT_INTERVAL[key]
-            if not lo < x < hi:
-                raise ConfigError(f"{name} must lie in ({lo:g}, {hi:g}), got {x!r}")
-            return x
-        return config_int(value, name, minimum=_INPUT_MINIMUM[key])
-
-    try:
-        return [read(k, d) for k, d in defaults.items()]
-    except ConfigError as exc:
-        if cfg.strict:
-            raise
-        records.append(CheckRecord(f"{family}/inputs", float("nan"), float("inf"), False, 0.0, f"ConfigError: {exc}"))
-        return None
+def _input(cfg, key: str, default=None):
+    """inputs.<key> as INPUT_READERS reads it, else default. parse_config
+    has run every reader, so a battery never meets a bad value."""
+    return INPUT_READERS[key](cfg.inputs[key], f"inputs.{key}") if key in cfg.inputs else default
 
 
 def _shells(cfg) -> int:
@@ -155,16 +127,11 @@ def decompose_checks(cfg, rng: np.random.Generator):
     D_safe = safe_degree(D)
     tol = _tol(cfg, "roundtrip")
 
-    inputs = []
-    explicit = cfg.inputs.get("f")
-    if explicit is not None:
-        inputs.append(("explicit", TaylorPoly([complex(re, im) for re, im in explicit])))
+    if (f := _input(cfg, "f")) is not None:
+        inputs = [("explicit", f)]
     else:
-        if (sizes := _inputs(cfg, records, "decompose", num_samples=5, max_degree=min(16, max(D // 4, 1)))) is None:
-            return records, data
-        num, max_deg = sizes
-        for i in range(num):
-            inputs.append((f"sample_{i}", _random_poly(rng, int(rng.integers(0, max_deg + 1)))))
+        num, max_deg = _input(cfg, "num_samples", 5), _input(cfg, "max_degree", min(16, max(D // 4, 1)))
+        inputs = [(f"sample_{i}", _random_poly(rng, int(rng.integers(0, max_deg + 1)))) for i in range(num)]
 
     decs = {}  # the decomposition of each round trip that completed
     for label, f in inputs:
@@ -189,18 +156,11 @@ def commutant_checks(cfg, rng: np.random.Generator):
     n = B.degree
     M = _shells(cfg)
 
-    phis = []
-    if cfg.inputs.get("phi") is not None:
-        explicit = cm.MultiplierMatrix.from_json(cfg.inputs["phi"])
-        if explicit.n != n:
-            raise ConfigError(f"phi is {explicit.n} x {explicit.n} but deg B = {n}")
-        phis.append(("explicit", explicit))
+    if (phi := _input(cfg, "phi")) is not None:  # parse_config checked that it is n x n
+        phis = [("explicit", phi)]
     else:
-        if (sizes := _inputs(cfg, records, "commutant", num_samples=3, symbol_degree=4)) is None:
-            return records, {}
-        num, deg = sizes
-        for i in range(num):
-            phis.append((f"phi_{i}", _random_phi(rng, n, deg)))
+        num, deg = _input(cfg, "num_samples", 3), _input(cfg, "symbol_degree", 4)
+        phis = [(f"phi_{i}", _random_phi(rng, n, deg)) for i in range(num)]
 
     for label, phi in phis:
         built = {}
@@ -232,7 +192,7 @@ def reducing_checks(cfg, rng: np.random.Generator):
     data: dict = {}
     B, D = cfg.blaschke, cfg.degree
     w = as_weight(cfg.alpha)
-    family = cfg.inputs.get("family", "monomial")  # one of INPUT_CHOICES["family"]
+    family = _input(cfg, "family", "monomial")
 
     if family == "monomial":
         N = B.degree
@@ -247,7 +207,7 @@ def reducing_checks(cfg, rng: np.random.Generator):
                 lambda P=P: rd.reducing_residual(P(), B),
             )
     elif family == "mobius_power":  # parse_config admits it only for B = b_a^N and alpha = -1
-        a, N = _pairs(cfg.inputs.get("a", _MOBIUS_A), "inputs.a"), B.degree
+        a, N = _input(cfg, "a", _MOBIUS_A), B.degree
 
         def k0():
             # derivative kernels z^j/(1-conj(a) z)^(j+2), j < N, against B A:
@@ -264,13 +224,10 @@ def reducing_checks(cfg, rng: np.random.Generator):
                 cfg, records, f"reducing/mobius_{j}/residual", _tol(cfg, "reducing_mobius"),
                 lambda j=j: rd.mobius_power_reducing_residual(a, N, j, D, B, **_guard(cfg, "rho_max")),
             )
-    else:  # custom
-        basis_payload = cfg.inputs.get("basis")
-        if not basis_payload:
-            raise ConfigError("custom family requires inputs.basis")
-        funcs = [TaylorPoly([complex(re, im) for re, im in f]) for f in basis_payload]
+    else:  # custom, which parse_config admits only with a basis
+        funcs = _input(cfg, "basis")
         P = _setup("projection_from_basis", lambda: rd.projection_from_basis(funcs, w, D))
-        tol = _tol(cfg, "reducing_mobius") if cfg.inputs.get("expected") == "reducing" else float("inf")
+        tol = _tol(cfg, "reducing_mobius") if _input(cfg, "expected") == "reducing" else float("inf")
 
         def custom():
             idem, sa = rd.projection_defects(P())
@@ -288,9 +245,8 @@ def ortho_checks(cfg, rng: np.random.Generator):
     state = {}
 
     def build_chain():
-        kmax = config_int(cfg.inputs.get("kmax", 3), "inputs.kmax", minimum=0)
         try:
-            state["chain"] = ox.x_spaces(B, w, kmax, D)
+            state["chain"] = ox.x_spaces(B, w, _input(cfg, "kmax", 3), D)
         except ValueError as exc:
             raise ConfigError(f"ortho needs a larger degree or a smaller inputs.kmax: {exc}") from exc
         return 0.0
@@ -336,7 +292,7 @@ def shift_equiv_checks(cfg, rng: np.random.Generator):
     records: list[CheckRecord] = []
     B, D, w = cfg.blaschke, cfg.degree, as_weight(cfg.alpha)
     # parse_config admits mode 'monomial' only for B = z^n
-    if cfg.inputs.get("mode", "monomial" if B == BlaschkeProduct.monomial(B.degree) else "general") == "monomial":
+    if _input(cfg, "mode", "monomial" if B == BlaschkeProduct.monomial(B.degree) else "general") == "monomial":
         J = _setup("shift_equiv_monomial", lambda: rd.shift_equiv_monomial(B.degree, w, D))
         _timed(cfg, records, "shift_equiv/unitarity", _tol(cfg, "unitarity"), lambda: rd.unitarity_defect(J()))
         _timed(cfg, records, "shift_equiv/intertwining", _tol(cfg, "intertwining"), lambda: rd.intertwining_residual(J()))
@@ -347,9 +303,7 @@ def shift_equiv_checks(cfg, rng: np.random.Generator):
         M_ana = max(_shells(cfg), M)
 
         def general():
-            if cfg.inputs.get("h") is not None:
-                h = TaylorPoly([complex(re, im) for re, im in cfg.inputs["h"]])
-            else:
+            if (h := _input(cfg, "h")) is None:
                 h = TaylorPoly(model_basis(B, D).U[:, 0])
             return rd.shift_equiv_general(B, h, w, M, D)
 
@@ -363,9 +317,7 @@ def shift_equiv_checks(cfg, rng: np.random.Generator):
 def cowen_checks(cfg, rng: np.random.Generator):
     records: list[CheckRecord] = []
     B, D = cfg.blaschke, cfg.degree
-    if (read := _inputs(cfg, records, "cowen", num_points=20, radius=0.5)) is None:
-        return records, {}
-    num, radius = read
+    num, radius = _input(cfg, "num_points", 20), _input(cfg, "radius", 0.5)
     pts = [
         radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         for _ in range(num)
@@ -435,28 +387,36 @@ INPUT_KEYS = {
 }
 INPUT_KEYS["suite"] = tuple(dict.fromkeys(key for name in SUITE_COMMANDS for key in INPUT_KEYS[name]))
 
-#: the valid values of each enumerated inputs key, after the name its error
-#: gives the key; parse_config checks them before any battery runs.
-INPUT_CHOICES = {
-    "family": ("reducing family", ("monomial", "mobius_power", "custom")),
-    "expected": ("custom expected", ("reducing", "report-only")),
-    "mode": ("shift-equiv mode", ("monomial", "general")),
-}
-
-
 #: the Mobius point of the reducing family mobius_power when inputs.a is absent.
-_MOBIUS_A = [0.5, 0.0]
+_MOBIUS_A = 0.5 + 0j
 
 
-def _pairs(value, name: str, depth: int = 0) -> complex | None:
-    """The pair value = [re, im] as re + i im, once it is two finite numbers
-    read by config_float; for depth > 0, each pair depth lists deep in value
-    read so, its ConfigError naming the index. A level that is not a list is
-    left to the shape errors of the reader of that key."""
-    if depth:
-        for i, item in enumerate(value if isinstance(value, (list, tuple)) else ()):
-            _pairs(item, f"{name}[{i}]", depth - 1)
-        return None
+# ---------------------------------------------------------------------------
+# inputs readers: each is called as (value, name) and returns the value a
+# battery uses, or raises a ConfigError that names inputs.<key> and the index.
+
+
+def _radius(value, name: str) -> float:
+    """A sampling radius inside the disc, off the origin."""
+    x = config_float(value, name)
+    if not 0.0 < x < 1.0:
+        raise ConfigError(f"{name} must lie in (0, 1), got {x!r}")
+    return x
+
+
+def _choice(label: str, *valid: str):
+    """Reader of one of valid; its error names the key as label and lists valid."""
+
+    def read(value, name):
+        if value not in valid:
+            raise ConfigError(f"unknown {label} {value!r}; valid values: {', '.join(valid)}")
+        return value
+
+    return read
+
+
+def _pair(value, name: str) -> complex:
+    """[re, im] as re + i im, two finite numbers read by config_float."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{name} must be [re, im], two numbers, got {value!r}")
     re, im = (config_float(x, f"{name}[{i}]") for i, x in enumerate(value))
@@ -466,22 +426,66 @@ def _pairs(value, name: str, depth: int = 0) -> complex | None:
     return complex(re, im)
 
 
-def check_choices(inputs: dict, B: BlaschkeProduct, alpha: float) -> None:
-    """ConfigError for an enumerated inputs value outside INPUT_CHOICES; for
-    the shift-equiv mode 'monomial' on a B other than z^n, since its
-    intertwiner is built for T_(z^n) and its records would not measure T_B;
-    for a coefficient pair of inputs.a, f, h, basis or phi that is not two
-    finite numbers; and for the mobius_power family unless every zero
-    of B is a and alpha = -1, where its classes reduce T_B."""
-    for key, (name, valid) in INPUT_CHOICES.items():
-        if key in inputs and inputs[key] not in valid:
-            raise ConfigError(f"unknown {name} {inputs[key]!r}; valid values: {', '.join(valid)}")
-    if inputs.get("mode") == "monomial" and B != BlaschkeProduct.monomial(B.degree):
+def _list(item):
+    """Reader of a nonempty list, entry i read by item as name[i]."""
+
+    def read(value, name):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{name} must be a nonempty list, got {value!r}")
+        return [item(x, f"{name}[{i}]") for i, x in enumerate(value)]
+
+    return read
+
+
+def _poly(value, name: str) -> TaylorPoly:
+    """A function as the list of its [re, im] Taylor coefficients."""
+    return TaylorPoly(_list(_pair)(value, name))
+
+
+def _symbol(value, name: str) -> cm.MultiplierMatrix:
+    """A square matrix of polynomial multipliers, as rows of functions."""
+    try:
+        return cm.MultiplierMatrix.from_polys(_list(_list(_poly))(value, name))
+    except ValueError as exc:  # not square, or past the degree cap
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+#: the one reader of each inputs key.
+INPUT_READERS = {
+    "f": _poly,
+    "num_samples": partial(config_int, minimum=1),
+    "max_degree": partial(config_int, minimum=0),
+    "phi": _symbol,
+    "symbol_degree": partial(config_int, minimum=0),
+    "family": _choice("reducing family", "monomial", "mobius_power", "custom"),
+    "a": _pair,
+    "basis": _list(_poly),
+    "expected": _choice("custom expected", "reducing", "report-only"),
+    "kmax": partial(config_int, minimum=0),
+    "mode": _choice("shift-equiv mode", "monomial", "general"),
+    "h": _poly,
+    "num_points": partial(config_int, minimum=1),
+    "radius": _radius,
+}
+
+
+def check_inputs(inputs: dict, B: BlaschkeProduct, alpha: float) -> None:
+    """Run the reader of every key of inputs, then the checks across keys,
+    each a ConfigError: shift-equiv mode 'monomial' on a B other than z^n,
+    since its intertwiner is built for T_(z^n) and its records would not
+    measure T_B; a phi that is not deg B square; the custom family without
+    a basis; and the mobius_power family unless every zero of B is a and
+    alpha = -1, where its classes reduce T_B."""
+    read = {key: INPUT_READERS[key](value, f"inputs.{key}") for key, value in inputs.items()}
+    if read.get("mode") == "monomial" and B != BlaschkeProduct.monomial(B.degree):
         raise ConfigError(f"shift-equiv mode 'monomial' requires B = z^{B.degree}; set mode 'general' for this B")
-    for key, depth in {"f": 1, "h": 1, "basis": 2, "phi": 3}.items():  # lists above each key's [re, im] pairs
-        _pairs(inputs.get(key), f"inputs.{key}", depth)
-    a = _pairs(inputs.get("a", _MOBIUS_A), "inputs.a")
-    if inputs.get("family") == "mobius_power":
+    if "phi" in read and read["phi"].n != B.degree:
+        raise ConfigError(f"inputs.phi is {read['phi'].n} x {read['phi'].n} but deg B = {B.degree}")
+    family = read.get("family")
+    if family == "custom" and "basis" not in read:
+        raise ConfigError("custom family requires inputs.basis")
+    if family == "mobius_power":
+        a = read.get("a", _MOBIUS_A)
         if any(z != a for z in B.expanded_zeros()):
             raise ConfigError("mobius_power family requires B to be a power of the factor through a")
         if alpha != -1.0:

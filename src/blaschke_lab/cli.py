@@ -17,14 +17,14 @@ from functools import cached_property
 import numpy as np
 
 from .blaschke import RHO_MAX, BlaschkeProduct
-from .checks import BATTERIES, CHECK_TOLERANCES, INPUT_KEYS, check_choices
+from .checks import BATTERIES, CHECK_TOLERANCES, INPUT_KEYS, check_inputs
 from .errors import BlaschkeLabError, ConfigError, config_float, config_int, known_keys
 from .report import Report, render
 
 COMMANDS = tuple(BATTERIES)
 
 #: top-level keys of a config.
-CONFIG_KEYS = ("command", "B", "alpha", "degree", "shells", "seed", "inputs", "tolerances", "format", "output")
+CONFIG_KEYS = ("command", "B", "alpha", "degree", "shells", "seed", "inputs", "tolerances")
 
 #: library guards a config's "tolerances" may set, each the keyword of the
 #: one function that reads it; the other keys are CHECK_TOLERANCES.
@@ -41,12 +41,10 @@ class ExperimentConfig:
     seed: int
     inputs: dict
     tolerances: dict  # the config's overrides, guard and check keys alike
-    output: str | None
-    format: str
     strict: bool
 
 
-def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -> ExperimentConfig:
+def parse_config(obj: dict, command: str, *, strict=False) -> ExperimentConfig:
     try:
         known_keys(obj, "config", CONFIG_KEYS)
         if "command" in obj and obj["command"] != command:
@@ -66,9 +64,6 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid field 'B': {exc}") from exc
         shells = obj.get("shells")
-        fmt = fmt or obj.get("format", "json")
-        if fmt not in ("json", "csv"):
-            raise ConfigError(f"unknown format {fmt!r}")
         alpha = config_float(obj.get("alpha", 0.0), "alpha")
         if not math.isfinite(alpha):
             raise ConfigError(f"alpha must be finite, got {alpha!r}")
@@ -81,11 +76,9 @@ def parse_config(obj: dict, command: str, *, out=None, fmt=None, strict=False) -
             seed=config_int(obj.get("seed", 0), "seed", minimum=0),
             inputs=dict(known_keys(obj.get("inputs", {}), "inputs", INPUT_KEYS[command])),
             tolerances=tolerances,
-            output=out or obj.get("output"),
-            format=fmt,
             strict=strict,
         )
-        check_choices(cfg.inputs, B, alpha)
+        check_inputs(cfg.inputs, B, alpha)
         return cfg
     except ConfigError:
         raise
@@ -137,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the experiment JSON")
     parser.add_argument("--out", default=None, help="write the report here (default stdout)")
-    parser.add_argument("--format", default=None, choices=("json", "csv"))
+    parser.add_argument("--format", default="json", choices=("json", "csv"))
     parser.add_argument("--strict", action="store_true", help="abort on the first check error")
     args = parser.parse_args(argv)
 
@@ -149,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        cfg = parse_config(obj, args.command, out=args.out, fmt=args.format, strict=args.strict)
+        cfg = parse_config(obj, args.command, strict=args.strict)
         report = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -159,10 +152,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"check error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    blob = render(report, fmt=cfg.format)
-    if cfg.output:
+    blob = render(report, fmt=args.format)
+    if args.out:
         try:
-            with open(cfg.output, "wb") as fh:
+            with open(args.out, "wb") as fh:
                 fh.write(blob)
         except OSError as exc:
             print(f"io error: {exc}", file=sys.stderr)

@@ -82,10 +82,6 @@ class MultiplierMatrix:
         a, b = (np.pad(m.coeffs, ((0, T - m.max_entry_degree), (0, 0), (0, 0))) for m in (self, other))
         return MultiplierMatrix(_readonly(a - b))
 
-    @classmethod
-    def from_json(cls, obj) -> "MultiplierMatrix":
-        return cls.from_polys([[TaylorPoly([complex(re, im) for re, im in e]) for e in row] for row in obj])
-
 
 @dataclass(frozen=True, eq=False)
 class CommutantOperator:

@@ -5,11 +5,11 @@ and window. It reduces T_B exactly when it commutes with both T_B and its
 weighted adjoint; reducing_residual measures the worst of the two
 commutators on the safe block.
 
-Every class j of the Mobius-power projections of b_a^N reads the sections C_r
-built once per (a, N, D), in a memo of the last two keys; a class is built
-only when the window shows its first generator. Its reducing residual reads
-the safe-block commutators of those sections with T_B and T_B*, built once
-per (a, N, D, B) beside them, and forms no projection.
+Each class j of the Mobius-power projections of b_a^N combines the sections
+C_r of (a, N, D); a class is built only when the window shows its first
+generator. Its reducing residual reads the safe-block commutators of those
+sections with T_B and T_B*, built once per (a, N, D, B) in a memo of the
+last two keys, and forms no projection.
 """
 
 from __future__ import annotations
@@ -114,7 +114,6 @@ def _mobius_columns(
 _MOBIUS_CLEAN_TOL = 1e-10
 
 
-@lru_cache(maxsize=2)
 def _mobius_frame(a: complex, N: int, D: int) -> tuple[np.ndarray, ...]:
     """Read-only sections C[r - 1] of C_r, r = 1..N-1, of b_a^N at degree D."""
     k = np.arange(D + 1)

@@ -264,7 +264,9 @@ def _commutator_block(A: np.ndarray, B, D: int) -> np.ndarray:
 def _adjoint_commutator_block(A: np.ndarray, B, w: WeightAlpha, D: int) -> np.ndarray:
     """Read-only safe block of A T_B* - T_B* A for the w-weighted adjoint T_B* of T_B = B.toeplitz(D).
     T_B is lower triangular, so only the rows s = 0..D_safe of T_B*, adj = Lambda_s^-1 T_B[:, s]^H Lambda,
-    are formed, and (A T_B*)[s, s] = A[s, s] adj[:, s]."""
+    are formed, in place on one conjugate copy, and (A T_B*)[s, s] = A[s, s] adj[:, s]."""
     TB, lam, s = B.toeplitz(D), w.diagonal(D), slice(0, safe_degree(D) + 1)
-    adj = (TB[:, s].conj().T * lam[None, :]) / lam[s, None]
+    adj = TB[:, s].conj().T
+    adj *= lam[None, :]
+    adj /= lam[s, None]
     return _readonly(A[s, s] @ adj[:, s] - adj @ A[:, s])

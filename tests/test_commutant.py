@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import blaschke_lab as bl
-from blaschke_lab import cli
+from blaschke_lab import checks, cli
 from blaschke_lab.commutant import _cell_images
 from blaschke_lab import safe_degree
 from blaschke_lab.errors import NotInCommutantError
@@ -572,10 +572,10 @@ class TestCowen:
 
 
 def test_multiplier_matrix_json_roundtrip(rng):
-    # entries of the payload may differ in length; each is zero-padded
+    # entries of a config's inputs.phi may differ in length; each is zero-padded
     phi = random_phi(rng, 2, deg=3)
     obj = [[[[c.real, c.imag] for c in phi.coeffs[: 4 - j - k, j, k]] for k in range(2)] for j in range(2)]
-    phi2 = bl.MultiplierMatrix.from_json(obj)
+    phi2 = checks.INPUT_READERS["phi"](obj, "inputs.phi")
     assert phi2.coeffs.shape == (4, 2, 2)
     for j in range(2):
         for k in range(2):

@@ -66,18 +66,13 @@ def test_gap_tol_is_an_unknown_key():
 
 
 def _input_reads(fn):
-    """inputs keys a battery reads: cfg.inputs.get("k"), cfg.inputs["k"]
-    and the keywords of its _inputs call."""
+    """inputs keys a battery reads: the keys of its _input(cfg, "key", ...)
+    calls. A battery that reads cfg.inputs itself would bypass its reader."""
     keys = set()
     for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_inputs":
-            keys |= {kw.arg for kw in node.keywords}
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
-            owner, args = node.func.value, node.args
-            if isinstance(owner, ast.Attribute) and owner.attr == "inputs" and isinstance(args[0], ast.Constant):
-                keys.add(args[0].value)
-        elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "inputs":
-            keys.add(node.slice.value)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_input":
+            keys.add(node.args[1].value)
+        assert not (isinstance(node, ast.Attribute) and node.attr == "inputs"), f"{fn.name} reads cfg.inputs"
     return keys
 
 
@@ -87,6 +82,11 @@ def test_input_keys_are_the_keys_each_battery_reads():
     reads = {command: _input_reads(functions[fn.__name__]) for command, fn in checks.BATTERIES.items()}
     reads["suite"] = set().union(*(reads[command] for command in checks.SUITE_COMMANDS))
     assert {command: set(keys) for command, keys in checks.INPUT_KEYS.items()} == reads
+
+
+def test_every_accepted_inputs_key_has_one_reader():
+    # every key a command accepts is read when the config is parsed, and every reader has a battery
+    assert set(checks.INPUT_READERS) == set().union(*checks.INPUT_KEYS.values())
 
 
 def test_every_guard_key_is_a_keyword_of_a_library_function():

@@ -177,14 +177,6 @@ def test_suite_analyzes_one_function_only_in_decompose(monkeypatch):
     assert len(calls) == 5
 
 
-#: the one memo no workload hits, and why it stays.
-MEMO_EXEMPT = {
-    "reducing._mobius_frame": "it shares the sections C_r between the classes of "
-    "mobius_power_reducing_projection, which only the tests and scripts/layer_timings.py call; "
-    "the batteries read the classes through the _mobius_commutators memo",
-}
-
-
 def memos() -> dict:
     """{"module.name": function} of every functools.lru_cache defined at the top level of a blaschke_lab module."""
     found = {}
@@ -198,8 +190,7 @@ def memos() -> dict:
 
 def test_every_memo_is_hit_by_a_workload(monkeypatch):
     # each workload of perfbench/run.py from cold memos, as in its fresh child
-    # interpreter: a memo that none of them hits keeps memory and buys nothing,
-    # unless MEMO_EXEMPT says why it stays (and no workload hits an exempt one)
+    # interpreter: a memo that none of them hits keeps memory and buys nothing
     child, caches = load_child(), memos()
     assert {"spaces._diagonal", "reducing._mobius_commutators"} <= set(caches)
     hits = {name: [] for name in caches}
@@ -216,4 +207,4 @@ def test_every_memo_is_hit_by_a_workload(monkeypatch):
             child.sweep_pass(child.sweep_inputs(spec, bl), spec, bl)
         for memo, cache in caches.items():
             hits[memo].append(cache.cache_info().hits)
-    assert sorted(memo for memo, counts in hits.items() if not any(counts)) == sorted(MEMO_EXEMPT), hits
+    assert sorted(memo for memo, counts in hits.items() if not any(counts)) == [], hits

@@ -265,28 +265,16 @@ def _mobius_class(a, N, j, D):
 
 
 class TestMobiusFrame:
-    """The composition sections of one (a, N, D) are built once and shared
-    by every class j; the guard reads one generator per class."""
-
-    @pytest.fixture(autouse=True)
-    def cold_memo(self):
-        rd._mobius_frame.cache_clear()
-        yield
-        rd._mobius_frame.cache_clear()
+    """Each class of one (a, N, D) builds the composition sections C_r once;
+    the guard reads one generator per class."""
 
     @pytest.mark.parametrize("a,N,D", FRAME_GRID)
-    def test_shared_frame_equals_a_cold_build_and_the_column_loop(self, a, N, D):
-        shared = [_mobius_class(a, N, j, D) for j in range(N)]  # later classes hit the memo
-        reference = _mobius_column_loop(a, N, D)
-        for j, (got, (P_ref, clean)) in enumerate(zip(shared, reference)):
-            rd._mobius_frame.cache_clear()
-            cold = _mobius_class(a, N, j, D)
+    def test_every_class_equals_the_column_loop(self, a, N, D):
+        for j, (P_ref, clean) in enumerate(_mobius_column_loop(a, N, D)):
+            got = _mobius_class(a, N, j, D)
             assert isinstance(got, str) == (len(clean) == 0)
-            if isinstance(got, str):
-                assert got == cold
-                continue
-            assert np.array_equal(got, cold)
-            assert np.max(np.abs(got - P_ref)) < 1e-12
+            if not isinstance(got, str):
+                assert np.max(np.abs(got - P_ref)) < 1e-12
 
     @pytest.mark.parametrize("a,N,D", VERDICT_GRID)
     def test_guard_verdict_is_some_clean_generator(self, a, N, D):
@@ -296,7 +284,7 @@ class TestMobiusFrame:
             assert isinstance(_mobius_class(a, N, j, D), str) == (len(clean) == 0), j
 
     @pytest.mark.parametrize("a,N,D", FRAME_GRID)
-    def test_all_classes_share_one_sweep(self, a, N, D, monkeypatch):
+    def test_each_built_class_sweeps_its_sections_once(self, a, N, D, monkeypatch):
         sweeps = []
         sweep = rd._mobius_columns
 
@@ -306,18 +294,16 @@ class TestMobiusFrame:
 
         monkeypatch.setattr(rd, "_mobius_columns", counted)
         built = [not isinstance(_mobius_class(a, N, j, D), str) for j in range(N)]
-        # the sections C_1..C_(N-1), once for all classes; no generator sweep,
-        # and no frame when the guard rejects every class
-        assert sweeps == ["section"] * (N - 1 if any(built) else 0)
+        # the sections C_1..C_(N-1) per class the guard admits; no generator
+        # sweep, and no sections for a class the guard rejects
+        assert sweeps == ["section"] * (N - 1) * sum(built)
 
-    def test_cached_arrays_are_read_only(self):
-        bl.mobius_power_reducing_projection(0.5, 3, 1, 64)
+    def test_section_arrays_are_read_only(self):
         C = rd._mobius_frame(0.5 + 0j, 3, 64)
         assert len(C) == 2
         for arr in C:
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
-        assert rd._mobius_frame.cache_info().maxsize == 2
 
 
 #: a grid over real, imaginary and off-axis points up to |a| = 0.79, read with rho_max 0.85
@@ -339,10 +325,8 @@ class TestMobiusSectionResidual:
 
     @pytest.fixture(autouse=True)
     def cold_memo(self):
-        rd._mobius_frame.cache_clear()
         rd._mobius_commutators.cache_clear()
         yield
-        rd._mobius_frame.cache_clear()
         rd._mobius_commutators.cache_clear()
 
     @pytest.mark.parametrize("a,N,D", SECTION_GRID)

@@ -225,7 +225,7 @@ class TestConfig:
     def test_an_integral_mobius_point_reads_as_its_float(self):
         # the echoed inputs keep the config's own value
         cfg = parse_config(dict(self.MOBIUS, B=b_json([0.5 + 0j, 0.5 + 0j]), inputs={"family": "mobius_power", "a": [0.5, 0]}), "reducing")
-        assert checks._pairs(cfg.inputs["a"], "inputs.a") == 0.5 and cfg.inputs["a"] == [0.5, 0]
+        assert checks._input(cfg, "a") == 0.5 and cfg.inputs["a"] == [0.5, 0]
         assert run(cfg).all_passed
 
     #: per inputs key of coefficient pairs: a command that reads it, its
@@ -289,7 +289,7 @@ class TestConfig:
         "obj,message",
         [
             (dict(BASE, degre=32), r"^unknown config key 'degre'; valid keys: command, B, alpha, degree, shells, seed, "
-             r"inputs, tolerances, format, output$"),
+             r"inputs, tolerances$"),
             (dict(BASE, alhpa=-1), r"^unknown config key 'alhpa'; valid keys: command, B, "),
             (dict(BASE, B={"theta": 0.0, "zeros": [], "zeroes": []}), r"^unknown B key 'zeroes'; valid keys: theta, zeros$"),
             (dict(BASE, B={"zeros": [{"Re": 0.5}]}), r"^unknown zero key 'Re'; valid keys: re, im, mult$"),
@@ -459,15 +459,6 @@ class TestMainExitCodes:
         cfgp.write_text(json.dumps(dict(BASE, B=b_json([1.2 + 0j]))))
         code = main(["suite", "--config", str(cfgp)])
         assert code == 2
-
-    def test_empty_phi_exits_two_and_says_why(self, tmp_path, capsys):
-        cfgp = tmp_path / "c.json"
-        cfgp.write_text(json.dumps(dict(BASE, inputs={"phi": []})))
-        assert main(["commutant", "--config", str(cfgp)]) == 2
-        assert capsys.readouterr().err == (
-            "config error: invalid inputs for 'commutant': multiplier coefficients must be "
-            "a nonempty (T + 1) x n x n array with n >= 1\n"
-        )
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
@@ -663,79 +654,72 @@ class TestBatteries:
         cfgp.write_text(json.dumps(self.SHORT_WINDOW))
         assert main(["ortho", "--config", str(cfgp), "--strict"]) == 2
 
-    NEGATIVE_KMAX = dict(BASE, inputs={"kmax": -1})
-
-    def test_negative_kmax_is_an_errored_record(self, tmp_path):
-        rep = run(parse_config(self.NEGATIVE_KMAX, "ortho"))
-        assert [(r.name, r.passed, r.error) for r in rep.records] == [
-            (
-                "ortho/chain_constructed",
-                False,
-                "ConfigError: inputs.kmax must be >= 0, got -1",
-            )
-        ]
-        cfgp = tmp_path / "c.json"
-        cfgp.write_text(json.dumps(self.NEGATIVE_KMAX))
-        assert main(["ortho", "--config", str(cfgp), "--strict"]) == 2
-
-    @pytest.mark.parametrize(
-        "command,key,value,record",
-        [
-            ("decompose", "num_samples", 2.9, "decompose/inputs"),
-            ("decompose", "max_degree", "16", "decompose/inputs"),
-            ("commutant", "num_samples", True, "commutant/inputs"),
-            ("commutant", "symbol_degree", 4.5, "commutant/inputs"),
-            ("ortho", "kmax", 2.5, "ortho/chain_constructed"),
-            ("cowen", "num_points", 20.5, "cowen/inputs"),
-            ("cowen", "radius", "0.5", "cowen/inputs"),
-        ],
-    )
-    def test_bad_input_value_is_an_errored_record(self, tmp_path, command, key, value, record):
-        obj = dict(BASE, inputs={key: value})
-        kind = "a number" if key == "radius" else "an integer"
-        rep = run(parse_config(obj, command))
-        assert [(r.name, r.passed, r.error) for r in rep.records] == [
-            (record, False, f"ConfigError: inputs.{key} must be {kind}, got {value!r}")
-        ]
-        cfgp = tmp_path / "c.json"
-        cfgp.write_text(json.dumps(obj))
-        assert main([command, "--config", str(cfgp), "--strict"]) == 2
-
-    @pytest.mark.parametrize(
-        "command,key,value,least,record",
-        [
-            ("decompose", "num_samples", 0, 1, "decompose/inputs"),
-            ("decompose", "num_samples", -1, 1, "decompose/inputs"),
-            ("decompose", "max_degree", -1, 0, "decompose/inputs"),
-            ("commutant", "num_samples", 0, 1, "commutant/inputs"),
-            ("commutant", "symbol_degree", -1, 0, "commutant/inputs"),
-            ("cowen", "num_points", 0, 1, "cowen/inputs"),
-        ],
-    )
-    def test_input_below_its_minimum_is_an_errored_record(self, tmp_path, command, key, value, least, record):
-        # a count of zero would check nothing and pass
-        obj = dict(BASE, inputs={key: value})
-        rep = run(parse_config(obj, command))
-        assert [(r.name, r.passed, r.error) for r in rep.records] == [
-            (record, False, f"ConfigError: inputs.{key} must be >= {least}, got {value}")
-        ]
-        cfgp = tmp_path / "c.json"
-        cfgp.write_text(json.dumps(obj))
-        assert main([command, "--config", str(cfgp), "--strict"]) == 2
-
-    @pytest.mark.parametrize("radius", [0.0, -0.5, 1.0, 1.5, float("nan")])
-    def test_radius_outside_the_open_unit_interval_is_an_errored_record(self, tmp_path, radius):
+    #: (command, inputs, message) of malformed inputs values: each is read
+    #: when the config is parsed, and its error names inputs.<key>
+    MALFORMED = {
+        # a coefficient key of the wrong shape
+        "f-number": ("decompose", {"f": 5}, "inputs.f must be a nonempty list, got 5"),
+        "f-empty": ("decompose", {"f": []}, "inputs.f must be a nonempty list, got []"),
+        "phi-one-level": ("commutant", {"phi": [[1, 0], [2, 0]]}, "inputs.phi[0][0] must be a nonempty list, got 1"),
+        "phi-empty": ("commutant", {"phi": []}, "inputs.phi must be a nonempty list, got []"),
+        "basis-number": ("reducing", {"family": "custom", "basis": 3}, "inputs.basis must be a nonempty list, got 3"),
+        "h-object": ("shift-equiv", {"mode": "general", "h": {"re": 1}}, "inputs.h must be a nonempty list, got {'re': 1}"),
+        # a phi that is not deg B square, or past the degree cap
+        "phi-not-square": ("commutant", {"phi": [[[[1, 0]], [[0, 0]]]]}, "inputs.phi: multiplier matrix must be square"),
+        "phi-past-cap": (
+            "commutant",
+            {"phi": [[[[1, 0]] * 66, [[0, 0]]], [[[0, 0]], [[1, 0]]]]},
+            "inputs.phi: entry degree 65 exceeds the multiplier degree cap 64",
+        ),
+        "phi-wrong-size": ("suite", {"phi": [[[[1, 0]]]]}, "inputs.phi is 1 x 1 but deg B = 2"),
+        "custom-without-basis": ("reducing", {"family": "custom"}, "custom family requires inputs.basis"),
+        # a count or radius of the wrong type
+        **{
+            f"{command}-{key}-{value!r}": (command, {key: value}, f"inputs.{key} must be {kind}, got {value!r}")
+            for command, key, value, kind in [
+                ("decompose", "num_samples", 2.9, "an integer"),
+                ("decompose", "max_degree", "16", "an integer"),
+                ("commutant", "num_samples", True, "an integer"),
+                ("commutant", "symbol_degree", 4.5, "an integer"),
+                ("ortho", "kmax", 2.5, "an integer"),
+                ("cowen", "num_points", 20.5, "an integer"),
+                ("cowen", "radius", "0.5", "a number"),
+                ("suite", "num_samples", 2.9, "an integer"),
+            ]
+        },
+        # a count below its least value would check nothing and pass
+        **{
+            f"{command}-{key}-{value}": (command, {key: value}, f"inputs.{key} must be >= {least}, got {value}")
+            for command, key, value, least in [
+                ("decompose", "num_samples", 0, 1),
+                ("decompose", "num_samples", -1, 1),
+                ("decompose", "max_degree", -1, 0),
+                ("commutant", "num_samples", 0, 1),
+                ("commutant", "symbol_degree", -1, 0),
+                ("ortho", "kmax", -1, 0),
+                ("cowen", "num_points", 0, 1),
+            ]
+        },
         # 0.0 samples only the origin, -0.5 rotates the points, 1.5 leaves the disc
-        obj = dict(BASE, inputs={"radius": radius})
-        rep = run(parse_config(obj, "cowen"))
-        assert [(r.name, r.passed, r.error) for r in rep.records] == [
-            ("cowen/inputs", False, f"ConfigError: inputs.radius must lie in (0, 1), got {radius!r}")
-        ]
-        suite = run(parse_config(dict(obj, degree=48), "suite"))
-        assert [r.name for r in suite.records if r.error] == ["cowen/inputs"]
+        **{
+            f"{command}-radius-{radius!r}": (command, {"radius": radius}, f"inputs.radius must lie in (0, 1), got {radius!r}")
+            for command in ("cowen", "suite")
+            for radius in (0.0, -0.5, 1.0, 1.5, float("nan"))
+        },
+    }
+
+    @pytest.mark.parametrize("command,inputs,message", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_malformed_input_is_a_config_error_before_any_battery_runs(self, monkeypatch, tmp_path, capsys, command,
+                                                                       inputs, message):
+        for name in checks.BATTERIES:
+            monkeypatch.setitem(checks.BATTERIES, name, lambda cfg, rng: pytest.fail("a battery ran"))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+            parse_config(dict(BASE, inputs=inputs), command)
         cfgp = tmp_path / "c.json"
-        cfgp.write_text(json.dumps(obj))
-        assert main(["cowen", "--config", str(cfgp), "--strict"]) == 2
+        cfgp.write_text(json.dumps(dict(BASE, inputs=inputs)))
+        assert main([command, "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n" and "invalid inputs for" not in err
 
     def test_smallest_inputs_are_accepted(self):
         obj = dict(BASE, degree=48, inputs={"num_samples": 1, "max_degree": 0, "symbol_degree": 0, "num_points": 1})
@@ -744,16 +728,6 @@ class TestBatteries:
         assert names.count("decompose/sample_0/roundtrip_h2") == 1 and "decompose/sample_1/roundtrip_h2" not in names
         assert "commutant/phi_0/commutation" in names and "commutant/phi_1/commutation" not in names
         assert not any(r.error for r in rep.records)
-
-    def test_suite_reports_past_a_bad_input_value(self):
-        rep = run(parse_config(dict(BASE, degree=48, inputs={"num_samples": 2.9}), "suite"))
-        errored = [(r.name, r.error) for r in rep.records if r.error]
-        assert errored == [
-            ("decompose/inputs", "ConfigError: inputs.num_samples must be an integer, got 2.9"),
-            ("commutant/inputs", "ConfigError: inputs.num_samples must be an integer, got 2.9"),
-        ]
-        families = {r.name.split("/")[0] for r in rep.records}
-        assert families == {"decompose", "commutant", "ortho", "shift_equiv", "cowen", "reducing"}
 
     def test_shift_equiv_monomial_battery(self):
         obj = dict(BASE, B=b_json([0.0 + 0j, 0.0 + 0j]), degree=60)

@@ -6,6 +6,7 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 import blaschke_lab as bl
+from blaschke_lab import reducing as rd
 from blaschke_lab.errors import DimensionMismatchError
 from blaschke_lab.spaces import (
     TaylorPoly,
@@ -184,6 +185,19 @@ class TestCommutatorBlocks:
                 assert np.max(np.abs(got - full)) <= 1e-13 * max(1.0, np.max(np.abs(full)))
                 ref = operator_norm_safe(full, w, D_safe)
                 assert abs(operator_norm_safe(got, w, D_safe) - ref) <= 1e-14 * max(1.0, ref)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5])
+    @pytest.mark.parametrize("D", [64, 256])
+    def test_adjoint_rows_in_place_equal_the_quotient_of_products_bit_for_bit(self, B2, B3, rng, alpha, D):
+        # the rows of T_B* formed on one conjugate copy give the bits of the
+        # expression (T_B^H Lambda) / Lambda_s written out in temporaries
+        w, s = bl.WeightAlpha(alpha), slice(0, bl.safe_degree(D) + 1)
+        lam, section = w.diagonal(D), rd._mobius_frame(0.8 + 0j, 2, D)[0]
+        for B in (B2, B3, bl.BlaschkeProduct(0.0, [(0.8, 2)]), bl.BlaschkeProduct(0.0, [0.8, -0.79j])):
+            adj = (B.toeplitz(D)[:, s].conj().T * lam[None, :]) / lam[s, None]
+            random = rng.standard_normal((D + 1, D + 1)) + 1j * rng.standard_normal((D + 1, D + 1))
+            for A in (random, section):
+                assert np.array_equal(_adjoint_commutator_block(A, B, w, D), A[s, s] @ adj[:, s] - adj @ A[:, s])
 
 
 SVD, EPS = np.linalg.svd, np.finfo(float).eps
