@@ -11,8 +11,8 @@ rows on the dense realization (an SVD), on the rank-one section u u^H with u
 the first model-space basis vector (certified without an SVD) and on an
 exactly zero section, and the Mobius-power projection of class 0 for b_a^N,
 a = 0.5, N = 2, its reducing_residual against b_a^N, and the same residual
-read from the shared section commutators, mobius_power_reducing_residual
-(all three the same for every product).
+read from the section commutators shared by its classes,
+mobius_power_reducing_residual (all three the same for every product).
 
 Each layer is called once untimed, to warm the memos a battery shares (the
 shell frame of (B, D), T_B), then --repeats times under a timer; the medians
@@ -21,8 +21,9 @@ not memoized, so every call searches anew. Three layers are timed
 cold: cell_matrix builds the cells of shells 0..M anew, outside the frame
 memo; the model basis is built by the function under the (B, D) memo
 (blaschke._model_basis.__wrapped__); and
-mobius_power_reducing_residual builds its section commutators through
-reducing._mobius_commutators.__wrapped__, outside the (a, N, D, B) memo.
+mobius_power_reducing_residual computes the residuals of every class of
+(a, N, D, B) through reducing._mobius_commutators.__wrapped__, outside the
+memo that holds them.
 The Mobius-power projection builds its sections on every call.
 BLAS is pinned to one thread before numpy loads.
 
@@ -69,8 +70,8 @@ def random_poly(rng: np.random.Generator, degree: int) -> bl.TaylorPoly:
 
 
 def cold_mobius_s(fn, repeats: int) -> float:
-    """Median seconds of fn with the Mobius-power section commutators built
-    on every call, outside their memo."""
+    """Median seconds of fn with the residuals of every Mobius-power class
+    computed on every call, outside their memo."""
     memo = reducing._mobius_commutators
     reducing._mobius_commutators = memo.__wrapped__
     try:

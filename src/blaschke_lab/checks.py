@@ -210,13 +210,13 @@ def reducing_checks(cfg, rng: np.random.Generator):
         a, N = _input(cfg, "a", _MOBIUS_A), B.degree
 
         def k0():
-            # derivative kernels z^j/(1-conj(a) z)^(j+2), j < N, against B A:
-            # column j holds comb(k+1, j+1) conj(a)^(k-j) at degrees k >= j
+            # derivative kernels z^j/(1-conj(a) z)^(j+2), j < N, against B A, the weight on the
+            # N kernel rows: column j holds comb(k+1, j+1) conj(a)^(k-j) at degrees k >= j
             TB = B.toeplitz(D)
             k, jj = np.arange(D + 1)[:, None], np.arange(N)[None, :]
             binom = np.cumprod((k + 1 - jj) / (jj + 1.0), axis=1)  # comb(k+1, j+1), 0 for k < j
             G = binom * np.conj(a) ** np.maximum(k - jj, 0)
-            return float(np.max(np.abs(G.conj().T @ (w.diagonal(D)[:, None] * TB[:, : safe_degree(D) + 1]))))
+            return float(np.max(np.abs((G.conj().T * w.diagonal(D)) @ TB[:, : safe_degree(D) + 1])))
 
         _timed(cfg, records, "reducing/mobius/k0_orthogonality", _tol(cfg, "k0_orthogonality"), k0)
         for j in range(N):
@@ -486,7 +486,7 @@ def check_inputs(inputs: dict, B: BlaschkeProduct, alpha: float) -> None:
         raise ConfigError("custom family requires inputs.basis")
     if family == "mobius_power":
         a = read.get("a", _MOBIUS_A)
-        if any(z != a for z in B.expanded_zeros()):
+        if any(z != a for z, _ in B.zeros):
             raise ConfigError("mobius_power family requires B to be a power of the factor through a")
         if alpha != -1.0:
             raise ConfigError("mobius_power family is defined on the Bergman weight; set alpha = -1")

@@ -45,45 +45,40 @@ class ExperimentConfig:
 
 
 def parse_config(obj: dict, command: str, *, strict=False) -> ExperimentConfig:
-    try:
-        known_keys(obj, "config", CONFIG_KEYS)
-        if "command" in obj and obj["command"] != command:
-            raise ConfigError(
-                f"config names command {obj['command']!r} but {command!r} was invoked"
-            )
-        tolerances = {}
-        valid = GUARD_KEYS + tuple(CHECK_TOLERANCES)
-        for key, value in known_keys(obj.get("tolerances", {}), "tolerances", valid).items():
-            tolerances[key] = config_float(value, f"tolerances key {key!r}")
-            if not 0 <= tolerances[key] < math.inf:  # NaN fails too; 0 asks for exact
-                raise ConfigError(f"tolerances key {key!r} must be finite and >= 0, got {value!r}")
-        if "B" not in obj:
-            raise ConfigError("missing required field 'B'")
-        try:
-            B = BlaschkeProduct.from_json(obj["B"], rho_max=tolerances.get("rho_max", RHO_MAX))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid field 'B': {exc}") from exc
-        shells = obj.get("shells")
-        alpha = config_float(obj.get("alpha", 0.0), "alpha")
-        if not math.isfinite(alpha):
-            raise ConfigError(f"alpha must be finite, got {alpha!r}")
-        cfg = ExperimentConfig(
-            command=command,
-            blaschke=B,
-            alpha=alpha,
-            degree=config_int(obj.get("degree", 64), "degree", minimum=1),
-            shells=None if shells is None else config_int(shells, "shells", minimum=0),
-            seed=config_int(obj.get("seed", 0), "seed", minimum=0),
-            inputs=dict(known_keys(obj.get("inputs", {}), "inputs", INPUT_KEYS[command])),
-            tolerances=tolerances,
-            strict=strict,
+    known_keys(obj, "config", CONFIG_KEYS)
+    if "command" in obj and obj["command"] != command:
+        raise ConfigError(
+            f"config names command {obj['command']!r} but {command!r} was invoked"
         )
-        check_inputs(cfg.inputs, B, alpha)
-        return cfg
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+    tolerances = {}
+    valid = GUARD_KEYS + tuple(CHECK_TOLERANCES)
+    for key, value in known_keys(obj.get("tolerances", {}), "tolerances", valid).items():
+        tolerances[key] = config_float(value, f"tolerances key {key!r}")
+        if not 0 <= tolerances[key] < math.inf:  # NaN fails too; 0 asks for exact
+            raise ConfigError(f"tolerances key {key!r} must be finite and >= 0, got {value!r}")
+    if "B" not in obj:
+        raise ConfigError("missing required field 'B'")
+    try:
+        B = BlaschkeProduct.from_json(obj["B"], rho_max=tolerances.get("rho_max", RHO_MAX))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid field 'B': {exc}") from exc
+    shells = obj.get("shells")
+    alpha = config_float(obj.get("alpha", 0.0), "alpha")
+    if not math.isfinite(alpha):
+        raise ConfigError(f"alpha must be finite, got {alpha!r}")
+    cfg = ExperimentConfig(
+        command=command,
+        blaschke=B,
+        alpha=alpha,
+        degree=config_int(obj.get("degree", 64), "degree", minimum=1),
+        shells=None if shells is None else config_int(shells, "shells", minimum=0),
+        seed=config_int(obj.get("seed", 0), "seed", minimum=0),
+        inputs=dict(known_keys(obj.get("inputs", {}), "inputs", INPUT_KEYS[command])),
+        tolerances=tolerances,
+        strict=strict,
+    )
+    check_inputs(cfg.inputs, B, alpha)
+    return cfg
 
 
 @dataclasses.dataclass(frozen=True)

@@ -64,7 +64,10 @@ def config_int(value, key: str, minimum: int | None = None) -> int:
 
 
 def config_float(value, key: str) -> float:
-    """value as a float. A bool or a string is an error."""
+    """value as a float. A bool, a string or an integer past the float range is an error."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} must be a finite number, got one past the float range") from None

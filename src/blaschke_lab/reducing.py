@@ -7,9 +7,9 @@ commutators on the safe block.
 
 Each class j of the Mobius-power projections of b_a^N combines the sections
 C_r of (a, N, D); a class is built only when the window shows its first
-generator. Its reducing residual reads the safe-block commutators of those
-sections with T_B and T_B*, built once per (a, N, D, B) in a memo of the
-last two keys, and forms no projection.
+generator. Its reducing residual forms no projection: a memo of the last two
+keys (a, N, D, B) holds the residual of every class, read from the safe-block
+commutators of those sections with T_B and T_B*, formed only to fill it.
 """
 
 from __future__ import annotations
@@ -168,7 +168,12 @@ def _mobius_class(a: complex, N: int, j: int, D: int, rho_max: float) -> tuple[c
             f"no Mobius-power generator is window-clean at D = {D}: class {j}'s first generator has padded-window "
             f"tail {tail:.3e} > {_MOBIUS_CLEAN_TOL:.0e}; increase D to >= {_clean_degree(a, j, D)}"
         )
-    return a, [np.exp(-2j * np.pi * (j + 1) * r / N) for r in range(1, N)]
+    return a, _mobius_phases(N, j)
+
+
+def _mobius_phases(N: int, j: int) -> list[complex]:
+    """omega^(-(j+1)r), r = 1..N-1: the weights of the sections C_r in class j."""
+    return [np.exp(-2j * np.pi * (j + 1) * r / N) for r in range(1, N)]
 
 
 def mobius_power_reducing_projection(
@@ -201,30 +206,34 @@ def mobius_power_reducing_projection(
 
 
 @lru_cache(maxsize=2)
-def _mobius_commutators(a: complex, N: int, D: int, B: BlaschkeProduct) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The read-only safe blocks ([C_r, T_B*], [C_r, T_B]), r = 1..N-1, of the sections of _mobius_frame(a, N, D)
-    in the Bergman weight w. The T_B* block, with the larger temporaries, is formed while no block is held."""
-    w = as_weight(-1.0)
-    return tuple((_adjoint_commutator_block(C, B, w, D), _commutator_block(C, B, D)) for C in _mobius_frame(a, N, D))
+def _mobius_commutators(a: complex, N: int, D: int, B: BlaschkeProduct) -> tuple[float, ...]:
+    """The reducing residual of every class j < N of b_a^N at degree D in the Bergman weight w: the norms of its
+    sums of the safe blocks [C_r, T], T = T_B* and T_B, of the sections of _mobius_frame(a, N, D), each distinct
+    sum normed once per T. The blocks of one T live only while its norms are taken, the T_B* blocks first."""
+    if N == 1:  # P_0 = I commutes exactly
+        return (0.0,)
+    rels = [tuple(ph / phase[0] for ph in phase[1:]) for phase in (_mobius_phases(N, j) for j in range(N))]
+    C, w, D_safe = _mobius_frame(a, N, D), as_weight(-1.0), safe_degree(D)
+
+    def norms(block):  # {rel: the norm of its sum} over the blocks [C_r, T] of one T, freed on return
+        K = [block(C_r) for C_r in C]
+        return {rel: operator_norm_safe(sum((c * K_r for c, K_r in zip(rel, K[1:])), K[0]), w, D_safe)
+                for rel in set(rels)}
+
+    adj = norms(lambda C_r: _adjoint_commutator_block(C_r, B, w, D))
+    comm = norms(lambda C_r: _commutator_block(C_r, B, D))
+    return tuple(max(adj[rel], comm[rel]) / N for rel in rels)
 
 
 def mobius_power_reducing_residual(
     a: complex, N: int, j: int, D: int, B: BlaschkeProduct, *, rho_max: float = RHO_MAX
 ) -> float:
     """reducing_residual(mobius_power_reducing_projection(a, N, j, D), B) up to rounding, with no projection
-    formed: [I, T] = 0, so [P_j, T] = (1/N) sum_r omega^(-(j+1)r) [C_r, T] for T = T_B and T_B*, and the
-    blocks [C_r, T] are built once per (a, N, D, B) for every class. The phase of C_1 is factored out of each
-    sum, since a unit factor leaves its norm unchanged: the two classes of N = 2 read one value. The errors
-    are the projection's."""
-    a, phase = _mobius_class(a, N, j, D, rho_max)
-    K = _mobius_commutators(a, N, D, B)
-    if not K:  # N = 1: P_0 = I commutes exactly
-        return 0.0
-    rel = [ph / phase[0] for ph in phase[1:]]
-    w, D_safe = as_weight(-1.0), safe_degree(D)
-    return max(
-        operator_norm_safe(sum((c * K_r[i] for c, K_r in zip(rel, K[1:])), K[0][i]), w, D_safe) for i in (0, 1)
-    ) / N
+    formed: [I, T] = 0, so [P_j, T] = (1/N) sum_r omega^(-(j+1)r) [C_r, T] for T = T_B and T_B*. The phase of C_1
+    is factored out of each sum (a unit factor leaves its norm unchanged), so the two classes of N = 2 share one.
+    After its window guard, class j reads its residual from _mobius_commutators. The errors are the projection's."""
+    a, _ = _mobius_class(a, N, j, D, rho_max)
+    return _mobius_commutators(a, N, D, B)[j]
 
 
 #: smallest normalized singular value of a caller-supplied basis before

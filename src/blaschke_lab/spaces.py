@@ -243,9 +243,12 @@ def operator_norm_safe(X: np.ndarray, w: WeightAlpha | float, D_safe: int) -> fl
     if not sub.any():
         return 0.0
     sq = np.sqrt(w.diagonal(D_safe))
-    scaled = sq[:, None] * sub / sq[None, :]
+    scaled = sq[:, None] * sub
+    scaled /= sq[None, :]
     if 1e-140 <= np.abs(scaled).max() <= 1e140:
-        col_sq = (scaled.real**2 + scaled.imag**2).sum(axis=0)
+        col_sq = scaled.real**2
+        col_sq += scaled.imag**2
+        col_sq = col_sq.sum(axis=0)
         j = int(np.argmax(col_sq))
         frobenius = math.sqrt(col_sq.sum())
         if frobenius <= (1 + _NORM_RTOL) * np.linalg.norm(scaled[:, j].conj() @ scaled) / math.sqrt(col_sq[j]):
@@ -258,7 +261,7 @@ def _commutator_block(A: np.ndarray, B, D: int) -> np.ndarray:
     read from rows 0..D_safe of A alone: (A T_B)[s, s] = A[s, :] T_B[:, s] sums over all D + 1 columns,
     and (T_B A)[s, s] = T_B[s, s] A[s, s] since T_B is lower triangular."""
     TB, s = B.toeplitz(D), slice(0, safe_degree(D) + 1)
-    return _readonly(A[s, :] @ TB[:, s] - TB[s, s] @ A[s, s])
+    return _readonly(np.subtract(X := A[s, :] @ TB[:, s], TB[s, s] @ A[s, s], out=X))  # in place on the first product
 
 
 def _adjoint_commutator_block(A: np.ndarray, B, w: WeightAlpha, D: int) -> np.ndarray:
@@ -269,4 +272,4 @@ def _adjoint_commutator_block(A: np.ndarray, B, w: WeightAlpha, D: int) -> np.nd
     adj = TB[:, s].conj().T
     adj *= lam[None, :]
     adj /= lam[s, None]
-    return _readonly(A[s, s] @ adj[:, s] - adj @ A[:, s])
+    return _readonly(np.subtract(X := A[s, s] @ adj[:, s], adj @ A[:, s], out=X))

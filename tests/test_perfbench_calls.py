@@ -156,25 +156,46 @@ def test_suite_commutation_residuals_are_largest_singular_values(monkeypatch):
     assert all(r in values for r in commutation)
 
 
-def test_suite_analyzes_one_function_only_in_decompose(monkeypatch):
-    # wold.analyze.calls of a traced suite pass: the symbols and the
-    # intertwiner images are each analysed in one product E^H F, so only
-    # the round trips of decompose (5 samples by default) call analyze
-    calls, analyze = [], bl.wold.analyze
+def spy_calls(monkeypatch, fn) -> list:
+    """The positional arguments of each call of fn from here on, wherever blaschke_lab binds it."""
+    calls = []
 
     def counted(*args, **kw):
-        calls.append(args[0])
-        return analyze(*args, **kw)
+        calls.append(args)
+        return fn(*args, **kw)
 
     for name, module in list(sys.modules.items()):
         if name == "blaschke_lab" or name.startswith("blaschke_lab."):
             for attr, value in list(vars(module).items()):
-                if value is analyze:
+                if value is fn:
                     monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_suite_analyzes_one_function_only_in_decompose(monkeypatch):
+    # wold.analyze.calls of a traced suite pass: the symbols and the
+    # intertwiner images are each analysed in one product E^H F, so only
+    # the round trips of decompose (5 samples by default) call analyze
+    calls = spy_calls(monkeypatch, bl.wold.analyze)
     B = {"theta": 0.0, "zeros": [{"re": 0.5, "im": 0.0, "mult": 1}, {"re": -0.3, "im": 0.0, "mult": 1}]}
     rep = cli.run(cli.parse_config({"B": B, "alpha": -1.0, "degree": 64, "inputs": {}, "seed": 3}, "suite"))
     assert rep.all_passed
     assert len(calls) == 5
+
+
+def test_mobius_pass_norms_the_one_class_sum_of_n2_once(monkeypatch):
+    # spaces.operator_norm_safe.calls of a traced mobius-d256 pass from cold
+    # memos: the two classes of b_a^2 share their sum, one norm per T_B* and
+    # T_B, and each safe block of the one section C_1 is built once
+    child, spec = load_child(), workload("mobius-d256")
+    spec["config"]["seed"] = 3
+    bl.reducing._mobius_commutators.cache_clear()
+    norms = spy_calls(monkeypatch, bl.spaces.operator_norm_safe)
+    blocks = [spy_calls(monkeypatch, k) for k in (bl.spaces._adjoint_commutator_block, bl.spaces._commutator_block)]
+    result = child.battery_pass(child.battery_inputs(spec, cli), cli, report)
+    assert child.battery_gate(result, report) == (4, [])
+    assert len(norms) == 2
+    assert [len(calls) for calls in blocks] == [1, 1]
 
 
 def memos() -> dict:

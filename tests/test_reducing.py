@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import blaschke_lab as bl
+from blaschke_lab import cli
 from blaschke_lab import reducing as rd
 from blaschke_lab import safe_degree, spaces
 from blaschke_lab.errors import BlaschkeLabError, ConditioningError, DimensionMismatchError, MembershipError, ZeroFunctionError
@@ -100,23 +101,40 @@ class TestMonomialProjection:
             assert bl.projection_defects(P) == (0.0, 0.0)
 
 
+def _k0_by_loop(a, N, D):
+    """max over j < N and m <= D_safe of |<g_j, B z^m>| at alpha = -1, g_j the derivative kernel
+    z^j/(1 - conj(a) z)^(j+2), one inner product at a time."""
+    from math import comb
+
+    B = bl.BlaschkeProduct(0.0, [(a, N)])
+    TB = bl.toeplitz_matrix(B.taylor(D), D, -1.0)
+    lam = (np.arange(D + 1) + 1.0) ** -1.0
+    worst = 0.0
+    for j in range(N):
+        g = np.zeros(D + 1, dtype=complex)
+        k = np.arange(D + 1 - j)
+        g[j:] = np.array([comb(int(i) + j + 1, j + 1) for i in k]) * np.conj(a) ** k
+        for m in range(safe_degree(D) + 1):
+            worst = max(worst, abs(np.sum(g * np.conj(TB.entries[:, m]) * lam)))
+    return worst
+
+
 class TestMobiusProjection:
     def test_k0_orthogonality_feeding_proposition(self):
         # derivative kernels z^j/(1-a z)^(j+2) against B * A at alpha = -1
-        from math import comb
+        assert _k0_by_loop(0.5, 2, 120) < 1e-8
 
-        a, N, D = 0.5, 2, 120
-        B = bl.BlaschkeProduct(0.0, [(a, 2)])
-        TB = bl.toeplitz_matrix(B.taylor(D), D, -1.0)
-        lam = (np.arange(D + 1) + 1.0) ** -1.0
-        worst = 0.0
-        for j in range(N):
-            g = np.zeros(D + 1, dtype=complex)
-            k = np.arange(D + 1 - j)
-            g[j:] = np.array([comb(int(i) + j + 1, j + 1) for i in k]) * a**k
-            for m in range(safe_degree(D) + 1):
-                worst = max(worst, abs(np.sum(g * np.conj(TB.entries[:, m]) * lam)))
-        assert worst < 1e-8
+    @pytest.mark.parametrize("a,N,D", [(a, N, D) for a in (0.5, 0.8) for N in (2, 3) for D in (64, 256)])
+    def test_battery_k0_equals_the_loop(self, a, N, D):
+        obj = {
+            "B": {"theta": 0.0, "zeros": [{"re": a, "im": 0.0, "mult": N}]},
+            "alpha": -1.0,
+            "degree": D,
+            "inputs": {"family": "mobius_power", "a": [a, 0.0]},
+        }
+        records = cli.run(cli.parse_config(obj, "reducing")).records
+        [k0] = [r.residual for r in records if r.name == "reducing/mobius/k0_orthogonality"]
+        assert abs(k0 - _k0_by_loop(a, N, D)) <= 1e-15
 
     def test_reducing_residual_both_parities(self):
         a, N, D = 0.5, 2, 120
@@ -318,6 +336,17 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _class_residual_written_out(a, N, j, D, B):
+    """The residual of class j alone, as one expression over the safe-block commutators of its sections C_r:
+    max over T = T_B*, T_B of ||[C_1, T] + sum_(r >= 2) (omega^(-(j+1)r) / omega^(-(j+1))) [C_r, T]|| / N.
+    Sharing the sums between classes must not move a bit of it."""
+    a, phase = rd._mobius_class(a, N, j, D, bl.RHO_MAX)
+    w, D_safe = spaces.as_weight(-1.0), safe_degree(D)
+    K = [(spaces._adjoint_commutator_block(C, B, w, D), spaces._commutator_block(C, B, D)) for C in rd._mobius_frame(a, N, D)]
+    rel = [ph / phase[0] for ph in phase[1:]]
+    return max(operator_norm_safe(sum((c * K_r[i] for c, K_r in zip(rel, K[1:])), K[0][i]), w, D_safe) for i in (0, 1)) / N
+
+
 class TestMobiusSectionResidual:
     """mobius_power_reducing_residual reads each class's residual from the
     commutators of the sections C_r, shared by every class, and forms no
@@ -325,6 +354,7 @@ class TestMobiusSectionResidual:
 
     @pytest.fixture(autouse=True)
     def cold_memo(self):
+        # the memo holds the residual of every class of a key, nothing else
         rd._mobius_commutators.cache_clear()
         yield
         rd._mobius_commutators.cache_clear()
@@ -351,7 +381,7 @@ class TestMobiusSectionResidual:
 
     @pytest.mark.parametrize("a,N,D", [(0.5, 2, 64), (0.8, 3, 256), (0.6 - 0.5j, 3, 256)])
     def test_section_commutators_are_built_once_per_key(self, a, N, D, monkeypatch):
-        blocks = []
+        blocks, norms = [], []
 
         def counted(kernel):
             def call(m, B, *args):
@@ -360,23 +390,34 @@ class TestMobiusSectionResidual:
 
             return call
 
+        def counted_norm(*args):
+            norms.append(args)
+            return operator_norm_safe(*args)
+
         kernels = ("_adjoint_commutator_block", "_commutator_block")
         for kernel in kernels:
             monkeypatch.setattr(rd, kernel, counted(kernel))
+        monkeypatch.setattr(rd, "operator_norm_safe", counted_norm)
         B = bl.BlaschkeProduct(0.0, [(a, N)])
-        for _ in range(2):
-            for j in range(N):
-                bl.mobius_power_reducing_residual(a, N, j, D, B)
-        assert blocks == [(k, B) for k in kernels] * (N - 1)
+        got = [[bl.mobius_power_reducing_residual(a, N, j, D, B) for j in range(N)] for _ in range(2)]
+        # the T_B* blocks of every section, then its T_B blocks, for the first class only
+        assert blocks == [(k, B) for k in kernels for _ in range(N - 1)]
+        # one norm per T and distinct class sum: the classes of N = 2 share theirs
+        assert len(norms) == 2 * (1 if N == 2 else N)
+        # the memo holds the residual of every class, and each class reads its own
+        assert got[0] == got[1] == list(rd._mobius_commutators(complex(a), N, D, B))
         # T_B enters the key: a rotated product has other commutators
         rotated = bl.BlaschkeProduct(0.5, [(a, N)])
         bl.mobius_power_reducing_residual(a, N, 0, D, rotated)
-        assert blocks[2 * (N - 1) :] == [(k, rotated) for k in kernels] * (N - 1)
+        assert blocks[2 * (N - 1) :] == [(k, rotated) for k in kernels for _ in range(N - 1)]
         assert rd._mobius_commutators.cache_info().maxsize == 2
-        for pair in rd._mobius_commutators(complex(a), N, D, B):
-            for X in pair:
-                with pytest.raises(ValueError):
-                    X[0, 0] = 1.0
+
+    @pytest.mark.parametrize("a,N,D", [(a, N, D) for a in (0.5, 0.3 + 0.4j, 0.8) for N in (3, 4) for D in (64, 128, 256)])
+    def test_every_class_equals_its_own_sum_bit_for_bit(self, a, N, D):
+        B = bl.BlaschkeProduct(0.0, [(a, N)])
+        for j in range(N):
+            got = _outcome(lambda: bl.mobius_power_reducing_residual(a, N, j, D, B))
+            assert got == _outcome(lambda: _class_residual_written_out(a, N, j, D, B)), j
 
     def test_forms_no_projection(self, monkeypatch):
         def no_projection(*args, **kw):

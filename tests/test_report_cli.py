@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blaschke_lab as bl
 from blaschke_lab import checks, cli
@@ -84,6 +86,39 @@ class TestRender:
 MODE = r"^unknown shift-equiv mode {}; valid values: monomial, general$"
 FAMILY = r"^unknown reducing family {}; valid values: monomial, mobius_power, custom$"
 EXPECTED = r"^unknown custom expected {}; valid values: reducing, report-only$"
+
+
+# random JSON for every top-level and inputs key; each key is a plausible
+# value three times in four, so most draws get past the earlier keys
+_NUMBER = st.integers(-2, 70) | st.floats(-1.0, 1.0) | st.sampled_from((0.5, -0.3, 0.8, -1.0, 1e300, 10**400))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | _NUMBER
+    | st.sampled_from(("monomial", "mobius_power", "custom", "reducing", "report-only", "general")),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=10,
+)
+
+
+def _mostly(strategy):
+    return st.one_of(strategy, strategy, strategy, _JSON)
+
+
+_POLY = st.lists(_mostly(st.lists(_NUMBER, min_size=2, max_size=2)), min_size=1, max_size=3)
+_INPUT = _mostly(
+    _NUMBER | _POLY | st.lists(_POLY, min_size=1, max_size=2) | st.lists(st.lists(_POLY, min_size=1, max_size=2), min_size=1, max_size=2)
+)
+_ZERO = _mostly(st.fixed_dictionaries({}, optional={"re": _NUMBER, "im": _NUMBER, "mult": _mostly(st.integers(1, 3))}))
+_B = _mostly(st.fixed_dictionaries({"zeros": st.lists(_ZERO, min_size=1, max_size=3)}, optional={"theta": _NUMBER}))
+_TOLERANCES = st.dictionaries(st.sampled_from(cli.GUARD_KEYS + tuple(checks.CHECK_TOLERANCES)), _NUMBER, max_size=2)
+
+
+@st.composite
+def _configs(draw):
+    command = draw(st.sampled_from(cli.COMMANDS))
+    inputs = st.fixed_dictionaries({}, optional={key: _INPUT for key in checks.INPUT_KEYS[command]})
+    keys = {key: _mostly(_NUMBER) for key in ("alpha", "degree", "shells", "seed")}
+    keys |= {"command": _mostly(st.just(command)), "tolerances": _mostly(_TOLERANCES)}
+    return command, draw(_mostly(st.fixed_dictionaries({"B": _B, "inputs": _mostly(inputs)}, optional=keys)))
 
 
 class TestConfig:
@@ -339,6 +374,35 @@ class TestConfig:
         obj = dict(BASE, tolerances={"tol_compose": 1e-12})
         with pytest.raises(ConfigError, match=r"unknown tolerances key 'tol_compose'"):
             parse_config(obj, "suite")
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=_configs())
+    def test_any_json_config_parses_or_is_a_config_error(self, config):
+        command, obj = config
+        try:
+            assert isinstance(parse_config(obj, command), cli.ExperimentConfig)
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize("key", ["alpha", "B", "a"])
+    def test_an_integer_past_the_float_range_is_a_config_error(self, key):
+        big = 10**400
+        obj = {
+            "alpha": dict(BASE, alpha=big),
+            "B": dict(BASE, B={"theta": big, "zeros": [{"re": 0.5}]}),
+            "a": dict(BASE, inputs={"family": "mobius_power", "a": [big, 0]}),
+        }[key]
+        with pytest.raises(ConfigError, match="must be a finite number, got one past the float range"):
+            parse_config(obj, "reducing")
+
+    def test_a_library_fault_is_not_relabelled_a_config_error(self, monkeypatch):
+        def fault(*args):
+            raise TypeError("library fault")
+
+        monkeypatch.setattr(cli, "check_inputs", fault)
+        with pytest.raises(TypeError, match="library fault"):
+            parse_config(dict(BASE), "suite")
 
 
 class TestRun:

@@ -1,6 +1,7 @@
 """Smoke tests: every script under scripts/ runs to exit 0 at a small size,
 and so do the README's python examples."""
 
+import importlib.util
 import json
 import os
 import re
@@ -70,3 +71,66 @@ def test_readme_python_examples_run(tmp_path):
     script.write_text("\n".join(blocks), encoding="utf-8")
     proc = _run(script)
     assert proc.returncode == 0, proc.stderr
+
+
+#: one config each of the Mobius battery, the ortho chain and decompose with an explicit f
+COMPARED = ["ortho/kmax/alpha=-1.0/D=64", "decompose/f/alpha=0.0/D=64", "mobius/a=0.5/N=2/D=64"]
+
+
+def _compare_reports(monkeypatch, edit=None):
+    """scripts/compare_reports.py as a module whose base tree is this tree; edit(labels, reports), when given,
+    changes the reports of the second tree run, the tree under comparison."""
+    spec = importlib.util.spec_from_file_location("compare_reports", ROOT / "scripts" / "compare_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "extract", lambda rev, dest: ROOT / "src")
+    runs, tree_reports = [], module.tree_reports
+
+    def run(src, configs):
+        reports = tree_reports(src, configs)
+        runs.append(src)
+        if edit is not None and len(runs) == 2:
+            edit([label for label, _, _ in configs], reports)
+        return reports
+
+    monkeypatch.setattr(module, "tree_reports", run)
+    return module
+
+
+def _select():
+    return "|".join(re.escape(label) + "$" for label in COMPARED)
+
+
+def test_compare_reports_of_the_tree_with_itself_are_the_same(monkeypatch, capsys):
+    cr = _compare_reports(monkeypatch)
+    assert cr.main(["--base", "HEAD", "--select", _select()]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"same {label}" for label in COMPARED] + ["3 configs: 3 same, 0 differ; record status changed: no"]
+
+
+def test_compare_reports_prints_a_moved_residual(monkeypatch, capsys):
+    def nudge(labels, reports):
+        report = reports[labels.index("mobius/a=0.5/N=2/D=64")]
+        report["sha256"] = "moved"
+        record = next(r for r in report["records"] if r[0] == "reducing/mobius_1/residual")
+        record[3] *= 1.5
+
+    cr = _compare_reports(monkeypatch, nudge)
+    assert cr.main(["--base", "HEAD", "--select", _select()]) == 0
+    out = capsys.readouterr().out.splitlines()
+    i = out.index("DIFF mobius/a=0.5/N=2/D=64")
+    assert out[i + 1].startswith("    reducing/mobius_#/residual: largest |move| ")
+    assert "relative 5.000e-01" in out[i + 1]
+    assert out[-1] == "3 configs: 2 same, 1 differ; record status changed: no"
+
+
+def test_compare_reports_exits_one_on_a_flipped_status(monkeypatch, capsys):
+    def flip(labels, reports):
+        reports[labels.index("ortho/kmax/alpha=-1.0/D=64")]["records"][0][1] = False
+
+    cr = _compare_reports(monkeypatch, flip)
+    assert cr.main(["--base", "HEAD", "--select", _select()]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "same ortho/kmax/alpha=-1.0/D=64"
+    assert out[1].startswith("    ortho/") and out[1].endswith(": pass None -> fail None")
+    assert out[-1].endswith("record status changed: yes")

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -198,6 +199,9 @@ class TestCommutatorBlocks:
             random = rng.standard_normal((D + 1, D + 1)) + 1j * rng.standard_normal((D + 1, D + 1))
             for A in (random, section):
                 assert np.array_equal(_adjoint_commutator_block(A, B, w, D), A[s, s] @ adj[:, s] - adj @ A[:, s])
+                # the T_B block, its second product subtracted in place, likewise
+                TB = B.toeplitz(D)
+                assert np.array_equal(_commutator_block(A, B, D), A[s, :] @ TB[:, s] - TB[s, s] @ A[s, s])
 
 
 SVD, EPS = np.linalg.svd, np.finfo(float).eps
@@ -275,6 +279,14 @@ class TestOperatorNormSafe:
             assert s1 * (1 - 4 * EPS) <= norm <= s1 * (1 + 1e-5)
         else:
             assert norm == s1
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
+    def test_a_certified_norm_is_its_frobenius_expression_bit_for_bit(self, rng, alpha):
+        # the in-place scaling and squares give the bits of the expression written out in temporaries
+        D, D_safe = 96, 64
+        X, S, _ = self.section(rng, D + 1, 1e-9, alpha, D_safe)
+        assert self.certified(S)
+        assert operator_norm_safe(X, alpha, D_safe) == math.sqrt((S.real**2 + S.imag**2).sum(axis=0).sum())
 
     @hyp_settings(max_examples=60, deadline=None)
     @given(
