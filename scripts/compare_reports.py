@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Compare the canonical reports of this tree with those of a git revision.
 
-Usage: python scripts/compare_reports.py --base REV [--select REGEX]
+Usage: python scripts/compare_reports.py --base REV
 
 The revision is extracted with `git archive REV` into a temporary
-directory. Each tree runs the config set CONFIGS (or the configs whose label
-matches --select) through cli.parse_config and cli.run, all in one child
-interpreter per tree, with BLAS pinned to one thread. Per config it prints
+directory. Each tree runs the config set CONFIGS through cli.parse_config and
+cli.run, all in one child interpreter per tree, with BLAS pinned to one thread. Per config it prints
 "same" or "DIFF" for the sha256 of the canonical report. Where the sha256
 or any residual's bits differ, it prints each record whose status (pass or
 fail) or error changed, and per record family (the record name with each
@@ -162,23 +161,21 @@ def compare(label: str, old: dict, new: dict) -> tuple[list[str], bool]:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", required=True, help="the git revision to compare against")
-    ap.add_argument("--select", default="", help="compare only the configs whose label matches this regex")
     args = ap.parse_args(argv)
-    configs = [c for c in CONFIGS if re.search(args.select, c[0])]
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            base = tree_reports(extract(args.base, Path(tmp)), configs)
-        head = tree_reports(ROOT / "src", configs)
+            base = tree_reports(extract(args.base, Path(tmp)), CONFIGS)
+        head = tree_reports(ROOT / "src", CONFIGS)
     except (subprocess.CalledProcessError, RuntimeError) as exc:
         print(getattr(exc, "stderr", None) or exc, file=sys.stderr)
         return 2
     status, differ = False, 0
-    for (label, _, _), old, new in zip(configs, base, head):
+    for (label, _, _), old, new in zip(CONFIGS, base, head):
         lines, changed = compare(label, old, new)
         status |= changed
         differ += lines[0].startswith("DIFF")
         print("\n".join(lines))
-    print(f"{len(configs)} configs: {len(configs) - differ} same, {differ} differ; record status changed: {'yes' if status else 'no'}")
+    print(f"{len(CONFIGS)} configs: {len(CONFIGS) - differ} same, {differ} differ; record status changed: {'yes' if status else 'no'}")
     return int(status)
 
 

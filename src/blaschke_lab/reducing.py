@@ -206,32 +206,32 @@ def mobius_power_reducing_projection(
 
 
 @lru_cache(maxsize=2)
-def _mobius_commutators(a: complex, N: int, D: int, B: BlaschkeProduct) -> tuple[float, ...]:
-    """The reducing residual of every class j < N of b_a^N at degree D in the Bergman weight w: the norms of its
-    sums of the safe blocks [C_r, T], T = T_B* and T_B, of the sections of _mobius_frame(a, N, D), each distinct
-    sum normed once per T. The blocks of one T live only while its norms are taken, the T_B* blocks first."""
+def _mobius_commutators(a: complex, N: int, D: int, B: BlaschkeProduct) -> tuple[float | None, ...]:
+    """The reducing residual of every class j < N of b_a^N at degree D in the Bergman weight w, None for a class
+    the window guard refuses: the norm of its sum of the safe blocks [C_r, T], T = T_B* and T_B, of the sections
+    of _mobius_frame(a, N, D), with the phase of C_1 factored out. Each distinct sum (one for the two classes of
+    N = 2) is normed once per T, while the blocks of that T live, the T_B* blocks first."""
     if N == 1:  # P_0 = I commutes exactly
         return (0.0,)
-    rels = [tuple(ph / phase[0] for ph in phase[1:]) for phase in (_mobius_phases(N, j) for j in range(N))]
+    rels = [tuple(ph / phase[0] for ph in phase[1:]) if N == 2 or _generator_tail(a, j, D) <= _MOBIUS_CLEAN_TOL
+            else None for j, phase in enumerate(_mobius_phases(N, j) for j in range(N))]
     C, w, D_safe = _mobius_frame(a, N, D), as_weight(-1.0), safe_degree(D)
 
-    def norms(block):  # {rel: the norm of its sum} over the blocks [C_r, T] of one T, freed on return
-        K = [block(C_r) for C_r in C]
+    def norms(K):  # {rel: the norm of its sum} over the blocks K = [C_r, T] of one T, freed on return
         return {rel: operator_norm_safe(sum((c * K_r for c, K_r in zip(rel, K[1:])), K[0]), w, D_safe)
-                for rel in set(rels)}
+                for rel in set(rels) - {None}}
 
-    adj = norms(lambda C_r: _adjoint_commutator_block(C_r, B, w, D))
-    comm = norms(lambda C_r: _commutator_block(C_r, B, D))
-    return tuple(max(adj[rel], comm[rel]) / N for rel in rels)
+    adj = norms([_adjoint_commutator_block(C_r, B, w, D) for C_r in C])
+    comm = norms([_commutator_block(C_r, B, D) for C_r in C])
+    return tuple(None if rel is None else max(adj[rel], comm[rel]) / N for rel in rels)
 
 
 def mobius_power_reducing_residual(
     a: complex, N: int, j: int, D: int, B: BlaschkeProduct, *, rho_max: float = RHO_MAX
 ) -> float:
     """reducing_residual(mobius_power_reducing_projection(a, N, j, D), B) up to rounding, with no projection
-    formed: [I, T] = 0, so [P_j, T] = (1/N) sum_r omega^(-(j+1)r) [C_r, T] for T = T_B and T_B*. The phase of C_1
-    is factored out of each sum (a unit factor leaves its norm unchanged), so the two classes of N = 2 share one.
-    After its window guard, class j reads its residual from _mobius_commutators. The errors are the projection's."""
+    formed: [I, T] = 0, so [P_j, T] = (1/N) sum_r omega^(-(j+1)r) [C_r, T] for T = T_B and T_B*, and a unit
+    factor leaves a norm unchanged. Read from _mobius_commutators after the window guard: the projection's errors."""
     a, _ = _mobius_class(a, N, j, D, rho_max)
     return _mobius_commutators(a, N, D, B)[j]
 

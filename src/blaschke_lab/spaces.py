@@ -257,19 +257,19 @@ def operator_norm_safe(X: np.ndarray, w: WeightAlpha | float, D_safe: int) -> fl
 
 
 def _commutator_block(A: np.ndarray, B, D: int) -> np.ndarray:
-    """Read-only safe block of A T_B - T_B A for the section T_B = B.toeplitz(D) of a BlaschkeProduct B,
+    """Safe block of A T_B - T_B A for the section T_B = B.toeplitz(D) of a BlaschkeProduct B,
     read from rows 0..D_safe of A alone: (A T_B)[s, s] = A[s, :] T_B[:, s] sums over all D + 1 columns,
     and (T_B A)[s, s] = T_B[s, s] A[s, s] since T_B is lower triangular."""
     TB, s = B.toeplitz(D), slice(0, safe_degree(D) + 1)
-    return _readonly(np.subtract(X := A[s, :] @ TB[:, s], TB[s, s] @ A[s, s], out=X))  # in place on the first product
+    return np.subtract(X := A[s, :] @ TB[:, s], TB[s, s] @ A[s, s], out=X)  # in place on the first product
 
 
 def _adjoint_commutator_block(A: np.ndarray, B, w: WeightAlpha, D: int) -> np.ndarray:
-    """Read-only safe block of A T_B* - T_B* A for the w-weighted adjoint T_B* of T_B = B.toeplitz(D).
+    """Safe block of A T_B* - T_B* A for the w-weighted adjoint T_B* of T_B = B.toeplitz(D).
     T_B is lower triangular, so only the rows s = 0..D_safe of T_B*, adj = Lambda_s^-1 T_B[:, s]^H Lambda,
     are formed, in place on one conjugate copy, and (A T_B*)[s, s] = A[s, s] adj[:, s]."""
     TB, lam, s = B.toeplitz(D), w.diagonal(D), slice(0, safe_degree(D) + 1)
     adj = TB[:, s].conj().T
     adj *= lam[None, :]
     adj /= lam[s, None]
-    return _readonly(np.subtract(X := A[s, s] @ adj[:, s], adj @ A[:, s], out=X))
+    return np.subtract(X := A[s, s] @ adj[:, s], adj @ A[:, s], out=X)

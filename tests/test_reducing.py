@@ -412,6 +412,22 @@ class TestMobiusSectionResidual:
         assert blocks[2 * (N - 1) :] == [(k, rotated) for k in kernels for _ in range(N - 1)]
         assert rd._mobius_commutators.cache_info().maxsize == 2
 
+    @pytest.mark.parametrize("N,refused", [(3, [2]), (4, [2, 3])])
+    def test_a_class_the_guard_refuses_is_not_normed(self, N, refused, monkeypatch):
+        # b_0.8^N at D = 128: the window shows the first generators of classes 0 and 1 only
+        norms = []
+        monkeypatch.setattr(rd, "operator_norm_safe", lambda *args: norms.append(args) or operator_norm_safe(*args))
+        B = bl.BlaschkeProduct(0.0, [(0.8, N)])
+        entry = rd._mobius_commutators(0.8 + 0j, N, 128, B)
+        assert [j for j, res in enumerate(entry) if res is None] == refused
+        assert len(norms) == 2 * (N - len(refused))
+        for j in range(N):
+            if j in refused:
+                with pytest.raises(ConditioningError):
+                    bl.mobius_power_reducing_residual(0.8, N, j, 128, B)
+            else:
+                assert bl.mobius_power_reducing_residual(0.8, N, j, 128, B) == entry[j]
+
     @pytest.mark.parametrize("a,N,D", [(a, N, D) for a in (0.5, 0.3 + 0.4j, 0.8) for N in (3, 4) for D in (64, 128, 256)])
     def test_every_class_equals_its_own_sum_bit_for_bit(self, a, N, D):
         B = bl.BlaschkeProduct(0.0, [(a, N)])

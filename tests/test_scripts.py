@@ -83,6 +83,7 @@ def _compare_reports(monkeypatch, edit=None):
     spec = importlib.util.spec_from_file_location("compare_reports", ROOT / "scripts" / "compare_reports.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "CONFIGS", [c for c in module.CONFIGS if c[0] in COMPARED])
     monkeypatch.setattr(module, "extract", lambda rev, dest: ROOT / "src")
     runs, tree_reports = [], module.tree_reports
 
@@ -97,13 +98,9 @@ def _compare_reports(monkeypatch, edit=None):
     return module
 
 
-def _select():
-    return "|".join(re.escape(label) + "$" for label in COMPARED)
-
-
 def test_compare_reports_of_the_tree_with_itself_are_the_same(monkeypatch, capsys):
     cr = _compare_reports(monkeypatch)
-    assert cr.main(["--base", "HEAD", "--select", _select()]) == 0
+    assert cr.main(["--base", "HEAD"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == [f"same {label}" for label in COMPARED] + ["3 configs: 3 same, 0 differ; record status changed: no"]
 
@@ -116,7 +113,7 @@ def test_compare_reports_prints_a_moved_residual(monkeypatch, capsys):
         record[3] *= 1.5
 
     cr = _compare_reports(monkeypatch, nudge)
-    assert cr.main(["--base", "HEAD", "--select", _select()]) == 0
+    assert cr.main(["--base", "HEAD"]) == 0
     out = capsys.readouterr().out.splitlines()
     i = out.index("DIFF mobius/a=0.5/N=2/D=64")
     assert out[i + 1].startswith("    reducing/mobius_#/residual: largest |move| ")
@@ -129,7 +126,7 @@ def test_compare_reports_exits_one_on_a_flipped_status(monkeypatch, capsys):
         reports[labels.index("ortho/kmax/alpha=-1.0/D=64")]["records"][0][1] = False
 
     cr = _compare_reports(monkeypatch, flip)
-    assert cr.main(["--base", "HEAD", "--select", _select()]) == 1
+    assert cr.main(["--base", "HEAD"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "same ortho/kmax/alpha=-1.0/D=64"
     assert out[1].startswith("    ortho/") and out[1].endswith(": pass None -> fail None")
