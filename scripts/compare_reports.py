@@ -14,6 +14,16 @@ a residual, with the two values.
 
 Exit code 0 when no record changed status or error, 1 when one did (or a
 config's records or its exception differ), 2 when a tree cannot be run.
+
+Usage: python scripts/compare_reports.py --base REV --sweep
+
+compares instead the shell-sweep-d96 benchmark pass of the two trees: per
+seed of SWEEP_SEEDS, each tree runs sweep_inputs and sweep_pass of its own
+perfbench/child.py on the workload spec of its own perfbench/run.py, and
+every norm-equivalence ratio and round trip is compared by float.hex. It
+prints "same" or "DIFF" per seed and, per weight (and for the round trips),
+how many values moved and the largest move. Exit code 0 when every value
+is bitwise the same, 1 when one moved, 2 when a tree cannot be run.
 """
 
 import argparse
@@ -82,10 +92,10 @@ def _configs() -> list[tuple[str, str, dict]]:
             for name, (command, inputs) in explicit.items():
                 obj = {"B": _b([0.5, -0.3]), "alpha": alpha, "degree": D, "seed": 0, "inputs": inputs}
                 out.append((f"{command}/{name}/alpha={alpha}/D={D}", command, obj))
-    # the Mobius-power family of b_a^N
-    for a in (0.5, 0.3 + 0.4j, 0.8):
+    # the Mobius-power family of b_a^N; D = 100 and 200 are no multiple of the section tile
+    for a in (0.5, 0.3 + 0.4j, 0.8, -0.79j):
         for N in (2, 3, 4):
-            for D in (64, 128, 256):
+            for D in (64, 100, 128, 200, 256):
                 inputs = {"family": "mobius_power", "a": [complex(a).real, complex(a).imag]}
                 obj = {"B": _b([(a, N)]), "alpha": -1.0, "degree": D, "seed": 0, "inputs": inputs}
                 out.append((f"mobius/a={a}/N={N}/D={D}", "reducing", obj))
@@ -111,6 +121,24 @@ for label, command, obj in json.load(sys.stdin):
 json.dump(out, sys.stdout)
 """
 
+#: the seeds of the shell-sweep-d96 passes that --sweep compares
+SWEEP_SEEDS = (0, 1, 7)
+
+#: runs the shell-sweep-d96 pass for each seed of the JSON list argv[3] in the tree whose src/ and perfbench/
+#: are argv[1] and argv[2]; per seed, [[weight or "roundtrip", [float.hex of each value]]]
+_SWEEP_CHILD = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import blaschke_lab as bl
+import child, run
+out = []
+for seed in json.loads(sys.argv[3]):
+    spec = run.spec_for(run.WORKLOADS["shell-sweep-d96"], seed)
+    ratios, roundtrips = child.sweep_pass(child.sweep_inputs(spec, bl), spec, bl)
+    out.append([[alpha, [r.hex() for r in vals]] for alpha, vals in ratios] + [["roundtrip", [r.hex() for r in roundtrips]]])
+json.dump(out, sys.stdout)
+"""
+
 
 def extract(rev: str, dest: Path) -> Path:
     """The src/ directory of `git archive rev`, unpacked under dest."""
@@ -120,15 +148,23 @@ def extract(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def tree_reports(src: Path, configs: list) -> list[dict]:
-    """Per config, {"sha256", "records": [[name, passed, error, residual]]} or {"raised"}."""
+def _run_child(code: str, src: Path, *args: str, stdin: str = ""):
+    """The JSON that code prints, run with argv [src, *args] in a fresh interpreter with BLAS on one thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-I", "-c", _CHILD, str(src)], input=json.dumps(configs), env=env, capture_output=True, text=True
-    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(src), *args], input=stdin, env=env, capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"the tree at {src} did not run:\n{proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def tree_reports(src: Path, configs: list) -> list[dict]:
+    """Per config, {"sha256", "records": [[name, passed, error, residual]]} or {"raised"}."""
+    return _run_child(_CHILD, src, stdin=json.dumps(configs))
+
+
+def tree_sweep(src: Path) -> list[list]:
+    """Per seed of SWEEP_SEEDS, the shell-sweep-d96 values of the tree whose src/ is src (see _SWEEP_CHILD)."""
+    return _run_child(_SWEEP_CHILD, src, str(src.parent / "perfbench"), json.dumps(SWEEP_SEEDS))
 
 
 def _family(name: str) -> str:
@@ -158,17 +194,38 @@ def compare(label: str, old: dict, new: dict) -> tuple[list[str], bool]:
     return lines, changed
 
 
+def compare_sweep(seed: int, old: list, new: list) -> list[str]:
+    """The lines printed for the sweep of one seed: per weight or for the round trips, the values that moved."""
+    lines = []
+    for (name, vals), (_, vals_new) in zip(old, new):
+        moved = [(abs(float.fromhex(y) - float.fromhex(x)), x, y) for x, y in zip(vals, vals_new) if x != y]
+        if moved:
+            d, x, y = max(moved)
+            lines.append(f"    {name}: {len(moved)} of {len(vals)} moved, largest |move| {d:.3e} ({float.fromhex(x)!r} -> {float.fromhex(y)!r})")
+    return [f"{'DIFF' if lines else 'same'} shell-sweep-d96/seed={seed}"] + lines
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", required=True, help="the git revision to compare against")
+    ap.add_argument("--sweep", action="store_true", help="compare the shell-sweep-d96 values bit for bit instead of the reports")
     args = ap.parse_args(argv)
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            base = tree_reports(extract(args.base, Path(tmp)), CONFIGS)
-        head = tree_reports(ROOT / "src", CONFIGS)
+            base_src = extract(args.base, Path(tmp))
+            base = tree_sweep(base_src) if args.sweep else tree_reports(base_src, CONFIGS)
+        head = tree_sweep(ROOT / "src") if args.sweep else tree_reports(ROOT / "src", CONFIGS)
     except (subprocess.CalledProcessError, RuntimeError) as exc:
         print(getattr(exc, "stderr", None) or exc, file=sys.stderr)
         return 2
+    if args.sweep:
+        differ = 0
+        for seed, old, new in zip(SWEEP_SEEDS, base, head):
+            lines = compare_sweep(seed, old, new)
+            differ += lines[0].startswith("DIFF")
+            print("\n".join(lines))
+        print(f"{len(SWEEP_SEEDS)} sweeps: {len(SWEEP_SEEDS) - differ} same, {differ} differ")
+        return int(differ > 0)
     status, differ = False, 0
     for (label, _, _), old, new in zip(CONFIGS, base, head):
         lines, changed = compare(label, old, new)

@@ -12,7 +12,9 @@ the first model-space basis vector (certified without an SVD) and on an
 exactly zero section, and the Mobius-power projection of class 0 for b_a^N,
 a = 0.5, N = 2, its reducing_residual against b_a^N, and the same residual
 read from the section commutators shared by its classes,
-mobius_power_reducing_residual (all three the same for every product).
+mobius_power_reducing_residual (all three the same for every product), and
+the sections C_r of b_0.8^2 that the mobius-d256 workload reads,
+reducing._mobius_frame(0.8, 2, D), built anew on every call.
 
 Each layer is called once untimed, to warm the memos a battery shares (the
 shell frame of (B, D), T_B), then --repeats times under a timer; the medians
@@ -53,6 +55,8 @@ PRODUCTS = {"B2": [0.5, -0.3], "(0.8, -0.79i)": [0.8, -0.79j]}
 ALPHA, KMAX, SYMBOL_DEGREE = -1.0, 3, 4
 #: the zero and power of the Mobius-power projection
 MOBIUS_A, MOBIUS_N = 0.5, 2
+#: the zero of the timed Mobius-power sections, that of the mobius-d256 benchmark workload
+SECTIONS_A = 0.8
 
 
 def median_s(fn, repeats: int) -> float:
@@ -113,6 +117,7 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
         "mobius_residual_s": cold_mobius_s(
             lambda: bl.mobius_power_reducing_residual(MOBIUS_A, MOBIUS_N, 0, D, B_mobius), repeats
         ),
+        "mobius_sections_s": median_s(lambda: reducing._mobius_frame(SECTIONS_A, MOBIUS_N, D), repeats),
     }
 
 
@@ -145,6 +150,7 @@ def main() -> None:
         "mobius": "mobius_projection_s",
         "reducing": "reducing_residual_s",
         "mobius residual": "mobius_residual_s",
+        "mobius sections": "mobius_sections_s",
     }
     print(f"{'product':>14} {'D':>4} {'M':>5} " + " ".join(f"{c + ' ms':>12}" for c in columns))
     for name, zeros in PRODUCTS.items():
@@ -166,7 +172,7 @@ def main() -> None:
         "alpha": ALPHA,
         "kmax": KMAX,
         "symbol_degree": SYMBOL_DEGREE,
-        "mobius": {"a": MOBIUS_A, "N": MOBIUS_N},
+        "mobius": {"a": MOBIUS_A, "N": MOBIUS_N, "sections_a": SECTIONS_A},
         "seed": args.seed,
         "products": {name: [[complex(a).real, complex(a).imag] for a in zeros] for name, zeros in PRODUCTS.items()},
         "rows": rows,

@@ -84,29 +84,56 @@ def monomial_reducing_projection(
     return OperatorMatrix(_readonly(np.diag(mask.astype(complex))), w)
 
 
+#: side of the square tiles _mobius_columns fills with one product each
+_TILE = 8
+
+
+def _transfer_map(b: complex, al: complex, g: complex) -> np.ndarray:
+    """The (2t+1) x t^2 map, t = _TILE, from the boundary of a t x t tile of c[k, l] = b c[k, l-1] +
+    g c[k-1, l] + al c[k-1, l-1] to its interior, read row-major: row u is the interior grown from boundary
+    unit u, the top row with its corner (u = 0..t), then the left column (u = t+1..2t). Each tile row is one
+    product, c[k, :] = (c[k, 0], g c[k-1, 1:] + al c[k-1, :-1]) @ L with L[m, l-1] = b^(l-m) for m <= l.
+    The map is built in long double (double on some platforms) and rounded once: built in double, it
+    raised the sections' error about threefold at a = 0.8, D = 256."""
+    t = _TILE
+    E = np.zeros((2 * t + 1, t + 1, t + 1), dtype=np.clongdouble)
+    E[: t + 1, 0] = np.eye(t + 1)
+    E[t + 1 :, 1:, 0] = np.eye(t)
+    e = np.arange(1, t + 1) - np.arange(t + 1)[:, None]  # l - m
+    L = np.where(e >= 0, b ** np.maximum(e, 0), 0)
+    for k in range(1, t + 1):
+        E[:, k, 1:] = g * E[:, k - 1, 1:] + al * E[:, k - 1, :-1]
+        E[:, k, 1:] = E[:, k] @ L
+    return E[:, 1:, 1:].reshape(2 * t + 1, t * t).astype(complex)
+
+
 def _mobius_columns(
     beta: complex, alpha: complex, delta: complex, gamma: complex, c0: np.ndarray, ncol: int
 ) -> np.ndarray:
-    """Columns c_l = c0 psi^l, l = 0..ncol-1, of
-    psi = (beta + alpha z)/(delta + gamma z) to degree D = len(c0) - 1. The
-    exact recursion (delta + gamma z) c_l = (beta + alpha z) c_(l-1) is swept
-    along the anti-diagonals s = l + k: row s needs only rows s-1 and s-2, so
-    a column costs O(D) and no numerator is expanded against its denominator
-    (that cancels badly). The entries of row s sit at the constant stride
-    ncol - 1 of the flattened output: one slice writes them."""
-    D = len(c0) - 1
-    b, al, g = beta / delta, alpha / delta, -gamma / delta
-    flat = np.zeros((D + 1) * ncol, dtype=complex)  # row-major (D + 1) x ncol
-    step = max(ncol - 1, 1)  # ncol = 1 writes one entry per row
-    prev = row = np.zeros(D + 1, dtype=complex)  # rows are replaced, never written
-    for s in range(ncol + D):
-        nxt = b * row
-        nxt[1:] += g * row[:-1] + al * prev[:-1]
-        nxt[s : s + 1] = c0[s : s + 1]  # column 0 (empty once s > D)
-        prev, row = row, nxt
-        l_lo, l_hi = max(0, s - D), min(ncol - 1, s)  # columns with 0 <= k = s - l <= D
-        flat[(s - l_hi) * ncol + l_hi :: step][: l_hi - l_lo + 1] = row[s - l_hi : s - l_lo + 1]
-    return flat.reshape(D + 1, ncol)
+    """Columns c_l = c0 psi^l, l = 0..ncol-1, of psi = (beta + alpha z)/(delta + gamma z) to degree
+    D = len(c0) - 1, as a (D + 1) x ncol view. The exact recursion (delta + gamma z) c_l = (beta + alpha z)
+    c_(l-1) reads c[k, l] = b c[k, l-1] + g c[k-1, l] + al c[k-1, l-1], so no numerator is expanded against
+    its denominator (that cancels badly). The recursion is linear and shift-invariant: the interior of every
+    _TILE x _TILE tile is one fixed map (_transfer_map) of its boundary. Column 0 and a zero row k = -1 start
+    a padded work array; the tiles cover the rest, and the tiles of one tile anti-diagonal depend only on
+    earlier ones, so each anti-diagonal is one gather, one product and one scatter through flat indices.
+    Padding lies below or right of every entry, so it never feeds one."""
+    D, t = len(c0) - 1, _TILE
+    T = _transfer_map(*(np.clongdouble(x) / delta for x in (beta, alpha, -gamma)))
+    nk, nl = -(-(D + 1) // t), -(-(ncol - 1) // t)  # tiles down and across
+    width = nl * t + 1
+    W = np.zeros((nk * t + 1, width), dtype=complex)
+    W[1 : D + 2, 0] = c0
+    # tile (i, s - i) of anti-diagonal s has its first interior entry at flat index
+    # (1 + t i) width + 1 + t (s - i) = width + 1 + t s + i t (width - 1)
+    down = t * (width - 1) * np.arange(nk)[:, None]
+    r = np.arange(t)
+    inside, boundary = (r[:, None] * width + r).ravel(), np.r_[np.arange(-1, t) - width, r * width - 1]
+    flat = W.reshape(-1)
+    for s in range(nk + nl - 1):
+        tiles = down[max(0, s - nl + 1) : s + 1] + (width + 1 + t * s)
+        flat[tiles + inside] = flat[tiles + boundary] @ T
+    return W[1 : D + 2, :ncol]
 
 
 #: Mobius-power guard: class j is built only when the padded-window tail of
@@ -115,14 +142,16 @@ _MOBIUS_CLEAN_TOL = 1e-10
 
 
 def _mobius_frame(a: complex, N: int, D: int) -> tuple[np.ndarray, ...]:
-    """Read-only sections C[r - 1] of C_r, r = 1..N-1, of b_a^N at degree D."""
+    """Read-only sections C[r - 1] of C_r, r = 1..N-1, of b_a^N at degree D, each a view of the padded
+    array _mobius_columns fills (a contiguous copy would fault in another 1 MB at D = 256)."""
     k = np.arange(D + 1)
     C = []
     for r in range(1, N):
         om = np.exp(2j * np.pi * r / N)
         beta, alpha, delta, gamma = a * (1 - om), om - abs(a) ** 2, 1 - om * abs(a) ** 2, np.conj(a) * (om - 1)
         dpsi = (alpha * delta - beta * gamma) / delta**2 * (k + 1.0) * (-gamma / delta) ** k
-        C.append(_readonly(_mobius_columns(beta, alpha, delta, gamma, dpsi, D + 1)))
+        C.append(_mobius_columns(beta, alpha, delta, gamma, dpsi, D + 1))
+        C[-1].setflags(write=False)
     return tuple(C)
 
 

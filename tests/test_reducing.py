@@ -327,6 +327,77 @@ class TestMobiusFrame:
 #: a grid over real, imaginary and off-axis points up to |a| = 0.79, read with rho_max 0.85
 SECTION_GRID = [(a, N, D) for a in (0.3, 0.5, 0.8, 0.5j, 0.6 - 0.5j, -0.79j) for N in (2, 3) for D in (64, 128, 256)]
 
+#: windows that are no multiple of the tile, so the padded edge tiles are compared too
+WINDOW_GRID = [(a, N, D) for a in (0.8, 0.3 + 0.4j, -0.79j) for N in (2, 3, 4, 5) for D in (1, 4, 9, 100, 257)]
+
+
+def _sections_by_diagonals(beta, alpha, delta, gamma, c0, ncol):
+    """Oracle of _mobius_columns in the precision of c0: the recursion
+    c[k, l] = b c[k, l-1] + g c[k-1, l] + al c[k-1, l-1] swept one anti-diagonal s = k + l at a time, each
+    from the two before it (the library's sweep before it was tiled)."""
+    D, dtype = len(c0) - 1, c0.dtype
+    b, al, g = beta / delta, alpha / delta, -gamma / delta
+    out = np.zeros((D + 1, ncol), dtype=dtype)
+    prev = row = np.zeros(D + 1, dtype=dtype)  # row[k] = c[k, s - k]
+    for s in range(ncol + D):
+        nxt = b * row
+        nxt[1:] += g * row[:-1] + al * prev[:-1]
+        nxt[s : s + 1] = c0[s : s + 1]  # column 0
+        prev, row = row, nxt
+        k = np.arange(max(0, s - ncol + 1), min(D, s) + 1)
+        out[k, s - k] = row[k]
+    return out
+
+
+def _section_inputs(a, N, D):
+    """The arguments _mobius_frame(a, N, D) passes to _mobius_columns, one tuple per section."""
+    calls, sweep = [], rd._mobius_columns
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rd, "_mobius_columns", lambda *args: calls.append(args) or sweep(*args))
+        rd._mobius_frame(complex(a), N, D)
+    return calls
+
+
+def _section_inputs_long(a, N, D):
+    """The same arguments formed in long double from a and N, omega from a long-double pi."""
+    pi, a, k = 4 * np.arctan(np.longdouble(1)), np.clongdouble(a), np.arange(D + 1, dtype=np.longdouble)
+    out = []
+    for r in range(1, N):
+        om = np.exp(np.clongdouble(1j) * (2 * pi * r / N))
+        beta, alpha, delta, gamma = a * (1 - om), om - abs(a) ** 2, 1 - om * abs(a) ** 2, np.conj(a) * (om - 1)
+        out.append((beta, alpha, delta, gamma, (alpha * delta - beta * gamma) / delta**2 * (k + 1) * (-gamma / delta) ** k, D + 1))
+    return out
+
+
+def _max_gap(x, ref, rows=256):
+    """max |x - ref|, a block of rows at a time (the long-double references reach 130 MB)."""
+    return max(float(np.max(np.abs(x[i : i + rows] - ref[i : i + rows]))) for i in range(0, len(ref), rows))
+
+
+class TestMobiusSections:
+    """_mobius_columns fills the sections by tiles; the anti-diagonal sweep it replaced is the oracle."""
+
+    @pytest.mark.parametrize("a,N,D", sorted(set(FRAME_GRID + SECTION_GRID + WINDOW_GRID), key=str))
+    def test_tiles_equal_the_diagonal_sweep(self, a, N, D):
+        C, inputs = rd._mobius_frame(complex(a), N, D), _section_inputs(a, N, D)
+        assert len(C) == len(inputs) == N - 1
+        for C_r, args in zip(C, inputs):
+            ref = _sections_by_diagonals(*args)
+            assert C_r.shape == ref.shape == (D + 1, D + 1)
+            assert _max_gap(C_r, ref) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here")
+    @pytest.mark.parametrize("a,N,D", [(0.8, 2, 256), (0.8, 3, 512), (0.99, 2, 2048)])
+    def test_tiles_are_as_accurate_as_the_sweep(self, a, N, D):
+        # both float methods against the sweep run in long double from long-double inputs, so each error is
+        # the distance from the section itself; a = 0.99 lies past the default rho_max, and the sections take
+        # no guard. An ulp of b alone moves the sections at a = 0.99 by about 1e-12 relative.
+        C = rd._mobius_frame(complex(a), N, D)
+        for C_r, args, exact in zip(C, _section_inputs(a, N, D), _section_inputs_long(a, N, D)):
+            ref = _sections_by_diagonals(*exact)
+            sweep_gap = _max_gap(_sections_by_diagonals(*args), ref)
+            assert _max_gap(C_r, ref) <= 3 * sweep_gap
+
 
 def _outcome(fn):
     """fn's value, or the (type, message) of the library error it raises."""

@@ -57,7 +57,7 @@ def test_layer_timings_writes_json(tmp_path):
                   "norm_equivalence_ratio_s", "build_s",
                   "commutation_residual_s", "realization_s", "operator_norm_safe_s",
                   "operator_norm_safe_rank_one_s", "operator_norm_safe_zero_s",
-                  "mobius_projection_s", "reducing_residual_s", "mobius_residual_s")
+                  "mobius_projection_s", "reducing_residual_s", "mobius_residual_s", "mobius_sections_s")
         assert r["M"] > 0 and min(r[k] for k in layers) > 0
 
 
@@ -131,3 +131,18 @@ def test_compare_reports_exits_one_on_a_flipped_status(monkeypatch, capsys):
     assert out[0] == "same ortho/kmax/alpha=-1.0/D=64"
     assert out[1].startswith("    ortho/") and out[1].endswith(": pass None -> fail None")
     assert out[-1].endswith("record status changed: yes")
+
+
+def test_compare_reports_sweep_of_the_tree_with_itself_is_identical(monkeypatch, capsys):
+    cr = _compare_reports(monkeypatch)
+    monkeypatch.setattr(cr, "SWEEP_SEEDS", (3,))
+    assert cr.main(["--base", "HEAD", "--sweep"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["same shell-sweep-d96/seed=3", "1 sweeps: 1 same, 0 differ"]
+
+
+def test_compare_reports_sweep_prints_a_moved_value(monkeypatch):
+    cr = _compare_reports(monkeypatch)
+    old = [[-1.0, [(1.0).hex(), (2.0).hex()]], ["roundtrip", [(1e-15).hex()]]]
+    new = [[-1.0, [(1.0).hex(), (2.5).hex()]], ["roundtrip", [(1e-15).hex()]]]
+    assert cr.compare_sweep(0, old, old) == ["same shell-sweep-d96/seed=0"]
+    assert cr.compare_sweep(0, old, new) == ["DIFF shell-sweep-d96/seed=0", "    -1.0: 1 of 2 moved, largest |move| 5.000e-01 (2.0 -> 2.5)"]
