@@ -474,8 +474,8 @@ def check_inputs(inputs: dict, B: BlaschkeProduct, alpha: float) -> None:
     each a ConfigError: shift-equiv mode 'monomial' on a B other than z^n,
     since its intertwiner is built for T_(z^n) and its records would not
     measure T_B; a phi that is not deg B square; the custom family without
-    a basis; and the mobius_power family unless every zero of B is a and
-    alpha = -1, where its classes reduce T_B."""
+    a basis; and the mobius_power family unless a != 0, every zero of B is a
+    and alpha = -1, where its classes reduce T_B."""
     read = {key: INPUT_READERS[key](value, f"inputs.{key}") for key, value in inputs.items()}
     if read.get("mode") == "monomial" and B != BlaschkeProduct.monomial(B.degree):
         raise ConfigError(f"shift-equiv mode 'monomial' requires B = z^{B.degree}; set mode 'general' for this B")
@@ -486,6 +486,8 @@ def check_inputs(inputs: dict, B: BlaschkeProduct, alpha: float) -> None:
         raise ConfigError("custom family requires inputs.basis")
     if family == "mobius_power":
         a = read.get("a", _MOBIUS_A)
+        if a == 0:
+            raise ConfigError("inputs.a must be nonzero for family 'mobius_power'; for B = z^N use family 'monomial'")
         if any(z != a for z, _ in B.zeros):
             raise ConfigError("mobius_power family requires B to be a power of the factor through a")
         if alpha != -1.0:

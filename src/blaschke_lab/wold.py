@@ -223,15 +223,15 @@ class ShellDecomposition:
         }
 
 
-def _coordinates(f: TaylorPoly, B: BlaschkeProduct, M: int | None, D: int | None, basis: ModelSpaceBasis | None):
-    """(c, D): the coordinates c[k*n + j] = <f, u_j B^k>_0 on shells 0..M. D defaults
-    to deg f, M to shell_count(B, D); basis= may only be model_basis(B, D)."""
+def _window(f: TaylorPoly, B: BlaschkeProduct, M: int | None, D: int | None, basis: ModelSpaceBasis | None):
+    """(M, D) for reading f on shells 0..M of the frame of (B, D). D defaults to
+    deg f, M to shell_count(B, D); basis= may only be model_basis(B, D)."""
     D = f.degree if D is None else D
     M = shell_count(B, D) if M is None else M
     require_window(f, D)
     if basis is not None and basis is not (own := model_basis(B, D)) and not np.array_equal(basis.U, own.U):
         raise BlaschkeLabError(f"basis= must be model_basis(B, D) at D = {D}; shells are read in no other basis")
-    return _shell_coordinates(f.coeffs, B, M, D), D
+    return M, D
 
 
 def analyze(
@@ -249,7 +249,8 @@ def analyze(
     u_j are the shell frame's basis model_basis(B, D); basis= may only name
     it. D defaults to deg f, M to shell_count(B, D).
     """
-    c, D = _coordinates(f, B, M, D, basis)
+    M, D = _window(f, B, M, D, basis)
+    c = _shell_coordinates(f.coeffs, B, M, D)
     return ShellDecomposition(B, _readonly(c.reshape(-1, B.degree).T), D)
 
 
@@ -257,6 +258,28 @@ def synthesize(dec: ShellDecomposition, D: int | None = None) -> TaylorPoly:
     """sum_{k<=M} sum_j c[j, k] u_j B^k truncated at degree D, read from the frame of any D."""
     E = shell_frame(dec.B, dec.shell_count, dec.degree if D is None else D)
     return TaylorPoly(_readonly(E @ dec.coefficients.T.reshape(-1)))  # k-major, as the cells
+
+
+_FORM_ROWS = 16  # the rows of a Gram form: len(f) rounded up to a multiple of 16
+_FORM_MEMO_SIZE = 4  # at D = 512 at most 4 x 513^2 x 16 B = 16,842,816 B
+_FORMS: OrderedDict[tuple, np.ndarray] = OrderedDict()  # least recently used first
+
+
+def _gram_form(B: BlaschkeProduct, w: WeightAlpha, M: int, D: int, L: int) -> np.ndarray:
+    """G[:L, :L] of G = E[:r] Lambda_M E[:r]^H, E the cells of shells 0..M of (B, D) and Lambda_M
+    the shell weights (k+1)^alpha repeated n times, so f^H G f = ||f||_B^2 for f of L coefficients.
+    r = L rounded up to a multiple of _FORM_ROWS, capped at D + 1, is part of the key: the bits of
+    a product depend on its size, so a form is never grown from a smaller one."""
+    r = min(-(-L // _FORM_ROWS) * _FORM_ROWS, D + 1)
+    key = (B, M, D, w.alpha, r)
+    G = _FORMS.get(key)
+    if G is None:
+        E = shell_frame(B, M, D)[:r]
+        G = _FORMS[key] = _readonly((E * np.repeat(w.diagonal(M), B.degree)) @ E.conj().T)
+        if len(_FORMS) > _FORM_MEMO_SIZE:
+            _FORMS.popitem(last=False)
+    _FORMS.move_to_end(key)
+    return G[:L, :L]
 
 
 def norm_equivalence_ratio(
@@ -270,11 +293,12 @@ def norm_equivalence_ratio(
 ) -> float:
     """||f||_B^2 / ||f||_alpha^2, the empirical equivalence ratio, with the
     expansion norm ||f||_B^2 = sum_k (k+1)^alpha ||h_k||_0^2 over shells
-    0..M. Each is one dot product: <c, Lambda c> over the coefficients c of
-    f, <y, Lambda_M y> over its (M+1) x n shell coordinates y = E^H f."""
+    0..M. Both are quadratic forms in the coefficients c of f: <c, Lambda c>
+    and <c, G c>, G the memoized Gram form of (B, M, D, alpha)."""
     w = as_weight(w)
-    nf2 = np.vdot(f.coeffs, w.diagonal(f.degree) * f.coeffs).real
+    c = f.coeffs
+    nf2 = np.vdot(c, w.diagonal(f.degree) * c).real
     if nf2 == 0.0:
         raise ZeroFunctionError("norm ratio undefined for the zero function")
-    y = _coordinates(f, B, M, D, basis)[0].reshape(-1, B.degree)  # row k holds shell k
-    return float(np.vdot(y, w.diagonal(len(y) - 1)[:, None] * y).real / nf2)
+    M, D = _window(f, B, M, D, basis)
+    return float(np.vdot(c, _gram_form(B, w, M, D, len(c)) @ c).real / nf2)

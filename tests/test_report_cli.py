@@ -257,6 +257,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(dict(self.MOBIUS, **change), "reducing")
 
+    def test_a_mobius_point_at_the_origin_exits_two_and_names_it(self, monkeypatch, tmp_path, capsys):
+        # B = z^N passes the power check at a = 0; parse_config refuses it and
+        # names the key, not a battery's catch-all
+        for name in checks.BATTERIES:
+            monkeypatch.setitem(checks.BATTERIES, name, lambda cfg, rng: pytest.fail("a battery ran"))
+        obj = dict(self.MOBIUS, B=b_json([0j, 0j]), inputs={"family": "mobius_power", "a": [0, 0]})
+        message = "inputs.a must be nonzero for family 'mobius_power'; for B = z^N use family 'monomial'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(obj, "reducing")
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(obj))
+        assert main(["reducing", "--config", str(cfgp)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_an_integral_mobius_point_reads_as_its_float(self):
         # the echoed inputs keep the config's own value
         cfg = parse_config(dict(self.MOBIUS, B=b_json([0.5 + 0j, 0.5 + 0j]), inputs={"family": "mobius_power", "a": [0.5, 0]}), "reducing")

@@ -54,7 +54,7 @@ def test_layer_timings_writes_json(tmp_path):
     assert [(r["product"], r["D"]) for r in rows] == [("B2", 64), ("(0.8, -0.79i)", 64)]
     for r in rows:
         layers = ("shell_count_s", "power_count_s", "model_basis_s", "x_spaces_s", "cell_matrix_s", "analyze_synthesize_s",
-                  "norm_equivalence_ratio_s", "build_s",
+                  "norm_equivalence_ratio_s", "norm_equivalence_ratio_first_s", "build_s",
                   "commutation_residual_s", "realization_s", "operator_norm_safe_s",
                   "operator_norm_safe_rank_one_s", "operator_norm_safe_zero_s",
                   "mobius_projection_s", "reducing_residual_s", "mobius_residual_s", "mobius_sections_s")

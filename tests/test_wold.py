@@ -207,6 +207,65 @@ class TestNormsAgainstInnerProducts:
             bl.analyze(f, B3, M, D)  # the patch is live
 
 
+class TestGramForm:
+    """The ratio as the quotient of the memoized form G = E[:r] Lambda_M E[:r]^H:
+    its value against the conftest oracle, its bits independent of the calls
+    before it, and the bound of its memo."""
+
+    PRODUCTS = {"B3": [0.5, -0.3 + 0.2j, 0.1], "0.8, -0.79i": [0.8, -0.79j]}
+    D = 128
+
+    @pytest.fixture(autouse=True)
+    def cleared(self, monkeypatch):
+        monkeypatch.setattr(wold, "_FORMS", OrderedDict())
+
+    @staticmethod
+    def oracle(f, B, alpha, M, D):
+        return (b_norm(bl.analyze(f, B, M, D), alpha) / bl.weighted_norm(f, alpha)) ** 2
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("product", PRODUCTS)
+    def test_ratio_matches_the_oracle_at_the_row_bucket_edges(self, rng, product, alpha):
+        B = bl.BlaschkeProduct(0.0, self.PRODUCTS[product])
+        M = wold.shell_count(B, self.D)
+        for deg in (15, 16, 17, 31, 32, 33, self.D):
+            f = TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+            ratio = self.oracle(f, B, alpha, M, self.D)
+            assert abs(bl.norm_equivalence_ratio(f, B, alpha, M, self.D) - ratio) <= 1e-15 * ratio
+
+    @pytest.mark.parametrize("product", PRODUCTS)
+    def test_ratio_bits_do_not_depend_on_the_calls_before_it(self, monkeypatch, rng, product):
+        # forms are never grown from a smaller one: a build's GEMM rounds by size
+        B, D = bl.BlaschkeProduct(0.0, self.PRODUCTS[product]), 64
+        polys = [TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) for deg in range(D + 1)]
+        runs = []
+        for order in (polys, polys[::-1]):
+            monkeypatch.setattr(wold, "_FORMS", OrderedDict())
+            runs.append({f.degree: bl.norm_equivalence_ratio(f, B, -1.0, 24, D).hex() for f in order})
+        assert runs[0] == runs[1]
+
+    def test_memo_never_holds_more_than_its_bound(self, B3, rng):
+        for alpha in ALPHAS:
+            for deg in (3, 20, 40, 64):
+                f = TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+                bl.norm_equivalence_ratio(f, B3, alpha, 12, 64)
+                assert 0 < len(wold._FORMS) <= wold._FORM_MEMO_SIZE
+        assert len(wold._FORMS) == wold._FORM_MEMO_SIZE
+
+    def test_ratio_reads_no_shell_coordinates(self, B3, rng, monkeypatch):
+        f = TaylorPoly(rng.standard_normal(20) + 1j * rng.standard_normal(20))
+        expected = {alpha: self.oracle(f, B3, alpha, 24, 96) for alpha in ALPHAS}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("norm_equivalence_ratio read E^H f")
+
+        monkeypatch.setattr(wold, "_shell_coordinates", forbidden)
+        for alpha in ALPHAS:
+            assert bl.norm_equivalence_ratio(f, B3, alpha, 24, 96) == pytest.approx(expected[alpha], rel=1e-15)
+        with pytest.raises(AssertionError, match="read E"):
+            bl.analyze(f, B3, 24, 96)  # the patch is live
+
+
 class TestNegativeShellCount:
     """A negative M is a DimensionMismatchError naming M for every shell
     reader, whether or not the memo already holds a frame of (B, D)."""
