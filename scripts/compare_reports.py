@@ -92,6 +92,12 @@ def _configs() -> list[tuple[str, str, dict]]:
             for name, (command, inputs) in explicit.items():
                 obj = {"B": _b([0.5, -0.3]), "alpha": alpha, "degree": D, "seed": 0, "inputs": inputs}
                 out.append((f"{command}/{name}/alpha={alpha}/D={D}", command, obj))
+    # the default (monomial) family on products it does not reduce, so that its residuals are not zero
+    for name in ("B2", "B3", "0.8, -0.79i"):
+        for alpha in (-1.0, 0.0):
+            for D in (64, 256):
+                obj = {"B": _b(products[name]), "alpha": alpha, "degree": D, "seed": 0, "inputs": {}}
+                out.append((f"reducing/monomial/{name}/alpha={alpha}/D={D}", "reducing", obj))
     # the Mobius-power family of b_a^N; D = 100 and 200 are no multiple of the section tile
     for a in (0.5, 0.3 + 0.4j, 0.8, -0.79j):
         for N in (2, 3, 4):

@@ -11,11 +11,14 @@ only on request; the safe-block norm spaces.operator_norm_safe of D//2 + 1
 rows on the dense realization (an SVD), on the rank-one section u u^H with u
 the first model-space basis vector (certified without an SVD) and on an
 exactly zero section, and the Mobius-power projection of class 0 for b_a^N,
-a = 0.5, N = 2, its reducing_residual against b_a^N, and the same residual
-read from the section commutators shared by its classes,
-mobius_power_reducing_residual (all three the same for every product), and
-the sections C_r of b_0.8^2 that the mobius-d256 workload reads,
-reducing._mobius_frame(0.8, 2, D), built anew on every call.
+a = 0.5, N = 2, its reducing_residual against b_a^N (the dense commutator
+kernels), and the same residual read from the section commutators shared by
+its classes, mobius_power_reducing_residual (all three the same for every
+product), the sections C_r of b_0.8^2 that the mobius-d256 workload reads,
+reducing._mobius_frame(0.8, 2, D), built anew on every call, and the
+suite's reducing records, projection_defects plus reducing_residual of the
+diagonal monomial_reducing_projection(2, 0, alpha, D) against z^2 (the same
+for every product).
 
 Each layer is called once untimed, to warm the memos a battery shares (the
 shell frame of (B, D), T_B), then --repeats times under a timer; the medians
@@ -100,6 +103,7 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
     rank_one, zero = np.outer(u, u.conj()), np.zeros_like(W)
     B_mobius = bl.BlaschkeProduct(0.0, [(MOBIUS_A, MOBIUS_N)])
     P = bl.mobius_power_reducing_projection(MOBIUS_A, MOBIUS_N, 0, D)
+    Q, z2 = bl.monomial_reducing_projection(2, 0, ALPHA, D), bl.BlaschkeProduct.monomial(2)
     return {
         "D": D,
         "M": M,
@@ -125,6 +129,7 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
             lambda: bl.mobius_power_reducing_residual(MOBIUS_A, MOBIUS_N, 0, D, B_mobius), repeats
         ),
         "mobius_sections_s": median_s(lambda: reducing._mobius_frame(SECTIONS_A, MOBIUS_N, D), repeats),
+        "monomial_reducing_s": median_s(lambda: (bl.projection_defects(Q), bl.reducing_residual(Q, z2)), repeats),
     }
 
 
@@ -159,6 +164,7 @@ def main() -> None:
         "reducing": "reducing_residual_s",
         "mobius residual": "mobius_residual_s",
         "mobius sections": "mobius_sections_s",
+        "monomial reducing": "monomial_reducing_s",
     }
     print(f"{'product':>14} {'D':>4} {'M':>5} " + " ".join(f"{c + ' ms':>12}" for c in columns))
     for name, zeros in PRODUCTS.items():

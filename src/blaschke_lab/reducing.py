@@ -3,7 +3,7 @@
 A projection is its dense finite section, an OperatorMatrix in its weight
 and window. It reduces T_B exactly when it commutes with both T_B and its
 weighted adjoint; reducing_residual measures the worst of the two
-commutators on the safe block.
+commutators on the safe block, entrywise for a diagonal projection.
 
 Each class j of the Mobius-power projections of b_a^N combines the sections
 C_r of (a, N, D); a class is built only when the window shows its first
@@ -56,16 +56,26 @@ __all__ = [
 ]
 
 
+def _diagonal(m: np.ndarray) -> np.ndarray | None:
+    """The diagonal of m when every off-diagonal entry is zero (one scan of m), else None."""
+    d = np.diagonal(m)
+    return d if np.count_nonzero(m) == np.count_nonzero(d) else None
+
+
 def projection_defects(P: OperatorMatrix) -> tuple[float, float]:
     """(idempotency, self-adjointness) defects on the safe block, as measured:
     the finite section of a projection onto a subspace that outgrows every
     window (the Mobius-power family) is self-adjoint but only nearly
     idempotent. Only the safe block is formed: (m m)[s, s] = m[s, :] m[:, s],
     and the weighted adjoint of m on [s, s] reads only m[s, s], since the
-    weight is diagonal."""
+    weight is diagonal. A diagonal P (see _diagonal) reads the blocks diag(d d - d) and diag(d - conj(d))."""
     D_safe = safe_degree(P.degree)
     s = slice(0, D_safe + 1)
     m, w = P.entries, P.alpha
+    if (d := _diagonal(m)) is not None:
+        d = d[s]
+        idem, sa = (operator_norm_safe(np.diag(x), w, D_safe) for x in (d * d - d, d - d.conj()))
+        return idem, sa
     block = OperatorMatrix(m[s, s], w)
     idem = operator_norm_safe(m[s, :] @ m[:, s] - block.entries, w, D_safe)
     sa = operator_norm_safe(block.entries - weighted_adjoint(block).entries, w, D_safe)
@@ -294,10 +304,20 @@ def projection_from_basis(functions: list[TaylorPoly], w: WeightAlpha | float, D
 
 def reducing_residual(P: OperatorMatrix, B: BlaschkeProduct) -> float:
     """max of the safe-block commutator norms of P with T_B and with its weighted adjoint T_B*, in P's weight
-    and window; zero characterizes a reducing subspace."""
+    and window; zero characterizes a reducing subspace. A diagonal P (the monomial family, the identity) forms
+    each block entrywise, d_i T_ik - T_ik d_k on the section T = B.toeplitz(D_safe) and on the rows of T_B*
+    scaled as _adjoint_commutator_block scales them (times lam_k, then over lam_i): for a 0/1 diagonal every
+    product is exact, so the blocks are the dense kernels' up to the sign of a zero."""
     m, w, D = P.entries, P.alpha, P.degree
-    blocks = _adjoint_commutator_block(m, B, w, D), _commutator_block(m, B, D)  # T_B* first, as in _mobius_commutators
-    return max(operator_norm_safe(X, w, safe_degree(D)) for X in blocks)
+    D_safe = safe_degree(D)
+    if (d := _diagonal(m)) is not None:
+        T, lam, d = B.toeplitz(D_safe), w.diagonal(D_safe), d[: D_safe + 1, None]
+        adj = T.conj().T * lam[None, :]
+        adj /= lam[:, None]
+        blocks = d * adj - adj * d.T, d * T - T * d.T
+    else:
+        blocks = _adjoint_commutator_block(m, B, w, D), _commutator_block(m, B, D)  # T_B* first, as in _mobius_commutators
+    return max(operator_norm_safe(X, w, D_safe) for X in blocks)
 
 
 # ---------------------------------------------------------------------------

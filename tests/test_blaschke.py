@@ -14,6 +14,7 @@ from blaschke_lab import safe_degree
 from blaschke_lab.errors import EvaluationDomainError
 from blaschke_lab.spaces import TaylorPoly
 from conftest import horner, monomial, zero
+from test_regression_matrix import PRODUCTS
 
 inner_zeros = st.complex_numbers(max_magnitude=0.6, allow_nan=False, allow_infinity=False)
 
@@ -82,6 +83,15 @@ class TestSectionMemo:
         assert B3.taylor(40) is B3.taylor(40)
         assert B3.taylor(D=40) is B3.taylor(40)
         assert bl.BlaschkeProduct(0.0, [0.5, -0.3 + 0.2j, 0.1]).toeplitz(40) is B3.toeplitz(40)
+
+    @pytest.mark.parametrize("D", [48, 128, 256])
+    def test_safe_section_is_a_corner_of_the_window_section(self, D):
+        # a diagonal projection's reducing_residual reads T_B at D_safe: the Taylor
+        # coefficients through D_safe are a prefix of those through D, bit for bit
+        s = safe_degree(D)
+        for zeros in PRODUCTS.values():
+            B = bl.BlaschkeProduct(0.0, zeros)
+            assert B.toeplitz(s).tobytes() == B.toeplitz(D)[: s + 1, : s + 1].tobytes()
 
     def test_model_basis_key_ignores_how_d_is_passed(self, B3):
         assert bl.model_basis(B3, D=64) is bl.model_basis(B3, 64)

@@ -553,7 +553,8 @@ def reducing_residual_written_out(P, B):
 
 def _residual_cases(D):
     """(label, P, B): Mobius classes of N = 2 and 3, monomial classes in two
-    weights, and custom projections that do and do not reduce."""
+    weights on z^N and in three on products they do not reduce, and custom
+    projections that do and do not reduce."""
     cases = []
     for a, N in [(0.5, 2), (0.5j, 3)] + ([(0.8, 2), (0.8, 3)] if D >= 256 else []):
         B = bl.BlaschkeProduct(0.0, [(a, N)])
@@ -561,6 +562,11 @@ def _residual_cases(D):
     for N, alpha in [(2, -1.0), (3, 0.0)]:
         B = bl.BlaschkeProduct.monomial(N)
         cases += [(f"monomial {N} {j} {alpha}", bl.monomial_reducing_projection(N, j, alpha, D), B) for j in range(N)]
+    # the diagonal path where the residuals are not zero
+    for zeros in ([0.5, -0.3], [0.5, -0.3 + 0.2j, 0.1], [0.8, -0.79j]):
+        B, N = bl.BlaschkeProduct(0.0, zeros), len(zeros)
+        for alpha in (-1.0, 0.0, 1.0):
+            cases += [(f"monomial {N} {j} {alpha} on {zeros}", bl.monomial_reducing_projection(N, j, alpha, D), B) for j in range(N)]
     # span{(1+z) z^(2k)} reduces z^2 on the Hardy weight only; a spread-out basis reduces nothing
     parity = [TaylorPoly(np.eye(D + 1)[2 * k] + np.eye(D + 1)[2 * k + 1]) for k in range(D // 2)]
     spread = [TaylorPoly(0.9 ** np.arange(D + 1)), TaylorPoly(np.cos(np.arange(D - 20)) + 0.2j)]
@@ -575,6 +581,85 @@ def _residual_cases(D):
         P = bl.OperatorMatrix(m, alpha)
         cases.append((f"random section {alpha}", P, bl.BlaschkeProduct(0.0, [0.5, -0.3 + 0.2j, 0.1])))
     return cases
+
+
+def _dense_residual(P, B):
+    """reducing_residual on the dense kernels, whatever the shape of P."""
+    m, w, D = P.entries, P.alpha, P.degree
+    blocks = spaces._adjoint_commutator_block(m, B, w, D), spaces._commutator_block(m, B, D)
+    return max(operator_norm_safe(X, w, safe_degree(D)) for X in blocks)
+
+
+def _dense_defects(P):
+    """projection_defects as the dense expressions on P.entries: the safe
+    blocks of m m - m and of m - m*."""
+    m, w, D_safe = P.entries, P.alpha, safe_degree(P.degree)
+    s = slice(0, D_safe + 1)
+    block = bl.OperatorMatrix(m[s, s], w)
+    return (
+        operator_norm_safe(m[s, :] @ m[:, s] - block.entries, w, D_safe),
+        operator_norm_safe(block.entries - bl.weighted_adjoint(block).entries, w, D_safe),
+    )
+
+
+class TestDiagonalPath:
+    """A diagonal P forms its commutator and law blocks entrywise; for a 0/1
+    diagonal they are the dense kernels' blocks, so every norm keeps its bits."""
+
+    @staticmethod
+    def diagonal_cases(D):
+        monomials = [TaylorPoly(np.eye(D + 1)[k]) for k in (0, 3, 5, 8)]
+        extra = [(f"identity {alpha}", identity(D, alpha), bl.BlaschkeProduct(0.0, [0.5, -0.3])) for alpha in (-1.0, 0.5)]
+        extra += [(f"custom monomials {alpha}", bl.projection_from_basis(monomials, alpha, D), bl.BlaschkeProduct(0.0, [0.8, -0.79j]))
+                  for alpha in (-1.0, 0.0)]
+        return [(label, P, B) for label, P, B in _residual_cases(D) + extra if rd._diagonal(P.entries) is not None]
+
+    @pytest.mark.parametrize("D", [96, 256])
+    def test_equals_the_dense_kernels_bit_for_bit(self, D):
+        cases = self.diagonal_cases(D)
+        # the 26 monomial classes, the identities and the bases of monomials, and no other case
+        assert len(cases) == 30 and all(label.startswith(("monomial", "identity", "custom monomials")) for label, _, _ in cases)
+        assert any(bl.reducing_residual(P, B) > 0.1 for _, P, B in cases)
+        for label, P, B in cases:
+            assert bl.reducing_residual(P, B).hex() == _dense_residual(P, B).hex(), label
+            assert [x.hex() for x in bl.projection_defects(P)] == [x.hex() for x in _dense_defects(P)], label
+
+    def test_a_general_diagonal_equals_the_dense_kernels(self, B3, rng):
+        # no 0/1 diagonal: the laws fail and the products round, so the paths agree to rounding only
+        D = 96
+        P = bl.OperatorMatrix(np.diag(rng.standard_normal(D + 1) + 1j * rng.standard_normal(D + 1)), -1.0)
+        got, want = (bl.reducing_residual(P, B3), *bl.projection_defects(P)), (_dense_residual(P, B3), *_dense_defects(P))
+        assert min(want) > 0.1
+        for g, x in zip(got, want):
+            assert abs(g - x) <= 1e-14 * x
+
+    def test_one_off_diagonal_entry_takes_the_dense_path(self, B2, monkeypatch):
+        m = np.array(bl.monomial_reducing_projection(2, 0, -1.0, 64).entries)
+        m[0, 1] = 1e-300
+        P = bl.OperatorMatrix(m, -1.0)
+        calls = []
+        for name in ("_commutator_block", "_adjoint_commutator_block", "weighted_adjoint"):
+            monkeypatch.setattr(rd, name, lambda *args, f=getattr(rd, name), name=name: calls.append(name) or f(*args))
+        assert bl.reducing_residual(P, B2) == _dense_residual(P, B2)
+        assert bl.projection_defects(P) == _dense_defects(P)
+        assert sorted(calls) == ["_adjoint_commutator_block", "_commutator_block", "weighted_adjoint"]
+
+    def test_the_monomial_battery_forms_no_dense_block(self, monkeypatch):
+        # the suite's reducing battery: the monomial family on z^N, every record passing with no dense kernel
+        def refuse(*args):
+            raise AssertionError("a dense kernel ran")
+
+        for name in ("_commutator_block", "_adjoint_commutator_block", "weighted_adjoint"):
+            monkeypatch.setattr(rd, name, refuse)
+        obj = {"B": {"theta": 0.0, "zeros": [{"re": 0.5, "im": 0.0, "mult": 1}, {"re": -0.3, "im": 0.0, "mult": 1}]},
+               "alpha": -1.0, "degree": 256, "seed": 0, "inputs": {}}
+        records = [r for r in cli.run(cli.parse_config(obj, "suite")).records if r.name.startswith("reducing/")]
+        assert [r.name for r in records if r.passed] == [f"reducing/monomial_{j}/{k}" for j in (0, 1) for k in ("projection_laws", "residual")]
+        for N in (2, 3):
+            for alpha in (-1.0, 0.0, 1.0):
+                obj = {"B": {"theta": 0.0, "zeros": [{"re": 0.0, "im": 0.0, "mult": N}]}, "alpha": alpha, "degree": 256, "seed": 0, "inputs": {}}
+                records = cli.run(cli.parse_config(obj, "reducing")).records
+                assert len(records) == 2 * N and all(r.passed for r in records), (N, alpha)
 
 
 class TestReducingResidual:

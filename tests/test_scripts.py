@@ -57,7 +57,8 @@ def test_layer_timings_writes_json(tmp_path):
                   "norm_equivalence_ratio_s", "norm_equivalence_ratio_first_s", "build_s",
                   "commutation_residual_s", "realization_s", "operator_norm_safe_s",
                   "operator_norm_safe_rank_one_s", "operator_norm_safe_zero_s",
-                  "mobius_projection_s", "reducing_residual_s", "mobius_residual_s", "mobius_sections_s")
+                  "mobius_projection_s", "reducing_residual_s", "mobius_residual_s", "mobius_sections_s",
+                  "monomial_reducing_s")
         assert r["M"] > 0 and min(r[k] for k in layers) > 0
 
 
