@@ -98,6 +98,43 @@ def _configs() -> list[tuple[str, str, dict]]:
             for D in (64, 256):
                 obj = {"B": _b(products[name]), "alpha": alpha, "degree": D, "seed": 0, "inputs": {}}
                 out.append((f"reducing/monomial/{name}/alpha={alpha}/D={D}", "reducing", obj))
+    # the suite on B = z^n, whose shift-equiv mode is monomial
+    for n in (2, 3):
+        for alpha in (-1.0, 0.0):
+            for D in (64, 256):
+                obj = {"B": _b([(0.0, n)]), "alpha": alpha, "degree": D, "seed": 0, "inputs": {}}
+                out.append((f"suite/z^{n}/alpha={alpha}/D={D}", "suite", obj))
+    # each tolerances key of the checks at a tenth of its default, on a battery that reads it
+    b2, z2, mobius = [0.5, -0.3], [(0.0, 2)], {"family": "mobius_power"}
+    readers = {  # key: (command, zeros, inputs, default)
+        "roundtrip": ("decompose", b2, {}, 1e-8),
+        "commute": ("commutant", b2, {}, 1e-8),
+        "symbol_roundtrip": ("commutant", b2, {}, 1e-7),
+        "reducing_monomial": ("reducing", b2, {}, 1e-10),
+        "reducing_mobius": ("reducing", [(0.5, 2)], mobius, 1e-6),
+        "k0_orthogonality": ("reducing", [(0.5, 2)], mobius, 1e-8),
+        "projection_law": ("reducing", b2, {}, 1e-10),
+        "block_orthogonality": ("ortho", b2, {}, 1e-9),
+        "shift_action": ("ortho", b2, {}, 1e-8),
+        "triangularity": ("ortho", b2, {}, 1e-7),
+        "unitarity": ("shift-equiv", z2, {}, 1e-10),
+        "intertwining": ("shift-equiv", z2, {}, 1e-13),
+        "bnorm_identity": ("shift-equiv", b2, {}, 1e-9),
+        "shell_shift": ("shift-equiv", b2, {}, 1e-8),
+        "cowen_member": ("cowen", b2, {}, 1e-12),
+        "witness_margin": ("cowen", b2, {}, 1.0),
+    }
+    overrides = [(key, command, zeros, inputs, {key: default / 10}) for key, (command, zeros, inputs, default) in readers.items()]
+    # and three that change a status: an exact round trip fails, an exact commutation errors the
+    # symbol round trips, and a report-only custom record passes whatever reducing_mobius says
+    overrides += [
+        ("roundtrip=0", "decompose", b2, {}, {"roundtrip": 0.0}),
+        ("tol_commute=0", "commutant", b2, {}, {"tol_commute": 0.0}),
+        ("report-only", "reducing", b2, explicit["custom-report-only"][1], {"reducing_mobius": 0.0}),
+    ]
+    for label, command, zeros, inputs, tolerances in overrides:
+        obj = {"B": _b(zeros), "alpha": -1.0, "degree": 64, "seed": 0, "inputs": inputs, "tolerances": tolerances}
+        out.append((f"tolerances/{label}/{command}", command, obj))
     # the Mobius-power family of b_a^N; D = 100 and 200 are no multiple of the section tile
     for a in (0.5, 0.3 + 0.4j, 0.8, -0.79j):
         for N in (2, 3, 4):

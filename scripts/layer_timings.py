@@ -30,7 +30,7 @@ memo; the model basis is built by the function under the (B, D) memo
 mobius_power_reducing_residual computes the residuals of every class of
 (a, N, D, B) through reducing._mobius_commutators.__wrapped__, outside the
 memo that holds them; and the first ratio call runs with the Gram-form memo
-(wold._FORMS) cleared, untimed, before each call, the frame staying warm.
+(wold._gram_form) cleared, untimed, before each call, the frame staying warm.
 The Mobius-power projection builds its sections on every call.
 BLAS is pinned to one thread before numpy loads.
 
@@ -115,7 +115,7 @@ def time_layers(B: bl.BlaschkeProduct, D: int, repeats: int, rng: np.random.Gene
         "analyze_synthesize_s": median_s(lambda: bl.synthesize(bl.analyze(f, B, M, D)), repeats),
         "norm_equivalence_ratio_s": median_s(lambda: bl.norm_equivalence_ratio(f, B, ALPHA, M, D), repeats),
         "norm_equivalence_ratio_first_s": median_s(
-            lambda: bl.norm_equivalence_ratio(f, B, ALPHA, M, D), repeats, reset=wold._FORMS.clear
+            lambda: bl.norm_equivalence_ratio(f, B, ALPHA, M, D), repeats, reset=wold._gram_form.cache_clear
         ),
         "build_s": median_s(lambda: bl.build(phi, B, ALPHA, M, D), repeats),
         "commutation_residual_s": median_s(lambda: bl.commutation_residual(op, B), repeats),

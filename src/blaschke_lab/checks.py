@@ -2,9 +2,11 @@
 
 Each battery turns a validated experiment configuration into a list of
 CheckRecords (plus optional payload data); it is called as (cfg, rng) and
-reads the tolerances and the strict flag from cfg. A library guard is
-passed only when the config sets it, so each default lives once, in the
-function that reads it. All randomness flows from the config seed through
+reads the tolerances and the strict flag from cfg. Every record belongs to
+one family of RECORDS, which declares its name pattern, tolerances key and
+default; _timed looks its tolerance up, so no battery names a key. A library
+guard is passed only when the config sets it, so each default lives once, in
+the function that reads it. All randomness flows from the config seed through
 numpy's default_rng (PCG64); records are assembled in a fixed order so
 reports are reproducible byte for byte.
 """
@@ -27,28 +29,43 @@ from .errors import BlaschkeLabError, ConfigError, DimensionMismatchError, confi
 from .report import CheckRecord
 from .spaces import OperatorMatrix, TaylorPoly, _readonly, as_weight, safe_degree
 
-#: default tolerances per check family (overridable through config).
-CHECK_TOLERANCES = {
-    "roundtrip": 1e-8,
-    "commute": 1e-8,
-    "symbol_roundtrip": 1e-7,
-    "reducing_monomial": 1e-10,
-    "reducing_mobius": 1e-6,
-    "k0_orthogonality": 1e-8,
-    "projection_law": 1e-10,
-    "block_orthogonality": 1e-9,
-    "shift_action": 1e-8,
-    "triangularity": 1e-7,
-    "unitarity": 1e-10,
-    "intertwining": 1e-13,
-    "bnorm_identity": 1e-9,
-    "shell_shift": 1e-8,
-    "cowen_member": 1e-12,
-    "witness_margin": 1.0,
+#: every record family: its name pattern, each {} a label, -> (its tolerances
+#: key, or None where no config sets it, and its default tolerance). A record
+#: passes when its residual is finite and below the tolerance. The table is
+#: ordered so that CHECK_TOLERANCES lists each key where it first appears.
+RECORDS = {
+    "decompose/{}/roundtrip_h2": ("roundtrip", 1e-8),
+    "commutant/{}/commutation": ("commute", 1e-8),
+    "commutant/{}/symbol_roundtrip": ("symbol_roundtrip", 1e-7),
+    "reducing/monomial_{}/residual": ("reducing_monomial", 1e-10),
+    "reducing/mobius_{}/residual": ("reducing_mobius", 1e-6),
+    "reducing/mobius/k0_orthogonality": ("k0_orthogonality", 1e-8),
+    "reducing/monomial_{}/projection_laws": ("projection_law", 1e-10),
+    "reducing/custom/residual": ("reducing_mobius", 1e-6),  # inf unless inputs.expected is "reducing"
+    "ortho/chain_constructed": (None, 0.5),  # 0.0 once the chain is built
+    "ortho/block_orthogonality": ("block_orthogonality", 1e-9),
+    "ortho/shift_action": ("shift_action", 1e-8),
+    "ortho/commutant_triangularity": ("triangularity", 1e-7),
+    "shift_equiv/unitarity": ("unitarity", 1e-10),
+    "shift_equiv/intertwining": ("intertwining", 1e-13),
+    "shift_equiv/bnorm_identity": ("bnorm_identity", 1e-9),
+    "shift_equiv/shell_shift": ("shell_shift", 1e-8),
+    "cowen/T_B": ("cowen_member", 1e-12),
+    "cowen/identity": ("cowen_member", 1e-12),
+    "cowen/adjoint_shift_witness_margin": ("witness_margin", 1.0),  # 1e-2 over the witness's residual
 }
 
+#: the default of each tolerances key a config may override.
+CHECK_TOLERANCES = {key: default for key, default in RECORDS.values() if key}
 
-def _timed(cfg, records: list[CheckRecord], name: str, tolerance: float, fn):
+
+def _timed(cfg, records: list[CheckRecord], family: str, fn, *label, tolerance: float | None = None):
+    """Append the record family.format(*label) of the residual fn(), held to
+    tolerance if given, else to the config's value of the family's key, else
+    to its default (RECORDS)."""
+    key, default = RECORDS[family]
+    if tolerance is None:
+        tolerance = float(cfg.tolerances.get(key, default))
     t0 = time.perf_counter()
     try:
         residual = float(fn())
@@ -62,7 +79,7 @@ def _timed(cfg, records: list[CheckRecord], name: str, tolerance: float, fn):
     passed = np.isfinite(residual) and residual < tolerance
     records.append(
         CheckRecord(
-            name=name,
+            name=family.format(*label),
             residual=residual,
             tolerance=tolerance,
             passed=bool(passed),
@@ -95,10 +112,6 @@ def _random_phi(rng: np.random.Generator, n: int, deg: int) -> cm.MultiplierMatr
     return cm.MultiplierMatrix.from_polys([[_random_poly(rng, deg) for _ in range(n)] for _ in range(n)])
 
 
-def _tol(cfg, key: str) -> float:
-    return float(cfg.tolerances.get(key, CHECK_TOLERANCES[key]))
-
-
 def _guard(cfg, key: str) -> dict:
     """{key: value} when the config sets the guard, else {}."""
     return {key: cfg.tolerances[key]} if key in cfg.tolerances else {}
@@ -125,7 +138,6 @@ def decompose_checks(cfg, rng: np.random.Generator):
     B, D = cfg.blaschke, cfg.degree
     M = _shells(cfg)
     D_safe = safe_degree(D)
-    tol = _tol(cfg, "roundtrip")
 
     if (f := _input(cfg, "f")) is not None:
         inputs = [("explicit", f)]
@@ -142,7 +154,7 @@ def decompose_checks(cfg, rng: np.random.Generator):
             decs[label] = dec
             return np.linalg.norm(diff)
 
-        _timed(cfg, records, f"decompose/{label}/roundtrip_h2", tol, roundtrip)
+        _timed(cfg, records, "decompose/{}/roundtrip_h2", roundtrip, label)
 
     if (dec := decs.get("explicit")) is not None:
         data["decomposition"] = dec.to_json()
@@ -170,7 +182,7 @@ def commutant_checks(cfg, rng: np.random.Generator):
             built["op"] = op
             return op.residual
 
-        _timed(cfg, records, f"commutant/{label}/commutation", _tol(cfg, "commute"), commute)
+        _timed(cfg, records, "commutant/{}/commutation", commute, label)
 
         def roundtrip(phi=phi, built=built):
             # Phi's coefficients past shell M have no shell to come back on
@@ -183,7 +195,7 @@ def commutant_checks(cfg, rng: np.random.Generator):
             phi2 = cm.symbols_to_matrix(syms, B, M)
             return float(np.max(np.abs((phi - phi2).coeffs)))
 
-        _timed(cfg, records, f"commutant/{label}/symbol_roundtrip", _tol(cfg, "symbol_roundtrip"), roundtrip)
+        _timed(cfg, records, "commutant/{}/symbol_roundtrip", roundtrip, label)
     return records, {}
 
 
@@ -198,14 +210,8 @@ def reducing_checks(cfg, rng: np.random.Generator):
         N = B.degree
         for j in range(N):
             P = _setup("monomial_reducing_projection", lambda j=j: rd.monomial_reducing_projection(N, j, w, D))
-            _timed(
-                cfg, records, f"reducing/monomial_{j}/projection_laws", _tol(cfg, "projection_law"),
-                lambda P=P: max(rd.projection_defects(P())),
-            )
-            _timed(
-                cfg, records, f"reducing/monomial_{j}/residual", _tol(cfg, "reducing_monomial"),
-                lambda P=P: rd.reducing_residual(P(), B),
-            )
+            _timed(cfg, records, "reducing/monomial_{}/projection_laws", lambda P=P: max(rd.projection_defects(P())), j)
+            _timed(cfg, records, "reducing/monomial_{}/residual", lambda P=P: rd.reducing_residual(P(), B), j)
     elif family == "mobius_power":  # parse_config admits it only for B = b_a^N and alpha = -1
         a, N = _input(cfg, "a", _MOBIUS_A), B.degree
 
@@ -218,23 +224,23 @@ def reducing_checks(cfg, rng: np.random.Generator):
             G = binom * np.conj(a) ** np.maximum(k - jj, 0)
             return float(np.max(np.abs((G.conj().T * w.diagonal(D)) @ TB[:, : safe_degree(D) + 1])))
 
-        _timed(cfg, records, "reducing/mobius/k0_orthogonality", _tol(cfg, "k0_orthogonality"), k0)
+        _timed(cfg, records, "reducing/mobius/k0_orthogonality", k0)
         for j in range(N):
             _timed(
-                cfg, records, f"reducing/mobius_{j}/residual", _tol(cfg, "reducing_mobius"),
-                lambda j=j: rd.mobius_power_reducing_residual(a, N, j, D, B, **_guard(cfg, "rho_max")),
+                cfg, records, "reducing/mobius_{}/residual",
+                lambda j=j: rd.mobius_power_reducing_residual(a, N, j, D, B, **_guard(cfg, "rho_max")), j,
             )
     else:  # custom, which parse_config admits only with a basis
         funcs = _input(cfg, "basis")
         P = _setup("projection_from_basis", lambda: rd.projection_from_basis(funcs, w, D))
-        tol = _tol(cfg, "reducing_mobius") if _input(cfg, "expected") == "reducing" else float("inf")
 
         def custom():
             idem, sa = rd.projection_defects(P())
             data["custom_projection"] = {"idempotency_defect": idem, "selfadjoint_defect": sa}
             return rd.reducing_residual(P(), B)
 
-        _timed(cfg, records, "reducing/custom/residual", tol, custom)
+        report_only = _input(cfg, "expected") != "reducing"
+        _timed(cfg, records, "reducing/custom/residual", custom, tolerance=math.inf if report_only else None)
     return records, data
 
 
@@ -251,7 +257,7 @@ def ortho_checks(cfg, rng: np.random.Generator):
             raise ConfigError(f"ortho needs a larger degree or a smaller inputs.kmax: {exc}") from exc
         return 0.0
 
-    _timed(cfg, records, "ortho/chain_constructed", 0.5, build_chain)
+    _timed(cfg, records, "ortho/chain_constructed", build_chain)
     chain = state.get("chain")
     if chain is None:
         return records, data
@@ -266,7 +272,7 @@ def ortho_checks(cfg, rng: np.random.Generator):
         block_max = G.reshape(K, N, K, N).max(axis=(1, 3))
         return float(np.max(block_max[np.triu_indices(K, 1)], initial=0.0))
 
-    _timed(cfg, records, "ortho/block_orthogonality", _tol(cfg, "block_orthogonality"), orthogonality)
+    _timed(cfg, records, "ortho/block_orthogonality", orthogonality)
 
     def shift_action():
         # T_B maps X_k into B^(k+1) A, which is orthogonal to X_0, ..., X_k:
@@ -275,7 +281,7 @@ def ortho_checks(cfg, rng: np.random.Generator):
         N = chain.block_dim
         return max((np.linalg.norm(blocks[: k + 1, k].reshape(-1, N), 2) for k in range(kmax)), default=0.0)
 
-    _timed(cfg, records, "ortho/shift_action", _tol(cfg, "shift_action"), shift_action)
+    _timed(cfg, records, "ortho/shift_action", shift_action)
 
     def triangularity():
         phi = _random_phi(rng, B.degree, 4)
@@ -284,7 +290,7 @@ def ortho_checks(cfg, rng: np.random.Generator):
         above = np.triu_indices(kmax + 1, 1)  # (l, k) with l < k
         return float(np.max(np.linalg.norm(blocks, 2, axis=(2, 3))[above], initial=0.0))
 
-    _timed(cfg, records, "ortho/commutant_triangularity", _tol(cfg, "triangularity"), triangularity)
+    _timed(cfg, records, "ortho/commutant_triangularity", triangularity)
     return records, data
 
 
@@ -294,8 +300,8 @@ def shift_equiv_checks(cfg, rng: np.random.Generator):
     # parse_config admits mode 'monomial' only for B = z^n
     if _input(cfg, "mode", "monomial" if B == BlaschkeProduct.monomial(B.degree) else "general") == "monomial":
         J = _setup("shift_equiv_monomial", lambda: rd.shift_equiv_monomial(B.degree, w, D))
-        _timed(cfg, records, "shift_equiv/unitarity", _tol(cfg, "unitarity"), lambda: rd.unitarity_defect(J()))
-        _timed(cfg, records, "shift_equiv/intertwining", _tol(cfg, "intertwining"), lambda: rd.intertwining_residual(J()))
+        _timed(cfg, records, "shift_equiv/unitarity", lambda: rd.unitarity_defect(J()))
+        _timed(cfg, records, "shift_equiv/intertwining", lambda: rd.intertwining_residual(J()))
     else:
         # images h B^k while B^k fits the window, and never fewer than three,
         # analysed on shells that cover them
@@ -308,9 +314,8 @@ def shift_equiv_checks(cfg, rng: np.random.Generator):
             return rd.shift_equiv_general(B, h, w, M, D)
 
         intertwiner = _setup("shift_equiv_general", general)
-        bnorm, shift = _tol(cfg, "bnorm_identity"), _tol(cfg, "shell_shift")
-        _timed(cfg, records, "shift_equiv/bnorm_identity", bnorm, lambda: rd.bnorm_defect(intertwiner(), M_ana))
-        _timed(cfg, records, "shift_equiv/shell_shift", shift, lambda: rd.shell_shift_residual(intertwiner(), M_ana))
+        _timed(cfg, records, "shift_equiv/bnorm_identity", lambda: rd.bnorm_defect(intertwiner(), M_ana))
+        _timed(cfg, records, "shift_equiv/shell_shift", lambda: rd.shell_shift_residual(intertwiner(), M_ana))
     return records, {}
 
 
@@ -326,14 +331,14 @@ def cowen_checks(cfg, rng: np.random.Generator):
     def member(W):
         return lambda: cm.cowen_residual(W, B, pts)
 
-    _timed(cfg, records, "cowen/T_B", _tol(cfg, "cowen_member"), member(OperatorMatrix(B.toeplitz(D), 0.0)))
-    _timed(cfg, records, "cowen/identity", _tol(cfg, "cowen_member"), member(OperatorMatrix(np.eye(D + 1), 0.0)))
+    _timed(cfg, records, "cowen/T_B", member(OperatorMatrix(B.toeplitz(D), 0.0)))
+    _timed(cfg, records, "cowen/identity", member(OperatorMatrix(np.eye(D + 1), 0.0)))
 
     def witness():
         worst = cm.cowen_residual(OperatorMatrix(np.eye(D + 1, k=1), 0.0), B, pts)  # the H^2 adjoint shift
         return 1e-2 / max(worst, 1e-300)  # pass iff the witness exceeds 1e-2
 
-    _timed(cfg, records, "cowen/adjoint_shift_witness_margin", _tol(cfg, "witness_margin"), witness)
+    _timed(cfg, records, "cowen/adjoint_shift_witness_margin", witness)
     return records, {}
 
 
@@ -342,22 +347,13 @@ def suite_checks(cfg, rng: np.random.Generator):
     records: list[CheckRecord] = []
     data: dict = {}
     cfg = dataclasses.replace(cfg, shells=_shells(cfg))
-    for name in SUITE_COMMANDS:
-        fn = BATTERIES[name]
-        recs, d = fn(cfg, rng)
+    # last the reducing battery: the monomial family on z^N with the config degree
+    mono_cfg = dataclasses.replace(cfg, blaschke=BlaschkeProduct.monomial(cfg.blaschke.degree), inputs={"family": "monomial"})
+    for name, battery_cfg in [*((name, cfg) for name in SUITE_COMMANDS), ("reducing", mono_cfg)]:
+        recs, d = BATTERIES[name](battery_cfg, rng)
         records.extend(recs)
         if d:
             data[name] = d
-    # reducing battery: monomial family on z^N with the config degree
-    mono_cfg = dataclasses.replace(
-        cfg,
-        blaschke=BlaschkeProduct.monomial(cfg.blaschke.degree),
-        inputs={"family": "monomial"},
-    )
-    recs, d = reducing_checks(mono_cfg, rng)
-    records.extend(recs)
-    if d:
-        data["reducing"] = d
     return records, data
 
 
@@ -456,7 +452,7 @@ INPUT_READERS = {
     "num_samples": partial(config_int, minimum=1),
     "max_degree": partial(config_int, minimum=0),
     "phi": _symbol,
-    "symbol_degree": partial(config_int, minimum=0),
+    "symbol_degree": partial(config_int, minimum=0, maximum=cm._MAX_SYMBOL_DEGREE),
     "family": _choice("reducing family", "monomial", "mobius_power", "custom"),
     "a": _pair,
     "basis": _list(_poly),

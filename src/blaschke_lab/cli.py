@@ -30,6 +30,9 @@ CONFIG_KEYS = ("command", "B", "alpha", "degree", "shells", "seed", "inputs", "t
 #: one function that reads it; the other keys are CHECK_TOLERANCES.
 GUARD_KEYS = ("tol_commute", "rho_max")
 
+#: ln of the largest float: past it the weight (degree + 1)^|alpha| overflows.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
@@ -66,11 +69,17 @@ def parse_config(obj: dict, command: str, *, strict=False) -> ExperimentConfig:
     alpha = config_float(obj.get("alpha", 0.0), "alpha")
     if not math.isfinite(alpha):
         raise ConfigError(f"alpha must be finite, got {alpha!r}")
+    degree = config_int(obj.get("degree", 64), "degree", minimum=1)
+    if abs(alpha) * math.log(degree + 1) >= _LOG_FLOAT_MAX:
+        raise ConfigError(
+            f"alpha = {alpha!r} at degree = {degree}: the weights (k+1)^alpha leave the float range;"
+            f" need |alpha| * ln(degree + 1) < {_LOG_FLOAT_MAX:.2f}"
+        )
     cfg = ExperimentConfig(
         command=command,
         blaschke=B,
         alpha=alpha,
-        degree=config_int(obj.get("degree", 64), "degree", minimum=1),
+        degree=degree,
         shells=None if shells is None else config_int(shells, "shells", minimum=0),
         seed=config_int(obj.get("seed", 0), "seed", minimum=0),
         inputs=dict(known_keys(obj.get("inputs", {}), "inputs", INPUT_KEYS[command])),
@@ -98,13 +107,7 @@ class _SeededGenerator:
 
 def run(cfg: ExperimentConfig) -> Report:
     """Dispatch to the named battery and assemble the report."""
-    rng = _SeededGenerator(cfg.seed)
-    battery = BATTERIES[cfg.command]
-    try:
-        records, data = battery(cfg, rng)
-    except (TypeError, KeyError, ValueError) as exc:
-        # malformed input payloads surface as configuration errors
-        raise ConfigError(f"invalid inputs for {cfg.command!r}: {exc}") from exc
+    records, data = BATTERIES[cfg.command](cfg, _SeededGenerator(cfg.seed))
     echo = {
         "command": cfg.command,
         "B": cfg.blaschke.to_json(),

@@ -52,14 +52,16 @@ def known_keys(obj, where: str, valid: tuple[str, ...]) -> dict:
     return obj
 
 
-def config_int(value, key: str, minimum: int | None = None) -> int:
-    """value as an int. A bool, a string or a non-integral number is an
-    error, never truncated."""
+def config_int(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """value as an int in [minimum, maximum]. A bool, a string or a
+    non-integral number is an error, never truncated."""
     integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {int(value)}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{key} must be <= {maximum}, got {int(value)}")
     return int(value)
 
 

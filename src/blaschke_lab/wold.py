@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -262,24 +263,16 @@ def synthesize(dec: ShellDecomposition, D: int | None = None) -> TaylorPoly:
 
 _FORM_ROWS = 16  # the rows of a Gram form: len(f) rounded up to a multiple of 16
 _FORM_MEMO_SIZE = 4  # at D = 512 at most 4 x 513^2 x 16 B = 16,842,816 B
-_FORMS: OrderedDict[tuple, np.ndarray] = OrderedDict()  # least recently used first
 
 
-def _gram_form(B: BlaschkeProduct, w: WeightAlpha, M: int, D: int, L: int) -> np.ndarray:
-    """G[:L, :L] of G = E[:r] Lambda_M E[:r]^H, E the cells of shells 0..M of (B, D) and Lambda_M
-    the shell weights (k+1)^alpha repeated n times, so f^H G f = ||f||_B^2 for f of L coefficients.
-    r = L rounded up to a multiple of _FORM_ROWS, capped at D + 1, is part of the key: the bits of
-    a product depend on its size, so a form is never grown from a smaller one."""
-    r = min(-(-L // _FORM_ROWS) * _FORM_ROWS, D + 1)
-    key = (B, M, D, w.alpha, r)
-    G = _FORMS.get(key)
-    if G is None:
-        E = shell_frame(B, M, D)[:r]
-        G = _FORMS[key] = _readonly((E * np.repeat(w.diagonal(M), B.degree)) @ E.conj().T)
-        if len(_FORMS) > _FORM_MEMO_SIZE:
-            _FORMS.popitem(last=False)
-    _FORMS.move_to_end(key)
-    return G[:L, :L]
+@lru_cache(maxsize=_FORM_MEMO_SIZE)
+def _gram_form(B: BlaschkeProduct, w: WeightAlpha, M: int, D: int, r: int) -> np.ndarray:
+    """G = E[:r] Lambda_M E[:r]^H, E the cells of shells 0..M of (B, D) and Lambda_M the shell
+    weights (k+1)^alpha repeated n times, so f^H G[:L, :L] f = ||f||_B^2 for f of L <= r
+    coefficients. The row count r is part of the key: the bits of a product depend on its
+    size, so a form is never grown from a smaller one."""
+    E = shell_frame(B, M, D)[:r]
+    return _readonly((E * np.repeat(w.diagonal(M), B.degree)) @ E.conj().T)
 
 
 def norm_equivalence_ratio(
@@ -301,4 +294,6 @@ def norm_equivalence_ratio(
     if nf2 == 0.0:
         raise ZeroFunctionError("norm ratio undefined for the zero function")
     M, D = _window(f, B, M, D, basis)
-    return float(np.vdot(c, _gram_form(B, w, M, D, len(c)) @ c).real / nf2)
+    L = len(c)
+    r = min(-(-L // _FORM_ROWS) * _FORM_ROWS, D + 1)  # the row bucket of L, capped at D + 1
+    return float(np.vdot(c, _gram_form(B, w, M, D, r)[:L, :L] @ c).real / nf2)

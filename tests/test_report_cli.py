@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import blaschke_lab as bl
 from blaschke_lab import checks, cli
 from blaschke_lab.cli import main, parse_config, run
 from blaschke_lab.errors import (
+    BlaschkeLabError,
     ConditioningError,
     ConfigError,
     DimensionMismatchError,
@@ -119,6 +121,54 @@ def _configs(draw):
     keys = {key: _mostly(_NUMBER) for key in ("alpha", "degree", "shells", "seed")}
     keys |= {"command": _mostly(st.just(command)), "tolerances": _mostly(_TOLERANCES)}
     return command, draw(_mostly(st.fixed_dictionaries({"B": _B, "inputs": _mostly(inputs)}, optional=keys)))
+
+
+# configs that mostly parse, every size bounded: a large degree or shell
+# count allocates a dense frame, it does not raise
+_FUNCTION = st.lists(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2), min_size=1, max_size=40)
+_POINT = st.sampled_from((0j, 0.5, -0.3, 0.8, 0.3 + 0.4j, -0.79j)) | st.complex_numbers(max_magnitude=0.95)
+_RUN_INPUTS = {
+    "f": _FUNCTION,
+    "num_samples": st.integers(1, 3),
+    "max_degree": st.integers(0, 40),
+    "symbol_degree": st.integers(0, 70),
+    "family": st.sampled_from(("monomial", "mobius_power", "custom")),
+    "basis": st.lists(_FUNCTION, min_size=1, max_size=3),
+    "expected": st.sampled_from(("reducing", "report-only")),
+    "kmax": st.integers(0, 6),
+    "mode": st.sampled_from(("monomial", "general")),
+    "h": _FUNCTION,
+    "num_points": st.integers(1, 5),
+    "radius": st.floats(0.01, 0.99),
+}
+_RUN_TOLERANCES = st.dictionaries(
+    st.sampled_from(cli.GUARD_KEYS + tuple(checks.CHECK_TOLERANCES)), st.floats(0.0, 2.0) | st.just(0.0), max_size=3
+)
+
+
+@st.composite
+def _run_configs(draw):
+    command = draw(st.sampled_from(cli.COMMANDS))
+    # a power of one factor, so that mobius_power and the monomial mode are drawn
+    zeros = draw(st.lists(_POINT, min_size=1, max_size=3) | st.builds(lambda a, N: [a] * N, _POINT, st.integers(1, 3)))
+    keys = [key for key in checks.INPUT_KEYS[command] if key in _RUN_INPUTS]
+    inputs = draw(st.fixed_dictionaries({}, optional={key: _RUN_INPUTS[key] for key in keys}))
+    if "a" in checks.INPUT_KEYS[command] and draw(st.booleans()):
+        inputs["a"] = [zeros[0].real, zeros[0].imag]
+    if "phi" in checks.INPUT_KEYS[command] and draw(st.booleans()):
+        inputs["phi"] = draw(st.lists(st.lists(_FUNCTION, min_size=len(zeros), max_size=len(zeros)),
+                                      min_size=len(zeros), max_size=len(zeros)))
+    obj = {
+        "B": b_json(zeros),
+        # near the parse bound on alpha the batteries' products overflow, a RuntimeWarning that pytest raises
+        "alpha": draw(st.sampled_from((-2.0, -1.0, -0.5, 0.0, 1.0)) | st.floats(-6.0, 6.0)),
+        "degree": draw(st.integers(1, 40)),
+        "shells": draw(st.none() | st.integers(0, 8)),
+        "seed": draw(st.integers(0, 2**32)),
+        "inputs": inputs,
+        "tolerances": draw(_RUN_TOLERANCES),
+    }
+    return command, obj, draw(st.booleans())
 
 
 class TestConfig:
@@ -414,9 +464,26 @@ class TestConfig:
         def fault(*args):
             raise TypeError("library fault")
 
+        cfg = parse_config(dict(BASE), "suite")
         monkeypatch.setattr(cli, "check_inputs", fault)
         with pytest.raises(TypeError, match="library fault"):
             parse_config(dict(BASE), "suite")
+        monkeypatch.setitem(checks.BATTERIES, "suite", fault)
+        with pytest.raises(TypeError, match="library fault"):
+            run(cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=_run_configs())
+    def test_a_config_that_parses_runs_or_raises_a_library_error(self, config):
+        command, obj, strict = config
+        try:
+            cfg = parse_config(obj, command, strict=strict)
+        except ConfigError:
+            reject()
+        try:
+            run(cfg)
+        except BlaschkeLabError:
+            pass
 
 
 class TestRun:
@@ -549,6 +616,29 @@ class TestMainExitCodes:
         assert main([command, "--config", str(cfgp)]) == 2
         message = "alpha must be finite" if field == "alpha" else "invalid field 'B': theta must be finite"
         assert capsys.readouterr().err == f"config error: {message}, got {value!r}\n"
+
+    @pytest.mark.parametrize("alpha", [400.0, -400.0, 1e300, -1e300])
+    def test_alpha_whose_weights_leave_the_float_range_exits_two_and_names_it(self, monkeypatch, tmp_path, capsys,
+                                                                             alpha):
+        # (17)^400 overflows and (17)^-400 underflows; the SVD would not converge mid-run
+        for name in checks.BATTERIES:
+            monkeypatch.setitem(checks.BATTERIES, name, lambda cfg, rng: pytest.fail("a battery ran"))
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps(dict(BASE, alpha=alpha, degree=16)))
+        for command in ("suite", "reducing", "cowen"):
+            assert main([command, "--config", str(cfgp)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: alpha = {alpha!r} at degree = 16: the weights (k+1)^alpha leave the float range;"
+                " need |alpha| * ln(degree + 1) < 709.78\n"
+            )
+
+    @pytest.mark.parametrize("degree", [16, 64])
+    def test_alpha_just_inside_the_float_range_parses(self, degree):
+        bound = math.log(sys.float_info.max) / math.log(degree + 1)
+        for alpha in (0.99 * bound, -0.99 * bound):
+            assert parse_config(dict(BASE, alpha=alpha, degree=degree), "suite").alpha == alpha
+        with pytest.raises(ConfigError, match=r"^alpha = .* at degree = \d+: the weights"):
+            parse_config(dict(BASE, alpha=1.01 * bound, degree=degree), "suite")
 
     def test_malformed_json_exits_two(self, tmp_path):
         cfgp = tmp_path / "c.json"
@@ -777,6 +867,11 @@ class TestBatteries:
                 ("ortho", "kmax", -1, 0),
                 ("cowen", "num_points", 0, 1),
             ]
+        },
+        # a sampled symbol past the multiplier degree cap would fail mid-run
+        **{
+            f"{command}-symbol_degree-65": (command, {"symbol_degree": 65}, "inputs.symbol_degree must be <= 64, got 65")
+            for command in ("commutant", "suite")
         },
         # 0.0 samples only the origin, -0.5 rotates the points, 1.5 leaves the disc
         **{

@@ -216,8 +216,8 @@ class TestGramForm:
     D = 128
 
     @pytest.fixture(autouse=True)
-    def cleared(self, monkeypatch):
-        monkeypatch.setattr(wold, "_FORMS", OrderedDict())
+    def cleared(self):
+        wold._gram_form.cache_clear()
 
     @staticmethod
     def oracle(f, B, alpha, M, D):
@@ -234,13 +234,13 @@ class TestGramForm:
             assert abs(bl.norm_equivalence_ratio(f, B, alpha, M, self.D) - ratio) <= 1e-15 * ratio
 
     @pytest.mark.parametrize("product", PRODUCTS)
-    def test_ratio_bits_do_not_depend_on_the_calls_before_it(self, monkeypatch, rng, product):
+    def test_ratio_bits_do_not_depend_on_the_calls_before_it(self, rng, product):
         # forms are never grown from a smaller one: a build's GEMM rounds by size
         B, D = bl.BlaschkeProduct(0.0, self.PRODUCTS[product]), 64
         polys = [TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)) for deg in range(D + 1)]
         runs = []
         for order in (polys, polys[::-1]):
-            monkeypatch.setattr(wold, "_FORMS", OrderedDict())
+            wold._gram_form.cache_clear()
             runs.append({f.degree: bl.norm_equivalence_ratio(f, B, -1.0, 24, D).hex() for f in order})
         assert runs[0] == runs[1]
 
@@ -249,8 +249,8 @@ class TestGramForm:
             for deg in (3, 20, 40, 64):
                 f = TaylorPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
                 bl.norm_equivalence_ratio(f, B3, alpha, 12, 64)
-                assert 0 < len(wold._FORMS) <= wold._FORM_MEMO_SIZE
-        assert len(wold._FORMS) == wold._FORM_MEMO_SIZE
+                assert 0 < wold._gram_form.cache_info().currsize <= wold._FORM_MEMO_SIZE
+        assert wold._gram_form.cache_info().currsize == wold._FORM_MEMO_SIZE
 
     def test_ratio_reads_no_shell_coordinates(self, B3, rng, monkeypatch):
         f = TaylorPoly(rng.standard_normal(20) + 1j * rng.standard_normal(20))
